@@ -69,17 +69,13 @@ class HoleExceedsOwner(CraftError):
         self.modification = modification
 
 
-class DisconnectedError(CraftError):
-    def __init__(self, components):
-        super().__init__(
-            f"assembly splits into {len(components)} components: "
-            + "; ".join(",".join(sorted(c)) for c in components)
-        )
-        self.components = [sorted(c) for c in components]
-
-
 class NumericalDivergence(CraftError):
-    pass
+    """A body's speed or spin left the solver's range, or became NaN."""
+
+    def __init__(self, body, what, time):
+        super().__init__(f"body {body!r} {what} at t={time:.4g} s")
+        self.body = body
+        self.time = time
 
 
 class EmptyMesh(CraftError):
@@ -87,10 +83,6 @@ class EmptyMesh(CraftError):
 
 
 class DegenerateExtent(CraftError):
-    pass
-
-
-class CannotReachCount(CraftError):
     pass
 
 

@@ -30,6 +30,7 @@ STAGE_FORMAT = "FORMAT"
 STAGE_COLLISION = "COLLISION"
 STAGE_CONNECTIVITY = "CONNECTIVITY"
 STAGE_PHYSICS = "PHYSICS"
+STAGE_CLIENT = "CLIENT"  # the client failed after its retries
 STAGE_NONE = "NONE"
 
 # re-prompting policies
@@ -223,6 +224,8 @@ def classify_failure(stage: str) -> str:
         return "Position Val."
     if stage == STAGE_PHYSICS:
         return "Physics Val."
+    if stage == STAGE_CLIENT:
+        return "Client Error"
     return "Success"
 
 
@@ -290,7 +293,8 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     Budgets: NONE issues a single call; FRESH retries the identical prompt
     up to twice more; FEEDBACK allows one retry for a pre-simulation
     failure and one more for a simulation failure.  Every policy stays
-    within three LLM calls.
+    within three LLM calls.  A client that still fails after its retries
+    ends the run as a failure at stage CLIENT.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -310,7 +314,15 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
             category=category, instruction=instruction, template=template,
             catalog=catalog,
             feedback=feedback if policy == POLICY_FEEDBACK else None)
-        raw = _call(client, build_prompt(bundle))
+        try:
+            raw = _call(client, build_prompt(bundle))
+        except ClientError as exc:
+            result.attempts.append(AttemptRecord(
+                raw="", failure_stage=STAGE_CLIENT,
+                report={"error": "ClientError", "message": str(exc)}))
+            result.failure_stage = STAGE_CLIENT
+            result.plan = result.assembly = result.outcome = None
+            return result
         result.llm_calls += 1
         stage, report, plan, assembly, outcome = evaluate_plan_text(
             raw, catalog, functional=functional, sim_config=sim_config)

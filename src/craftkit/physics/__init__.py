@@ -7,6 +7,7 @@ from .functional import (
     INSUFFICIENT_ROTATION,
     MOVED_UNDER_LOAD,
     NEW_GROUND_CONTACT,
+    NUMERICAL_DIVERGENCE,
     PART_SEPARATED,
     PEG_MISSED,
     PEG_OUTSIDE_HOLE,
@@ -25,7 +26,8 @@ from .functional import (
 __all__ = [
     "Contact", "RevoluteJoint", "RigidBody", "World",
     "FAILURE_REASONS", "INSUFFICIENT_DISTANCE", "INSUFFICIENT_ROTATION",
-    "MOVED_UNDER_LOAD", "NEW_GROUND_CONTACT", "PART_SEPARATED",
+    "MOVED_UNDER_LOAD", "NEW_GROUND_CONTACT", "NUMERICAL_DIVERGENCE",
+    "PART_SEPARATED",
     "PEG_MISSED", "PEG_OUTSIDE_HOLE", "VEERED",
     "CompiledCraft", "SimConfig", "SimOutcome",
     "check_common_failures", "compile_craft", "run_functional_test",

@@ -7,12 +7,20 @@ body frame, which is world-aligned at compile time.
 
 Positions are frozen during the velocity solve, so all constraint geometry
 (lever arms, effective masses, biases) is precomputed once per step and the
-iteration loop only touches velocities.
+iteration loop only touches velocities.  The solve runs on plain Python
+floats in the "solver body" layout of Box2D's contact solver: each step
+copies every body's velocity, pseudo-velocity, inverse mass and world inverse
+inertia into a float solver body, each contact row keeps r x d and
+I^-1 (r x d) per body and direction, and each joint row keeps its 3x3 and
+2x2 inverse masses as nested floats.  After the position iterations the
+velocities are written back to the bodies' numpy arrays, which are the
+public state between steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +28,10 @@ from ..collision import pair_overlap
 from ..errors import NumericalDivergence
 from ..geometry import BOX, Solid, solid_inertia_diag
 
-MAX_SPEED = 1e3
+MAX_SPEED = 1e3  # m/s
+MAX_SPIN = 1e4  # rad/s
+_INF = float("inf")
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 CONTACT_GEN_MARGIN = 1e-3  # start tracking ground contacts this close
 
 _BOX_SIGNS = np.array(
@@ -57,10 +68,6 @@ def _cross(a, b):
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     ])
-
-
-def _skew(v):
-    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
 
 
 @dataclass
@@ -123,13 +130,6 @@ class RigidBody:
     def world_point(self, local):
         return self.x + self.rotation @ local
 
-    def world_inv_inertia(self):
-        self.refresh_pose_cache()
-        return self._iinv
-
-    def velocity_at(self, point):
-        return self.v + _cross(self.w, point - self.x)
-
     def apply_force(self, force, point=None):
         self.force = self.force + np.asarray(force, float)
         if point is not None:
@@ -138,14 +138,6 @@ class RigidBody:
 
     def apply_torque(self, torque):
         self.torque = self.torque + np.asarray(torque, float)
-
-    def apply_impulse(self, impulse, point):
-        """One-off external impulse (not used by the solver's hot path)."""
-        self.refresh_pose_cache()
-        if not self._dynamic:
-            return
-        self.v = self.v + impulse * self.inv_mass
-        self.w = self.w + self._iinv @ _cross(point - self.x, impulse)
 
     def part_world_center(self, part: BodyPart):
         return self.world_point(part.local_center)
@@ -200,188 +192,299 @@ class Contact:
     normal: np.ndarray  # from a to b
     depth: float
     friction: float
-    jn: float = 0.0
-    jt: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    pn: float = 0.0
 
 
-class _JointRow:
-    """Per-step precomputation for one revolute joint."""
+# -- solver: plain-float rows over float copies of the bodies ---------------
+#
+# A body's velocity state is the 6-list (vx, vy, vz, wx, wy, wz).  A row
+# direction d acting at lever arm r reads a body through its Jacobian
+# (d, r x d), so the speed along d is a 6-term dot product, and an impulse
+# dj along d changes the body by dj * (m d, I^-1 (r x d)): both 6-tuples are
+# built once per step, and the iterations only multiply and add floats.
 
-    __slots__ = ("a", "b", "ra", "rb", "kinv", "bias", "rows", "kmat_inv",
-                 "ang_bias", "iinv_a", "iinv_b", "rows_iinv_a", "rows_iinv_b")
 
-    def __init__(self, joint: RevoluteJoint, beta, dt):
-        a, b = joint.body_a, joint.body_b
-        self.a, self.b = a, b
-        self.ra = a._rot @ joint.anchor_local_a
-        self.rb = b._rot @ joint.anchor_local_b
-        pa = a.x + self.ra
-        pb = b.x + self.rb
-        self.iinv_a = a._iinv
-        self.iinv_b = b._iinv
-        inv_ma = a.inv_mass if a._dynamic else 0.0
-        inv_mb = b.inv_mass if b._dynamic else 0.0
-        sa = _skew(self.ra)
-        sb = _skew(self.rb)
-        k = (inv_ma + inv_mb) * np.eye(3) \
-            - sa @ self.iinv_a @ sa - sb @ self.iinv_b @ sb
-        self.kinv = np.linalg.inv(k)
-        self.bias = (beta / dt) * (pb - pa)
+def _cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
-        axis_a = a._rot @ joint.axis_local_a
-        axis_b = b._rot @ joint.axis_local_b
-        u1 = np.array([1.0, 0.0, 0.0])
-        if abs(axis_a @ u1) > 0.9:
-            u1 = np.array([0.0, 1.0, 0.0])
-        u1 = u1 - (u1 @ axis_a) * axis_a
-        u1 /= np.linalg.norm(u1)
-        u2 = _cross(axis_a, u1)
-        rows = np.stack([u1, u2])
-        self.rows = rows
-        kang = rows @ (self.iinv_a + self.iinv_b) @ rows.T
-        try:
-            self.kmat_inv = np.linalg.inv(kang)
-        except np.linalg.LinAlgError:
-            self.kmat_inv = None
-        # driving the perpendicular relative spin toward
-        # -beta/dt * (axis_a x axis_b) decays the misalignment without
-        # cross-coupling the two error components
-        self.ang_bias = (beta / dt) * (rows @ _cross(axis_a, axis_b))
-        self.rows_iinv_a = self.iinv_a @ rows.T
-        self.rows_iinv_b = self.iinv_b @ rows.T
 
-    def solve(self):
-        a, b = self.a, self.b
-        vrel = b.v + _cross(b.w, self.rb) - a.v - _cross(a.w, self.ra)
-        impulse = self.kinv @ (-(vrel + self.bias))
-        if a._dynamic:
-            a.v = a.v - impulse * a.inv_mass
-            a.w = a.w - self.iinv_a @ _cross(self.ra, impulse)
-        if b._dynamic:
-            b.v = b.v + impulse * b.inv_mass
-            b.w = b.w + self.iinv_b @ _cross(self.rb, impulse)
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
-        if self.kmat_inv is None:
-            return
-        w_rel = b.w - a.w
-        lam = self.kmat_inv @ (-(self.rows @ w_rel + self.ang_bias))
-        if a._dynamic:
-            a.w = a.w - self.rows_iinv_a @ lam
-        if b._dynamic:
-            b.w = b.w + self.rows_iinv_b @ lam
+
+def _matvec3(m, v):
+    return (m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
+            m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
+            m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2])
+
+
+def _unit_perpendicular(d):
+    """x (or y, when d is near x) with its d component removed, normalized."""
+    u = (0.0, 1.0, 0.0) if abs(d[0]) > 0.9 else (1.0, 0.0, 0.0)
+    s = _dot3(u, d)
+    u = (u[0] - s * d[0], u[1] - s * d[1], u[2] - s * d[2])
+    norm = math.sqrt(_dot3(u, u))
+    return (u[0] / norm, u[1] / norm, u[2] / norm)
+
+
+class _SolverBody:
+    """Float copy of one body's solver state for the duration of a step."""
+
+    __slots__ = ("body", "x", "rot", "vel", "pvel", "dynamic", "inv_mass",
+                 "iinv")
+
+    def __init__(self, body: RigidBody):
+        self.body = body
+        self.x = body.x.tolist()
+        self.rot = body._rot.tolist()
+        self.vel = body.v.tolist() + body.w.tolist()
+        self.pvel = body.pv.tolist() + body.pw.tolist()
+        self.dynamic = body._dynamic
+        self.inv_mass = body.inv_mass if body._dynamic else 0.0
+        self.iinv = body._iinv.tolist()
+
+    def lever(self, r, d):
+        """Jacobian, impulse response and effective mass along d at r.
+
+        The response is None (and the mass 0) for a body impulses do not move.
+        """
+        c = _cross3(r, d)
+        jac = (d[0], d[1], d[2], c[0], c[1], c[2])
+        if not self.dynamic:
+            return jac, None, 0.0
+        m = self.inv_mass
+        ic = _matvec3(self.iinv, c)
+        resp = (m * d[0], m * d[1], m * d[2], ic[0], ic[1], ic[2])
+        return jac, resp, m + _dot3(c, ic)
+
+    def store(self):
+        body, v, p = self.body, self.vel, self.pvel
+        body.v = np.array(v[:3])
+        body.w = np.array(v[3:])
+        body.pv = np.array(p[:3])
+        body.pw = np.array(p[3:])
+
+
+def _solve_row(row, va, vb, acc, target, lo, hi):
+    """One sequential-impulse update along one row direction.
+
+    Drives the relative speed J_b . V_b - J_a . V_a toward ``target`` with
+    the accumulated impulse clamped to [lo, hi], applies the change to the
+    6-velocities ``va`` (None for the static environment) and ``vb`` in
+    place, and returns the new accumulated impulse.
+    """
+    ja, jb, resp_a, resp_b, k = row
+    s = target - (jb[0] * vb[0] + jb[1] * vb[1] + jb[2] * vb[2]
+                  + jb[3] * vb[3] + jb[4] * vb[4] + jb[5] * vb[5])
+    if ja is not None:
+        s += (ja[0] * va[0] + ja[1] * va[1] + ja[2] * va[2]
+              + ja[3] * va[3] + ja[4] * va[4] + ja[5] * va[5])
+    new = acc + s / k
+    if new < lo:
+        new = lo
+    elif new > hi:
+        new = hi
+    dj = new - acc
+    if dj != 0.0:
+        if resp_b is not None:
+            vb[0] += dj * resp_b[0]
+            vb[1] += dj * resp_b[1]
+            vb[2] += dj * resp_b[2]
+            vb[3] += dj * resp_b[3]
+            vb[4] += dj * resp_b[4]
+            vb[5] += dj * resp_b[5]
+        if resp_a is not None:
+            va[0] -= dj * resp_a[0]
+            va[1] -= dj * resp_a[1]
+            va[2] -= dj * resp_a[2]
+            va[3] -= dj * resp_a[3]
+            va[4] -= dj * resp_a[4]
+            va[5] -= dj * resp_a[5]
+    return new
 
 
 class _ContactRow:
-    """Per-step precomputation for one contact point."""
+    """One contact point: the normal and two friction directions.
 
-    __slots__ = ("c", "a", "b", "ra", "rb", "n", "t1", "t2", "kn", "kt1",
-                 "kt2", "iinv_a", "iinv_b")
+    Each direction is (J_a, J_b, response_a, response_b, effective mass);
+    J_a is None against the static environment, and a response is None for
+    a side that impulses do not move.  jn, jt1, jt2 and pn accumulate the
+    normal, friction and split (position) impulses of this step.
+    """
 
-    def __init__(self, contact: Contact):
-        self.c = contact
-        a, b = contact.body_a, contact.body_b
-        self.a, self.b = a, b
-        n = contact.normal
-        self.n = n
-        t1 = np.array([1.0, 0.0, 0.0])
-        if abs(n @ t1) > 0.9:
-            t1 = np.array([0.0, 1.0, 0.0])
-        t1 = t1 - (t1 @ n) * n
-        t1 /= np.linalg.norm(t1)
-        self.t1 = t1
-        self.t2 = _cross(n, t1)
-        self.ra = None if a is None else contact.point - a.x
-        self.rb = contact.point - b.x
-        self.iinv_a = None if a is None else a._iinv
-        self.iinv_b = b._iinv
-        self.kn = self._k(n)
-        self.kt1 = self._k(t1)
-        self.kt2 = self._k(self.t2)
+    __slots__ = ("va", "vb", "pa", "pb", "friction", "depth", "n", "t1",
+                 "t2", "jn", "jt1", "jt2", "pn")
 
-    def _k(self, d):
-        k = 0.0
-        a, b = self.a, self.b
-        if a is not None and a._dynamic:
-            rn = _cross(self.ra, d)
-            k += a.inv_mass + rn @ self.iinv_a @ rn
-        if b._dynamic:
-            rn = _cross(self.rb, d)
-            k += b.inv_mass + rn @ self.iinv_b @ rn
-        return k
-
-    def _vrel(self):
-        a, b = self.a, self.b
-        v = b.v + _cross(b.w, self.rb)
-        if a is not None:
-            v = v - a.v - _cross(a.w, self.ra)
-        return v
-
-    def _vrel_pseudo(self):
-        a, b = self.a, self.b
-        v = b.pv + _cross(b.pw, self.rb)
-        if a is not None:
-            v = v - a.pv - _cross(a.pw, self.ra)
-        return v
-
-    def _apply(self, impulse):
-        a, b = self.a, self.b
-        if a is not None and a._dynamic:
-            a.v = a.v - impulse * a.inv_mass
-            a.w = a.w - self.iinv_a @ _cross(self.ra, impulse)
-        if b._dynamic:
-            b.v = b.v + impulse * b.inv_mass
-            b.w = b.w + self.iinv_b @ _cross(self.rb, impulse)
-
-    def _apply_pseudo(self, impulse):
-        a, b = self.a, self.b
-        if a is not None and a._dynamic:
-            a.pv = a.pv - impulse * a.inv_mass
-            a.pw = a.pw - self.iinv_a @ _cross(self.ra, impulse)
-        if b._dynamic:
-            b.pv = b.pv + impulse * b.inv_mass
-            b.pw = b.pw + self.iinv_b @ _cross(self.rb, impulse)
+    def __init__(self, contact: Contact, bodies: dict):
+        b = bodies[contact.body_b]
+        a = None if contact.body_a is None else bodies[contact.body_a]
+        self.vb, self.pb = b.vel, b.pvel
+        self.va, self.pa = (None, None) if a is None else (a.vel, a.pvel)
+        self.friction = contact.friction
+        self.depth = contact.depth
+        n = contact.normal.tolist()
+        t1 = _unit_perpendicular(n)
+        t2 = _cross3(n, t1)
+        px, py, pz = contact.point.tolist()
+        rb = (px - b.x[0], py - b.x[1], pz - b.x[2])
+        ra = None if a is None else (px - a.x[0], py - a.x[1], pz - a.x[2])
+        self.n, self.t1, self.t2 = (_direction(a, ra, b, rb, d)
+                                    for d in (n, t1, t2))
+        self.jn = self.jt1 = self.jt2 = self.pn = 0.0
 
     def solve_velocity(self):
-        c = self.c
-        if self.kn <= 0.0:
+        if self.n[4] <= 0.0:
             return
-        vn = self._vrel() @ self.n
-        dj = -vn / self.kn
-        new_jn = max(c.jn + dj, 0.0)
-        dj = new_jn - c.jn
-        c.jn = new_jn
-        if dj != 0.0:
-            self._apply(dj * self.n)
-
-        if c.friction <= 0.0 or c.jn <= 0.0:
+        va, vb = self.va, self.vb
+        jn = self.jn = _solve_row(self.n, va, vb, self.jn, 0.0, 0.0, _INF)
+        if self.friction <= 0.0 or jn <= 0.0:
             return
-        max_f = c.friction * c.jn
-        for idx, (t, kt) in enumerate(((self.t1, self.kt1),
-                                       (self.t2, self.kt2))):
-            if kt <= 0.0:
-                continue
-            vt = self._vrel() @ t
-            dj = -vt / kt
-            new_jt = min(max(c.jt[idx] + dj, -max_f), max_f)
-            dj = new_jt - c.jt[idx]
-            c.jt[idx] = new_jt
-            if dj != 0.0:
-                self._apply(dj * t)
+        max_f = self.friction * jn
+        if self.t1[4] > 0.0:
+            self.jt1 = _solve_row(self.t1, va, vb, self.jt1, 0.0, -max_f,
+                                  max_f)
+        if self.t2[4] > 0.0:
+            self.jt2 = _solve_row(self.t2, va, vb, self.jt2, 0.0, -max_f,
+                                  max_f)
 
     def solve_position(self, beta, slop, dt):
-        c = self.c
-        pen = c.depth - slop
-        if pen <= 0.0 or self.kn <= 0.0:
+        pen = self.depth - slop
+        if pen <= 0.0 or self.n[4] <= 0.0:
             return
-        vn = self._vrel_pseudo() @ self.n
-        target = beta * pen / dt
-        dj = (target - vn) / self.kn
-        new_pn = max(c.pn + dj, 0.0)
-        dj = new_pn - c.pn
-        c.pn = new_pn
-        if dj != 0.0:
-            self._apply_pseudo(dj * self.n)
+        self.pn = _solve_row(self.n, self.pa, self.pb, self.pn,
+                             beta * pen / dt, 0.0, _INF)
+
+
+def _direction(a, ra, b, rb, d):
+    """Row direction d of a contact between a (None: static) and b."""
+    jb, resp_b, k = b.lever(rb, d)
+    if a is None:
+        return None, jb, None, resp_b, k
+    ja, resp_a, ka = a.lever(ra, d)
+    return ja, jb, resp_a, resp_b, k + ka
+
+
+def _inverse3(m):
+    """Inverse of a 3x3 nested list by cofactors."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+    s = 1.0 / (a * c0 + b * c1 + c * c2)
+    return ((c0 * s, (c * h - b * i) * s, (b * f - c * e) * s),
+            (c1 * s, (a * i - c * g) * s, (c * d - a * f) * s),
+            (c2 * s, (b * g - a * h) * s, (a * e - b * d) * s))
+
+
+class _JointRow:
+    """One revolute joint: a 3-row point constraint and 2 angular rows.
+
+    The anchor rows use K^-1 (3x3) and, per dynamic body, the mass and the
+    matrix I^-1 [r]x that turn an anchor impulse into velocity changes.  The
+    angular rows keep the two hinge-perpendicular directions u1, u2, their
+    2x2 inverse mass and I^-1 u per body.
+    """
+
+    __slots__ = ("va", "vb", "ra", "rb", "kinv", "bias", "lever_a",
+                 "lever_b", "u1", "u2", "kang_inv", "ang_bias", "spin_a",
+                 "spin_b")
+
+    def __init__(self, joint: RevoluteJoint, bodies: dict, beta, dt):
+        a, b = bodies[joint.body_a], bodies[joint.body_b]
+        self.va, self.vb = a.vel, b.vel
+        ra = self.ra = _matvec3(a.rot, joint.anchor_local_a.tolist())
+        rb = self.rb = _matvec3(b.rot, joint.anchor_local_b.tolist())
+        f = beta / dt
+        self.bias = tuple(
+            f * ((b.x[i] + rb[i]) - (a.x[i] + ra[i])) for i in range(3))
+
+        # K e_j = sum over dynamic bodies of m e_j - r x (I^-1 (r x e_j))
+        k = [[0.0] * 3 for _ in range(3)]
+        self.lever_a = self._anchor_lever(a, ra, k)
+        self.lever_b = self._anchor_lever(b, rb, k)
+        self.kinv = _inverse3(k)
+
+        axis_a = _matvec3(a.rot, joint.axis_local_a.tolist())
+        axis_b = _matvec3(b.rot, joint.axis_local_b.tolist())
+        u1 = self.u1 = _unit_perpendicular(axis_a)
+        u2 = self.u2 = _cross3(axis_a, u1)
+        iu_a = (_matvec3(a.iinv, u1), _matvec3(a.iinv, u2))
+        iu_b = (_matvec3(b.iinv, u1), _matvec3(b.iinv, u2))
+        k11 = _dot3(u1, iu_a[0]) + _dot3(u1, iu_b[0])
+        k12 = _dot3(u1, iu_a[1]) + _dot3(u1, iu_b[1])
+        k21 = _dot3(u2, iu_a[0]) + _dot3(u2, iu_b[0])
+        k22 = _dot3(u2, iu_a[1]) + _dot3(u2, iu_b[1])
+        det = k11 * k22 - k12 * k21
+        self.kang_inv = ((k22 / det, -k12 / det), (-k21 / det, k11 / det))
+        # driving the perpendicular relative spin toward
+        # -beta/dt * (axis_a x axis_b) decays the misalignment without
+        # cross-coupling the two error components
+        err = _cross3(axis_a, axis_b)
+        self.ang_bias = (f * _dot3(u1, err), f * _dot3(u2, err))
+        self.spin_a = iu_a if a.dynamic else None
+        self.spin_b = iu_b if b.dynamic else None
+
+    @staticmethod
+    def _anchor_lever(sb, r, k):
+        """Add one body's share to K; return (m, I^-1 [r]x) or None."""
+        if not sb.dynamic:
+            return None
+        # column j of I^-1 [r]x is I^-1 (r x e_j)
+        cols = [_matvec3(sb.iinv, _cross3(r, e)) for e in _AXES]
+        for j, col in enumerate(cols):
+            dv = _cross3(r, col)
+            for i in range(3):
+                k[i][j] -= dv[i]
+            k[j][j] += sb.inv_mass
+        return sb.inv_mass, tuple(zip(*cols))
+
+    def solve(self):
+        va, vb = self.va, self.vb
+        rax, ray, raz = self.ra
+        rbx, rby, rbz = self.rb
+        bx, by, bz = self.bias
+        # minus (relative anchor velocity + drift bias)
+        ex = -((vb[0] + (vb[4] * rbz - vb[5] * rby)
+                - va[0] - (va[4] * raz - va[5] * ray)) + bx)
+        ey = -((vb[1] + (vb[5] * rbx - vb[3] * rbz)
+                - va[1] - (va[5] * rax - va[3] * raz)) + by)
+        ez = -((vb[2] + (vb[3] * rby - vb[4] * rbx)
+                - va[2] - (va[3] * ray - va[4] * rax)) + bz)
+        (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = self.kinv
+        px = k00 * ex + k01 * ey + k02 * ez
+        py = k10 * ex + k11 * ey + k12 * ez
+        pz = k20 * ex + k21 * ey + k22 * ez
+        if self.lever_a is not None:
+            _push_anchor(va, self.lever_a, -px, -py, -pz)
+        if self.lever_b is not None:
+            _push_anchor(vb, self.lever_b, px, py, pz)
+
+        wx, wy, wz = vb[3] - va[3], vb[4] - va[4], vb[5] - va[5]
+        (u1x, u1y, u1z), (u2x, u2y, u2z) = self.u1, self.u2
+        e1 = -((u1x * wx + u1y * wy + u1z * wz) + self.ang_bias[0])
+        e2 = -((u2x * wx + u2y * wy + u2z * wz) + self.ang_bias[1])
+        (q11, q12), (q21, q22) = self.kang_inv
+        l1, l2 = q11 * e1 + q12 * e2, q21 * e1 + q22 * e2
+        if self.spin_a is not None:
+            (x1, y1, z1), (x2, y2, z2) = self.spin_a
+            va[3] -= x1 * l1 + x2 * l2
+            va[4] -= y1 * l1 + y2 * l2
+            va[5] -= z1 * l1 + z2 * l2
+        if self.spin_b is not None:
+            (x1, y1, z1), (x2, y2, z2) = self.spin_b
+            vb[3] += x1 * l1 + x2 * l2
+            vb[4] += y1 * l1 + y2 * l2
+            vb[5] += z1 * l1 + z2 * l2
+
+
+def _push_anchor(v, lever, px, py, pz):
+    """Apply anchor impulse p to a 6-velocity: v += (m p, I^-1 (r x p))."""
+    m, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)) = lever
+    v[0] += m * px
+    v[1] += m * py
+    v[2] += m * pz
+    v[3] += a00 * px + a01 * py + a02 * pz
+    v[4] += a10 * px + a11 * py + a12 * pz
+    v[5] += a20 * px + a21 * py + a22 * pz
 
 
 class World:
@@ -504,6 +607,30 @@ class World:
             contacts.extend(hook(self))
         return contacts
 
+    def _solve(self, contacts, dt):
+        """Velocity then position iterations; returns the contact rows.
+
+        Runs on float copies of the bodies, written back to the bodies'
+        arrays at the end.
+        """
+        cfg = self.config
+        bodies = {body: _SolverBody(body) for body in self.bodies}
+        joint_rows = [_JointRow(j, bodies, cfg.baumgarte, dt)
+                      for j in self.joints]
+        contact_rows = [_ContactRow(c, bodies) for c in contacts]
+        for _ in range(cfg.solver_iterations):
+            for row in joint_rows:
+                row.solve()
+            for row in contact_rows:
+                row.solve_velocity()
+        for _ in range(cfg.position_iterations):
+            for row in contact_rows:
+                row.solve_position(cfg.baumgarte, cfg.slop, dt)
+        for sb in bodies.values():
+            if sb.dynamic:
+                sb.store()
+        return contact_rows
+
     def step(self, dt=None):
         cfg = self.config
         dt = cfg.timestep if dt is None else dt
@@ -524,24 +651,20 @@ class World:
             body.torque[:] = 0.0
 
         contacts = self.gather_contacts()
-        joint_rows = [_JointRow(j, cfg.baumgarte, dt) for j in self.joints]
-        contact_rows = [_ContactRow(c) for c in contacts]
-        for _ in range(cfg.solver_iterations):
-            for row in joint_rows:
-                row.solve()
-            for row in contact_rows:
-                row.solve_velocity()
-        for _ in range(cfg.position_iterations):
-            for row in contact_rows:
-                row.solve_position(cfg.baumgarte, cfg.slop, dt)
+        self._solve(contacts, dt)
 
         for body in self.bodies:
             if not body._dynamic and not body.kinematic:
                 continue
+            # written so that NaN fails the checks too
             speed = float(body.v @ body.v) ** 0.5
-            if speed > MAX_SPEED:
+            if not speed <= MAX_SPEED:
                 raise NumericalDivergence(
-                    f"body {body.id!r} reached {speed:.3g} m/s")
+                    body.id, f"reached {speed:.3g} m/s", self.time + dt)
+            spin = float(body.w @ body.w) ** 0.5
+            if not spin <= MAX_SPIN:
+                raise NumericalDivergence(
+                    body.id, f"spun at {spin:.3g} rad/s", self.time + dt)
             body.x = body.x + (body.v + body.pv) * dt
             body.q = quat_integrate(body.q, body.w + body.pw, dt)
             body.pv[:] = 0.0

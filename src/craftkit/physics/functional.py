@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..assembler import Assembly, hole_center
+from ..errors import NumericalDivergence
 from ..geometry import BOX, CYL, HoleRegion, Solid
 from ..plan import CraftPlan
 from .engine import Contact, RevoluteJoint, RigidBody, World
@@ -22,6 +23,7 @@ from .engine import Contact, RevoluteJoint, RigidBody, World
 # failure reasons shared by every test
 PART_SEPARATED = "PART_SEPARATED"
 NEW_GROUND_CONTACT = "NEW_GROUND_CONTACT"
+NUMERICAL_DIVERGENCE = "NUMERICAL_DIVERGENCE"
 # rolling
 INSUFFICIENT_ROTATION = "INSUFFICIENT_ROTATION"
 INSUFFICIENT_DISTANCE = "INSUFFICIENT_DISTANCE"
@@ -33,9 +35,9 @@ PEG_MISSED = "PEG_MISSED"
 PEG_OUTSIDE_HOLE = "PEG_OUTSIDE_HOLE"
 
 FAILURE_REASONS = (
-    PART_SEPARATED, NEW_GROUND_CONTACT, INSUFFICIENT_ROTATION,
-    INSUFFICIENT_DISTANCE, VEERED, MOVED_UNDER_LOAD, PEG_MISSED,
-    PEG_OUTSIDE_HOLE,
+    PART_SEPARATED, NEW_GROUND_CONTACT, NUMERICAL_DIVERGENCE,
+    INSUFFICIENT_ROTATION, INSUFFICIENT_DISTANCE, VEERED, MOVED_UNDER_LOAD,
+    PEG_MISSED, PEG_OUTSIDE_HOLE,
 )
 
 
@@ -47,7 +49,6 @@ class SimConfig:
     part_mass: float = 10.0
     friction: float = 0.5
     gravity: float = 9.81
-    restitution: float = 0.0
     solver_iterations: int = 10
     position_iterations: int = 4
     baumgarte: float = 0.2
@@ -566,4 +567,8 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
         runner = TESTS[kind]
     except KeyError:
         raise ValueError(f"unknown functional test {kind!r}") from None
-    return runner(assembly, plan, config)
+    try:
+        return runner(assembly, plan, config)
+    except NumericalDivergence as exc:
+        return SimOutcome(kind, False, NUMERICAL_DIVERGENCE, exc.time,
+                          {"body": exc.body, "message": str(exc)})

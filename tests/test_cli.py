@@ -144,3 +144,25 @@ def test_batch_csv(capsys, tmp_path, fixture_raw):
     assert rows[1] == {"category": "hammer", "attempts": "2",
                        "status": "failed", "failure_stage": "FORMAT"}
     assert rows[2]["failure_stage"] == "COLLISION"
+
+
+def test_batch_survives_an_exhausted_client(capsys, tmp_path, fixture_raw):
+    jobs = []
+    for name, fixtures in (("ok", ["hammer_valid_1"]),
+                           ("short", ["hammer_invalid_1"])):
+        d = tmp_path / name
+        d.mkdir()
+        for i, fx in enumerate(fixtures):
+            (d / f"{i:02d}.txt").write_text(
+                "```json\n" + fixture_raw(fx) + "\n```")
+        jobs.append({"category": "hammer", "responses": str(d)})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(jobs))
+    out_csv = tmp_path / "out.csv"
+    code, _ = run_cli(capsys, "batch", str(manifest), "--out", str(out_csv),
+                      "--policy", "FEEDBACK", "--jobs", "2")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
+    assert [r["status"] for r in rows] == ["success", "failed"]
+    assert rows[1] == {"category": "hammer", "attempts": "1",
+                       "status": "failed", "failure_stage": "CLIENT"}

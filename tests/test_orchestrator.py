@@ -7,6 +7,7 @@ from craftkit.orchestrator import (
     POLICY_FEEDBACK,
     POLICY_FRESH,
     POLICY_NONE,
+    STAGE_CLIENT,
     STAGE_COLLISION,
     STAGE_CONNECTIVITY,
     STAGE_FORMAT,
@@ -75,6 +76,27 @@ def test_classify_failure_buckets():
     assert classify_failure(STAGE_CONNECTIVITY) == "Position Val."
     assert classify_failure(STAGE_PHYSICS) == "Physics Val."
     assert classify_failure(STAGE_NONE) == "Success"
+
+
+def test_divergence_is_a_physics_verdict(catalog, fixture_raw):
+    stage, report, _, _, outcome = evaluate_plan_text(
+        fixture_raw("bookshelf_valid_1"), catalog, functional="support",
+        sim_config=SimConfig(support_force=1e9))
+    assert stage == STAGE_PHYSICS
+    assert report["failure_reason"] == "NUMERICAL_DIVERGENCE"
+    assert not outcome.success
+
+
+def test_exhausted_client_is_a_classified_failure(catalog, response_text):
+    client = ScriptedClient([response_text("hammer_invalid_1")])
+    result = run_pipeline("hammer", client, policy=POLICY_FEEDBACK,
+                          catalog=catalog, sim_config=FAST_SIM)
+    assert result.status == "failed"
+    assert result.failure_stage == STAGE_CLIENT
+    assert result.llm_calls == 1
+    assert [a.failure_stage for a in result.attempts] == [
+        STAGE_FORMAT, STAGE_CLIENT]
+    assert classify_failure(STAGE_CLIENT) == "Client Error"
 
 
 def test_evaluate_stages(catalog, response_text, fixture_raw):

@@ -144,6 +144,26 @@ def test_numerical_divergence_raises():
         world.step()
 
 
+def test_nan_velocity_raises():
+    world, _ = make_world()
+    world.ground_enabled = False
+    body = box_body((0.0, 0.0, 1.0))
+    body.v = np.array([np.nan, 0.0, 0.0])
+    world.bodies.append(body)
+    with pytest.raises(NumericalDivergence):
+        world.step()
+
+
+def test_runaway_spin_raises():
+    world, _ = make_world()
+    world.ground_enabled = False
+    body = box_body((0.0, 0.0, 1.0))
+    body.w = np.array([0.0, 0.0, 1e5])
+    world.bodies.append(body)
+    with pytest.raises(NumericalDivergence):
+        world.step()
+
+
 def test_part_min_z_rotated_box():
     body = box_body((0.0, 0.0, 1.0))
     # 45 degrees about x: the support corner is half the face diagonal down
