@@ -44,14 +44,7 @@ from .orchestrator import (
     classify_failure,
     run_pipeline,
 )
-from .physics import (
-    SimConfig,
-    SimOutcome,
-    run_functional_test,
-    run_hit_test,
-    run_rolling_test,
-    run_support_test,
-)
+from .physics import SimConfig, SimOutcome, run_functional_test
 from .plan import (
     CraftPlan,
     FormatReport,
@@ -77,8 +70,7 @@ __all__ = [
     "export_assembly_obj", "mesh_assembly", "mesh_part", "write_obj",
     "HttpClient", "LlmClient", "PipelineResult", "PromptBundle",
     "ScriptedClient", "build_prompt", "classify_failure", "run_pipeline",
-    "SimConfig", "SimOutcome", "run_functional_test", "run_hit_test",
-    "run_rolling_test", "run_support_test",
+    "SimConfig", "SimOutcome", "run_functional_test",
     "CraftPlan", "FormatReport", "load_plan", "normalize_raw", "parse_plan",
     "serialize_plan", "strip_code_fences",
     "__version__",

@@ -345,8 +345,13 @@ def _check_hole_inside(part: PlacedPart, hole: HoleRegion):
             raise HoleExceedsOwner(part.spec.name, hole.name)
 
 
-def connectivity_components(assembly: Assembly):
-    parent = {name: name for name in assembly.placed}
+def connected_groups(names, edges):
+    """Union-find of ``names`` over ``edges``, a list of name pairs.
+
+    Each group lists its members in the order of ``names``, and the groups
+    are ordered by their first member.
+    """
+    parent = {name: name for name in names}
 
     def find(a):
         while parent[a] != a:
@@ -354,14 +359,19 @@ def connectivity_components(assembly: Assembly):
             a = parent[a]
         return a
 
-    for a, b, _ in assembly.graph:
+    for a, b in edges:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
     groups = {}
-    for name in assembly.placed:
-        groups.setdefault(find(name), set()).add(name)
+    for name in names:
+        groups.setdefault(find(name), []).append(name)
     return list(groups.values())
+
+
+def connectivity_components(assembly: Assembly):
+    return connected_groups(list(assembly.placed),
+                            [(a, b) for a, b, _ in assembly.graph])
 
 
 def connectivity_check(assembly: Assembly):

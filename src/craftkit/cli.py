@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .assembler import build_assembly, connectivity_check
 from .catalog import default_catalog, load_catalog
 from .collision import validate_collisions
-from .errors import CraftError, JsonSyntaxError, PlacementError
+from .errors import CraftError, JsonSyntaxError
 from .metrics import (
     compare_assembly_to_mesh,
     compare_meshes,
@@ -69,18 +69,26 @@ def cmd_validate(args):
     return EXIT_OK if plan is not None else EXIT_INVALID
 
 
-def cmd_build(args):
+def _build_plan(args):
+    """(plan, assembly) of ``args.plan``, or None after printing why not."""
     catalog = _catalog(args)
     plan, report = _load_valid_plan(args.plan, catalog)
     if plan is None:
         _emit({"stage": "FORMAT", "report": report.to_dict()})
-        return EXIT_INVALID
+        return None
     try:
-        assembly = build_assembly(plan, catalog)
-    except (PlacementError, CraftError) as exc:
+        return plan, build_assembly(plan, catalog)
+    except CraftError as exc:
         _emit({"stage": "POSITION",
                "report": {"error": type(exc).__name__, "message": str(exc)}})
+        return None
+
+
+def cmd_build(args):
+    built = _build_plan(args)
+    if built is None:
         return EXIT_INVALID
+    _, assembly = built
     collisions = validate_collisions(assembly)
     components = connectivity_check(assembly)
     payload = {
@@ -100,17 +108,10 @@ def cmd_build(args):
 
 
 def cmd_simulate(args):
-    catalog = _catalog(args)
-    plan, report = _load_valid_plan(args.plan, catalog)
-    if plan is None:
-        _emit({"stage": "FORMAT", "report": report.to_dict()})
+    built = _build_plan(args)
+    if built is None:
         return EXIT_INVALID
-    try:
-        assembly = build_assembly(plan, catalog)
-    except (PlacementError, CraftError) as exc:
-        _emit({"stage": "POSITION",
-               "report": {"error": type(exc).__name__, "message": str(exc)}})
-        return EXIT_INVALID
+    plan, assembly = built
     config = SimConfig()
     if args.duration is not None:
         config.duration = args.duration
@@ -128,12 +129,10 @@ def cmd_simulate(args):
 
 def cmd_metrics(args):
     if args.plan:
-        catalog = _catalog(args)
-        plan, report = _load_valid_plan(args.plan, catalog)
-        if plan is None:
-            _emit({"stage": "FORMAT", "report": report.to_dict()})
+        built = _build_plan(args)
+        if built is None:
             return EXIT_INVALID
-        assembly = build_assembly(plan, catalog)
+        _, assembly = built
         result = compare_assembly_to_mesh(
             assembly, args.ref, n_samples=args.samples, seed=args.seed,
             threshold=args.threshold)

@@ -121,12 +121,6 @@ class Solid:
         half = np.asarray(self.extents) / 2.0
         return c - half, c + half
 
-    def volume_base(self):
-        if self.kind == BOX:
-            ex, ey, ez = self.extents
-            return ex * ey * ez
-        return np.pi * self.radius ** 2 * self.length
-
     def to_dict(self):
         d = {"kind": self.kind, "extents": list(self.extents)}
         if self.kind == CYL:

@@ -169,38 +169,35 @@ def _nearest_distances(query, target):
     return d
 
 
-def chamfer_distance(points_a, points_b):
-    """Symmetric mean nearest-neighbour distance (non-squared)."""
-    da = _nearest_distances(points_a, points_b)
-    db = _nearest_distances(points_b, points_a)
-    return 0.5 * (float(da.mean()) + float(db.mean()))
-
-
-def hausdorff_distance(points_a, points_b):
-    da = _nearest_distances(points_a, points_b)
-    db = _nearest_distances(points_b, points_a)
-    return max(float(da.max()), float(db.max()))
-
-
-def fscore(points_a, points_b, threshold=FSCORE_THRESHOLD):
-    """F-score at a distance threshold; a is the prediction, b the target."""
+def compare_point_sets(points_a, points_b,
+                       threshold=FSCORE_THRESHOLD) -> MetricReport:
+    """All metrics from one search per direction; a is the prediction."""
     da = _nearest_distances(points_a, points_b)
     db = _nearest_distances(points_b, points_a)
     precision = float((da <= threshold).mean())
     recall = float((db <= threshold).mean())
-    if precision + recall == 0.0:
-        return 0.0, precision, recall
-    return 2.0 * precision * recall / (precision + recall), precision, recall
-
-
-def compare_point_sets(points_a, points_b,
-                       threshold=FSCORE_THRESHOLD) -> MetricReport:
-    f, p, r = fscore(points_a, points_b, threshold)
+    f = 0.0 if precision + recall == 0.0 else \
+        2.0 * precision * recall / (precision + recall)
     return MetricReport(
-        chamfer=chamfer_distance(points_a, points_b),
-        hausdorff=hausdorff_distance(points_a, points_b),
-        fscore=f, precision=p, recall=r,
+        chamfer=0.5 * (float(da.mean()) + float(db.mean())),
+        hausdorff=max(float(da.max()), float(db.max())),
+        fscore=f, precision=precision, recall=recall,
         samples=len(points_a), threshold=threshold)
+
+
+def chamfer_distance(points_a, points_b):
+    """Symmetric mean nearest-neighbour distance (non-squared)."""
+    return compare_point_sets(points_a, points_b).chamfer
+
+
+def hausdorff_distance(points_a, points_b):
+    return compare_point_sets(points_a, points_b).hausdorff
+
+
+def fscore(points_a, points_b, threshold=FSCORE_THRESHOLD):
+    """(F-score, precision, recall); a is the prediction, b the target."""
+    r = compare_point_sets(points_a, points_b, threshold)
+    return r.fscore, r.precision, r.recall
 
 
 def compare_assembly_to_mesh(assembly, obj_path,

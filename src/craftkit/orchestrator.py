@@ -19,8 +19,10 @@ from .collision import validate_collisions
 from .errors import (
     ClientError,
     HoleExceedsOwner,
+    HoleNotCarvedYet,
     JsonSyntaxError,
     PlacementError,
+    Unplaceable,
 )
 from .physics import SimConfig, run_functional_test
 from .plan import normalize_raw, parse_plan, serialize_plan
@@ -249,8 +251,8 @@ def evaluate_plan_text(raw, catalog, functional=None, sim_config=None):
         return STAGE_COLLISION, {"error": "HoleExceedsOwner",
                                  "message": str(exc)}, plan, None, None
     except PlacementError as exc:
-        stage = STAGE_CONNECTIVITY if type(exc).__name__ in (
-            "Unplaceable", "HoleNotCarvedYet") else STAGE_COLLISION
+        stage = STAGE_CONNECTIVITY if isinstance(
+            exc, (Unplaceable, HoleNotCarvedYet)) else STAGE_COLLISION
         return stage, {"error": type(exc).__name__,
                        "message": str(exc)}, plan, None, None
 

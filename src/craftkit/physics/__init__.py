@@ -18,9 +18,6 @@ from .functional import (
     check_common_failures,
     compile_craft,
     run_functional_test,
-    run_hit_test,
-    run_rolling_test,
-    run_support_test,
 )
 
 __all__ = [
@@ -31,5 +28,4 @@ __all__ = [
     "PEG_MISSED", "PEG_OUTSIDE_HOLE", "VEERED",
     "CompiledCraft", "SimConfig", "SimOutcome",
     "check_common_failures", "compile_craft", "run_functional_test",
-    "run_hit_test", "run_rolling_test", "run_support_test",
 ]

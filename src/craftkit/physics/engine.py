@@ -62,14 +62,6 @@ def quat_integrate(q, omega, dt):
     return q / np.linalg.norm(q)
 
 
-def _cross(a, b):
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
-
-
 @dataclass
 class BodyPart:
     name: str
@@ -116,7 +108,11 @@ class RigidBody:
 
     # -- kinematics -------------------------------------------------------
     def refresh_pose_cache(self):
+        """Recompute the cached rotation after setting ``q`` directly."""
         self._rot = quat_to_matrix(self.q)
+        self._refresh_inertia()
+
+    def _refresh_inertia(self):
         self._dynamic = not self.kinematic and self.inv_mass != 0.0
         if self._dynamic:
             self._iinv = self._rot @ self.inv_inertia_body @ self._rot.T
@@ -125,7 +121,8 @@ class RigidBody:
 
     @property
     def rotation(self):
-        return quat_to_matrix(self.q)
+        """Rotation matrix of ``q``, cached when ``q`` changes; read only."""
+        return self._rot
 
     def world_point(self, local):
         return self.x + self.rotation @ local
@@ -133,7 +130,7 @@ class RigidBody:
     def apply_force(self, force, point=None):
         self.force = self.force + np.asarray(force, float)
         if point is not None:
-            self.torque = self.torque + _cross(
+            self.torque = self.torque + _cross3(
                 np.asarray(point, float) - self.x, force)
 
     def apply_torque(self, torque):
@@ -172,10 +169,6 @@ class RevoluteJoint:
     anchor_local_b: np.ndarray
     axis_local_a: np.ndarray
     axis_local_b: np.ndarray
-
-    def world_anchors(self):
-        return (self.body_a.world_point(self.anchor_local_a),
-                self.body_b.world_point(self.anchor_local_b))
 
     def world_axis_a(self):
         return self.body_a.rotation @ self.axis_local_a
@@ -530,7 +523,7 @@ class World:
                         u = np.array([1.0, 0.0, 0.0])
                         u = u - (u @ axis) * axis
                         u /= np.linalg.norm(u)
-                        vperp = _cross(axis, u)
+                        vperp = np.array(_cross3(axis, u))
                         for k in range(8):
                             ang = 2 * np.pi * k / 8
                             p = low + part.solid.radius * (
@@ -637,7 +630,8 @@ class World:
         self._pair_skip = None
 
         for body in self.bodies:
-            body.refresh_pose_cache()
+            # kinematic may have been set since the last step
+            body._refresh_inertia()
             if not body._dynamic:
                 body.force[:] = 0.0
                 body.torque[:] = 0.0
@@ -667,6 +661,7 @@ class World:
                     body.id, f"spun at {spin:.3g} rad/s", self.time + dt)
             body.x = body.x + (body.v + body.pv) * dt
             body.q = quat_integrate(body.q, body.w + body.pw, dt)
+            body._rot = quat_to_matrix(body.q)
             body.pv[:] = 0.0
             body.pw[:] = 0.0
         self.time += dt

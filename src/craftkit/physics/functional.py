@@ -4,7 +4,8 @@ An assembly is compiled into rigid bodies by merging FIXED connections,
 turning NON_FIXED insertions into revolute joints, and scaling geometry up
 so the solver works at comfortable magnitudes.  Three scripted tests probe
 whether the craft actually works: rolling under a push, holding a load, and
-hammering a peg into a block.
+hammering a peg into a block.  Each test is a set of hooks around one
+simulation driver, ``run_functional_test``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..assembler import Assembly, hole_center
+from ..assembler import Assembly, connected_groups, hole_center
 from ..errors import NumericalDivergence
-from ..geometry import BOX, CYL, HoleRegion, Solid
+from ..geometry import BOX, HoleRegion, Solid
 from ..plan import CraftPlan
 from .engine import Contact, RevoluteJoint, RigidBody, World
 
@@ -98,10 +99,10 @@ class ConnectionWatch:
     normal_local_a: np.ndarray | None  # SURFACE only, frame of body_a
 
     def drift(self):
-        pa = self.body_a.x + self.body_a._rot @ self.local_a
-        pb = self.body_b.x + self.body_b._rot @ self.local_b
+        pa = self.body_a.x + self.body_a.rotation @ self.local_a
+        pb = self.body_b.x + self.body_b.rotation @ self.local_b
         if self.kind == "SURFACE":
-            n = self.body_a._rot @ self.normal_local_a
+            n = self.body_a.rotation @ self.normal_local_a
             return abs(float((pb - pa) @ n))
         return float(np.linalg.norm(pb - pa))
 
@@ -138,30 +139,6 @@ def _transform_solid(solid: Solid, s: float, shift):
     return out
 
 
-def _fixed_clusters(assembly: Assembly):
-    parent = {name: name for name in assembly.placed}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b, conn in assembly.graph:
-        if conn.joint_type == "FIXED":
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    clusters = {}
-    for name in assembly.placed:
-        clusters.setdefault(find(name), []).append(name)
-    # deterministic: order clusters by their first part in plan order
-    order = {name: i for i, name in enumerate(assembly.placed)}
-    for members in clusters.values():
-        members.sort(key=order.get)
-    return sorted(clusters.values(), key=lambda ms: order[ms[0]])
-
-
 def _surface_anchor(pa, pb, conn):
     """Center of the shared contact patch of a SURFACE connection."""
     from ..geometry import FACE_AXIS
@@ -189,7 +166,9 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
     shift = np.array([0.0, 0.0, -min_z])
 
     world = World(config)
-    clusters = _fixed_clusters(assembly)
+    clusters = connected_groups(
+        list(assembly.placed),
+        [(a, b) for a, b, conn in assembly.graph if conn.joint_type == "FIXED"])
     part_body: dict[str, RigidBody] = {}
     part_shape = {}
     for idx, members in enumerate(clusters):
@@ -204,31 +183,9 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
             part_body[part.name] = body
             part_shape[part.name] = part
 
+    # every connection between two bodies is watched for separation; FIXED
+    # ones never join two bodies, so each insertion here is a hinge
     joints_by_part = {}
-    for a, b, conn in assembly.graph:
-        if conn.contact_type != "INSERTED" or conn.joint_type != "NON_FIXED":
-            continue
-        body_a = part_body[a]
-        body_b = part_body[b]
-        if body_a is body_b:
-            continue
-        owner = assembly.placed[b]
-        mod = next(m for m in owner.spec.modifications
-                   if m.name == conn.to_modification)
-        ax, center, _, _, _ = hole_center(
-            mod, owner.center, owner.solid.extents)
-        anchor = np.asarray(center) * s + shift
-        axis = np.zeros(3)
-        axis[ax] = 1.0
-        joint = RevoluteJoint(
-            body_a=body_a, body_b=body_b,
-            anchor_local_a=anchor - body_a.x,
-            anchor_local_b=anchor - body_b.x,
-            axis_local_a=axis.copy(), axis_local_b=axis.copy())
-        world.joints.append(joint)
-        joints_by_part.setdefault(a, joint)
-        joints_by_part.setdefault(b, joint)
-
     watches = []
     for a, b, conn in assembly.graph:
         body_a = part_body[a]
@@ -240,22 +197,28 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
         if conn.contact_type == "SURFACE":
             anchor, normal = _surface_anchor(pa, pb, conn)
             anchor = anchor * s + shift
-            watches.append(ConnectionWatch(
-                kind="SURFACE", part=a, to_part=b,
-                body_a=body_a, body_b=body_b,
-                local_a=anchor - body_a.x, local_b=anchor - body_b.x,
-                normal_local_a=normal))
         else:
             mod = next(m for m in pb.spec.modifications
                        if m.name == conn.to_modification)
             ax, center, _, _, _ = hole_center(
                 mod, pb.center, pb.solid.extents)
             anchor = np.asarray(center) * s + shift
-            watches.append(ConnectionWatch(
-                kind="INSERTED", part=a, to_part=b,
+            normal = None
+            axis = np.zeros(3)
+            axis[ax] = 1.0
+            joint = RevoluteJoint(
                 body_a=body_a, body_b=body_b,
-                local_a=anchor - body_a.x, local_b=anchor - body_b.x,
-                normal_local_a=None))
+                anchor_local_a=anchor - body_a.x,
+                anchor_local_b=anchor - body_b.x,
+                axis_local_a=axis.copy(), axis_local_b=axis.copy())
+            world.joints.append(joint)
+            joints_by_part.setdefault(a, joint)
+            joints_by_part.setdefault(b, joint)
+        watches.append(ConnectionWatch(
+            kind=conn.contact_type, part=a, to_part=b,
+            body_a=body_a, body_b=body_b,
+            local_a=anchor - body_a.x, local_b=anchor - body_b.x,
+            normal_local_a=normal))
 
     ground_parts = set()
     for name, body in part_body.items():
@@ -313,11 +276,9 @@ def _snapshot(craft: CompiledCraft, t):
     }
 
 
-def run_rolling_test(assembly: Assembly, plan: CraftPlan,
-                     config: SimConfig | None = None) -> SimOutcome:
-    config = config or SimConfig()
-    craft = compile_craft(assembly, config)
-    world = craft.world
+def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
+                  config: SimConfig):
+    """Push the most connected part along +x; every exec part must turn."""
     push_part = _most_connected(assembly, craft)
     push_body = craft.part_body[push_part]
     push_shape = craft.part_shape[push_part]
@@ -326,15 +287,14 @@ def run_rolling_test(assembly: Assembly, plan: CraftPlan,
     rotation = {name: 0.0 for name in exec_parts}
     start_com = _craft_com(craft)
     veer_at_goal = None
-    trajectory = [_snapshot(craft, 0.0)]
-
-    n_steps = int(round(config.duration / config.timestep))
     dt = config.timestep
-    for step in range(n_steps):
+
+    def before_step():
         point = push_body.part_world_center(push_shape)
         push_body.apply_force((config.rolling_force, 0.0, 0.0), point)
-        world.step(dt)
 
+    def after_step(contacts):
+        nonlocal veer_at_goal
         for name in exec_parts:
             joint = craft.joints_by_part.get(name)
             if joint is None:
@@ -350,43 +310,34 @@ def run_rolling_test(assembly: Assembly, plan: CraftPlan,
         com = _craft_com(craft)
         if veer_at_goal is None and com[0] - start_com[0] >= config.min_distance:
             veer_at_goal = abs(float(com[1] - start_com[1]))
-        if (step + 1) % config.trace_every == 0:
-            trajectory.append(_snapshot(craft, world.time))
-        shared = check_common_failures(craft, config)
-        if shared is not None:
-            reason, detail = shared
-            return SimOutcome("rolling", False, reason, world.time,
-                              detail, trajectory)
+        return None
 
-    com = _craft_com(craft)
-    dx = float(com[0] - start_com[0])
-    details = {
-        "distance_m": dx,
-        "rotation_rad": {k: float(v) for k, v in rotation.items()},
-        "veer_m": veer_at_goal,
-        "push_part": push_part,
-    }
-    lacking = [n for n in exec_parts
-               if rotation[n] < config.min_rotation]
-    if lacking:
-        details["parts"] = lacking
-        return SimOutcome("rolling", False, INSUFFICIENT_ROTATION,
-                          world.time, details, trajectory)
-    if dx < config.min_distance:
-        return SimOutcome("rolling", False, INSUFFICIENT_DISTANCE,
-                          world.time, details, trajectory)
-    if veer_at_goal is None or veer_at_goal > config.max_veer:
-        return SimOutcome("rolling", False, VEERED,
-                          world.time, details, trajectory)
-    return SimOutcome("rolling", True, None, world.time, details, trajectory)
+    def finish():
+        com = _craft_com(craft)
+        dx = float(com[0] - start_com[0])
+        details = {
+            "distance_m": dx,
+            "rotation_rad": {k: float(v) for k, v in rotation.items()},
+            "veer_m": veer_at_goal,
+            "push_part": push_part,
+        }
+        lacking = [n for n in exec_parts
+                   if rotation[n] < config.min_rotation]
+        if lacking:
+            details["parts"] = lacking
+            return INSUFFICIENT_ROTATION, details
+        if dx < config.min_distance:
+            return INSUFFICIENT_DISTANCE, details
+        if veer_at_goal is None or veer_at_goal > config.max_veer:
+            return VEERED, details
+        return None, details
+
+    return before_step, after_step, finish
 
 
-def run_support_test(assembly: Assembly, plan: CraftPlan,
-                     config: SimConfig | None = None) -> SimOutcome:
-    config = config or SimConfig()
-    craft = compile_craft(assembly, config)
-    world = craft.world
-
+def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
+                  config: SimConfig):
+    """Press down on the top of every exec part; nothing may move."""
     exec_parts = [p.name for p in plan.parts if p.exec_function]
     load_points = {}
     for name in exec_parts:
@@ -399,34 +350,28 @@ def run_support_test(assembly: Assembly, plan: CraftPlan,
              for name, body in craft.part_body.items()}
     start_com = _craft_com(craft)
     max_disp = 0.0
-    trajectory = [_snapshot(craft, 0.0)]
 
-    n_steps = int(round(config.duration / config.timestep))
-    for step in range(n_steps):
+    def before_step():
         for name in exec_parts:
             body = craft.part_body[name]
             point = body.world_point(load_points[name])
             body.apply_force((0.0, 0.0, -config.support_force), point)
-        world.step(config.timestep)
+
+    def after_step(contacts):
+        nonlocal max_disp
         for name, body in craft.part_body.items():
             d = np.linalg.norm(
                 body.part_world_center(craft.part_shape[name]) - start[name])
             max_disp = max(max_disp, float(d))
         max_disp = max(max_disp, float(
             np.linalg.norm(_craft_com(craft) - start_com)))
-        if (step + 1) % config.trace_every == 0:
-            trajectory.append(_snapshot(craft, world.time))
-        shared = check_common_failures(craft, config)
-        if shared is not None:
-            reason, detail = shared
-            return SimOutcome("support", False, reason, world.time,
-                              detail, trajectory)
+        return None
 
-    details = {"max_displacement_m": max_disp, "loaded_parts": exec_parts}
-    if max_disp >= 0.01:
-        return SimOutcome("support", False, MOVED_UNDER_LOAD, world.time,
-                          details, trajectory)
-    return SimOutcome("support", True, None, world.time, details, trajectory)
+    def finish():
+        details = {"max_displacement_m": max_disp, "loaded_parts": exec_parts}
+        return (MOVED_UNDER_LOAD if max_disp >= 0.01 else None), details
+
+    return before_step, after_step, finish
 
 
 # hit-test fixture, in scaled units
@@ -437,6 +382,16 @@ HIT_PEG_RADIUS = 0.1
 HIT_PEG_LENGTH = 0.5
 HIT_PEG_GAP = 0.05  # peg lower end above the block top
 HIT_DROP_GAP = 0.1  # craft lowest point above the peg top
+HIT_PEG_TOP = HIT_BLOCK_TOP + HIT_PEG_GAP + HIT_PEG_LENGTH  # at rest
+
+
+def _peg_ends(peg: RigidBody):
+    """World (top, low) end points of the peg's axis."""
+    axis = peg.rotation[:, 2]
+    half = axis * (HIT_PEG_LENGTH / 2.0)
+    if axis[2] > 0:
+        return peg.x + half, peg.x - half
+    return peg.x - half, peg.x + half
 
 
 def _peg_block_hook(peg: RigidBody, friction):
@@ -444,10 +399,7 @@ def _peg_block_hook(peg: RigidBody, friction):
 
     def hook(world):
         contacts = []
-        r = peg.rotation
-        axis = r[:, 2]
-        hl = HIT_PEG_LENGTH / 2.0
-        low = peg.x - axis * hl if axis[2] > 0 else peg.x + axis * hl
+        _, low = _peg_ends(peg)
         rho = math.hypot(low[0], low[1])
         floor_z = HIT_BLOCK_TOP - HIT_HOLE_DEPTH
         if rho <= HIT_HOLE_RADIUS:
@@ -474,25 +426,23 @@ def _peg_block_hook(peg: RigidBody, friction):
     return hook
 
 
-def run_hit_test(assembly: Assembly, plan: CraftPlan,
-                 config: SimConfig | None = None) -> SimOutcome:
-    config = config or SimConfig()
-    craft = compile_craft(assembly, config)
+def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
+              config: SimConfig):
+    """Drive the craft down over a peg standing on a slotted block; the
+    head must knock the peg into the hole."""
     world = craft.world
-
     exec_parts = [p.name for p in plan.parts if p.exec_function]
     head = exec_parts[0] if exec_parts else plan.parts[-1].name
     head_body = craft.part_body[head]
     head_shape = craft.part_shape[head]
 
-    peg_top0 = HIT_BLOCK_TOP + HIT_PEG_GAP + HIT_PEG_LENGTH
     target_xy = np.asarray(config.lateral_offset, dtype=float)
     head_c = head_body.part_world_center(head_shape)
     head_low = head_body.part_min_z(head_shape)
     shift = np.array([
         target_xy[0] - head_c[0],
         target_xy[1] - head_c[1],
-        (peg_top0 + HIT_DROP_GAP) - head_low,
+        (HIT_PEG_TOP + HIT_DROP_GAP) - head_low,
     ])
     for body in world.bodies:
         body.x = body.x + shift
@@ -510,12 +460,10 @@ def run_hit_test(assembly: Assembly, plan: CraftPlan,
     root = craft.part_body[plan.parts[0].name]
     root.kinematic = True
     root.v = np.array([0.0, 0.0, -config.hit_drive_speed])
-
     touched = False
-    trajectory = [_snapshot(craft, 0.0)]
-    n_steps = int(round(config.duration / config.timestep))
-    for step in range(n_steps):
-        contacts = world.step(config.timestep)
+
+    def after_step(contacts):
+        nonlocal touched
         if not touched:
             for c in contacts:
                 pair = {id(c.body_a) if c.body_a else None, id(c.body_b)}
@@ -524,51 +472,66 @@ def run_hit_test(assembly: Assembly, plan: CraftPlan,
                     peg.gravity_exempt = False
                     break
 
-        r = peg.rotation
-        axis = r[:, 2]
-        hl = HIT_PEG_LENGTH / 2.0
-        top = peg.x + axis * hl if axis[2] > 0 else peg.x - axis * hl
-        low = peg.x - axis * hl if axis[2] > 0 else peg.x + axis * hl
-        descent = peg_top0 - float(top[2])
+        top, low = _peg_ends(peg)
+        descent = HIT_PEG_TOP - float(top[2])
         rho_low = math.hypot(low[0], low[1])
-
-        if (step + 1) % config.trace_every == 0:
-            trajectory.append(_snapshot(craft, world.time))
-
         details = {"peg_descent_m": descent, "peg_lateral_m": rho_low,
                    "touched": touched}
         if descent >= 0.5 * HIT_HOLE_DEPTH and rho_low <= HIT_HOLE_RADIUS:
-            return SimOutcome("hit", True, None, world.time, details,
-                              trajectory)
+            return None, details
         if low[2] < HIT_BLOCK_TOP and rho_low > HIT_HOLE_RADIUS:
-            return SimOutcome("hit", False, PEG_OUTSIDE_HOLE, world.time,
-                              details, trajectory)
-        shared = check_common_failures(craft, config)
-        if shared is not None:
-            reason, detail = shared
-            return SimOutcome("hit", False, reason, world.time, detail,
-                              trajectory)
+            return PEG_OUTSIDE_HOLE, details
+        return None
 
-    details = {"touched": touched}
-    return SimOutcome("hit", False, PEG_MISSED, world.time, details,
-                      trajectory)
+    def finish():
+        return PEG_MISSED, {"touched": touched}
+
+    # the root is kinematic: nothing to apply before a step
+    return (lambda: None), after_step, finish
 
 
+# Each test sets up from (craft, assembly, plan, config) and returns three
+# hooks: before_step() applies its push or load; after_step(contacts) updates
+# its state and returns a verdict (reason, details) to end early, or None;
+# finish() returns the verdict at the end.  A reason of None is a success.
 TESTS = {
-    "rolling": run_rolling_test,
-    "support": run_support_test,
-    "hit": run_hit_test,
+    "rolling": _rolling_test,
+    "support": _support_test,
+    "hit": _hit_test,
 }
 
 
 def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
                         config: SimConfig | None = None) -> SimOutcome:
+    """Compile the assembly and run the functional test ``kind`` on it.
+
+    A test's own verdict in a step goes ahead of the shared checks.
+    """
     try:
-        runner = TESTS[kind]
+        setup = TESTS[kind]
     except KeyError:
         raise ValueError(f"unknown functional test {kind!r}") from None
+    config = config or SimConfig()
+    craft = compile_craft(assembly, config)
+    world = craft.world
+    before_step, after_step, finish = setup(craft, assembly, plan, config)
+    trajectory = [_snapshot(craft, 0.0)]
+    n_steps = int(round(config.duration / config.timestep))
     try:
-        return runner(assembly, plan, config)
+        for step in range(n_steps):
+            before_step()
+            verdict = after_step(world.step(config.timestep))
+            if (step + 1) % config.trace_every == 0:
+                trajectory.append(_snapshot(craft, world.time))
+            if verdict is None:
+                verdict = check_common_failures(craft, config)
+            if verdict is not None:
+                break
+        else:
+            verdict = finish()
     except NumericalDivergence as exc:
         return SimOutcome(kind, False, NUMERICAL_DIVERGENCE, exc.time,
                           {"body": exc.body, "message": str(exc)})
+    reason, details = verdict
+    return SimOutcome(kind, reason is None, reason, world.time, details,
+                      trajectory)

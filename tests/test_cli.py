@@ -92,6 +92,25 @@ def test_metrics_self_comparison(capsys, plan_path, tmp_path):
     assert payload["fscore"] > 0.99
 
 
+def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
+    # LOOSE_1 has no connection, so it cannot be placed
+    plan = tmp_path / "unplaceable.json"
+    plan.write_text(json.dumps([
+        {"Name": "BASE_1", "Available_obj": "CUBOID_100X100X100",
+         "Orientation": [100, 100, 100], "exec_function": False},
+        {"Name": "LOOSE_1", "Available_obj": "CUBOID_50X50X20",
+         "Orientation": [50, 50, 20], "exec_function": False},
+    ]))
+    for argv in (["build", str(plan)],
+                 ["metrics", "--plan", str(plan),
+                  "--ref", str(tmp_path / "ref.obj")]):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_INVALID
+        payload = json.loads(out)
+        assert payload["stage"] == "POSITION"
+        assert payload["report"]["error"] == "Unplaceable"
+
+
 def test_pipeline_scripted(capsys, tmp_path, fixture_raw):
     responses = tmp_path / "responses"
     responses.mkdir()

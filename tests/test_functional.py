@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
-from craftkit.physics import SimConfig, compile_craft, run_functional_test
+from craftkit.assembler import connected_groups, connectivity_components
+from craftkit.geometry import Solid
+from craftkit.physics import (
+    RigidBody,
+    SimConfig,
+    World,
+    compile_craft,
+    engine,
+    run_functional_test,
+)
+from craftkit.physics.engine import quat_to_matrix
 from craftkit.physics.functional import (
+    INSUFFICIENT_ROTATION,
     NEW_GROUND_CONTACT,
     PART_SEPARATED,
     PEG_MISSED,
+    ConnectionWatch,
 )
 
 
@@ -89,3 +101,164 @@ def test_trajectory_tracing(build_fixture):
     t0 = outcome.trajectory[0]
     assert "t" in t0 and "parts" in t0
     assert set(t0["parts"]) == {"HANDLE_1", "HEAD_1"}
+
+
+# Outcomes of short runs, recorded before the three tests were folded into
+# one driver: a change in the order of hooks, snapshots and shared checks
+# moves them.
+SHORT_RUNS = {
+    ("rolling", "skateboard_valid_2"): (
+        False, INSUFFICIENT_ROTATION, 0.5000000000000003,
+        {"distance_m": 0.2281811803172058,
+         "parts": ["WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"],
+         "push_part": "SUPPORT_1",
+         "rotation_rad": {"WHEEL_1": 0.7606024023035592,
+                          "WHEEL_2": 0.7605993482805931,
+                          "WHEEL_3": 0.7606021443002801,
+                          "WHEEL_4": 0.7605999267422969},
+         "veer_m": None},
+        11, {"AXLE_1": [1.378181, 4.8e-05, 0.300069],
+             "AXLE_2": [-0.921819, 5e-05, 0.300075],
+             "DECK_1": [0.228182, 8.4e-05, 0.750072],
+             "SUPPORT_1": [1.378181, 4.8e-05, 0.300069],
+             "SUPPORT_2": [-0.921819, 5e-05, 0.300075],
+             "WHEEL_1": [1.378182, 0.350047, 0.300053],
+             "WHEEL_2": [1.378181, -0.349956, 0.300089],
+             "WHEEL_3": [-0.921819, 0.350049, 0.300058],
+             "WHEEL_4": [-0.921819, -0.349955, 0.300094]}),
+    ("support", "table_valid_3"): (
+        True, None, 0.5000000000000003,
+        {"loaded_parts": ["TABLETOP_1"],
+         "max_displacement_m": 5.389988843661157e-07},
+        11, {"LEG_1": [1.15, 0.65, 1.0], "LEG_2": [1.15, -0.65, 1.0],
+             "LEG_3": [-1.15, 0.65, 1.0], "LEG_4": [-1.15, -0.65, 1.0],
+             "TABLETOP_1": [0.0, -1e-06, 2.1]}),
+    ("hit", "hammer_valid_1"): (
+        True, None, 0.36000000000000026,
+        {"peg_descent_m": 0.20043258207999326, "peg_lateral_m": 0.0,
+         "touched": True},
+        8, {"HANDLE_1": [-0.7, 0.0, 1.975], "HEAD_1": [0.0, 0.0, 1.675]}),
+    ("hit", "hammer_detached"): (
+        False, PART_SEPARATED, 0.10800000000000008,
+        {"drift_m": 0.05035244019942997, "part": "HEAD_1",
+         "to_part": "HANDLE_1"},
+        3, {"HANDLE_1": [-0.7, 0.0, 2.1], "HEAD_1": [0.0, 0.0, 1.754307]}),
+    ("rolling", "skateboard_floating"): (
+        False, NEW_GROUND_CONTACT, 0.17200000000000013,
+        {"min_z_m": -0.002419776208559099, "part": "WHEEL_3"},
+        4, {"AXLE_1": [0.927617, 3.5e-05, 0.300022],
+            "AXLE_2": [-0.728842, 0.000184, 0.333837],
+            "DECK_1": [0.00527, 0.000129, 0.585987],
+            "SUPPORT_1": [0.927617, 3.5e-05, 0.300022],
+            "SUPPORT_2": [-0.728842, 0.000184, 0.333837],
+            "WHEEL_1": [0.927654, 0.350034, 0.300019],
+            "WHEEL_2": [0.927592, -0.349969, 0.300028],
+            "WHEEL_3": [-0.728817, 0.350184, 0.333823],
+            "WHEEL_4": [-0.72888, -0.349816, 0.333851]}),
+}
+
+
+def _assert_details(got, want):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            _assert_details(got[key], want[key])
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("kind,name", list(SHORT_RUNS))
+def test_short_run_outcomes_are_pinned(build_fixture, kind, name):
+    success, reason, time, details, n_snapshots, last = SHORT_RUNS[kind, name]
+    plan, asm = build_fixture(name)
+    outcome = run_functional_test(kind, asm, plan, SimConfig(duration=0.5))
+    assert outcome.test == kind
+    assert outcome.success is success
+    assert outcome.failure_reason == reason
+    assert outcome.time == pytest.approx(time, rel=1e-9)
+    _assert_details(outcome.details, details)
+    assert len(outcome.trajectory) == n_snapshots
+    parts = outcome.trajectory[-1]["parts"]
+    assert sorted(parts) == sorted(last)
+    for part, xyz in last.items():
+        assert parts[part] == pytest.approx(xyz, abs=2e-6)
+
+
+# FIXED clusters per golden category, one body each, in body id order
+GOLDEN_BODIES = {
+    "bookshelf": [["SIDE_PANEL_1", "SHELF_1", "SHELF_2", "SHELF_3",
+                   "SIDE_PANEL_2"]],
+    "bus": [["BODY_1", "AXLE_1", "AXLE_2"], ["WHEEL_1"], ["WHEEL_2"],
+            ["WHEEL_3"], ["WHEEL_4"]],
+    "chair": [["SEAT_1", "LEG_1", "LEG_2", "LEG_3", "LEG_4", "BACKREST_1"]],
+    "hammer": [["HANDLE_1", "HEAD_1"]],
+    "skateboard": [["DECK_1", "SUPPORT_1", "SUPPORT_2", "AXLE_1", "AXLE_2"],
+                   ["WHEEL_1"], ["WHEEL_2"], ["WHEEL_3"], ["WHEEL_4"]],
+    "table": [["TABLETOP_1", "LEG_1", "LEG_2", "LEG_3", "LEG_4"]],
+}
+
+
+def test_golden_clusters_and_body_ids(build_fixture):
+    for category, want in GOLDEN_BODIES.items():
+        for i in (1, 2, 3):
+            _, asm = build_fixture(f"{category}_valid_{i}")
+            craft = compile_craft(asm, SimConfig())
+            assert [b.id for b in craft.bodies] == \
+                [f"body{k}" for k in range(len(want))]
+            assert [[p.name for p in b.parts] for b in craft.bodies] == want
+            assert connectivity_components(asm) == [list(asm.placed)]
+
+
+def test_connected_groups_follow_name_order():
+    groups = connected_groups(["a", "b", "c", "d", "e"],
+                              [("d", "b"), ("e", "a")])
+    assert groups == [["a", "e"], ["b", "d"], ["c"]]
+
+
+def test_rotation_is_computed_once_per_moving_body_and_step(
+        build_fixture, monkeypatch):
+    plan, asm = build_fixture("skateboard_valid_2")
+    config = SimConfig(duration=1.0)
+    n_bodies = len(compile_craft(asm, config).bodies)
+    calls = []
+    original = engine.quat_to_matrix
+
+    def counting(q):
+        calls.append(1)
+        return original(q)
+
+    monkeypatch.setattr(engine, "quat_to_matrix", counting)
+    outcome = run_functional_test("rolling", asm, plan, config)
+    steps = round(outcome.time / config.timestep)
+    assert steps == 500
+    # one per body at the compile pose, then one per body and step
+    assert len(calls) <= n_bodies * (steps + 1)
+
+
+def test_drift_is_measured_at_the_pose_after_the_step():
+    world = World(SimConfig(gravity=0.0))
+    world.ground_enabled = False
+    a = RigidBody.from_parts(
+        "a", [("A", Solid.box((1.0, 1.0, 1.0)), np.zeros(3))], 1.0)
+    b = RigidBody.from_parts(
+        "b", [("B", Solid.box((1.0, 1.0, 1.0)), np.array([3.0, 0.0, 0.0]))],
+        1.0)
+    a.w = np.array([0.0, 0.0, 20.0])
+    b.w = np.array([15.0, 0.0, 0.0])
+    world.bodies += [a, b]
+    local_a, local_b = np.array([1.5, 0.0, 0.0]), np.array([-1.5, 0.2, 0.0])
+    watches = [ConnectionWatch(kind, "A", "B", a, b, local_a, local_b, normal)
+               for kind, normal in (("INSERTED", None),
+                                    ("SURFACE", np.array([1.0, 0.0, 0.0])))]
+    world.step()
+
+    ra, rb = quat_to_matrix(a.q), quat_to_matrix(b.q)
+    gap = (b.x + rb @ local_b) - (a.x + ra @ local_a)
+    stale = (b.x + local_b) - (a.x + local_a)  # the pre-step (identity) pose
+    assert abs(np.linalg.norm(gap) - np.linalg.norm(stale)) > 1e-3
+    assert watches[0].drift() == pytest.approx(np.linalg.norm(gap),
+                                               rel=1e-12)
+    assert watches[1].drift() == pytest.approx(
+        abs(gap @ (ra @ np.array([1.0, 0.0, 0.0]))), rel=1e-12)

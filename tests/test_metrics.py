@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from craftkit import metrics
 from craftkit.errors import DegenerateExtent, EmptyMesh
 from craftkit.meshing import export_assembly_obj
 from craftkit.metrics import (
@@ -104,6 +105,28 @@ def test_identity_scores():
     assert report.chamfer == 0.0
     assert report.hausdorff == 0.0
     assert report.fscore == 1.0
+
+
+@pytest.mark.parametrize("n_a,n_b", [(150, 170), (3000, 2500)])
+def test_one_nearest_neighbour_search_per_direction(monkeypatch, n_a, n_b):
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(n_a, 3))
+    b = rng.normal(size=(n_b, 3))
+    calls = []
+    original = metrics._nearest_distances
+
+    def counting(query, target):
+        calls.append((len(query), len(target)))
+        return original(query, target)
+
+    monkeypatch.setattr(metrics, "_nearest_distances", counting)
+    report = compare_point_sets(a, b, threshold=0.3)
+    assert calls == [(n_a, n_b), (n_b, n_a)]
+    assert chamfer_distance(a, b) == report.chamfer
+    assert hausdorff_distance(a, b) == report.hausdorff
+    assert fscore(a, b, 0.3) == (report.fscore, report.precision,
+                                 report.recall)
+    assert 0.0 < report.precision < 1.0 and 0.0 < report.recall < 1.0
 
 
 def test_chamfer_never_exceeds_hausdorff():
