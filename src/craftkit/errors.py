@@ -87,4 +87,12 @@ class DegenerateExtent(CraftError):
 
 
 class ClientError(CraftError):
-    """Transport or auth failure talking to the language-model backend."""
+    """Transport or auth failure talking to the language-model backend.
+
+    ``retryable`` is False when asking again cannot succeed: a scripted
+    client out of responses, an HTTP 4xx answer, or a missing dependency.
+    """
+
+    def __init__(self, message, retryable=True):
+        super().__init__(message)
+        self.retryable = retryable

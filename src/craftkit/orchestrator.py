@@ -136,7 +136,12 @@ class HttpClient(LlmClient):
         self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
-        import requests
+        try:
+            import requests
+        except ImportError as exc:
+            raise ClientError(
+                "HttpClient needs the requests package: "
+                "pip install 'craftkit[http]'", retryable=False) from exc
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -149,6 +154,11 @@ class HttpClient(LlmClient):
         try:
             resp = requests.post(self.endpoint, json=payload,
                                  headers=headers, timeout=self.timeout)
+            if 400 <= resp.status_code < 500:
+                # the request itself is at fault; sending it again cannot help
+                raise ClientError(
+                    f"HTTP {resp.status_code} from {self.endpoint}",
+                    retryable=False)
             resp.raise_for_status()
             data = resp.json()
             return data["choices"][0]["message"]["content"]
@@ -179,7 +189,8 @@ class ScriptedClient(LlmClient):
     def complete(self, prompt: str) -> str:
         self.prompts.append(prompt)
         if self.cursor >= len(self.responses):
-            raise ClientError("scripted client has no responses left")
+            raise ClientError("scripted client has no responses left",
+                              retryable=False)
         out = self.responses[self.cursor]
         self.cursor += 1
         return out
@@ -283,6 +294,8 @@ def _call(client, prompt):
         try:
             return client.complete(prompt)
         except ClientError as exc:
+            if not exc.retryable:
+                raise
             last = exc
     raise last
 
@@ -295,8 +308,9 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     Budgets: NONE issues a single call; FRESH retries the identical prompt
     up to twice more; FEEDBACK allows one retry for a pre-simulation
     failure and one more for a simulation failure.  Every policy stays
-    within three LLM calls.  A client that still fails after its retries
-    ends the run as a failure at stage CLIENT.
+    within three LLM calls.  A client that still fails after its retries,
+    or fails in a way a retry cannot mend, ends the run as a failure at
+    stage CLIENT.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")

@@ -15,12 +15,21 @@ I^-1 (r x d) per body and direction, and each joint row keeps its 3x3 and
 2x2 inverse masses as nested floats.  After the position iterations the
 velocities are written back to the bodies' numpy arrays, which are the
 public state between steps.
+
+A contact with the static environment whose normal is exactly +z (compared
+by value, so the hit test's floor contacts qualify) gets a _GroundRow: its
+directions are z, x and y, so the row keeps only the non-zero terms of
+each Jacobian and response and solves all three directions in one call,
+bit-identical to the generic _ContactRow that every other contact uses.
+Per-part constants of contact generation (bounding radius, box half
+extents and corner offsets) are computed once per part, and each part's
+world centre once per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +76,17 @@ class BodyPart:
     name: str
     solid: Solid
     local_center: np.ndarray  # offset from body COM in the body frame
+    # constants of contact generation, fixed with the solid
+    radius: float = field(init=False)  # half the diagonal of the solid's AABB
+    half: np.ndarray | None = field(init=False)  # box half extents
+    corners: np.ndarray | None = field(init=False)  # box corners, body frame
+
+    def __post_init__(self):
+        self.radius = 0.5 * float(np.linalg.norm(self.solid.extents))
+        self.half = self.corners = None
+        if self.solid.kind == BOX:
+            self.half = np.asarray(self.solid.extents) / 2.0
+            self.corners = _BOX_SIGNS * self.half
 
 
 class RigidBody:
@@ -144,9 +164,8 @@ class RigidBody:
         r = self.rotation
         c = self.x + r @ part.local_center
         if part.solid.kind == BOX:
-            half = np.asarray(part.solid.extents) / 2.0
             # support point of a rotated box along -z
-            return c[2] - float(np.abs(r[2, :]) @ half)
+            return c[2] - float(np.abs(r[2, :]) @ part.half)
         axis = r[:, part.solid.axis]
         hl = part.solid.length / 2.0
         radial = np.sqrt(max(1.0 - axis[2] ** 2, 0.0)) * part.solid.radius
@@ -358,6 +377,124 @@ def _direction(a, ra, b, rb, d):
     return ja, jb, resp_a, resp_b, k + ka
 
 
+class _GroundRow:
+    """A contact with the static environment whose normal is exactly +z.
+
+    For this normal _ContactRow picks t1 = x and t2 = y, so each Jacobian
+    (d, r x d) has three exact zeros: r x z = (ry, -rx, 0),
+    r x x = (0, rz, -ry) and r x y = (-rz, 0, rx).  The setup and the
+    updates multiply only the other terms, summed in the order
+    _ContactRow sums them.  The products left out are exact zeros, so
+    velocities and impulses come out bit-identical to _ContactRow's.
+    Each direction keeps (k, I^-1 (r x d)); ``n`` is None for a body that
+    impulses do not move (k = 0), and the row is then skipped.
+    """
+
+    __slots__ = ("v", "p", "friction", "depth", "r", "m", "n", "t1", "t2",
+                 "jn", "jt1", "jt2", "pn")
+
+    def __init__(self, contact: Contact, b: _SolverBody):
+        self.v, self.p = b.vel, b.pvel
+        self.friction = contact.friction
+        self.depth = contact.depth
+        self.jn = self.jt1 = self.jt2 = self.pn = 0.0
+        px, py, pz = contact.point.tolist()
+        rx, ry, rz = self.r = (px - b.x[0], py - b.x[1], pz - b.x[2])
+        if not b.dynamic:
+            self.n = None
+            return
+        m = self.m = b.inv_mass
+        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = b.iinv
+        a0, a1, a2 = i00 * ry - i01 * rx, i10 * ry - i11 * rx, \
+            i20 * ry - i21 * rx
+        self.n = (m + (ry * a0 - rx * a1), a0, a1, a2)
+        a0, a1, a2 = i01 * rz - i02 * ry, i11 * rz - i12 * ry, \
+            i21 * rz - i22 * ry
+        self.t1 = (m + (rz * a1 - ry * a2), a0, a1, a2)
+        a0, a1, a2 = i02 * rx - i00 * rz, i12 * rx - i10 * rz, \
+            i22 * rx - i20 * rz
+        self.t2 = (m + (rx * a2 - rz * a0), a0, a1, a2)
+
+    # With a zero target, acc - u / k is _solve_row's acc + (0 - u) / k.
+    def solve_velocity(self):
+        if self.n is None:
+            return
+        v, m = self.v, self.m
+        rx, ry, rz = self.r
+        k, a0, a1, a2 = self.n
+        acc = self.jn
+        new = acc - ((v[2] + ry * v[3]) - rx * v[4]) / k
+        if new < 0.0:
+            new = 0.0
+        dj = new - acc
+        if dj != 0.0:
+            v[2] += dj * m
+            v[3] += dj * a0
+            v[4] += dj * a1
+            v[5] += dj * a2
+        self.jn = new
+        if self.friction <= 0.0 or new <= 0.0:
+            return
+        hi = self.friction * new
+        lo = -hi
+
+        k, a0, a1, a2 = self.t1
+        acc = self.jt1
+        new = acc - ((v[0] + rz * v[4]) - ry * v[5]) / k
+        if new < lo:
+            new = lo
+        elif new > hi:
+            new = hi
+        dj = new - acc
+        if dj != 0.0:
+            v[0] += dj * m
+            v[3] += dj * a0
+            v[4] += dj * a1
+            v[5] += dj * a2
+        self.jt1 = new
+
+        k, a0, a1, a2 = self.t2
+        acc = self.jt2
+        new = acc - ((v[1] - rz * v[3]) + rx * v[5]) / k
+        if new < lo:
+            new = lo
+        elif new > hi:
+            new = hi
+        dj = new - acc
+        if dj != 0.0:
+            v[1] += dj * m
+            v[3] += dj * a0
+            v[4] += dj * a1
+            v[5] += dj * a2
+        self.jt2 = new
+
+    def solve_position(self, beta, slop, dt):
+        pen = self.depth - slop
+        if pen <= 0.0 or self.n is None:
+            return
+        p = self.p
+        rx, ry, _ = self.r
+        k, a0, a1, a2 = self.n
+        acc = self.pn
+        new = acc + (beta * pen / dt - ((p[2] + ry * p[3]) - rx * p[4])) / k
+        if new < 0.0:
+            new = 0.0
+        dj = new - acc
+        if dj != 0.0:
+            p[2] += dj * self.m
+            p[3] += dj * a0
+            p[4] += dj * a1
+            p[5] += dj * a2
+        self.pn = new
+
+
+def _contact_row(contact: Contact, bodies: dict):
+    """The row for one contact: _GroundRow where it applies, by value."""
+    if contact.body_a is None and contact.normal.tolist() == [0.0, 0.0, 1.0]:
+        return _GroundRow(contact, bodies[contact.body_b])
+    return _ContactRow(contact, bodies)
+
+
 def _inverse3(m):
     """Inverse of a 3x3 nested list by cofactors."""
     (a, b, c), (d, e, f), (g, h, i) = m
@@ -492,21 +629,19 @@ class World:
         self._pair_skip = None
 
     # -- contact generation ----------------------------------------------
-    def _ground_contacts(self, contacts):
+    def _ground_contacts(self, contacts, centers):
         mu = self.config.friction
-        for body in self.bodies:
+        for body, body_centers in zip(self.bodies, centers):
             if body.inv_mass == 0.0 and not body.kinematic:
                 continue
             r = body._rot
-            for part in body.parts:
-                c = body.x + r @ part.local_center
+            for part, c in zip(body.parts, body_centers):
                 if part.solid.kind == BOX:
-                    half = np.asarray(part.solid.extents) / 2.0
                     # quick reject on the lowest support point
-                    low = c[2] - float(np.abs(r[2, :]) @ half)
+                    low = c[2] - float(np.abs(r[2, :]) @ part.half)
                     if low >= CONTACT_GEN_MARGIN:
                         continue
-                    corners = c + (_BOX_SIGNS * half) @ r.T
+                    corners = c + part.corners @ r.T
                     for corner in corners:
                         if corner[2] < CONTACT_GEN_MARGIN:
                             contacts.append(Contact(
@@ -549,7 +684,7 @@ class World:
                 frozenset((j.body_a.id, j.body_b.id)) for j in self.joints}
         return frozenset((a.id, b.id)) in self._pair_skip
 
-    def _body_body_contacts(self, contacts):
+    def _body_body_contacts(self, contacts, centers):
         mu = self.config.friction
         n_bodies = len(self.bodies)
         for i in range(n_bodies):
@@ -560,15 +695,11 @@ class World:
                     continue
                 if self._jointed(a, b):
                     continue
-                for pa in a.parts:
-                    ca = a.x + a._rot @ pa.local_center
-                    for pb in b.parts:
-                        cb = b.x + b._rot @ pb.local_center
+                for pa, ca in zip(a.parts, centers[i]):
+                    for pb, cb in zip(b.parts, centers[j]):
                         # coarse sphere reject before the exact test
-                        ra = 0.5 * float(np.linalg.norm(pa.solid.extents))
-                        rb = 0.5 * float(np.linalg.norm(pb.solid.extents))
                         d = cb - ca
-                        if d @ d > (ra + rb) ** 2 + 1e-6:
+                        if d @ d > (pa.radius + pb.radius) ** 2 + 1e-6:
                             continue
                         hit = pair_overlap(ca, pa.solid, cb, pb.solid,
                                            tol=1e-9)
@@ -593,9 +724,12 @@ class World:
 
     def gather_contacts(self):
         contacts = []
+        # world centres of every part, shared by both generators
+        centers = [[body.x + body._rot @ part.local_center
+                    for part in body.parts] for body in self.bodies]
         if self.ground_enabled:
-            self._ground_contacts(contacts)
-        self._body_body_contacts(contacts)
+            self._ground_contacts(contacts, centers)
+        self._body_body_contacts(contacts, centers)
         for hook in self.extra_contact_hooks:
             contacts.extend(hook(self))
         return contacts
@@ -610,7 +744,7 @@ class World:
         bodies = {body: _SolverBody(body) for body in self.bodies}
         joint_rows = [_JointRow(j, bodies, cfg.baumgarte, dt)
                       for j in self.joints]
-        contact_rows = [_ContactRow(c, bodies) for c in contacts]
+        contact_rows = [_contact_row(c, bodies) for c in contacts]
         for _ in range(cfg.solver_iterations):
             for row in joint_rows:
                 row.solve()

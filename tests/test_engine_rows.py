@@ -6,7 +6,8 @@ operations on the bodies' own ``v``/``w``/``pv``/``pw`` arrays.  Seeded
 random worlds are solved once with them and once with ``World._solve`` from
 identical copies; velocities and accumulated impulses must agree.  The float
 rows reorder a few sums (``w . (r x d)`` for ``(w x r) . d``), so results
-agree to rounding, not bit for bit.
+agree to rounding, not bit for bit.  The ground row, in turn, must match
+the generic float contact row exactly.
 """
 
 import copy
@@ -15,7 +16,14 @@ import numpy as np
 import pytest
 
 from craftkit.geometry import Solid
-from craftkit.physics import Contact, RevoluteJoint, RigidBody, SimConfig, World
+from craftkit.physics import (
+    Contact,
+    RevoluteJoint,
+    RigidBody,
+    SimConfig,
+    World,
+    engine,
+)
 
 # relative to the largest magnitude of the compared set; set beforehand
 # from float64 rounding (~1e-16) grown over 10 + 4 sweeps of a few rows
@@ -293,8 +301,56 @@ def test_ground_contacts_match_numpy_rows():
     assert len(contacts) == 8
     ref_world = copy.deepcopy(world)
     rows = world._solve(contacts, world.config.timestep)
+    assert all(isinstance(r, engine._GroundRow) for r in rows)
     ref_rows = _reference_solve(
         ref_world, ref_world.gather_contacts(), world.config.timestep)
     _assert_close(_state(world), _state(ref_world))
     _assert_close([[r.jn, r.jt1, r.jt2, r.pn] for r in rows],
                   [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
+
+
+def _ground_world(seed):
+    """Ground contacts (normal +z) on rotated dynamic bodies and a kinematic
+    one, at random points and depths, with friction 0, 0.5 and 1."""
+    rng = np.random.default_rng(seed)
+    world = World(SimConfig())
+    bodies = [_random_body(rng, f"b{i}", rng.uniform(-1.0, 1.0, size=3))
+              for i in range(4)]
+    bodies[3].kinematic = True
+    world.bodies += bodies
+    for body in bodies:
+        body.refresh_pose_cache()
+        # moving down, so most rows start out approaching
+        body.v[2] = -abs(body.v[2])
+    contacts = [
+        Contact(None, body, body.x + rng.normal(scale=0.2, size=3),
+                engine._UP, float(rng.uniform(0.0, 2e-3)), friction)
+        for body in bodies for friction in (0.0, 0.5, 1.0)]
+    # a fresh +z array, as the hit test's peg hook builds its floor normal
+    contacts.append(Contact(None, bodies[0],
+                            bodies[0].x + rng.normal(scale=0.2, size=3),
+                            np.array([0.0, 0.0, 1.0]), 1e-3, 0.5))
+    return world, contacts
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ground_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
+    world, contacts = _ground_world(seed)
+    ref_world, ref_contacts = copy.deepcopy((world, contacts))
+    dt = world.config.timestep
+
+    rows = world._solve(contacts, dt)
+    assert all(isinstance(r, engine._GroundRow) for r in rows)
+    monkeypatch.setattr(engine, "_contact_row", engine._ContactRow)
+    ref_rows = ref_world._solve(ref_contacts, dt)
+    assert all(isinstance(r, engine._ContactRow) for r in ref_rows)
+
+    assert np.array_equal(_state(world), _state(ref_world))
+    impulses = [[r.jn, r.jt1, r.jt2, r.pn] for r in rows]
+    assert impulses == [[r.jn, r.jt1, r.jt2, r.pn] for r in ref_rows]
+    # every update ran: normal, both friction directions, split impulse
+    assert any(r.jn > 0.0 for r in rows)
+    assert any(r.pn > 0.0 for r in rows)
+    assert any(r.jt1 != 0.0 and r.jt2 != 0.0 for r in rows)
+    # the kinematic body's rows are skipped and leave it as it was
+    assert all(r.jn == 0.0 and r.pn == 0.0 for r in rows[9:12])

@@ -237,6 +237,35 @@ def test_rotation_is_computed_once_per_moving_body_and_step(
     assert len(calls) <= n_bodies * (steps + 1)
 
 
+def test_contact_generation_reuses_part_bounding_radii(
+        build_fixture, monkeypatch):
+    plan, asm = build_fixture("skateboard_valid_2")
+    config = SimConfig(duration=0.2)
+    gathers, radius_norms = [], []
+    original_norm = np.linalg.norm
+    original_gather = World.gather_contacts
+
+    def gather(world):
+        extents = [p.solid.extents for b in world.bodies for p in b.parts]
+
+        def norm(x, *args, **kwargs):
+            if any(x is e for e in extents):
+                radius_norms.append(x)
+            return original_norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        try:
+            gathers.append(1)
+            return original_gather(world)
+        finally:
+            monkeypatch.setattr(np.linalg, "norm", original_norm)
+
+    monkeypatch.setattr(World, "gather_contacts", gather)
+    run_functional_test("rolling", asm, plan, config)
+    assert len(gathers) == 100
+    assert radius_norms == []
+
+
 def test_drift_is_measured_at_the_pose_after_the_step():
     world = World(SimConfig(gravity=0.0))
     world.ground_enabled = False

@@ -1,9 +1,12 @@
 import json
+import sys
+import types
 
 import pytest
 
 from craftkit.errors import ClientError
 from craftkit.orchestrator import (
+    MAX_CLIENT_RETRIES,
     POLICY_FEEDBACK,
     POLICY_FRESH,
     POLICY_NONE,
@@ -13,6 +16,7 @@ from craftkit.orchestrator import (
     STAGE_FORMAT,
     STAGE_NONE,
     STAGE_PHYSICS,
+    HttpClient,
     PromptBundle,
     ScriptedClient,
     build_prompt,
@@ -97,6 +101,56 @@ def test_exhausted_client_is_a_classified_failure(catalog, response_text):
     assert [a.failure_stage for a in result.attempts] == [
         STAGE_FORMAT, STAGE_CLIENT]
     assert classify_failure(STAGE_CLIENT) == "Client Error"
+    # exhaustion is not retried: one prompt per request, the answered one
+    # and the one that found no response left
+    assert len(client.prompts) == 2
+
+
+def _fake_requests(status, posts):
+    """A stand-in ``requests`` module whose post answers with ``status``."""
+
+    class RequestException(Exception):
+        pass
+
+    class Response:
+        status_code = status
+
+        def raise_for_status(self):
+            if status >= 400:
+                raise RequestException(f"HTTP {status}")
+
+        def json(self):
+            return {"choices": [{"message": {"content": "[]"}}]}
+
+    def post(url, **kwargs):
+        posts.append(url)
+        return Response()
+
+    return types.SimpleNamespace(post=post,
+                                 RequestException=RequestException)
+
+
+@pytest.mark.parametrize("status, expected_posts",
+                         [(404, 1), (503, MAX_CLIENT_RETRIES)])
+def test_http_client_retries_server_errors_only(status, expected_posts,
+                                                monkeypatch, catalog):
+    posts = []
+    monkeypatch.setitem(sys.modules, "requests",
+                        _fake_requests(status, posts))
+    client = HttpClient("http://localhost:9/v1/chat", "m")
+    result = run_pipeline("hammer", client, policy=POLICY_NONE,
+                          catalog=catalog)
+    assert result.failure_stage == STAGE_CLIENT
+    assert str(status) in result.attempts[-1].report["message"]
+    assert len(posts) == expected_posts
+
+
+def test_http_client_without_requests_names_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)
+    with pytest.raises(ClientError) as info:
+        HttpClient("http://localhost:9/v1/chat", "m").complete("p")
+    assert not info.value.retryable
+    assert "pip install 'craftkit[http]'" in str(info.value)
 
 
 def test_evaluate_stages(catalog, response_text, fixture_raw):
