@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +44,7 @@ POLICIES = (POLICY_NONE, POLICY_FRESH, POLICY_FEEDBACK)
 
 MAX_LLM_CALLS = 3
 MAX_CLIENT_RETRIES = 3
+CLIENT_BACKOFF_S = 0.5  # first wait between attempts; each next one doubles
 
 
 def load_heuristics():
@@ -289,15 +291,19 @@ def evaluate_plan_text(raw, catalog, functional=None, sim_config=None):
 
 
 def _call(client, prompt):
-    last = None
-    for _ in range(MAX_CLIENT_RETRIES):
+    """``client.complete(prompt)``, tried up to MAX_CLIENT_RETRIES times.
+
+    Only a retryable ClientError is tried again, after a wait of
+    CLIENT_BACKOFF_S that doubles per attempt (0.5 s, then 1 s); any other
+    error, and the last attempt's, is raised at once.
+    """
+    for attempt in range(MAX_CLIENT_RETRIES):
         try:
             return client.complete(prompt)
         except ClientError as exc:
-            if not exc.retryable:
+            if not exc.retryable or attempt + 1 == MAX_CLIENT_RETRIES:
                 raise
-            last = exc
-    raise last
+        time.sleep(CLIENT_BACKOFF_S * 2 ** attempt)
 
 
 def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,

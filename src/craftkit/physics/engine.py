@@ -5,16 +5,20 @@ positional correction, and revolute joints solved as point + axis constraints.
 Bodies carry lists of primitive parts (boxes / cylinders) expressed in the
 body frame, which is world-aligned at compile time.
 
+The whole step runs on plain Python floats.  It reads each body's numpy
+arrays once with ``tolist`` into a float "solver body" (the layout of
+Box2D's contact solver): position, rotation, velocity, a zero
+pseudo-velocity, inverse mass and world inverse inertia R I^-1 R^T.  Forces
+are integrated, contacts generated, constraints solved and positions and
+quaternions integrated on those floats, and the new pose and velocity are
+written back once at the end.  The numpy arrays (``x``, ``q``, ``v``, ``w``,
+``_rot``, ``_iinv``, ``Contact.point``) are the public state between steps.
+
 Positions are frozen during the velocity solve, so all constraint geometry
 (lever arms, effective masses, biases) is precomputed once per step and the
-iteration loop only touches velocities.  The solve runs on plain Python
-floats in the "solver body" layout of Box2D's contact solver: each step
-copies every body's velocity, pseudo-velocity, inverse mass and world inverse
-inertia into a float solver body, each contact row keeps r x d and
+iteration loop only touches velocities.  Each contact row keeps r x d and
 I^-1 (r x d) per body and direction, and each joint row keeps its 3x3 and
-2x2 inverse masses as nested floats.  After the position iterations the
-velocities are written back to the bodies' numpy arrays, which are the
-public state between steps.
+2x2 inverse masses as nested floats.
 
 A contact with the static environment whose normal is exactly +z (compared
 by value, so the hit test's floor contacts qualify) gets a _GroundRow: its
@@ -22,8 +26,10 @@ directions are z, x and y, so the row keeps only the non-zero terms of
 each Jacobian and response and solves all three directions in one call,
 bit-identical to the generic _ContactRow that every other contact uses.
 Per-part constants of contact generation (bounding radius, box half
-extents and corner offsets) are computed once per part, and each part's
-world centre once per step.
+extents, the offset from the body centre) are computed once per part, and
+each part's world centre once per step.  Boxes and lying cylinders whose
+lowest point is above the contact margin are skipped before any corner or
+rim point is built.
 """
 
 from __future__ import annotations
@@ -40,12 +46,14 @@ from ..geometry import BOX, Solid, solid_inertia_diag
 MAX_SPEED = 1e3  # m/s
 MAX_SPIN = 1e4  # rad/s
 _INF = float("inf")
-_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 CONTACT_GEN_MARGIN = 1e-3  # start tracking ground contacts this close
 
-_BOX_SIGNS = np.array(
-    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-    dtype=float)
+_BOX_SIGNS = tuple((sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
+                   for sz in (-1.0, 1.0))
+# (cos, sin) of the 8 rim samples of a standing cylinder
+_RIM = tuple((float(np.cos(a)), float(np.sin(a)))
+             for a in (2 * np.pi * k / 8 for k in range(8)))
+_ZERO33 = ((0.0, 0.0, 0.0),) * 3
 _UP = np.array([0.0, 0.0, 1.0])
 
 
@@ -59,16 +67,24 @@ def quat_to_matrix(q):
 
 
 def quat_integrate(q, omega, dt):
+    """q advanced by the angular velocity omega over dt and normalized."""
     w, x, y, z = q
     ox, oy, oz = omega
-    dq = 0.5 * np.array([
-        -ox * x - oy * y - oz * z,
-        ox * w + oy * z - oz * y,
-        oy * w + oz * x - ox * z,
-        oz * w + ox * y - oy * x,
-    ])
-    q = q + dq * dt
-    return q / np.linalg.norm(q)
+    w, x, y, z = (w + 0.5 * (-ox * x - oy * y - oz * z) * dt,
+                  x + 0.5 * (ox * w + oy * z - oz * y) * dt,
+                  y + 0.5 * (oy * w + oz * x - ox * z) * dt,
+                  z + 0.5 * (oz * w + ox * y - oy * x) * dt)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
+
+
+def pose_point(x, rot, p):
+    """x + rot p, for a position, a rotation (rows) and a point as floats."""
+    px, py, pz = p
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    return (x[0] + (r00 * px + r01 * py + r02 * pz),
+            x[1] + (r10 * px + r11 * py + r12 * pz),
+            x[2] + (r20 * px + r21 * py + r22 * pz))
 
 
 @dataclass
@@ -77,16 +93,28 @@ class BodyPart:
     solid: Solid
     local_center: np.ndarray  # offset from body COM in the body frame
     # constants of contact generation, fixed with the solid
+    offset: tuple = field(init=False)  # local_center as floats
     radius: float = field(init=False)  # half the diagonal of the solid's AABB
-    half: np.ndarray | None = field(init=False)  # box half extents
-    corners: np.ndarray | None = field(init=False)  # box corners, body frame
+    half: tuple | None = field(init=False)  # box half extents
 
     def __post_init__(self):
+        self.offset = tuple(np.asarray(self.local_center, float).tolist())
         self.radius = 0.5 * float(np.linalg.norm(self.solid.extents))
-        self.half = self.corners = None
+        self.half = None
         if self.solid.kind == BOX:
-            self.half = np.asarray(self.solid.extents) / 2.0
-            self.corners = _BOX_SIGNS * self.half
+            self.half = tuple(e / 2.0 for e in self.solid.extents)
+
+    def low_z(self, cz, rot_z):
+        """Lowest world z of the part, centred at height ``cz`` in a body
+        whose rotation has bottom row ``rot_z``."""
+        if self.half is not None:
+            # support point of a rotated box along -z
+            h0, h1, h2 = self.half
+            return cz - (abs(rot_z[0]) * h0 + abs(rot_z[1]) * h1
+                         + abs(rot_z[2]) * h2)
+        az = rot_z[self.solid.axis]
+        radial = math.sqrt(max(1.0 - az * az, 0.0)) * self.solid.radius
+        return cz - abs(az) * (self.solid.length / 2.0) - radial
 
 
 class RigidBody:
@@ -112,17 +140,12 @@ class RigidBody:
         self.q = np.array([1.0, 0.0, 0.0, 0.0])
         self.v = np.zeros(3)
         self.w = np.zeros(3)
-        self.pv = np.zeros(3)
-        self.pw = np.zeros(3)
         self.force = np.zeros(3)
         self.torque = np.zeros(3)
         self.kinematic = False
         self.gravity_exempt = False
         self.inv_mass = 1.0 / self.mass
         self.inv_inertia_body = np.linalg.inv(inertia)
-        self._rot = np.eye(3)
-        self._iinv = self.inv_inertia_body.copy()
-        self._dynamic = True
         self.refresh_pose_cache()
         return self
 
@@ -130,14 +153,23 @@ class RigidBody:
     def refresh_pose_cache(self):
         """Recompute the cached rotation after setting ``q`` directly."""
         self._rot = quat_to_matrix(self.q)
-        self._refresh_inertia()
+        self._refresh_inertia(self._rot.tolist())
 
-    def _refresh_inertia(self):
+    def _refresh_inertia(self, rot):
+        """Set ``_dynamic`` and the world inverse inertia R I^-1 R^T from
+        the rotation ``rot`` (nested floats); return the inertia as nested
+        floats, zero for a body that impulses do not move."""
         self._dynamic = not self.kinematic and self.inv_mass != 0.0
-        if self._dynamic:
-            self._iinv = self._rot @ self.inv_inertia_body @ self._rot.T
-        else:
+        if not self._dynamic:
             self._iinv = np.zeros((3, 3))
+            return _ZERO33
+        # column j of I^-1 R^T is I^-1 applied to row j of R
+        inv_body = self.inv_inertia_body.tolist()
+        cols = [_matvec3(inv_body, row) for row in rot]
+        iinv = [[r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols]
+                for r0, r1, r2 in rot]
+        self._iinv = np.array(iinv)
+        return iinv
 
     @property
     def rotation(self):
@@ -161,15 +193,10 @@ class RigidBody:
 
     def part_min_z(self, part: BodyPart):
         """Lowest world z over the (rotated) part geometry."""
-        r = self.rotation
-        c = self.x + r @ part.local_center
-        if part.solid.kind == BOX:
-            # support point of a rotated box along -z
-            return c[2] - float(np.abs(r[2, :]) @ part.half)
-        axis = r[:, part.solid.axis]
-        hl = part.solid.length / 2.0
-        radial = np.sqrt(max(1.0 - axis[2] ** 2, 0.0)) * part.solid.radius
-        return c[2] - abs(axis[2]) * hl - radial
+        rz = self._rot[2].tolist()
+        px, py, pz = part.offset
+        cz = self.x[2].item() + (rz[0] * px + rz[1] * py + rz[2] * pz)
+        return part.low_z(cz, rz)
 
     def kinetic_energy(self):
         if self.inv_mass == 0.0:
@@ -241,7 +268,12 @@ def _unit_perpendicular(d):
 
 
 class _SolverBody:
-    """Float copy of one body's solver state for the duration of a step."""
+    """Float copy of one body's state for the duration of a step.
+
+    Reading a body also refreshes its world inverse inertia, since
+    ``kinematic`` may have been set since the last step.  The
+    pseudo-velocity of the split impulse starts at zero in every step.
+    """
 
     __slots__ = ("body", "x", "rot", "vel", "pvel", "dynamic", "inv_mass",
                  "iinv")
@@ -250,11 +282,57 @@ class _SolverBody:
         self.body = body
         self.x = body.x.tolist()
         self.rot = body._rot.tolist()
-        self.vel = body.v.tolist() + body.w.tolist()
-        self.pvel = body.pv.tolist() + body.pw.tolist()
+        self.iinv = body._refresh_inertia(self.rot)
         self.dynamic = body._dynamic
         self.inv_mass = body.inv_mass if body._dynamic else 0.0
-        self.iinv = body._iinv.tolist()
+        self.vel = body.v.tolist() + body.w.tolist()
+        self.pvel = [0.0] * 6
+
+    def apply_forces(self, gravity, dt):
+        """Integrate the body's force, torque and ``gravity`` (None for a
+        gravity-exempt body) into the velocity over dt."""
+        body, v, m = self.body, self.vel, self.inv_mass
+        fx, fy, fz = body.force.tolist()
+        ax, ay, az = fx * m, fy * m, fz * m
+        if gravity is not None:
+            ax, ay, az = ax + gravity[0], ay + gravity[1], az + gravity[2]
+        a0, a1, a2 = _matvec3(self.iinv, body.torque.tolist())
+        v[0] += ax * dt
+        v[1] += ay * dt
+        v[2] += az * dt
+        v[3] += a0 * dt
+        v[4] += a1 * dt
+        v[5] += a2 * dt
+
+    def integrate(self, dt, time):
+        """Move the body over dt by its velocity plus pseudo-velocity and
+        write the new state back to its arrays.
+
+        Raises NumericalDivergence, dated ``time``, when the speed or spin
+        is past its bound or not a number.
+        """
+        body = self.body
+        vx, vy, vz, wx, wy, wz = self.vel
+        # written so that NaN fails the checks too
+        speed = (vx * vx + vy * vy + vz * vz) ** 0.5
+        if not speed <= MAX_SPEED:
+            raise NumericalDivergence(
+                body.id, f"reached {speed:.3g} m/s", time)
+        spin = (wx * wx + wy * wy + wz * wz) ** 0.5
+        if not spin <= MAX_SPIN:
+            raise NumericalDivergence(
+                body.id, f"spun at {spin:.3g} rad/s", time)
+        pvx, pvy, pvz, pwx, pwy, pwz = self.pvel
+        x, y, z = self.x
+        body.x = np.array((x + (vx + pvx) * dt, y + (vy + pvy) * dt,
+                           z + (vz + pvz) * dt))
+        q = quat_integrate(body.q.tolist(), (wx + pwx, wy + pwy, wz + pwz),
+                           dt)
+        body.q = np.array(q)
+        body._rot = quat_to_matrix(q)
+        if self.dynamic:
+            body.v = np.array((vx, vy, vz))
+            body.w = np.array((wx, wy, wz))
 
     def lever(self, r, d):
         """Jacobian, impulse response and effective mass along d at r.
@@ -269,13 +347,6 @@ class _SolverBody:
         ic = _matvec3(self.iinv, c)
         resp = (m * d[0], m * d[1], m * d[2], ic[0], ic[1], ic[2])
         return jac, resp, m + _dot3(c, ic)
-
-    def store(self):
-        body, v, p = self.body, self.vel, self.pvel
-        body.v = np.array(v[:3])
-        body.w = np.array(v[3:])
-        body.pv = np.array(p[:3])
-        body.pw = np.array(p[3:])
 
 
 def _solve_row(row, va, vb, acc, target, lo, hi):
@@ -558,8 +629,15 @@ class _JointRow:
         """Add one body's share to K; return (m, I^-1 [r]x) or None."""
         if not sb.dynamic:
             return None
-        # column j of I^-1 [r]x is I^-1 (r x e_j)
-        cols = [_matvec3(sb.iinv, _cross3(r, e)) for e in _AXES]
+        # column j of I^-1 [r]x is I^-1 (r x e_j), with r x x = (0, rz, -ry),
+        # r x y = (-rz, 0, rx) and r x z = (ry, -rx, 0); the products with
+        # the exact zero are left out, which changes no bit of the sums
+        rx, ry, rz = r
+        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = sb.iinv
+        cols = (
+            (i01 * rz - i02 * ry, i11 * rz - i12 * ry, i21 * rz - i22 * ry),
+            (i02 * rx - i00 * rz, i12 * rx - i10 * rz, i22 * rx - i20 * rz),
+            (i00 * ry - i01 * rx, i10 * ry - i11 * rx, i20 * ry - i21 * rx))
         for j, col in enumerate(cols):
             dv = _cross3(r, col)
             for i in range(3):
@@ -617,6 +695,30 @@ def _push_anchor(v, lever, px, py, pz):
     v[5] += a20 * px + a21 * py + a22 * pz
 
 
+def _standing_rim_contacts(contacts, body, part, r, c, mu):
+    """Contacts at 8 samples of the lower rim of a near-vertical
+    cylinder."""
+    solid = part.solid
+    a0, a1, a2 = (row[solid.axis] for row in r)
+    hl = solid.length / 2.0 if a2 > 0 else -solid.length / 2.0
+    low = (c[0] - a0 * hl, c[1] - a1 * hl, c[2] - a2 * hl)
+    rad = solid.radius
+    if low[2] - rad >= CONTACT_GEN_MARGIN:
+        return
+    # x with its axis component removed, normalized, and axis x u
+    u = (1.0 - a0 * a0, -(a0 * a1), -(a0 * a2))
+    norm = math.sqrt(_dot3(u, u))
+    u = (u[0] / norm, u[1] / norm, u[2] / norm)
+    vp = _cross3((a0, a1, a2), u)
+    for cs, sn in _RIM:
+        z = low[2] + rad * (cs * u[2] + sn * vp[2])
+        if z < CONTACT_GEN_MARGIN:
+            contacts.append(Contact(None, body, np.array((
+                low[0] + rad * (cs * u[0] + sn * vp[0]),
+                low[1] + rad * (cs * u[1] + sn * vp[1]), z)),
+                _UP, max(0.0, -z), mu))
+
+
 class World:
     def __init__(self, config):
         self.config = config
@@ -629,54 +731,49 @@ class World:
         self._pair_skip = None
 
     # -- contact generation ----------------------------------------------
-    def _ground_contacts(self, contacts, centers):
+    def _ground_contacts(self, contacts, poses, centers):
         mu = self.config.friction
-        for body, body_centers in zip(self.bodies, centers):
+        for body, (_, r), body_centers in zip(self.bodies, poses, centers):
             if body.inv_mass == 0.0 and not body.kinematic:
                 continue
-            r = body._rot
+            rz = r[2]
             for part, c in zip(body.parts, body_centers):
-                if part.solid.kind == BOX:
-                    # quick reject on the lowest support point
-                    low = c[2] - float(np.abs(r[2, :]) @ part.half)
-                    if low >= CONTACT_GEN_MARGIN:
-                        continue
-                    corners = c + part.corners @ r.T
-                    for corner in corners:
-                        if corner[2] < CONTACT_GEN_MARGIN:
-                            contacts.append(Contact(
-                                None, body, corner, _UP,
-                                max(0.0, -corner[2]), mu))
-                else:
-                    axis = r[:, part.solid.axis]
-                    hl = part.solid.length / 2.0
-                    if abs(axis[2]) > 0.99:
-                        # near-vertical: sample the lower rim
-                        low = c - axis * hl if axis[2] > 0 else c + axis * hl
-                        if low[2] - part.solid.radius >= CONTACT_GEN_MARGIN:
-                            continue
-                        u = np.array([1.0, 0.0, 0.0])
-                        u = u - (u @ axis) * axis
-                        u /= np.linalg.norm(u)
-                        vperp = np.array(_cross3(axis, u))
-                        for k in range(8):
-                            ang = 2 * np.pi * k / 8
-                            p = low + part.solid.radius * (
-                                np.cos(ang) * u + np.sin(ang) * vperp)
-                            if p[2] < CONTACT_GEN_MARGIN:
-                                contacts.append(Contact(
-                                    None, body, p, _UP,
-                                    max(0.0, -p[2]), mu))
-                    else:
-                        down = np.array([0.0, 0.0, -1.0])
-                        u = down - (down @ axis) * axis
-                        u /= np.linalg.norm(u)
-                        for s in (-1, 1):
-                            p = c + axis * (s * hl) + part.solid.radius * u
-                            if p[2] < CONTACT_GEN_MARGIN:
-                                contacts.append(Contact(
-                                    None, body, p, _UP,
-                                    max(0.0, -p[2]), mu))
+                cx, cy, cz = c
+                solid = part.solid
+                if part.half is None and abs(rz[solid.axis]) > 0.99:
+                    _standing_rim_contacts(contacts, body, part, r, c, mu)
+                    continue
+                # quick reject on the lowest point of a box or lying cylinder
+                if part.low_z(cz, rz) >= CONTACT_GEN_MARGIN:
+                    continue
+                if part.half is not None:
+                    # rotation times each signed half extent: corner z
+                    # first, x and y only for corners under the margin
+                    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = (
+                        (r0 * part.half[0], r1 * part.half[1],
+                         r2 * part.half[2]) for r0, r1, r2 in r)
+                    for s0, s1, s2 in _BOX_SIGNS:
+                        z = cz + ((s0 * e20 + s1 * e21) + s2 * e22)
+                        if z < CONTACT_GEN_MARGIN:
+                            contacts.append(Contact(None, body, np.array((
+                                cx + ((s0 * e00 + s1 * e01) + s2 * e02),
+                                cy + ((s0 * e10 + s1 * e11) + s2 * e12),
+                                z)), _UP, max(0.0, -z), mu))
+                    continue
+                # lying cylinder: the two rim points lowest along -z, where
+                # u is -z with its axis component removed, normalized
+                a0, a1, a2 = (row[solid.axis] for row in r)
+                ux, uy, uz = a2 * a0, a2 * a1, a2 * a2 - 1.0
+                norm = math.sqrt(ux * ux + uy * uy + uz * uz)
+                ux, uy, uz = ux / norm, uy / norm, uz / norm
+                hl, rad = solid.length / 2.0, solid.radius
+                for e in (-hl, hl):
+                    z = (cz + a2 * e) + rad * uz
+                    if z < CONTACT_GEN_MARGIN:
+                        contacts.append(Contact(None, body, np.array((
+                            (cx + a0 * e) + rad * ux,
+                            (cy + a1 * e) + rad * uy, z)),
+                            _UP, max(0.0, -z), mu))
 
     def _jointed(self, a: RigidBody, b: RigidBody):
         if self._pair_skip is None:
@@ -698,16 +795,19 @@ class World:
                 for pa, ca in zip(a.parts, centers[i]):
                     for pb, cb in zip(b.parts, centers[j]):
                         # coarse sphere reject before the exact test
-                        d = cb - ca
-                        if d @ d > (pa.radius + pb.radius) ** 2 + 1e-6:
+                        dx, dy, dz = cb[0] - ca[0], cb[1] - ca[1], \
+                            cb[2] - ca[2]
+                        if dx * dx + dy * dy + dz * dz > \
+                                (pa.radius + pb.radius) ** 2 + 1e-6:
                             continue
-                        hit = pair_overlap(ca, pa.solid, cb, pb.solid,
+                        ca_arr, cb_arr = np.array(ca), np.array(cb)
+                        hit = pair_overlap(ca_arr, pa.solid, cb_arr, pb.solid,
                                            tol=1e-9)
                         if hit is None:
                             continue
                         depth, witness = hit
-                        normal = self._separation_axis(ca, pa.solid,
-                                                      cb, pb.solid)
+                        normal = self._separation_axis(ca_arr, pa.solid,
+                                                      cb_arr, pb.solid)
                         contacts.append(Contact(
                             a, b, np.asarray(witness), normal, depth, mu))
 
@@ -725,23 +825,20 @@ class World:
     def gather_contacts(self):
         contacts = []
         # world centres of every part, shared by both generators
-        centers = [[body.x + body._rot @ part.local_center
-                    for part in body.parts] for body in self.bodies]
+        poses = [(body.x.tolist(), body._rot.tolist()) for body in self.bodies]
+        centers = [[pose_point(x, r, part.offset) for part in body.parts]
+                   for body, (x, r) in zip(self.bodies, poses)]
         if self.ground_enabled:
-            self._ground_contacts(contacts, centers)
+            self._ground_contacts(contacts, poses, centers)
         self._body_body_contacts(contacts, centers)
         for hook in self.extra_contact_hooks:
             contacts.extend(hook(self))
         return contacts
 
-    def _solve(self, contacts, dt):
-        """Velocity then position iterations; returns the contact rows.
-
-        Runs on float copies of the bodies, written back to the bodies'
-        arrays at the end.
-        """
+    def _solve(self, bodies, contacts, dt):
+        """Velocity then position iterations on the solver bodies
+        ``bodies`` (body -> _SolverBody); returns the contact rows."""
         cfg = self.config
-        bodies = {body: _SolverBody(body) for body in self.bodies}
         joint_rows = [_JointRow(j, bodies, cfg.baumgarte, dt)
                       for j in self.joints]
         contact_rows = [_contact_row(c, bodies) for c in contacts]
@@ -753,50 +850,27 @@ class World:
         for _ in range(cfg.position_iterations):
             for row in contact_rows:
                 row.solve_position(cfg.baumgarte, cfg.slop, dt)
-        for sb in bodies.values():
-            if sb.dynamic:
-                sb.store()
         return contact_rows
 
     def step(self, dt=None):
         cfg = self.config
         dt = cfg.timestep if dt is None else dt
         self._pair_skip = None
+        gravity = self.gravity.tolist()
 
+        bodies = {}
         for body in self.bodies:
-            # kinematic may have been set since the last step
-            body._refresh_inertia()
-            if not body._dynamic:
-                body.force[:] = 0.0
-                body.torque[:] = 0.0
-                continue
-            accel = body.force * body.inv_mass
-            if not body.gravity_exempt:
-                accel = accel + self.gravity
-            body.v = body.v + accel * dt
-            body.w = body.w + body._iinv @ body.torque * dt
+            sb = bodies[body] = _SolverBody(body)
+            if sb.dynamic:
+                sb.apply_forces(None if body.gravity_exempt else gravity, dt)
             body.force[:] = 0.0
             body.torque[:] = 0.0
 
         contacts = self.gather_contacts()
-        self._solve(contacts, dt)
+        self._solve(bodies, contacts, dt)
 
-        for body in self.bodies:
-            if not body._dynamic and not body.kinematic:
-                continue
-            # written so that NaN fails the checks too
-            speed = float(body.v @ body.v) ** 0.5
-            if not speed <= MAX_SPEED:
-                raise NumericalDivergence(
-                    body.id, f"reached {speed:.3g} m/s", self.time + dt)
-            spin = float(body.w @ body.w) ** 0.5
-            if not spin <= MAX_SPIN:
-                raise NumericalDivergence(
-                    body.id, f"spun at {spin:.3g} rad/s", self.time + dt)
-            body.x = body.x + (body.v + body.pv) * dt
-            body.q = quat_integrate(body.q, body.w + body.pw, dt)
-            body._rot = quat_to_matrix(body.q)
-            body.pv[:] = 0.0
-            body.pw[:] = 0.0
+        for body, sb in bodies.items():
+            if sb.dynamic or body.kinematic:
+                sb.integrate(dt, self.time + dt)
         self.time += dt
         return contacts

@@ -19,7 +19,7 @@ from ..assembler import Assembly, connected_groups, hole_center
 from ..errors import NumericalDivergence
 from ..geometry import BOX, HoleRegion, Solid
 from ..plan import CraftPlan
-from .engine import Contact, RevoluteJoint, RigidBody, World
+from .engine import Contact, RevoluteJoint, RigidBody, World, pose_point
 
 # failure reasons shared by every test
 PART_SEPARATED = "PART_SEPARATED"
@@ -99,12 +99,18 @@ class ConnectionWatch:
     normal_local_a: np.ndarray | None  # SURFACE only, frame of body_a
 
     def drift(self):
-        pa = self.body_a.x + self.body_a.rotation @ self.local_a
-        pb = self.body_b.x + self.body_b.rotation @ self.local_b
+        a, b = self.body_a, self.body_b
+        rot_a = a.rotation.tolist()
+        pa = pose_point(a.x.tolist(), rot_a, self.local_a.tolist())
+        pb = pose_point(b.x.tolist(), b.rotation.tolist(),
+                        self.local_b.tolist())
         if self.kind == "SURFACE":
-            n = self.body_a.rotation @ self.normal_local_a
-            return abs(float((pb - pa) @ n))
-        return float(np.linalg.norm(pb - pa))
+            # the gap along the normal, rotated into the world
+            n = pose_point((0.0, 0.0, 0.0), rot_a,
+                           self.normal_local_a.tolist())
+            return abs((pb[0] - pa[0]) * n[0] + (pb[1] - pa[1]) * n[1]
+                       + (pb[2] - pa[2]) * n[2])
+        return math.dist(pa, pb)
 
 
 @dataclass
@@ -261,8 +267,13 @@ def _most_connected(assembly: Assembly, craft: CompiledCraft):
 
 
 def _craft_com(craft: CompiledCraft):
+    """Mass-weighted mean of the body centres, as floats."""
     total = sum(b.mass for b in craft.bodies)
-    return sum(b.mass * b.x for b in craft.bodies) / total
+    cx = cy = cz = 0.0
+    for b in craft.bodies:
+        x, y, z = b.x.tolist()
+        cx, cy, cz = cx + b.mass * x, cy + b.mass * y, cz + b.mass * z
+    return cx / total, cy / total, cz / total
 
 
 def _snapshot(craft: CompiledCraft, t):
@@ -346,8 +357,14 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
             [0.0, 0.0, shape.solid.extents[2] / 2.0])
         load_points[name] = top
 
-    start = {name: body.part_world_center(craft.part_shape[name]).copy()
-             for name, body in craft.part_body.items()}
+    def part_centers():
+        """(name, world centre as floats) of every part of the craft."""
+        for body in craft.bodies:
+            x, rot = body.x.tolist(), body.rotation.tolist()
+            for part in body.parts:
+                yield part.name, pose_point(x, rot, part.offset)
+
+    start = dict(part_centers())
     start_com = _craft_com(craft)
     max_disp = 0.0
 
@@ -359,12 +376,9 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
 
     def after_step(contacts):
         nonlocal max_disp
-        for name, body in craft.part_body.items():
-            d = np.linalg.norm(
-                body.part_world_center(craft.part_shape[name]) - start[name])
-            max_disp = max(max_disp, float(d))
-        max_disp = max(max_disp, float(
-            np.linalg.norm(_craft_com(craft) - start_com)))
+        for name, c in part_centers():
+            max_disp = max(max_disp, math.dist(c, start[name]))
+        max_disp = max(max_disp, math.dist(_craft_com(craft), start_com))
         return None
 
     def finish():

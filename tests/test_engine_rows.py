@@ -1,4 +1,4 @@
-"""The float solver rows against the numpy row arithmetic they replaced.
+"""The float engine against the numpy arithmetic it replaced.
 
 ``_RefContactRow`` and ``_RefJointRow`` below keep the earlier numpy
 implementation of one contact and one revolute-joint row: 3-vector numpy
@@ -8,6 +8,11 @@ identical copies; velocities and accumulated impulses must agree.  The float
 rows reorder a few sums (``w . (r x d)`` for ``(w x r) . d``), so results
 agree to rounding, not bit for bit.  The ground row, in turn, must match
 the generic float contact row exactly.
+
+``_reference_step`` keeps the earlier numpy ``World.step`` around the
+solve (inertia refresh, force and torque integration, contact generation,
+position and quaternion integration), and whole steps of seeded worlds
+must agree with ``World.step`` to rounding.
 """
 
 import copy
@@ -187,6 +192,8 @@ class _RefContactRow:
 
 
 def _reference_solve(world, contacts, dt):
+    for body in world.bodies:
+        body.pv, body.pw = np.zeros(3), np.zeros(3)
     cfg = world.config
     joint_rows = [_RefJointRow(j, cfg.baumgarte, dt) for j in world.joints]
     contact_rows = [_RefContactRow(c) for c in contacts]
@@ -258,6 +265,14 @@ def _state(world):
                      for b in world.bodies])
 
 
+def _float_solve(world, contacts, dt):
+    """``World._solve`` on fresh solver bodies: the rows, and per body the
+    velocity and pseudo-velocity it ends with, laid out as ``_state``."""
+    bodies = {b: engine._SolverBody(b) for b in world.bodies}
+    rows = world._solve(bodies, contacts, dt)
+    return rows, np.array([sb.vel + sb.pvel for sb in bodies.values()])
+
+
 def _assert_close(actual, expected):
     actual, expected = np.asarray(actual), np.asarray(expected)
     scale = np.max(np.abs(expected))
@@ -271,18 +286,18 @@ def test_float_rows_match_numpy_rows(seed):
     ref_world, ref_contacts = copy.deepcopy((world, contacts))
     dt = world.config.timestep
 
-    rows = world._solve(contacts, dt)
+    rows, state = _float_solve(world, contacts, dt)
     ref_rows = _reference_solve(ref_world, ref_contacts, dt)
 
-    _assert_close(_state(world), _state(ref_world))
+    _assert_close(state, _state(ref_world))
     _assert_close([[r.jn, r.jt1, r.jt2, r.pn] for r in rows],
                   [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
     # the rows did work: impulses flowed and the solve moved velocities
     assert any(r.jn > 0.0 for r in rows)
     assert any(r.pn > 0.0 for r in rows)
     assert any(r.jt1 != 0.0 for r in rows)
-    kin = world.bodies[3]
-    assert np.array_equal(kin.v, ref_world.bodies[3].v)
+    # the kinematic body ends the solve as it started
+    assert np.array_equal(state[3], _state(ref_world)[3])
 
 
 def test_ground_contacts_match_numpy_rows():
@@ -300,11 +315,11 @@ def test_ground_contacts_match_numpy_rows():
     contacts = world.gather_contacts()
     assert len(contacts) == 8
     ref_world = copy.deepcopy(world)
-    rows = world._solve(contacts, world.config.timestep)
+    rows, state = _float_solve(world, contacts, world.config.timestep)
     assert all(isinstance(r, engine._GroundRow) for r in rows)
     ref_rows = _reference_solve(
         ref_world, ref_world.gather_contacts(), world.config.timestep)
-    _assert_close(_state(world), _state(ref_world))
+    _assert_close(state, _state(ref_world))
     _assert_close([[r.jn, r.jt1, r.jt2, r.pn] for r in rows],
                   [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
 
@@ -339,13 +354,13 @@ def test_ground_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
     ref_world, ref_contacts = copy.deepcopy((world, contacts))
     dt = world.config.timestep
 
-    rows = world._solve(contacts, dt)
+    rows, state = _float_solve(world, contacts, dt)
     assert all(isinstance(r, engine._GroundRow) for r in rows)
     monkeypatch.setattr(engine, "_contact_row", engine._ContactRow)
-    ref_rows = ref_world._solve(ref_contacts, dt)
+    ref_rows, ref_state = _float_solve(ref_world, ref_contacts, dt)
     assert all(isinstance(r, engine._ContactRow) for r in ref_rows)
 
-    assert np.array_equal(_state(world), _state(ref_world))
+    assert np.array_equal(state, ref_state)
     impulses = [[r.jn, r.jt1, r.jt2, r.pn] for r in rows]
     assert impulses == [[r.jn, r.jt1, r.jt2, r.pn] for r in ref_rows]
     # every update ran: normal, both friction directions, split impulse
@@ -354,3 +369,243 @@ def test_ground_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
     assert any(r.jt1 != 0.0 and r.jt2 != 0.0 for r in rows)
     # the kinematic body's rows are skipped and leave it as it was
     assert all(r.jn == 0.0 and r.pn == 0.0 for r in rows[9:12])
+
+
+# -- the whole step ----------------------------------------------------------
+
+def _ref_quat_to_matrix(q):
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _ref_quat_integrate(q, omega, dt):
+    w, x, y, z = q
+    ox, oy, oz = omega
+    dq = 0.5 * np.array([
+        -ox * x - oy * y - oz * z,
+        ox * w + oy * z - oz * y,
+        oy * w + oz * x - ox * z,
+        oz * w + ox * y - oy * x,
+    ])
+    q = q + dq * dt
+    return q / np.linalg.norm(q)
+
+
+_REF_BOX_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+    dtype=float)
+
+
+def _ref_ground_contacts(world, contacts, centers):
+    margin, mu = engine.CONTACT_GEN_MARGIN, world.config.friction
+    for body, body_centers in zip(world.bodies, centers):
+        if body.inv_mass == 0.0 and not body.kinematic:
+            continue
+        r = body._rot
+        for part, c in zip(body.parts, body_centers):
+            solid = part.solid
+            if part.half is not None:
+                half = np.asarray(part.half)
+                if c[2] - float(np.abs(r[2, :]) @ half) >= margin:
+                    continue
+                for corner in c + (_REF_BOX_SIGNS * half) @ r.T:
+                    if corner[2] < margin:
+                        contacts.append(engine.Contact(
+                            None, body, corner, engine._UP,
+                            max(0.0, -corner[2]), mu))
+                continue
+            axis = r[:, solid.axis]
+            hl = solid.length / 2.0
+            if abs(axis[2]) > 0.99:
+                low = c - axis * hl if axis[2] > 0 else c + axis * hl
+                if low[2] - solid.radius >= margin:
+                    continue
+                u = np.array([1.0, 0.0, 0.0])
+                u = u - (u @ axis) * axis
+                u /= np.linalg.norm(u)
+                vperp = _cross(axis, u)
+                points = [low + solid.radius * (np.cos(ang) * u
+                                                + np.sin(ang) * vperp)
+                          for ang in (2 * np.pi * k / 8 for k in range(8))]
+            else:
+                down = np.array([0.0, 0.0, -1.0])
+                u = down - (down @ axis) * axis
+                u /= np.linalg.norm(u)
+                points = [c + axis * (s * hl) + solid.radius * u
+                          for s in (-1, 1)]
+            for p in points:
+                if p[2] < margin:
+                    contacts.append(engine.Contact(
+                        None, body, p, engine._UP, max(0.0, -p[2]), mu))
+
+
+def _ref_body_body_contacts(world, contacts, centers):
+    mu = world.config.friction
+    for i, a in enumerate(world.bodies):
+        for j in range(i + 1, len(world.bodies)):
+            b = world.bodies[j]
+            if not (a._dynamic or a.kinematic) \
+                    and not (b._dynamic or b.kinematic):
+                continue
+            if world._jointed(a, b):
+                continue
+            for pa, ca in zip(a.parts, centers[i]):
+                for pb, cb in zip(b.parts, centers[j]):
+                    d = cb - ca
+                    if d @ d > (pa.radius + pb.radius) ** 2 + 1e-6:
+                        continue
+                    hit = engine.pair_overlap(ca, pa.solid, cb, pb.solid,
+                                              tol=1e-9)
+                    if hit is None:
+                        continue
+                    depth, witness = hit
+                    normal = world._separation_axis(ca, pa.solid,
+                                                    cb, pb.solid)
+                    contacts.append(engine.Contact(
+                        a, b, np.asarray(witness), normal, depth, mu))
+
+
+def _ref_part_min_z(body, part):
+    r = body._rot
+    c = body.x + r @ part.local_center
+    if part.half is not None:
+        return c[2] - float(np.abs(r[2, :]) @ np.asarray(part.half))
+    axis = r[:, part.solid.axis]
+    hl = part.solid.length / 2.0
+    radial = np.sqrt(max(1.0 - axis[2] ** 2, 0.0)) * part.solid.radius
+    return c[2] - abs(axis[2]) * hl - radial
+
+
+def _reference_gather(world):
+    contacts = []
+    centers = [[body.x + body._rot @ part.local_center
+                for part in body.parts] for body in world.bodies]
+    if world.ground_enabled:
+        _ref_ground_contacts(world, contacts, centers)
+    _ref_body_body_contacts(world, contacts, centers)
+    return contacts
+
+
+def _reference_step(world, dt):
+    """One ``World.step`` on 3-vector numpy arrays; returns the contacts."""
+    world._pair_skip = None
+    for body in world.bodies:
+        body._dynamic = not body.kinematic and body.inv_mass != 0.0
+        if not body._dynamic:
+            body._iinv = np.zeros((3, 3))
+            body.force[:] = 0.0
+            body.torque[:] = 0.0
+            continue
+        body._iinv = body._rot @ body.inv_inertia_body @ body._rot.T
+        accel = body.force * body.inv_mass
+        if not body.gravity_exempt:
+            accel = accel + world.gravity
+        body.v = body.v + accel * dt
+        body.w = body.w + body._iinv @ body.torque * dt
+        body.force[:] = 0.0
+        body.torque[:] = 0.0
+    contacts = _reference_gather(world)
+    _reference_solve(world, contacts, dt)
+    for body in world.bodies:
+        if not body._dynamic and not body.kinematic:
+            continue
+        body.x = body.x + (body.v + body.pv) * dt
+        body.q = _ref_quat_integrate(body.q, body.w + body.pw, dt)
+        body._rot = _ref_quat_to_matrix(body.q)
+    world.time += dt
+    return contacts
+
+
+def _step_world(seed):
+    """Tilted bodies resting on or just above the ground: two fused boxes,
+    a lying and a standing cylinder, a box overlapping the lying cylinder,
+    a kinematic box with a set velocity and a gravity-exempt box, with
+    forces and torques on the dynamic ones and a revolute joint."""
+    rng = np.random.default_rng(seed)
+    world = World(SimConfig())
+
+    def box():
+        return Solid.box(tuple(rng.uniform(0.1, 0.6, size=3)))
+
+    solids = [
+        (box(), (0.0, 0.0), 0.3),
+        (Solid.cylinder(rng.uniform(0.1, 0.3), rng.uniform(0.2, 0.5),
+                        int(rng.integers(2))), (2.0, 0.0), 0.3),
+        (box(), (2.1, 0.0), 0.3),
+        (Solid.cylinder(rng.uniform(0.1, 0.3), rng.uniform(0.2, 0.5), 2),
+         (4.0, 0.0), 0.02),
+        (box(), (6.0, 0.0), 0.3),
+        (box(), (8.0, 0.0), 0.3),
+    ]
+    for i, (solid, (x, y), tilt) in enumerate(solids):
+        parts = [("p", solid, np.array([x, y, 1.0]))]
+        if i == 0:  # a second part, off the body centre
+            parts.append(("q", box(), np.array([x + 0.4, y + 0.2, 1.2])))
+        body = RigidBody.from_parts(f"b{i}", parts,
+                                    float(rng.uniform(1.0, 20.0)))
+        body.q = np.concatenate([[1.0], rng.normal(scale=tilt, size=3)])
+        body.q /= np.linalg.norm(body.q)
+        body.refresh_pose_cache()
+        # lowest point into the ground, so that some corners or rim points
+        # are under the contact margin
+        low = min(_ref_part_min_z(body, part) for part in body.parts)
+        body.x[2] -= low + rng.uniform(0.0, 0.15)
+        body.v = rng.normal(scale=0.5, size=3)
+        body.w = rng.normal(scale=2.0, size=3)
+        world.bodies.append(body)
+    world.bodies[4].kinematic = True
+    world.bodies[4].v = np.array([0.3, -0.2, 0.1])
+    world.bodies[5].gravity_exempt = True
+    for body in world.bodies:
+        body.apply_force(rng.normal(scale=50.0, size=3),
+                         body.x + rng.normal(scale=0.1, size=3))
+        body.apply_torque(rng.normal(scale=5.0, size=3))
+    a, b = world.bodies[0], world.bodies[5]
+    anchor = (a.x + b.x) / 2.0
+    axis = _unit(rng)
+    world.joints.append(RevoluteJoint(
+        body_a=a, body_b=b, anchor_local_a=anchor - a.x,
+        anchor_local_b=anchor - b.x, axis_local_a=axis, axis_local_b=axis))
+    return world
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float_step_matches_numpy_step(seed):
+    world = _step_world(seed)
+    ref_world = copy.deepcopy(world)
+    dt = world.config.timestep
+
+    contacts = world.step(dt)
+    ref_contacts = _reference_step(ref_world, dt)
+
+    assert len(contacts) == len(ref_contacts)
+    for c, ref in zip(contacts, ref_contacts):
+        assert (c.body_a and c.body_a.id, c.body_b.id) == \
+            (ref.body_a and ref.body_a.id, ref.body_b.id)
+        assert np.array_equal(c.normal, ref.normal)
+        assert c.friction == ref.friction
+    _assert_close([c.point for c in contacts],
+                  [c.point for c in ref_contacts])
+    _assert_close([c.depth for c in contacts],
+                  [c.depth for c in ref_contacts])
+    for name in ("x", "q", "_rot", "v", "w", "_iinv"):
+        _assert_close([getattr(b, name) for b in world.bodies],
+                      [getattr(b, name) for b in ref_world.bodies])
+    _assert_close([b.part_min_z(p) for b in world.bodies for p in b.parts],
+                  [_ref_part_min_z(b, p)
+                   for b in ref_world.bodies for p in b.parts])
+    assert world.time == ref_world.time
+    # the step exercised every path: corners, both cylinder branches, a
+    # body-body contact, forces, the kinematic drive and no gravity
+    kinds = {(c.body_a is not None, c.body_b.id) for c in contacts}
+    assert {(False, "b0"), (False, "b1"), (False, "b3")} <= kinds
+    assert any(a for a, _ in kinds)
+    kin = world.bodies[4]
+    assert np.array_equal(kin.x, ref_world.bodies[4].x)
+    assert kin.x[0] != _step_world(seed).bodies[4].x[0]
+    for body in world.bodies:
+        assert not body.force.any() and not body.torque.any()

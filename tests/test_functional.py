@@ -3,6 +3,7 @@ import pytest
 
 from craftkit.assembler import connected_groups, connectivity_components
 from craftkit.geometry import Solid
+from craftkit.orchestrator import category_function
 from craftkit.physics import (
     RigidBody,
     SimConfig,
@@ -19,6 +20,8 @@ from craftkit.physics.functional import (
     PEG_MISSED,
     ConnectionWatch,
 )
+
+from conftest import all_fixture_names
 
 
 def test_compile_craft_skateboard_structure(build_fixture):
@@ -266,6 +269,38 @@ def test_contact_generation_reuses_part_bounding_radii(
     assert radius_norms == []
 
 
+def test_lifted_lying_cylinders_are_rejected_before_any_rim_point(
+        build_fixture, monkeypatch):
+    _, asm = build_fixture("skateboard_valid_2")
+
+    def lifted_world(dz):
+        world = compile_craft(asm, SimConfig()).world
+        for body in world.bodies:
+            body.x = body.x + np.array([0.0, 0.0, dz])
+        return world
+
+    norms = []
+    original = np.linalg.norm
+
+    def norm(*args, **kwargs):
+        norms.append(1)
+        return original(*args, **kwargs)
+
+    world = lifted_world(1.0)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    assert world.gather_contacts() == []
+    assert norms == []
+    monkeypatch.setattr(np.linalg, "norm", original)
+    # the reject bound is the lowest rim point: the four wheels, resting
+    # on z = 0, keep their two lowest rim points each just under the margin
+    low = lifted_world(0.5 * engine.CONTACT_GEN_MARGIN).gather_contacts()
+    assert sorted({c.body_b.parts[0].name for c in low}) == \
+        ["WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"]
+    assert len(low) == 8
+    assert lifted_world(1.5 * engine.CONTACT_GEN_MARGIN).gather_contacts() \
+        == []
+
+
 def test_drift_is_measured_at_the_pose_after_the_step():
     world = World(SimConfig(gravity=0.0))
     world.ground_enabled = False
@@ -291,3 +326,20 @@ def test_drift_is_measured_at_the_pose_after_the_step():
                                                rel=1e-12)
     assert watches[1].drift() == pytest.approx(
         abs(gap @ (ra @ np.array([1.0, 0.0, 0.0]))), rel=1e-12)
+
+
+# ROADMAP item 1: the buses' SURFACE + NON_FIXED wheels compile to free
+# bodies, and AXLE_2 touches the ground within 0.25 s.
+_BUS_WHEELS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="bus wheels are free bodies: NEW_GROUND_CONTACT on AXLE_2")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(n, marks=_BUS_WHEELS) if n.startswith("bus_") else n
+    for n in all_fixture_names() if "_valid_" in n])
+def test_every_golden_passes_its_category_test(build_fixture, name):
+    plan, asm = build_fixture(name)
+    kind = category_function(name.split("_", 1)[0])
+    outcome = run_functional_test(kind, asm, plan)
+    assert outcome.success, (outcome.failure_reason, outcome.details)

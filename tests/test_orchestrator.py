@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 import types
 
 import pytest
@@ -29,6 +30,15 @@ from craftkit.orchestrator import (
 from craftkit.physics import SimConfig
 
 FAST_SIM = SimConfig(duration=1.0)
+
+
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """``time.sleep`` recorded instead of slept, so client backoff costs
+    the tests no time; the list of requested waits."""
+    calls = []
+    monkeypatch.setattr(time, "sleep", calls.append)
+    return calls
 
 
 def test_load_heuristics_categories():
@@ -91,7 +101,8 @@ def test_divergence_is_a_physics_verdict(catalog, fixture_raw):
     assert not outcome.success
 
 
-def test_exhausted_client_is_a_classified_failure(catalog, response_text):
+def test_exhausted_client_is_a_classified_failure(catalog, response_text,
+                                                  sleeps):
     client = ScriptedClient([response_text("hammer_invalid_1")])
     result = run_pipeline("hammer", client, policy=POLICY_FEEDBACK,
                           catalog=catalog, sim_config=FAST_SIM)
@@ -102,29 +113,32 @@ def test_exhausted_client_is_a_classified_failure(catalog, response_text):
         STAGE_FORMAT, STAGE_CLIENT]
     assert classify_failure(STAGE_CLIENT) == "Client Error"
     # exhaustion is not retried: one prompt per request, the answered one
-    # and the one that found no response left
+    # and the one that found no response left, and no backoff
     assert len(client.prompts) == 2
+    assert sleeps == []
 
 
-def _fake_requests(status, posts):
-    """A stand-in ``requests`` module whose post answers with ``status``."""
+def _fake_requests(statuses, posts):
+    """A stand-in ``requests`` module whose posts answer with ``statuses``
+    in turn, the last one repeated."""
 
     class RequestException(Exception):
         pass
 
     class Response:
-        status_code = status
+        def __init__(self, status):
+            self.status_code = status
 
         def raise_for_status(self):
-            if status >= 400:
-                raise RequestException(f"HTTP {status}")
+            if self.status_code >= 400:
+                raise RequestException(f"HTTP {self.status_code}")
 
         def json(self):
             return {"choices": [{"message": {"content": "[]"}}]}
 
     def post(url, **kwargs):
         posts.append(url)
-        return Response()
+        return Response(statuses[min(len(posts), len(statuses)) - 1])
 
     return types.SimpleNamespace(post=post,
                                  RequestException=RequestException)
@@ -133,16 +147,32 @@ def _fake_requests(status, posts):
 @pytest.mark.parametrize("status, expected_posts",
                          [(404, 1), (503, MAX_CLIENT_RETRIES)])
 def test_http_client_retries_server_errors_only(status, expected_posts,
-                                                monkeypatch, catalog):
+                                                monkeypatch, catalog, sleeps):
     posts = []
     monkeypatch.setitem(sys.modules, "requests",
-                        _fake_requests(status, posts))
+                        _fake_requests([status], posts))
     client = HttpClient("http://localhost:9/v1/chat", "m")
     result = run_pipeline("hammer", client, policy=POLICY_NONE,
                           catalog=catalog)
     assert result.failure_stage == STAGE_CLIENT
     assert str(status) in result.attempts[-1].report["message"]
     assert len(posts) == expected_posts
+    # a wait between attempts, none after the last one
+    assert sleeps == [0.5, 1.0][:expected_posts - 1]
+
+
+def test_http_client_backs_off_between_server_errors(monkeypatch, catalog,
+                                                     sleeps):
+    posts = []
+    monkeypatch.setitem(sys.modules, "requests",
+                        _fake_requests([503, 503, 200], posts))
+    client = HttpClient("http://localhost:9/v1/chat", "m")
+    result = run_pipeline("hammer", client, policy=POLICY_NONE,
+                          catalog=catalog)
+    assert len(posts) == 3
+    assert sleeps == [0.5, 1.0]
+    # the third answer got through: the plan itself failed, not the client
+    assert result.failure_stage == STAGE_FORMAT
 
 
 def test_http_client_without_requests_names_the_extra(monkeypatch):
