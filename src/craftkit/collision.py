@@ -1,7 +1,10 @@
 """Pairwise overlap tests for axis-aligned primitive solids with holes.
 
 Placement only ever produces axis-aligned boxes and cylinders whose axes are
-parallel or perpendicular, so every pair has a closed-form test.  Overlap
+parallel or perpendicular.  Every pair but perpendicular cylinders has a
+closed-form test.  Perpendicular cylinders first meet a closed-form upper
+bound that rejects separated pairs; a pair that passes it is settled by a
+ternary search over the shared coordinate, run to its fixed point.  Overlap
 that falls entirely inside a hole region of either part is exempt.
 """
 
@@ -124,11 +127,20 @@ def _cyl_cyl_perpendicular(ca, a: Solid, cb, b: Solid):
     With a on axis i and b on axis j, the free coordinate k is shared: for a
     fixed k both cross-sections give an interval on i and on j, and the
     overlap of each is concave in k, so a ternary search over k is exact.
+
+    Both overlaps grow with the disc half-widths, and rounding is monotone,
+    so the overlap at the widest discs bounds the objective from above: a
+    pair whose bound is not positive is separated without a search.  The
+    search stops at the first iteration that leaves (lo, hi) unchanged,
+    since every later one would repeat it.
     """
     i, j = a.axis, b.axis
     k = 3 - i - j
 
-    def width_a(kv):  # half-width of a's disc along axis... any transverse
+    # half-length of the chord at k = kv through a's disc, which lies in
+    # (j, k), so the chord runs along j (width_b: b's disc, along i);
+    # -1.0 where kv misses the disc
+    def width_a(kv):
         d2 = a.radius ** 2 - (kv - ca[k]) ** 2
         return np.sqrt(d2) if d2 > 0 else -1.0
 
@@ -136,9 +148,7 @@ def _cyl_cyl_perpendicular(ca, a: Solid, cb, b: Solid):
         d2 = b.radius ** 2 - (kv - cb[k]) ** 2
         return np.sqrt(d2) if d2 > 0 else -1.0
 
-    def f(kv):
-        wa = width_a(kv)
-        wb = width_b(kv)
+    def overlap(wa, wb):
         if wa < 0 or wb < 0:
             return -1.0
         # a spans its own axis i as a segment; its disc is in (j, k)
@@ -148,16 +158,23 @@ def _cyl_cyl_perpendicular(ca, a: Solid, cb, b: Solid):
                                ca[j] - wa, ca[j] + wa)
         return min(o_i, o_j)
 
+    def f(kv):
+        return overlap(width_a(kv), width_b(kv))
+
     lo = max(ca[k] - a.radius, cb[k] - b.radius)
     hi = min(ca[k] + a.radius, cb[k] + b.radius)
-    if hi <= lo:
+    if hi <= lo or overlap(width_a(ca[k]), width_b(cb[k])) <= 0:
         return None
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if f(m1) < f(m2):
+            if m1 == lo:
+                break
             lo = m1
         else:
+            if m2 == hi:
+                break
             hi = m2
     k_best = (lo + hi) / 2.0
     depth = f(k_best)

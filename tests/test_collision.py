@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from craftkit.collision import base_overlap, pair_overlap, validate_collisions
-from craftkit.geometry import Solid
+import craftkit.collision as collision
+from craftkit.collision import (
+    _cyl_cyl_perpendicular, base_overlap, pair_overlap, validate_collisions)
+from craftkit.geometry import HoleRegion, Solid, interval_overlap
+from craftkit.physics import run_functional_test
 
 
 def mc_overlap(ca, a, cb, b, n=20000, seed=0, margin=1e-6):
@@ -96,7 +101,6 @@ def test_symmetry():
 
 def test_hole_exempts_inserted_axle():
     wheel = Solid.cylinder(0.03, 0.02, axis=1)
-    from craftkit.geometry import HoleRegion
     wheel.holes.append(HoleRegion(
         owner="WHEEL_1", name="HOLE_1", axis=1, center=(0.0, 0.0, 0.0),
         depth=0.02, through=True, radius=0.006))
@@ -124,3 +128,176 @@ def test_validate_collisions_flags_bad_fixture(build_fixture):
     assert frozenset(("SHELF_1", "SHELF_2")) in pairs
     payload = report.to_dict()
     assert payload["pairs"][0]["depth_m"] > 0
+
+
+# -- perpendicular cylinders: the bounded search against the plain search ---
+
+def _reference_cyl_cyl_perpendicular(ca, a: Solid, cb, b: Solid):
+    """The fixed 200-step ternary search with no bound, kept verbatim as the
+    reference that the bounded search must match bit for bit."""
+    i, j = a.axis, b.axis
+    k = 3 - i - j
+
+    def width_a(kv):  # half-width of a's disc along axis... any transverse
+        d2 = a.radius ** 2 - (kv - ca[k]) ** 2
+        return np.sqrt(d2) if d2 > 0 else -1.0
+
+    def width_b(kv):
+        d2 = b.radius ** 2 - (kv - cb[k]) ** 2
+        return np.sqrt(d2) if d2 > 0 else -1.0
+
+    def f(kv):
+        wa = width_a(kv)
+        wb = width_b(kv)
+        if wa < 0 or wb < 0:
+            return -1.0
+        # a spans its own axis i as a segment; its disc is in (j, k)
+        o_i = interval_overlap(ca[i] - a.length / 2, ca[i] + a.length / 2,
+                               cb[i] - wb, cb[i] + wb)
+        o_j = interval_overlap(cb[j] - b.length / 2, cb[j] + b.length / 2,
+                               ca[j] - wa, ca[j] + wa)
+        return min(o_i, o_j)
+
+    lo = max(ca[k] - a.radius, cb[k] - b.radius)
+    hi = min(ca[k] + a.radius, cb[k] + b.radius)
+    if hi <= lo:
+        return None
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if f(m1) < f(m2):
+            lo = m1
+        else:
+            hi = m2
+    k_best = (lo + hi) / 2.0
+    depth = f(k_best)
+    if depth <= 0:
+        return None
+    witness = [0.0, 0.0, 0.0]
+    witness[k] = k_best
+    wa, wb = width_a(k_best), width_b(k_best)
+    witness[i] = (max(ca[i] - a.length / 2, cb[i] - wb)
+                  + min(ca[i] + a.length / 2, cb[i] + wb)) / 2.0
+    witness[j] = (max(cb[j] - b.length / 2, ca[j] - wa)
+                  + min(cb[j] + b.length / 2, ca[j] + wa)) / 2.0
+    return depth, tuple(witness)
+
+
+_AXIS_PAIRS = [(i, j) for i in range(3) for j in range(3) if i != j]
+
+
+def _nudge(x, ulps):
+    """x moved by ``ulps`` units in the last place (negative: downwards)."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def _assert_same_as_reference(ca, a, cb, b):
+    ca = np.asarray(ca, dtype=float)
+    cb = np.asarray(cb, dtype=float)
+    got = _cyl_cyl_perpendicular(ca, a, cb, b)
+    want = _reference_cyl_cyl_perpendicular(ca, a, cb, b)
+    # None matches only None; else depth and every witness coordinate equal
+    assert got == want, (ca, a, cb, b, got, want)
+    return want
+
+
+def test_cyl_cyl_perpendicular_matches_reference_on_random_pairs():
+    rng = np.random.default_rng(20261018)
+    overlapping = separated = 0
+    for i, j in _AXIS_PAIRS:
+        for _ in range(340):
+            # sizes and centres drawn as in acceptance criterion 3
+            a = Solid.cylinder(float(rng.uniform(0.02, 0.07)),
+                               float(rng.uniform(0.05, 0.15)), i)
+            b = Solid.cylinder(float(rng.uniform(0.02, 0.07)),
+                               float(rng.uniform(0.05, 0.15)), j)
+            ca = rng.uniform(-0.06, 0.06, 3)
+            cb = rng.uniform(-0.06, 0.06, 3)
+            if _assert_same_as_reference(ca, a, cb, b) is None:
+                separated += 1
+            else:
+                overlapping += 1
+    assert overlapping + separated >= 2000
+    assert overlapping > 100 and separated > 100, (overlapping, separated)
+
+
+def test_cyl_cyl_perpendicular_matches_reference_when_grazing():
+    rng = np.random.default_rng(5)
+    for i, j in _AXIS_PAIRS:
+        k = 3 - i - j
+        for _ in range(4):
+            a = Solid.cylinder(float(rng.uniform(0.02, 0.07)),
+                               float(rng.uniform(0.05, 0.15)), i)
+            b = Solid.cylinder(float(rng.uniform(0.02, 0.07)),
+                               float(rng.uniform(0.05, 0.15)), j)
+            ca = [float(x) for x in rng.uniform(-0.06, 0.06, 3)]
+            # touching along i (a's end face on b's side), along j (b's end
+            # face on a's side) and along k (the two curved sides)
+            gaps = {i: a.length / 2 + b.radius,
+                    j: b.length / 2 + a.radius,
+                    k: a.radius + b.radius}
+            for axis, gap in gaps.items():
+                for sign in (1.0, -1.0):
+                    touching = list(ca)
+                    touching[axis] = ca[axis] + sign * gap
+                    for ulps in (-2, -1, 0, 1, 2):
+                        cb = list(touching)
+                        cb[axis] = _nudge(touching[axis], ulps)
+                        _assert_same_as_reference(ca, a, cb, b)
+
+
+def _counting_interval_overlap(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return interval_overlap(*args)
+
+    monkeypatch.setattr(collision, "interval_overlap", counted)
+    return calls
+
+
+def test_hit_verdict_does_not_search_separated_cylinders(
+        build_fixture, monkeypatch):
+    # the unbounded search made 144 541 calls in this verdict
+    plan, asm = build_fixture("hammer_valid_1")
+    calls = _counting_interval_overlap(monkeypatch)
+    outcome = run_functional_test("hit", asm, plan)
+    assert outcome.success, (outcome.failure_reason, outcome.details)
+    assert 0 < calls[0] < 1000, calls[0]
+
+
+def test_overlapping_perpendicular_search_stops_at_its_fixed_point(
+        monkeypatch):
+    a = Solid.cylinder(0.05, 0.2, axis=0)
+    b = Solid.cylinder(0.05, 0.2, axis=1)
+    ca = np.zeros(3)
+    cb = np.array([0.0, 0.0, 0.0999])
+    want = _reference_cyl_cyl_perpendicular(ca, a, cb, b)
+    calls = _counting_interval_overlap(monkeypatch)
+    got = _cyl_cyl_perpendicular(ca, a, cb, b)
+    assert want is not None and got == want
+    # 2 calls for the bound, 4 per iteration (both widths stay positive
+    # inside (lo, hi)) and 2 for the depth at the final midpoint
+    iterations = (calls[0] - 4) / 4
+    assert iterations == int(iterations) and iterations < 200, calls[0]
+
+
+# ROADMAP item 5: HoleRegion.center is stored in world coordinates, so a
+# solid that moves leaves its hole behind.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 5: hole centres are world coordinates and do not "
+           "move with their solid")
+def test_hole_exemption_follows_a_moved_solid():
+    block = Solid.box((0.2, 0.2, 0.2))
+    block.holes.append(HoleRegion(
+        owner="BLOCK_1", name="HOLE_1", axis=2, center=(0.0, 0.0, 0.0),
+        depth=0.2, through=True, radius=0.03))
+    peg = Solid.cylinder(0.02, 0.3, axis=2)
+    assert pair_overlap((0, 0, 0), block, (0, 0, 0), peg) is None
+    shifted = (5.0, 0.0, 0.0)
+    assert pair_overlap(shifted, block, shifted, peg) is None
