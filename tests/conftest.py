@@ -65,3 +65,22 @@ def response_text(fixture_raw):
         return "```json\n" + fixture_raw(name) + "\n```"
 
     return wrap
+
+
+@pytest.fixture(scope="session")
+def category_outcome(build_fixture):
+    """The outcome of a fixture under its category's functional test at the
+    default ``SimConfig``, simulated once per session."""
+    from craftkit.orchestrator import category_function
+    from craftkit.physics import run_functional_test
+
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            plan, asm = build_fixture(name)
+            kind = category_function(name.split("_", 1)[0])
+            cache[name] = run_functional_test(kind, asm, plan)
+        return cache[name]
+
+    return get

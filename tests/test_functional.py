@@ -3,7 +3,6 @@ import pytest
 
 from craftkit.assembler import connected_groups, connectivity_components
 from craftkit.geometry import Solid
-from craftkit.orchestrator import category_function
 from craftkit.physics import (
     RigidBody,
     SimConfig,
@@ -338,8 +337,6 @@ _BUS_WHEELS = pytest.mark.xfail(
 @pytest.mark.parametrize("name", [
     pytest.param(n, marks=_BUS_WHEELS) if n.startswith("bus_") else n
     for n in all_fixture_names() if "_valid_" in n])
-def test_every_golden_passes_its_category_test(build_fixture, name):
-    plan, asm = build_fixture(name)
-    kind = category_function(name.split("_", 1)[0])
-    outcome = run_functional_test(kind, asm, plan)
+def test_every_golden_passes_its_category_test(category_outcome, name):
+    outcome = category_outcome(name)
     assert outcome.success, (outcome.failure_reason, outcome.details)
