@@ -30,6 +30,22 @@ extents, the offset from the body centre) are computed once per part, and
 each part's world centre once per step.  Boxes and lying cylinders whose
 lowest point is above the contact margin are skipped before any corner or
 rim point is built.
+
+Velocity impulses are warm-started (Catto, "Iterative Dynamics with
+Temporal Coherence", GDC 2005; Box2D's contact solver).  Each generated
+contact carries a feature key built from body ids and indices only, never
+object identities, so a deep copy of a world steps exactly like it:
+(body id, part index, feature index) for a ground contact, where the
+feature is a box corner (0-7), a standing cylinder's rim sample (0-7) or a
+lying cylinder's end (8, 9); (id a, id b, part index a, part index b,
+normal axis, normal sign) for a body-body contact; None, which starts cold,
+for a contact from an extra contact hook.  The World keeps the (jn, jt1,
+jt2) each key ended the last step with, and per joint index the anchor
+impulse and the angular impulse as a world vector.  Row setup starts each
+accumulator there and applies that impulse to the solver bodies before the
+first sweep; a key missing from the cache starts at zero.  Impulses carry
+over unscaled, which assumes a fixed timestep.  Split (position) impulses
+start at zero in every step.
 """
 
 from __future__ import annotations
@@ -231,6 +247,9 @@ class Contact:
     normal: np.ndarray  # from a to b
     depth: float
     friction: float
+    # the feature this contact comes from, built from body ids and part and
+    # feature indices, which keys its impulse across steps; None starts cold
+    key: tuple | None = None
 
 
 # -- solver: plain-float rows over float copies of the bodies ---------------
@@ -357,7 +376,7 @@ def _solve_row(row, va, vb, acc, target, lo, hi):
     6-velocities ``va`` (None for the static environment) and ``vb`` in
     place, and returns the new accumulated impulse.
     """
-    ja, jb, resp_a, resp_b, k = row
+    ja, jb, _, _, k = row
     s = target - (jb[0] * vb[0] + jb[1] * vb[1] + jb[2] * vb[2]
                   + jb[3] * vb[3] + jb[4] * vb[4] + jb[5] * vb[5])
     if ja is not None:
@@ -370,21 +389,28 @@ def _solve_row(row, va, vb, acc, target, lo, hi):
         new = hi
     dj = new - acc
     if dj != 0.0:
-        if resp_b is not None:
-            vb[0] += dj * resp_b[0]
-            vb[1] += dj * resp_b[1]
-            vb[2] += dj * resp_b[2]
-            vb[3] += dj * resp_b[3]
-            vb[4] += dj * resp_b[4]
-            vb[5] += dj * resp_b[5]
-        if resp_a is not None:
-            va[0] -= dj * resp_a[0]
-            va[1] -= dj * resp_a[1]
-            va[2] -= dj * resp_a[2]
-            va[3] -= dj * resp_a[3]
-            va[4] -= dj * resp_a[4]
-            va[5] -= dj * resp_a[5]
+        _push_row(row, va, vb, dj)
     return new
+
+
+def _push_row(row, va, vb, dj):
+    """Apply impulse dj along one row direction to va (None: static) and
+    vb in place."""
+    _, _, resp_a, resp_b, _ = row
+    if resp_b is not None:
+        vb[0] += dj * resp_b[0]
+        vb[1] += dj * resp_b[1]
+        vb[2] += dj * resp_b[2]
+        vb[3] += dj * resp_b[3]
+        vb[4] += dj * resp_b[4]
+        vb[5] += dj * resp_b[5]
+    if resp_a is not None:
+        va[0] -= dj * resp_a[0]
+        va[1] -= dj * resp_a[1]
+        va[2] -= dj * resp_a[2]
+        va[3] -= dj * resp_a[3]
+        va[4] -= dj * resp_a[4]
+        va[5] -= dj * resp_a[5]
 
 
 class _ContactRow:
@@ -393,13 +419,15 @@ class _ContactRow:
     Each direction is (J_a, J_b, response_a, response_b, effective mass);
     J_a is None against the static environment, and a response is None for
     a side that impulses do not move.  jn, jt1, jt2 and pn accumulate the
-    normal, friction and split (position) impulses of this step.
+    normal, friction and split (position) impulses of this step; the first
+    three start from ``impulse``, the contact's totals of the previous step
+    (None: zero), which are applied to the bodies at setup.
     """
 
     __slots__ = ("va", "vb", "pa", "pb", "friction", "depth", "n", "t1",
                  "t2", "jn", "jt1", "jt2", "pn")
 
-    def __init__(self, contact: Contact, bodies: dict):
+    def __init__(self, contact: Contact, bodies: dict, impulse):
         b = bodies[contact.body_b]
         a = None if contact.body_a is None else bodies[contact.body_a]
         self.vb, self.pb = b.vel, b.pvel
@@ -415,6 +443,10 @@ class _ContactRow:
         self.n, self.t1, self.t2 = (_direction(a, ra, b, rb, d)
                                     for d in (n, t1, t2))
         self.jn = self.jt1 = self.jt2 = self.pn = 0.0
+        if impulse is not None and self.n[4] > 0.0:
+            self.jn, self.jt1, self.jt2 = impulse
+            for row, j in zip((self.n, self.t1, self.t2), impulse):
+                _push_row(row, self.va, self.vb, j)
 
     def solve_velocity(self):
         if self.n[4] <= 0.0:
@@ -458,13 +490,14 @@ class _GroundRow:
     _ContactRow sums them.  The products left out are exact zeros, so
     velocities and impulses come out bit-identical to _ContactRow's.
     Each direction keeps (k, I^-1 (r x d)); ``n`` is None for a body that
-    impulses do not move (k = 0), and the row is then skipped.
+    impulses do not move (k = 0), and the row is then skipped.  The warm
+    start adds the previous step's impulses in _ContactRow's order too.
     """
 
     __slots__ = ("v", "p", "friction", "depth", "r", "m", "n", "t1", "t2",
                  "jn", "jt1", "jt2", "pn")
 
-    def __init__(self, contact: Contact, b: _SolverBody):
+    def __init__(self, contact: Contact, b: _SolverBody, impulse):
         self.v, self.p = b.vel, b.pvel
         self.friction = contact.friction
         self.depth = contact.depth
@@ -485,6 +518,15 @@ class _GroundRow:
         a0, a1, a2 = i02 * rx - i00 * rz, i12 * rx - i10 * rz, \
             i22 * rx - i20 * rz
         self.t2 = (m + (rx * a2 - rz * a0), a0, a1, a2)
+        if impulse is not None:
+            v = self.v
+            self.jn, self.jt1, self.jt2 = impulse
+            for i, j, (_, a0, a1, a2) in zip((2, 0, 1), impulse,
+                                             (self.n, self.t1, self.t2)):
+                v[i] += j * m
+                v[3] += j * a0
+                v[4] += j * a1
+                v[5] += j * a2
 
     # With a zero target, acc - u / k is _solve_row's acc + (0 - u) / k.
     def solve_velocity(self):
@@ -559,11 +601,11 @@ class _GroundRow:
         self.pn = new
 
 
-def _contact_row(contact: Contact, bodies: dict):
+def _contact_row(contact: Contact, bodies: dict, impulse):
     """The row for one contact: _GroundRow where it applies, by value."""
     if contact.body_a is None and contact.normal.tolist() == [0.0, 0.0, 1.0]:
-        return _GroundRow(contact, bodies[contact.body_b])
-    return _ContactRow(contact, bodies)
+        return _GroundRow(contact, bodies[contact.body_b], impulse)
+    return _ContactRow(contact, bodies, impulse)
 
 
 def _inverse3(m):
@@ -583,13 +625,19 @@ class _JointRow:
     matrix I^-1 [r]x that turn an anchor impulse into velocity changes.  The
     angular rows keep the two hinge-perpendicular directions u1, u2, their
     2x2 inverse mass and I^-1 u per body.
+
+    (px, py, pz) and (l1, l2) total the anchor and angular impulses of this
+    step.  They start from ``impulse``, the previous step's anchor impulse
+    and angular impulse as world vectors (None: zero), the latter projected
+    onto this step's u1 and u2, and are applied to the bodies at setup.
     """
 
     __slots__ = ("va", "vb", "ra", "rb", "kinv", "bias", "lever_a",
                  "lever_b", "u1", "u2", "kang_inv", "ang_bias", "spin_a",
-                 "spin_b")
+                 "spin_b", "px", "py", "pz", "l1", "l2")
 
-    def __init__(self, joint: RevoluteJoint, bodies: dict, beta, dt):
+    def __init__(self, joint: RevoluteJoint, bodies: dict, beta, dt,
+                 impulse):
         a, b = bodies[joint.body_a], bodies[joint.body_b]
         self.va, self.vb = a.vel, b.vel
         ra = self.ra = _matvec3(a.rot, joint.anchor_local_a.tolist())
@@ -623,6 +671,16 @@ class _JointRow:
         self.ang_bias = (f * _dot3(u1, err), f * _dot3(u2, err))
         self.spin_a = iu_a if a.dynamic else None
         self.spin_b = iu_b if b.dynamic else None
+        self.px = self.py = self.pz = self.l1 = self.l2 = 0.0
+        if impulse is not None:
+            (px, py, pz), ang = impulse
+            if self.lever_a is not None:
+                _push_anchor(a.vel, self.lever_a, -px, -py, -pz)
+            if self.lever_b is not None:
+                _push_anchor(b.vel, self.lever_b, px, py, pz)
+            l1, l2 = _dot3(u1, ang), _dot3(u2, ang)
+            _push_spin(a.vel, b.vel, self.spin_a, self.spin_b, l1, l2)
+            self.px, self.py, self.pz, self.l1, self.l2 = px, py, pz, l1, l2
 
     @staticmethod
     def _anchor_lever(sb, r, k):
@@ -665,6 +723,9 @@ class _JointRow:
             _push_anchor(va, self.lever_a, -px, -py, -pz)
         if self.lever_b is not None:
             _push_anchor(vb, self.lever_b, px, py, pz)
+        self.px += px
+        self.py += py
+        self.pz += pz
 
         wx, wy, wz = vb[3] - va[3], vb[4] - va[4], vb[5] - va[5]
         (u1x, u1y, u1z), (u2x, u2y, u2z) = self.u1, self.u2
@@ -672,16 +733,32 @@ class _JointRow:
         e2 = -((u2x * wx + u2y * wy + u2z * wz) + self.ang_bias[1])
         (q11, q12), (q21, q22) = self.kang_inv
         l1, l2 = q11 * e1 + q12 * e2, q21 * e1 + q22 * e2
-        if self.spin_a is not None:
-            (x1, y1, z1), (x2, y2, z2) = self.spin_a
-            va[3] -= x1 * l1 + x2 * l2
-            va[4] -= y1 * l1 + y2 * l2
-            va[5] -= z1 * l1 + z2 * l2
-        if self.spin_b is not None:
-            (x1, y1, z1), (x2, y2, z2) = self.spin_b
-            vb[3] += x1 * l1 + x2 * l2
-            vb[4] += y1 * l1 + y2 * l2
-            vb[5] += z1 * l1 + z2 * l2
+        _push_spin(va, vb, self.spin_a, self.spin_b, l1, l2)
+        self.l1 += l1
+        self.l2 += l2
+
+    def impulse(self):
+        """The step's anchor and angular impulses as world vectors."""
+        (u1x, u1y, u1z), (u2x, u2y, u2z) = self.u1, self.u2
+        l1, l2 = self.l1, self.l2
+        return ((self.px, self.py, self.pz),
+                (l1 * u1x + l2 * u2x, l1 * u1y + l2 * u2y,
+                 l1 * u1z + l2 * u2z))
+
+
+def _push_spin(va, vb, spin_a, spin_b, l1, l2):
+    """Apply angular impulse l1 u1 + l2 u2 to b and its opposite to a,
+    through I^-1 u per body (None: a body impulses do not move)."""
+    if spin_a is not None:
+        (x1, y1, z1), (x2, y2, z2) = spin_a
+        va[3] -= x1 * l1 + x2 * l2
+        va[4] -= y1 * l1 + y2 * l2
+        va[5] -= z1 * l1 + z2 * l2
+    if spin_b is not None:
+        (x1, y1, z1), (x2, y2, z2) = spin_b
+        vb[3] += x1 * l1 + x2 * l2
+        vb[4] += y1 * l1 + y2 * l2
+        vb[5] += z1 * l1 + z2 * l2
 
 
 def _push_anchor(v, lever, px, py, pz):
@@ -695,9 +772,9 @@ def _push_anchor(v, lever, px, py, pz):
     v[5] += a20 * px + a21 * py + a22 * pz
 
 
-def _standing_rim_contacts(contacts, body, part, r, c, mu):
+def _standing_rim_contacts(contacts, body, index, part, r, c, mu):
     """Contacts at 8 samples of the lower rim of a near-vertical
-    cylinder."""
+    cylinder, part ``index`` of ``body``; rim sample k is feature k."""
     solid = part.solid
     a0, a1, a2 = (row[solid.axis] for row in r)
     hl = solid.length / 2.0 if a2 > 0 else -solid.length / 2.0
@@ -710,13 +787,13 @@ def _standing_rim_contacts(contacts, body, part, r, c, mu):
     norm = math.sqrt(_dot3(u, u))
     u = (u[0] / norm, u[1] / norm, u[2] / norm)
     vp = _cross3((a0, a1, a2), u)
-    for cs, sn in _RIM:
+    for k, (cs, sn) in enumerate(_RIM):
         z = low[2] + rad * (cs * u[2] + sn * vp[2])
         if z < CONTACT_GEN_MARGIN:
             contacts.append(Contact(None, body, np.array((
                 low[0] + rad * (cs * u[0] + sn * vp[0]),
                 low[1] + rad * (cs * u[1] + sn * vp[1]), z)),
-                _UP, max(0.0, -z), mu))
+                _UP, max(0.0, -z), mu, (body.id, index, k)))
 
 
 class World:
@@ -729,6 +806,10 @@ class World:
         self.gravity = np.array([0.0, 0.0, -config.gravity])
         self.ground_enabled = True
         self._pair_skip = None
+        # the last step's impulses: (jn, jt1, jt2) per contact key, and
+        # (anchor, angular) world vectors per joint index
+        self._contact_impulses = {}
+        self._joint_impulses = {}
 
     # -- contact generation ----------------------------------------------
     def _ground_contacts(self, contacts, poses, centers):
@@ -737,11 +818,12 @@ class World:
             if body.inv_mass == 0.0 and not body.kinematic:
                 continue
             rz = r[2]
-            for part, c in zip(body.parts, body_centers):
+            for index, (part, c) in enumerate(zip(body.parts, body_centers)):
                 cx, cy, cz = c
                 solid = part.solid
                 if part.half is None and abs(rz[solid.axis]) > 0.99:
-                    _standing_rim_contacts(contacts, body, part, r, c, mu)
+                    _standing_rim_contacts(contacts, body, index, part, r, c,
+                                           mu)
                     continue
                 # quick reject on the lowest point of a box or lying cylinder
                 if part.low_z(cz, rz) >= CONTACT_GEN_MARGIN:
@@ -752,28 +834,30 @@ class World:
                     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = (
                         (r0 * part.half[0], r1 * part.half[1],
                          r2 * part.half[2]) for r0, r1, r2 in r)
-                    for s0, s1, s2 in _BOX_SIGNS:
+                    for k, (s0, s1, s2) in enumerate(_BOX_SIGNS):
                         z = cz + ((s0 * e20 + s1 * e21) + s2 * e22)
                         if z < CONTACT_GEN_MARGIN:
                             contacts.append(Contact(None, body, np.array((
                                 cx + ((s0 * e00 + s1 * e01) + s2 * e02),
                                 cy + ((s0 * e10 + s1 * e11) + s2 * e12),
-                                z)), _UP, max(0.0, -z), mu))
+                                z)), _UP, max(0.0, -z), mu,
+                                (body.id, index, k)))
                     continue
                 # lying cylinder: the two rim points lowest along -z, where
-                # u is -z with its axis component removed, normalized
+                # u is -z with its axis component removed, normalized; they
+                # are features 8 and 9, apart from the standing rim's 0-7
                 a0, a1, a2 = (row[solid.axis] for row in r)
                 ux, uy, uz = a2 * a0, a2 * a1, a2 * a2 - 1.0
                 norm = math.sqrt(ux * ux + uy * uy + uz * uz)
                 ux, uy, uz = ux / norm, uy / norm, uz / norm
                 hl, rad = solid.length / 2.0, solid.radius
-                for e in (-hl, hl):
+                for k, e in ((8, -hl), (9, hl)):
                     z = (cz + a2 * e) + rad * uz
                     if z < CONTACT_GEN_MARGIN:
                         contacts.append(Contact(None, body, np.array((
                             (cx + a0 * e) + rad * ux,
                             (cy + a1 * e) + rad * uy, z)),
-                            _UP, max(0.0, -z), mu))
+                            _UP, max(0.0, -z), mu, (body.id, index, k)))
 
     def _jointed(self, a: RigidBody, b: RigidBody):
         if self._pair_skip is None:
@@ -792,8 +876,8 @@ class World:
                     continue
                 if self._jointed(a, b):
                     continue
-                for pa, ca in zip(a.parts, centers[i]):
-                    for pb, cb in zip(b.parts, centers[j]):
+                for ia, (pa, ca) in enumerate(zip(a.parts, centers[i])):
+                    for ib, (pb, cb) in enumerate(zip(b.parts, centers[j])):
                         # coarse sphere reject before the exact test
                         dx, dy, dz = cb[0] - ca[0], cb[1] - ca[1], \
                             cb[2] - ca[2]
@@ -806,21 +890,23 @@ class World:
                         if hit is None:
                             continue
                         depth, witness = hit
-                        normal = self._separation_axis(ca_arr, pa.solid,
-                                                      cb_arr, pb.solid)
+                        axis, sign = self._separation_axis(
+                            ca_arr, pa.solid, cb_arr, pb.solid)
+                        normal = np.zeros(3)
+                        normal[axis] = sign
                         contacts.append(Contact(
-                            a, b, np.asarray(witness), normal, depth, mu))
+                            a, b, np.asarray(witness), normal, depth, mu,
+                            (a.id, b.id, ia, ib, axis, sign)))
 
     @staticmethod
     def _separation_axis(ca, sa, cb, sb):
-        """Axis of least overlap between the two world AABBs, from a to b."""
+        """Axis of least overlap between the two world AABBs, and the sign
+        of the normal along it from a to b."""
         lo_a, hi_a = sa.aabb(ca)
         lo_b, hi_b = sb.aabb(cb)
         overlaps = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
         axis = int(np.argmin(overlaps))
-        normal = np.zeros(3)
-        normal[axis] = 1.0 if cb[axis] >= ca[axis] else -1.0
-        return normal
+        return axis, 1.0 if cb[axis] >= ca[axis] else -1.0
 
     def gather_contacts(self):
         contacts = []
@@ -837,16 +923,30 @@ class World:
 
     def _solve(self, bodies, contacts, dt):
         """Velocity then position iterations on the solver bodies
-        ``bodies`` (body -> _SolverBody); returns the contact rows."""
+        ``bodies`` (body -> _SolverBody); returns the contact rows.
+
+        Each row starts from, and applies, the impulse its contact key or
+        joint index ended the last step with; the velocity impulses this
+        step ends with replace that cache.
+        """
         cfg = self.config
-        joint_rows = [_JointRow(j, bodies, cfg.baumgarte, dt)
-                      for j in self.joints]
-        contact_rows = [_contact_row(c, bodies) for c in contacts]
+        cached = self._joint_impulses
+        joint_rows = [_JointRow(j, bodies, cfg.baumgarte, dt, cached.get(i))
+                      for i, j in enumerate(self.joints)]
+        cached = self._contact_impulses
+        # no key None is ever cached, so those contacts start cold
+        contact_rows = [_contact_row(c, bodies, cached.get(c.key))
+                        for c in contacts]
         for _ in range(cfg.solver_iterations):
             for row in joint_rows:
                 row.solve()
             for row in contact_rows:
                 row.solve_velocity()
+        self._joint_impulses = {i: row.impulse()
+                                for i, row in enumerate(joint_rows)}
+        self._contact_impulses = {
+            c.key: (row.jn, row.jt1, row.jt2)
+            for c, row in zip(contacts, contact_rows) if c.key is not None}
         for _ in range(cfg.position_iterations):
             for row in contact_rows:
                 row.solve_position(cfg.baumgarte, cfg.slop, dt)

@@ -50,7 +50,11 @@ class SimConfig:
     part_mass: float = 10.0
     friction: float = 0.5
     gravity: float = 9.81
-    solver_iterations: int = 10
+    # 3 velocity sweeps suffice because every row starts from the impulse
+    # its feature ended the last step with: the goldens' support margins
+    # to the 0.01 m threshold stay above 1700x, against as little as 3.9x
+    # for 3 sweeps that start from zero (tests/test_outcome_gate.py)
+    solver_iterations: int = 3
     position_iterations: int = 4
     baumgarte: float = 0.2
     slop: float = 1e-4

@@ -12,7 +12,11 @@ the generic float contact row exactly.
 ``_reference_step`` keeps the earlier numpy ``World.step`` around the
 solve (inertia refresh, force and torque integration, contact generation,
 position and quaternion integration), and whole steps of seeded worlds
-must agree with ``World.step`` to rounding.
+must agree with ``World.step`` to rounding.  The reference keeps its own
+warm start: each contact row starts from the (jn, jt1, jt2) its key ended
+the last step with, each joint from its anchor impulse and its angular
+impulse as a world vector, and the second step of a world is compared
+after it was warm-started.
 """
 
 import copy
@@ -48,7 +52,7 @@ def _skew(v):
 
 
 class _RefJointRow:
-    def __init__(self, joint, beta, dt):
+    def __init__(self, joint, beta, dt, impulse=None):
         a, b = joint.body_a, joint.body_b
         self.a, self.b = a, b
         self.ra = a._rot @ joint.anchor_local_a
@@ -81,27 +85,43 @@ class _RefJointRow:
         self.ang_bias = (beta / dt) * (rows @ _cross(axis_a, axis_b))
         self.rows_iinv_a = self.iinv_a @ rows.T
         self.rows_iinv_b = self.iinv_b @ rows.T
+        self.p_total, self.lam_total = np.zeros(3), np.zeros(2)
+        if impulse is not None:
+            p, ang = (np.asarray(v) for v in impulse)
+            self._push_anchor(p)
+            self._push_spin(rows @ ang)
 
-    def solve(self):
+    def _push_anchor(self, impulse):
         a, b = self.a, self.b
-        vrel = b.v + _cross(b.w, self.rb) - a.v - _cross(a.w, self.ra)
-        impulse = self.kinv @ (-(vrel + self.bias))
         if a._dynamic:
             a.v = a.v - impulse * a.inv_mass
             a.w = a.w - self.iinv_a @ _cross(self.ra, impulse)
         if b._dynamic:
             b.v = b.v + impulse * b.inv_mass
             b.w = b.w + self.iinv_b @ _cross(self.rb, impulse)
+        self.p_total = self.p_total + impulse
+
+    def _push_spin(self, lam):
+        if self.a._dynamic:
+            self.a.w = self.a.w - self.rows_iinv_a @ lam
+        if self.b._dynamic:
+            self.b.w = self.b.w + self.rows_iinv_b @ lam
+        self.lam_total = self.lam_total + lam
+
+    def solve(self):
+        a, b = self.a, self.b
+        vrel = b.v + _cross(b.w, self.rb) - a.v - _cross(a.w, self.ra)
+        self._push_anchor(self.kinv @ (-(vrel + self.bias)))
         w_rel = b.w - a.w
-        lam = self.kmat_inv @ (-(self.rows @ w_rel + self.ang_bias))
-        if a._dynamic:
-            a.w = a.w - self.rows_iinv_a @ lam
-        if b._dynamic:
-            b.w = b.w + self.rows_iinv_b @ lam
+        self._push_spin(
+            self.kmat_inv @ (-(self.rows @ w_rel + self.ang_bias)))
+
+    def impulse(self):
+        return self.p_total, self.rows.T @ self.lam_total
 
 
 class _RefContactRow:
-    def __init__(self, contact):
+    def __init__(self, contact, impulse=None):
         self.c = contact
         self.jn, self.jt, self.pn = 0.0, np.zeros(2), 0.0
         a, b = contact.body_a, contact.body_b
@@ -122,6 +142,10 @@ class _RefContactRow:
         self.kn = self._k(n)
         self.kt1 = self._k(t1)
         self.kt2 = self._k(self.t2)
+        if impulse is not None and self.kn > 0.0:
+            self.jn, self.jt = impulse[0], np.array(impulse[1:])
+            self._apply(self.jn * n + self.jt[0] * t1 + self.jt[1] * self.t2,
+                        "v", "w")
 
     def _k(self, d):
         k = 0.0
@@ -191,17 +215,30 @@ class _RefContactRow:
             self._apply(dj * self.n, "pv", "pw")
 
 
-def _reference_solve(world, contacts, dt):
+def _reference_solve(world, contacts, dt, cache=None):
+    """The solve on numpy rows.  ``cache`` (None: cold) maps "contacts" to
+    the last step's (jn, jt1, jt2) per contact key and "joints" to the
+    (anchor, angular) impulses per joint index, and is replaced by this
+    step's."""
     for body in world.bodies:
         body.pv, body.pw = np.zeros(3), np.zeros(3)
     cfg = world.config
-    joint_rows = [_RefJointRow(j, cfg.baumgarte, dt) for j in world.joints]
-    contact_rows = [_RefContactRow(c) for c in contacts]
+    warm = cache or {"contacts": {}, "joints": {}}
+    joint_rows = [_RefJointRow(j, cfg.baumgarte, dt, warm["joints"].get(i))
+                  for i, j in enumerate(world.joints)]
+    contact_rows = [_RefContactRow(c, warm["contacts"].get(c.key))
+                    for c in contacts]
     for _ in range(cfg.solver_iterations):
         for row in joint_rows:
             row.solve()
         for row in contact_rows:
             row.solve_velocity()
+    if cache is not None:
+        cache["joints"] = {i: row.impulse()
+                           for i, row in enumerate(joint_rows)}
+        cache["contacts"] = {c.key: (row.jn, *row.jt)
+                             for c, row in zip(contacts, contact_rows)
+                             if c.key is not None}
     for _ in range(cfg.position_iterations):
         for row in contact_rows:
             row.solve_position(cfg.baumgarte, cfg.slop, dt)
@@ -236,7 +273,8 @@ def _random_contact(rng, a, b):
 
 
 def _random_world(seed):
-    """Static, dynamic-dynamic and kinematic contacts plus a revolute joint."""
+    """Static, dynamic-dynamic and kinematic contacts plus a revolute joint;
+    the contacts have no key, so every solve of them starts cold."""
     rng = np.random.default_rng(seed)
     world = World(SimConfig())
     bodies = [_random_body(rng, f"b{i}", rng.uniform(-1.0, 1.0, size=3))
@@ -339,36 +377,43 @@ def _ground_world(seed):
         body.v[2] = -abs(body.v[2])
     contacts = [
         Contact(None, body, body.x + rng.normal(scale=0.2, size=3),
-                engine._UP, float(rng.uniform(0.0, 2e-3)), friction)
-        for body in bodies for friction in (0.0, 0.5, 1.0)]
+                engine._UP, float(rng.uniform(0.0, 2e-3)), friction,
+                (body.id, 0, k))
+        for body in bodies for k, friction in enumerate((0.0, 0.5, 1.0))]
     # a fresh +z array, as the hit test's peg hook builds its floor normal
     contacts.append(Contact(None, bodies[0],
                             bodies[0].x + rng.normal(scale=0.2, size=3),
-                            np.array([0.0, 0.0, 1.0]), 1e-3, 0.5))
+                            np.array([0.0, 0.0, 1.0]), 1e-3, 0.5,
+                            (bodies[0].id, 0, 3)))
     return world, contacts
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_ground_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
+    """A cold solve, then a second one warm-started from its impulses."""
     world, contacts = _ground_world(seed)
     ref_world, ref_contacts = copy.deepcopy((world, contacts))
     dt = world.config.timestep
 
-    rows, state = _float_solve(world, contacts, dt)
-    assert all(isinstance(r, engine._GroundRow) for r in rows)
+    solves = [_float_solve(world, contacts, dt) for _ in range(2)]
     monkeypatch.setattr(engine, "_contact_row", engine._ContactRow)
-    ref_rows, ref_state = _float_solve(ref_world, ref_contacts, dt)
-    assert all(isinstance(r, engine._ContactRow) for r in ref_rows)
-
-    assert np.array_equal(state, ref_state)
-    impulses = [[r.jn, r.jt1, r.jt2, r.pn] for r in rows]
-    assert impulses == [[r.jn, r.jt1, r.jt2, r.pn] for r in ref_rows]
-    # every update ran: normal, both friction directions, split impulse
-    assert any(r.jn > 0.0 for r in rows)
-    assert any(r.pn > 0.0 for r in rows)
-    assert any(r.jt1 != 0.0 and r.jt2 != 0.0 for r in rows)
-    # the kinematic body's rows are skipped and leave it as it was
-    assert all(r.jn == 0.0 and r.pn == 0.0 for r in rows[9:12])
+    ref_solves = [_float_solve(ref_world, ref_contacts, dt)
+                  for _ in range(2)]
+    for (rows, state), (ref_rows, ref_state) in zip(solves, ref_solves):
+        assert all(isinstance(r, engine._GroundRow) for r in rows)
+        assert all(isinstance(r, engine._ContactRow) for r in ref_rows)
+        assert np.array_equal(state, ref_state)
+        impulses = [[r.jn, r.jt1, r.jt2, r.pn] for r in rows]
+        assert impulses == [[r.jn, r.jt1, r.jt2, r.pn] for r in ref_rows]
+    # the warm start changed the second solve
+    assert solves[1][1].tolist() != solves[0][1].tolist()
+    for rows, _ in solves:
+        # every update ran: normal, both friction directions, split impulse
+        assert any(r.jn > 0.0 for r in rows)
+        assert any(r.pn > 0.0 for r in rows)
+        assert any(r.jt1 != 0.0 and r.jt2 != 0.0 for r in rows)
+        # the kinematic body's rows are skipped and leave it as it was
+        assert all(r.jn == 0.0 and r.pn == 0.0 for r in rows[9:12])
 
 
 # -- the whole step ----------------------------------------------------------
@@ -406,17 +451,17 @@ def _ref_ground_contacts(world, contacts, centers):
         if body.inv_mass == 0.0 and not body.kinematic:
             continue
         r = body._rot
-        for part, c in zip(body.parts, body_centers):
+        for index, (part, c) in enumerate(zip(body.parts, body_centers)):
             solid = part.solid
             if part.half is not None:
                 half = np.asarray(part.half)
                 if c[2] - float(np.abs(r[2, :]) @ half) >= margin:
                     continue
-                for corner in c + (_REF_BOX_SIGNS * half) @ r.T:
+                for k, corner in enumerate(c + (_REF_BOX_SIGNS * half) @ r.T):
                     if corner[2] < margin:
                         contacts.append(engine.Contact(
                             None, body, corner, engine._UP,
-                            max(0.0, -corner[2]), mu))
+                            max(0.0, -corner[2]), mu, (body.id, index, k)))
                 continue
             axis = r[:, solid.axis]
             hl = solid.length / 2.0
@@ -428,19 +473,21 @@ def _ref_ground_contacts(world, contacts, centers):
                 u = u - (u @ axis) * axis
                 u /= np.linalg.norm(u)
                 vperp = _cross(axis, u)
-                points = [low + solid.radius * (np.cos(ang) * u
-                                                + np.sin(ang) * vperp)
-                          for ang in (2 * np.pi * k / 8 for k in range(8))]
+                points = [(k, low + solid.radius * (np.cos(ang) * u
+                                                    + np.sin(ang) * vperp))
+                          for k, ang in ((k, 2 * np.pi * k / 8)
+                                         for k in range(8))]
             else:
                 down = np.array([0.0, 0.0, -1.0])
                 u = down - (down @ axis) * axis
                 u /= np.linalg.norm(u)
-                points = [c + axis * (s * hl) + solid.radius * u
-                          for s in (-1, 1)]
-            for p in points:
+                points = [(k, c + axis * (s * hl) + solid.radius * u)
+                          for k, s in ((8, -1), (9, 1))]
+            for k, p in points:
                 if p[2] < margin:
                     contacts.append(engine.Contact(
-                        None, body, p, engine._UP, max(0.0, -p[2]), mu))
+                        None, body, p, engine._UP, max(0.0, -p[2]), mu,
+                        (body.id, index, k)))
 
 
 def _ref_body_body_contacts(world, contacts, centers):
@@ -453,8 +500,8 @@ def _ref_body_body_contacts(world, contacts, centers):
                 continue
             if world._jointed(a, b):
                 continue
-            for pa, ca in zip(a.parts, centers[i]):
-                for pb, cb in zip(b.parts, centers[j]):
+            for ia, (pa, ca) in enumerate(zip(a.parts, centers[i])):
+                for ib, (pb, cb) in enumerate(zip(b.parts, centers[j])):
                     d = cb - ca
                     if d @ d > (pa.radius + pb.radius) ** 2 + 1e-6:
                         continue
@@ -463,10 +510,13 @@ def _ref_body_body_contacts(world, contacts, centers):
                     if hit is None:
                         continue
                     depth, witness = hit
-                    normal = world._separation_axis(ca, pa.solid,
-                                                    cb, pb.solid)
+                    axis, sign = world._separation_axis(ca, pa.solid,
+                                                        cb, pb.solid)
+                    normal = np.zeros(3)
+                    normal[axis] = sign
                     contacts.append(engine.Contact(
-                        a, b, np.asarray(witness), normal, depth, mu))
+                        a, b, np.asarray(witness), normal, depth, mu,
+                        (a.id, b.id, ia, ib, axis, sign)))
 
 
 def _ref_part_min_z(body, part):
@@ -490,8 +540,10 @@ def _reference_gather(world):
     return contacts
 
 
-def _reference_step(world, dt):
-    """One ``World.step`` on 3-vector numpy arrays; returns the contacts."""
+def _reference_step(world, dt, cache):
+    """One ``World.step`` on 3-vector numpy arrays, warm-started from and
+    updating ``cache`` as ``_reference_solve`` does; returns the
+    contacts."""
     world._pair_skip = None
     for body in world.bodies:
         body._dynamic = not body.kinematic and body.inv_mass != 0.0
@@ -509,7 +561,7 @@ def _reference_step(world, dt):
         body.force[:] = 0.0
         body.torque[:] = 0.0
     contacts = _reference_gather(world)
-    _reference_solve(world, contacts, dt)
+    _reference_solve(world, contacts, dt, cache)
     for body in world.bodies:
         if not body._dynamic and not body.kinematic:
             continue
@@ -573,19 +625,11 @@ def _step_world(seed):
     return world
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_float_step_matches_numpy_step(seed):
-    world = _step_world(seed)
-    ref_world = copy.deepcopy(world)
-    dt = world.config.timestep
-
-    contacts = world.step(dt)
-    ref_contacts = _reference_step(ref_world, dt)
-
+def _assert_steps_agree(world, ref_world, contacts, ref_contacts):
     assert len(contacts) == len(ref_contacts)
     for c, ref in zip(contacts, ref_contacts):
-        assert (c.body_a and c.body_a.id, c.body_b.id) == \
-            (ref.body_a and ref.body_a.id, ref.body_b.id)
+        assert (c.body_a and c.body_a.id, c.body_b.id, c.key) == \
+            (ref.body_a and ref.body_a.id, ref.body_b.id, ref.key)
         assert np.array_equal(c.normal, ref.normal)
         assert c.friction == ref.friction
     _assert_close([c.point for c in contacts],
@@ -599,6 +643,18 @@ def test_float_step_matches_numpy_step(seed):
                   [_ref_part_min_z(b, p)
                    for b in ref_world.bodies for p in b.parts])
     assert world.time == ref_world.time
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float_step_matches_numpy_step(seed):
+    world = _step_world(seed)
+    ref_world = copy.deepcopy(world)
+    dt = world.config.timestep
+    cache = {"contacts": {}, "joints": {}}
+
+    contacts = world.step(dt)
+    ref_contacts = _reference_step(ref_world, dt, cache)
+    _assert_steps_agree(world, ref_world, contacts, ref_contacts)
     # the step exercised every path: corners, both cylinder branches, a
     # body-body contact, forces, the kinematic drive and no gravity
     kinds = {(c.body_a is not None, c.body_b.id) for c in contacts}
@@ -609,3 +665,73 @@ def test_float_step_matches_numpy_step(seed):
     assert kin.x[0] != _step_world(seed).bodies[4].x[0]
     for body in world.bodies:
         assert not body.force.any() and not body.torque.any()
+
+    # the second step starts from the first one's impulses
+    warm = world._contact_impulses
+    assert list(warm) == list(cache["contacts"])
+    _assert_close(list(warm.values()), list(cache["contacts"].values()))
+    _assert_close(world._joint_impulses[0], cache["joints"][0])
+    contacts = world.step(dt)
+    ref_contacts = _reference_step(ref_world, dt, cache)
+    _assert_steps_agree(world, ref_world, contacts, ref_contacts)
+    _assert_close(list(world._contact_impulses.values()),
+                  list(cache["contacts"].values()))
+    _assert_close(world._joint_impulses[0], cache["joints"][0])
+    # ground features carried a normal impulse over, and the body-body
+    # feature kept its key
+    assert any(c.body_a is None and warm.get(c.key, (0.0,))[0] > 0.0
+               for c in contacts)
+    assert any(c.body_a is not None and c.key in warm for c in contacts)
+
+
+# -- the warm start ----------------------------------------------------------
+
+def _resting_box(body_id, x):
+    body = RigidBody.from_parts(
+        body_id, [("p", Solid.box((0.2, 0.3, 0.2)),
+                   np.array([x, 0.0, 0.0995]))], 10.0)
+    body.refresh_pose_cache()
+    return body
+
+
+def test_a_feature_absent_in_the_last_step_starts_at_zero():
+    world = World(SimConfig())
+    world.bodies.append(_resting_box("old", 0.0))
+    world.step()
+    cached = dict(world._contact_impulses)
+    assert len(cached) == 4 and all(jn > 0.0 for jn, _, _ in
+                                    cached.values())
+
+    # a box set down beside it: its four corners are new features
+    world.bodies.append(_resting_box("new", 2.0))
+    contacts = world.gather_contacts()
+    assert [c.key in cached for c in contacts] == [True] * 4 + [False] * 4
+    world.config = SimConfig(solver_iterations=0, position_iterations=0)
+    rows, state = _float_solve(world, contacts, world.config.timestep)
+    # with no sweeps, a row holds what it started from
+    assert [(r.jn, r.jt1, r.jt2) for r in rows[:4]] == \
+        [cached[c.key] for c in contacts[:4]]
+    assert [(r.jn, r.jt1, r.jt2) for r in rows[4:]] == [(0.0, 0.0, 0.0)] * 4
+    old, new = world.bodies
+    assert state[0, :6].tolist() != old.v.tolist() + old.w.tolist()
+    assert state[1, :6].tolist() == new.v.tolist() + new.w.tolist()
+    # the cache now holds this solve's features only
+    assert list(world._contact_impulses) == [c.key for c in contacts]
+
+
+def test_deep_copies_step_byte_identical():
+    """Keys hold body ids and indices, never object identities, so a deep
+    copy of a warm world steps exactly like the original."""
+    world = _step_world(3)
+    world.step()
+    twin = copy.deepcopy(world)
+    assert twin._contact_impulses == world._contact_impulses
+    for _ in range(200):
+        world.step()
+        twin.step()
+    for name in ("x", "q", "v", "w"):
+        assert [getattr(b, name).tobytes() for b in world.bodies] == \
+            [getattr(b, name).tobytes() for b in twin.bodies]
+    assert twin._contact_impulses == world._contact_impulses
+    assert twin._joint_impulses == world._joint_impulses
+    assert world._contact_impulses and world._joint_impulses
