@@ -509,24 +509,25 @@ class _GroundRow:
             return
         m = self.m = b.inv_mass
         (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = b.iinv
-        a0, a1, a2 = i00 * ry - i01 * rx, i10 * ry - i11 * rx, \
+        n0, n1, n2 = i00 * ry - i01 * rx, i10 * ry - i11 * rx, \
             i20 * ry - i21 * rx
-        self.n = (m + (ry * a0 - rx * a1), a0, a1, a2)
-        a0, a1, a2 = i01 * rz - i02 * ry, i11 * rz - i12 * ry, \
+        self.n = (m + (ry * n0 - rx * n1), n0, n1, n2)
+        x0, x1, x2 = i01 * rz - i02 * ry, i11 * rz - i12 * ry, \
             i21 * rz - i22 * ry
-        self.t1 = (m + (rz * a1 - ry * a2), a0, a1, a2)
-        a0, a1, a2 = i02 * rx - i00 * rz, i12 * rx - i10 * rz, \
+        self.t1 = (m + (rz * x1 - ry * x2), x0, x1, x2)
+        y0, y1, y2 = i02 * rx - i00 * rz, i12 * rx - i10 * rz, \
             i22 * rx - i20 * rz
-        self.t2 = (m + (rx * a2 - rz * a0), a0, a1, a2)
+        self.t2 = (m + (rx * y2 - rz * y0), y0, y1, y2)
         if impulse is not None:
+            # n, then t1, then t2 onto each component, as _push_row adds
+            jn, jt1, jt2 = self.jn, self.jt1, self.jt2 = impulse
             v = self.v
-            self.jn, self.jt1, self.jt2 = impulse
-            for i, j, (_, a0, a1, a2) in zip((2, 0, 1), impulse,
-                                             (self.n, self.t1, self.t2)):
-                v[i] += j * m
-                v[3] += j * a0
-                v[4] += j * a1
-                v[5] += j * a2
+            v[0] += jt1 * m
+            v[1] += jt2 * m
+            v[2] += jn * m
+            v[3] = v[3] + jn * n0 + jt1 * x0 + jt2 * y0
+            v[4] = v[4] + jn * n1 + jt1 * x1 + jt2 * y1
+            v[5] = v[5] + jn * n2 + jt1 * x2 + jt2 * y2
 
     # With a zero target, acc - u / k is _solve_row's acc + (0 - u) / k.
     def solve_velocity(self):
@@ -930,12 +931,12 @@ class World:
         step ends with replace that cache.
         """
         cfg = self.config
-        cached = self._joint_impulses
-        joint_rows = [_JointRow(j, bodies, cfg.baumgarte, dt, cached.get(i))
+        joint_warm = self._joint_impulses.get
+        joint_rows = [_JointRow(j, bodies, cfg.baumgarte, dt, joint_warm(i))
                       for i, j in enumerate(self.joints)]
-        cached = self._contact_impulses
         # no key None is ever cached, so those contacts start cold
-        contact_rows = [_contact_row(c, bodies, cached.get(c.key))
+        contact_warm = self._contact_impulses.get
+        contact_rows = [_contact_row(c, bodies, contact_warm(c.key))
                         for c in contacts]
         for _ in range(cfg.solver_iterations):
             for row in joint_rows:

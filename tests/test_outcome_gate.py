@@ -18,12 +18,11 @@ Re-record (only in a change whose intended semantic change is named) with
 """
 
 import json
-from pathlib import Path
 
 from craftkit.physics import SimConfig
 from craftkit.physics.functional import HIT_HOLE_DEPTH, INSUFFICIENT_ROTATION
 
-from conftest import FIXTURES, all_fixture_names
+from conftest import FIXTURES, PLANS, all_fixture_names
 
 OUTCOMES = FIXTURES / "outcomes.json"
 CASES = [n for n in all_fixture_names() if "_valid_" in n] + [
@@ -115,8 +114,7 @@ def _record():
     config = SimConfig()
     out = {}
     for name in CASES:
-        plan, _ = craftkit.load_plan(
-            Path(FIXTURES) / "plans" / f"{name}.json", catalog)
+        plan, _ = craftkit.load_plan(PLANS / f"{name}.json", catalog)
         asm = craftkit.build_assembly(plan, catalog)
         kind = category_function(name.split("_", 1)[0])
         out[name] = signature(run_functional_test(kind, asm, plan, config),
