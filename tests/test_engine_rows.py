@@ -35,7 +35,8 @@ from craftkit.physics import (
 )
 
 # relative to the largest magnitude of the compared set; set beforehand
-# from float64 rounding (~1e-16) grown over 10 + 4 sweeps of a few rows
+# from float64 rounding (~1e-16) grown over the velocity and position
+# sweeps of a few rows in up to two steps
 RTOL = 1e-12
 
 
