@@ -43,9 +43,11 @@ for a contact from an extra contact hook.  The World keeps the (jn, jt1,
 jt2) each key ended the last step with, and per joint index the anchor
 impulse and the angular impulse as a world vector.  Row setup starts each
 accumulator there and applies that impulse to the solver bodies before the
-first sweep; a key missing from the cache starts at zero.  Impulses carry
-over unscaled, which assumes a fixed timestep.  Split (position) impulses
-start at zero in every step.
+first sweep; a key missing from the cache starts at zero.  Every sweep
+clamps a contact's friction to friction * jn, also when jn is 0, so no
+cached friction impulse outlives the normal impulse that bounds it.
+Impulses carry over unscaled, which assumes a fixed timestep.  Split
+(position) impulses start at zero in every step.
 """
 
 from __future__ import annotations
@@ -376,7 +378,7 @@ def _solve_row(row, va, vb, acc, target, lo, hi):
     6-velocities ``va`` (None for the static environment) and ``vb`` in
     place, and returns the new accumulated impulse.
     """
-    ja, jb, _, _, k = row
+    ja, jb, resp_a, resp_b, k = row
     s = target - (jb[0] * vb[0] + jb[1] * vb[1] + jb[2] * vb[2]
                   + jb[3] * vb[3] + jb[4] * vb[4] + jb[5] * vb[5])
     if ja is not None:
@@ -389,13 +391,26 @@ def _solve_row(row, va, vb, acc, target, lo, hi):
         new = hi
     dj = new - acc
     if dj != 0.0:
-        _push_row(row, va, vb, dj)
+        if resp_b is not None:
+            vb[0] += dj * resp_b[0]
+            vb[1] += dj * resp_b[1]
+            vb[2] += dj * resp_b[2]
+            vb[3] += dj * resp_b[3]
+            vb[4] += dj * resp_b[4]
+            vb[5] += dj * resp_b[5]
+        if resp_a is not None:
+            va[0] -= dj * resp_a[0]
+            va[1] -= dj * resp_a[1]
+            va[2] -= dj * resp_a[2]
+            va[3] -= dj * resp_a[3]
+            va[4] -= dj * resp_a[4]
+            va[5] -= dj * resp_a[5]
     return new
 
 
 def _push_row(row, va, vb, dj):
     """Apply impulse dj along one row direction to va (None: static) and
-    vb in place."""
+    vb in place, as _solve_row does; for the warm start at row setup."""
     _, _, resp_a, resp_b, _ = row
     if resp_b is not None:
         vb[0] += dj * resp_b[0]
@@ -453,8 +468,11 @@ class _ContactRow:
             return
         va, vb = self.va, self.vb
         jn = self.jn = _solve_row(self.n, va, vb, self.jn, 0.0, 0.0, _INF)
-        if self.friction <= 0.0 or jn <= 0.0:
+        if self.friction <= 0.0:
             return
+        # with jn = 0 the friction is clamped to 0, so no friction impulse
+        # outlives the normal impulse that bounds it, in this step or the
+        # next one's warm start
         max_f = self.friction * jn
         if self.t1[4] > 0.0:
             self.jt1 = _solve_row(self.t1, va, vb, self.jt1, 0.0, -max_f,
@@ -547,8 +565,9 @@ class _GroundRow:
             v[4] += dj * a1
             v[5] += dj * a2
         self.jn = new
-        if self.friction <= 0.0 or new <= 0.0:
+        if self.friction <= 0.0:
             return
+        # as in _ContactRow, jn = 0 clamps the friction to 0
         hi = self.friction * new
         lo = -hi
 
@@ -734,7 +753,16 @@ class _JointRow:
         e2 = -((u2x * wx + u2y * wy + u2z * wz) + self.ang_bias[1])
         (q11, q12), (q21, q22) = self.kang_inv
         l1, l2 = q11 * e1 + q12 * e2, q21 * e1 + q22 * e2
-        _push_spin(va, vb, self.spin_a, self.spin_b, l1, l2)
+        if self.spin_a is not None:
+            (x1, y1, z1), (x2, y2, z2) = self.spin_a
+            va[3] -= x1 * l1 + x2 * l2
+            va[4] -= y1 * l1 + y2 * l2
+            va[5] -= z1 * l1 + z2 * l2
+        if self.spin_b is not None:
+            (x1, y1, z1), (x2, y2, z2) = self.spin_b
+            vb[3] += x1 * l1 + x2 * l2
+            vb[4] += y1 * l1 + y2 * l2
+            vb[5] += z1 * l1 + z2 * l2
         self.l1 += l1
         self.l2 += l2
 
@@ -749,7 +777,8 @@ class _JointRow:
 
 def _push_spin(va, vb, spin_a, spin_b, l1, l2):
     """Apply angular impulse l1 u1 + l2 u2 to b and its opposite to a,
-    through I^-1 u per body (None: a body impulses do not move)."""
+    through I^-1 u per body (None: a body impulses do not move), as
+    _JointRow.solve does; for the warm start at row setup."""
     if spin_a is not None:
         (x1, y1, z1), (x2, y2, z2) = spin_a
         va[3] -= x1 * l1 + x2 * l2

@@ -188,7 +188,7 @@ class _RefContactRow:
         self.jn = new_jn
         if dj != 0.0:
             self._apply(dj * self.n, "v", "w")
-        if c.friction <= 0.0 or self.jn <= 0.0:
+        if c.friction <= 0.0:
             return
         max_f = c.friction * self.jn
         for idx, (t, kt) in enumerate(((self.t1, self.kt1),
@@ -718,6 +718,34 @@ def test_a_feature_absent_in_the_last_step_starts_at_zero():
     assert state[1, :6].tolist() == new.v.tolist() + new.w.tolist()
     # the cache now holds this solve's features only
     assert list(world._contact_impulses) == [c.key for c in contacts]
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_friction_without_normal_impulse_carries_nothing_over(generic,
+                                                              monkeypatch):
+    """Corners cached with friction but no normal impulse, on a box lifting
+    off the ground: every friction impulse ends the step at 0, none is
+    cached, and the velocity is the one a cold solve leaves, to rounding."""
+    if generic:
+        monkeypatch.setattr(engine, "_contact_row", engine._ContactRow)
+    world = World(SimConfig())
+    box = _resting_box("box", 0.0)
+    box.v = np.array([0.1, -0.05, 1.0])
+    box.w = np.array([0.2, 0.1, -0.3])
+    world.bodies.append(box)
+    cold = copy.deepcopy(world)
+    dt = world.config.timestep
+    contacts = world.gather_contacts()
+    assert len(contacts) == 4
+    world._contact_impulses = {c.key: (0.0, 0.02, -0.03) for c in contacts}
+
+    rows, state = _float_solve(world, contacts, dt)
+    cold_rows, cold_state = _float_solve(cold, cold.gather_contacts(), dt)
+    assert all(isinstance(r, engine._ContactRow) == generic for r in rows)
+    assert [(r.jn, r.jt1, r.jt2) for r in rows] == [(0.0, 0.0, 0.0)] * 4
+    assert list(world._contact_impulses.values()) == [(0.0, 0.0, 0.0)] * 4
+    assert [(r.jn, r.jt1, r.jt2) for r in cold_rows] == [(0.0, 0.0, 0.0)] * 4
+    _assert_close(state, cold_state)
 
 
 def test_deep_copies_step_byte_identical():
