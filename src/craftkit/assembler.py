@@ -3,6 +3,8 @@
 Placement is deterministic: the first listed part seeds the scene at the
 origin (resting on z=0) and every other part is positioned by its first
 connection; all further connections are only checked for consistency.
+Part positions are world coordinates; carved holes are stored relative to
+their part's centre.
 """
 
 from __future__ import annotations
@@ -117,35 +119,25 @@ def _make_solid(spec: PartSpec, obj: ObjectType):
     return solid, Pose(position=(0.0, 0.0, 0.0), axis_map=axis_map)
 
 
-def hole_axis_and_span(mod: ModificationSpec, owner_center, owner_extents):
-    """World axis, center coordinate and depth of a modification's region."""
+def hole_offset(mod: ModificationSpec, owner_extents):
+    """Axis, centre offset from the owner's centre, depth, through flag and
+    open side of a modification's region."""
     ax = AXIS_INDEX[mod.through_axis]
-    token = mod.align[ax]
-    e = owner_extents[ax]
-    c = owner_center[ax]
-    if token.endswith("_FULL"):
-        return ax, c, e, True, 0
-    start_face = token.split("_")[0]
-    _, sign = FACE_AXIS[start_face]
-    # blind hole: opens on the start face, reaches half the extent
-    return ax, c + sign * e / 4.0, e / 2.0, False, sign
-
-
-def hole_center(mod: ModificationSpec, owner_center, owner_extents):
-    ax, c_ax, depth, through, open_sign = hole_axis_and_span(
-        mod, owner_center, owner_extents)
-    center = [float(v) for v in owner_center]
-    center[ax] = float(c_ax)
+    offset = [0.0, 0.0, 0.0]
     for t in range(3):
-        if t == ax:
-            continue
         token = mod.align[t]
-        if token == "CENTER":
+        if t == ax or token == "CENTER":
             continue
         _, sign = FACE_AXIS[token]
         # named side puts the hole at the quarter point toward that face
-        center[t] = float(owner_center[t] + sign * owner_extents[t] / 4.0)
-    return ax, tuple(center), depth, through, open_sign
+        offset[t] = sign * owner_extents[t] / 4.0
+    token = mod.align[ax]
+    if token.endswith("_FULL"):
+        return ax, tuple(offset), owner_extents[ax], True, 0
+    _, sign = FACE_AXIS[token.split("_")[0]]
+    # blind hole: opens on the start face, reaches half the extent
+    offset[ax] = sign * owner_extents[ax] / 4.0
+    return ax, tuple(offset), owner_extents[ax] / 2.0, False, sign
 
 
 def _surface_position(cur_ext, to_center, to_ext, conn):
@@ -190,8 +182,8 @@ def _check_inserted_contact(part: PlacedPart, target: PlacedPart, conn):
         None)
     if mod is None:
         return f"{conn.to_modification!r} missing on {conn.to_part!r}"
-    ax, center, depth, _, _ = hole_center(
-        mod, target.center, target.solid.extents)
+    ax, offset, depth, _, _ = hole_offset(mod, target.solid.extents)
+    center = target.center + offset
     for t in range(3):
         if t == ax:
             continue
@@ -243,9 +235,8 @@ def place_parts(plan: CraftPlan, catalog: Catalog) -> Assembly:
                 mod = next(
                     (m for m in target.spec.modifications
                      if m.name == first.to_modification), None)
-                ax, center, depth, _, _ = hole_center(
-                    mod, target.center, target.solid.extents)
-                pos = list(center)
+                _, offset, _, _, _ = hole_offset(mod, target.solid.extents)
+                pos = target.center + offset
             place(spec, pos)
             changed = True
 
@@ -308,12 +299,12 @@ def carve_modifications(assembly: Assembly, plan: CraftPlan,
     for spec in plan.parts:
         part = assembly.placed[spec.name]
         for mod in spec.modifications:
-            ax, center, depth, through, open_sign = hole_center(
-                mod, part.center, part.solid.extents)
+            ax, offset, depth, through, open_sign = hole_offset(
+                mod, part.solid.extents)
             radius, half_widths = _cross_section(assembly, part, mod, ax,
                                                  clearance)
             hole = HoleRegion(
-                owner=spec.name, name=mod.name, axis=ax, center=center,
+                owner=spec.name, name=mod.name, axis=ax, offset=offset,
                 depth=depth, through=through, radius=radius,
                 half_widths=half_widths, open_sign=open_sign)
             _check_hole_inside(part, hole)
@@ -323,25 +314,23 @@ def carve_modifications(assembly: Assembly, plan: CraftPlan,
 
 def _check_hole_inside(part: PlacedPart, hole: HoleRegion):
     eps = 1e-9
-    c = part.center
+    o = hole.offset
     if part.solid.kind == CYL and part.solid.axis == hole.axis:
         trans = [t for t in range(3) if t != hole.axis]
-        off = np.hypot(hole.center[trans[0]] - c[trans[0]],
-                       hole.center[trans[1]] - c[trans[1]])
+        off = np.hypot(o[trans[0]], o[trans[1]])
         reach = hole.radius if hole.radius is not None else \
             np.hypot(*hole.half_widths)
         if off + reach > part.solid.radius + eps:
             raise HoleExceedsOwner(part.spec.name, hole.name)
         return
-    lo, hi = part.aabb()
+    half_ext = np.asarray(part.solid.extents) / 2.0
     for t in range(3):
         if t == hole.axis:
             continue
         half = hole.radius if hole.radius is not None else \
             hole.half_widths[0 if t == min(x for x in range(3) if x != hole.axis)
                              else 1]
-        if hole.center[t] - half < lo[t] - eps or \
-                hole.center[t] + half > hi[t] + eps:
+        if o[t] - half < -half_ext[t] - eps or o[t] + half > half_ext[t] + eps:
             raise HoleExceedsOwner(part.spec.name, hole.name)
 
 

@@ -198,6 +198,13 @@ def cmd_batch(args):
     return EXIT_OK
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="craftkit",
@@ -226,8 +233,9 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("metrics", help="visual similarity against a mesh")
-    p.add_argument("--plan", help="plan file; built then compared")
-    p.add_argument("--pred", help="prediction OBJ (alternative to --plan)")
+    pred = p.add_mutually_exclusive_group(required=True)
+    pred.add_argument("--plan", help="plan file; built then compared")
+    pred.add_argument("--pred", help="prediction OBJ (alternative to --plan)")
     p.add_argument("--ref", required=True, help="reference OBJ")
     p.add_argument("--catalog")
     p.add_argument("--samples", type=int, default=20000)
@@ -250,7 +258,8 @@ def build_parser():
     p.add_argument("manifest",
                    help="JSON list of {category, responses} jobs")
     p.add_argument("--policy", default=POLICY_FEEDBACK, choices=POLICIES)
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=_positive_int, default=4,
+                   help="worker threads, at least 1")
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--catalog")
     p.set_defaults(func=cmd_batch)

@@ -2,6 +2,13 @@
 
 All lengths are metres.  Solids stay axis-aligned through assembly build;
 only the physics engine rotates bodies.
+
+Frame convention: a solid knows nothing of where it is.  Its extents and
+its holes are given in its own frame, centred on the solid, and every
+query that places it (``base_contains``, ``material_contains``, ``aabb``)
+takes the owner's centre as an argument.  A part's world position lives in
+exactly one place: ``Pose.position`` in an assembly, the body's pose applied
+to ``BodyPart.local_center`` in the engine.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ CYL = "cyl"
 class HoleRegion:
     owner: str
     name: str
-    axis: int  # world axis index of the hole direction
-    center: tuple  # (x, y, z) m, world
+    axis: int  # axis index of the hole direction
+    offset: tuple  # (x, y, z) m, hole centre relative to the owner's centre
     depth: float  # m along axis
     through: bool
     radius: float | None = None  # cylindrical hole
@@ -38,13 +45,14 @@ class HoleRegion:
     open_sign: int = 0  # blind hole: sign of the face it opens on
 
     def span(self):
-        c = self.center[self.axis]
+        c = self.offset[self.axis]
         return (c - self.depth / 2.0, c + self.depth / 2.0)
 
     def contains(self, pts, margin=0.0):
-        """Vectorized point-in-hole test; margin > 0 shrinks the hole."""
+        """Vectorized point-in-hole test for points in the owner's frame;
+        margin > 0 shrinks the hole."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        c = np.asarray(self.center)
+        c = np.asarray(self.offset)
         ax = self.axis
         lo, hi = self.span()
         inside = (pts[:, ax] >= lo + margin) & (pts[:, ax] <= hi - margin)
@@ -61,7 +69,7 @@ class HoleRegion:
     def to_dict(self):
         d = {
             "owner": self.owner, "name": self.name,
-            "axis": AXIS_NAME[self.axis], "center": list(self.center),
+            "axis": AXIS_NAME[self.axis], "offset": list(self.offset),
             "depth": self.depth, "through": self.through,
         }
         if self.radius is not None:
@@ -112,8 +120,10 @@ class Solid:
     def material_contains(self, center, pts, margin=0.0):
         """Inside the base by `margin` and outside every hole by `margin`."""
         inside = self.base_contains(center, pts, margin)
-        for hole in self.holes:
-            inside &= ~hole.contains(pts, margin=-margin)
+        if self.holes:
+            local = np.atleast_2d(np.asarray(pts, dtype=float)) - center
+            for hole in self.holes:
+                inside &= ~hole.contains(local, margin=-margin)
         return inside
 
     def aabb(self, center):

@@ -5,13 +5,17 @@ Holes along a box axis or along a cylinder's own axis are meshed as real
 tunnels (annulus rings on the pierced faces plus an inner wall), so part
 meshes stay watertight.  A hole that would pierce the curved wall of a
 cylinder is omitted from the mesh; the solid geometry still models it.
+Each part is meshed about the origin, in its own frame, and moved to its
+centre once.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .geometry import BOX, CYL, HoleRegion, Solid
+from .geometry import BOX, HoleRegion, Solid
 
 SEGMENTS = 64
 
@@ -62,9 +66,11 @@ def _ray_to_rect(origin, direction, center, half):
         best = min(best, (edge - origin[k]) / direction[k])
     return best
 
-def _ray_to_circle(origin, direction, center, radius):
+
+def _ray_to_circle(origin, direction, radius):
+    """Distance from origin along direction to a circle about (0, 0)."""
     d = np.asarray(direction, dtype=float)
-    o = np.asarray(origin, dtype=float) - np.asarray(center, dtype=float)
+    o = np.asarray(origin, dtype=float)
     a = d @ d
     b = 2.0 * (o @ d)
     c = o @ o - radius * radius
@@ -80,22 +86,22 @@ def _hole_inner_radius_fn(hole: HoleRegion, hole_uv):
         hole_uv, (np.cos(ang), np.sin(ang)), hole_uv, half)
 
 
-def _face_with_hole(mb: MeshBuilder, axis, coord, outer_fn, hole: HoleRegion,
+def _face_with_hole(mb: MeshBuilder, axis, coord, outer, hole: HoleRegion,
                     flip):
     """Annulus between a convex outer boundary and the hole loop.
 
-    outer_fn(angle) gives the distance from the hole center to the outer
-    boundary; returns the ring of inner vertex indices (for the tunnel).
+    outer(origin, direction) gives the distance from the hole center to the
+    outer boundary.
     """
     t1, t2 = _transverse(axis)
-    hu, hv = hole.center[t1], hole.center[t2]
+    hu, hv = hole.offset[t1], hole.offset[t2]
     inner_fn = _hole_inner_radius_fn(hole, (hu, hv))
     outer_idx = []
     inner_idx = []
     for k in range(SEGMENTS):
         ang = 2.0 * np.pi * k / SEGMENTS
         c, s = np.cos(ang), np.sin(ang)
-        ro = outer_fn(ang)
+        ro = outer((hu, hv), (c, s))
         ri = inner_fn(ang)
         outer_idx.append(mb.add_vertex(
             _lift(axis, coord, hu + ro * c, hv + ro * s)))
@@ -109,7 +115,6 @@ def _face_with_hole(mb: MeshBuilder, axis, coord, outer_fn, hole: HoleRegion,
         else:
             mb.add_quad(outer_idx[k], outer_idx[nk], inner_idx[nk],
                         inner_idx[k])
-    return inner_idx
 
 
 def _tunnel(mb: MeshBuilder, ring_a, ring_b, flip=False):
@@ -124,7 +129,7 @@ def _tunnel(mb: MeshBuilder, ring_a, ring_b, flip=False):
 
 def _hole_ring(mb: MeshBuilder, axis, coord, hole: HoleRegion):
     t1, t2 = _transverse(axis)
-    hu, hv = hole.center[t1], hole.center[t2]
+    hu, hv = hole.offset[t1], hole.offset[t2]
     inner_fn = _hole_inner_radius_fn(hole, (hu, hv))
     ring = []
     for k in range(SEGMENTS):
@@ -146,11 +151,29 @@ def _disk(mb: MeshBuilder, ring, center_point, flip=False):
             mb.add_tri(c, ring[k], ring[nk])
 
 
-def _plain_rect(mb: MeshBuilder, axis, coord, center, half, flip):
+def _bore(mb: MeshBuilder, hole: HoleRegion, half_len):
+    """Inner wall of a hole through a part `2 * half_len` long on its axis,
+    plus the floor of a blind hole."""
+    ax = hole.axis
+    if hole.through:
+        ring_lo = _hole_ring(mb, ax, -half_len, hole)
+        ring_hi = _hole_ring(mb, ax, half_len, hole)
+        _tunnel(mb, ring_lo, ring_hi)
+        return
+    lo, hi = hole.span()
+    bottom = hi if hole.open_sign < 0 else lo
+    ring_open = _hole_ring(mb, ax, hole.open_sign * half_len, hole)
+    ring_bot = _hole_ring(mb, ax, bottom, hole)
+    _tunnel(mb, ring_open, ring_bot)
+    bc = list(hole.offset)
+    bc[ax] = bottom
+    _disk(mb, ring_bot, bc, flip=hole.open_sign > 0)
+
+
+def _plain_rect(mb: MeshBuilder, axis, coord, half, flip):
     t1, t2 = _transverse(axis)
-    cu, cv = center[t1], center[t2]
     hu, hv = half[t1], half[t2]
-    ids = [mb.add_vertex(_lift(axis, coord, cu + su * hu, cv + sv * hv))
+    ids = [mb.add_vertex(_lift(axis, coord, su * hu, sv * hv))
            for su, sv in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
     if flip:
         mb.add_quad(ids[3], ids[2], ids[1], ids[0])
@@ -158,117 +181,68 @@ def _plain_rect(mb: MeshBuilder, axis, coord, center, half, flip):
         mb.add_quad(ids[0], ids[1], ids[2], ids[3])
 
 
-def _box_axis_holes(solid: Solid):
-    """Map face (axis, sign) -> hole piercing it, for box-aligned holes."""
-    pierced = {}
-    tunnels = []
-    for hole in solid.holes:
-        tunnels.append(hole)
-        if hole.through:
-            pierced[(hole.axis, 1)] = hole
-            pierced[(hole.axis, -1)] = hole
-        else:
-            pierced[(hole.axis, hole.open_sign)] = hole
-    return pierced, tunnels
-
-
-def mesh_box(solid: Solid, center) -> MeshBuilder:
+def mesh_box(solid: Solid) -> MeshBuilder:
+    """The box about the origin, with every hole meshed as a tunnel."""
     mb = MeshBuilder()
-    c = np.asarray(center, dtype=float)
     half = np.asarray(solid.extents) / 2.0
-    pierced, holes = _box_axis_holes(solid)
+    pierced = {}
+    for hole in solid.holes:
+        for sign in ((1, -1) if hole.through else (hole.open_sign,)):
+            pierced[(hole.axis, sign)] = hole
     for axis in range(3):
         t1, t2 = _transverse(axis)
         for sign in (1, -1):
-            coord = c[axis] + sign * half[axis]
+            coord = sign * half[axis]
             flip = sign < 0
             hole = pierced.get((axis, sign))
             if hole is None:
-                _plain_rect(mb, axis, coord, c, half, flip)
+                _plain_rect(mb, axis, coord, half, flip)
                 continue
-            hu = (hole.center[t1], hole.center[t2])
-            outer_fn = (lambda cc=c, hh=(half[t1], half[t2]), oo=hu:
-                        (lambda ang: _ray_to_rect(
-                            oo, (np.cos(ang), np.sin(ang)),
-                            (cc[t1], cc[t2]), hh)))()
-            _face_with_hole(mb, axis, coord, outer_fn, hole, flip)
-    for hole in holes:
-        lo, hi = hole.span()
-        if hole.through:
-            ring_lo = _hole_ring(mb, hole.axis, c[hole.axis] - half[hole.axis],
-                                 hole)
-            ring_hi = _hole_ring(mb, hole.axis, c[hole.axis] + half[hole.axis],
-                                 hole)
-            _tunnel(mb, ring_lo, ring_hi)
-        else:
-            open_coord = c[hole.axis] + hole.open_sign * half[hole.axis]
-            bottom = hi if hole.open_sign < 0 else lo
-            ring_open = _hole_ring(mb, hole.axis, open_coord, hole)
-            ring_bot = _hole_ring(mb, hole.axis, bottom, hole)
-            _tunnel(mb, ring_open, ring_bot)
-            bc = list(hole.center)
-            bc[hole.axis] = bottom
-            _disk(mb, ring_bot, bc, flip=hole.open_sign > 0)
+            outer = partial(_ray_to_rect, center=(0.0, 0.0),
+                            half=(half[t1], half[t2]))
+            _face_with_hole(mb, axis, coord, outer, hole, flip)
+    for hole in solid.holes:
+        _bore(mb, hole, half[hole.axis])
     return mb
 
 
-def mesh_cylinder(solid: Solid, center) -> MeshBuilder:
+def mesh_cylinder(solid: Solid) -> MeshBuilder:
+    """The cylinder about the origin, with its first axial hole as a
+    tunnel."""
     mb = MeshBuilder()
-    c = np.asarray(center, dtype=float)
     axis = solid.axis
-    t1, t2 = _transverse(axis)
     hl = solid.length / 2.0
     axial_holes = [h for h in solid.holes if h.axis == axis]
     hole = axial_holes[0] if axial_holes else None
 
     rims = {}
     for sign in (1, -1):
-        coord = c[axis] + sign * hl
+        coord = sign * hl
         flip = sign < 0
         ring = [mb.add_vertex(_lift(
             axis, coord,
-            c[t1] + solid.radius * np.cos(2 * np.pi * k / SEGMENTS),
-            c[t2] + solid.radius * np.sin(2 * np.pi * k / SEGMENTS)))
+            solid.radius * np.cos(2 * np.pi * k / SEGMENTS),
+            solid.radius * np.sin(2 * np.pi * k / SEGMENTS)))
             for k in range(SEGMENTS)]
         rims[sign] = ring
         pierced = hole is not None and (
             hole.through or hole.open_sign == sign)
         if not pierced:
-            cp = list(c)
-            cp[axis] = coord
-            _disk(mb, ring, cp, flip=flip)
+            _disk(mb, ring, _lift(axis, coord, 0.0, 0.0), flip=flip)
         else:
-            hu = (hole.center[t1], hole.center[t2])
-            outer_fn = (lambda cc=(c[t1], c[t2]), rr=solid.radius, oo=hu:
-                        (lambda ang: _ray_to_circle(
-                            oo, (np.cos(ang), np.sin(ang)), cc, rr)))()
-            inner = _face_with_hole(mb, axis, coord, outer_fn, hole, flip)
-            rims[(sign, "inner")] = inner
+            outer = partial(_ray_to_circle, radius=solid.radius)
+            _face_with_hole(mb, axis, coord, outer, hole, flip)
     _tunnel(mb, rims[-1], rims[1], flip=True)
-
     if hole is not None:
-        lo, hi = hole.span()
-        if hole.through:
-            ring_lo = _hole_ring(mb, axis, c[axis] - hl, hole)
-            ring_hi = _hole_ring(mb, axis, c[axis] + hl, hole)
-            _tunnel(mb, ring_lo, ring_hi)
-        else:
-            open_coord = c[axis] + hole.open_sign * hl
-            bottom = hi if hole.open_sign < 0 else lo
-            ring_open = _hole_ring(mb, axis, open_coord, hole)
-            ring_bot = _hole_ring(mb, axis, bottom, hole)
-            _tunnel(mb, ring_open, ring_bot)
-            bc = list(hole.center)
-            bc[axis] = bottom
-            _disk(mb, ring_bot, bc, flip=hole.open_sign > 0)
+        _bore(mb, hole, hl)
     return mb
 
 
 def mesh_part(solid: Solid, center):
-    """(vertices, faces) for one placed part."""
-    if solid.kind == BOX:
-        return mesh_box(solid, center).arrays()
-    return mesh_cylinder(solid, center).arrays()
+    """(vertices, faces) for one part placed at `center`."""
+    mb = mesh_box(solid) if solid.kind == BOX else mesh_cylinder(solid)
+    vertices, faces = mb.arrays()
+    return vertices + np.asarray(center, dtype=float), faces
 
 
 def mesh_assembly(assembly):

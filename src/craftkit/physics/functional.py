@@ -11,13 +11,13 @@ simulation driver, ``run_functional_test``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..assembler import Assembly, connected_groups, hole_center
+from ..assembler import Assembly, connected_groups
 from ..errors import NumericalDivergence
-from ..geometry import BOX, HoleRegion, Solid
+from ..geometry import BOX, Solid
 from ..plan import CraftPlan
 from .engine import Contact, RevoluteJoint, RigidBody, World, pose_point
 
@@ -129,23 +129,16 @@ class CompiledCraft:
     degrees: dict
 
 
-def _transform_solid(solid: Solid, s: float, shift):
-    shift = np.asarray(shift, dtype=float)
-    holes = []
-    for h in solid.holes:
-        holes.append(HoleRegion(
-            owner=h.owner, name=h.name, axis=h.axis,
-            center=tuple(np.asarray(h.center) * s + shift),
-            depth=h.depth * s, through=h.through,
-            radius=None if h.radius is None else h.radius * s,
-            half_widths=None if h.half_widths is None
-            else tuple(w * s for w in h.half_widths),
-            open_sign=h.open_sign))
+def _transform_solid(solid: Solid, s: float):
     if solid.kind == BOX:
         out = Solid.box(tuple(e * s for e in solid.extents))
     else:
         out = Solid.cylinder(solid.radius * s, solid.length * s, solid.axis)
-    out.holes = holes
+    out.holes = [replace(
+        h, offset=tuple(o * s for o in h.offset), depth=h.depth * s,
+        radius=None if h.radius is None else h.radius * s,
+        half_widths=None if h.half_widths is None
+        else tuple(w * s for w in h.half_widths)) for h in solid.holes]
     return out
 
 
@@ -186,7 +179,7 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
         for name in members:
             p = assembly.placed[name]
             center = np.asarray(p.center) * s + shift
-            named.append((name, _transform_solid(p.solid, s, shift), center))
+            named.append((name, _transform_solid(p.solid, s), center))
         body = RigidBody.from_parts(f"body{idx}", named, config.part_mass)
         world.bodies.append(body)
         for part in body.parts:
@@ -208,14 +201,12 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
             anchor, normal = _surface_anchor(pa, pb, conn)
             anchor = anchor * s + shift
         else:
-            mod = next(m for m in pb.spec.modifications
-                       if m.name == conn.to_modification)
-            ax, center, _, _, _ = hole_center(
-                mod, pb.center, pb.solid.extents)
-            anchor = np.asarray(center) * s + shift
+            hole = next(h for h in pb.solid.holes
+                        if h.name == conn.to_modification)
+            anchor = (pb.center + hole.offset) * s + shift
             normal = None
             axis = np.zeros(3)
-            axis[ax] = 1.0
+            axis[hole.axis] = 1.0
             joint = RevoluteJoint(
                 body_a=body_a, body_b=body_b,
                 anchor_local_a=anchor - body_a.x,

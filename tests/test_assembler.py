@@ -218,7 +218,7 @@ def test_half_hole_geometry(catalog):
     # blind hole from the top face down to half depth
     assert not hole.through
     assert hole.depth == pytest.approx(0.050, abs=1e-12)
-    assert hole.center[2] == pytest.approx(0.050 + 0.025, abs=1e-12)
+    assert hole.offset[2] == pytest.approx(0.025, abs=1e-12)
     assert hole.open_sign == 1
     # default radius when nothing is inserted
     assert hole.radius == pytest.approx(0.005, abs=1e-12)
@@ -237,7 +237,7 @@ def test_transverse_quarter_point(catalog):
     assert plan is not None, report.errors
     asm = build_assembly(plan, catalog)
     hole = asm.part("BLOCK_1").solid.holes[0]
-    assert hole.center[0] == pytest.approx(0.025, abs=1e-12)
+    assert hole.offset[0] == pytest.approx(0.025, abs=1e-12)
 
 
 def test_connectivity_of_goldens(build_fixture):

@@ -92,6 +92,17 @@ def test_metrics_self_comparison(capsys, plan_path, tmp_path):
     assert payload["fscore"] > 0.99
 
 
+def test_metrics_needs_exactly_one_prediction(tmp_path, plan_path):
+    import pytest
+
+    ref = str(tmp_path / "ref.obj")
+    for pred in ([], ["--plan", str(plan_path("hammer_valid_1")),
+                      "--pred", ref]):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--ref", ref, *pred])
+        assert exc.value.code == EXIT_USAGE
+
+
 def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
     # LOOSE_1 has no connection, so it cannot be placed
     plan = tmp_path / "unplaceable.json"
@@ -163,6 +174,17 @@ def test_batch_csv(capsys, tmp_path, fixture_raw):
     assert rows[1] == {"category": "hammer", "attempts": "2",
                        "status": "failed", "failure_stage": "FORMAT"}
     assert rows[2]["failure_stage"] == "COLLISION"
+
+
+def test_batch_rejects_fewer_than_one_job(tmp_path):
+    import pytest
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[]")
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(manifest), "--jobs", jobs])
+        assert exc.value.code == EXIT_USAGE
 
 
 def test_batch_survives_an_exhausted_client(capsys, tmp_path, fixture_raw):

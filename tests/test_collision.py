@@ -102,7 +102,7 @@ def test_symmetry():
 def test_hole_exempts_inserted_axle():
     wheel = Solid.cylinder(0.03, 0.02, axis=1)
     wheel.holes.append(HoleRegion(
-        owner="WHEEL_1", name="HOLE_1", axis=1, center=(0.0, 0.0, 0.0),
+        owner="WHEEL_1", name="HOLE_1", axis=1, offset=(0.0, 0.0, 0.0),
         depth=0.02, through=True, radius=0.006))
     axle = Solid.cylinder(0.005, 0.15, axis=1)
     # axle through the hole: base solids overlap, material does not
@@ -286,16 +286,11 @@ def test_overlapping_perpendicular_search_stops_at_its_fixed_point(
     assert iterations == int(iterations) and iterations < 200, calls[0]
 
 
-# ROADMAP item 5: HoleRegion.center is stored in world coordinates, so a
-# solid that moves leaves its hole behind.
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 5: hole centres are world coordinates and do not "
-           "move with their solid")
 def test_hole_exemption_follows_a_moved_solid():
+    # holes are stored relative to their owner, so they move with it
     block = Solid.box((0.2, 0.2, 0.2))
     block.holes.append(HoleRegion(
-        owner="BLOCK_1", name="HOLE_1", axis=2, center=(0.0, 0.0, 0.0),
+        owner="BLOCK_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
         depth=0.2, through=True, radius=0.03))
     peg = Solid.cylinder(0.02, 0.3, axis=2)
     assert pair_overlap((0, 0, 0), block, (0, 0, 0), peg) is None

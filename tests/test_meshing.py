@@ -72,7 +72,7 @@ def test_box_mesh_closed_and_sized():
 def test_box_with_through_hole_closed():
     solid = Solid.box((0.1, 0.1, 0.1))
     solid.holes.append(HoleRegion(
-        owner="A_1", name="HOLE_1", axis=2, center=(0.0, 0.0, 0.0),
+        owner="A_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
         depth=0.1, through=True, radius=0.02))
     v, f = mesh_part(solid, (0.0, 0.0, 0.0))
     assert_closed(v, f)
@@ -84,7 +84,7 @@ def test_box_with_through_hole_closed():
 def test_box_with_blind_hole_closed():
     solid = Solid.box((0.1, 0.1, 0.1))
     solid.holes.append(HoleRegion(
-        owner="A_1", name="HOLE_1", axis=2, center=(0.0, 0.0, 0.025),
+        owner="A_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.025),
         depth=0.05, through=False, radius=0.015, open_sign=1))
     v, f = mesh_part(solid, (0.0, 0.0, 0.0))
     assert_closed(v, f)
@@ -105,12 +105,34 @@ def test_cylinder_mesh_closed():
 def test_cylinder_with_axial_hole_closed():
     solid = Solid.cylinder(0.03, 0.02, axis=1)
     solid.holes.append(HoleRegion(
-        owner="W_1", name="HOLE_1", axis=1, center=(0.0, 0.0, 0.0),
+        owner="W_1", name="HOLE_1", axis=1, offset=(0.0, 0.0, 0.0),
         depth=0.02, through=True, radius=0.006))
     v, f = mesh_part(solid, (0.0, 0.0, 0.0))
     assert_closed(v, f)
     rho = np.hypot(v[:, 0], v[:, 2])
     assert rho.min() >= 0.006 - 1e-9
+
+
+def test_holed_parts_mesh_in_their_own_frame():
+    box = Solid.box((0.1, 0.1, 0.1))
+    box.holes.append(HoleRegion(
+        owner="A_1", name="HOLE_1", axis=2, offset=(0.02, 0.0, 0.0),
+        depth=0.1, through=True, radius=0.02))
+    wheel = Solid.cylinder(0.03, 0.02, axis=1)
+    wheel.holes.append(HoleRegion(
+        owner="W_1", name="HOLE_1", axis=1, offset=(0.0, 0.0, 0.0),
+        depth=0.02, through=True, radius=0.006))
+    at = np.array([1.0, 2.0, 3.0])
+    for solid, (u, w), bore_uv in ((box, (0, 1), (1.02, 2.0)),
+                                   (wheel, (0, 2), (1.0, 3.0))):
+        v0, f0 = mesh_part(solid, (0.0, 0.0, 0.0))
+        v, f = mesh_part(solid, at)
+        assert np.array_equal(f, f0)
+        assert np.allclose(v, v0 + at, rtol=0.0, atol=1e-12)
+        assert_closed(v, f)
+        # no vertex inside the moved bore
+        rho = np.hypot(v[:, u] - bore_uv[0], v[:, w] - bore_uv[1])
+        assert rho.min() >= solid.holes[0].radius - 1e-9
 
 
 def test_write_and_reload_roundtrip(tmp_path):
