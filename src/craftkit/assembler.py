@@ -25,7 +25,7 @@ from .geometry import AXIS_INDEX, CYL, FACE_AXIS, HoleRegion, Solid
 from .plan import AXES, CraftPlan, ModificationSpec, PartSpec
 
 CONTACT_TOL = 1e-6
-DEFAULT_HOLE_CLEARANCE = 0.001  # 1 mm in metres
+HOLE_CLEARANCE = 0.001  # 1 mm in metres
 DEFAULT_HOLE_RADIUS = 0.005  # holes nobody inserts into
 
 CYL_AXIS_TOKEN = {"FRONT_BACK": 0, "LEFT_RIGHT": 1, "TOP_BOTTOM": 2}
@@ -279,8 +279,7 @@ def _inserters(assembly: Assembly, owner: str, mod_name: str):
     return out
 
 
-def _cross_section(assembly, owner: PlacedPart, mod: ModificationSpec, ax,
-                   clearance):
+def _cross_section(assembly, owner: PlacedPart, mod: ModificationSpec, ax):
     ins = _inserters(assembly, owner.spec.name, mod.name)
     if not ins:
         return DEFAULT_HOLE_RADIUS, None
@@ -289,20 +288,18 @@ def _cross_section(assembly, owner: PlacedPart, mod: ModificationSpec, ax,
     max_half = max(
         max(p.solid.extents[t] / 2.0 for t in trans) for p in ins)
     if any_cyl:
-        return max_half + clearance, None
-    side = 2.0 * max_half + 2.0 * clearance
+        return max_half + HOLE_CLEARANCE, None
+    side = 2.0 * max_half + 2.0 * HOLE_CLEARANCE
     return None, (side / 2.0, side / 2.0)
 
 
-def carve_modifications(assembly: Assembly, plan: CraftPlan,
-                        clearance: float = DEFAULT_HOLE_CLEARANCE) -> Assembly:
+def carve_modifications(assembly: Assembly, plan: CraftPlan) -> Assembly:
     for spec in plan.parts:
         part = assembly.placed[spec.name]
         for mod in spec.modifications:
             ax, offset, depth, through, open_sign = hole_offset(
                 mod, part.solid.extents)
-            radius, half_widths = _cross_section(assembly, part, mod, ax,
-                                                 clearance)
+            radius, half_widths = _cross_section(assembly, part, mod, ax)
             hole = HoleRegion(
                 owner=spec.name, name=mod.name, axis=ax, offset=offset,
                 depth=depth, through=through, radius=radius,

@@ -3,6 +3,11 @@
 Every subcommand prints a JSON document on stdout and logs on stderr.
 Exit codes: 0 success, 1 validation or simulation failure, 2 usage or
 I/O errors.
+
+The plan commands (validate, build, simulate, metrics --plan) run the
+plan file through the pipeline's ``evaluate_plan_text``; a stage failure
+prints ``{"stage", "report"}`` under the pipeline's stage names, plus the
+assembly when one was built.
 """
 
 from __future__ import annotations
@@ -11,13 +16,12 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .assembler import build_assembly, connectivity_check
 from .catalog import default_catalog, load_catalog
-from .collision import validate_collisions
-from .errors import CraftError, JsonSyntaxError
+from .errors import CraftError
 from .metrics import (
     compare_assembly_to_mesh,
     compare_meshes,
@@ -26,13 +30,16 @@ from .meshing import export_assembly_obj
 from .orchestrator import (
     POLICIES,
     POLICY_FEEDBACK,
+    STAGE_FORMAT,
+    STAGE_NONE,
     HttpClient,
     ScriptedClient,
     classify_failure,
+    evaluate_plan_text,
     run_pipeline,
 )
-from .physics import SimConfig, run_functional_test
-from .plan import FormatReport, load_plan
+from .physics import SimConfig
+from .plan import FormatReport
 
 log = logging.getLogger("craftkit")
 
@@ -52,70 +59,48 @@ def _catalog(args):
     return default_catalog()
 
 
-def _load_valid_plan(path, catalog):
-    try:
-        plan, report = load_plan(path, catalog)
-    except JsonSyntaxError as exc:
-        report = FormatReport()
-        report.add(None, None, "JsonSyntaxError", str(exc))
-        return None, report
-    return plan, report
+def _evaluate(args, functional=None, sim_config=None):
+    """``evaluate_plan_text`` on the plan file ``args.plan``."""
+    with open(args.plan, "r", encoding="utf-8") as fh:
+        raw = fh.read()
+    return evaluate_plan_text(raw, _catalog(args), functional, sim_config)
+
+
+def _stage_payload(stage, report, assembly):
+    payload = {"stage": stage, "report": report}
+    if assembly is not None:
+        payload["assembly"] = assembly.to_jsonable()
+    return payload
 
 
 def cmd_validate(args):
-    catalog = _catalog(args)
-    plan, report = _load_valid_plan(args.plan, catalog)
-    _emit(report.to_dict())
-    return EXIT_OK if plan is not None else EXIT_INVALID
-
-
-def _build_plan(args):
-    """(plan, assembly) of ``args.plan``, or None after printing why not."""
-    catalog = _catalog(args)
-    plan, report = _load_valid_plan(args.plan, catalog)
-    if plan is None:
-        _emit({"stage": "FORMAT", "report": report.to_dict()})
-        return None
-    try:
-        return plan, build_assembly(plan, catalog)
-    except CraftError as exc:
-        _emit({"stage": "POSITION",
-               "report": {"error": type(exc).__name__, "message": str(exc)}})
-        return None
+    stage, report, *_ = _evaluate(args)
+    if stage == STAGE_FORMAT:
+        _emit(report)
+        return EXIT_INVALID
+    _emit(FormatReport().to_dict())
+    return EXIT_OK
 
 
 def cmd_build(args):
-    built = _build_plan(args)
-    if built is None:
-        return EXIT_INVALID
-    _, assembly = built
-    collisions = validate_collisions(assembly)
-    components = connectivity_check(assembly)
-    payload = {
-        "assembly": assembly.to_jsonable(),
-        "collisions": collisions.to_dict(),
-        "connected": components is None,
-    }
-    if components is not None:
-        payload["components"] = [sorted(c) for c in components]
-    if args.obj:
+    stage, report, _, assembly, _ = _evaluate(args)
+    payload = _stage_payload(stage, report, assembly)
+    if assembly is not None and args.obj:
         export_assembly_obj(assembly, args.obj)
         payload["obj"] = args.obj
         log.info("wrote %s", args.obj)
     _emit(payload)
-    ok = collisions.ok and components is None
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_OK if stage == STAGE_NONE else EXIT_INVALID
 
 
 def cmd_simulate(args):
-    built = _build_plan(args)
-    if built is None:
-        return EXIT_INVALID
-    plan, assembly = built
     config = SimConfig()
     if args.duration is not None:
         config.duration = args.duration
-    outcome = run_functional_test(args.test, assembly, plan, config)
+    stage, report, _, assembly, outcome = _evaluate(args, args.test, config)
+    if outcome is None:
+        _emit(_stage_payload(stage, report, assembly))
+        return EXIT_INVALID
     payload = outcome.to_dict()
     if not args.trace:
         payload.pop("trajectory", None)
@@ -129,10 +114,10 @@ def cmd_simulate(args):
 
 def cmd_metrics(args):
     if args.plan:
-        built = _build_plan(args)
-        if built is None:
+        stage, report, _, assembly, _ = _evaluate(args)
+        if stage != STAGE_NONE:
+            _emit(_stage_payload(stage, report, assembly))
             return EXIT_INVALID
-        _, assembly = built
         result = compare_assembly_to_mesh(
             assembly, args.ref, n_samples=args.samples, seed=args.seed,
             threshold=args.threshold)
@@ -205,6 +190,14 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="craftkit",
@@ -228,7 +221,8 @@ def build_parser():
     p.add_argument("--test", required=True,
                    choices=["rolling", "support", "hit"])
     p.add_argument("--catalog")
-    p.add_argument("--duration", type=float)
+    p.add_argument("--duration", type=_positive_float,
+                   help="simulated seconds, more than 0")
     p.add_argument("--trace", help="write the trajectory to this file")
     p.set_defaults(func=cmd_simulate)
 
@@ -238,7 +232,8 @@ def build_parser():
     pred.add_argument("--pred", help="prediction OBJ (alternative to --plan)")
     p.add_argument("--ref", required=True, help="reference OBJ")
     p.add_argument("--catalog")
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=_positive_int, default=20000,
+                   help="surface samples per shape, at least 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.1)
     p.set_defaults(func=cmd_metrics)

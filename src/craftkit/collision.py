@@ -205,16 +205,9 @@ def base_overlap(ca, a: Solid, cb, b: Solid):
     return _cyl_cyl_perpendicular(ca, a, cb, b)
 
 
-_GRID = None
-
-
-def _overlap_grid(n=16):
-    global _GRID
-    if _GRID is None or _GRID.shape[0] != n ** 3:
-        u = (np.arange(n) + 0.5) / n
-        _GRID = np.stack(np.meshgrid(u, u, u, indexing="ij"),
-                         axis=-1).reshape(-1, 3)
-    return _GRID
+# 16 x 16 x 16 probe points at the cell centres of the unit cube
+_GRID = np.stack(np.meshgrid(*[(np.arange(16) + 0.5) / 16] * 3,
+                             indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def _material_overlap_exists(ca, a: Solid, cb, b: Solid, tol):
@@ -226,7 +219,7 @@ def _material_overlap_exists(ca, a: Solid, cb, b: Solid, tol):
     hi = np.minimum(hi_a, hi_b)
     if np.any(hi - lo <= 0):
         return False
-    pts = _overlap_grid() * (hi - lo) + lo
+    pts = _GRID * (hi - lo) + lo
     inside = a.material_contains(ca, pts, margin=tol)
     inside &= b.material_contains(cb, pts, margin=tol)
     return bool(inside.any())
@@ -243,7 +236,7 @@ def pair_overlap(ca, a: Solid, cb, b: Solid, tol: float = TOUCH_TOL):
     return hit
 
 
-def validate_collisions(assembly, tol: float = TOUCH_TOL) -> CollisionReport:
+def validate_collisions(assembly) -> CollisionReport:
     report = CollisionReport()
     names = sorted(assembly.placed)
     for idx, na in enumerate(names):
@@ -251,7 +244,7 @@ def validate_collisions(assembly, tol: float = TOUCH_TOL) -> CollisionReport:
             pa = assembly.placed[na]
             pb = assembly.placed[nb]
             hit = pair_overlap(pa.pose.position, pa.solid,
-                               pb.pose.position, pb.solid, tol=tol)
+                               pb.pose.position, pb.solid)
             if hit is not None:
                 report.pairs.append((na, nb, hit[0], hit[1]))
     return report

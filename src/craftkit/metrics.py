@@ -18,7 +18,7 @@ from .meshing import mesh_part
 
 FSCORE_THRESHOLD = 0.1
 DEFAULT_SAMPLES = 20000
-BRUTE_FORCE_LIMIT = 2000
+MAX_SAMPLE_ROUNDS = 50
 
 
 @dataclass
@@ -115,13 +115,13 @@ def sample_mesh(vertices, faces, n_samples=DEFAULT_SAMPLES, seed=0):
     return a + u[:, None] * (b - a) + v[:, None] * (c - a)
 
 
-def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0,
-                             oversample=50):
+def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0):
     """Surface samples of an assembly with interior points rejected.
 
     A sample on one part that falls strictly inside another part's material
-    is not visible from the outside and is discarded.  Oversampling bounds
-    the retry loop; the final set is trimmed to exactly n_samples.
+    is not visible from the outside and is discarded.  At most
+    MAX_SAMPLE_ROUNDS rounds redraw the shortfall; the final set is trimmed
+    to exactly n_samples.
     """
     parts = list(assembly.placed.values())
     meshes = [mesh_part(p.solid, p.pose.position) for p in parts]
@@ -134,7 +134,7 @@ def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0,
     total = 0
     rounds = 0
     need = n_samples
-    while total < n_samples and rounds < oversample:
+    while total < n_samples and rounds < MAX_SAMPLE_ROUNDS:
         rounds += 1
         counts = rng.multinomial(need, areas / areas.sum())
         for (v, f), count, owner in zip(meshes, counts, range(len(parts))):
@@ -160,12 +160,7 @@ def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0,
 
 
 def _nearest_distances(query, target):
-    if len(query) * len(target) <= BRUTE_FORCE_LIMIT ** 2 \
-            and len(target) <= BRUTE_FORCE_LIMIT:
-        diff = query[:, None, :] - target[None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
-    tree = cKDTree(target)
-    d, _ = tree.query(query, k=1)
+    d, _ = cKDTree(target).query(query, k=1)
     return d
 
 

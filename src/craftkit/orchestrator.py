@@ -26,7 +26,7 @@ from .errors import (
     Unplaceable,
 )
 from .physics import SimConfig, run_functional_test
-from .plan import normalize_raw, parse_plan, serialize_plan
+from .plan import FormatReport, normalize_raw, parse_plan, serialize_plan
 
 # failure stages
 STAGE_FORMAT = "FORMAT"
@@ -245,16 +245,17 @@ def classify_failure(stage: str) -> str:
 
 
 def evaluate_plan_text(raw, catalog, functional=None, sim_config=None):
-    """Run one raw response through every validation stage.
+    """Run one raw response through every validation stage, in order.
 
-    Returns (stage, report_dict, plan, assembly, outcome).
+    The only sequencing of the stages: the pipeline, the batch runner and
+    the CLI's plan commands all call it.  Returns (stage, report_dict, plan,
+    assembly, outcome); a FORMAT report is always a ``FormatReport`` dict.
     """
     try:
-        normalized = normalize_raw(raw)
+        plan, report = parse_plan(normalize_raw(raw), catalog)
     except JsonSyntaxError as exc:
-        return STAGE_FORMAT, {"error": "JsonSyntaxError",
-                              "message": str(exc)}, None, None, None
-    plan, report = parse_plan(normalized, catalog)
+        plan, report = None, FormatReport()
+        report.add(None, None, "JsonSyntaxError", str(exc))
     if plan is None:
         return STAGE_FORMAT, report.to_dict(), None, None, None
 

@@ -66,7 +66,6 @@ class SimConfig:
     min_distance: float = 1.0
     max_veer: float = 0.3
     hit_drive_speed: float = 0.5
-    lateral_offset: tuple = (0.0, 0.0)
     trace_every: int = 25
 
 
@@ -445,12 +444,12 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     head_body = craft.part_body[head]
     head_shape = craft.part_shape[head]
 
-    target_xy = np.asarray(config.lateral_offset, dtype=float)
     head_c = head_body.part_world_center(head_shape)
     head_low = head_body.part_min_z(head_shape)
+    # centre the head over the peg, which stands at x = y = 0
     shift = np.array([
-        target_xy[0] - head_c[0],
-        target_xy[1] - head_c[1],
+        0.0 - head_c[0],
+        0.0 - head_c[1],
         (HIT_PEG_TOP + HIT_DROP_GAP) - head_low,
     ])
     for body in world.bodies:

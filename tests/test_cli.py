@@ -46,8 +46,9 @@ def test_build_success_and_obj_export(capsys, plan_path, tmp_path):
                         "--obj", str(obj))
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["connected"] is True
-    assert payload["collisions"]["ok"] is True
+    assert payload["stage"] == "NONE"
+    assert payload["report"] == {}
+    assert payload["assembly"]["parts"]
     assert obj.exists()
     assert obj.read_text().startswith(("#", "v "))
 
@@ -56,7 +57,23 @@ def test_build_collision_fails(capsys, plan_path):
     code, out = run_cli(capsys, "build", str(plan_path("bookshelf_collision")))
     assert code == EXIT_INVALID
     payload = json.loads(out)
-    assert payload["collisions"]["ok"] is False
+    assert payload["stage"] == "COLLISION"
+    assert payload["report"]["ok"] is False
+    assert payload["assembly"]["parts"]
+
+
+def test_plan_commands_stop_at_the_pipeline_stage(capsys, plan_path,
+                                                  tmp_path):
+    # the pipeline rejects this plan at COLLISION, so every plan command must
+    plan = str(plan_path("bookshelf_collision"))
+    for argv in (["simulate", plan, "--test", "support"],
+                 ["metrics", "--plan", plan,
+                  "--ref", str(tmp_path / "ref.obj")]):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_INVALID
+        payload = json.loads(out)
+        assert payload["stage"] == "COLLISION"
+        assert payload["report"]["ok"] is False
 
 
 def test_simulate_hammer_hit(capsys, plan_path, tmp_path):
@@ -103,6 +120,27 @@ def test_metrics_needs_exactly_one_prediction(tmp_path, plan_path):
         assert exc.value.code == EXIT_USAGE
 
 
+def test_metrics_rejects_fewer_than_one_sample(tmp_path, plan_path):
+    import pytest
+
+    ref = str(tmp_path / "ref.obj")
+    for pred in (["--pred", ref], ["--plan", str(plan_path("hammer_valid_1"))]):
+        for samples in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["metrics", *pred, "--ref", ref, "--samples", samples])
+            assert exc.value.code == EXIT_USAGE
+
+
+def test_simulate_rejects_a_duration_that_is_not_positive(plan_path):
+    import pytest
+
+    for duration in ("0", "-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(plan_path("hammer_valid_1")), "--test", "hit",
+                  "--duration", duration])
+        assert exc.value.code == EXIT_USAGE
+
+
 def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
     # LOOSE_1 has no connection, so it cannot be placed
     plan = tmp_path / "unplaceable.json"
@@ -118,7 +156,7 @@ def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_INVALID
         payload = json.loads(out)
-        assert payload["stage"] == "POSITION"
+        assert payload["stage"] == "CONNECTIVITY"
         assert payload["report"]["error"] == "Unplaceable"
 
 

@@ -89,13 +89,27 @@ def test_metrics_match_brute_force_oracle():
 
 def test_kdtree_and_brute_force_agree():
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(3000, 3))  # above the brute-force limit
+    a = rng.normal(size=(3000, 3))
     b = rng.normal(size=(3000, 3))
     sub_a, sub_b = a[:500], b[:500]
     assert chamfer_distance(sub_a, sub_b) == pytest.approx(
         brute_chamfer(sub_a, sub_b), abs=1e-12)
     big = chamfer_distance(a, b)
     assert big > 0
+
+
+@pytest.mark.parametrize("n_query,n_target", [(50, 50), (500, 500),
+                                              (300, 2100), (2100, 300)])
+def test_nearest_distances_match_a_brute_force_reference(n_query, n_target):
+    # sizes on both sides of the 2000-point limit below which a brute-force
+    # search used to run in place of the k-d tree
+    rng = np.random.default_rng(n_query * 7 + n_target)
+    query = rng.normal(size=(n_query, 3))
+    target = rng.normal(size=(n_target, 3))
+    reference = np.array([np.sqrt(((target - q) ** 2).sum(axis=1)).min()
+                          for q in query])
+    got = metrics._nearest_distances(query, target)
+    np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-15)
 
 
 def test_identity_scores():

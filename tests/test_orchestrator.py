@@ -186,7 +186,8 @@ def test_http_client_without_requests_names_the_extra(monkeypatch):
 def test_evaluate_stages(catalog, response_text, fixture_raw):
     stage, report, *_ = evaluate_plan_text("garbage {", catalog)
     assert stage == STAGE_FORMAT
-    assert report["error"] == "JsonSyntaxError"
+    assert report["ok"] is False
+    assert report["errors"][0]["code"] == "JsonSyntaxError"
 
     stage, report, *_ = evaluate_plan_text(
         response_text("hammer_invalid_1"), catalog)
