@@ -134,7 +134,8 @@ def _make_client(args):
         return ScriptedClient(args.responses)
     if args.endpoint and args.model:
         return HttpClient(args.endpoint, args.model, api_key=args.api_key)
-    raise SystemExit(EXIT_USAGE)
+    args.parser.error("a client is needed: --responses, or --endpoint "
+                      "with --model")
 
 
 def cmd_pipeline(args):
@@ -190,6 +191,13 @@ def _positive_int(text):
     return value
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _positive_float(text):
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -234,8 +242,10 @@ def build_parser():
     p.add_argument("--catalog")
     p.add_argument("--samples", type=_positive_int, default=20000,
                    help="surface samples per shape, at least 1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.1)
+    p.add_argument("--seed", type=_non_negative_int, default=0,
+                   help="sampling seed, at least 0")
+    p.add_argument("--threshold", type=_positive_float, default=0.1,
+                   help="F-score distance threshold, more than 0")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("pipeline", help="prompt a client and validate")
@@ -247,7 +257,7 @@ def build_parser():
     p.add_argument("--model")
     p.add_argument("--api-key")
     p.add_argument("--catalog")
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_pipeline, parser=p)
 
     p = sub.add_parser("batch", help="run many scripted pipelines, CSV out")
     p.add_argument("manifest",

@@ -5,14 +5,17 @@ positional correction, and revolute joints solved as point + axis constraints.
 Bodies carry lists of primitive parts (boxes / cylinders) expressed in the
 body frame, which is world-aligned at compile time.
 
-The whole step runs on plain Python floats.  It reads each body's numpy
-arrays once with ``tolist`` into a float "solver body" (the layout of
-Box2D's contact solver): position, rotation, velocity, a zero
-pseudo-velocity, inverse mass and world inverse inertia R I^-1 R^T.  Forces
-are integrated, contacts generated, constraints solved and positions and
-quaternions integrated on those floats, and the new pose and velocity are
-written back once at the end.  The numpy arrays (``x``, ``q``, ``v``, ``w``,
-``_rot``, ``_iinv``, ``Contact.point``) are the public state between steps.
+Body state is plain Python floats, during a step and between steps, in
+the layout of Box2D's contact solver: a body's position ``x``, quaternion
+``q``, the rows ``rot`` of its rotation matrix, one 6-list velocity ``vel``
+(linear, then angular), and the ``force`` and ``torque`` applied since the
+last step.  A step first refreshes each body's ``dynamic`` flag and world
+inverse inertia ``iinv`` = R I^-1 R^T and zeroes its pseudo-velocity
+``pvel``; the constraint rows then update ``vel`` and ``pvel`` in place,
+and integration moves ``x`` and ``q``.  Contact points and normals and
+joint anchors and axes are float tuples as well.  numpy does the work that
+needs it: the inertia and its inverse when a body is built,
+``kinetic_energy``, and the overlap test between parts of two bodies.
 
 Positions are frozen during the velocity solve, so all constraint geometry
 (lever arms, effective masses, biases) is precomputed once per step and the
@@ -42,12 +45,12 @@ normal axis, normal sign) for a body-body contact; None, which starts cold,
 for a contact from an extra contact hook.  The World keeps the (jn, jt1,
 jt2) each key ended the last step with, and per joint index the anchor
 impulse and the angular impulse as a world vector.  Row setup starts each
-accumulator there and applies that impulse to the solver bodies before the
-first sweep; a key missing from the cache starts at zero.  Every sweep
-clamps a contact's friction to friction * jn, also when jn is 0, so no
-cached friction impulse outlives the normal impulse that bounds it.
-Impulses carry over unscaled, which assumes a fixed timestep.  Split
-(position) impulses start at zero in every step.
+accumulator there and applies that impulse to the bodies' velocities
+before the first sweep; a key missing from the cache starts at zero.  Every
+sweep clamps a contact's friction to friction * jn, also when jn is 0, so
+no cached friction impulse outlives the normal impulse that bounds it.
+Impulses carry over unscaled, so every step is ``config.timestep`` long.
+Split (position) impulses start at zero in every step.
 """
 
 from __future__ import annotations
@@ -71,17 +74,19 @@ _BOX_SIGNS = tuple((sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
 # (cos, sin) of the 8 rim samples of a standing cylinder
 _RIM = tuple((float(np.cos(a)), float(np.sin(a)))
              for a in (2 * np.pi * k / 8 for k in range(8)))
-_ZERO33 = ((0.0, 0.0, 0.0),) * 3
-_UP = np.array([0.0, 0.0, 1.0])
+_ZERO3 = (0.0, 0.0, 0.0)
+_ZERO33 = (_ZERO3,) * 3
+_UP = (0.0, 0.0, 1.0)
 
 
 def quat_to_matrix(q):
+    """The rows of the rotation matrix of the unit quaternion q."""
     w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
 
 
 def quat_integrate(q, omega, dt):
@@ -105,18 +110,22 @@ def pose_point(x, rot, p):
             x[2] + (r20 * px + r21 * py + r22 * pz))
 
 
+def _floats(v):
+    """A sequence of numbers (numpy's included) as a tuple of floats."""
+    return tuple(map(float, v))
+
+
 @dataclass
 class BodyPart:
     name: str
     solid: Solid
-    local_center: np.ndarray  # offset from body COM in the body frame
+    local_center: tuple  # offset from body COM in the body frame, as floats
     # constants of contact generation, fixed with the solid
-    offset: tuple = field(init=False)  # local_center as floats
     radius: float = field(init=False)  # half the diagonal of the solid's AABB
     half: tuple | None = field(init=False)  # box half extents
 
     def __post_init__(self):
-        self.offset = tuple(np.asarray(self.local_center, float).tolist())
+        self.local_center = _floats(self.local_center)
         self.radius = 0.5 * float(np.linalg.norm(self.solid.extents))
         self.half = None
         if self.solid.kind == BOX:
@@ -136,6 +145,12 @@ class BodyPart:
 
 
 class RigidBody:
+    """A rigid body of primitive parts, its state as plain floats: centre
+    of mass ``x``, orientation ``q`` (w, x, y, z) with rotation rows ``rot``
+    (call ``refresh_pose_cache`` after setting ``q`` or ``kinematic``), the
+    6-list velocity ``vel`` (vx, vy, vz, wx, wy, wz), and the ``force`` and
+    ``torque`` that the next step applies and clears."""
+
     @classmethod
     def from_parts(cls, body_id, named_solids, part_mass):
         """named_solids: list of (name, Solid, world_center) at compile pose."""
@@ -151,102 +166,154 @@ class RigidBody:
         inertia = np.zeros((3, 3))
         for part in self.parts:
             diag = solid_inertia_diag(part_mass, part.solid)
-            d = part.local_center
+            d = np.array(part.local_center)
             inertia += np.diag(diag)
             inertia += part_mass * (np.dot(d, d) * np.eye(3) - np.outer(d, d))
-        self.x = com.copy()
-        self.q = np.array([1.0, 0.0, 0.0, 0.0])
-        self.v = np.zeros(3)
-        self.w = np.zeros(3)
-        self.force = np.zeros(3)
-        self.torque = np.zeros(3)
+        self.x = tuple(com.tolist())
+        self.q = (1.0, 0.0, 0.0, 0.0)
+        self.vel = [0.0] * 6
+        self.force = self.torque = _ZERO3
         self.kinematic = False
         self.gravity_exempt = False
         self.inv_mass = 1.0 / self.mass
-        self.inv_inertia_body = np.linalg.inv(inertia)
+        self.inv_inertia_body = np.linalg.inv(inertia).tolist()
         self.refresh_pose_cache()
         return self
 
     # -- kinematics -------------------------------------------------------
     def refresh_pose_cache(self):
-        """Recompute the cached rotation after setting ``q`` directly."""
-        self._rot = quat_to_matrix(self.q)
-        self._refresh_inertia(self._rot.tolist())
+        """Recompute ``rot`` from ``q``, and the state a step derives from
+        the pose, after setting ``q`` or ``kinematic`` directly."""
+        self.rot = quat_to_matrix(self.q)
+        self._start_step()
 
-    def _refresh_inertia(self, rot):
-        """Set ``_dynamic`` and the world inverse inertia R I^-1 R^T from
-        the rotation ``rot`` (nested floats); return the inertia as nested
-        floats, zero for a body that impulses do not move."""
-        self._dynamic = not self.kinematic and self.inv_mass != 0.0
-        if not self._dynamic:
-            self._iinv = np.zeros((3, 3))
-            return _ZERO33
+    def _start_step(self):
+        """Set ``dynamic``, the world inverse inertia ``iinv`` = R I^-1 R^T
+        (zero for a body that impulses do not move) and a zero
+        pseudo-velocity ``pvel``.  Each step starts here, since
+        ``kinematic`` may have been set since the last one."""
+        self.pvel = [0.0] * 6
+        self.dynamic = not self.kinematic and self.inv_mass != 0.0
+        if not self.dynamic:
+            self.iinv = _ZERO33
+            return
         # column j of I^-1 R^T is I^-1 applied to row j of R
-        inv_body = self.inv_inertia_body.tolist()
-        cols = [_matvec3(inv_body, row) for row in rot]
-        iinv = [[r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols]
-                for r0, r1, r2 in rot]
-        self._iinv = np.array(iinv)
-        return iinv
-
-    @property
-    def rotation(self):
-        """Rotation matrix of ``q``, cached when ``q`` changes; read only."""
-        return self._rot
+        rot = self.rot
+        cols = [_matvec3(self.inv_inertia_body, row) for row in rot]
+        self.iinv = [[r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols]
+                     for r0, r1, r2 in rot]
 
     def world_point(self, local):
-        return self.x + self.rotation @ local
+        """The world position of a point given in the body frame."""
+        return pose_point(self.x, self.rot, local)
 
     def apply_force(self, force, point=None):
-        self.force = self.force + np.asarray(force, float)
+        """Add a world force, acting at the world ``point`` (None: at the
+        centre of mass)."""
+        force = _floats(force)
+        self.force = tuple(f + g for f, g in zip(self.force, force))
         if point is not None:
-            self.torque = self.torque + _cross3(
-                np.asarray(point, float) - self.x, force)
+            r = tuple(p - x for p, x in zip(_floats(point), self.x))
+            self.apply_torque(_cross3(r, force))
 
     def apply_torque(self, torque):
-        self.torque = self.torque + np.asarray(torque, float)
-
-    def part_world_center(self, part: BodyPart):
-        return self.world_point(part.local_center)
+        self.torque = tuple(t + u for t, u in zip(self.torque,
+                                                  _floats(torque)))
 
     def part_min_z(self, part: BodyPart):
         """Lowest world z over the (rotated) part geometry."""
-        rz = self._rot[2].tolist()
-        px, py, pz = part.offset
-        cz = self.x[2].item() + (rz[0] * px + rz[1] * py + rz[2] * pz)
+        rz = self.rot[2]
+        px, py, pz = part.local_center
+        cz = self.x[2] + (rz[0] * px + rz[1] * py + rz[2] * pz)
         return part.low_z(cz, rz)
 
     def kinetic_energy(self):
         if self.inv_mass == 0.0:
             return 0.0
-        r = self.rotation
+        r = np.array(self.rot)
+        v, w = np.array(self.vel[:3]), np.array(self.vel[3:])
         inertia = r @ np.linalg.inv(self.inv_inertia_body) @ r.T
-        return 0.5 * self.mass * float(self.v @ self.v) + \
-            0.5 * float(self.w @ inertia @ self.w)
+        return 0.5 * self.mass * float(v @ v) + 0.5 * float(w @ inertia @ w)
+
+    # -- the step's share of one body ---------------------------------------
+    def _integrate_forces(self, gravity, dt):
+        """Integrate the force, torque and ``gravity`` (None for a
+        gravity-exempt body) into the velocity over dt."""
+        v, m = self.vel, self.inv_mass
+        fx, fy, fz = self.force
+        ax, ay, az = fx * m, fy * m, fz * m
+        if gravity is not None:
+            ax, ay, az = ax + gravity[0], ay + gravity[1], az + gravity[2]
+        a0, a1, a2 = _matvec3(self.iinv, self.torque)
+        v[0] += ax * dt
+        v[1] += ay * dt
+        v[2] += az * dt
+        v[3] += a0 * dt
+        v[4] += a1 * dt
+        v[5] += a2 * dt
+
+    def _integrate(self, dt, time):
+        """Move the body over dt by its velocity plus pseudo-velocity.
+
+        Raises NumericalDivergence, dated ``time``, when the speed or spin
+        is past its bound or not a number.
+        """
+        vx, vy, vz, wx, wy, wz = self.vel
+        # written so that NaN fails the checks too
+        speed = (vx * vx + vy * vy + vz * vz) ** 0.5
+        if not speed <= MAX_SPEED:
+            raise NumericalDivergence(
+                self.id, f"reached {speed:.3g} m/s", time)
+        spin = (wx * wx + wy * wy + wz * wz) ** 0.5
+        if not spin <= MAX_SPIN:
+            raise NumericalDivergence(
+                self.id, f"spun at {spin:.3g} rad/s", time)
+        pvx, pvy, pvz, pwx, pwy, pwz = self.pvel
+        x, y, z = self.x
+        self.x = (x + (vx + pvx) * dt, y + (vy + pvy) * dt,
+                  z + (vz + pvz) * dt)
+        self.q = quat_integrate(self.q, (wx + pwx, wy + pwy, wz + pwz), dt)
+        self.rot = quat_to_matrix(self.q)
+
+    def _lever(self, r, d):
+        """Jacobian, impulse response and effective mass along d at r.
+
+        The response is None (and the mass 0) for a body impulses do not move.
+        """
+        c = _cross3(r, d)
+        jac = (d[0], d[1], d[2], c[0], c[1], c[2])
+        if not self.dynamic:
+            return jac, None, 0.0
+        m = self.inv_mass
+        ic = _matvec3(self.iinv, c)
+        resp = (m * d[0], m * d[1], m * d[2], ic[0], ic[1], ic[2])
+        return jac, resp, m + _dot3(c, ic)
 
 
 @dataclass
 class RevoluteJoint:
+    """A hinge: anchor points and axes in each body's frame, stored as float
+    tuples whatever sequence they are given as."""
     body_a: RigidBody
     body_b: RigidBody
-    anchor_local_a: np.ndarray
-    anchor_local_b: np.ndarray
-    axis_local_a: np.ndarray
-    axis_local_b: np.ndarray
+    anchor_local_a: tuple
+    anchor_local_b: tuple
+    axis_local_a: tuple
+    axis_local_b: tuple
 
-    def world_axis_a(self):
-        return self.body_a.rotation @ self.axis_local_a
-
-    def world_axis_b(self):
-        return self.body_b.rotation @ self.axis_local_b
+    def __post_init__(self):
+        self.anchor_local_a = _floats(self.anchor_local_a)
+        self.anchor_local_b = _floats(self.anchor_local_b)
+        self.axis_local_a = _floats(self.axis_local_a)
+        self.axis_local_b = _floats(self.axis_local_b)
 
 
 @dataclass
 class Contact:
     body_a: RigidBody | None  # None = static environment (ground / fixture)
     body_b: RigidBody
-    point: np.ndarray
-    normal: np.ndarray  # from a to b
+    point: tuple  # world, 3 floats
+    normal: tuple  # from a to b, 3 floats
     depth: float
     friction: float
     # the feature this contact comes from, built from body ids and part and
@@ -254,7 +321,7 @@ class Contact:
     key: tuple | None = None
 
 
-# -- solver: plain-float rows over float copies of the bodies ---------------
+# -- solver: plain-float rows over the bodies' velocity lists ----------------
 #
 # A body's velocity state is the 6-list (vx, vy, vz, wx, wy, wz).  A row
 # direction d acting at lever arm r reads a body through its Jacobian
@@ -286,88 +353,6 @@ def _unit_perpendicular(d):
     u = (u[0] - s * d[0], u[1] - s * d[1], u[2] - s * d[2])
     norm = math.sqrt(_dot3(u, u))
     return (u[0] / norm, u[1] / norm, u[2] / norm)
-
-
-class _SolverBody:
-    """Float copy of one body's state for the duration of a step.
-
-    Reading a body also refreshes its world inverse inertia, since
-    ``kinematic`` may have been set since the last step.  The
-    pseudo-velocity of the split impulse starts at zero in every step.
-    """
-
-    __slots__ = ("body", "x", "rot", "vel", "pvel", "dynamic", "inv_mass",
-                 "iinv")
-
-    def __init__(self, body: RigidBody):
-        self.body = body
-        self.x = body.x.tolist()
-        self.rot = body._rot.tolist()
-        self.iinv = body._refresh_inertia(self.rot)
-        self.dynamic = body._dynamic
-        self.inv_mass = body.inv_mass if body._dynamic else 0.0
-        self.vel = body.v.tolist() + body.w.tolist()
-        self.pvel = [0.0] * 6
-
-    def apply_forces(self, gravity, dt):
-        """Integrate the body's force, torque and ``gravity`` (None for a
-        gravity-exempt body) into the velocity over dt."""
-        body, v, m = self.body, self.vel, self.inv_mass
-        fx, fy, fz = body.force.tolist()
-        ax, ay, az = fx * m, fy * m, fz * m
-        if gravity is not None:
-            ax, ay, az = ax + gravity[0], ay + gravity[1], az + gravity[2]
-        a0, a1, a2 = _matvec3(self.iinv, body.torque.tolist())
-        v[0] += ax * dt
-        v[1] += ay * dt
-        v[2] += az * dt
-        v[3] += a0 * dt
-        v[4] += a1 * dt
-        v[5] += a2 * dt
-
-    def integrate(self, dt, time):
-        """Move the body over dt by its velocity plus pseudo-velocity and
-        write the new state back to its arrays.
-
-        Raises NumericalDivergence, dated ``time``, when the speed or spin
-        is past its bound or not a number.
-        """
-        body = self.body
-        vx, vy, vz, wx, wy, wz = self.vel
-        # written so that NaN fails the checks too
-        speed = (vx * vx + vy * vy + vz * vz) ** 0.5
-        if not speed <= MAX_SPEED:
-            raise NumericalDivergence(
-                body.id, f"reached {speed:.3g} m/s", time)
-        spin = (wx * wx + wy * wy + wz * wz) ** 0.5
-        if not spin <= MAX_SPIN:
-            raise NumericalDivergence(
-                body.id, f"spun at {spin:.3g} rad/s", time)
-        pvx, pvy, pvz, pwx, pwy, pwz = self.pvel
-        x, y, z = self.x
-        body.x = np.array((x + (vx + pvx) * dt, y + (vy + pvy) * dt,
-                           z + (vz + pvz) * dt))
-        q = quat_integrate(body.q.tolist(), (wx + pwx, wy + pwy, wz + pwz),
-                           dt)
-        body.q = np.array(q)
-        body._rot = quat_to_matrix(q)
-        if self.dynamic:
-            body.v = np.array((vx, vy, vz))
-            body.w = np.array((wx, wy, wz))
-
-    def lever(self, r, d):
-        """Jacobian, impulse response and effective mass along d at r.
-
-        The response is None (and the mass 0) for a body impulses do not move.
-        """
-        c = _cross3(r, d)
-        jac = (d[0], d[1], d[2], c[0], c[1], c[2])
-        if not self.dynamic:
-            return jac, None, 0.0
-        m = self.inv_mass
-        ic = _matvec3(self.iinv, c)
-        resp = (m * d[0], m * d[1], m * d[2], ic[0], ic[1], ic[2])
-        return jac, resp, m + _dot3(c, ic)
 
 
 def _solve_row(row, va, vb, acc, target, lo, hi):
@@ -442,17 +427,16 @@ class _ContactRow:
     __slots__ = ("va", "vb", "pa", "pb", "friction", "depth", "n", "t1",
                  "t2", "jn", "jt1", "jt2", "pn")
 
-    def __init__(self, contact: Contact, bodies: dict, impulse):
-        b = bodies[contact.body_b]
-        a = None if contact.body_a is None else bodies[contact.body_a]
+    def __init__(self, contact: Contact, impulse):
+        a, b = contact.body_a, contact.body_b
         self.vb, self.pb = b.vel, b.pvel
         self.va, self.pa = (None, None) if a is None else (a.vel, a.pvel)
         self.friction = contact.friction
         self.depth = contact.depth
-        n = contact.normal.tolist()
+        n = contact.normal
         t1 = _unit_perpendicular(n)
         t2 = _cross3(n, t1)
-        px, py, pz = contact.point.tolist()
+        px, py, pz = contact.point
         rb = (px - b.x[0], py - b.x[1], pz - b.x[2])
         ra = None if a is None else (px - a.x[0], py - a.x[1], pz - a.x[2])
         self.n, self.t1, self.t2 = (_direction(a, ra, b, rb, d)
@@ -491,10 +475,10 @@ class _ContactRow:
 
 def _direction(a, ra, b, rb, d):
     """Row direction d of a contact between a (None: static) and b."""
-    jb, resp_b, k = b.lever(rb, d)
+    jb, resp_b, k = b._lever(rb, d)
     if a is None:
         return None, jb, None, resp_b, k
-    ja, resp_a, ka = a.lever(ra, d)
+    ja, resp_a, ka = a._lever(ra, d)
     return ja, jb, resp_a, resp_b, k + ka
 
 
@@ -515,12 +499,13 @@ class _GroundRow:
     __slots__ = ("v", "p", "friction", "depth", "r", "m", "n", "t1", "t2",
                  "jn", "jt1", "jt2", "pn")
 
-    def __init__(self, contact: Contact, b: _SolverBody, impulse):
+    def __init__(self, contact: Contact, impulse):
+        b = contact.body_b
         self.v, self.p = b.vel, b.pvel
         self.friction = contact.friction
         self.depth = contact.depth
         self.jn = self.jt1 = self.jt2 = self.pn = 0.0
-        px, py, pz = contact.point.tolist()
+        px, py, pz = contact.point
         rx, ry, rz = self.r = (px - b.x[0], py - b.x[1], pz - b.x[2])
         if not b.dynamic:
             self.n = None
@@ -621,11 +606,11 @@ class _GroundRow:
         self.pn = new
 
 
-def _contact_row(contact: Contact, bodies: dict, impulse):
+def _contact_row(contact: Contact, impulse):
     """The row for one contact: _GroundRow where it applies, by value."""
-    if contact.body_a is None and contact.normal.tolist() == [0.0, 0.0, 1.0]:
-        return _GroundRow(contact, bodies[contact.body_b], impulse)
-    return _ContactRow(contact, bodies, impulse)
+    if contact.body_a is None and contact.normal == _UP:
+        return _GroundRow(contact, impulse)
+    return _ContactRow(contact, impulse)
 
 
 def _inverse3(m):
@@ -656,12 +641,11 @@ class _JointRow:
                  "lever_b", "u1", "u2", "kang_inv", "ang_bias", "spin_a",
                  "spin_b", "px", "py", "pz", "l1", "l2")
 
-    def __init__(self, joint: RevoluteJoint, bodies: dict, beta, dt,
-                 impulse):
-        a, b = bodies[joint.body_a], bodies[joint.body_b]
+    def __init__(self, joint: RevoluteJoint, beta, dt, impulse):
+        a, b = joint.body_a, joint.body_b
         self.va, self.vb = a.vel, b.vel
-        ra = self.ra = _matvec3(a.rot, joint.anchor_local_a.tolist())
-        rb = self.rb = _matvec3(b.rot, joint.anchor_local_b.tolist())
+        ra = self.ra = _matvec3(a.rot, joint.anchor_local_a)
+        rb = self.rb = _matvec3(b.rot, joint.anchor_local_b)
         f = beta / dt
         self.bias = tuple(
             f * ((b.x[i] + rb[i]) - (a.x[i] + ra[i])) for i in range(3))
@@ -672,8 +656,8 @@ class _JointRow:
         self.lever_b = self._anchor_lever(b, rb, k)
         self.kinv = _inverse3(k)
 
-        axis_a = _matvec3(a.rot, joint.axis_local_a.tolist())
-        axis_b = _matvec3(b.rot, joint.axis_local_b.tolist())
+        axis_a = _matvec3(a.rot, joint.axis_local_a)
+        axis_b = _matvec3(b.rot, joint.axis_local_b)
         u1 = self.u1 = _unit_perpendicular(axis_a)
         u2 = self.u2 = _cross3(axis_a, u1)
         iu_a = (_matvec3(a.iinv, u1), _matvec3(a.iinv, u2))
@@ -703,15 +687,15 @@ class _JointRow:
             self.px, self.py, self.pz, self.l1, self.l2 = px, py, pz, l1, l2
 
     @staticmethod
-    def _anchor_lever(sb, r, k):
+    def _anchor_lever(body, r, k):
         """Add one body's share to K; return (m, I^-1 [r]x) or None."""
-        if not sb.dynamic:
+        if not body.dynamic:
             return None
         # column j of I^-1 [r]x is I^-1 (r x e_j), with r x x = (0, rz, -ry),
         # r x y = (-rz, 0, rx) and r x z = (ry, -rx, 0); the products with
         # the exact zero are left out, which changes no bit of the sums
         rx, ry, rz = r
-        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = sb.iinv
+        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = body.iinv
         cols = (
             (i01 * rz - i02 * ry, i11 * rz - i12 * ry, i21 * rz - i22 * ry),
             (i02 * rx - i00 * rz, i12 * rx - i10 * rz, i22 * rx - i20 * rz),
@@ -720,8 +704,8 @@ class _JointRow:
             dv = _cross3(r, col)
             for i in range(3):
                 k[i][j] -= dv[i]
-            k[j][j] += sb.inv_mass
-        return sb.inv_mass, tuple(zip(*cols))
+            k[j][j] += body.inv_mass
+        return body.inv_mass, tuple(zip(*cols))
 
     def solve(self):
         va, vb = self.va, self.vb
@@ -820,9 +804,9 @@ def _standing_rim_contacts(contacts, body, index, part, r, c, mu):
     for k, (cs, sn) in enumerate(_RIM):
         z = low[2] + rad * (cs * u[2] + sn * vp[2])
         if z < CONTACT_GEN_MARGIN:
-            contacts.append(Contact(None, body, np.array((
+            contacts.append(Contact(None, body, (
                 low[0] + rad * (cs * u[0] + sn * vp[0]),
-                low[1] + rad * (cs * u[1] + sn * vp[1]), z)),
+                low[1] + rad * (cs * u[1] + sn * vp[1]), z),
                 _UP, max(0.0, -z), mu, (body.id, index, k)))
 
 
@@ -833,7 +817,7 @@ class World:
         self.joints: list[RevoluteJoint] = []
         self.time = 0.0
         self.extra_contact_hooks = []  # callables(world) -> list[Contact]
-        self.gravity = np.array([0.0, 0.0, -config.gravity])
+        self.gravity = (0.0, 0.0, -config.gravity)
         self.ground_enabled = True
         self._pair_skip = None
         # the last step's impulses: (jn, jt1, jt2) per contact key, and
@@ -842,11 +826,12 @@ class World:
         self._joint_impulses = {}
 
     # -- contact generation ----------------------------------------------
-    def _ground_contacts(self, contacts, poses, centers):
+    def _ground_contacts(self, contacts, centers):
         mu = self.config.friction
-        for body, (_, r), body_centers in zip(self.bodies, poses, centers):
+        for body, body_centers in zip(self.bodies, centers):
             if body.inv_mass == 0.0 and not body.kinematic:
                 continue
+            r = body.rot
             rz = r[2]
             for index, (part, c) in enumerate(zip(body.parts, body_centers)):
                 cx, cy, cz = c
@@ -867,10 +852,10 @@ class World:
                     for k, (s0, s1, s2) in enumerate(_BOX_SIGNS):
                         z = cz + ((s0 * e20 + s1 * e21) + s2 * e22)
                         if z < CONTACT_GEN_MARGIN:
-                            contacts.append(Contact(None, body, np.array((
+                            contacts.append(Contact(None, body, (
                                 cx + ((s0 * e00 + s1 * e01) + s2 * e02),
                                 cy + ((s0 * e10 + s1 * e11) + s2 * e12),
-                                z)), _UP, max(0.0, -z), mu,
+                                z), _UP, max(0.0, -z), mu,
                                 (body.id, index, k)))
                     continue
                 # lying cylinder: the two rim points lowest along -z, where
@@ -884,9 +869,9 @@ class World:
                 for k, e in ((8, -hl), (9, hl)):
                     z = (cz + a2 * e) + rad * uz
                     if z < CONTACT_GEN_MARGIN:
-                        contacts.append(Contact(None, body, np.array((
+                        contacts.append(Contact(None, body, (
                             (cx + a0 * e) + rad * ux,
-                            (cy + a1 * e) + rad * uy, z)),
+                            (cy + a1 * e) + rad * uy, z),
                             _UP, max(0.0, -z), mu, (body.id, index, k)))
 
     def _jointed(self, a: RigidBody, b: RigidBody):
@@ -901,8 +886,8 @@ class World:
         for i in range(n_bodies):
             for j in range(i + 1, n_bodies):
                 a, b = self.bodies[i], self.bodies[j]
-                if not (a._dynamic or a.kinematic) \
-                        and not (b._dynamic or b.kinematic):
+                if not (a.dynamic or a.kinematic) \
+                        and not (b.dynamic or b.kinematic):
                     continue
                 if self._jointed(a, b):
                     continue
@@ -922,10 +907,10 @@ class World:
                         depth, witness = hit
                         axis, sign = self._separation_axis(
                             ca_arr, pa.solid, cb_arr, pb.solid)
-                        normal = np.zeros(3)
+                        normal = [0.0, 0.0, 0.0]
                         normal[axis] = sign
                         contacts.append(Contact(
-                            a, b, np.asarray(witness), normal, depth, mu,
+                            a, b, _floats(witness), tuple(normal), depth, mu,
                             (a.id, b.id, ia, ib, axis, sign)))
 
     @staticmethod
@@ -941,19 +926,18 @@ class World:
     def gather_contacts(self):
         contacts = []
         # world centres of every part, shared by both generators
-        poses = [(body.x.tolist(), body._rot.tolist()) for body in self.bodies]
-        centers = [[pose_point(x, r, part.offset) for part in body.parts]
-                   for body, (x, r) in zip(self.bodies, poses)]
+        centers = [[pose_point(body.x, body.rot, part.local_center)
+                    for part in body.parts] for body in self.bodies]
         if self.ground_enabled:
-            self._ground_contacts(contacts, poses, centers)
+            self._ground_contacts(contacts, centers)
         self._body_body_contacts(contacts, centers)
         for hook in self.extra_contact_hooks:
             contacts.extend(hook(self))
         return contacts
 
-    def _solve(self, bodies, contacts, dt):
-        """Velocity then position iterations on the solver bodies
-        ``bodies`` (body -> _SolverBody); returns the contact rows.
+    def _solve(self, contacts, dt):
+        """Velocity then position iterations on the bodies' ``vel`` and
+        ``pvel``; returns the contact rows.
 
         Each row starts from, and applies, the impulse its contact key or
         joint index ended the last step with; the velocity impulses this
@@ -961,11 +945,11 @@ class World:
         """
         cfg = self.config
         joint_warm = self._joint_impulses.get
-        joint_rows = [_JointRow(j, bodies, cfg.baumgarte, dt, joint_warm(i))
+        joint_rows = [_JointRow(j, cfg.baumgarte, dt, joint_warm(i))
                       for i, j in enumerate(self.joints)]
         # no key None is ever cached, so those contacts start cold
         contact_warm = self._contact_impulses.get
-        contact_rows = [_contact_row(c, bodies, contact_warm(c.key))
+        contact_rows = [_contact_row(c, contact_warm(c.key))
                         for c in contacts]
         for _ in range(cfg.solver_iterations):
             for row in joint_rows:
@@ -982,25 +966,23 @@ class World:
                 row.solve_position(cfg.baumgarte, cfg.slop, dt)
         return contact_rows
 
-    def step(self, dt=None):
-        cfg = self.config
-        dt = cfg.timestep if dt is None else dt
+    def step(self):
+        """Advance the world by one ``config.timestep``; returns the
+        contacts of the step."""
+        dt = self.config.timestep
         self._pair_skip = None
-        gravity = self.gravity.tolist()
-
-        bodies = {}
         for body in self.bodies:
-            sb = bodies[body] = _SolverBody(body)
-            if sb.dynamic:
-                sb.apply_forces(None if body.gravity_exempt else gravity, dt)
-            body.force[:] = 0.0
-            body.torque[:] = 0.0
+            body._start_step()
+            if body.dynamic:
+                body._integrate_forces(
+                    None if body.gravity_exempt else self.gravity, dt)
+            body.force = body.torque = _ZERO3
 
         contacts = self.gather_contacts()
-        self._solve(bodies, contacts, dt)
+        self._solve(contacts, dt)
 
-        for body, sb in bodies.items():
-            if sb.dynamic or body.kinematic:
-                sb.integrate(dt, self.time + dt)
+        for body in self.bodies:
+            if body.dynamic or body.kinematic:
+                body._integrate(dt, self.time + dt)
         self.time += dt
         return contacts

@@ -91,26 +91,24 @@ class SimOutcome:
 
 @dataclass
 class ConnectionWatch:
-    """Bookkeeping for the separation check on one inter-body connection."""
+    """Bookkeeping for the separation check on one inter-body connection;
+    the points and the normal are float tuples in their body's frame."""
     kind: str  # SURFACE or INSERTED
     part: str
     to_part: str
     body_a: RigidBody
     body_b: RigidBody
-    local_a: np.ndarray
-    local_b: np.ndarray
-    normal_local_a: np.ndarray | None  # SURFACE only, frame of body_a
+    local_a: tuple
+    local_b: tuple
+    normal_local_a: tuple | None  # SURFACE only, frame of body_a
 
     def drift(self):
         a, b = self.body_a, self.body_b
-        rot_a = a.rotation.tolist()
-        pa = pose_point(a.x.tolist(), rot_a, self.local_a.tolist())
-        pb = pose_point(b.x.tolist(), b.rotation.tolist(),
-                        self.local_b.tolist())
+        pa = a.world_point(self.local_a)
+        pb = b.world_point(self.local_b)
         if self.kind == "SURFACE":
             # the gap along the normal, rotated into the world
-            n = pose_point((0.0, 0.0, 0.0), rot_a,
-                           self.normal_local_a.tolist())
+            n = pose_point((0.0, 0.0, 0.0), a.rot, self.normal_local_a)
             return abs((pb[0] - pa[0]) * n[0] + (pb[1] - pa[1]) * n[1]
                        + (pb[2] - pa[2]) * n[2])
         return math.dist(pa, pb)
@@ -157,9 +155,9 @@ def _surface_anchor(pa, pb, conn):
         hi = min(pa.center[t] + pa.solid.extents[t] / 2.0,
                  pb.center[t] + pb.solid.extents[t] / 2.0)
         anchor[t] = (lo + hi) / 2.0
-    normal = np.zeros(3)
-    normal[ax] = sign
-    return anchor, normal
+    normal = [0.0, 0.0, 0.0]
+    normal[ax] = float(sign)
+    return anchor, tuple(normal)
 
 
 def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
@@ -204,20 +202,21 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
                         if h.name == conn.to_modification)
             anchor = (pb.center + hole.offset) * s + shift
             normal = None
-            axis = np.zeros(3)
+            axis = [0.0, 0.0, 0.0]
             axis[hole.axis] = 1.0
             joint = RevoluteJoint(
                 body_a=body_a, body_b=body_b,
                 anchor_local_a=anchor - body_a.x,
                 anchor_local_b=anchor - body_b.x,
-                axis_local_a=axis.copy(), axis_local_b=axis.copy())
+                axis_local_a=axis, axis_local_b=axis)
             world.joints.append(joint)
             joints_by_part.setdefault(a, joint)
             joints_by_part.setdefault(b, joint)
         watches.append(ConnectionWatch(
             kind=conn.contact_type, part=a, to_part=b,
             body_a=body_a, body_b=body_b,
-            local_a=anchor - body_a.x, local_b=anchor - body_b.x,
+            local_a=tuple((anchor - body_a.x).tolist()),
+            local_b=tuple((anchor - body_b.x).tolist()),
             normal_local_a=normal))
 
     ground_parts = set()
@@ -265,7 +264,7 @@ def _craft_com(craft: CompiledCraft):
     total = sum(b.mass for b in craft.bodies)
     cx = cy = cz = 0.0
     for b in craft.bodies:
-        x, y, z = b.x.tolist()
+        x, y, z = b.x
         cx, cy, cz = cx + b.mass * x, cy + b.mass * y, cz + b.mass * z
     return cx / total, cy / total, cz / total
 
@@ -274,8 +273,8 @@ def _snapshot(craft: CompiledCraft, t):
     return {
         "t": round(t, 6),
         "parts": {
-            name: [round(float(v), 6) for v in
-                   body.part_world_center(craft.part_shape[name])]
+            name: [round(v, 6) for v in
+                   body.world_point(craft.part_shape[name].local_center)]
             for name, body in craft.part_body.items()
         },
     }
@@ -294,35 +293,42 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     veer_at_goal = None
     dt = config.timestep
 
+    # The push point and the spin rates below are numpy expressions on
+    # purpose: numpy's matrix products and norms round differently from
+    # plain float sums, and the recorded rolling outcomes carry numpy's
+    # last digits.
     def before_step():
-        point = push_body.part_world_center(push_shape)
+        point = np.array(push_body.x) + \
+            np.array(push_body.rot) @ np.array(push_shape.local_center)
         push_body.apply_force((config.rolling_force, 0.0, 0.0), point)
 
     def after_step(contacts):
         nonlocal veer_at_goal
         for name in exec_parts:
             joint = craft.joints_by_part.get(name)
+            body = craft.part_body[name]
             if joint is None:
-                body = craft.part_body[name]
-                rotation[name] += float(np.linalg.norm(body.w)) * dt
+                rotation[name] += float(np.linalg.norm(body.vel[3:])) * dt
                 continue
-            wheel = craft.part_body[name]
-            other = joint.body_a if joint.body_b is wheel else joint.body_b
-            axis = joint.world_axis_b() if joint.body_b is wheel \
-                else joint.world_axis_a()
-            rotation[name] += abs(float((wheel.w - other.w) @ axis)) * dt
+            if joint.body_b is body:
+                other, axis_local = joint.body_a, joint.axis_local_b
+            else:
+                other, axis_local = joint.body_b, joint.axis_local_a
+            axis = np.array(body.rot) @ np.array(axis_local)
+            spin = np.subtract(body.vel[3:], other.vel[3:]) @ axis
+            rotation[name] += abs(float(spin)) * dt
 
         com = _craft_com(craft)
         if veer_at_goal is None and com[0] - start_com[0] >= config.min_distance:
-            veer_at_goal = abs(float(com[1] - start_com[1]))
+            veer_at_goal = abs(com[1] - start_com[1])
         return None
 
     def finish():
         com = _craft_com(craft)
-        dx = float(com[0] - start_com[0])
+        dx = com[0] - start_com[0]
         details = {
             "distance_m": dx,
-            "rotation_rad": {k: float(v) for k, v in rotation.items()},
+            "rotation_rad": dict(rotation),
             "veer_m": veer_at_goal,
             "push_part": push_part,
         }
@@ -347,16 +353,14 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     load_points = {}
     for name in exec_parts:
         shape = craft.part_shape[name]
-        top = shape.local_center + np.array(
-            [0.0, 0.0, shape.solid.extents[2] / 2.0])
-        load_points[name] = top
+        x, y, z = shape.local_center
+        load_points[name] = (x, y, z + shape.solid.extents[2] / 2.0)
 
     def part_centers():
-        """(name, world centre as floats) of every part of the craft."""
+        """(name, world centre) of every part of the craft."""
         for body in craft.bodies:
-            x, rot = body.x.tolist(), body.rotation.tolist()
             for part in body.parts:
-                yield part.name, pose_point(x, rot, part.offset)
+                yield part.name, body.world_point(part.local_center)
 
     start = dict(part_centers())
     start_com = _craft_com(craft)
@@ -395,11 +399,12 @@ HIT_PEG_TOP = HIT_BLOCK_TOP + HIT_PEG_GAP + HIT_PEG_LENGTH  # at rest
 
 def _peg_ends(peg: RigidBody):
     """World (top, low) end points of the peg's axis."""
-    axis = peg.rotation[:, 2]
-    half = axis * (HIT_PEG_LENGTH / 2.0)
-    if axis[2] > 0:
-        return peg.x + half, peg.x - half
-    return peg.x - half, peg.x + half
+    h = HIT_PEG_LENGTH / 2.0
+    (_, _, a0), (_, _, a1), (_, _, a2) = peg.rot
+    x, y, z = peg.x
+    up = (x + a0 * h, y + a1 * h, z + a2 * h)
+    down = (x - a0 * h, y - a1 * h, z - a2 * h)
+    return (up, down) if a2 > 0 else (down, up)
 
 
 def _peg_block_hook(peg: RigidBody, friction):
@@ -415,19 +420,20 @@ def _peg_block_hook(peg: RigidBody, friction):
             if low[2] < HIT_BLOCK_TOP:
                 pen = rho + HIT_PEG_RADIUS - HIT_HOLE_RADIUS
                 if pen > 0 and rho > 1e-12:
-                    n = -np.array([low[0], low[1], 0.0]) / rho
-                    point = low - n * HIT_PEG_RADIUS
+                    n = tuple(-c / rho for c in (low[0], low[1], 0.0))
+                    point = tuple(p - c * HIT_PEG_RADIUS
+                                  for p, c in zip(low, n))
                     contacts.append(Contact(None, peg, point, n, pen,
                                             friction))
             if low[2] < floor_z + 1e-3:
                 contacts.append(Contact(
-                    None, peg, low, np.array([0.0, 0.0, 1.0]),
+                    None, peg, low, (0.0, 0.0, 1.0),
                     max(0.0, floor_z - low[2]), friction))
         else:
             # over solid block: its top face acts as a plane
             if low[2] < HIT_BLOCK_TOP + 1e-3:
                 contacts.append(Contact(
-                    None, peg, low, np.array([0.0, 0.0, 1.0]),
+                    None, peg, low, (0.0, 0.0, 1.0),
                     max(0.0, HIT_BLOCK_TOP - low[2]), friction))
         return contacts
 
@@ -444,16 +450,13 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     head_body = craft.part_body[head]
     head_shape = craft.part_shape[head]
 
-    head_c = head_body.part_world_center(head_shape)
+    head_c = head_body.world_point(head_shape.local_center)
     head_low = head_body.part_min_z(head_shape)
     # centre the head over the peg, which stands at x = y = 0
-    shift = np.array([
-        0.0 - head_c[0],
-        0.0 - head_c[1],
-        (HIT_PEG_TOP + HIT_DROP_GAP) - head_low,
-    ])
+    shift = (0.0 - head_c[0], 0.0 - head_c[1],
+             (HIT_PEG_TOP + HIT_DROP_GAP) - head_low)
     for body in world.bodies:
-        body.x = body.x + shift
+        body.x = tuple(x + d for x, d in zip(body.x, shift))
 
     peg = RigidBody.from_parts(
         "peg",
@@ -467,7 +470,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
 
     root = craft.part_body[plan.parts[0].name]
     root.kinematic = True
-    root.v = np.array([0.0, 0.0, -config.hit_drive_speed])
+    root.vel[:3] = (0.0, 0.0, -config.hit_drive_speed)
     touched = False
 
     def after_step(contacts):
@@ -481,7 +484,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
                     break
 
         top, low = _peg_ends(peg)
-        descent = HIT_PEG_TOP - float(top[2])
+        descent = HIT_PEG_TOP - top[2]
         rho_low = math.hypot(low[0], low[1])
         details = {"peg_descent_m": descent, "peg_lateral_m": rho_low,
                    "touched": touched}
@@ -528,7 +531,7 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
     try:
         for step in range(n_steps):
             before_step()
-            verdict = after_step(world.step(config.timestep))
+            verdict = after_step(world.step())
             if (step + 1) % config.trace_every == 0:
                 trajectory.append(_snapshot(craft, world.time))
             if verdict is None:

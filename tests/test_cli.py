@@ -131,6 +131,23 @@ def test_metrics_rejects_fewer_than_one_sample(tmp_path, plan_path):
             assert exc.value.code == EXIT_USAGE
 
 
+def test_metrics_rejects_a_negative_seed_and_a_bad_threshold(
+        capsys, plan_path, tmp_path):
+    import pytest
+
+    obj = str(tmp_path / "ref.obj")
+    code, _ = run_cli(capsys, "build", str(plan_path("hammer_valid_1")),
+                      "--obj", obj)
+    assert code == EXIT_OK
+    for flag, value in (("--seed", "-1"), ("--threshold", "nan"),
+                        ("--threshold", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--pred", obj, "--ref", obj, "--samples", "50",
+                  flag, value])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+
 def test_simulate_rejects_a_duration_that_is_not_positive(plan_path):
     import pytest
 
@@ -174,12 +191,17 @@ def test_pipeline_scripted(capsys, tmp_path, fixture_raw):
     assert payload["classification"] == "Success"
 
 
-def test_pipeline_needs_a_client():
+def test_pipeline_needs_a_client(capsys):
     import pytest
 
-    with pytest.raises(SystemExit) as exc:
-        main(["pipeline", "--category", "hammer"])
-    assert exc.value.code == EXIT_USAGE
+    for client in ([], ["--endpoint", "http://localhost:1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--category", "hammer", *client])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        for flag in ("--responses", "--endpoint", "--model"):
+            assert flag in err
 
 
 def test_batch_csv(capsys, tmp_path, fixture_raw):

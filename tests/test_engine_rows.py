@@ -2,11 +2,12 @@
 
 ``_RefContactRow`` and ``_RefJointRow`` below keep the earlier numpy
 implementation of one contact and one revolute-joint row: 3-vector numpy
-operations on the bodies' own ``v``/``w``/``pv``/``pw`` arrays.  Seeded
-random worlds are solved once with them and once with ``World._solve`` from
-identical copies; velocities and accumulated impulses must agree.  The float
-rows reorder a few sums (``w . (r x d)`` for ``(w x r) . d``), so results
-agree to rounding, not bit for bit.  The ground row, in turn, must match
+operations on ``_RefBody``, a numpy copy of each body's state with its own
+``v``/``w``/``pv``/``pw`` arrays.  Seeded random worlds are solved once with
+them and once with ``World._solve`` from identical copies; velocities and
+accumulated impulses must agree.  The float rows reorder a few sums
+(``w . (r x d)`` for ``(w x r) . d``), so results agree to rounding, not
+bit for bit.  The ground row, in turn, must match
 the generic float contact row exactly.
 
 ``_reference_step`` keeps the earlier numpy ``World.step`` around the
@@ -52,18 +53,41 @@ def _skew(v):
     return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
 
 
+class _RefBody:
+    """A numpy copy of one body's state, which the reference arithmetic
+    reads and updates in place of the body's floats."""
+
+    def __init__(self, body):
+        self.body = body
+        self.x = np.array(body.x)
+        self.q = np.array(body.q)
+        self.rot = np.array(body.rot)
+        self.v = np.array(body.vel[:3])
+        self.w = np.array(body.vel[3:])
+        self.force = np.array(body.force)
+        self.torque = np.array(body.torque)
+        self.iinv = np.array(body.iinv)
+        self.dynamic = body.dynamic
+        self.inv_mass = body.inv_mass
+
+
+def _ref_bodies(world):
+    """body -> _RefBody for every body of ``world``, in body order."""
+    return {body: _RefBody(body) for body in world.bodies}
+
+
 class _RefJointRow:
-    def __init__(self, joint, beta, dt, impulse=None):
-        a, b = joint.body_a, joint.body_b
+    def __init__(self, joint, refs, beta, dt, impulse=None):
+        a, b = refs[joint.body_a], refs[joint.body_b]
         self.a, self.b = a, b
-        self.ra = a._rot @ joint.anchor_local_a
-        self.rb = b._rot @ joint.anchor_local_b
+        self.ra = a.rot @ np.array(joint.anchor_local_a)
+        self.rb = b.rot @ np.array(joint.anchor_local_b)
         pa = a.x + self.ra
         pb = b.x + self.rb
-        self.iinv_a = a._iinv
-        self.iinv_b = b._iinv
-        inv_ma = a.inv_mass if a._dynamic else 0.0
-        inv_mb = b.inv_mass if b._dynamic else 0.0
+        self.iinv_a = a.iinv
+        self.iinv_b = b.iinv
+        inv_ma = a.inv_mass if a.dynamic else 0.0
+        inv_mb = b.inv_mass if b.dynamic else 0.0
         sa = _skew(self.ra)
         sb = _skew(self.rb)
         k = (inv_ma + inv_mb) * np.eye(3) \
@@ -71,8 +95,8 @@ class _RefJointRow:
         self.kinv = np.linalg.inv(k)
         self.bias = (beta / dt) * (pb - pa)
 
-        axis_a = a._rot @ joint.axis_local_a
-        axis_b = b._rot @ joint.axis_local_b
+        axis_a = a.rot @ np.array(joint.axis_local_a)
+        axis_b = b.rot @ np.array(joint.axis_local_b)
         u1 = np.array([1.0, 0.0, 0.0])
         if abs(axis_a @ u1) > 0.9:
             u1 = np.array([0.0, 1.0, 0.0])
@@ -94,18 +118,18 @@ class _RefJointRow:
 
     def _push_anchor(self, impulse):
         a, b = self.a, self.b
-        if a._dynamic:
+        if a.dynamic:
             a.v = a.v - impulse * a.inv_mass
             a.w = a.w - self.iinv_a @ _cross(self.ra, impulse)
-        if b._dynamic:
+        if b.dynamic:
             b.v = b.v + impulse * b.inv_mass
             b.w = b.w + self.iinv_b @ _cross(self.rb, impulse)
         self.p_total = self.p_total + impulse
 
     def _push_spin(self, lam):
-        if self.a._dynamic:
+        if self.a.dynamic:
             self.a.w = self.a.w - self.rows_iinv_a @ lam
-        if self.b._dynamic:
+        if self.b.dynamic:
             self.b.w = self.b.w + self.rows_iinv_b @ lam
         self.lam_total = self.lam_total + lam
 
@@ -122,12 +146,13 @@ class _RefJointRow:
 
 
 class _RefContactRow:
-    def __init__(self, contact, impulse=None):
+    def __init__(self, contact, refs, impulse=None):
         self.c = contact
         self.jn, self.jt, self.pn = 0.0, np.zeros(2), 0.0
-        a, b = contact.body_a, contact.body_b
+        a = None if contact.body_a is None else refs[contact.body_a]
+        b = refs[contact.body_b]
         self.a, self.b = a, b
-        n = contact.normal
+        n = np.array(contact.normal)
         self.n = n
         t1 = np.array([1.0, 0.0, 0.0])
         if abs(n @ t1) > 0.9:
@@ -136,10 +161,11 @@ class _RefContactRow:
         t1 /= np.linalg.norm(t1)
         self.t1 = t1
         self.t2 = _cross(n, t1)
-        self.ra = None if a is None else contact.point - a.x
-        self.rb = contact.point - b.x
-        self.iinv_a = None if a is None else a._iinv
-        self.iinv_b = b._iinv
+        point = np.array(contact.point)
+        self.ra = None if a is None else point - a.x
+        self.rb = point - b.x
+        self.iinv_a = None if a is None else a.iinv
+        self.iinv_b = b.iinv
         self.kn = self._k(n)
         self.kt1 = self._k(t1)
         self.kt2 = self._k(self.t2)
@@ -151,10 +177,10 @@ class _RefContactRow:
     def _k(self, d):
         k = 0.0
         a, b = self.a, self.b
-        if a is not None and a._dynamic:
+        if a is not None and a.dynamic:
             rn = _cross(self.ra, d)
             k += a.inv_mass + rn @ self.iinv_a @ rn
-        if b._dynamic:
+        if b.dynamic:
             rn = _cross(self.rb, d)
             k += b.inv_mass + rn @ self.iinv_b @ rn
         return k
@@ -168,11 +194,11 @@ class _RefContactRow:
 
     def _apply(self, impulse, lin, ang):
         a, b = self.a, self.b
-        if a is not None and a._dynamic:
+        if a is not None and a.dynamic:
             setattr(a, lin, getattr(a, lin) - impulse * a.inv_mass)
             setattr(a, ang, getattr(a, ang)
                     - self.iinv_a @ _cross(self.ra, impulse))
-        if b._dynamic:
+        if b.dynamic:
             setattr(b, lin, getattr(b, lin) + impulse * b.inv_mass)
             setattr(b, ang, getattr(b, ang)
                     + self.iinv_b @ _cross(self.rb, impulse))
@@ -216,18 +242,19 @@ class _RefContactRow:
             self._apply(dj * self.n, "pv", "pw")
 
 
-def _reference_solve(world, contacts, dt, cache=None):
-    """The solve on numpy rows.  ``cache`` (None: cold) maps "contacts" to
-    the last step's (jn, jt1, jt2) per contact key and "joints" to the
-    (anchor, angular) impulses per joint index, and is replaced by this
-    step's."""
-    for body in world.bodies:
-        body.pv, body.pw = np.zeros(3), np.zeros(3)
+def _reference_solve(world, refs, contacts, dt, cache=None):
+    """The solve on numpy rows over the numpy state ``refs`` of the bodies
+    of ``world``.  ``cache`` (None: cold) maps "contacts" to the last step's
+    (jn, jt1, jt2) per contact key and "joints" to the (anchor, angular)
+    impulses per joint index, and is replaced by this step's."""
+    for ref in refs.values():
+        ref.pv, ref.pw = np.zeros(3), np.zeros(3)
     cfg = world.config
     warm = cache or {"contacts": {}, "joints": {}}
-    joint_rows = [_RefJointRow(j, cfg.baumgarte, dt, warm["joints"].get(i))
+    joint_rows = [_RefJointRow(j, refs, cfg.baumgarte, dt,
+                               warm["joints"].get(i))
                   for i, j in enumerate(world.joints)]
-    contact_rows = [_RefContactRow(c, warm["contacts"].get(c.key))
+    contact_rows = [_RefContactRow(c, refs, warm["contacts"].get(c.key))
                     for c in contacts]
     for _ in range(cfg.solver_iterations):
         for row in joint_rows:
@@ -248,7 +275,12 @@ def _reference_solve(world, contacts, dt, cache=None):
 
 def _unit(rng):
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return tuple((v / np.linalg.norm(v)).tolist())
+
+
+def _near(rng, x):
+    """A random point about 0.2 from ``x``, as floats."""
+    return tuple((np.array(x) + rng.normal(scale=0.2, size=3)).tolist())
 
 
 def _random_body(rng, body_id, center):
@@ -259,15 +291,14 @@ def _random_body(rng, body_id, center):
                                int(rng.integers(3)))
     body = RigidBody.from_parts(body_id, [("p", solid, center)],
                                 float(rng.uniform(1.0, 20.0)))
-    body.q = np.concatenate([[1.0], rng.normal(scale=0.3, size=3)])
-    body.q /= np.linalg.norm(body.q)
-    body.v = rng.normal(size=3)
-    body.w = rng.normal(size=3)
+    q = np.concatenate([[1.0], rng.normal(scale=0.3, size=3)])
+    body.q = tuple((q / np.linalg.norm(q)).tolist())
+    body.vel = rng.normal(size=3).tolist() + rng.normal(size=3).tolist()
     return body
 
 
 def _random_contact(rng, a, b):
-    point = b.x + rng.normal(scale=0.2, size=3)
+    point = _near(rng, b.x)
     # normals face a into b, so most rows start out approaching
     return Contact(a, b, point, _unit(rng), float(rng.uniform(0.0, 2e-3)),
                    float(rng.choice([0.0, 0.5, 1.0])))
@@ -282,8 +313,8 @@ def _random_world(seed):
               for i in range(4)]
     bodies[3].kinematic = True
     world.bodies += bodies
-    anchor = (bodies[0].x + bodies[1].x) / 2.0
-    axis = _unit(rng)
+    anchor = (np.array(bodies[0].x) + bodies[1].x) / 2.0
+    axis = np.array(_unit(rng))
     world.joints.append(RevoluteJoint(
         body_a=bodies[0], body_b=bodies[1],
         anchor_local_a=anchor - bodies[0].x,
@@ -299,17 +330,23 @@ def _random_world(seed):
     return world, contacts
 
 
-def _state(world):
-    return np.array([np.concatenate([b.v, b.w, b.pv, b.pw])
-                     for b in world.bodies])
+def _state(refs):
+    return np.array([np.concatenate([r.v, r.w, r.pv, r.pw])
+                     for r in refs.values()])
 
 
 def _float_solve(world, contacts, dt):
-    """``World._solve`` on fresh solver bodies: the rows, and per body the
-    velocity and pseudo-velocity it ends with, laid out as ``_state``."""
-    bodies = {b: engine._SolverBody(b) for b in world.bodies}
-    rows = world._solve(bodies, contacts, dt)
-    return rows, np.array([sb.vel + sb.pvel for sb in bodies.values()])
+    """``World._solve`` from the bodies' velocities, which it leaves as they
+    were: the rows, and per body the velocity and pseudo-velocity the solve
+    ends with, laid out as ``_state``."""
+    start = [list(b.vel) for b in world.bodies]
+    for body in world.bodies:
+        body._start_step()
+    rows = world._solve(contacts, dt)
+    state = np.array([b.vel + b.pvel for b in world.bodies])
+    for body, vel in zip(world.bodies, start):
+        body.vel = vel
+    return rows, state
 
 
 def _assert_close(actual, expected):
@@ -323,12 +360,13 @@ def _assert_close(actual, expected):
 def test_float_rows_match_numpy_rows(seed):
     world, contacts = _random_world(seed)
     ref_world, ref_contacts = copy.deepcopy((world, contacts))
+    refs = _ref_bodies(ref_world)
     dt = world.config.timestep
 
     rows, state = _float_solve(world, contacts, dt)
-    ref_rows = _reference_solve(ref_world, ref_contacts, dt)
+    ref_rows = _reference_solve(ref_world, refs, ref_contacts, dt)
 
-    _assert_close(state, _state(ref_world))
+    _assert_close(state, _state(refs))
     _assert_close([[r.jn, r.jt1, r.jt2, r.pn] for r in rows],
                   [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
     # the rows did work: impulses flowed and the solve moved velocities
@@ -336,7 +374,7 @@ def test_float_rows_match_numpy_rows(seed):
     assert any(r.pn > 0.0 for r in rows)
     assert any(r.jt1 != 0.0 for r in rows)
     # the kinematic body ends the solve as it started
-    assert np.array_equal(state[3], _state(ref_world)[3])
+    assert np.array_equal(state[3], _state(refs)[3])
 
 
 def test_ground_contacts_match_numpy_rows():
@@ -346,19 +384,19 @@ def test_ground_contacts_match_numpy_rows():
         body = RigidBody.from_parts(
             f"box{i}", [("p", Solid.box((0.2, 0.3, 0.2)),
                          np.array([2.0 * i, 0.0, 0.099]))], 10.0)
-        body.v = np.array(v)
-        body.w = np.array([0.1, -0.2, 0.3])
+        body.vel = v + [0.1, -0.2, 0.3]
         world.bodies.append(body)
     for body in world.bodies:
         body.refresh_pose_cache()
     contacts = world.gather_contacts()
     assert len(contacts) == 8
     ref_world = copy.deepcopy(world)
+    refs = _ref_bodies(ref_world)
     rows, state = _float_solve(world, contacts, world.config.timestep)
     assert all(isinstance(r, engine._GroundRow) for r in rows)
     ref_rows = _reference_solve(
-        ref_world, ref_world.gather_contacts(), world.config.timestep)
-    _assert_close(state, _state(ref_world))
+        ref_world, refs, ref_world.gather_contacts(), world.config.timestep)
+    _assert_close(state, _state(refs))
     _assert_close([[r.jn, r.jt1, r.jt2, r.pn] for r in rows],
                   [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
 
@@ -375,16 +413,15 @@ def _ground_world(seed):
     for body in bodies:
         body.refresh_pose_cache()
         # moving down, so most rows start out approaching
-        body.v[2] = -abs(body.v[2])
+        body.vel[2] = -abs(body.vel[2])
     contacts = [
-        Contact(None, body, body.x + rng.normal(scale=0.2, size=3),
+        Contact(None, body, _near(rng, body.x),
                 engine._UP, float(rng.uniform(0.0, 2e-3)), friction,
                 (body.id, 0, k))
         for body in bodies for k, friction in enumerate((0.0, 0.5, 1.0))]
-    # a fresh +z array, as the hit test's peg hook builds its floor normal
-    contacts.append(Contact(None, bodies[0],
-                            bodies[0].x + rng.normal(scale=0.2, size=3),
-                            np.array([0.0, 0.0, 1.0]), 1e-3, 0.5,
+    # a fresh +z tuple, as the hit test's peg hook builds its floor normal
+    contacts.append(Contact(None, bodies[0], _near(rng, bodies[0].x),
+                            (0.0, 0.0, 1.0), 1e-3, 0.5,
                             (bodies[0].id, 0, 3)))
     return world, contacts
 
@@ -446,12 +483,12 @@ _REF_BOX_SIGNS = np.array(
     dtype=float)
 
 
-def _ref_ground_contacts(world, contacts, centers):
+def _ref_ground_contacts(world, refs, contacts, centers):
     margin, mu = engine.CONTACT_GEN_MARGIN, world.config.friction
     for body, body_centers in zip(world.bodies, centers):
         if body.inv_mass == 0.0 and not body.kinematic:
             continue
-        r = body._rot
+        r = refs[body].rot
         for index, (part, c) in enumerate(zip(body.parts, body_centers)):
             solid = part.solid
             if part.half is not None:
@@ -491,13 +528,13 @@ def _ref_ground_contacts(world, contacts, centers):
                         (body.id, index, k)))
 
 
-def _ref_body_body_contacts(world, contacts, centers):
+def _ref_body_body_contacts(world, refs, contacts, centers):
     mu = world.config.friction
     for i, a in enumerate(world.bodies):
         for j in range(i + 1, len(world.bodies)):
             b = world.bodies[j]
-            if not (a._dynamic or a.kinematic) \
-                    and not (b._dynamic or b.kinematic):
+            if not (refs[a].dynamic or a.kinematic) \
+                    and not (refs[b].dynamic or b.kinematic):
                 continue
             if world._jointed(a, b):
                 continue
@@ -520,9 +557,9 @@ def _ref_body_body_contacts(world, contacts, centers):
                         (a.id, b.id, ia, ib, axis, sign)))
 
 
-def _ref_part_min_z(body, part):
-    r = body._rot
-    c = body.x + r @ part.local_center
+def _ref_part_min_z(ref, part):
+    r = ref.rot
+    c = ref.x + r @ part.local_center
     if part.half is not None:
         return c[2] - float(np.abs(r[2, :]) @ np.asarray(part.half))
     axis = r[:, part.solid.axis]
@@ -531,44 +568,44 @@ def _ref_part_min_z(body, part):
     return c[2] - abs(axis[2]) * hl - radial
 
 
-def _reference_gather(world):
+def _reference_gather(world, refs):
     contacts = []
-    centers = [[body.x + body._rot @ part.local_center
+    centers = [[refs[body].x + refs[body].rot @ part.local_center
                 for part in body.parts] for body in world.bodies]
     if world.ground_enabled:
-        _ref_ground_contacts(world, contacts, centers)
-    _ref_body_body_contacts(world, contacts, centers)
+        _ref_ground_contacts(world, refs, contacts, centers)
+    _ref_body_body_contacts(world, refs, contacts, centers)
     return contacts
 
 
-def _reference_step(world, dt, cache):
-    """One ``World.step`` on 3-vector numpy arrays, warm-started from and
-    updating ``cache`` as ``_reference_solve`` does; returns the
-    contacts."""
+def _reference_step(world, refs, dt, cache):
+    """One ``World.step`` on the 3-vector numpy arrays of ``refs``,
+    warm-started from and updating ``cache`` as ``_reference_solve`` does;
+    returns the contacts."""
     world._pair_skip = None
-    for body in world.bodies:
-        body._dynamic = not body.kinematic and body.inv_mass != 0.0
-        if not body._dynamic:
-            body._iinv = np.zeros((3, 3))
-            body.force[:] = 0.0
-            body.torque[:] = 0.0
+    for body, ref in refs.items():
+        ref.dynamic = not body.kinematic and body.inv_mass != 0.0
+        if not ref.dynamic:
+            ref.iinv = np.zeros((3, 3))
+            ref.force[:] = 0.0
+            ref.torque[:] = 0.0
             continue
-        body._iinv = body._rot @ body.inv_inertia_body @ body._rot.T
-        accel = body.force * body.inv_mass
+        ref.iinv = ref.rot @ np.array(body.inv_inertia_body) @ ref.rot.T
+        accel = ref.force * body.inv_mass
         if not body.gravity_exempt:
             accel = accel + world.gravity
-        body.v = body.v + accel * dt
-        body.w = body.w + body._iinv @ body.torque * dt
-        body.force[:] = 0.0
-        body.torque[:] = 0.0
-    contacts = _reference_gather(world)
-    _reference_solve(world, contacts, dt, cache)
-    for body in world.bodies:
-        if not body._dynamic and not body.kinematic:
+        ref.v = ref.v + accel * dt
+        ref.w = ref.w + ref.iinv @ ref.torque * dt
+        ref.force[:] = 0.0
+        ref.torque[:] = 0.0
+    contacts = _reference_gather(world, refs)
+    _reference_solve(world, refs, contacts, dt, cache)
+    for body, ref in refs.items():
+        if not ref.dynamic and not body.kinematic:
             continue
-        body.x = body.x + (body.v + body.pv) * dt
-        body.q = _ref_quat_integrate(body.q, body.w + body.pw, dt)
-        body._rot = _ref_quat_to_matrix(body.q)
+        ref.x = ref.x + (ref.v + ref.pv) * dt
+        ref.q = _ref_quat_integrate(ref.q, ref.w + ref.pw, dt)
+        ref.rot = _ref_quat_to_matrix(ref.q)
     world.time += dt
     return contacts
 
@@ -600,25 +637,27 @@ def _step_world(seed):
             parts.append(("q", box(), np.array([x + 0.4, y + 0.2, 1.2])))
         body = RigidBody.from_parts(f"b{i}", parts,
                                     float(rng.uniform(1.0, 20.0)))
-        body.q = np.concatenate([[1.0], rng.normal(scale=tilt, size=3)])
-        body.q /= np.linalg.norm(body.q)
+        q = np.concatenate([[1.0], rng.normal(scale=tilt, size=3)])
+        body.q = tuple((q / np.linalg.norm(q)).tolist())
         body.refresh_pose_cache()
         # lowest point into the ground, so that some corners or rim points
         # are under the contact margin
-        low = min(_ref_part_min_z(body, part) for part in body.parts)
-        body.x[2] -= low + rng.uniform(0.0, 0.15)
-        body.v = rng.normal(scale=0.5, size=3)
-        body.w = rng.normal(scale=2.0, size=3)
+        ref = _RefBody(body)
+        low = min(_ref_part_min_z(ref, part) for part in body.parts)
+        x, y, z = body.x
+        body.x = (x, y, z - (low + rng.uniform(0.0, 0.15)))
+        body.vel = rng.normal(scale=0.5, size=3).tolist() + \
+            rng.normal(scale=2.0, size=3).tolist()
         world.bodies.append(body)
     world.bodies[4].kinematic = True
-    world.bodies[4].v = np.array([0.3, -0.2, 0.1])
+    world.bodies[4].vel[:3] = [0.3, -0.2, 0.1]
     world.bodies[5].gravity_exempt = True
     for body in world.bodies:
         body.apply_force(rng.normal(scale=50.0, size=3),
                          body.x + rng.normal(scale=0.1, size=3))
         body.apply_torque(rng.normal(scale=5.0, size=3))
     a, b = world.bodies[0], world.bodies[5]
-    anchor = (a.x + b.x) / 2.0
+    anchor = (np.array(a.x) + b.x) / 2.0
     axis = _unit(rng)
     world.joints.append(RevoluteJoint(
         body_a=a, body_b=b, anchor_local_a=anchor - a.x,
@@ -626,7 +665,7 @@ def _step_world(seed):
     return world
 
 
-def _assert_steps_agree(world, ref_world, contacts, ref_contacts):
+def _assert_steps_agree(world, ref_world, refs, contacts, ref_contacts):
     assert len(contacts) == len(ref_contacts)
     for c, ref in zip(contacts, ref_contacts):
         assert (c.body_a and c.body_a.id, c.body_b.id, c.key) == \
@@ -637,12 +676,16 @@ def _assert_steps_agree(world, ref_world, contacts, ref_contacts):
                   [c.point for c in ref_contacts])
     _assert_close([c.depth for c in contacts],
                   [c.depth for c in ref_contacts])
-    for name in ("x", "q", "_rot", "v", "w", "_iinv"):
+    for name in ("x", "q", "rot", "iinv"):
         _assert_close([getattr(b, name) for b in world.bodies],
-                      [getattr(b, name) for b in ref_world.bodies])
+                      [getattr(r, name) for r in refs.values()])
+    _assert_close([b.vel[:3] for b in world.bodies],
+                  [r.v for r in refs.values()])
+    _assert_close([b.vel[3:] for b in world.bodies],
+                  [r.w for r in refs.values()])
     _assert_close([b.part_min_z(p) for b in world.bodies for p in b.parts],
-                  [_ref_part_min_z(b, p)
-                   for b in ref_world.bodies for p in b.parts])
+                  [_ref_part_min_z(r, p)
+                   for r in refs.values() for p in r.body.parts])
     assert world.time == ref_world.time
 
 
@@ -650,31 +693,32 @@ def _assert_steps_agree(world, ref_world, contacts, ref_contacts):
 def test_float_step_matches_numpy_step(seed):
     world = _step_world(seed)
     ref_world = copy.deepcopy(world)
+    refs = _ref_bodies(ref_world)
     dt = world.config.timestep
     cache = {"contacts": {}, "joints": {}}
 
-    contacts = world.step(dt)
-    ref_contacts = _reference_step(ref_world, dt, cache)
-    _assert_steps_agree(world, ref_world, contacts, ref_contacts)
+    contacts = world.step()
+    ref_contacts = _reference_step(ref_world, refs, dt, cache)
+    _assert_steps_agree(world, ref_world, refs, contacts, ref_contacts)
     # the step exercised every path: corners, both cylinder branches, a
     # body-body contact, forces, the kinematic drive and no gravity
     kinds = {(c.body_a is not None, c.body_b.id) for c in contacts}
     assert {(False, "b0"), (False, "b1"), (False, "b3")} <= kinds
     assert any(a for a, _ in kinds)
     kin = world.bodies[4]
-    assert np.array_equal(kin.x, ref_world.bodies[4].x)
+    assert np.array_equal(kin.x, refs[ref_world.bodies[4]].x)
     assert kin.x[0] != _step_world(seed).bodies[4].x[0]
     for body in world.bodies:
-        assert not body.force.any() and not body.torque.any()
+        assert not any(body.force) and not any(body.torque)
 
     # the second step starts from the first one's impulses
     warm = world._contact_impulses
     assert list(warm) == list(cache["contacts"])
     _assert_close(list(warm.values()), list(cache["contacts"].values()))
     _assert_close(world._joint_impulses[0], cache["joints"][0])
-    contacts = world.step(dt)
-    ref_contacts = _reference_step(ref_world, dt, cache)
-    _assert_steps_agree(world, ref_world, contacts, ref_contacts)
+    contacts = world.step()
+    ref_contacts = _reference_step(ref_world, refs, dt, cache)
+    _assert_steps_agree(world, ref_world, refs, contacts, ref_contacts)
     _assert_close(list(world._contact_impulses.values()),
                   list(cache["contacts"].values()))
     _assert_close(world._joint_impulses[0], cache["joints"][0])
@@ -714,8 +758,8 @@ def test_a_feature_absent_in_the_last_step_starts_at_zero():
         [cached[c.key] for c in contacts[:4]]
     assert [(r.jn, r.jt1, r.jt2) for r in rows[4:]] == [(0.0, 0.0, 0.0)] * 4
     old, new = world.bodies
-    assert state[0, :6].tolist() != old.v.tolist() + old.w.tolist()
-    assert state[1, :6].tolist() == new.v.tolist() + new.w.tolist()
+    assert state[0, :6].tolist() != old.vel
+    assert state[1, :6].tolist() == new.vel
     # the cache now holds this solve's features only
     assert list(world._contact_impulses) == [c.key for c in contacts]
 
@@ -730,8 +774,7 @@ def test_friction_without_normal_impulse_carries_nothing_over(generic,
         monkeypatch.setattr(engine, "_contact_row", engine._ContactRow)
     world = World(SimConfig())
     box = _resting_box("box", 0.0)
-    box.v = np.array([0.1, -0.05, 1.0])
-    box.w = np.array([0.2, 0.1, -0.3])
+    box.vel = [0.1, -0.05, 1.0, 0.2, 0.1, -0.3]
     world.bodies.append(box)
     cold = copy.deepcopy(world)
     dt = world.config.timestep
@@ -758,9 +801,10 @@ def test_deep_copies_step_byte_identical():
     for _ in range(200):
         world.step()
         twin.step()
-    for name in ("x", "q", "v", "w"):
-        assert [getattr(b, name).tobytes() for b in world.bodies] == \
-            [getattr(b, name).tobytes() for b in twin.bodies]
+    for name in ("x", "q", "vel"):
+        assert [np.array(getattr(b, name)).tobytes()
+                for b in world.bodies] == \
+            [np.array(getattr(b, name)).tobytes() for b in twin.bodies]
     assert twin._contact_impulses == world._contact_impulses
     assert twin._joint_impulses == world._joint_impulses
     assert world._contact_impulses and world._joint_impulses

@@ -35,7 +35,7 @@ def test_compile_craft_skateboard_structure(build_fixture):
     for w in ("WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"):
         assert craft.part_body[w] is not deck_body
         joint = craft.joints_by_part[w]
-        axis = joint.world_axis_a()
+        axis = np.array(joint.body_a.rot) @ joint.axis_local_a
         assert np.allclose(np.abs(axis), [0.0, 1.0, 0.0])
     # craft is scaled x10 and shifted so the wheels touch z=0
     assert min(b.part_min_z(p) for b in craft.bodies
@@ -272,6 +272,41 @@ def test_contact_generation_reuses_part_bounding_radii(
     assert radius_norms == []
 
 
+def test_a_step_builds_numpy_arrays_only_for_body_body_overlap_tests(
+        build_fixture, monkeypatch):
+    """Body state stays plain floats through a step: the only numpy arrays
+    it builds are the two part centres of each body-body overlap test."""
+    original_array, original_overlap = np.array, engine.pair_overlap
+    inside_overlap = []
+
+    def array(*args, **kwargs):
+        if not inside_overlap:
+            arrays.append(1)
+        return original_array(*args, **kwargs)
+
+    def overlap(*args, **kwargs):
+        overlaps.append(1)
+        inside_overlap.append(1)
+        try:
+            return original_overlap(*args, **kwargs)
+        finally:
+            inside_overlap.pop()
+
+    monkeypatch.setattr(engine, "pair_overlap", overlap)
+    # the table is one body; the skateboard's wheels, hinged to the deck,
+    # are tested against each other
+    for name, tested in (("table_valid_1", False),
+                         ("skateboard_valid_2", True)):
+        arrays, overlaps = [], []
+        world = compile_craft(build_fixture(name)[1], SimConfig()).world
+        monkeypatch.setattr(np, "array", array)
+        for _ in range(5):
+            assert world.step()
+        monkeypatch.setattr(np, "array", original_array)
+        assert bool(overlaps) is tested
+        assert len(arrays) == 2 * len(overlaps)
+
+
 def test_lifted_lying_cylinders_are_rejected_before_any_rim_point(
         build_fixture, monkeypatch):
     _, asm = build_fixture("skateboard_valid_2")
@@ -279,7 +314,8 @@ def test_lifted_lying_cylinders_are_rejected_before_any_rim_point(
     def lifted_world(dz):
         world = compile_craft(asm, SimConfig()).world
         for body in world.bodies:
-            body.x = body.x + np.array([0.0, 0.0, dz])
+            x, y, z = body.x
+            body.x = (x, y, z + dz)
         return world
 
     norms = []
@@ -312,16 +348,17 @@ def test_drift_is_measured_at_the_pose_after_the_step():
     b = RigidBody.from_parts(
         "b", [("B", Solid.box((1.0, 1.0, 1.0)), np.array([3.0, 0.0, 0.0]))],
         1.0)
-    a.w = np.array([0.0, 0.0, 20.0])
-    b.w = np.array([15.0, 0.0, 0.0])
+    a.vel[5] = 20.0
+    b.vel[3] = 15.0
     world.bodies += [a, b]
     local_a, local_b = np.array([1.5, 0.0, 0.0]), np.array([-1.5, 0.2, 0.0])
-    watches = [ConnectionWatch(kind, "A", "B", a, b, local_a, local_b, normal)
+    watches = [ConnectionWatch(kind, "A", "B", a, b, tuple(local_a.tolist()),
+                               tuple(local_b.tolist()), normal)
                for kind, normal in (("INSERTED", None),
-                                    ("SURFACE", np.array([1.0, 0.0, 0.0])))]
+                                    ("SURFACE", (1.0, 0.0, 0.0)))]
     world.step()
 
-    ra, rb = quat_to_matrix(a.q), quat_to_matrix(b.q)
+    ra, rb = np.array(quat_to_matrix(a.q)), np.array(quat_to_matrix(b.q))
     gap = (b.x + rb @ local_b) - (a.x + ra @ local_a)
     stale = (b.x + local_b) - (a.x + local_a)  # the pre-step (identity) pose
     assert abs(np.linalg.norm(gap) - np.linalg.norm(stale)) > 1e-3

@@ -15,8 +15,17 @@ under the cap, nor take a large margin below ``MARGIN_CAP / MARGIN_DROP``.
 Re-record (only in a change whose intended semantic change is named) with
 
     PYTHONPATH=src python tests/test_outcome_gate.py
+
+and print, writing nothing, the sha256 over every case's full
+``outcome.to_dict()`` (trajectory included; ``json.dumps`` with sorted keys,
+one case after the other in ``CASES`` order), which a change that keeps
+outcomes byte-identical leaves unchanged, with
+
+    PYTHONPATH=src python tests/test_outcome_gate.py --digest
 """
 
+import argparse
+import hashlib
 import json
 
 from craftkit.physics import SimConfig
@@ -105,24 +114,47 @@ def test_the_gate_catches_a_flipped_verdict_and_a_thin_margin():
     assert not compare(recorded, thin)[1]
 
 
-def _record():
+def _outcomes():
+    """(name, outcome) of every case at the default ``SimConfig``, in
+    ``CASES`` order."""
     import craftkit
     from craftkit.orchestrator import category_function
     from craftkit.physics import run_functional_test
 
     catalog = craftkit.default_catalog()
     config = SimConfig()
-    out = {}
     for name in CASES:
         plan, _ = craftkit.load_plan(PLANS / f"{name}.json", catalog)
         asm = craftkit.build_assembly(plan, catalog)
         kind = category_function(name.split("_", 1)[0])
-        out[name] = signature(run_functional_test(kind, asm, plan, config),
-                              config)
+        yield name, run_functional_test(kind, asm, plan, config)
+
+
+def _record():
+    config = SimConfig()
+    out = {}
+    for name, outcome in _outcomes():
+        out[name] = signature(outcome, config)
         print(name, out[name], flush=True)
     OUTCOMES.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
 
 
+def _digest():
+    digest = hashlib.sha256()
+    for _, outcome in _outcomes():
+        digest.update(json.dumps(outcome.to_dict(), sort_keys=True).encode())
+    print(digest.hexdigest())
+
+
 if __name__ == "__main__":
-    _record()
+    parser = argparse.ArgumentParser(
+        description="Re-record fixtures/outcomes.json, or print the digest "
+                    "of the cases' outcomes.")
+    parser.add_argument("--digest", action="store_true",
+                        help="print the sha256 over the cases' outcomes "
+                             "and write nothing")
+    if parser.parse_args().digest:
+        _digest()
+    else:
+        _record()

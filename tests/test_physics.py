@@ -24,7 +24,7 @@ def test_quat_identity():
     q2 = quat_integrate(q, np.array([0.0, 0.0, np.pi]), 1.0)
     r = quat_to_matrix(q2)
     assert np.isclose(abs(np.linalg.norm(q2)), 1.0)
-    assert r[2, 2] == pytest.approx(1.0)
+    assert r[2][2] == pytest.approx(1.0)
 
 
 def test_free_fall_matches_analytic():
@@ -39,7 +39,7 @@ def test_free_fall_matches_analytic():
     # symplectic Euler: z = z0 - g*dt*(1+2+...+n)*dt
     expected = 10.0 - cfg.gravity * cfg.timestep ** 2 * steps * (steps + 1) / 2
     assert body.x[2] == pytest.approx(expected, abs=1e-9)
-    assert body.v[2] == pytest.approx(-cfg.gravity * t, abs=1e-9)
+    assert body.vel[2] == pytest.approx(-cfg.gravity * t, abs=1e-9)
 
 
 def test_torque_driven_wheel_matches_analytic():
@@ -56,7 +56,7 @@ def test_torque_driven_wheel_matches_analytic():
         body.apply_torque(np.array([0.0, torque, 0.0]))
         world.step()
     expected = torque * t / inertia
-    assert body.w[1] == pytest.approx(expected, rel=0.02)
+    assert body.vel[4] == pytest.approx(expected, rel=0.02)
 
 
 def test_resting_box_does_not_drift():
@@ -77,7 +77,7 @@ def test_ground_stops_falling_box():
     for _ in range(int(round(2.0 / cfg.timestep))):
         world.step()
     assert body.x[2] == pytest.approx(0.1, abs=2e-3)
-    assert np.linalg.norm(body.v) < 0.05
+    assert np.linalg.norm(body.vel[:3]) < 0.05
 
 
 def test_revolute_joint_holds_anchor():
@@ -95,14 +95,14 @@ def test_revolute_joint_holds_anchor():
         body_a=hub, body_b=wheel,
         anchor_local_a=anchor - hub.x, anchor_local_b=anchor - wheel.x,
         axis_local_a=axis, axis_local_b=axis))
-    wheel.w = np.array([0.0, 4.0, 0.0])
+    wheel.vel[3:] = [0.0, 4.0, 0.0]
     for _ in range(int(round(2.0 / cfg.timestep))):
         world.step()
     pa = hub.world_point(anchor - np.array([0.0, 0.0, 1.0]))
-    pb = wheel.world_point(wheel.parts[0].local_center * 0.0)
-    assert np.linalg.norm(pa - pb) < 1e-3
+    pb = wheel.world_point((0.0, 0.0, 0.0))
+    assert np.linalg.norm(np.subtract(pa, pb)) < 1e-3
     # spin axis stays aligned with the hinge
-    assert abs(wheel.w @ np.array([1.0, 0.0, 0.0])) < 1e-3
+    assert abs(np.array(wheel.vel[3:]) @ np.array([1.0, 0.0, 0.0])) < 1e-3
 
 
 def test_momentum_conserved_without_external_forces():
@@ -112,15 +112,19 @@ def test_momentum_conserved_without_external_forces():
     b = box_body((0.5, 0.0, 1.0), body_id="b")
     a.gravity_exempt = True
     b.gravity_exempt = True
-    a.v = np.array([1.0, 0.0, 0.0])
+    a.vel[0] = 1.0
     world.bodies += [a, b]
-    p0 = a.mass * a.v + b.mass * b.v
+
+    def momentum():
+        return a.mass * np.array(a.vel[:3]) + b.mass * np.array(b.vel[:3])
+
+    p0 = momentum()
     for _ in range(int(round(1.0 / cfg.timestep))):
         world.step()
-    p1 = a.mass * a.v + b.mass * b.v
+    p1 = momentum()
     assert np.allclose(p0, p1, atol=1e-8)
     # the collision actually happened
-    assert np.linalg.norm(b.v) > 0.1
+    assert np.linalg.norm(b.vel[:3]) > 0.1
 
 
 def test_unforced_energy_non_increasing():
@@ -138,7 +142,7 @@ def test_numerical_divergence_raises():
     world, _ = make_world()
     world.ground_enabled = False
     body = box_body((0.0, 0.0, 1.0))
-    body.v = np.array([2e3, 0.0, 0.0])
+    body.vel[0] = 2e3
     world.bodies.append(body)
     with pytest.raises(NumericalDivergence):
         world.step()
@@ -148,7 +152,7 @@ def test_nan_velocity_raises():
     world, _ = make_world()
     world.ground_enabled = False
     body = box_body((0.0, 0.0, 1.0))
-    body.v = np.array([np.nan, 0.0, 0.0])
+    body.vel[0] = float("nan")
     world.bodies.append(body)
     with pytest.raises(NumericalDivergence):
         world.step()
@@ -158,7 +162,7 @@ def test_runaway_spin_raises():
     world, _ = make_world()
     world.ground_enabled = False
     body = box_body((0.0, 0.0, 1.0))
-    body.w = np.array([0.0, 0.0, 1e5])
+    body.vel[5] = 1e5
     world.bodies.append(body)
     with pytest.raises(NumericalDivergence):
         world.step()
@@ -168,7 +172,7 @@ def test_part_min_z_rotated_box():
     body = box_body((0.0, 0.0, 1.0))
     # 45 degrees about x: the support corner is half the face diagonal down
     half = np.pi / 8.0
-    body.q = np.array([np.cos(half), np.sin(half), 0.0, 0.0])
+    body.q = (np.cos(half), np.sin(half), 0.0, 0.0)
     body.refresh_pose_cache()
     expected = 1.0 - 0.1 * np.sqrt(2.0)
     assert body.part_min_z(body.parts[0]) == pytest.approx(expected, abs=1e-9)
