@@ -13,9 +13,9 @@ catalog = default_catalog()
 plan, _ = parse_plan(normalize_raw(load_template("skateboard")), catalog)
 assembly = build_assembly(plan, catalog)
 
-print("placed parts (centers in metres):")
+print("placed parts, in placement order (centers in metres):")
 for name, part in assembly.placed.items():
-    x, y, z = part.pose.position
+    x, y, z = part.position
     print(f"  {name:12s} ({x:+.3f}, {y:+.3f}, {z:+.3f})"
           + ("  [on the ground]" if name in assembly.ground_set else ""))
 

@@ -11,12 +11,9 @@ LLM client with validator feedback.
 from .assembler import (
     Assembly,
     PlacedPart,
-    Pose,
     build_assembly,
-    carve_modifications,
     connectivity_check,
     connectivity_components,
-    place_parts,
 )
 from .catalog import Catalog, ObjectType, default_catalog, load_catalog
 from .collision import CollisionReport, pair_overlap, validate_collisions
@@ -38,7 +35,6 @@ from .orchestrator import (
     HttpClient,
     LlmClient,
     PipelineResult,
-    PromptBundle,
     ScriptedClient,
     build_prompt,
     classify_failure,
@@ -58,9 +54,8 @@ from .plan import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assembly", "PlacedPart", "Pose", "build_assembly",
-    "carve_modifications", "connectivity_check", "connectivity_components",
-    "place_parts",
+    "Assembly", "PlacedPart", "build_assembly", "connectivity_check",
+    "connectivity_components",
     "Catalog", "ObjectType", "default_catalog", "load_catalog",
     "CollisionReport", "pair_overlap", "validate_collisions",
     "CraftError",
@@ -68,8 +63,8 @@ __all__ = [
     "compare_meshes", "compare_point_sets", "fscore", "hausdorff_distance",
     "load_obj", "sample_assembly_exterior", "sample_mesh",
     "export_assembly_obj", "mesh_assembly", "mesh_part", "write_obj",
-    "HttpClient", "LlmClient", "PipelineResult", "PromptBundle",
-    "ScriptedClient", "build_prompt", "classify_failure", "run_pipeline",
+    "HttpClient", "LlmClient", "PipelineResult", "ScriptedClient",
+    "build_prompt", "classify_failure", "run_pipeline",
     "SimConfig", "SimOutcome", "run_functional_test",
     "CraftPlan", "FormatReport", "load_plan", "normalize_raw", "parse_plan",
     "serialize_plan", "strip_code_fences",

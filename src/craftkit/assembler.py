@@ -1,10 +1,16 @@
 """Compile a validated plan into a world-space assembly.
 
+Each part's solid is made once, with its holes already carved: a hole's
+place follows from its modification and its owner's extents, and its
+cross-section from the extents of the parts the plan inserts into it.
+
 Placement is deterministic: the first listed part seeds the scene at the
 origin (resting on z=0) and every other part is positioned by its first
-connection; all further connections are only checked for consistency.
-Part positions are world coordinates; carved holes are stored relative to
-their part's centre.
+connection, read against the target's extents or carved hole; all further
+connections are only checked for consistency.  Parts are placed in passes
+over the plan, so ``Assembly.placed`` is in placement order, which is not
+always plan order.  Part positions are world coordinates; carved holes are
+stored relative to their part's centre.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (
     Unplaceable,
 )
 from .geometry import AXIS_INDEX, CYL, FACE_AXIS, HoleRegion, Solid
-from .plan import AXES, CraftPlan, ModificationSpec, PartSpec
+from .plan import CraftPlan, ModificationSpec, PartSpec
 
 CONTACT_TOL = 1e-6
 HOLE_CLEARANCE = 0.001  # 1 mm in metres
@@ -31,37 +37,28 @@ DEFAULT_HOLE_RADIUS = 0.005  # holes nobody inserts into
 CYL_AXIS_TOKEN = {"FRONT_BACK": 0, "LEFT_RIGHT": 1, "TOP_BOTTOM": 2}
 
 
-@dataclass(frozen=True)
-class Pose:
-    position: tuple  # AABB center, metres
-    axis_map: tuple | str  # cuboid: per-axis dims (mm); cylinder: axis name
-
-
 @dataclass
 class PlacedPart:
     spec: PartSpec
-    pose: Pose
     solid: Solid
+    position: tuple  # AABB center, metres
 
     @property
     def center(self):
-        return np.asarray(self.pose.position)
+        return np.asarray(self.position)
 
     def aabb(self):
-        return self.solid.aabb(self.pose.position)
+        return self.solid.aabb(self.position)
 
 
 @dataclass
 class Assembly:
-    placed: dict  # name -> PlacedPart, insertion-ordered by plan order
+    placed: dict  # name -> PlacedPart, in placement order
     graph: list = field(default_factory=list)  # (part, to_part, ConnectionSpec)
     ground_set: set = field(default_factory=set)
 
     def part(self, name) -> PlacedPart:
         return self.placed[name]
-
-    def names(self):
-        return list(self.placed)
 
     def min_z(self):
         return min(p.aabb()[0][2] for p in self.placed.values())
@@ -72,9 +69,10 @@ class Assembly:
                 {
                     "name": name,
                     "object": p.spec.available_obj,
-                    "position": list(p.pose.position),
-                    "axis_map": list(p.pose.axis_map)
-                    if not isinstance(p.pose.axis_map, str) else p.pose.axis_map,
+                    "position": list(p.position),
+                    "axis_map": p.spec.orientation.axis_token
+                    if p.spec.orientation.axis_dims is None
+                    else list(p.spec.orientation.axis_dims),
                     "solid": p.solid.to_dict(),
                     "exec_function": p.spec.exec_function,
                 }
@@ -96,32 +94,15 @@ class Assembly:
         return json.dumps(self.to_jsonable(), indent=2)
 
 
-def resolve_orientation(spec: PartSpec, obj: ObjectType):
-    """World AABB extents in metres plus the axis assignment."""
+def _make_solid(spec: PartSpec, obj: ObjectType) -> Solid:
     if obj.is_cuboid:
-        dims = spec.orientation.axis_dims
-        extents = tuple(d * MM for d in dims)
-        return extents, tuple(dims)
+        return Solid.box(tuple(d * MM for d in spec.orientation.axis_dims))
     axis = CYL_AXIS_TOKEN[spec.orientation.axis_token]
-    r, length = obj.dims[0] * MM, obj.dims[1] * MM
-    ext = [2.0 * r] * 3
-    ext[axis] = length
-    return tuple(ext), spec.orientation.axis_token
+    return Solid.cylinder(obj.dims[0] * MM, obj.dims[1] * MM, axis)
 
 
-def _make_solid(spec: PartSpec, obj: ObjectType):
-    extents, axis_map = resolve_orientation(spec, obj)
-    if obj.is_cuboid:
-        solid = Solid.box(extents)
-    else:
-        axis = CYL_AXIS_TOKEN[spec.orientation.axis_token]
-        solid = Solid.cylinder(obj.dims[0] * MM, obj.dims[1] * MM, axis)
-    return solid, Pose(position=(0.0, 0.0, 0.0), axis_map=axis_map)
-
-
-def hole_offset(mod: ModificationSpec, owner_extents):
-    """Axis, centre offset from the owner's centre, depth, through flag and
-    open side of a modification's region."""
+def _carve(owner: str, mod: ModificationSpec, owner_extents, inserted):
+    """The hole ``mod`` cuts in its owner, sized to the ``inserted`` solids."""
     ax = AXIS_INDEX[mod.through_axis]
     offset = [0.0, 0.0, 0.0]
     for t in range(3):
@@ -133,11 +114,44 @@ def hole_offset(mod: ModificationSpec, owner_extents):
         offset[t] = sign * owner_extents[t] / 4.0
     token = mod.align[ax]
     if token.endswith("_FULL"):
-        return ax, tuple(offset), owner_extents[ax], True, 0
-    _, sign = FACE_AXIS[token.split("_")[0]]
-    # blind hole: opens on the start face, reaches half the extent
-    offset[ax] = sign * owner_extents[ax] / 4.0
-    return ax, tuple(offset), owner_extents[ax] / 2.0, False, sign
+        depth, through, open_sign = owner_extents[ax], True, 0
+    else:
+        _, open_sign = FACE_AXIS[token.split("_")[0]]
+        # blind hole: opens on the start face, reaches half the extent
+        offset[ax] = open_sign * owner_extents[ax] / 4.0
+        depth, through = owner_extents[ax] / 2.0, False
+    radius, half_widths = DEFAULT_HOLE_RADIUS, None
+    if inserted:
+        trans = [t for t in range(3) if t != ax]
+        max_half = max(
+            max(s.extents[t] / 2.0 for t in trans) for s in inserted)
+        if any(s.kind == CYL for s in inserted):
+            radius = max_half + HOLE_CLEARANCE
+        else:
+            side = 2.0 * max_half + 2.0 * HOLE_CLEARANCE
+            radius, half_widths = None, (side / 2.0, side / 2.0)
+    return HoleRegion(
+        owner=owner, name=mod.name, axis=ax, offset=tuple(offset),
+        depth=depth, through=through, radius=radius,
+        half_widths=half_widths, open_sign=open_sign)
+
+
+def _make_solids(plan: CraftPlan, catalog: Catalog) -> dict:
+    """Each part's solid with its holes carved, by part name."""
+    solids = {p.name: _make_solid(p, catalog.lookup(p.available_obj))
+              for p in plan.parts}
+    inserted = {}  # (owner, modification) -> solids inserted into it
+    for spec in plan.parts:
+        for conn in spec.connections:
+            if conn.contact_type == "INSERTED":
+                inserted.setdefault((conn.to_part, conn.to_modification),
+                                    []).append(solids[spec.name])
+    for spec in plan.parts:
+        solid = solids[spec.name]
+        for mod in spec.modifications:
+            solid.holes.append(_carve(spec.name, mod, solid.extents,
+                                      inserted.get((spec.name, mod.name))))
+    return solids
 
 
 def _surface_position(cur_ext, to_center, to_ext, conn):
@@ -177,20 +191,18 @@ def _check_surface_contact(part: PlacedPart, target: PlacedPart, conn):
 
 
 def _check_inserted_contact(part: PlacedPart, target: PlacedPart, conn):
-    mod = next(
-        (m for m in target.spec.modifications if m.name == conn.to_modification),
-        None)
-    if mod is None:
+    hole = target.solid.hole(conn.to_modification)
+    if hole is None:
         return f"{conn.to_modification!r} missing on {conn.to_part!r}"
-    ax, offset, depth, _, _ = hole_offset(mod, target.solid.extents)
-    center = target.center + offset
+    ax = hole.axis
+    center = target.center + hole.offset
     for t in range(3):
         if t == ax:
             continue
         if abs(part.center[t] - center[t]) > CONTACT_TOL:
             return f"axis offset {abs(part.center[t] - center[t]):.3g} m on axis {t}"
-    lo = center[ax] - depth / 2.0
-    hi = center[ax] + depth / 2.0
+    lo = center[ax] - hole.depth / 2.0
+    hi = center[ax] + hole.depth / 2.0
     p_lo = part.center[ax] - part.solid.extents[ax] / 2.0
     p_hi = part.center[ax] + part.solid.extents[ax] / 2.0
     if min(hi, p_hi) - max(lo, p_lo) <= 0:
@@ -198,129 +210,18 @@ def _check_inserted_contact(part: PlacedPart, target: PlacedPart, conn):
     return None
 
 
-def place_parts(plan: CraftPlan, catalog: Catalog) -> Assembly:
-    parts = {p.name: p for p in plan.parts}
-    objs = {p.name: catalog.lookup(p.available_obj) for p in plan.parts}
-    placed: dict[str, PlacedPart] = {}
-
-    def place(spec: PartSpec, position):
-        solid, pose = _make_solid(spec, objs[spec.name])
-        placed[spec.name] = PlacedPart(
-            spec=spec,
-            pose=Pose(position=tuple(float(v) for v in position),
-                      axis_map=pose.axis_map),
-            solid=solid,
-        )
-
-    # seed: first part; its AABB rests on z=0 centered at the origin
-    seed = plan.parts[0]
-    seed_solid, _ = _make_solid(seed, objs[seed.name])
-    place(seed, (0.0, 0.0, seed_solid.extents[2] / 2.0))
-
-    changed = True
-    while changed:
-        changed = False
-        for spec in plan.parts:
-            if spec.name in placed or not spec.connections:
-                continue
-            first = spec.connections[0]
-            if first.to_part not in placed:
-                continue
-            target = placed[first.to_part]
-            solid, _ = _make_solid(spec, objs[spec.name])
-            if first.contact_type == "SURFACE":
-                pos = _surface_position(
-                    solid.extents, target.center, target.solid.extents, first)
-            else:
-                mod = next(
-                    (m for m in target.spec.modifications
-                     if m.name == first.to_modification), None)
-                _, offset, _, _, _ = hole_offset(mod, target.solid.extents)
-                pos = target.center + offset
-            place(spec, pos)
-            changed = True
-
-    leftovers = [p for p in plan.parts if p.name not in placed]
-    if leftovers:
-        spec = leftovers[0]
-        first = spec.connections[0] if spec.connections else None
-        if first is not None and first.contact_type == "INSERTED":
-            raise HoleNotCarvedYet(spec.name, first.to_part, first.to_modification)
-        raise Unplaceable(spec.name)
-
-    graph = []
-    for spec in plan.parts:
-        part = placed[spec.name]
-        for i, conn in enumerate(spec.connections):
-            target = placed[conn.to_part]
-            if i > 0:
-                if conn.contact_type == "SURFACE":
-                    problem = _check_surface_contact(part, target, conn)
-                else:
-                    problem = _check_inserted_contact(part, target, conn)
-                if problem is not None:
-                    raise InconsistentConnection(spec.name, conn.to_part, problem)
-            graph.append((spec.name, conn.to_part, conn))
-
-    assembly = Assembly(placed=placed, graph=graph)
-    min_z = assembly.min_z()
-    for name, part in placed.items():
-        if part.aabb()[0][2] <= min_z + CONTACT_TOL:
-            assembly.ground_set.add(name)
-    return assembly
-
-
-def _inserters(assembly: Assembly, owner: str, mod_name: str):
-    out = []
-    for a, b, conn in assembly.graph:
-        if (conn.contact_type == "INSERTED" and b == owner
-                and conn.to_modification == mod_name):
-            out.append(assembly.placed[a])
-    return out
-
-
-def _cross_section(assembly, owner: PlacedPart, mod: ModificationSpec, ax):
-    ins = _inserters(assembly, owner.spec.name, mod.name)
-    if not ins:
-        return DEFAULT_HOLE_RADIUS, None
-    trans = [t for t in range(3) if t != ax]
-    any_cyl = any(p.solid.kind == CYL for p in ins)
-    max_half = max(
-        max(p.solid.extents[t] / 2.0 for t in trans) for p in ins)
-    if any_cyl:
-        return max_half + HOLE_CLEARANCE, None
-    side = 2.0 * max_half + 2.0 * HOLE_CLEARANCE
-    return None, (side / 2.0, side / 2.0)
-
-
-def carve_modifications(assembly: Assembly, plan: CraftPlan) -> Assembly:
-    for spec in plan.parts:
-        part = assembly.placed[spec.name]
-        for mod in spec.modifications:
-            ax, offset, depth, through, open_sign = hole_offset(
-                mod, part.solid.extents)
-            radius, half_widths = _cross_section(assembly, part, mod, ax)
-            hole = HoleRegion(
-                owner=spec.name, name=mod.name, axis=ax, offset=offset,
-                depth=depth, through=through, radius=radius,
-                half_widths=half_widths, open_sign=open_sign)
-            _check_hole_inside(part, hole)
-            part.solid.holes.append(hole)
-    return assembly
-
-
-def _check_hole_inside(part: PlacedPart, hole: HoleRegion):
+def _check_hole_inside(solid: Solid, hole: HoleRegion):
     eps = 1e-9
     o = hole.offset
-    if part.solid.kind == CYL and part.solid.axis == hole.axis:
+    if solid.kind == CYL and solid.axis == hole.axis:
         trans = [t for t in range(3) if t != hole.axis]
         off = np.hypot(o[trans[0]], o[trans[1]])
         reach = hole.radius if hole.radius is not None else \
             np.hypot(*hole.half_widths)
-        if off + reach > part.solid.radius + eps:
-            raise HoleExceedsOwner(part.spec.name, hole.name)
+        if off + reach > solid.radius + eps:
+            raise HoleExceedsOwner(hole.owner, hole.name)
         return
-    half_ext = np.asarray(part.solid.extents) / 2.0
+    half_ext = np.asarray(solid.extents) / 2.0
     for t in range(3):
         if t == hole.axis:
             continue
@@ -328,7 +229,7 @@ def _check_hole_inside(part: PlacedPart, hole: HoleRegion):
             hole.half_widths[0 if t == min(x for x in range(3) if x != hole.axis)
                              else 1]
         if o[t] - half < -half_ext[t] - eps or o[t] + half > half_ext[t] + eps:
-            raise HoleExceedsOwner(part.spec.name, hole.name)
+            raise HoleExceedsOwner(hole.owner, hole.name)
 
 
 def connected_groups(names, edges):
@@ -369,4 +270,67 @@ def connectivity_check(assembly: Assembly):
 
 
 def build_assembly(plan: CraftPlan, catalog: Catalog) -> Assembly:
-    return carve_modifications(place_parts(plan, catalog), plan)
+    solids = _make_solids(plan, catalog)
+    placed: dict[str, PlacedPart] = {}
+
+    def place(spec: PartSpec, position):
+        placed[spec.name] = PlacedPart(
+            spec=spec, solid=solids[spec.name],
+            position=tuple(float(v) for v in position))
+
+    # seed: first part; its AABB rests on z=0 centered at the origin
+    seed = plan.parts[0]
+    place(seed, (0.0, 0.0, solids[seed.name].extents[2] / 2.0))
+
+    changed = True
+    while changed:
+        changed = False
+        for spec in plan.parts:
+            if spec.name in placed or not spec.connections:
+                continue
+            first = spec.connections[0]
+            if first.to_part not in placed:
+                continue
+            target = placed[first.to_part]
+            if first.contact_type == "SURFACE":
+                pos = _surface_position(solids[spec.name].extents,
+                                        target.center, target.solid.extents,
+                                        first)
+            else:
+                hole = target.solid.hole(first.to_modification)
+                pos = target.center + hole.offset
+            place(spec, pos)
+            changed = True
+
+    leftovers = [p for p in plan.parts if p.name not in placed]
+    if leftovers:
+        spec = leftovers[0]
+        first = spec.connections[0] if spec.connections else None
+        if first is not None and first.contact_type == "INSERTED":
+            raise HoleNotCarvedYet(spec.name, first.to_part, first.to_modification)
+        raise Unplaceable(spec.name)
+
+    graph = []
+    for spec in plan.parts:
+        part = placed[spec.name]
+        for i, conn in enumerate(spec.connections):
+            target = placed[conn.to_part]
+            if i > 0:
+                if conn.contact_type == "SURFACE":
+                    problem = _check_surface_contact(part, target, conn)
+                else:
+                    problem = _check_inserted_contact(part, target, conn)
+                if problem is not None:
+                    raise InconsistentConnection(spec.name, conn.to_part, problem)
+            graph.append((spec.name, conn.to_part, conn))
+
+    for solid in solids.values():
+        for hole in solid.holes:
+            _check_hole_inside(solid, hole)
+
+    assembly = Assembly(placed=placed, graph=graph)
+    min_z = assembly.min_z()
+    for name, part in placed.items():
+        if part.aabb()[0][2] <= min_z + CONTACT_TOL:
+            assembly.ground_set.add(name)
+    return assembly

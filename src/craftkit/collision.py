@@ -243,8 +243,8 @@ def validate_collisions(assembly) -> CollisionReport:
         for nb in names[idx + 1:]:
             pa = assembly.placed[na]
             pb = assembly.placed[nb]
-            hit = pair_overlap(pa.pose.position, pa.solid,
-                               pb.pose.position, pb.solid)
+            hit = pair_overlap(pa.position, pa.solid,
+                               pb.position, pb.solid)
             if hit is not None:
                 report.pairs.append((na, nb, hit[0], hit[1]))
     return report

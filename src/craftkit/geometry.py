@@ -7,8 +7,8 @@ Frame convention: a solid knows nothing of where it is.  Its extents and
 its holes are given in its own frame, centred on the solid, and every
 query that places it (``base_contains``, ``material_contains``, ``aabb``)
 takes the owner's centre as an argument.  A part's world position lives in
-exactly one place: ``Pose.position`` in an assembly, the body's pose applied
-to ``BodyPart.local_center`` in the engine.
+exactly one place: ``PlacedPart.position`` in an assembly, the body's pose
+applied to ``BodyPart.local_center`` in the engine.
 """
 
 from __future__ import annotations
@@ -104,6 +104,10 @@ class Solid:
         ext[axis] = length
         return cls(kind=CYL, extents=tuple(ext), radius=float(radius),
                    length=float(length), axis=axis)
+
+    def hole(self, name):
+        """The hole carved for modification ``name``, or None."""
+        return next((h for h in self.holes if h.name == name), None)
 
     def base_contains(self, center, pts, margin=0.0):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -251,7 +251,7 @@ def mesh_assembly(assembly):
     all_f = []
     offset = 0
     for part in assembly.placed.values():
-        v, f = mesh_part(part.solid, part.pose.position)
+        v, f = mesh_part(part.solid, part.position)
         all_v.append(v)
         all_f.append(f + offset)
         offset += len(v)

@@ -124,7 +124,7 @@ def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0):
     to exactly n_samples.
     """
     parts = list(assembly.placed.values())
-    meshes = [mesh_part(p.solid, p.pose.position) for p in parts]
+    meshes = [mesh_part(p.solid, p.position) for p in parts]
     areas = []
     for v, f in meshes:
         areas.append(_triangle_areas(v, f).sum())
@@ -147,7 +147,7 @@ def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0):
                 if j == owner:
                     continue
                 inside = other.solid.material_contains(
-                    other.pose.position, pts, margin=1e-9)
+                    other.position, pts, margin=1e-9)
                 visible &= ~inside
             if visible.any():
                 kept.append(pts[visible])

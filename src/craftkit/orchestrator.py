@@ -66,38 +66,18 @@ def category_function(category):
     return entry["function"] if entry else None
 
 
-@dataclass
-class PromptBundle:
-    category: str
-    instruction: str | None = None
-    template: str | None = None
-    heuristics: dict | None = None
-    catalog: Catalog | None = None
-    feedback: str | None = None
-
-
-def build_prompt(bundle: PromptBundle) -> str:
+def build_prompt(category, catalog: Catalog, feedback=None) -> str:
     """Assemble the full prompt text for one request."""
-    category = bundle.category
-    heur = bundle.heuristics
-    if heur is None:
-        heur = load_heuristics().get(category.lower())
-    template = bundle.template
-    if template is None:
-        template = load_template(category)
-    catalog = bundle.catalog or default_catalog()
+    heur = load_heuristics().get(category.lower())
+    template = load_template(category)
 
-    lines = []
-    if bundle.instruction:
-        lines.append(bundle.instruction)
-    else:
-        lines.append(
-            f"Design a {category} out of the available objects below. "
-            "Answer with a JSON array of part entries only, following the "
-            "plan language exactly."
-        )
-    lines.append("")
-    lines.append("Available objects (dimensions in mm):")
+    lines = [
+        f"Design a {category} out of the available objects below. "
+        "Answer with a JSON array of part entries only, following the "
+        "plan language exactly.",
+        "",
+        "Available objects (dimensions in mm):",
+    ]
     for obj in catalog.objects:
         lines.append(f"- {obj.id}")
     if heur:
@@ -110,11 +90,11 @@ def build_prompt(bundle: PromptBundle) -> str:
         lines.append("")
         lines.append("Example of a valid plan for this category:")
         lines.append(template.strip())
-    if bundle.feedback:
+    if feedback:
         lines.append("")
         lines.append(
             "Your previous plan failed validation. The validator reported:")
-        lines.append(bundle.feedback)
+        lines.append(feedback)
         lines.append("Return a corrected plan.")
     return "\n".join(lines)
 
@@ -308,8 +288,7 @@ def _call(client, prompt):
 
 
 def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
-                 functional="auto", sim_config=None, instruction=None,
-                 template=None) -> PipelineResult:
+                 sim_config=None) -> PipelineResult:
     """Prompt, validate, and re-prompt within the policy's budget.
 
     Budgets: NONE issues a single call; FRESH retries the identical prompt
@@ -322,8 +301,7 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     catalog = catalog or default_catalog()
-    if functional == "auto":
-        functional = category_function(category)
+    functional = category_function(category)
     if sim_config is None:
         sim_config = SimConfig()
 
@@ -333,12 +311,11 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     sim_retries = 0
     feedback = None
     while result.llm_calls < MAX_LLM_CALLS:
-        bundle = PromptBundle(
-            category=category, instruction=instruction, template=template,
-            catalog=catalog,
-            feedback=feedback if policy == POLICY_FEEDBACK else None)
+        prompt = build_prompt(
+            category, catalog,
+            feedback if policy == POLICY_FEEDBACK else None)
         try:
-            raw = _call(client, build_prompt(bundle))
+            raw = _call(client, prompt)
         except ClientError as exc:
             result.attempts.append(AttemptRecord(
                 raw="", failure_stage=STAGE_CLIENT,

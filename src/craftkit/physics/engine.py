@@ -193,7 +193,7 @@ class RigidBody:
         pseudo-velocity ``pvel``.  Each step starts here, since
         ``kinematic`` may have been set since the last one."""
         self.pvel = [0.0] * 6
-        self.dynamic = not self.kinematic and self.inv_mass != 0.0
+        self.dynamic = not self.kinematic
         if not self.dynamic:
             self.iinv = _ZERO33
             return
@@ -228,8 +228,6 @@ class RigidBody:
         return part.low_z(cz, rz)
 
     def kinetic_energy(self):
-        if self.inv_mass == 0.0:
-            return 0.0
         r = np.array(self.rot)
         v, w = np.array(self.vel[:3]), np.array(self.vel[3:])
         inertia = r @ np.linalg.inv(self.inv_inertia_body) @ r.T
@@ -829,8 +827,6 @@ class World:
     def _ground_contacts(self, contacts, centers):
         mu = self.config.friction
         for body, body_centers in zip(self.bodies, centers):
-            if body.inv_mass == 0.0 and not body.kinematic:
-                continue
             r = body.rot
             rz = r[2]
             for index, (part, c) in enumerate(zip(body.parts, body_centers)):
@@ -886,9 +882,6 @@ class World:
         for i in range(n_bodies):
             for j in range(i + 1, n_bodies):
                 a, b = self.bodies[i], self.bodies[j]
-                if not (a.dynamic or a.kinematic) \
-                        and not (b.dynamic or b.kinematic):
-                    continue
                 if self._jointed(a, b):
                     continue
                 for ia, (pa, ca) in enumerate(zip(a.parts, centers[i])):
@@ -982,7 +975,6 @@ class World:
         self._solve(contacts, dt)
 
         for body in self.bodies:
-            if body.dynamic or body.kinematic:
-                body._integrate(dt, self.time + dt)
+            body._integrate(dt, self.time + dt)
         self.time += dt
         return contacts

@@ -198,8 +198,7 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
             anchor, normal = _surface_anchor(pa, pb, conn)
             anchor = anchor * s + shift
         else:
-            hole = next(h for h in pb.solid.holes
-                        if h.name == conn.to_modification)
+            hole = pb.solid.hole(conn.to_modification)
             anchor = (pb.center + hole.offset) * s + shift
             normal = None
             axis = [0.0, 0.0, 0.0]
@@ -219,11 +218,6 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
             local_b=tuple((anchor - body_b.x).tolist()),
             normal_local_a=normal))
 
-    ground_parts = set()
-    for name, body in part_body.items():
-        if body.part_min_z(part_shape[name]) <= 1e-4:
-            ground_parts.add(name)
-
     degrees = {name: 0 for name in assembly.placed}
     for a, b, _ in assembly.graph:
         degrees[a] += 1
@@ -232,7 +226,8 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
     return CompiledCraft(
         world=world, bodies=world.bodies, part_body=part_body,
         part_shape=part_shape, joints_by_part=joints_by_part,
-        watches=watches, ground_parts=ground_parts, degrees=degrees)
+        watches=watches, ground_parts=set(assembly.ground_set),
+        degrees=degrees)
 
 
 def check_common_failures(craft: CompiledCraft, config: SimConfig):
@@ -253,7 +248,7 @@ def check_common_failures(craft: CompiledCraft, config: SimConfig):
 
 def _most_connected(assembly: Assembly, craft: CompiledCraft):
     best = None
-    for name in assembly.placed:  # plan order breaks ties
+    for name in assembly.placed:  # placement order breaks ties
         if best is None or craft.degrees[name] > craft.degrees[best]:
             best = name
     return best

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from craftkit import build_assembly
-from craftkit.assembler import Assembly, PlacedPart, Pose, connectivity_check
+from craftkit.assembler import Assembly, PlacedPart, connectivity_check
 from craftkit.cli import EXIT_OK
 from craftkit.cli import main as cli_main
 from craftkit.collision import base_overlap
@@ -245,9 +245,8 @@ def test_criterion_4_connectivity(criterion, build_fixture):
                 name=name, available_obj="CUBOID_100X100X100",
                 orientation=OrientationSpec(axis_dims=(100,) * 3),
                 modifications=(), connections=(), exec_function=False)
-            return PlacedPart(spec=spec,
-                              pose=Pose((x, 0.0, 0.05), (100,) * 3),
-                              solid=Solid.box((0.1, 0.1, 0.1)))
+            return PlacedPart(spec=spec, solid=Solid.box((0.1, 0.1, 0.1)),
+                              position=(x, 0.0, 0.05))
 
         asm = Assembly(placed={"A_1": mk("A_1", 0.0), "B_1": mk("B_1", 1.0)})
         components = connectivity_check(asm)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,7 +12,10 @@ from craftkit.errors import (
     InconsistentConnection,
     Unplaceable,
 )
+from craftkit.orchestrator import evaluate_plan_text
 from craftkit.plan import normalize_raw, parse_plan
+
+from conftest import PLANS, all_fixture_names
 
 MM = 0.001
 
@@ -170,6 +174,72 @@ def test_hole_not_carved_yet(catalog):
         build_assembly(plan, catalog)
 
 
+def test_placement_error_comes_before_hole_exceeds_owner(catalog):
+    # the hole in WHEEL_1 is too wide for it, and LOOSE_1 cannot be placed
+    parts = [
+        {"Name": "WHEEL_1", "Available_obj": "CYLINDER_R15_L30",
+         "Orientation": "LEFT_RIGHT",
+         "Modifications": [{"Name": "HOLE_1", "Type": "HOLE",
+                            "Align_x": "CENTER",
+                            "Align_y": "RIGHT_LEFT_FULL",
+                            "Align_z": "CENTER"}],
+         "exec_function": False},
+        {"Name": "AXLE_1", "Available_obj": "CYLINDER_R20_L100",
+         "Orientation": "LEFT_RIGHT",
+         "Connections": [{"to_part": "WHEEL_1", "contact_type": "Inserted",
+                          "to_modification": "HOLE_1"}],
+         "exec_function": False},
+        {"Name": "LOOSE_1", "Available_obj": "CUBOID_50X50X20",
+         "Orientation": [50, 50, 20], "exec_function": False},
+    ]
+    plan, report = parse_plan(normalize_raw(json.dumps(parts)), catalog)
+    assert plan is not None, report.errors
+    with pytest.raises(Unplaceable):
+        build_assembly(plan, catalog)
+
+
+def test_placed_is_in_placement_order(catalog):
+    # TOP_1 hangs off SIDE_1, which comes after it in the plan, so it is
+    # placed in the second pass
+    def on(to_part):
+        return [{"to_part": to_part, "contact_type": "Surface",
+                 "to_face": "TOP", "align_x": "CENTER",
+                 "align_y": "CENTER", "align_z": "CENTER",
+                 "Type": "Fixed"}]
+
+    parts = [
+        {"Name": "BASE_1", "Available_obj": "CUBOID_100X100X100",
+         "Orientation": [100, 100, 100], "exec_function": False},
+        {"Name": "TOP_1", "Available_obj": "CUBOID_50X50X20",
+         "Orientation": [50, 50, 20], "Connections": on("SIDE_1"),
+         "exec_function": False},
+        {"Name": "SIDE_1", "Available_obj": "CUBOID_50X50X20",
+         "Orientation": [50, 50, 20], "Connections": on("BASE_1"),
+         "exec_function": False},
+    ]
+    _, asm = build_text(json.dumps(parts), catalog)
+    assert list(asm.placed) == ["BASE_1", "SIDE_1", "TOP_1"]
+    assert [p["name"] for p in asm.to_jsonable()["parts"]] == \
+        ["BASE_1", "SIDE_1", "TOP_1"]
+
+
+def test_assembly_json_digest_of_buildable_fixtures(catalog):
+    # the sha256 over every buildable fixture's Assembly.to_json(), in
+    # sorted file order; the JSON holds plain float arithmetic only, so the
+    # value is the same on every platform
+    digest = hashlib.sha256()
+    built = 0
+    for name in all_fixture_names():
+        raw = (PLANS / f"{name}.json").read_text(encoding="utf-8")
+        assembly = evaluate_plan_text(raw, catalog)[3]
+        if assembly is not None:
+            digest.update(assembly.to_json().encode())
+            built += 1
+    assert built == 22
+    assert digest.hexdigest() == (
+        "3a90704e03b0211ce5bb062e6affb6f8a57948c9ffcb9fd7bdc7a9aa29ce9009")
+
+
 def test_inconsistent_second_connection(catalog, fixture_raw):
     doc = json.loads(fixture_raw("bookshelf_valid_1"))
     for entry in doc:
@@ -248,7 +318,7 @@ def test_connectivity_of_goldens(build_fixture):
 
 def test_connectivity_partition():
     # assembled by hand: two placed parts, no graph edges
-    from craftkit.assembler import Assembly, PlacedPart, Pose
+    from craftkit.assembler import Assembly, PlacedPart
     from craftkit.geometry import Solid
     from craftkit.plan import OrientationSpec, PartSpec
 
@@ -256,8 +326,8 @@ def test_connectivity_partition():
         spec = PartSpec(name=name, available_obj="CUBOID_100X100X100",
                         orientation=OrientationSpec(axis_dims=(100,) * 3),
                         modifications=(), connections=(), exec_function=False)
-        return PlacedPart(spec=spec, pose=Pose((x, 0.0, 0.05), (100,) * 3),
-                          solid=Solid.box((0.1, 0.1, 0.1)))
+        return PlacedPart(spec=spec, solid=Solid.box((0.1, 0.1, 0.1)),
+                          position=(x, 0.0, 0.05))
 
     asm = Assembly(placed={"A_1": mk("A_1", 0.0), "B_1": mk("B_1", 1.0)})
     components = connectivity_check(asm)

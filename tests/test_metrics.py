@@ -165,12 +165,12 @@ def test_exterior_sampling_rejects_interior(build_fixture):
     # no point is strictly inside another part's material
     for name, part in asm.placed.items():
         inside = part.solid.material_contains(
-            part.pose.position, pts, margin=1e-6)
+            part.position, pts, margin=1e-6)
         for other_name, other in asm.placed.items():
             if other_name == name:
                 continue
             both = inside & other.solid.material_contains(
-                other.pose.position, pts, margin=1e-6)
+                other.position, pts, margin=1e-6)
             assert not both.any()
 
 

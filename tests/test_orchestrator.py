@@ -18,7 +18,6 @@ from craftkit.orchestrator import (
     STAGE_NONE,
     STAGE_PHYSICS,
     HttpClient,
-    PromptBundle,
     ScriptedClient,
     build_prompt,
     category_function,
@@ -55,14 +54,13 @@ def test_load_heuristics_categories():
 
 
 def test_build_prompt_contents(catalog):
-    prompt = build_prompt(PromptBundle(category="skateboard", catalog=catalog))
+    prompt = build_prompt("skateboard", catalog)
     assert "skateboard" in prompt
     assert "CYLINDER_R30_L20" in prompt
     assert "Minimal set of parts" in prompt
     assert "Example of a valid plan" in prompt
     assert "previous plan failed" not in prompt
-    with_feedback = build_prompt(PromptBundle(
-        category="skateboard", catalog=catalog, feedback='{"oops": 1}'))
+    with_feedback = build_prompt("skateboard", catalog, feedback='{"oops": 1}')
     assert "previous plan failed" in with_feedback
     assert '{"oops": 1}' in with_feedback
 
