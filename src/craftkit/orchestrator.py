@@ -26,7 +26,7 @@ from .errors import (
     Unplaceable,
 )
 from .physics import SimConfig, run_functional_test
-from .plan import FormatReport, normalize_raw, parse_plan, serialize_plan
+from .plan import FormatReport, normalize_raw, parse_plan
 
 # failure stages
 STAGE_FORMAT = "FORMAT"
@@ -183,7 +183,6 @@ class AttemptRecord:
     raw: str
     failure_stage: str
     report: dict = field(default_factory=dict)
-    plan_json: str | None = None
 
 
 @dataclass
@@ -327,8 +326,7 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
         stage, report, plan, assembly, outcome = evaluate_plan_text(
             raw, catalog, functional=functional, sim_config=sim_config)
         result.attempts.append(AttemptRecord(
-            raw=raw, failure_stage=stage, report=report,
-            plan_json=serialize_plan(plan) if plan is not None else None))
+            raw=raw, failure_stage=stage, report=report))
         result.failure_stage = stage
         result.plan = plan
         result.assembly = assembly

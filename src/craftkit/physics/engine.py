@@ -49,8 +49,10 @@ accumulator there and applies that impulse to the bodies' velocities
 before the first sweep; a key missing from the cache starts at zero.  Every
 sweep clamps a contact's friction to friction * jn, also when jn is 0, so
 no cached friction impulse outlives the normal impulse that bounds it.
-Impulses carry over unscaled, so every step is ``config.timestep`` long.
-Split (position) impulses start at zero in every step.
+Impulses carry over unscaled, so every step is ``config.timestep`` long:
+the timestep is all ``World`` reads of its config, and the solver's other
+settings are the module constants below.  Split (position) impulses start
+at zero in every step.  Every world has a ground, the plane z = 0.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ from ..collision import pair_overlap
 from ..errors import NumericalDivergence
 from ..geometry import BOX, Solid, solid_inertia_diag
 
+GRAVITY = 9.81  # downward acceleration along -z
+FRICTION = 0.5  # Coulomb coefficient of every generated contact
+# 3 velocity sweeps suffice because every row starts from the impulse its
+# feature ended the last step with: the goldens' support margins to the
+# support threshold stay above 1700x, against as little as 3.9x for 3
+# sweeps that start from zero (tests/test_outcome_gate.py)
+VELOCITY_SWEEPS = 3
+POSITION_SWEEPS = 4
+BAUMGARTE = 0.2  # share of the position error corrected per step
+SLOP = 1e-4  # contact depth left uncorrected
 MAX_SPEED = 1e3  # m/s
 MAX_SPIN = 1e4  # rad/s
 _INF = float("inf")
@@ -784,7 +796,7 @@ def _push_anchor(v, lever, px, py, pz):
     v[5] += a20 * px + a21 * py + a22 * pz
 
 
-def _standing_rim_contacts(contacts, body, index, part, r, c, mu):
+def _standing_rim_contacts(contacts, body, index, part, r, c):
     """Contacts at 8 samples of the lower rim of a near-vertical
     cylinder, part ``index`` of ``body``; rim sample k is feature k."""
     solid = part.solid
@@ -805,7 +817,7 @@ def _standing_rim_contacts(contacts, body, index, part, r, c, mu):
             contacts.append(Contact(None, body, (
                 low[0] + rad * (cs * u[0] + sn * vp[0]),
                 low[1] + rad * (cs * u[1] + sn * vp[1]), z),
-                _UP, max(0.0, -z), mu, (body.id, index, k)))
+                _UP, max(0.0, -z), FRICTION, (body.id, index, k)))
 
 
 class World:
@@ -815,8 +827,6 @@ class World:
         self.joints: list[RevoluteJoint] = []
         self.time = 0.0
         self.extra_contact_hooks = []  # callables(world) -> list[Contact]
-        self.gravity = (0.0, 0.0, -config.gravity)
-        self.ground_enabled = True
         self._pair_skip = None
         # the last step's impulses: (jn, jt1, jt2) per contact key, and
         # (anchor, angular) world vectors per joint index
@@ -825,7 +835,6 @@ class World:
 
     # -- contact generation ----------------------------------------------
     def _ground_contacts(self, contacts, centers):
-        mu = self.config.friction
         for body, body_centers in zip(self.bodies, centers):
             r = body.rot
             rz = r[2]
@@ -833,8 +842,7 @@ class World:
                 cx, cy, cz = c
                 solid = part.solid
                 if part.half is None and abs(rz[solid.axis]) > 0.99:
-                    _standing_rim_contacts(contacts, body, index, part, r, c,
-                                           mu)
+                    _standing_rim_contacts(contacts, body, index, part, r, c)
                     continue
                 # quick reject on the lowest point of a box or lying cylinder
                 if part.low_z(cz, rz) >= CONTACT_GEN_MARGIN:
@@ -851,7 +859,7 @@ class World:
                             contacts.append(Contact(None, body, (
                                 cx + ((s0 * e00 + s1 * e01) + s2 * e02),
                                 cy + ((s0 * e10 + s1 * e11) + s2 * e12),
-                                z), _UP, max(0.0, -z), mu,
+                                z), _UP, max(0.0, -z), FRICTION,
                                 (body.id, index, k)))
                     continue
                 # lying cylinder: the two rim points lowest along -z, where
@@ -868,7 +876,7 @@ class World:
                         contacts.append(Contact(None, body, (
                             (cx + a0 * e) + rad * ux,
                             (cy + a1 * e) + rad * uy, z),
-                            _UP, max(0.0, -z), mu, (body.id, index, k)))
+                            _UP, max(0.0, -z), FRICTION, (body.id, index, k)))
 
     def _jointed(self, a: RigidBody, b: RigidBody):
         if self._pair_skip is None:
@@ -877,7 +885,6 @@ class World:
         return frozenset((a.id, b.id)) in self._pair_skip
 
     def _body_body_contacts(self, contacts, centers):
-        mu = self.config.friction
         n_bodies = len(self.bodies)
         for i in range(n_bodies):
             for j in range(i + 1, n_bodies):
@@ -903,8 +910,8 @@ class World:
                         normal = [0.0, 0.0, 0.0]
                         normal[axis] = sign
                         contacts.append(Contact(
-                            a, b, _floats(witness), tuple(normal), depth, mu,
-                            (a.id, b.id, ia, ib, axis, sign)))
+                            a, b, _floats(witness), tuple(normal), depth,
+                            FRICTION, (a.id, b.id, ia, ib, axis, sign)))
 
     @staticmethod
     def _separation_axis(ca, sa, cb, sb):
@@ -921,8 +928,7 @@ class World:
         # world centres of every part, shared by both generators
         centers = [[pose_point(body.x, body.rot, part.local_center)
                     for part in body.parts] for body in self.bodies]
-        if self.ground_enabled:
-            self._ground_contacts(contacts, centers)
+        self._ground_contacts(contacts, centers)
         self._body_body_contacts(contacts, centers)
         for hook in self.extra_contact_hooks:
             contacts.extend(hook(self))
@@ -936,15 +942,14 @@ class World:
         joint index ended the last step with; the velocity impulses this
         step ends with replace that cache.
         """
-        cfg = self.config
         joint_warm = self._joint_impulses.get
-        joint_rows = [_JointRow(j, cfg.baumgarte, dt, joint_warm(i))
+        joint_rows = [_JointRow(j, BAUMGARTE, dt, joint_warm(i))
                       for i, j in enumerate(self.joints)]
         # no key None is ever cached, so those contacts start cold
         contact_warm = self._contact_impulses.get
         contact_rows = [_contact_row(c, contact_warm(c.key))
                         for c in contacts]
-        for _ in range(cfg.solver_iterations):
+        for _ in range(VELOCITY_SWEEPS):
             for row in joint_rows:
                 row.solve()
             for row in contact_rows:
@@ -954,21 +959,22 @@ class World:
         self._contact_impulses = {
             c.key: (row.jn, row.jt1, row.jt2)
             for c, row in zip(contacts, contact_rows) if c.key is not None}
-        for _ in range(cfg.position_iterations):
+        for _ in range(POSITION_SWEEPS):
             for row in contact_rows:
-                row.solve_position(cfg.baumgarte, cfg.slop, dt)
+                row.solve_position(BAUMGARTE, SLOP, dt)
         return contact_rows
 
     def step(self):
         """Advance the world by one ``config.timestep``; returns the
         contacts of the step."""
         dt = self.config.timestep
+        gravity = (0.0, 0.0, -GRAVITY)
         self._pair_skip = None
         for body in self.bodies:
             body._start_step()
             if body.dynamic:
                 body._integrate_forces(
-                    None if body.gravity_exempt else self.gravity, dt)
+                    None if body.gravity_exempt else gravity, dt)
             body.force = body.torque = _ZERO3
 
         contacts = self.gather_contacts()

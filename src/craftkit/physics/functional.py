@@ -1,16 +1,17 @@
 """Functional simulation tests for built assemblies.
 
 An assembly is compiled into rigid bodies by merging FIXED connections,
-turning NON_FIXED insertions into revolute joints, and scaling geometry up
-so the solver works at comfortable magnitudes.  Three scripted tests probe
-whether the craft actually works: rolling under a push, holding a load, and
-hammering a peg into a block.  Each test is a set of hooks around one
-simulation driver, ``run_functional_test``.
+turning NON_FIXED insertions into revolute joints, and scaling lengths by
+``SCALE`` so the solver works at comfortable magnitudes.  Three scripted
+tests probe whether the craft actually works: rolling under a push, holding
+a load, and hammering a peg into a block.  Each test is a set of hooks
+around one simulation driver, ``run_functional_test``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +20,11 @@ from ..assembler import Assembly, connected_groups
 from ..errors import NumericalDivergence
 from ..geometry import BOX, Solid
 from ..plan import CraftPlan
-from .engine import Contact, RevoluteJoint, RigidBody, World, pose_point
+from .engine import (FRICTION, Contact, RevoluteJoint, RigidBody, World,
+                     pose_point)
+
+SCALE = 10.0  # world units per plan metre
+PART_MASS = 10.0  # mass of every part, the hit test's peg included
 
 # failure reasons shared by every test
 PART_SEPARATED = "PART_SEPARATED"
@@ -44,20 +49,11 @@ FAILURE_REASONS = (
 
 @dataclass
 class SimConfig:
+    """The run (its step, length and snapshot spacing) and the tests' loads
+    and thresholds.  Lengths are world units, ``SCALE`` times the plan's
+    metres; the solver's own settings are constants in ``engine``."""
     timestep: float = 1.0 / 500.0
     duration: float = 5.0
-    scale: float = 10.0
-    part_mass: float = 10.0
-    friction: float = 0.5
-    gravity: float = 9.81
-    # 3 velocity sweeps suffice because every row starts from the impulse
-    # its feature ended the last step with: the goldens' support margins
-    # to the 0.01 m threshold stay above 1700x, against as little as 3.9x
-    # for 3 sweeps that start from zero (tests/test_outcome_gate.py)
-    solver_iterations: int = 3
-    position_iterations: int = 4
-    baumgarte: float = 0.2
-    slop: float = 1e-4
     rolling_force: float = 200.0
     support_force: float = 50.0
     separation_tolerance: float = 0.05
@@ -71,6 +67,8 @@ class SimConfig:
 
 @dataclass
 class SimOutcome:
+    """A test's verdict.  Its ``_m`` details (``distance_m``, ``veer_m``, ...)
+    are world units, ``SCALE`` times the plan's metres."""
     test: str
     success: bool
     failure_reason: str | None
@@ -117,13 +115,11 @@ class ConnectionWatch:
 @dataclass
 class CompiledCraft:
     world: World
-    bodies: list
     part_body: dict  # part name -> RigidBody
     part_shape: dict  # part name -> BodyPart
     joints_by_part: dict  # part name -> RevoluteJoint (wheel side)
     watches: list
     ground_parts: set
-    degrees: dict
 
 
 def _transform_solid(solid: Solid, s: float):
@@ -161,8 +157,7 @@ def _surface_anchor(pa, pb, conn):
 
 
 def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
-    s = config.scale
-    min_z = assembly.min_z() * s
+    min_z = assembly.min_z() * SCALE
     shift = np.array([0.0, 0.0, -min_z])
 
     world = World(config)
@@ -175,9 +170,9 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
         named = []
         for name in members:
             p = assembly.placed[name]
-            center = np.asarray(p.center) * s + shift
-            named.append((name, _transform_solid(p.solid, s), center))
-        body = RigidBody.from_parts(f"body{idx}", named, config.part_mass)
+            center = np.asarray(p.center) * SCALE + shift
+            named.append((name, _transform_solid(p.solid, SCALE), center))
+        body = RigidBody.from_parts(f"body{idx}", named, PART_MASS)
         world.bodies.append(body)
         for part in body.parts:
             part_body[part.name] = body
@@ -196,10 +191,10 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
         pb = assembly.placed[b]
         if conn.contact_type == "SURFACE":
             anchor, normal = _surface_anchor(pa, pb, conn)
-            anchor = anchor * s + shift
+            anchor = anchor * SCALE + shift
         else:
             hole = pb.solid.hole(conn.to_modification)
-            anchor = (pb.center + hole.offset) * s + shift
+            anchor = (pb.center + hole.offset) * SCALE + shift
             normal = None
             axis = [0.0, 0.0, 0.0]
             axis[hole.axis] = 1.0
@@ -218,16 +213,10 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
             local_b=tuple((anchor - body_b.x).tolist()),
             normal_local_a=normal))
 
-    degrees = {name: 0 for name in assembly.placed}
-    for a, b, _ in assembly.graph:
-        degrees[a] += 1
-        degrees[b] += 1
-
     return CompiledCraft(
-        world=world, bodies=world.bodies, part_body=part_body,
-        part_shape=part_shape, joints_by_part=joints_by_part,
-        watches=watches, ground_parts=set(assembly.ground_set),
-        degrees=degrees)
+        world=world, part_body=part_body, part_shape=part_shape,
+        joints_by_part=joints_by_part, watches=watches,
+        ground_parts=set(assembly.ground_set))
 
 
 def check_common_failures(craft: CompiledCraft, config: SimConfig):
@@ -246,19 +235,17 @@ def check_common_failures(craft: CompiledCraft, config: SimConfig):
     return None
 
 
-def _most_connected(assembly: Assembly, craft: CompiledCraft):
-    best = None
-    for name in assembly.placed:  # placement order breaks ties
-        if best is None or craft.degrees[name] > craft.degrees[best]:
-            best = name
-    return best
+def _most_connected(assembly: Assembly):
+    degrees = Counter(name for a, b, _ in assembly.graph for name in (a, b))
+    # max keeps the first of equal degrees: placement order breaks ties
+    return max(assembly.placed, key=degrees.__getitem__)
 
 
 def _craft_com(craft: CompiledCraft):
     """Mass-weighted mean of the body centres, as floats."""
-    total = sum(b.mass for b in craft.bodies)
+    total = sum(b.mass for b in craft.world.bodies)
     cx = cy = cz = 0.0
-    for b in craft.bodies:
+    for b in craft.world.bodies:
         x, y, z = b.x
         cx, cy, cz = cx + b.mass * x, cy + b.mass * y, cz + b.mass * z
     return cx / total, cy / total, cz / total
@@ -278,7 +265,7 @@ def _snapshot(craft: CompiledCraft, t):
 def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
                   config: SimConfig):
     """Push the most connected part along +x; every exec part must turn."""
-    push_part = _most_connected(assembly, craft)
+    push_part = _most_connected(assembly)
     push_body = craft.part_body[push_part]
     push_shape = craft.part_shape[push_part]
 
@@ -341,6 +328,9 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     return before_step, after_step, finish
 
 
+SUPPORT_LIMIT = 0.01  # displacement that fails support, in world units
+
+
 def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
                   config: SimConfig):
     """Press down on the top of every exec part; nothing may move."""
@@ -353,7 +343,7 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
 
     def part_centers():
         """(name, world centre) of every part of the craft."""
-        for body in craft.bodies:
+        for body in craft.world.bodies:
             for part in body.parts:
                 yield part.name, body.world_point(part.local_center)
 
@@ -376,12 +366,13 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
 
     def finish():
         details = {"max_displacement_m": max_disp, "loaded_parts": exec_parts}
-        return (MOVED_UNDER_LOAD if max_disp >= 0.01 else None), details
+        reason = MOVED_UNDER_LOAD if max_disp >= SUPPORT_LIMIT else None
+        return reason, details
 
     return before_step, after_step, finish
 
 
-# hit-test fixture, in scaled units
+# hit-test fixture, in world units
 HIT_BLOCK_TOP = 1.0
 HIT_HOLE_RADIUS = 0.12
 HIT_HOLE_DEPTH = 0.4
@@ -390,6 +381,7 @@ HIT_PEG_LENGTH = 0.5
 HIT_PEG_GAP = 0.05  # peg lower end above the block top
 HIT_DROP_GAP = 0.1  # craft lowest point above the peg top
 HIT_PEG_TOP = HIT_BLOCK_TOP + HIT_PEG_GAP + HIT_PEG_LENGTH  # at rest
+HIT_DESCENT = 0.5 * HIT_HOLE_DEPTH  # peg descent that counts as a hit
 
 
 def _peg_ends(peg: RigidBody):
@@ -402,7 +394,7 @@ def _peg_ends(peg: RigidBody):
     return (up, down) if a2 > 0 else (down, up)
 
 
-def _peg_block_hook(peg: RigidBody, friction):
+def _peg_block_hook(peg: RigidBody):
     """Contacts between the peg and the static slotted block."""
 
     def hook(world):
@@ -419,17 +411,17 @@ def _peg_block_hook(peg: RigidBody, friction):
                     point = tuple(p - c * HIT_PEG_RADIUS
                                   for p, c in zip(low, n))
                     contacts.append(Contact(None, peg, point, n, pen,
-                                            friction))
+                                            FRICTION))
             if low[2] < floor_z + 1e-3:
                 contacts.append(Contact(
                     None, peg, low, (0.0, 0.0, 1.0),
-                    max(0.0, floor_z - low[2]), friction))
+                    max(0.0, floor_z - low[2]), FRICTION))
         else:
             # over solid block: its top face acts as a plane
             if low[2] < HIT_BLOCK_TOP + 1e-3:
                 contacts.append(Contact(
                     None, peg, low, (0.0, 0.0, 1.0),
-                    max(0.0, HIT_BLOCK_TOP - low[2]), friction))
+                    max(0.0, HIT_BLOCK_TOP - low[2]), FRICTION))
         return contacts
 
     return hook
@@ -458,10 +450,10 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
         [("__peg__", Solid.cylinder(HIT_PEG_RADIUS, HIT_PEG_LENGTH, 2),
           np.array([0.0, 0.0, HIT_BLOCK_TOP + HIT_PEG_GAP
                     + HIT_PEG_LENGTH / 2.0]))],
-        config.part_mass)
+        PART_MASS)
     peg.gravity_exempt = True
     world.bodies.append(peg)
-    world.extra_contact_hooks.append(_peg_block_hook(peg, config.friction))
+    world.extra_contact_hooks.append(_peg_block_hook(peg))
 
     root = craft.part_body[plan.parts[0].name]
     root.kinematic = True
@@ -483,7 +475,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
         rho_low = math.hypot(low[0], low[1])
         details = {"peg_descent_m": descent, "peg_lateral_m": rho_low,
                    "touched": touched}
-        if descent >= 0.5 * HIT_HOLE_DEPTH and rho_low <= HIT_HOLE_RADIUS:
+        if descent >= HIT_DESCENT and rho_low <= HIT_HOLE_RADIUS:
             return None, details
         if low[2] < HIT_BLOCK_TOP and rho_low > HIT_HOLE_RADIUS:
             return PEG_OUTSIDE_HOLE, details

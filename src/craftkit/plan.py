@@ -172,11 +172,7 @@ def _as_part_list(normalized):
 
 def _parse_orientation(raw, obj, part_name, report):
     if obj is None:
-        # object unknown; orientation cannot be validated further
-        if isinstance(raw, list):
-            return OrientationSpec(axis_dims=tuple(raw))
-        if isinstance(raw, str):
-            return OrientationSpec(axis_token=raw)
+        # the object is missing or unknown, which the report already holds
         return None
     if obj.is_cuboid:
         if not isinstance(raw, list) or len(raw) != 3 or not all(

@@ -28,6 +28,7 @@ from craftkit.orchestrator import (
     run_pipeline,
 )
 from craftkit.physics import RigidBody, SimConfig, World, run_functional_test
+from craftkit.physics.engine import GRAVITY
 from craftkit.plan import OrientationSpec, PartSpec, normalize_raw, parse_plan
 
 from conftest import all_fixture_names
@@ -284,10 +285,10 @@ def test_criterion_5_physics(criterion, build_fixture):
             "box", [("p", Solid.box((0.2, 0.2, 0.2)),
                      np.array([0.0, 0.0, 0.8]))], 10.0)
         world.bodies.append(body)
-        e0 = body.mass * cfg.gravity * body.x[2]
+        e0 = body.mass * GRAVITY * body.x[2]
         for _ in range(int(round(2.0 / cfg.timestep))):
             world.step()
-            e = body.kinetic_energy() + body.mass * cfg.gravity * body.x[2]
+            e = body.kinetic_energy() + body.mass * GRAVITY * body.x[2]
             assert e <= e0 * 1.01
 
         # (c) torque-driven wheel matches omega = tau * t / I within 2%
@@ -296,7 +297,6 @@ def test_criterion_5_physics(criterion, build_fixture):
             "wheel", [("p", Solid.cylinder(0.3, 0.2, axis=1),
                        np.array([0.0, 0.0, 1.0]))], 10.0)
         wheel.gravity_exempt = True
-        world.ground_enabled = False
         world.bodies.append(wheel)
         tau, t_run = 2.0, 1.0
         for _ in range(int(round(t_run / cfg.timestep))):

@@ -249,14 +249,13 @@ def _reference_solve(world, refs, contacts, dt, cache=None):
     impulses per joint index, and is replaced by this step's."""
     for ref in refs.values():
         ref.pv, ref.pw = np.zeros(3), np.zeros(3)
-    cfg = world.config
     warm = cache or {"contacts": {}, "joints": {}}
-    joint_rows = [_RefJointRow(j, refs, cfg.baumgarte, dt,
+    joint_rows = [_RefJointRow(j, refs, engine.BAUMGARTE, dt,
                                warm["joints"].get(i))
                   for i, j in enumerate(world.joints)]
     contact_rows = [_RefContactRow(c, refs, warm["contacts"].get(c.key))
                     for c in contacts]
-    for _ in range(cfg.solver_iterations):
+    for _ in range(engine.VELOCITY_SWEEPS):
         for row in joint_rows:
             row.solve()
         for row in contact_rows:
@@ -267,9 +266,9 @@ def _reference_solve(world, refs, contacts, dt, cache=None):
         cache["contacts"] = {c.key: (row.jn, *row.jt)
                              for c, row in zip(contacts, contact_rows)
                              if c.key is not None}
-    for _ in range(cfg.position_iterations):
+    for _ in range(engine.POSITION_SWEEPS):
         for row in contact_rows:
-            row.solve_position(cfg.baumgarte, cfg.slop, dt)
+            row.solve_position(engine.BAUMGARTE, engine.SLOP, dt)
     return contact_rows
 
 
@@ -484,7 +483,7 @@ _REF_BOX_SIGNS = np.array(
 
 
 def _ref_ground_contacts(world, refs, contacts, centers):
-    margin, mu = engine.CONTACT_GEN_MARGIN, world.config.friction
+    margin, mu = engine.CONTACT_GEN_MARGIN, engine.FRICTION
     for body, body_centers in zip(world.bodies, centers):
         if body.inv_mass == 0.0 and not body.kinematic:
             continue
@@ -529,7 +528,7 @@ def _ref_ground_contacts(world, refs, contacts, centers):
 
 
 def _ref_body_body_contacts(world, refs, contacts, centers):
-    mu = world.config.friction
+    mu = engine.FRICTION
     for i, a in enumerate(world.bodies):
         for j in range(i + 1, len(world.bodies)):
             b = world.bodies[j]
@@ -572,8 +571,7 @@ def _reference_gather(world, refs):
     contacts = []
     centers = [[refs[body].x + refs[body].rot @ part.local_center
                 for part in body.parts] for body in world.bodies]
-    if world.ground_enabled:
-        _ref_ground_contacts(world, refs, contacts, centers)
+    _ref_ground_contacts(world, refs, contacts, centers)
     _ref_body_body_contacts(world, refs, contacts, centers)
     return contacts
 
@@ -593,7 +591,7 @@ def _reference_step(world, refs, dt, cache):
         ref.iinv = ref.rot @ np.array(body.inv_inertia_body) @ ref.rot.T
         accel = ref.force * body.inv_mass
         if not body.gravity_exempt:
-            accel = accel + world.gravity
+            accel = accel + np.array([0.0, 0.0, -engine.GRAVITY])
         ref.v = ref.v + accel * dt
         ref.w = ref.w + ref.iinv @ ref.torque * dt
         ref.force[:] = 0.0
@@ -739,7 +737,7 @@ def _resting_box(body_id, x):
     return body
 
 
-def test_a_feature_absent_in_the_last_step_starts_at_zero():
+def test_a_feature_absent_in_the_last_step_starts_at_zero(monkeypatch):
     world = World(SimConfig())
     world.bodies.append(_resting_box("old", 0.0))
     world.step()
@@ -751,7 +749,8 @@ def test_a_feature_absent_in_the_last_step_starts_at_zero():
     world.bodies.append(_resting_box("new", 2.0))
     contacts = world.gather_contacts()
     assert [c.key in cached for c in contacts] == [True] * 4 + [False] * 4
-    world.config = SimConfig(solver_iterations=0, position_iterations=0)
+    monkeypatch.setattr(engine, "VELOCITY_SWEEPS", 0)
+    monkeypatch.setattr(engine, "POSITION_SWEEPS", 0)
     rows, state = _float_solve(world, contacts, world.config.timestep)
     # with no sweeps, a row holds what it started from
     assert [(r.jn, r.jt1, r.jt2) for r in rows[:4]] == \

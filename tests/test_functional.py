@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,21 @@ from craftkit.physics.functional import (
 from conftest import all_fixture_names
 
 
+def test_sim_config_fields_are_pinned():
+    """The run and the tests' loads and thresholds, nothing else: the
+    solver's settings are engine constants, so a new knob shows up here."""
+    assert [f.name for f in fields(SimConfig)] == [
+        "timestep", "duration", "rolling_force", "support_force",
+        "separation_tolerance", "ground_contact_tolerance", "min_rotation",
+        "min_distance", "max_veer", "hit_drive_speed", "trace_every"]
+
+
 def test_compile_craft_skateboard_structure(build_fixture):
     _, asm = build_fixture("skateboard_valid_1")
     cfg = SimConfig()
     craft = compile_craft(asm, cfg)
     # deck + supports + axles fuse into one body, each wheel spins freely
-    assert len(craft.bodies) == 5
+    assert len(craft.world.bodies) == 5
     deck_body = craft.part_body["DECK_1"]
     assert craft.part_body["SUPPORT_1"] is deck_body
     assert craft.part_body["AXLE_1"] is deck_body
@@ -38,7 +49,7 @@ def test_compile_craft_skateboard_structure(build_fixture):
         axis = np.array(joint.body_a.rot) @ joint.axis_local_a
         assert np.allclose(np.abs(axis), [0.0, 1.0, 0.0])
     # craft is scaled x10 and shifted so the wheels touch z=0
-    assert min(b.part_min_z(p) for b in craft.bodies
+    assert min(b.part_min_z(p) for b in craft.world.bodies
                for p in b.parts) == pytest.approx(0.0, abs=1e-9)
     assert craft.ground_parts == {"WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"}
 
@@ -46,8 +57,8 @@ def test_compile_craft_skateboard_structure(build_fixture):
 def test_compile_craft_hammer_single_body(build_fixture):
     _, asm = build_fixture("hammer_valid_1")
     craft = compile_craft(asm, SimConfig())
-    assert len(craft.bodies) == 1
-    body = craft.bodies[0]
+    assert len(craft.world.bodies) == 1
+    body = craft.world.bodies[0]
     assert body.mass == pytest.approx(20.0)
     # fixed cluster still watched for separation? no: same body, no watch
     assert craft.watches == []
@@ -210,10 +221,10 @@ def test_golden_clusters_and_body_ids(build_fixture):
     for category, want in GOLDEN_BODIES.items():
         for i in (1, 2, 3):
             _, asm = build_fixture(f"{category}_valid_{i}")
-            craft = compile_craft(asm, SimConfig())
-            assert [b.id for b in craft.bodies] == \
+            bodies = compile_craft(asm, SimConfig()).world.bodies
+            assert [b.id for b in bodies] == \
                 [f"body{k}" for k in range(len(want))]
-            assert [[p.name for p in b.parts] for b in craft.bodies] == want
+            assert [[p.name for p in b.parts] for b in bodies] == want
             assert connectivity_components(asm) == [list(asm.placed)]
 
 
@@ -227,7 +238,7 @@ def test_rotation_is_computed_once_per_moving_body_and_step(
         build_fixture, monkeypatch):
     plan, asm = build_fixture("skateboard_valid_2")
     config = SimConfig(duration=1.0)
-    n_bodies = len(compile_craft(asm, config).bodies)
+    n_bodies = len(compile_craft(asm, config).world.bodies)
     calls = []
     original = engine.quat_to_matrix
 
@@ -341,13 +352,15 @@ def test_lifted_lying_cylinders_are_rejected_before_any_rim_point(
 
 
 def test_drift_is_measured_at_the_pose_after_the_step():
-    world = World(SimConfig(gravity=0.0))
-    world.ground_enabled = False
+    # weightless boxes well clear of the ground
+    world = World(SimConfig())
     a = RigidBody.from_parts(
-        "a", [("A", Solid.box((1.0, 1.0, 1.0)), np.zeros(3))], 1.0)
-    b = RigidBody.from_parts(
-        "b", [("B", Solid.box((1.0, 1.0, 1.0)), np.array([3.0, 0.0, 0.0]))],
+        "a", [("A", Solid.box((1.0, 1.0, 1.0)), np.array([0.0, 0.0, 2.0]))],
         1.0)
+    b = RigidBody.from_parts(
+        "b", [("B", Solid.box((1.0, 1.0, 1.0)), np.array([3.0, 0.0, 2.0]))],
+        1.0)
+    a.gravity_exempt = b.gravity_exempt = True
     a.vel[5] = 20.0
     b.vel[3] = 15.0
     world.bodies += [a, b]

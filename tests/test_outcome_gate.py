@@ -29,7 +29,11 @@ import hashlib
 import json
 
 from craftkit.physics import SimConfig
-from craftkit.physics.functional import HIT_HOLE_DEPTH, INSUFFICIENT_ROTATION
+from craftkit.physics.functional import (
+    HIT_DESCENT,
+    INSUFFICIENT_ROTATION,
+    SUPPORT_LIMIT,
+)
 
 from conftest import FIXTURES, PLANS, all_fixture_names
 
@@ -38,8 +42,6 @@ CASES = [n for n in all_fixture_names() if "_valid_" in n] + [
     "skateboard_offcenter", "skateboard_floating", "hammer_detached"]
 MARGIN_CAP = 100.0
 MARGIN_DROP = 2.0
-SUPPORT_LIMIT = 0.01  # m, the support test's displacement threshold
-HIT_DESCENT = 0.5 * HIT_HOLE_DEPTH  # the hit test's peg descent threshold
 
 
 def signature(outcome, config):

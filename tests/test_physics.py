@@ -4,11 +4,11 @@ import pytest
 from craftkit.errors import NumericalDivergence
 from craftkit.geometry import Solid
 from craftkit.physics import RevoluteJoint, RigidBody, SimConfig, World
-from craftkit.physics.engine import quat_integrate, quat_to_matrix
+from craftkit.physics.engine import GRAVITY, quat_integrate, quat_to_matrix
 
 
-def make_world(**overrides):
-    cfg = SimConfig(**overrides)
+def make_world():
+    cfg = SimConfig()
     return World(cfg), cfg
 
 
@@ -29,7 +29,6 @@ def test_quat_identity():
 
 def test_free_fall_matches_analytic():
     world, cfg = make_world()
-    world.ground_enabled = False
     body = box_body((0.0, 0.0, 10.0))
     world.bodies.append(body)
     steps = 500
@@ -37,16 +36,16 @@ def test_free_fall_matches_analytic():
         world.step()
     t = steps * cfg.timestep
     # symplectic Euler: z = z0 - g*dt*(1+2+...+n)*dt
-    expected = 10.0 - cfg.gravity * cfg.timestep ** 2 * steps * (steps + 1) / 2
+    expected = 10.0 - GRAVITY * cfg.timestep ** 2 * steps * (steps + 1) / 2
     assert body.x[2] == pytest.approx(expected, abs=1e-9)
-    assert body.vel[2] == pytest.approx(-cfg.gravity * t, abs=1e-9)
+    assert body.vel[2] == pytest.approx(-GRAVITY * t, abs=1e-9)
 
 
 def test_torque_driven_wheel_matches_analytic():
     world, cfg = make_world()
-    world.ground_enabled = False
     solid = Solid.cylinder(0.3, 0.2, axis=1)
-    body = RigidBody.from_parts("w", [("p", solid, np.zeros(3))], 10.0)
+    body = RigidBody.from_parts(
+        "w", [("p", solid, np.array([0.0, 0.0, 1.0]))], 10.0)  # off the ground
     body.gravity_exempt = True
     world.bodies.append(body)
     torque = 2.0
@@ -82,7 +81,6 @@ def test_ground_stops_falling_box():
 
 def test_revolute_joint_holds_anchor():
     world, cfg = make_world()
-    world.ground_enabled = False
     hub = box_body((0.0, 0.0, 1.0), body_id="hub")
     hub.kinematic = True
     wheel_solid = Solid.cylinder(0.3, 0.2, axis=1)
@@ -107,7 +105,6 @@ def test_revolute_joint_holds_anchor():
 
 def test_momentum_conserved_without_external_forces():
     world, cfg = make_world()
-    world.ground_enabled = False
     a = box_body((0.0, 0.0, 1.0), body_id="a")
     b = box_body((0.5, 0.0, 1.0), body_id="b")
     a.gravity_exempt = True
@@ -131,16 +128,15 @@ def test_unforced_energy_non_increasing():
     world, cfg = make_world()
     body = box_body((0.0, 0.0, 0.6))
     world.bodies.append(body)
-    e0 = body.kinetic_energy() + body.mass * cfg.gravity * body.x[2]
+    e0 = body.kinetic_energy() + body.mass * GRAVITY * body.x[2]
     for _ in range(int(round(2.0 / cfg.timestep))):
         world.step()
-        e = body.kinetic_energy() + body.mass * cfg.gravity * body.x[2]
+        e = body.kinetic_energy() + body.mass * GRAVITY * body.x[2]
         assert e <= e0 * (1.0 + 0.01)
 
 
 def test_numerical_divergence_raises():
     world, _ = make_world()
-    world.ground_enabled = False
     body = box_body((0.0, 0.0, 1.0))
     body.vel[0] = 2e3
     world.bodies.append(body)
@@ -150,7 +146,6 @@ def test_numerical_divergence_raises():
 
 def test_nan_velocity_raises():
     world, _ = make_world()
-    world.ground_enabled = False
     body = box_body((0.0, 0.0, 1.0))
     body.vel[0] = float("nan")
     world.bodies.append(body)
@@ -160,7 +155,6 @@ def test_nan_velocity_raises():
 
 def test_runaway_spin_raises():
     world, _ = make_world()
-    world.ground_enabled = False
     body = box_body((0.0, 0.0, 1.0))
     body.vel[5] = 1e5
     world.bodies.append(body)
