@@ -19,6 +19,7 @@ import logging
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 from .catalog import default_catalog, load_catalog
 from .errors import CraftError
@@ -149,6 +150,30 @@ def cmd_pipeline(args):
     return EXIT_OK if result.status == "success" else EXIT_INVALID
 
 
+def _manifest_error(jobs):
+    """What keeps ``jobs`` from being a batch manifest, naming the job's
+    index, or None: a manifest is a list of objects, each with a string
+    ``category`` and, as ``responses``, a list of strings or the path of a
+    directory of response files."""
+    if not isinstance(jobs, list):
+        return "manifest: must be a JSON list of jobs"
+    for index, job in enumerate(jobs):
+        where = f"manifest job {index}"
+        if not isinstance(job, dict):
+            return f"{where}: must be an object with category and responses"
+        if not isinstance(job.get("category"), str):
+            return f"{where}: category must be a string"
+        responses = job.get("responses")
+        if isinstance(responses, str):
+            if not Path(responses).is_dir():
+                return f"{where}: responses directory {responses} not found"
+        elif not (isinstance(responses, list)
+                  and all(isinstance(r, str) for r in responses)):
+            return (f"{where}: responses must be a list of strings or a "
+                    f"directory")
+    return None
+
+
 def _batch_job(job, policy, catalog):
     client = ScriptedClient(job["responses"])
     result = run_pipeline(job["category"], client, policy=policy,
@@ -165,6 +190,10 @@ def cmd_batch(args):
     catalog = _catalog(args)
     with open(args.manifest, "r", encoding="utf-8") as fh:
         jobs = json.load(fh)
+    error = _manifest_error(jobs)
+    if error is not None:
+        log.error("%s", error)
+        return EXIT_USAGE
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(
             lambda j: _batch_job(j, args.policy, catalog), jobs))
@@ -206,6 +235,15 @@ def _positive_float(text):
     return value
 
 
+def _duration(text):
+    value = _positive_float(text)
+    step = SimConfig.timestep
+    if value < step:
+        raise argparse.ArgumentTypeError(
+            f"must be at least one timestep ({step} s), got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="craftkit",
@@ -229,8 +267,9 @@ def build_parser():
     p.add_argument("--test", required=True,
                    choices=["rolling", "support", "hit"])
     p.add_argument("--catalog")
-    p.add_argument("--duration", type=_positive_float,
-                   help="simulated seconds, more than 0")
+    p.add_argument("--duration", type=_duration,
+                   help="simulated seconds, at least one timestep "
+                        f"({SimConfig.timestep} s)")
     p.add_argument("--trace", help="write the trajectory to this file")
     p.set_defaults(func=cmd_simulate)
 

@@ -20,8 +20,14 @@ needs it: the inertia and its inverse when a body is built,
 Positions are frozen during the velocity solve, so all constraint geometry
 (lever arms, effective masses, biases) is precomputed once per step and the
 iteration loop only touches velocities.  Each contact row keeps r x d and
-I^-1 (r x d) per body and direction, and each joint row keeps its 3x3 and
-2x2 inverse masses as nested floats.
+I^-1 (r x d) per body and direction.  Each joint row is built in closed
+form: straight-line float code, in locals, that sums its 3x3 anchor mass
+term by term and builds its 2x2 angular mass with the same products and
+sums, in the same order, as the 3-vector form, so its bits are that
+form's.  It keeps both inverse masses and the per-body impulse responses
+as flat float tuples, and its sweeps apply impulses with no helper call.
+A body's world inverse inertia R I^-1 R^T is formed the same way, with
+no helper call.
 
 A contact with the static environment whose normal is exactly +z (compared
 by value, so the hit test's floor contacts qualify) gets a _GroundRow: its
@@ -209,11 +215,27 @@ class RigidBody:
         if not self.dynamic:
             self.iinv = _ZERO33
             return
-        # column j of I^-1 R^T is I^-1 applied to row j of R
-        rot = self.rot
-        cols = [_matvec3(self.inv_inertia_body, row) for row in rot]
-        self.iinv = [[r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols]
-                     for r0, r1, r2 in rot]
+        # column j of I^-1 R^T is I^-1 applied to row j of R: (a, b, c)
+        # from row 0, (d, e, f) from row 1 and (g, h, i) from row 2
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self.rot
+        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = \
+            self.inv_inertia_body
+        a = i00 * r00 + i01 * r01 + i02 * r02
+        b = i10 * r00 + i11 * r01 + i12 * r02
+        c = i20 * r00 + i21 * r01 + i22 * r02
+        d = i00 * r10 + i01 * r11 + i02 * r12
+        e = i10 * r10 + i11 * r11 + i12 * r12
+        f = i20 * r10 + i21 * r11 + i22 * r12
+        g = i00 * r20 + i01 * r21 + i02 * r22
+        h = i10 * r20 + i11 * r21 + i12 * r22
+        i = i20 * r20 + i21 * r21 + i22 * r22
+        self.iinv = (
+            (r00 * a + r01 * b + r02 * c, r00 * d + r01 * e + r02 * f,
+             r00 * g + r01 * h + r02 * i),
+            (r10 * a + r11 * b + r12 * c, r10 * d + r11 * e + r12 * f,
+             r10 * g + r11 * h + r12 * i),
+            (r20 * a + r21 * b + r22 * c, r20 * d + r21 * e + r22 * f,
+             r20 * g + r21 * h + r22 * i))
 
     def world_point(self, local):
         """The world position of a point given in the body frame."""
@@ -623,28 +645,29 @@ def _contact_row(contact: Contact, impulse):
     return _ContactRow(contact, impulse)
 
 
-def _inverse3(m):
-    """Inverse of a 3x3 nested list by cofactors."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
-    s = 1.0 / (a * c0 + b * c1 + c * c2)
-    return ((c0 * s, (c * h - b * i) * s, (b * f - c * e) * s),
-            (c1 * s, (a * i - c * g) * s, (c * d - a * f) * s),
-            (c2 * s, (b * g - a * h) * s, (a * e - b * d) * s))
-
-
 class _JointRow:
     """One revolute joint: a 3-row point constraint and 2 angular rows.
 
-    The anchor rows use K^-1 (3x3) and, per dynamic body, the mass and the
-    matrix I^-1 [r]x that turn an anchor impulse into velocity changes.  The
-    angular rows keep the two hinge-perpendicular directions u1, u2, their
-    2x2 inverse mass and I^-1 u per body.
+    The build is straight-line float code in locals: it rotates the anchors
+    and axes into the world, sums K = sum over dynamic bodies of
+    m 1 - [r]x I^-1 [r]x term by term, and inverts K and the angular rows'
+    2x2 mass by cofactors.  Every product and sum is the one the 3-vector
+    form (R p, I^-1 (r x e_j), r x (I^-1 (r x e_j)), ...) computes, in the
+    same order, so the rows are bit-identical to it.  The anchor rows keep
+    K^-1 and, per dynamic body, the 10-tuple ``lever`` (m, then I^-1 [r]x
+    row by row; negated for body a, which takes the opposite impulse) that
+    turns an anchor impulse into velocity changes.  The angular rows keep
+    the two hinge-perpendicular directions u1, u2, their 2x2 inverse mass
+    and, per dynamic body, the 6-tuple ``spin`` (I^-1 u1, I^-1 u2).  A body
+    that impulses do not move has neither, and adds nothing to either mass.
+    ``solve`` and the warm start apply impulses through these tuples
+    inline, with no call per body.
 
     (px, py, pz) and (l1, l2) total the anchor and angular impulses of this
     step.  They start from ``impulse``, the previous step's anchor impulse
     and angular impulse as world vectors (None: zero), the latter projected
-    onto this step's u1 and u2, and are applied to the bodies at setup.
+    onto this step's u1 and u2, and are applied to the bodies at setup with
+    the updates ``solve`` makes.
     """
 
     __slots__ = ("va", "vb", "ra", "rb", "kinv", "bias", "lever_a",
@@ -653,69 +676,154 @@ class _JointRow:
 
     def __init__(self, joint: RevoluteJoint, beta, dt, impulse):
         a, b = joint.body_a, joint.body_b
-        self.va, self.vb = a.vel, b.vel
-        ra = self.ra = _matvec3(a.rot, joint.anchor_local_a)
-        rb = self.rb = _matvec3(b.rot, joint.anchor_local_b)
+        va, vb = self.va, self.vb = a.vel, b.vel
+        # anchors and axes in the world: R p, row by row
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = a.rot
+        x, y, z = joint.anchor_local_a
+        rax, ray, raz = self.ra = (r00 * x + r01 * y + r02 * z,
+                                   r10 * x + r11 * y + r12 * z,
+                                   r20 * x + r21 * y + r22 * z)
+        x, y, z = joint.axis_local_a
+        nx, ny, nz = (r00 * x + r01 * y + r02 * z,
+                      r10 * x + r11 * y + r12 * z,
+                      r20 * x + r21 * y + r22 * z)
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = b.rot
+        x, y, z = joint.anchor_local_b
+        rbx, rby, rbz = self.rb = (r00 * x + r01 * y + r02 * z,
+                                   r10 * x + r11 * y + r12 * z,
+                                   r20 * x + r21 * y + r22 * z)
+        x, y, z = joint.axis_local_b
+        mx, my, mz = (r00 * x + r01 * y + r02 * z,
+                      r10 * x + r11 * y + r12 * z,
+                      r20 * x + r21 * y + r22 * z)
         f = beta / dt
-        self.bias = tuple(
-            f * ((b.x[i] + rb[i]) - (a.x[i] + ra[i])) for i in range(3))
+        (xa, ya, za), (xb, yb, zb) = a.x, b.x
+        self.bias = (f * ((xb + rbx) - (xa + rax)),
+                     f * ((yb + rby) - (ya + ray)),
+                     f * ((zb + rbz) - (za + raz)))
 
-        # K e_j = sum over dynamic bodies of m e_j - r x (I^-1 (r x e_j))
-        k = [[0.0] * 3 for _ in range(3)]
-        self.lever_a = self._anchor_lever(a, ra, k)
-        self.lever_b = self._anchor_lever(b, rb, k)
-        self.kinv = _inverse3(k)
-
-        axis_a = _matvec3(a.rot, joint.axis_local_a)
-        axis_b = _matvec3(b.rot, joint.axis_local_b)
-        u1 = self.u1 = _unit_perpendicular(axis_a)
-        u2 = self.u2 = _cross3(axis_a, u1)
-        iu_a = (_matvec3(a.iinv, u1), _matvec3(a.iinv, u2))
-        iu_b = (_matvec3(b.iinv, u1), _matvec3(b.iinv, u2))
-        k11 = _dot3(u1, iu_a[0]) + _dot3(u1, iu_b[0])
-        k12 = _dot3(u1, iu_a[1]) + _dot3(u1, iu_b[1])
-        k21 = _dot3(u2, iu_a[0]) + _dot3(u2, iu_b[0])
-        k22 = _dot3(u2, iu_a[1]) + _dot3(u2, iu_b[1])
-        det = k11 * k22 - k12 * k21
-        self.kang_inv = ((k22 / det, -k12 / det), (-k21 / det, k11 / det))
+        # u1: x (y when axis_a is near x) with its axis_a component
+        # removed, normalized; u2 = axis_a x u1
+        x, y, z = (0.0, 1.0, 0.0) if abs(nx) > 0.9 else (1.0, 0.0, 0.0)
+        s = x * nx + y * ny + z * nz
+        x, y, z = x - s * nx, y - s * ny, z - s * nz
+        norm = math.sqrt(x * x + y * y + z * z)
+        u1x, u1y, u1z = self.u1 = (x / norm, y / norm, z / norm)
+        u2x, u2y, u2z = self.u2 = (ny * u1z - nz * u1y, nz * u1x - nx * u1z,
+                                   nx * u1y - ny * u1x)
         # driving the perpendicular relative spin toward
         # -beta/dt * (axis_a x axis_b) decays the misalignment without
         # cross-coupling the two error components
-        err = _cross3(axis_a, axis_b)
-        self.ang_bias = (f * _dot3(u1, err), f * _dot3(u2, err))
-        self.spin_a = iu_a if a.dynamic else None
-        self.spin_b = iu_b if b.dynamic else None
-        self.px = self.py = self.pz = self.l1 = self.l2 = 0.0
-        if impulse is not None:
-            (px, py, pz), ang = impulse
-            if self.lever_a is not None:
-                _push_anchor(a.vel, self.lever_a, -px, -py, -pz)
-            if self.lever_b is not None:
-                _push_anchor(b.vel, self.lever_b, px, py, pz)
-            l1, l2 = _dot3(u1, ang), _dot3(u2, ang)
-            _push_spin(a.vel, b.vel, self.spin_a, self.spin_b, l1, l2)
-            self.px, self.py, self.pz, self.l1, self.l2 = px, py, pz, l1, l2
+        x, y, z = ny * mz - nz * my, nz * mx - nx * mz, nx * my - ny * mx
+        self.ang_bias = (f * (u1x * x + u1y * y + u1z * z),
+                         f * (u2x * x + u2y * y + u2z * z))
 
-    @staticmethod
-    def _anchor_lever(body, r, k):
-        """Add one body's share to K; return (m, I^-1 [r]x) or None."""
-        if not body.dynamic:
-            return None
-        # column j of I^-1 [r]x is I^-1 (r x e_j), with r x x = (0, rz, -ry),
-        # r x y = (-rz, 0, rx) and r x z = (ry, -rx, 0); the products with
-        # the exact zero are left out, which changes no bit of the sums
-        rx, ry, rz = r
-        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = body.iinv
-        cols = (
-            (i01 * rz - i02 * ry, i11 * rz - i12 * ry, i21 * rz - i22 * ry),
-            (i02 * rx - i00 * rz, i12 * rx - i10 * rz, i22 * rx - i20 * rz),
-            (i00 * ry - i01 * rx, i10 * ry - i11 * rx, i20 * ry - i21 * rx))
-        for j, col in enumerate(cols):
-            dv = _cross3(r, col)
-            for i in range(3):
-                k[i][j] -= dv[i]
-            k[j][j] += body.inv_mass
-        return body.inv_mass, tuple(zip(*cols))
+        k00 = k01 = k02 = k10 = k11 = k12 = k20 = k21 = k22 = 0.0
+        # adding -0.0 changes no float, so these sums hold the dynamic
+        # bodies' terms only
+        g11 = g12 = g21 = g22 = -0.0
+        sides = []
+        for body, rx, ry, rz in ((a, rax, ray, raz), (b, rbx, rby, rbz)):
+            if not body.dynamic:
+                sides.append((None, None))
+                continue
+            m = body.inv_mass
+            (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = body.iinv
+            # cj0, cj1, cj2 is column j of I^-1 [r]x, I^-1 (r x e_j), with
+            # r x x = (0, rz, -ry), r x y = (-rz, 0, rx) and
+            # r x z = (ry, -rx, 0); the products with the exact zero are
+            # left out, which changes no bit of the sums
+            c00, c10, c20 = (i01 * rz - i02 * ry, i11 * rz - i12 * ry,
+                             i21 * rz - i22 * ry)
+            c01, c11, c21 = (i02 * rx - i00 * rz, i12 * rx - i10 * rz,
+                             i22 * rx - i20 * rz)
+            c02, c12, c22 = (i00 * ry - i01 * rx, i10 * ry - i11 * rx,
+                             i20 * ry - i21 * rx)
+            # column j of K: minus r x (column j of I^-1 [r]x), then m on
+            # the diagonal
+            k00 -= ry * c20 - rz * c10
+            k10 -= rz * c00 - rx * c20
+            k20 -= rx * c10 - ry * c00
+            k00 += m
+            k01 -= ry * c21 - rz * c11
+            k11 -= rz * c01 - rx * c21
+            k21 -= rx * c11 - ry * c01
+            k11 += m
+            k02 -= ry * c22 - rz * c12
+            k12 -= rz * c02 - rx * c22
+            k22 -= rx * c12 - ry * c02
+            k22 += m
+            # I^-1 u1 = (p0, p1, p2) and I^-1 u2 = (q0, q1, q2)
+            p0 = i00 * u1x + i01 * u1y + i02 * u1z
+            p1 = i10 * u1x + i11 * u1y + i12 * u1z
+            p2 = i20 * u1x + i21 * u1y + i22 * u1z
+            q0 = i00 * u2x + i01 * u2y + i02 * u2z
+            q1 = i10 * u2x + i11 * u2y + i12 * u2z
+            q2 = i20 * u2x + i21 * u2y + i22 * u2z
+            g11 += u1x * p0 + u1y * p1 + u1z * p2
+            g12 += u1x * q0 + u1y * q1 + u1z * q2
+            g21 += u2x * p0 + u2y * p1 + u2z * p2
+            g22 += u2x * q0 + u2y * q1 + u2z * q2
+            if body is a:
+                # a takes the opposite impulse: (-c) p is c (-p), bit for bit
+                m, c00, c01, c02, c10, c11, c12, c20, c21, c22 = (
+                    -m, -c00, -c01, -c02, -c10, -c11, -c12, -c20, -c21, -c22)
+            sides.append(((m, c00, c01, c02, c10, c11, c12, c20, c21, c22),
+                          (p0, p1, p2, q0, q1, q2)))
+        (self.lever_a, self.spin_a), (self.lever_b, self.spin_b) = sides
+
+        # K^-1 by cofactors
+        c0 = k11 * k22 - k12 * k21
+        c1 = k12 * k20 - k10 * k22
+        c2 = k10 * k21 - k11 * k20
+        s = 1.0 / (k00 * c0 + k01 * c1 + k02 * c2)
+        self.kinv = (c0 * s, (k02 * k21 - k01 * k22) * s,
+                     (k01 * k12 - k02 * k11) * s,
+                     c1 * s, (k00 * k22 - k02 * k20) * s,
+                     (k02 * k10 - k00 * k12) * s,
+                     c2 * s, (k01 * k20 - k00 * k21) * s,
+                     (k00 * k11 - k01 * k10) * s)
+        det = g11 * g22 - g12 * g21
+        self.kang_inv = (g22 / det, -g12 / det, -g21 / det, g11 / det)
+
+        self.px = self.py = self.pz = self.l1 = self.l2 = 0.0
+        if impulse is None:
+            return
+        # the updates of solve: the anchor impulse, then the angular one
+        (px, py, pz), (x, y, z) = impulse
+        lever = self.lever_a
+        if lever is not None:
+            m, c00, c01, c02, c10, c11, c12, c20, c21, c22 = lever
+            va[0] += m * px
+            va[1] += m * py
+            va[2] += m * pz
+            va[3] += c00 * px + c01 * py + c02 * pz
+            va[4] += c10 * px + c11 * py + c12 * pz
+            va[5] += c20 * px + c21 * py + c22 * pz
+        lever = self.lever_b
+        if lever is not None:
+            m, c00, c01, c02, c10, c11, c12, c20, c21, c22 = lever
+            vb[0] += m * px
+            vb[1] += m * py
+            vb[2] += m * pz
+            vb[3] += c00 * px + c01 * py + c02 * pz
+            vb[4] += c10 * px + c11 * py + c12 * pz
+            vb[5] += c20 * px + c21 * py + c22 * pz
+        l1 = u1x * x + u1y * y + u1z * z
+        l2 = u2x * x + u2y * y + u2z * z
+        spin = self.spin_a
+        if spin is not None:
+            x1, y1, z1, x2, y2, z2 = spin
+            va[3] -= x1 * l1 + x2 * l2
+            va[4] -= y1 * l1 + y2 * l2
+            va[5] -= z1 * l1 + z2 * l2
+        spin = self.spin_b
+        if spin is not None:
+            x1, y1, z1, x2, y2, z2 = spin
+            vb[3] += x1 * l1 + x2 * l2
+            vb[4] += y1 * l1 + y2 * l2
+            vb[5] += z1 * l1 + z2 * l2
+        self.px, self.py, self.pz, self.l1, self.l2 = px, py, pz, l1, l2
 
     def solve(self):
         va, vb = self.va, self.vb
@@ -729,14 +837,28 @@ class _JointRow:
                 - va[1] - (va[5] * rax - va[3] * raz)) + by)
         ez = -((vb[2] + (vb[3] * rby - vb[4] * rbx)
                 - va[2] - (va[3] * ray - va[4] * rax)) + bz)
-        (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = self.kinv
+        k00, k01, k02, k10, k11, k12, k20, k21, k22 = self.kinv
         px = k00 * ex + k01 * ey + k02 * ez
         py = k10 * ex + k11 * ey + k12 * ez
         pz = k20 * ex + k21 * ey + k22 * ez
-        if self.lever_a is not None:
-            _push_anchor(va, self.lever_a, -px, -py, -pz)
-        if self.lever_b is not None:
-            _push_anchor(vb, self.lever_b, px, py, pz)
+        lever = self.lever_a
+        if lever is not None:
+            m, c00, c01, c02, c10, c11, c12, c20, c21, c22 = lever
+            va[0] += m * px
+            va[1] += m * py
+            va[2] += m * pz
+            va[3] += c00 * px + c01 * py + c02 * pz
+            va[4] += c10 * px + c11 * py + c12 * pz
+            va[5] += c20 * px + c21 * py + c22 * pz
+        lever = self.lever_b
+        if lever is not None:
+            m, c00, c01, c02, c10, c11, c12, c20, c21, c22 = lever
+            vb[0] += m * px
+            vb[1] += m * py
+            vb[2] += m * pz
+            vb[3] += c00 * px + c01 * py + c02 * pz
+            vb[4] += c10 * px + c11 * py + c12 * pz
+            vb[5] += c20 * px + c21 * py + c22 * pz
         self.px += px
         self.py += py
         self.pz += pz
@@ -745,15 +867,17 @@ class _JointRow:
         (u1x, u1y, u1z), (u2x, u2y, u2z) = self.u1, self.u2
         e1 = -((u1x * wx + u1y * wy + u1z * wz) + self.ang_bias[0])
         e2 = -((u2x * wx + u2y * wy + u2z * wz) + self.ang_bias[1])
-        (q11, q12), (q21, q22) = self.kang_inv
+        q11, q12, q21, q22 = self.kang_inv
         l1, l2 = q11 * e1 + q12 * e2, q21 * e1 + q22 * e2
-        if self.spin_a is not None:
-            (x1, y1, z1), (x2, y2, z2) = self.spin_a
+        spin = self.spin_a
+        if spin is not None:
+            x1, y1, z1, x2, y2, z2 = spin
             va[3] -= x1 * l1 + x2 * l2
             va[4] -= y1 * l1 + y2 * l2
             va[5] -= z1 * l1 + z2 * l2
-        if self.spin_b is not None:
-            (x1, y1, z1), (x2, y2, z2) = self.spin_b
+        spin = self.spin_b
+        if spin is not None:
+            x1, y1, z1, x2, y2, z2 = spin
             vb[3] += x1 * l1 + x2 * l2
             vb[4] += y1 * l1 + y2 * l2
             vb[5] += z1 * l1 + z2 * l2
@@ -767,33 +891,6 @@ class _JointRow:
         return ((self.px, self.py, self.pz),
                 (l1 * u1x + l2 * u2x, l1 * u1y + l2 * u2y,
                  l1 * u1z + l2 * u2z))
-
-
-def _push_spin(va, vb, spin_a, spin_b, l1, l2):
-    """Apply angular impulse l1 u1 + l2 u2 to b and its opposite to a,
-    through I^-1 u per body (None: a body impulses do not move), as
-    _JointRow.solve does; for the warm start at row setup."""
-    if spin_a is not None:
-        (x1, y1, z1), (x2, y2, z2) = spin_a
-        va[3] -= x1 * l1 + x2 * l2
-        va[4] -= y1 * l1 + y2 * l2
-        va[5] -= z1 * l1 + z2 * l2
-    if spin_b is not None:
-        (x1, y1, z1), (x2, y2, z2) = spin_b
-        vb[3] += x1 * l1 + x2 * l2
-        vb[4] += y1 * l1 + y2 * l2
-        vb[5] += z1 * l1 + z2 * l2
-
-
-def _push_anchor(v, lever, px, py, pz):
-    """Apply anchor impulse p to a 6-velocity: v += (m p, I^-1 (r x p))."""
-    m, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)) = lever
-    v[0] += m * px
-    v[1] += m * py
-    v[2] += m * pz
-    v[3] += a00 * px + a01 * py + a02 * pz
-    v[4] += a10 * px + a11 * py + a12 * pz
-    v[5] += a20 * px + a21 * py + a22 * pz
 
 
 def _standing_rim_contacts(contacts, body, index, part, r, c):

@@ -267,10 +267,24 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     """Push the most connected part along +x; every exec part must turn."""
     push_part = _most_connected(assembly)
     push_body = craft.part_body[push_part]
-    push_shape = craft.part_shape[push_part]
+    push_local = np.array(craft.part_shape[push_part].local_center)
 
     exec_parts = [p.name for p in plan.parts if p.exec_function]
     rotation = {name: 0.0 for name in exec_parts}
+    # (name, body, hinge partner, hinge axis in the body's frame) per exec
+    # part; partner and axis are None for a part on no hinge
+    spinners = []
+    for name in exec_parts:
+        joint = craft.joints_by_part.get(name)
+        body = craft.part_body[name]
+        if joint is None:
+            spinners.append((name, body, None, None))
+        elif joint.body_b is body:
+            spinners.append((name, body, joint.body_a,
+                             np.array(joint.axis_local_b)))
+        else:
+            spinners.append((name, body, joint.body_b,
+                             np.array(joint.axis_local_a)))
     start_com = _craft_com(craft)
     veer_at_goal = None
     dt = config.timestep
@@ -280,23 +294,16 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     # plain float sums, and the recorded rolling outcomes carry numpy's
     # last digits.
     def before_step():
-        point = np.array(push_body.x) + \
-            np.array(push_body.rot) @ np.array(push_shape.local_center)
+        point = np.array(push_body.x) + np.array(push_body.rot) @ push_local
         push_body.apply_force((config.rolling_force, 0.0, 0.0), point)
 
     def after_step(contacts):
         nonlocal veer_at_goal
-        for name in exec_parts:
-            joint = craft.joints_by_part.get(name)
-            body = craft.part_body[name]
-            if joint is None:
+        for name, body, other, axis_local in spinners:
+            if other is None:
                 rotation[name] += float(np.linalg.norm(body.vel[3:])) * dt
                 continue
-            if joint.body_b is body:
-                other, axis_local = joint.body_a, joint.axis_local_b
-            else:
-                other, axis_local = joint.body_b, joint.axis_local_a
-            axis = np.array(body.rot) @ np.array(axis_local)
+            axis = np.array(body.rot) @ axis_local
             spin = np.subtract(body.vel[3:], other.vel[3:]) @ axis
             rotation[name] += abs(float(spin)) * dt
 
@@ -503,18 +510,29 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
                         config: SimConfig | None = None) -> SimOutcome:
     """Compile the assembly and run the functional test ``kind`` on it.
 
-    A test's own verdict in a step goes ahead of the shared checks.
+    A test's own verdict in a step goes ahead of the shared checks.  Raises
+    ValueError for an unknown ``kind``, and for a config whose run has no
+    step (a timestep that is not positive, or a duration under half of it)
+    or whose ``trace_every`` is under 1.
     """
     try:
         setup = TESTS[kind]
     except KeyError:
         raise ValueError(f"unknown functional test {kind!r}") from None
     config = config or SimConfig()
+    if not config.timestep > 0.0:
+        raise ValueError(f"timestep must be positive, got {config.timestep}")
+    n_steps = int(round(config.duration / config.timestep))
+    if n_steps < 1:
+        raise ValueError(f"duration {config.duration} s gives no step of "
+                         f"{config.timestep} s")
+    if config.trace_every < 1:
+        raise ValueError(
+            f"trace_every must be at least 1, got {config.trace_every}")
     craft = compile_craft(assembly, config)
     world = craft.world
     before_step, after_step, finish = setup(craft, assembly, plan, config)
     trajectory = [_snapshot(craft, 0.0)]
-    n_steps = int(round(config.duration / config.timestep))
     try:
         for step in range(n_steps):
             before_step()

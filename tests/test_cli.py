@@ -158,6 +158,22 @@ def test_simulate_rejects_a_duration_that_is_not_positive(plan_path):
         assert exc.value.code == EXIT_USAGE
 
 
+def test_simulate_rejects_a_duration_under_one_timestep(capsys, plan_path):
+    import pytest
+
+    plan = str(plan_path("table_valid_1"))
+    for duration in ("0.0009", "0.0019"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", plan, "--test", "support",
+                  "--duration", duration])
+        assert exc.value.code == EXIT_USAGE
+        assert "at least one timestep" in capsys.readouterr().err
+    code, out = run_cli(capsys, "simulate", plan, "--test", "support",
+                        "--duration", "0.002")
+    assert code == EXIT_OK
+    assert json.loads(out)["time_s"] > 0.0
+
+
 def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
     # LOOSE_1 has no connection, so it cannot be placed
     plan = tmp_path / "unplaceable.json"
@@ -267,3 +283,30 @@ def test_batch_survives_an_exhausted_client(capsys, tmp_path, fixture_raw):
     assert [r["status"] for r in rows] == ["success", "failed"]
     assert rows[1] == {"category": "hammer", "attempts": "1",
                        "status": "failed", "failure_stage": "CLIENT"}
+
+
+def test_batch_rejects_a_malformed_manifest(caplog, tmp_path):
+    """Each bad manifest exits 2 before any job runs, names the job, and
+    writes no CSV."""
+    responses = tmp_path / "responses"
+    responses.mkdir()
+    good = {"category": "hammer", "responses": str(responses)}
+    cases = [
+        ({"category": "hammer", "responses": []}, "manifest:"),
+        ([good, {"category": "hammer"}], "job 1: responses"),
+        (["hammer"], "job 0: must be an object"),
+        ([{"category": 3, "responses": []}], "job 0: category"),
+        ([good, good, {"category": "hammer", "responses": ["x", 1]}],
+         "job 2: responses"),
+        ([{"category": "hammer", "responses": str(tmp_path / "absent")}],
+         "job 0: responses directory"),
+    ]
+    manifest = tmp_path / "manifest.json"
+    out_csv = tmp_path / "out.csv"
+    for jobs, message in cases:
+        manifest.write_text(json.dumps(jobs))
+        caplog.clear()
+        code = main(["batch", str(manifest), "--out", str(out_csv)])
+        assert code == EXIT_USAGE
+        assert message in caplog.text
+        assert not out_csv.exists()

@@ -8,7 +8,9 @@ them and once with ``World._solve`` from identical copies; velocities and
 accumulated impulses must agree.  The float rows reorder a few sums
 (``w . (r x d)`` for ``(w x r) . d``), so results agree to rounding, not
 bit for bit.  The ground row, in turn, must match
-the generic float contact row exactly.
+the generic float contact row exactly, and the closed-form joint row must
+match ``_GenericJointRow``, the generic float joint build it replaced,
+exactly.
 
 ``_reference_step`` keeps the earlier numpy ``World.step`` around the
 solve (inertia refresh, force and torque integration, contact generation,
@@ -21,6 +23,7 @@ after it was warm-started.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -451,6 +454,220 @@ def test_ground_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
         assert any(r.jt1 != 0.0 and r.jt2 != 0.0 for r in rows)
         # the kinematic body's rows are skipped and leave it as it was
         assert all(r.jn == 0.0 and r.pn == 0.0 for r in rows[9:12])
+
+
+# -- the closed-form joint row -------------------------------------------------
+#
+# _GenericJointRow keeps the generic joint build that the closed-form
+# engine._JointRow replaced: rotations, lever columns and the angular mass
+# through 3-vector helpers, K summed by _anchor_lever into a nested list,
+# and impulses applied by _push_anchor and _push_spin.
+
+def _matvec3(m, v):
+    return (m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
+            m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
+            m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2])
+
+
+def _cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _unit_perpendicular(d):
+    u = (0.0, 1.0, 0.0) if abs(d[0]) > 0.9 else (1.0, 0.0, 0.0)
+    s = _dot3(u, d)
+    u = (u[0] - s * d[0], u[1] - s * d[1], u[2] - s * d[2])
+    norm = math.sqrt(_dot3(u, u))
+    return (u[0] / norm, u[1] / norm, u[2] / norm)
+
+
+def _inverse3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+    s = 1.0 / (a * c0 + b * c1 + c * c2)
+    return ((c0 * s, (c * h - b * i) * s, (b * f - c * e) * s),
+            (c1 * s, (a * i - c * g) * s, (c * d - a * f) * s),
+            (c2 * s, (b * g - a * h) * s, (a * e - b * d) * s))
+
+
+def _push_anchor(v, lever, px, py, pz):
+    m, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)) = lever
+    v[0] += m * px
+    v[1] += m * py
+    v[2] += m * pz
+    v[3] += a00 * px + a01 * py + a02 * pz
+    v[4] += a10 * px + a11 * py + a12 * pz
+    v[5] += a20 * px + a21 * py + a22 * pz
+
+
+def _push_spin(va, vb, spin_a, spin_b, l1, l2):
+    if spin_a is not None:
+        (x1, y1, z1), (x2, y2, z2) = spin_a
+        va[3] -= x1 * l1 + x2 * l2
+        va[4] -= y1 * l1 + y2 * l2
+        va[5] -= z1 * l1 + z2 * l2
+    if spin_b is not None:
+        (x1, y1, z1), (x2, y2, z2) = spin_b
+        vb[3] += x1 * l1 + x2 * l2
+        vb[4] += y1 * l1 + y2 * l2
+        vb[5] += z1 * l1 + z2 * l2
+
+
+class _GenericJointRow:
+    def __init__(self, joint, beta, dt, impulse):
+        a, b = joint.body_a, joint.body_b
+        self.va, self.vb = a.vel, b.vel
+        ra = self.ra = _matvec3(a.rot, joint.anchor_local_a)
+        rb = self.rb = _matvec3(b.rot, joint.anchor_local_b)
+        f = beta / dt
+        self.bias = tuple(
+            f * ((b.x[i] + rb[i]) - (a.x[i] + ra[i])) for i in range(3))
+        k = [[0.0] * 3 for _ in range(3)]
+        self.lever_a = self._anchor_lever(a, ra, k)
+        self.lever_b = self._anchor_lever(b, rb, k)
+        self.kinv = _inverse3(k)
+
+        axis_a = _matvec3(a.rot, joint.axis_local_a)
+        axis_b = _matvec3(b.rot, joint.axis_local_b)
+        u1 = self.u1 = _unit_perpendicular(axis_a)
+        u2 = self.u2 = _cross3(axis_a, u1)
+        iu_a = (_matvec3(a.iinv, u1), _matvec3(a.iinv, u2))
+        iu_b = (_matvec3(b.iinv, u1), _matvec3(b.iinv, u2))
+        k11 = _dot3(u1, iu_a[0]) + _dot3(u1, iu_b[0])
+        k12 = _dot3(u1, iu_a[1]) + _dot3(u1, iu_b[1])
+        k21 = _dot3(u2, iu_a[0]) + _dot3(u2, iu_b[0])
+        k22 = _dot3(u2, iu_a[1]) + _dot3(u2, iu_b[1])
+        det = k11 * k22 - k12 * k21
+        self.kang_inv = ((k22 / det, -k12 / det), (-k21 / det, k11 / det))
+        err = _cross3(axis_a, axis_b)
+        self.ang_bias = (f * _dot3(u1, err), f * _dot3(u2, err))
+        self.spin_a = iu_a if a.dynamic else None
+        self.spin_b = iu_b if b.dynamic else None
+        self.px = self.py = self.pz = self.l1 = self.l2 = 0.0
+        if impulse is not None:
+            (px, py, pz), ang = impulse
+            if self.lever_a is not None:
+                _push_anchor(a.vel, self.lever_a, -px, -py, -pz)
+            if self.lever_b is not None:
+                _push_anchor(b.vel, self.lever_b, px, py, pz)
+            l1, l2 = _dot3(u1, ang), _dot3(u2, ang)
+            _push_spin(a.vel, b.vel, self.spin_a, self.spin_b, l1, l2)
+            self.px, self.py, self.pz, self.l1, self.l2 = px, py, pz, l1, l2
+
+    @staticmethod
+    def _anchor_lever(body, r, k):
+        """Add one body's share to K; return (m, I^-1 [r]x) or None."""
+        if not body.dynamic:
+            return None
+        rx, ry, rz = r
+        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = body.iinv
+        cols = (
+            (i01 * rz - i02 * ry, i11 * rz - i12 * ry, i21 * rz - i22 * ry),
+            (i02 * rx - i00 * rz, i12 * rx - i10 * rz, i22 * rx - i20 * rz),
+            (i00 * ry - i01 * rx, i10 * ry - i11 * rx, i20 * ry - i21 * rx))
+        for j, col in enumerate(cols):
+            dv = _cross3(r, col)
+            for i in range(3):
+                k[i][j] -= dv[i]
+            k[j][j] += body.inv_mass
+        return body.inv_mass, tuple(zip(*cols))
+
+    def solve(self):
+        va, vb = self.va, self.vb
+        rax, ray, raz = self.ra
+        rbx, rby, rbz = self.rb
+        bx, by, bz = self.bias
+        ex = -((vb[0] + (vb[4] * rbz - vb[5] * rby)
+                - va[0] - (va[4] * raz - va[5] * ray)) + bx)
+        ey = -((vb[1] + (vb[5] * rbx - vb[3] * rbz)
+                - va[1] - (va[5] * rax - va[3] * raz)) + by)
+        ez = -((vb[2] + (vb[3] * rby - vb[4] * rbx)
+                - va[2] - (va[3] * ray - va[4] * rax)) + bz)
+        px, py, pz = _matvec3(self.kinv, (ex, ey, ez))
+        if self.lever_a is not None:
+            _push_anchor(va, self.lever_a, -px, -py, -pz)
+        if self.lever_b is not None:
+            _push_anchor(vb, self.lever_b, px, py, pz)
+        self.px += px
+        self.py += py
+        self.pz += pz
+        w = (vb[3] - va[3], vb[4] - va[4], vb[5] - va[5])
+        e1 = -(_dot3(self.u1, w) + self.ang_bias[0])
+        e2 = -(_dot3(self.u2, w) + self.ang_bias[1])
+        (q11, q12), (q21, q22) = self.kang_inv
+        l1, l2 = q11 * e1 + q12 * e2, q21 * e1 + q22 * e2
+        _push_spin(va, vb, self.spin_a, self.spin_b, l1, l2)
+        self.l1 += l1
+        self.l2 += l2
+
+    def impulse(self):
+        (u1x, u1y, u1z), (u2x, u2y, u2z) = self.u1, self.u2
+        l1, l2 = self.l1, self.l2
+        return ((self.px, self.py, self.pz),
+                (l1 * u1x + l2 * u2x, l1 * u1y + l2 * u2y,
+                 l1 * u1z + l2 * u2z))
+
+
+def _joint_world(seed):
+    """Five random rotated bodies, the last one kinematic, in a chain of
+    joints: dynamic to dynamic, kinematic as body a, kinematic as body b,
+    and one anchored at a body's centre of mass; each joint's axes are a
+    little out of line.  One ground contact keeps a contact row in the
+    solve as well."""
+    rng = np.random.default_rng(seed)
+    world = World(SimConfig())
+    bodies = [_random_body(rng, f"b{i}", rng.uniform(-1.0, 1.0, size=3))
+              for i in range(5)]
+    bodies[4].kinematic = True
+    world.bodies += bodies
+    for body in bodies:
+        body.refresh_pose_cache()
+    for ia, ib in ((0, 1), (4, 2), (3, 4), (1, 3)):
+        a, b = bodies[ia], bodies[ib]
+        anchor = _near(rng, (np.array(a.x) + b.x) / 2.0)
+        if ib == 3:
+            anchor = b.x
+        axis = np.array(_unit(rng))
+        world.joints.append(RevoluteJoint(
+            body_a=a, body_b=b, anchor_local_a=np.subtract(anchor, a.x),
+            anchor_local_b=np.subtract(anchor, b.x),
+            axis_local_a=axis,
+            axis_local_b=axis + rng.normal(scale=0.05, size=3)))
+    contacts = [Contact(None, bodies[0], _near(rng, bodies[0].x), engine._UP,
+                        1e-3, 0.5, (bodies[0].id, 0, 0))]
+    return world, contacts
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_joint_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
+    """A cold solve, then a second one warm-started from its impulses."""
+    world, contacts = _joint_world(seed)
+    ref_world, ref_contacts = copy.deepcopy((world, contacts))
+    dt = world.config.timestep
+
+    solves, impulses = [], []
+    for _ in range(2):
+        solves.append(_float_solve(world, contacts, dt)[1])
+        impulses.append(dict(world._joint_impulses))
+    monkeypatch.setattr(engine, "_JointRow", _GenericJointRow)
+    for state, joint_impulses in zip(solves, impulses):
+        ref_state = _float_solve(ref_world, ref_contacts, dt)[1]
+        assert np.array_equal(state, ref_state)
+        assert joint_impulses == ref_world._joint_impulses
+    # the warm start changed the second solve
+    assert solves[1].tolist() != solves[0].tolist()
+    # every joint carried impulse, and the kinematic body was not moved
+    for joint_impulses in impulses:
+        assert all(any(p) and any(ang)
+                   for p, ang in joint_impulses.values())
+    kin = world.bodies[4]
+    assert all(state[4, :6].tolist() == kin.vel for state in solves)
 
 
 # -- the whole step ----------------------------------------------------------

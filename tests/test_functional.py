@@ -99,6 +99,20 @@ def test_unknown_test_kind(build_fixture):
         run_functional_test("juggling", asm, plan)
 
 
+def test_a_config_with_no_step_or_no_snapshot_spacing_is_rejected(
+        build_fixture):
+    plan, asm = build_fixture("table_valid_1")
+    for config in (SimConfig(duration=0.0009), SimConfig(duration=0.0),
+                   SimConfig(timestep=0.0), SimConfig(timestep=-0.002),
+                   SimConfig(trace_every=0)):
+        with pytest.raises(ValueError):
+            run_functional_test("support", asm, plan, config)
+    # one step runs, and its end is the outcome's time
+    outcome = run_functional_test("support", asm, plan,
+                                  SimConfig(duration=0.0011))
+    assert outcome.time == SimConfig().timestep
+
+
 def test_hit_stops_at_duration_without_drive(build_fixture):
     # the drive descends 0.5 m/s; with a tiny budget the peg is never reached
     plan, asm = build_fixture("hammer_valid_1")
