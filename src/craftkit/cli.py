@@ -35,8 +35,10 @@ from .orchestrator import (
     STAGE_NONE,
     HttpClient,
     ScriptedClient,
+    category_function,
     classify_failure,
     evaluate_plan_text,
+    load_heuristics,
     run_pipeline,
 )
 from .physics import SimConfig
@@ -150,22 +152,33 @@ def cmd_pipeline(args):
     return EXIT_OK if result.status == "success" else EXIT_INVALID
 
 
-def _manifest_error(jobs):
+def _responses(job, base):
+    """A job's ``responses``: its list, or its directory, relative to the
+    manifest's folder ``base`` unless absolute."""
+    responses = job["responses"]
+    return base / responses if isinstance(responses, str) else responses
+
+
+def _manifest_error(jobs, base):
     """What keeps ``jobs`` from being a batch manifest, naming the job's
-    index, or None: a manifest is a list of objects, each with a string
+    index, or None: a manifest is a list of objects, each with a known
     ``category`` and, as ``responses``, a list of strings or the path of a
-    directory of response files."""
+    directory of response files, relative to the manifest's folder
+    ``base``."""
     if not isinstance(jobs, list):
         return "manifest: must be a JSON list of jobs"
     for index, job in enumerate(jobs):
         where = f"manifest job {index}"
         if not isinstance(job, dict):
             return f"{where}: must be an object with category and responses"
-        if not isinstance(job.get("category"), str):
+        category = job.get("category")
+        if not isinstance(category, str):
             return f"{where}: category must be a string"
+        if category_function(category) is None:
+            return f"{where}: unknown category {category!r}"
         responses = job.get("responses")
         if isinstance(responses, str):
-            if not Path(responses).is_dir():
+            if not _responses(job, base).is_dir():
                 return f"{where}: responses directory {responses} not found"
         elif not (isinstance(responses, list)
                   and all(isinstance(r, str) for r in responses)):
@@ -174,8 +187,8 @@ def _manifest_error(jobs):
     return None
 
 
-def _batch_job(job, policy, catalog):
-    client = ScriptedClient(job["responses"])
+def _batch_job(job, policy, catalog, base):
+    client = ScriptedClient(_responses(job, base))
     result = run_pipeline(job["category"], client, policy=policy,
                           catalog=catalog)
     return {
@@ -190,13 +203,14 @@ def cmd_batch(args):
     catalog = _catalog(args)
     with open(args.manifest, "r", encoding="utf-8") as fh:
         jobs = json.load(fh)
-    error = _manifest_error(jobs)
+    base = Path(args.manifest).parent
+    error = _manifest_error(jobs, base)
     if error is not None:
         log.error("%s", error)
         return EXIT_USAGE
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(
-            lambda j: _batch_job(j, args.policy, catalog), jobs))
+            lambda j: _batch_job(j, args.policy, catalog, base), jobs))
     out = open(args.out, "w", newline="", encoding="utf-8") \
         if args.out else sys.stdout
     try:
@@ -233,6 +247,14 @@ def _positive_float(text):
         raise argparse.ArgumentTypeError(
             f"must be a positive number, got {value}")
     return value
+
+
+def _category(text):
+    if category_function(text) is None:
+        raise argparse.ArgumentTypeError(
+            f"unknown category {text!r}; known: "
+            f"{', '.join(sorted(load_heuristics()))}")
+    return text
 
 
 def _duration(text):
@@ -288,7 +310,8 @@ def build_parser():
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("pipeline", help="prompt a client and validate")
-    p.add_argument("--category", required=True)
+    p.add_argument("--category", required=True, type=_category,
+                   help="a category of heuristics.json, in any case")
     p.add_argument("--policy", default=POLICY_FEEDBACK, choices=POLICIES)
     p.add_argument("--responses",
                    help="directory of canned responses (scripted client)")
@@ -320,9 +343,6 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
     except (OSError, json.JSONDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE

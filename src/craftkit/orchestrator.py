@@ -62,6 +62,8 @@ def load_template(category):
 
 
 def category_function(category):
+    """The functional test of ``category`` (in any case), or None for a
+    category that heuristics.json does not list."""
     entry = load_heuristics().get(category.lower())
     return entry["function"] if entry else None
 
@@ -295,12 +297,16 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     failure and one more for a simulation failure.  Every policy stays
     within three LLM calls.  A client that still fails after its retries,
     or fails in a way a retry cannot mend, ends the run as a failure at
-    stage CLIENT.
+    stage CLIENT.  Raises ValueError for an unknown policy, and for a
+    category that heuristics.json does not list, which would have no
+    functional test to run.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    catalog = catalog or default_catalog()
     functional = category_function(category)
+    if functional is None:
+        raise ValueError(f"unknown category {category!r}")
+    catalog = catalog or default_catalog()
     if sim_config is None:
         sim_config = SimConfig()
 

@@ -2,7 +2,6 @@
 
 from .engine import Contact, RevoluteJoint, RigidBody, World
 from .functional import (
-    FAILURE_REASONS,
     INSUFFICIENT_DISTANCE,
     INSUFFICIENT_ROTATION,
     MOVED_UNDER_LOAD,
@@ -22,7 +21,7 @@ from .functional import (
 
 __all__ = [
     "Contact", "RevoluteJoint", "RigidBody", "World",
-    "FAILURE_REASONS", "INSUFFICIENT_DISTANCE", "INSUFFICIENT_ROTATION",
+    "INSUFFICIENT_DISTANCE", "INSUFFICIENT_ROTATION",
     "MOVED_UNDER_LOAD", "NEW_GROUND_CONTACT", "NUMERICAL_DIVERGENCE",
     "PART_SEPARATED",
     "PEG_MISSED", "PEG_OUTSIDE_HOLE", "VEERED",

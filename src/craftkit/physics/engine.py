@@ -13,9 +13,12 @@ last step.  A step first refreshes each body's ``dynamic`` flag and world
 inverse inertia ``iinv`` = R I^-1 R^T and zeroes its pseudo-velocity
 ``pvel``; the constraint rows then update ``vel`` and ``pvel`` in place,
 and integration moves ``x`` and ``q``.  Contact points and normals and
-joint anchors and axes are float tuples as well.  numpy does the work that
-needs it: the inertia and its inverse when a body is built,
-``kinetic_energy``, and the overlap test between parts of two bodies.
+joint anchors and axes are float tuples as well.  numpy runs only when a
+body is built (its centre of mass, inertia and inverse inertia in
+``RigidBody.from_parts``, a part's bounding radius, the rim sample table)
+and in the ``kinetic_energy`` diagnostic.  A step builds numpy arrays only
+inside ``collision.pair_overlap``, which takes the float part centres as
+they are.
 
 Positions are frozen during the velocity solve, so all constraint geometry
 (lever arms, effective masses, biases) is precomputed once per step and the
@@ -395,7 +398,7 @@ def _solve_row(row, va, vb, acc, target, lo, hi):
     6-velocities ``va`` (None for the static environment) and ``vb`` in
     place, and returns the new accumulated impulse.
     """
-    ja, jb, resp_a, resp_b, k = row
+    ja, jb, _, _, k = row
     s = target - (jb[0] * vb[0] + jb[1] * vb[1] + jb[2] * vb[2]
                   + jb[3] * vb[3] + jb[4] * vb[4] + jb[5] * vb[5])
     if ja is not None:
@@ -408,26 +411,13 @@ def _solve_row(row, va, vb, acc, target, lo, hi):
         new = hi
     dj = new - acc
     if dj != 0.0:
-        if resp_b is not None:
-            vb[0] += dj * resp_b[0]
-            vb[1] += dj * resp_b[1]
-            vb[2] += dj * resp_b[2]
-            vb[3] += dj * resp_b[3]
-            vb[4] += dj * resp_b[4]
-            vb[5] += dj * resp_b[5]
-        if resp_a is not None:
-            va[0] -= dj * resp_a[0]
-            va[1] -= dj * resp_a[1]
-            va[2] -= dj * resp_a[2]
-            va[3] -= dj * resp_a[3]
-            va[4] -= dj * resp_a[4]
-            va[5] -= dj * resp_a[5]
+        _push_row(row, va, vb, dj)
     return new
 
 
 def _push_row(row, va, vb, dj):
     """Apply impulse dj along one row direction to va (None: static) and
-    vb in place, as _solve_row does; for the warm start at row setup."""
+    vb in place; for _solve_row and the warm start at row setup."""
     _, _, resp_a, resp_b, _ = row
     if resp_b is not None:
         vb[0] += dj * resp_b[0]
@@ -924,7 +914,6 @@ class World:
         self.joints: list[RevoluteJoint] = []
         self.time = 0.0
         self.extra_contact_hooks = []  # callables(world) -> list[Contact]
-        self._pair_skip = None
         # the last step's impulses: (jn, jt1, jt2) per contact key, and
         # (anchor, angular) world vectors per joint index
         self._contact_impulses = {}
@@ -975,18 +964,14 @@ class World:
                             (cy + a1 * e) + rad * uy, z),
                             _UP, max(0.0, -z), FRICTION, (body.id, index, k)))
 
-    def _jointed(self, a: RigidBody, b: RigidBody):
-        if self._pair_skip is None:
-            self._pair_skip = {
-                frozenset((j.body_a.id, j.body_b.id)) for j in self.joints}
-        return frozenset((a.id, b.id)) in self._pair_skip
-
     def _body_body_contacts(self, contacts, centers):
+        # hinged bodies are not tested against each other
+        jointed = {frozenset((j.body_a.id, j.body_b.id)) for j in self.joints}
         n_bodies = len(self.bodies)
         for i in range(n_bodies):
             for j in range(i + 1, n_bodies):
                 a, b = self.bodies[i], self.bodies[j]
-                if self._jointed(a, b):
+                if frozenset((a.id, b.id)) in jointed:
                     continue
                 for ia, (pa, ca) in enumerate(zip(a.parts, centers[i])):
                     for ib, (pb, cb) in enumerate(zip(b.parts, centers[j])):
@@ -996,28 +981,29 @@ class World:
                         if dx * dx + dy * dy + dz * dz > \
                                 (pa.radius + pb.radius) ** 2 + 1e-6:
                             continue
-                        ca_arr, cb_arr = np.array(ca), np.array(cb)
-                        hit = pair_overlap(ca_arr, pa.solid, cb_arr, pb.solid,
+                        hit = pair_overlap(ca, pa.solid, cb, pb.solid,
                                            tol=1e-9)
                         if hit is None:
                             continue
                         depth, witness = hit
                         axis, sign = self._separation_axis(
-                            ca_arr, pa.solid, cb_arr, pb.solid)
+                            ca, pa.solid, cb, pb.solid)
                         normal = [0.0, 0.0, 0.0]
                         normal[axis] = sign
                         contacts.append(Contact(
-                            a, b, _floats(witness), tuple(normal), depth,
-                            FRICTION, (a.id, b.id, ia, ib, axis, sign)))
+                            a, b, _floats(witness), tuple(normal),
+                            float(depth), FRICTION,
+                            (a.id, b.id, ia, ib, axis, sign)))
 
     @staticmethod
     def _separation_axis(ca, sa, cb, sb):
-        """Axis of least overlap between the two world AABBs, and the sign
-        of the normal along it from a to b."""
-        lo_a, hi_a = sa.aabb(ca)
-        lo_b, hi_b = sb.aabb(cb)
-        overlaps = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
-        axis = int(np.argmin(overlaps))
+        """Axis of least overlap between the two world AABBs, the first of
+        equal ones, and the sign of the normal along it from a to b."""
+        overlaps = []
+        for c, d, e, f in zip(ca, sa.extents, cb, sb.extents):
+            ha, hb = d / 2.0, f / 2.0
+            overlaps.append(min(c + ha, e + hb) - max(c - ha, e - hb))
+        axis = min(range(3), key=overlaps.__getitem__)
         return axis, 1.0 if cb[axis] >= ca[axis] else -1.0
 
     def gather_contacts(self):
@@ -1066,7 +1052,6 @@ class World:
         contacts of the step."""
         dt = self.config.timestep
         gravity = (0.0, 0.0, -GRAVITY)
-        self._pair_skip = None
         for body in self.bodies:
             body._start_step()
             if body.dynamic:

@@ -14,8 +14,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from ..assembler import Assembly, connected_groups
 from ..errors import NumericalDivergence
 from ..geometry import BOX, Solid
@@ -39,12 +37,6 @@ MOVED_UNDER_LOAD = "MOVED_UNDER_LOAD"
 # hit
 PEG_MISSED = "PEG_MISSED"
 PEG_OUTSIDE_HOLE = "PEG_OUTSIDE_HOLE"
-
-FAILURE_REASONS = (
-    PART_SEPARATED, NEW_GROUND_CONTACT, NUMERICAL_DIVERGENCE,
-    INSUFFICIENT_ROTATION, INSUFFICIENT_DISTANCE, VEERED, MOVED_UNDER_LOAD,
-    PEG_MISSED, PEG_OUTSIDE_HOLE,
-)
 
 
 @dataclass
@@ -136,29 +128,40 @@ def _transform_solid(solid: Solid, s: float):
 
 
 def _surface_anchor(pa, pb, conn):
-    """Center of the shared contact patch of a SURFACE connection."""
+    """Center of the shared contact patch of a SURFACE connection, in plan
+    metres, and its normal, as float tuples."""
     from ..geometry import FACE_AXIS
 
     ax, sign = FACE_AXIS[conn.to_face]
-    plane = pa.center[ax] + sign * pa.solid.extents[ax] / 2.0
-    anchor = np.zeros(3)
-    anchor[ax] = plane
+    ca, ea = pa.position, pa.solid.extents
+    cb, eb = pb.position, pb.solid.extents
+    anchor = [0.0, 0.0, 0.0]
+    anchor[ax] = ca[ax] + sign * ea[ax] / 2.0
     for t in range(3):
         if t == ax:
             continue
-        lo = max(pa.center[t] - pa.solid.extents[t] / 2.0,
-                 pb.center[t] - pb.solid.extents[t] / 2.0)
-        hi = min(pa.center[t] + pa.solid.extents[t] / 2.0,
-                 pb.center[t] + pb.solid.extents[t] / 2.0)
+        lo = max(ca[t] - ea[t] / 2.0, cb[t] - eb[t] / 2.0)
+        hi = min(ca[t] + ea[t] / 2.0, cb[t] + eb[t] / 2.0)
         anchor[t] = (lo + hi) / 2.0
     normal = [0.0, 0.0, 0.0]
     normal[ax] = float(sign)
-    return anchor, tuple(normal)
+    return tuple(anchor), tuple(normal)
+
+
+def _to_world(point, shift):
+    """A plan point in world units: scaled by ``SCALE``, then moved by
+    ``shift``, which lifts the craft onto the ground."""
+    return tuple(c * SCALE + s for c, s in zip(point, shift))
+
+
+def _local(point, body: RigidBody):
+    """A world point relative to the body's centre, in its (compile-time,
+    world-aligned) frame."""
+    return tuple(p - x for p, x in zip(point, body.x))
 
 
 def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
-    min_z = assembly.min_z() * SCALE
-    shift = np.array([0.0, 0.0, -min_z])
+    shift = (0.0, 0.0, -float(assembly.min_z() * SCALE))
 
     world = World(config)
     clusters = connected_groups(
@@ -170,8 +173,8 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
         named = []
         for name in members:
             p = assembly.placed[name]
-            center = np.asarray(p.center) * SCALE + shift
-            named.append((name, _transform_solid(p.solid, SCALE), center))
+            named.append((name, _transform_solid(p.solid, SCALE),
+                          _to_world(p.position, shift)))
         body = RigidBody.from_parts(f"body{idx}", named, PART_MASS)
         world.bodies.append(body)
         for part in body.parts:
@@ -191,17 +194,18 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
         pb = assembly.placed[b]
         if conn.contact_type == "SURFACE":
             anchor, normal = _surface_anchor(pa, pb, conn)
-            anchor = anchor * SCALE + shift
+            anchor = _to_world(anchor, shift)
         else:
             hole = pb.solid.hole(conn.to_modification)
-            anchor = (pb.center + hole.offset) * SCALE + shift
+            anchor = _to_world(
+                tuple(c + o for c, o in zip(pb.position, hole.offset)), shift)
             normal = None
             axis = [0.0, 0.0, 0.0]
             axis[hole.axis] = 1.0
             joint = RevoluteJoint(
                 body_a=body_a, body_b=body_b,
-                anchor_local_a=anchor - body_a.x,
-                anchor_local_b=anchor - body_b.x,
+                anchor_local_a=_local(anchor, body_a),
+                anchor_local_b=_local(anchor, body_b),
                 axis_local_a=axis, axis_local_b=axis)
             world.joints.append(joint)
             joints_by_part.setdefault(a, joint)
@@ -209,8 +213,8 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
         watches.append(ConnectionWatch(
             kind=conn.contact_type, part=a, to_part=b,
             body_a=body_a, body_b=body_b,
-            local_a=tuple((anchor - body_a.x).tolist()),
-            local_b=tuple((anchor - body_b.x).tolist()),
+            local_a=_local(anchor, body_a),
+            local_b=_local(anchor, body_b),
             normal_local_a=normal))
 
     return CompiledCraft(
@@ -267,7 +271,7 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     """Push the most connected part along +x; every exec part must turn."""
     push_part = _most_connected(assembly)
     push_body = craft.part_body[push_part]
-    push_local = np.array(craft.part_shape[push_part].local_center)
+    push_local = craft.part_shape[push_part].local_center
 
     exec_parts = [p.name for p in plan.parts if p.exec_function]
     rotation = {name: 0.0 for name in exec_parts}
@@ -280,32 +284,30 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
         if joint is None:
             spinners.append((name, body, None, None))
         elif joint.body_b is body:
-            spinners.append((name, body, joint.body_a,
-                             np.array(joint.axis_local_b)))
+            spinners.append((name, body, joint.body_a, joint.axis_local_b))
         else:
-            spinners.append((name, body, joint.body_b,
-                             np.array(joint.axis_local_a)))
+            spinners.append((name, body, joint.body_b, joint.axis_local_a))
     start_com = _craft_com(craft)
     veer_at_goal = None
     dt = config.timestep
 
-    # The push point and the spin rates below are numpy expressions on
-    # purpose: numpy's matrix products and norms round differently from
-    # plain float sums, and the recorded rolling outcomes carry numpy's
-    # last digits.
     def before_step():
-        point = np.array(push_body.x) + np.array(push_body.rot) @ push_local
+        point = push_body.world_point(push_local)
         push_body.apply_force((config.rolling_force, 0.0, 0.0), point)
 
     def after_step(contacts):
         nonlocal veer_at_goal
         for name, body, other, axis_local in spinners:
+            w = body.vel
             if other is None:
-                rotation[name] += float(np.linalg.norm(body.vel[3:])) * dt
+                rotation[name] += math.hypot(*w[3:]) * dt
                 continue
-            axis = np.array(body.rot) @ axis_local
-            spin = np.subtract(body.vel[3:], other.vel[3:]) @ axis
-            rotation[name] += abs(float(spin)) * dt
+            # the relative spin about the hinge axis, in the world
+            ax, ay, az = pose_point((0.0, 0.0, 0.0), body.rot, axis_local)
+            u = other.vel
+            spin = (w[3] - u[3]) * ax + (w[4] - u[4]) * ay \
+                + (w[5] - u[5]) * az
+            rotation[name] += abs(spin) * dt
 
         com = _craft_com(craft)
         if veer_at_goal is None and com[0] - start_com[0] >= config.min_distance:
@@ -455,8 +457,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     peg = RigidBody.from_parts(
         "peg",
         [("__peg__", Solid.cylinder(HIT_PEG_RADIUS, HIT_PEG_LENGTH, 2),
-          np.array([0.0, 0.0, HIT_BLOCK_TOP + HIT_PEG_GAP
-                    + HIT_PEG_LENGTH / 2.0]))],
+          (0.0, 0.0, HIT_BLOCK_TOP + HIT_PEG_GAP + HIT_PEG_LENGTH / 2.0))],
         PART_MASS)
     peg.gravity_exempt = True
     world.bodies.append(peg)

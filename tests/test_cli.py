@@ -220,6 +220,49 @@ def test_pipeline_needs_a_client(capsys):
             assert flag in err
 
 
+def test_pipeline_rejects_an_unknown_category(capsys, tmp_path,
+                                              fixture_raw):
+    """A misspelt category exits 2 before any call; a known one in any case
+    runs its category's test, which the floating-wheel skateboard fails."""
+    import pytest
+
+    responses = tmp_path / "responses"
+    responses.mkdir()
+    (responses / "01.txt").write_text(fixture_raw("skateboard_floating"))
+    argv = ["--responses", str(responses), "--policy", "NONE"]
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--category", "skatebord", *argv])
+    assert exc.value.code == EXIT_USAGE
+    assert "unknown category 'skatebord'" in capsys.readouterr().err
+    code, out = run_cli(capsys, "pipeline", "--category", "Skateboard", *argv)
+    assert code == EXIT_INVALID
+    payload = json.loads(out)
+    assert payload["failure_stage"] == "PHYSICS"
+    assert payload["outcome"]["failure_reason"] == "NEW_GROUND_CONTACT"
+
+
+def test_batch_resolves_responses_against_the_manifest_folder(
+        capsys, tmp_path, fixture_raw, monkeypatch):
+    folder = tmp_path / "jobs"
+    (folder / "catresp").mkdir(parents=True)
+    (folder / "catresp" / "01.txt").write_text(fixture_raw("hammer_valid_1"))
+    manifest = folder / "manifest.json"
+    manifest.write_text(json.dumps(
+        [{"category": "hammer", "responses": "catresp"}]))
+    out_csv = tmp_path / "out.csv"
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    for cwd, path in ((elsewhere, str(manifest)), (folder, "manifest.json"),
+                      (tmp_path, "jobs/manifest.json")):
+        monkeypatch.chdir(cwd)
+        code, _ = run_cli(capsys, "batch", path, "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
+        assert rows == [{"category": "hammer", "attempts": "1",
+                         "status": "success", "failure_stage": "NONE"}]
+        out_csv.unlink()
+
+
 def test_batch_csv(capsys, tmp_path, fixture_raw):
     def resp_dir(name, *fixtures):
         d = tmp_path / name
@@ -296,6 +339,8 @@ def test_batch_rejects_a_malformed_manifest(caplog, tmp_path):
         ([good, {"category": "hammer"}], "job 1: responses"),
         (["hammer"], "job 0: must be an object"),
         ([{"category": 3, "responses": []}], "job 0: category"),
+        ([good, {"category": "skatebord", "responses": []}],
+         "job 1: unknown category 'skatebord'"),
         ([good, good, {"category": "hammer", "responses": ["x", 1]}],
          "job 2: responses"),
         ([{"category": "hammer", "responses": str(tmp_path / "absent")}],

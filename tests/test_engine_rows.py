@@ -744,15 +744,64 @@ def _ref_ground_contacts(world, refs, contacts, centers):
                         (body.id, index, k)))
 
 
+def _ref_overlaps(ca, sa, cb, sb):
+    """Overlap of the two world AABBs along each axis."""
+    lo_a, hi_a = sa.aabb(ca)
+    lo_b, hi_b = sb.aabb(cb)
+    return np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+
+
+def _ref_separation_axis(ca, sa, cb, sb):
+    """The earlier numpy ``World._separation_axis``: the axis of least
+    overlap between the two world AABBs, and the normal's sign along it."""
+    axis = int(np.argmin(_ref_overlaps(ca, sa, cb, sb)))
+    return axis, 1.0 if cb[axis] >= ca[axis] else -1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_separation_axis_matches_numpy_reference(seed):
+    """The float separation axis picks the numpy reference's (axis, sign)
+    on random box and cylinder pairs.  Half the pairs sit on a grid of
+    quarter units, where equal overlaps and equal centre coordinates are
+    common; np.argmin takes the first of equal overlaps, and so must the
+    float version."""
+    rng = np.random.default_rng(seed)
+
+    def solid(step):
+        def size():
+            return float(rng.integers(1, 9)) * 0.25 if step \
+                else float(rng.uniform(0.1, 2.0))
+        if rng.integers(2):
+            return Solid.box((size(), size(), size()))
+        return Solid.cylinder(size() / 2.0, size(), int(rng.integers(3)))
+
+    def center(step):
+        if step:
+            return tuple(float(v) * 0.25 for v in rng.integers(-4, 5, 3))
+        return tuple(float(v) for v in rng.uniform(-1.0, 1.0, 3))
+
+    ties = 0
+    for n in range(400):
+        step = n % 2 == 0
+        sa, sb = solid(step), solid(step)
+        ca, cb = center(step), center(step)
+        want = _ref_separation_axis(np.array(ca), sa, np.array(cb), sb)
+        assert World._separation_axis(ca, sa, cb, sb) == want
+        overlaps = _ref_overlaps(ca, sa, cb, sb)
+        ties += int(np.sum(overlaps == overlaps.min()) > 1)
+    assert ties >= 20
+
+
 def _ref_body_body_contacts(world, refs, contacts, centers):
     mu = engine.FRICTION
+    jointed = {frozenset((j.body_a.id, j.body_b.id)) for j in world.joints}
     for i, a in enumerate(world.bodies):
         for j in range(i + 1, len(world.bodies)):
             b = world.bodies[j]
             if not (refs[a].dynamic or a.kinematic) \
                     and not (refs[b].dynamic or b.kinematic):
                 continue
-            if world._jointed(a, b):
+            if frozenset((a.id, b.id)) in jointed:
                 continue
             for ia, (pa, ca) in enumerate(zip(a.parts, centers[i])):
                 for ib, (pb, cb) in enumerate(zip(b.parts, centers[j])):
@@ -764,8 +813,8 @@ def _ref_body_body_contacts(world, refs, contacts, centers):
                     if hit is None:
                         continue
                     depth, witness = hit
-                    axis, sign = world._separation_axis(ca, pa.solid,
-                                                        cb, pb.solid)
+                    axis, sign = _ref_separation_axis(ca, pa.solid,
+                                                      cb, pb.solid)
                     normal = np.zeros(3)
                     normal[axis] = sign
                     contacts.append(engine.Contact(
@@ -797,7 +846,6 @@ def _reference_step(world, refs, dt, cache):
     """One ``World.step`` on the 3-vector numpy arrays of ``refs``,
     warm-started from and updating ``cache`` as ``_reference_solve`` does;
     returns the contacts."""
-    world._pair_skip = None
     for body, ref in refs.items():
         ref.dynamic = not body.kinematic and body.inv_mass != 0.0
         if not ref.dynamic:

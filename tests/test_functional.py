@@ -297,17 +297,32 @@ def test_contact_generation_reuses_part_bounding_radii(
     assert radius_norms == []
 
 
-def test_a_step_builds_numpy_arrays_only_for_body_body_overlap_tests(
+def test_no_step_builds_a_numpy_array_outside_pair_overlap(
         build_fixture, monkeypatch):
-    """Body state stays plain floats through a step: the only numpy arrays
-    it builds are the two part centres of each body-body overlap test."""
-    original_array, original_overlap = np.array, engine.pair_overlap
-    inside_overlap = []
+    """Body state stays plain floats through a step: no step calls
+    np.array, np.asarray or np.zeros except inside the body-body overlap
+    test, ``collision.pair_overlap``, which takes the float part centres.
+    The hit run's head meets the peg, so its steps choose contact normals
+    with ``_separation_axis`` too."""
+    original_step, original_overlap = World.step, engine.pair_overlap
+    original_axis = World._separation_axis
+    stepping, inside_overlap = [], []
 
-    def array(*args, **kwargs):
-        if not inside_overlap:
-            arrays.append(1)
-        return original_array(*args, **kwargs)
+    def counted(name):
+        original = getattr(np, name)
+
+        def build(*args, **kwargs):
+            if stepping and not inside_overlap:
+                arrays.append(name)
+            return original(*args, **kwargs)
+        return build
+
+    def step(world):
+        stepping.append(1)
+        try:
+            return original_step(world)
+        finally:
+            stepping.pop()
 
     def overlap(*args, **kwargs):
         overlaps.append(1)
@@ -317,19 +332,32 @@ def test_a_step_builds_numpy_arrays_only_for_body_body_overlap_tests(
         finally:
             inside_overlap.pop()
 
+    def separation_axis(*args):
+        axes.append(1)
+        return original_axis(*args)
+
+    for name in ("array", "asarray", "zeros"):
+        monkeypatch.setattr(np, name, counted(name))
+    monkeypatch.setattr(World, "step", step)
     monkeypatch.setattr(engine, "pair_overlap", overlap)
+    monkeypatch.setattr(World, "_separation_axis",
+                        staticmethod(separation_axis))
     # the table is one body; the skateboard's wheels, hinged to the deck,
-    # are tested against each other
+    # are tested against each other; the hammer's head hits the peg
     for name, tested in (("table_valid_1", False),
-                         ("skateboard_valid_2", True)):
-        arrays, overlaps = [], []
-        world = compile_craft(build_fixture(name)[1], SimConfig()).world
-        monkeypatch.setattr(np, "array", array)
-        for _ in range(5):
-            assert world.step()
-        monkeypatch.setattr(np, "array", original_array)
+                         ("skateboard_valid_2", True),
+                         ("hammer_valid_1", True)):
+        arrays, overlaps, axes = [], [], []
+        plan, asm = build_fixture(name)
+        if name.startswith("hammer"):
+            assert run_functional_test("hit", asm, plan).success
+            assert axes
+        else:
+            world = compile_craft(asm, SimConfig()).world
+            for _ in range(5):
+                assert world.step()
         assert bool(overlaps) is tested
-        assert len(arrays) == 2 * len(overlaps)
+        assert arrays == []
 
 
 def test_lifted_lying_cylinders_are_rejected_before_any_rim_point(

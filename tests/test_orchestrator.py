@@ -325,3 +325,12 @@ def test_unknown_policy_rejected(catalog):
     with pytest.raises(ValueError):
         run_pipeline("hammer", ScriptedClient([]), policy="WILD",
                      catalog=catalog)
+
+
+def test_unknown_category_rejected_before_any_call(catalog, fixture_raw):
+    """A category missing from heuristics.json has no functional test, so
+    a misspelt one would pass a craft that its own test fails."""
+    client = ScriptedClient([fixture_raw("skateboard_floating")])
+    with pytest.raises(ValueError, match="unknown category 'skatebord'"):
+        run_pipeline("skatebord", client, catalog=catalog)
+    assert client.prompts == []
