@@ -2,7 +2,7 @@
 
 Every subcommand prints a JSON document on stdout and logs on stderr.
 Exit codes: 0 success, 1 validation or simulation failure, 2 usage or
-I/O errors.
+I/O errors, a file that is not UTF-8 included.
 
 The plan commands (validate, build, simulate, metrics --plan) run the
 plan file through the pipeline's ``evaluate_plan_text``; a stage failure
@@ -42,7 +42,7 @@ from .orchestrator import (
     run_pipeline,
 )
 from .physics import SimConfig
-from .plan import FormatReport
+from .plan import FormatReport, read_text
 
 log = logging.getLogger("craftkit")
 
@@ -64,9 +64,8 @@ def _catalog(args):
 
 def _evaluate(args, functional=None, sim_config=None):
     """``evaluate_plan_text`` on the plan file ``args.plan``."""
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    return evaluate_plan_text(raw, _catalog(args), functional, sim_config)
+    return evaluate_plan_text(read_text(args.plan), _catalog(args),
+                              functional, sim_config)
 
 
 def _stage_payload(stage, report, assembly):
@@ -201,8 +200,7 @@ def _batch_job(job, policy, catalog, base):
 
 def cmd_batch(args):
     catalog = _catalog(args)
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        jobs = json.load(fh)
+    jobs = json.loads(read_text(args.manifest))
     base = Path(args.manifest).parent
     error = _manifest_error(jobs, base)
     if error is not None:
@@ -343,7 +341,7 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
     except CraftError as exc:

@@ -6,11 +6,14 @@ closed-form test.  Perpendicular cylinders first meet a closed-form upper
 bound that rejects separated pairs; a pair that passes it is settled by a
 ternary search over the shared coordinate, run to its fixed point.  Overlap
 that falls entirely inside a hole region of either part is exempt.
+A distance is the square root of a sum of squares, never ``hypot``, which
+the C library need not round alike everywhere: the engine's depths use it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +73,8 @@ def _rect_circle_depth(rect_c, rect_half, circ_c, r):
         return r + min(ox, oy)
     cx = min(max(circ_c[0], rect_c[0] - rect_half[0]), rect_c[0] + rect_half[0])
     cy = min(max(circ_c[1], rect_c[1] - rect_half[1]), rect_c[1] + rect_half[1])
-    d = np.hypot(circ_c[0] - cx, circ_c[1] - cy)
+    dx, dy = circ_c[0] - cx, circ_c[1] - cy
+    d = math.sqrt(dx * dx + dy * dy)
     if d >= r:
         return None
     return r - d
@@ -107,7 +111,8 @@ def _cyl_cyl_parallel(ca, a: Solid, cb, b: Solid):
     if o_ax <= 0:
         return None
     trans = [t for t in range(3) if t != ax]
-    d = np.hypot(ca[trans[0]] - cb[trans[0]], ca[trans[1]] - cb[trans[1]])
+    dx, dy = ca[trans[0]] - cb[trans[0]], ca[trans[1]] - cb[trans[1]]
+    d = math.sqrt(dx * dx + dy * dy)
     radial = a.radius + b.radius - d
     if radial <= 0:
         return None

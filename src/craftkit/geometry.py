@@ -145,28 +145,19 @@ class Solid:
         return d
 
 
-def box_inertia_diag(mass, extents):
-    ex, ey, ez = extents
-    return np.array([
-        mass / 12.0 * (ey ** 2 + ez ** 2),
-        mass / 12.0 * (ex ** 2 + ez ** 2),
-        mass / 12.0 * (ex ** 2 + ey ** 2),
-    ])
-
-
-def cylinder_inertia_diag(mass, radius, length, axis):
-    i_ax = 0.5 * mass * radius ** 2
-    i_perp = mass * (3.0 * radius ** 2 + length ** 2) / 12.0
-    diag = np.full(3, i_perp)
-    diag[axis] = i_ax
-    return diag
-
-
 def solid_inertia_diag(mass, solid: Solid):
-    """Inertia of the base primitive about its own center (holes ignored)."""
+    """Inertia of the base primitive about its own center (holes ignored),
+    as floats; squares are products, not the C library's ``pow``."""
     if solid.kind == BOX:
-        return box_inertia_diag(mass, solid.extents)
-    return cylinder_inertia_diag(mass, solid.radius, solid.length, solid.axis)
+        ex, ey, ez = solid.extents
+        return (mass / 12.0 * (ey * ey + ez * ez),
+                mass / 12.0 * (ex * ex + ez * ez),
+                mass / 12.0 * (ex * ex + ey * ey))
+    r, length = solid.radius, solid.length
+    i_perp = mass * (3.0 * (r * r) + length * length) / 12.0
+    diag = [i_perp] * 3
+    diag[solid.axis] = 0.5 * mass * (r * r)
+    return tuple(diag)
 
 
 def interval_overlap(lo_a, hi_a, lo_b, hi_b):

@@ -26,7 +26,7 @@ from .errors import (
     Unplaceable,
 )
 from .physics import SimConfig, run_functional_test
-from .plan import FormatReport, normalize_raw, parse_plan
+from .plan import FormatReport, normalize_raw, parse_plan, read_text
 
 # failure stages
 STAGE_FORMAT = "FORMAT"
@@ -161,10 +161,8 @@ class ScriptedClient(LlmClient):
     def __init__(self, responses):
         if isinstance(responses, (str, Path)):
             directory = Path(responses)
-            self.responses = [
-                p.read_text(encoding="utf-8")
-                for p in sorted(directory.iterdir()) if p.is_file()
-            ]
+            self.responses = [read_text(p) for p in sorted(directory.iterdir())
+                              if p.is_file()]
         else:
             self.responses = list(responses)
         self.cursor = 0

@@ -13,12 +13,11 @@ last step.  A step first refreshes each body's ``dynamic`` flag and world
 inverse inertia ``iinv`` = R I^-1 R^T and zeroes its pseudo-velocity
 ``pvel``; the constraint rows then update ``vel`` and ``pvel`` in place,
 and integration moves ``x`` and ``q``.  Contact points and normals and
-joint anchors and axes are float tuples as well.  numpy runs only when a
-body is built (its centre of mass, inertia and inverse inertia in
-``RigidBody.from_parts``, a part's bounding radius, the rim sample table)
-and in the ``kinetic_energy`` diagnostic.  A step builds numpy arrays only
-inside ``collision.pair_overlap``, which takes the float part centres as
-they are.
+joint anchors and axes are float tuples as well, and so are a body's mass
+properties.  The package imports no numpy and computes with + - * / and
+``math.sqrt`` only, which IEEE 754 rounds correctly, so no verdict depends
+on the BLAS kernel, the C library or the CPython release.  A step builds
+numpy arrays only inside ``collision.pair_overlap``.
 
 Positions are frozen during the velocity solve, so all constraint geometry
 (lever arms, effective masses, biases) is precomputed once per step and the
@@ -27,10 +26,8 @@ I^-1 (r x d) per body and direction.  Each joint row is built in closed
 form: straight-line float code, in locals, that sums its 3x3 anchor mass
 term by term and builds its 2x2 angular mass with the same products and
 sums, in the same order, as the 3-vector form, so its bits are that
-form's.  It keeps both inverse masses and the per-body impulse responses
-as flat float tuples, and its sweeps apply impulses with no helper call.
-A body's world inverse inertia R I^-1 R^T is formed the same way, with
-no helper call.
+form's.  A body's world inverse inertia R I^-1 R^T is formed the same
+way, with no helper call.
 
 A contact with the static environment whose normal is exactly +z (compared
 by value, so the hit test's floor contacts qualify) gets a _GroundRow: its
@@ -69,8 +66,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..collision import pair_overlap
 from ..errors import NumericalDivergence
 from ..geometry import BOX, Solid, solid_inertia_diag
@@ -92,9 +87,11 @@ CONTACT_GEN_MARGIN = 1e-3  # start tracking ground contacts this close
 
 _BOX_SIGNS = tuple((sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
                    for sz in (-1.0, 1.0))
-# (cos, sin) of the 8 rim samples of a standing cylinder
-_RIM = tuple((float(np.cos(a)), float(np.sin(a)))
-             for a in (2 * np.pi * k / 8 for k in range(8)))
+# (cos, sin) of the 8 rim samples of a standing cylinder, at k pi/4
+_SQRT_HALF = math.sqrt(0.5)
+_RIM = ((1.0, 0.0), (_SQRT_HALF, _SQRT_HALF), (0.0, 1.0),
+        (-_SQRT_HALF, _SQRT_HALF), (-1.0, 0.0), (-_SQRT_HALF, -_SQRT_HALF),
+        (0.0, -1.0), (_SQRT_HALF, -_SQRT_HALF))
 _ZERO3 = (0.0, 0.0, 0.0)
 _ZERO33 = (_ZERO3,) * 3
 _UP = (0.0, 0.0, 1.0)
@@ -136,6 +133,18 @@ def _floats(v):
     return tuple(map(float, v))
 
 
+def _inverse3(m):
+    """The inverse of the 3x3 matrix m (rows) by cofactors, as rows."""
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = m
+    c0 = k11 * k22 - k12 * k21
+    c1 = k12 * k20 - k10 * k22
+    c2 = k10 * k21 - k11 * k20
+    s = 1.0 / (k00 * c0 + k01 * c1 + k02 * c2)
+    return ((c0 * s, (k02 * k21 - k01 * k22) * s, (k01 * k12 - k02 * k11) * s),
+            (c1 * s, (k00 * k22 - k02 * k20) * s, (k02 * k10 - k00 * k12) * s),
+            (c2 * s, (k01 * k20 - k00 * k21) * s, (k00 * k11 - k01 * k10) * s))
+
+
 @dataclass
 class BodyPart:
     name: str
@@ -146,8 +155,8 @@ class BodyPart:
     half: tuple | None = field(init=False)  # box half extents
 
     def __post_init__(self):
-        self.local_center = _floats(self.local_center)
-        self.radius = 0.5 * float(np.linalg.norm(self.solid.extents))
+        e0, e1, e2 = self.solid.extents
+        self.radius = 0.5 * math.sqrt(e0 * e0 + e1 * e1 + e2 * e2)
         self.half = None
         if self.solid.kind == BOX:
             self.half = tuple(e / 2.0 for e in self.solid.extents)
@@ -174,30 +183,37 @@ class RigidBody:
 
     @classmethod
     def from_parts(cls, body_id, named_solids, part_mass):
-        """named_solids: list of (name, Solid, world_center) at compile pose."""
+        """named_solids: list of (name, Solid, world_center) at compile pose;
+        the centre of mass is the unweighted mean of the centres."""
         self = cls.__new__(cls)
         self.id = body_id
-        centers = np.array([c for _, _, c in named_solids], dtype=float)
-        com = centers.mean(axis=0)
-        self.mass = part_mass * len(named_solids)
-        self.parts = [
-            BodyPart(name=n, solid=s, local_center=np.asarray(c, float) - com)
-            for n, s, c in named_solids
-        ]
-        inertia = np.zeros((3, 3))
+        centers = [_floats(c) for _, _, c in named_solids]
+        n = len(centers)
+        sx = sy = sz = 0.0
+        for x, y, z in centers:
+            sx, sy, sz = sx + x, sy + y, sz + z
+        self.x = com = (sx / n, sy / n, sz / n)
+        self.mass = part_mass * n
+        self.parts = [BodyPart(name, s, tuple(c - o for c, o in zip(p, com)))
+                      for (name, s, _), p in zip(named_solids, centers)]
+        inertia = [[0.0] * 3 for _ in range(3)]
         for part in self.parts:
             diag = solid_inertia_diag(part_mass, part.solid)
-            d = np.array(part.local_center)
-            inertia += np.diag(diag)
-            inertia += part_mass * (np.dot(d, d) * np.eye(3) - np.outer(d, d))
-        self.x = tuple(com.tolist())
+            d = part.local_center
+            dd = _dot3(d, d)
+            for i, row in enumerate(inertia):
+                row[i] += diag[i]
+                for j in range(3):
+                    row[j] += part_mass * ((dd if i == j else 0.0)
+                                           - d[i] * d[j])
         self.q = (1.0, 0.0, 0.0, 0.0)
         self.vel = [0.0] * 6
         self.force = self.torque = _ZERO3
         self.kinematic = False
         self.gravity_exempt = False
         self.inv_mass = 1.0 / self.mass
-        self.inv_inertia_body = np.linalg.inv(inertia).tolist()
+        self.inertia_body = tuple(map(tuple, inertia))
+        self.inv_inertia_body = _inverse3(self.inertia_body)
         self.refresh_pose_cache()
         return self
 
@@ -265,10 +281,10 @@ class RigidBody:
         return part.low_z(cz, rz)
 
     def kinetic_energy(self):
-        r = np.array(self.rot)
-        v, w = np.array(self.vel[:3]), np.array(self.vel[3:])
-        inertia = r @ np.linalg.inv(self.inv_inertia_body) @ r.T
-        return 0.5 * self.mass * float(v @ v) + 0.5 * float(w @ inertia @ w)
+        """1/2 m v.v + 1/2 w_b . I w_b, with w_b = R^T w in the body frame."""
+        v, w = self.vel[:3], _matvec3(tuple(zip(*self.rot)), self.vel[3:])
+        return (0.5 * self.mass * _dot3(v, v)
+                + 0.5 * _dot3(w, _matvec3(self.inertia_body, w)))
 
     # -- the step's share of one body ---------------------------------------
     def _integrate_forces(self, gravity, dt):
@@ -295,11 +311,11 @@ class RigidBody:
         """
         vx, vy, vz, wx, wy, wz = self.vel
         # written so that NaN fails the checks too
-        speed = (vx * vx + vy * vy + vz * vz) ** 0.5
+        speed = math.sqrt(vx * vx + vy * vy + vz * vz)
         if not speed <= MAX_SPEED:
             raise NumericalDivergence(
                 self.id, f"reached {speed:.3g} m/s", time)
-        spin = (wx * wx + wy * wy + wz * wz) ** 0.5
+        spin = math.sqrt(wx * wx + wy * wy + wz * wz)
         if not spin <= MAX_SPIN:
             raise NumericalDivergence(
                 self.id, f"spun at {spin:.3g} rad/s", time)
@@ -650,8 +666,8 @@ class _JointRow:
     the two hinge-perpendicular directions u1, u2, their 2x2 inverse mass
     and, per dynamic body, the 6-tuple ``spin`` (I^-1 u1, I^-1 u2).  A body
     that impulses do not move has neither, and adds nothing to either mass.
-    ``solve`` and the warm start apply impulses through these tuples
-    inline, with no call per body.
+    ``solve`` and the warm start apply impulses through these tuples in
+    ``_push_anchor`` and ``_push_spin``, with no call per body.
 
     (px, py, pz) and (l1, l2) total the anchor and angular impulses of this
     step.  They start from ``impulse``, the previous step's anchor impulse
@@ -666,7 +682,7 @@ class _JointRow:
 
     def __init__(self, joint: RevoluteJoint, beta, dt, impulse):
         a, b = joint.body_a, joint.body_b
-        va, vb = self.va, self.vb = a.vel, b.vel
+        self.va, self.vb = a.vel, b.vel
         # anchors and axes in the world: R p, row by row
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = a.rot
         x, y, z = joint.anchor_local_a
@@ -762,17 +778,8 @@ class _JointRow:
                           (p0, p1, p2, q0, q1, q2)))
         (self.lever_a, self.spin_a), (self.lever_b, self.spin_b) = sides
 
-        # K^-1 by cofactors
-        c0 = k11 * k22 - k12 * k21
-        c1 = k12 * k20 - k10 * k22
-        c2 = k10 * k21 - k11 * k20
-        s = 1.0 / (k00 * c0 + k01 * c1 + k02 * c2)
-        self.kinv = (c0 * s, (k02 * k21 - k01 * k22) * s,
-                     (k01 * k12 - k02 * k11) * s,
-                     c1 * s, (k00 * k22 - k02 * k20) * s,
-                     (k02 * k10 - k00 * k12) * s,
-                     c2 * s, (k01 * k20 - k00 * k21) * s,
-                     (k00 * k11 - k01 * k10) * s)
+        self.kinv = _inverse3(((k00, k01, k02), (k10, k11, k12),
+                               (k20, k21, k22)))
         det = g11 * g22 - g12 * g21
         self.kang_inv = (g22 / det, -g12 / det, -g21 / det, g11 / det)
 
@@ -781,6 +788,15 @@ class _JointRow:
             return
         # the updates of solve: the anchor impulse, then the angular one
         (px, py, pz), (x, y, z) = impulse
+        self._push_anchor(px, py, pz)
+        l1 = u1x * x + u1y * y + u1z * z
+        l2 = u2x * x + u2y * y + u2z * z
+        self._push_spin(l1, l2)
+        self.px, self.py, self.pz, self.l1, self.l2 = px, py, pz, l1, l2
+
+    def _push_anchor(self, px, py, pz):
+        """Apply the anchor impulse (px, py, pz) to both bodies."""
+        va, vb = self.va, self.vb
         lever = self.lever_a
         if lever is not None:
             m, c00, c01, c02, c10, c11, c12, c20, c21, c22 = lever
@@ -799,8 +815,10 @@ class _JointRow:
             vb[3] += c00 * px + c01 * py + c02 * pz
             vb[4] += c10 * px + c11 * py + c12 * pz
             vb[5] += c20 * px + c21 * py + c22 * pz
-        l1 = u1x * x + u1y * y + u1z * z
-        l2 = u2x * x + u2y * y + u2z * z
+
+    def _push_spin(self, l1, l2):
+        """Apply the angular impulse l1 u1 + l2 u2 to both bodies."""
+        va, vb = self.va, self.vb
         spin = self.spin_a
         if spin is not None:
             x1, y1, z1, x2, y2, z2 = spin
@@ -813,7 +831,6 @@ class _JointRow:
             vb[3] += x1 * l1 + x2 * l2
             vb[4] += y1 * l1 + y2 * l2
             vb[5] += z1 * l1 + z2 * l2
-        self.px, self.py, self.pz, self.l1, self.l2 = px, py, pz, l1, l2
 
     def solve(self):
         va, vb = self.va, self.vb
@@ -827,28 +844,11 @@ class _JointRow:
                 - va[1] - (va[5] * rax - va[3] * raz)) + by)
         ez = -((vb[2] + (vb[3] * rby - vb[4] * rbx)
                 - va[2] - (va[3] * ray - va[4] * rax)) + bz)
-        k00, k01, k02, k10, k11, k12, k20, k21, k22 = self.kinv
+        (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = self.kinv
         px = k00 * ex + k01 * ey + k02 * ez
         py = k10 * ex + k11 * ey + k12 * ez
         pz = k20 * ex + k21 * ey + k22 * ez
-        lever = self.lever_a
-        if lever is not None:
-            m, c00, c01, c02, c10, c11, c12, c20, c21, c22 = lever
-            va[0] += m * px
-            va[1] += m * py
-            va[2] += m * pz
-            va[3] += c00 * px + c01 * py + c02 * pz
-            va[4] += c10 * px + c11 * py + c12 * pz
-            va[5] += c20 * px + c21 * py + c22 * pz
-        lever = self.lever_b
-        if lever is not None:
-            m, c00, c01, c02, c10, c11, c12, c20, c21, c22 = lever
-            vb[0] += m * px
-            vb[1] += m * py
-            vb[2] += m * pz
-            vb[3] += c00 * px + c01 * py + c02 * pz
-            vb[4] += c10 * px + c11 * py + c12 * pz
-            vb[5] += c20 * px + c21 * py + c22 * pz
+        self._push_anchor(px, py, pz)
         self.px += px
         self.py += py
         self.pz += pz
@@ -859,18 +859,7 @@ class _JointRow:
         e2 = -((u2x * wx + u2y * wy + u2z * wz) + self.ang_bias[1])
         q11, q12, q21, q22 = self.kang_inv
         l1, l2 = q11 * e1 + q12 * e2, q21 * e1 + q22 * e2
-        spin = self.spin_a
-        if spin is not None:
-            x1, y1, z1, x2, y2, z2 = spin
-            va[3] -= x1 * l1 + x2 * l2
-            va[4] -= y1 * l1 + y2 * l2
-            va[5] -= z1 * l1 + z2 * l2
-        spin = self.spin_b
-        if spin is not None:
-            x1, y1, z1, x2, y2, z2 = spin
-            vb[3] += x1 * l1 + x2 * l2
-            vb[4] += y1 * l1 + y2 * l2
-            vb[5] += z1 * l1 + z2 * l2
+        self._push_spin(l1, l2)
         self.l1 += l1
         self.l2 += l2
 
@@ -978,8 +967,9 @@ class World:
                         # coarse sphere reject before the exact test
                         dx, dy, dz = cb[0] - ca[0], cb[1] - ca[1], \
                             cb[2] - ca[2]
+                        reach = pa.radius + pb.radius
                         if dx * dx + dy * dy + dz * dz > \
-                                (pa.radius + pb.radius) ** 2 + 1e-6:
+                                reach * reach + 1e-6:
                             continue
                         hit = pair_overlap(ca, pa.solid, cb, pb.solid,
                                            tol=1e-9)

@@ -79,6 +79,12 @@ class SimOutcome:
         }
 
 
+def _distance(p, q):
+    """|p - q|, rounded alike in every CPython release (``math.dist``)."""
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 @dataclass
 class ConnectionWatch:
     """Bookkeeping for the separation check on one inter-body connection;
@@ -101,7 +107,7 @@ class ConnectionWatch:
             n = pose_point((0.0, 0.0, 0.0), a.rot, self.normal_local_a)
             return abs((pb[0] - pa[0]) * n[0] + (pb[1] - pa[1]) * n[1]
                        + (pb[2] - pa[2]) * n[2])
-        return math.dist(pa, pb)
+        return _distance(pa, pb)
 
 
 @dataclass
@@ -300,7 +306,8 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
         for name, body, other, axis_local in spinners:
             w = body.vel
             if other is None:
-                rotation[name] += math.hypot(*w[3:]) * dt
+                wx, wy, wz = w[3:]
+                rotation[name] += math.sqrt(wx * wx + wy * wy + wz * wz) * dt
                 continue
             # the relative spin about the hinge axis, in the world
             ax, ay, az = pose_point((0.0, 0.0, 0.0), body.rot, axis_local)
@@ -369,8 +376,8 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     def after_step(contacts):
         nonlocal max_disp
         for name, c in part_centers():
-            max_disp = max(max_disp, math.dist(c, start[name]))
-        max_disp = max(max_disp, math.dist(_craft_com(craft), start_com))
+            max_disp = max(max_disp, _distance(c, start[name]))
+        max_disp = max(max_disp, _distance(_craft_com(craft), start_com))
         return None
 
     def finish():
@@ -409,7 +416,7 @@ def _peg_block_hook(peg: RigidBody):
     def hook(world):
         contacts = []
         _, low = _peg_ends(peg)
-        rho = math.hypot(low[0], low[1])
+        rho = math.sqrt(low[0] * low[0] + low[1] * low[1])
         floor_z = HIT_BLOCK_TOP - HIT_HOLE_DEPTH
         if rho <= HIT_HOLE_RADIUS:
             # inside the hole: wall guidance plus the hole floor
@@ -480,7 +487,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
 
         top, low = _peg_ends(peg)
         descent = HIT_PEG_TOP - top[2]
-        rho_low = math.hypot(low[0], low[1])
+        rho_low = math.sqrt(low[0] * low[0] + low[1] * low[1])
         details = {"peg_descent_m": descent, "peg_lateral_m": rho_low,
                    "touched": touched}
         if descent >= HIT_DESCENT and rho_low <= HIT_HOLE_RADIUS:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .catalog import Catalog
 from .errors import JsonSyntaxError, UnknownObject
@@ -472,7 +473,14 @@ def serialize_plan(plan: CraftPlan) -> str:
     return json.dumps(plan_to_jsonable(plan), indent=2)
 
 
+def read_text(path):
+    """The file's UTF-8 text; a UnicodeDecodeError names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason = f"{exc.reason}, in {path}"
+        raise
+
+
 def load_plan(path, catalog: Catalog):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    return parse_plan(normalize_raw(raw), catalog)
+    return parse_plan(normalize_raw(read_text(path)), catalog)

@@ -355,3 +355,39 @@ def test_batch_rejects_a_malformed_manifest(caplog, tmp_path):
         assert code == EXIT_USAGE
         assert message in caplog.text
         assert not out_csv.exists()
+
+
+NOT_UTF8 = b"\xff\xfe[]"  # a UTF-16 byte-order mark before a JSON list
+
+
+def test_validate_rejects_a_plan_that_is_not_utf8(caplog, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_bytes(NOT_UTF8)
+    assert main(["validate", str(plan)]) == EXIT_USAGE
+    assert str(plan) in caplog.text
+
+
+def test_batch_rejects_a_manifest_that_is_not_utf8(caplog, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(NOT_UTF8)
+    out_csv = tmp_path / "out.csv"
+    assert main(["batch", str(manifest), "--out", str(out_csv)]) == EXIT_USAGE
+    assert str(manifest) in caplog.text
+    assert not out_csv.exists()
+
+
+def test_batch_rejects_a_response_file_that_is_not_utf8(caplog, tmp_path,
+                                                         fixture_raw):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    good.mkdir()
+    bad.mkdir()
+    (good / "01.json").write_text(fixture_raw("hammer_valid_1"))
+    (bad / "01.json").write_bytes(NOT_UTF8)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([
+        {"category": "hammer", "responses": "good"},
+        {"category": "hammer", "responses": "bad"}]))
+    out_csv = tmp_path / "out.csv"
+    code = main(["batch", str(manifest), "--out", str(out_csv), "--jobs", "2"])
+    assert code == EXIT_USAGE
+    assert str(bad / "01.json") in caplog.text

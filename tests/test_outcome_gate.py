@@ -22,6 +22,10 @@ one case after the other in ``CASES`` order), which a change that keeps
 outcomes byte-identical leaves unchanged, with
 
     PYTHONPATH=src python tests/test_outcome_gate.py --digest
+
+``DIGEST`` pins that sha256.  The physics package computes with + - * /
+and ``math.sqrt`` only, so it holds on every BLAS kernel and CPython
+release; a change that moves outcomes on purpose updates it and says so.
 """
 
 import argparse
@@ -42,6 +46,7 @@ CASES = [n for n in all_fixture_names() if "_valid_" in n] + [
     "skateboard_offcenter", "skateboard_floating", "hammer_detached"]
 MARGIN_CAP = 100.0
 MARGIN_DROP = 2.0
+DIGEST = "09f81ec330f462e45698c27cf844e14423eaeae85f1ae88c8d3c2128a36b953a"
 
 
 def signature(outcome, config):
@@ -103,6 +108,19 @@ def test_outcomes_hold_their_recorded_signatures(category_outcome):
     assert ok, "outcome signatures moved:\n" + "\n".join(lines)
 
 
+def outcome_digest(outcomes):
+    """The sha256, as hex, over each outcome's ``to_dict()`` dumped as JSON
+    with sorted keys, in the order given."""
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update(json.dumps(outcome.to_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_outcomes_match_the_pinned_digest(category_outcome):
+    assert outcome_digest(category_outcome(name) for name in CASES) == DIGEST
+
+
 def test_the_gate_catches_a_flipped_verdict_and_a_thin_margin():
     recorded = json.loads(OUTCOMES.read_text(encoding="utf-8"))
     assert compare(recorded, recorded)[1]
@@ -143,10 +161,7 @@ def _record():
 
 
 def _digest():
-    digest = hashlib.sha256()
-    for _, outcome in _outcomes():
-        digest.update(json.dumps(outcome.to_dict(), sort_keys=True).encode())
-    print(digest.hexdigest())
+    print(outcome_digest(outcome for _, outcome in _outcomes()))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import craftkit.physics
 from craftkit.errors import NumericalDivergence
 from craftkit.geometry import Solid
 from craftkit.physics import RevoluteJoint, RigidBody, SimConfig, World
@@ -170,3 +174,40 @@ def test_part_min_z_rotated_box():
     body.refresh_pose_cache()
     expected = 1.0 - 0.1 * np.sqrt(2.0)
     assert body.part_min_z(body.parts[0]) == pytest.approx(expected, abs=1e-9)
+
+
+def test_the_physics_package_imports_no_numpy():
+    """Plain float arithmetic rounds the same on every BLAS kernel; numpy's
+    linear algebra need not."""
+    package = Path(craftkit.physics.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "numpy" for m in modules), path
+
+
+def test_body_inertia_inverse_and_kinetic_energy():
+    """Three parts off the centre give a full inertia; its cofactor inverse
+    is an inverse, and the kinetic energy of a rotated, spinning body is
+    1/2 m v.v + 1/2 w . (R I R^T) w."""
+    body = RigidBody.from_parts("b", [
+        ("p", Solid.box((0.2, 0.4, 0.3)), (0.0, 0.0, 1.0)),
+        ("q", Solid.cylinder(0.1, 0.5, 1), (0.3, 0.1, 1.2)),
+        ("r", Solid.box((0.1, 0.1, 0.6)), (-0.2, 0.25, 0.9))], 10.0)
+    inertia = np.array(body.inertia_body)
+    assert np.count_nonzero(inertia) == 9
+    assert np.allclose(inertia @ np.array(body.inv_inertia_body), np.eye(3),
+                       rtol=0.0, atol=1e-12)
+    body.q = tuple(np.array([0.9, 0.1, -0.3, 0.2]) / np.linalg.norm(
+        [0.9, 0.1, -0.3, 0.2]))
+    body.refresh_pose_cache()
+    body.vel = [0.3, -0.1, 0.2, 1.5, -0.7, 2.0]
+    r = np.array(body.rot)
+    v, w = np.array(body.vel[:3]), np.array(body.vel[3:])
+    expected = 0.5 * body.mass * v @ v + 0.5 * w @ (r @ inertia @ r.T) @ w
+    assert body.kinetic_energy() == pytest.approx(expected, rel=1e-12)

@@ -1,0 +1,121 @@
+"""Seeded mutations of the golden plans never crash the stage sequence.
+
+Each mutant is a golden plan with one to three edits, made with a fixed seed
+and fixed rules, half of them with arbitrary values and half within the plan
+vocabulary.  ``evaluate_plan_text`` with no functional test must return one
+of the pipeline's stage names and a dict report for every mutant, and must
+never raise.
+
+Arbitrary edits replace a value anywhere in the plan by one of ``ARBITRARY``
+or delete it.  In-vocabulary edits replace a string by a string of the
+goldens or a token of the plan language, a number by a number of the
+goldens, flip a boolean, reorder a list, or repeat a list entry.
+"""
+
+import copy
+import json
+import random
+
+from craftkit import plan as plan_language
+from craftkit.orchestrator import (
+    STAGE_CLIENT,
+    STAGE_COLLISION,
+    STAGE_CONNECTIVITY,
+    STAGE_FORMAT,
+    STAGE_NONE,
+    STAGE_PHYSICS,
+    evaluate_plan_text,
+)
+
+from conftest import all_fixture_names
+
+SEED = 16
+N_MUTANTS = 300
+STAGES = {STAGE_FORMAT, STAGE_COLLISION, STAGE_CONNECTIVITY, STAGE_PHYSICS,
+          STAGE_CLIENT, STAGE_NONE}
+ARBITRARY = (None, True, False, 0, -1, 7, 1e308, -1e-9, float("nan"),
+             float("inf"), "", "?", "TOP_1", [], {}, [0, 0, 0], [1, 2],
+             {"Name": 1})
+
+
+def _slots(node, path=()):
+    """The path of every value inside ``node``, the root excluded."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+def _leaves(node):
+    return [node] if not isinstance(node, (dict, list)) else [
+        leaf for child in (node.values() if isinstance(node, dict) else node)
+        for leaf in _leaves(child)]
+
+
+def _vocabulary(goldens):
+    """(strings, numbers) of the goldens, plus the plan language's tokens."""
+    leaves = [leaf for plan in goldens for leaf in _leaves(plan)]
+    strings = {leaf for leaf in leaves if isinstance(leaf, str)}
+    strings.update(plan_language.CYL_ORIENTATIONS, plan_language.FACES,
+                   plan_language.CONTACT_TYPES, plan_language.JOINT_TYPES,
+                   plan_language.MOD_TYPES)
+    for table in (plan_language.ALIGN_POS, plan_language.MOD_POS,
+                  plan_language.MOD_THROUGH):
+        for tokens in table.values():
+            strings.update(tokens)
+    numbers = {leaf for leaf in leaves
+               if isinstance(leaf, (int, float)) and not isinstance(leaf, bool)}
+    return sorted(strings), sorted(numbers)
+
+
+def _mutate(rng, plan, vocabulary, in_vocabulary):
+    """Apply one edit to ``plan`` in place."""
+    strings, numbers = vocabulary
+    slots = list(_slots(plan))
+    if not slots:  # every part deleted
+        return
+    path = rng.choice(slots)
+    parent = plan
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    value = parent[key]
+    if not in_vocabulary:
+        if rng.random() < 0.2:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(rng.choice(ARBITRARY))
+    elif isinstance(value, bool):
+        parent[key] = not value
+    elif isinstance(value, str):
+        parent[key] = rng.choice(strings)
+    elif isinstance(value, (int, float)):
+        parent[key] = rng.choice(numbers)
+    elif isinstance(value, list):
+        rng.shuffle(value)
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(value))
+
+
+def test_mutated_goldens_get_a_stage_and_never_raise(catalog, fixture_raw):
+    goldens = [json.loads(fixture_raw(name))
+               for name in all_fixture_names() if "_valid_" in name]
+    vocabulary = _vocabulary(goldens)
+    rng = random.Random(SEED)
+    seen = set()
+    for index in range(N_MUTANTS):
+        plan = copy.deepcopy(rng.choice(goldens))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, plan, vocabulary, in_vocabulary=index % 2 == 1)
+        raw = json.dumps(plan)
+        stage, report, *_ = evaluate_plan_text(raw, catalog)
+        assert stage in STAGES, (index, raw)
+        assert isinstance(report, dict), (index, raw)
+        seen.add(stage)
+    # the edits reach the stages after the format check too
+    assert STAGE_FORMAT in seen and len(seen) > 1
