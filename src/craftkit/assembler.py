@@ -10,15 +10,15 @@ connection, read against the target's extents or carved hole; all further
 connections are only checked for consistency.  Parts are placed in passes
 over the plan, so ``Assembly.placed`` is in placement order, which is not
 always plan order.  Part positions are world coordinates; carved holes are
-stored relative to their part's centre.
+stored relative to their part's centre.  Positions, extents and offsets
+are float tuples throughout; no numpy is needed to place a part.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .catalog import MM, Catalog, ObjectType
 from .errors import (
@@ -27,7 +27,9 @@ from .errors import (
     InconsistentConnection,
     Unplaceable,
 )
-from .geometry import AXIS_INDEX, CYL, FACE_AXIS, HoleRegion, Solid
+from .geometry import (
+    AXIS_INDEX, CYL, FACE_AXIS, TRANSVERSE, HoleRegion, Solid, aabb_overlap,
+    interval_overlap)
 from .plan import CraftPlan, ModificationSpec, PartSpec
 
 CONTACT_TOL = 1e-6
@@ -43,9 +45,9 @@ class PlacedPart:
     solid: Solid
     position: tuple  # AABB center, metres
 
-    @property
-    def center(self):
-        return np.asarray(self.position)
+    def hole_center(self, hole: HoleRegion):
+        """The world centre of one of this part's holes."""
+        return tuple(c + o for c, o in zip(self.position, hole.offset))
 
     def aabb(self):
         return self.solid.aabb(self.position)
@@ -105,9 +107,9 @@ def _carve(owner: str, mod: ModificationSpec, owner_extents, inserted):
     """The hole ``mod`` cuts in its owner, sized to the ``inserted`` solids."""
     ax = AXIS_INDEX[mod.through_axis]
     offset = [0.0, 0.0, 0.0]
-    for t in range(3):
+    for t in TRANSVERSE[ax]:
         token = mod.align[t]
-        if t == ax or token == "CENTER":
+        if token == "CENTER":
             continue
         _, sign = FACE_AXIS[token]
         # named side puts the hole at the quarter point toward that face
@@ -122,9 +124,8 @@ def _carve(owner: str, mod: ModificationSpec, owner_extents, inserted):
         depth, through = owner_extents[ax] / 2.0, False
     radius, half_widths = DEFAULT_HOLE_RADIUS, None
     if inserted:
-        trans = [t for t in range(3) if t != ax]
         max_half = max(
-            max(s.extents[t] / 2.0 for t in trans) for s in inserted)
+            max(s.extents[t] / 2.0 for t in TRANSVERSE[ax]) for s in inserted)
         if any(s.kind == CYL for s in inserted):
             radius = max_half + HOLE_CLEARANCE
         else:
@@ -159,9 +160,7 @@ def _surface_position(cur_ext, to_center, to_ext, conn):
     pos = [0.0, 0.0, 0.0]
     pos[face_axis] = to_center[face_axis] - sign * (
         cur_ext[face_axis] + to_ext[face_axis]) / 2.0
-    for t in range(3):
-        if t == face_axis:
-            continue
+    for t in TRANSVERSE[face_axis]:
         token = conn.align[t]
         if token == "CENTER":
             pos[t] = to_center[t]
@@ -174,17 +173,15 @@ def _surface_position(cur_ext, to_center, to_ext, conn):
 
 def _check_surface_contact(part: PlacedPart, target: PlacedPart, conn):
     face_axis, sign = FACE_AXIS[conn.to_face]
-    cur_c, cur_e = part.center, part.solid.extents
-    to_c, to_e = target.center, target.solid.extents
+    cur_c, cur_e = part.position, part.solid.extents
+    to_c, to_e = target.position, target.solid.extents
     face_cur = cur_c[face_axis] + sign * cur_e[face_axis] / 2.0
     face_to = to_c[face_axis] - sign * to_e[face_axis] / 2.0
     if abs(face_cur - face_to) > CONTACT_TOL:
         return f"faces are {abs(face_cur - face_to):.3g} m apart"
-    for t in range(3):
-        if t == face_axis:
-            continue
-        lo = max(cur_c[t] - cur_e[t] / 2.0, to_c[t] - to_e[t] / 2.0)
-        hi = min(cur_c[t] + cur_e[t] / 2.0, to_c[t] + to_e[t] / 2.0)
+    shared = aabb_overlap(cur_c, cur_e, to_c, to_e)
+    for t in TRANSVERSE[face_axis]:
+        lo, hi = shared[t]
         if hi - lo < -CONTACT_TOL:
             return f"no overlap on axis {t}"
     return None
@@ -195,17 +192,14 @@ def _check_inserted_contact(part: PlacedPart, target: PlacedPart, conn):
     if hole is None:
         return f"{conn.to_modification!r} missing on {conn.to_part!r}"
     ax = hole.axis
-    center = target.center + hole.offset
-    for t in range(3):
-        if t == ax:
-            continue
-        if abs(part.center[t] - center[t]) > CONTACT_TOL:
-            return f"axis offset {abs(part.center[t] - center[t]):.3g} m on axis {t}"
-    lo = center[ax] - hole.depth / 2.0
-    hi = center[ax] + hole.depth / 2.0
-    p_lo = part.center[ax] - part.solid.extents[ax] / 2.0
-    p_hi = part.center[ax] + part.solid.extents[ax] / 2.0
-    if min(hi, p_hi) - max(lo, p_lo) <= 0:
+    center, pc = target.hole_center(hole), part.position
+    for t in TRANSVERSE[ax]:
+        if abs(pc[t] - center[t]) > CONTACT_TOL:
+            return f"axis offset {abs(pc[t] - center[t]):.3g} m on axis {t}"
+    half = part.solid.extents[ax] / 2.0
+    if interval_overlap(center[ax] - hole.depth / 2.0,
+                        center[ax] + hole.depth / 2.0,
+                        pc[ax] - half, pc[ax] + half) <= 0:
         return "no axial overlap with the hole span"
     return None
 
@@ -213,22 +207,19 @@ def _check_inserted_contact(part: PlacedPart, target: PlacedPart, conn):
 def _check_hole_inside(solid: Solid, hole: HoleRegion):
     eps = 1e-9
     o = hole.offset
+    trans = TRANSVERSE[hole.axis]
+    halves = (hole.radius, hole.radius) if hole.radius is not None \
+        else hole.half_widths
     if solid.kind == CYL and solid.axis == hole.axis:
-        trans = [t for t in range(3) if t != hole.axis]
-        off = np.hypot(o[trans[0]], o[trans[1]])
+        u, v = (o[t] for t in trans)
         reach = hole.radius if hole.radius is not None else \
-            np.hypot(*hole.half_widths)
-        if off + reach > solid.radius + eps:
+            math.sqrt(halves[0] * halves[0] + halves[1] * halves[1])
+        if math.sqrt(u * u + v * v) + reach > solid.radius + eps:
             raise HoleExceedsOwner(hole.owner, hole.name)
         return
-    half_ext = np.asarray(solid.extents) / 2.0
-    for t in range(3):
-        if t == hole.axis:
-            continue
-        half = hole.radius if hole.radius is not None else \
-            hole.half_widths[0 if t == min(x for x in range(3) if x != hole.axis)
-                             else 1]
-        if o[t] - half < -half_ext[t] - eps or o[t] + half > half_ext[t] + eps:
+    for t, half in zip(trans, halves):
+        half_ext = solid.extents[t] / 2.0
+        if o[t] - half < -half_ext - eps or o[t] + half > half_ext + eps:
             raise HoleExceedsOwner(hole.owner, hole.name)
 
 
@@ -275,8 +266,7 @@ def build_assembly(plan: CraftPlan, catalog: Catalog) -> Assembly:
 
     def place(spec: PartSpec, position):
         placed[spec.name] = PlacedPart(
-            spec=spec, solid=solids[spec.name],
-            position=tuple(float(v) for v in position))
+            spec=spec, solid=solids[spec.name], position=tuple(position))
 
     # seed: first part; its AABB rests on z=0 centered at the origin
     seed = plan.parts[0]
@@ -294,11 +284,11 @@ def build_assembly(plan: CraftPlan, catalog: Catalog) -> Assembly:
             target = placed[first.to_part]
             if first.contact_type == "SURFACE":
                 pos = _surface_position(solids[spec.name].extents,
-                                        target.center, target.solid.extents,
+                                        target.position, target.solid.extents,
                                         first)
             else:
-                hole = target.solid.hole(first.to_modification)
-                pos = target.center + hole.offset
+                pos = target.hole_center(
+                    target.solid.hole(first.to_modification))
             place(spec, pos)
             changed = True
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
-from .errors import DimensionOutOfRange, DuplicateId, IoError, ParseError, UnknownObject
+from .errors import DimensionOutOfRange, DuplicateId, ParseError, UnknownObject
 
 CUBOID = "CUBOID"
 CYLINDER = "CYLINDER"
@@ -113,13 +114,18 @@ def parse_catalog(text: str, strict: bool = False) -> Catalog:
     return Catalog(_validate_entry(e, strict) for e in payload["objects"])
 
 
-def load_catalog(path, strict: bool = False) -> Catalog:
+def read_text(path):
+    """The file's UTF-8 text; a UnicodeDecodeError names the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read catalog {path!r}: {exc}") from exc
-    return parse_catalog(text, strict=strict)
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason = f"{exc.reason}, in {path}"
+        raise
+
+
+def load_catalog(path, strict: bool = False) -> Catalog:
+    """The catalog in the file ``path``; an unreadable file raises OSError."""
+    return parse_catalog(read_text(path), strict=strict)
 
 
 def default_catalog() -> Catalog:

@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .catalog import default_catalog, load_catalog
+from .catalog import default_catalog, load_catalog, read_text
 from .errors import CraftError
 from .metrics import (
     compare_assembly_to_mesh,
@@ -42,7 +42,7 @@ from .orchestrator import (
     run_pipeline,
 )
 from .physics import SimConfig
-from .plan import FormatReport, read_text
+from .plan import FormatReport
 
 log = logging.getLogger("craftkit")
 

@@ -6,8 +6,13 @@ closed-form test.  Perpendicular cylinders first meet a closed-form upper
 bound that rejects separated pairs; a pair that passes it is settled by a
 ternary search over the shared coordinate, run to its fixed point.  Overlap
 that falls entirely inside a hole region of either part is exempt.
-A distance is the square root of a sum of squares, never ``hypot``, which
-the C library need not round alike everywhere: the engine's depths use it.
+
+Centres, depths and witness points are float tuples: the interval along an
+axis comes from ``geometry.aabb_overlap`` and the closed forms use only
++ - * / and ``math.sqrt``.  A distance is the square root of a sum of
+products, never ``hypot`` or ``**``, which the C library need not round
+alike everywhere: the engine's depths use it.  numpy enters only in the
+16^3 grid probe of holed pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BOX, CYL, Solid, interval_overlap
+from .geometry import (
+    BOX, CYL, TRANSVERSE, Solid, aabb_overlap, interval_overlap)
 
 TOUCH_TOL = 1e-6
 
@@ -35,8 +41,7 @@ class CollisionReport:
         return {
             "ok": self.ok,
             "pairs": [
-                {"a": a, "b": b, "depth_m": float(d),
-                 "point": [float(x) for x in w]}
+                {"a": a, "b": b, "depth_m": d, "point": list(w)}
                 for a, b, d, w in self.pairs
             ],
         }
@@ -46,20 +51,11 @@ class CollisionReport:
 
 
 def _box_box(ca, ea, cb, eb):
-    overlaps = []
-    for t in range(3):
-        o = interval_overlap(ca[t] - ea[t] / 2, ca[t] + ea[t] / 2,
-                             cb[t] - eb[t] / 2, cb[t] + eb[t] / 2)
-        if o <= 0:
-            return None
-        overlaps.append(o)
-    depth = min(overlaps)
-    witness = [
-        (max(ca[t] - ea[t] / 2, cb[t] - eb[t] / 2)
-         + min(ca[t] + ea[t] / 2, cb[t] + eb[t] / 2)) / 2.0
-        for t in range(3)
-    ]
-    return depth, tuple(witness)
+    shared = aabb_overlap(ca, ea, cb, eb)
+    overlaps = [hi - lo for lo, hi in shared]
+    if any(o <= 0 for o in overlaps):
+        return None
+    return min(overlaps), tuple((lo + hi) / 2.0 for lo, hi in shared)
 
 
 def _rect_circle_depth(rect_c, rect_half, circ_c, r):
@@ -81,49 +77,34 @@ def _rect_circle_depth(rect_c, rect_half, circ_c, r):
 
 
 def _box_cyl(cb, eb, cc, cyl: Solid):
-    ax = cyl.axis
-    o_ax = interval_overlap(cb[ax] - eb[ax] / 2, cb[ax] + eb[ax] / 2,
-                            cc[ax] - cyl.length / 2, cc[ax] + cyl.length / 2)
-    if o_ax <= 0:
+    # the cylinder's box is exact: its half-extents are r and length / 2
+    shared = aabb_overlap(cb, eb, cc, cyl.extents)
+    lo, hi = shared[cyl.axis]
+    if hi - lo <= 0:
         return None
-    trans = [t for t in range(3) if t != ax]
+    t0, t1 = TRANSVERSE[cyl.axis]
     radial = _rect_circle_depth(
-        (cb[trans[0]], cb[trans[1]]),
-        (eb[trans[0]] / 2, eb[trans[1]] / 2),
-        (cc[trans[0]], cc[trans[1]]), cyl.radius)
+        (cb[t0], cb[t1]), (eb[t0] / 2, eb[t1] / 2), (cc[t0], cc[t1]),
+        cyl.radius)
     if radial is None:
         return None
-    depth = min(o_ax, radial)
-    witness = [0.0, 0.0, 0.0]
-    witness[ax] = (max(cb[ax] - eb[ax] / 2, cc[ax] - cyl.length / 2)
-                   + min(cb[ax] + eb[ax] / 2, cc[ax] + cyl.length / 2)) / 2.0
-    for t in trans:
-        lo = max(cb[t] - eb[t] / 2, cc[t] - cyl.radius)
-        hi = min(cb[t] + eb[t] / 2, cc[t] + cyl.radius)
-        witness[t] = (lo + hi) / 2.0
-    return depth, tuple(witness)
+    return min(hi - lo, radial), tuple((lo + hi) / 2.0 for lo, hi in shared)
 
 
 def _cyl_cyl_parallel(ca, a: Solid, cb, b: Solid):
     ax = a.axis
-    o_ax = interval_overlap(ca[ax] - a.length / 2, ca[ax] + a.length / 2,
-                            cb[ax] - b.length / 2, cb[ax] + b.length / 2)
-    if o_ax <= 0:
+    lo, hi = aabb_overlap(ca, a.extents, cb, b.extents)[ax]
+    if hi - lo <= 0:
         return None
-    trans = [t for t in range(3) if t != ax]
-    dx, dy = ca[trans[0]] - cb[trans[0]], ca[trans[1]] - cb[trans[1]]
+    t0, t1 = TRANSVERSE[ax]
+    dx, dy = ca[t0] - cb[t0], ca[t1] - cb[t1]
     d = math.sqrt(dx * dx + dy * dy)
     radial = a.radius + b.radius - d
     if radial <= 0:
         return None
-    depth = min(o_ax, radial)
-    mid_ax = (max(ca[ax] - a.length / 2, cb[ax] - b.length / 2)
-              + min(ca[ax] + a.length / 2, cb[ax] + b.length / 2)) / 2.0
-    witness = [0.0, 0.0, 0.0]
-    witness[ax] = mid_ax
-    for t in trans:
-        witness[t] = (ca[t] + cb[t]) / 2.0
-    return depth, tuple(witness)
+    witness = [(p + q) / 2.0 for p, q in zip(ca, cb)]
+    witness[ax] = (lo + hi) / 2.0
+    return min(hi - lo, radial), tuple(witness)
 
 
 def _cyl_cyl_perpendicular(ca, a: Solid, cb, b: Solid):
@@ -146,12 +127,14 @@ def _cyl_cyl_perpendicular(ca, a: Solid, cb, b: Solid):
     # (j, k), so the chord runs along j (width_b: b's disc, along i);
     # -1.0 where kv misses the disc
     def width_a(kv):
-        d2 = a.radius ** 2 - (kv - ca[k]) ** 2
-        return np.sqrt(d2) if d2 > 0 else -1.0
+        d = kv - ca[k]
+        d2 = a.radius * a.radius - d * d
+        return math.sqrt(d2) if d2 > 0 else -1.0
 
     def width_b(kv):
-        d2 = b.radius ** 2 - (kv - cb[k]) ** 2
-        return np.sqrt(d2) if d2 > 0 else -1.0
+        d = kv - cb[k]
+        d2 = b.radius * b.radius - d * d
+        return math.sqrt(d2) if d2 > 0 else -1.0
 
     def overlap(wa, wb):
         if wa < 0 or wb < 0:
@@ -166,8 +149,8 @@ def _cyl_cyl_perpendicular(ca, a: Solid, cb, b: Solid):
     def f(kv):
         return overlap(width_a(kv), width_b(kv))
 
-    lo = max(ca[k] - a.radius, cb[k] - b.radius)
-    hi = min(ca[k] + a.radius, cb[k] + b.radius)
+    # both discs span 2r along k, so their boxes share (lo, hi) there
+    lo, hi = aabb_overlap(ca, a.extents, cb, b.extents)[k]
     if hi <= lo or overlap(width_a(ca[k]), width_b(cb[k])) <= 0:
         return None
     for _ in range(200):
@@ -197,8 +180,6 @@ def _cyl_cyl_perpendicular(ca, a: Solid, cb, b: Solid):
 
 def base_overlap(ca, a: Solid, cb, b: Solid):
     """Penetration depth and witness point of the two base primitives."""
-    ca = np.asarray(ca, dtype=float)
-    cb = np.asarray(cb, dtype=float)
     if a.kind == BOX and b.kind == BOX:
         return _box_box(ca, a.extents, cb, b.extents)
     if a.kind == BOX and b.kind == CYL:
@@ -218,13 +199,11 @@ _GRID = np.stack(np.meshgrid(*[(np.arange(16) + 0.5) / 16] * 3,
 def _material_overlap_exists(ca, a: Solid, cb, b: Solid, tol):
     """Deterministic grid probe of the overlap AABB for material-material
     contact; used only when at least one solid carries holes."""
-    lo_a, hi_a = a.aabb(ca)
-    lo_b, hi_b = b.aabb(cb)
-    lo = np.maximum(lo_a, lo_b)
-    hi = np.minimum(hi_a, hi_b)
-    if np.any(hi - lo <= 0):
+    shared = aabb_overlap(ca, a.extents, cb, b.extents)
+    spans = [hi - lo for lo, hi in shared]
+    if any(s <= 0 for s in spans):
         return False
-    pts = _GRID * (hi - lo) + lo
+    pts = _GRID * spans + [lo for lo, _ in shared]
     inside = a.material_contains(ca, pts, margin=tol)
     inside &= b.material_contains(cb, pts, margin=tol)
     return bool(inside.any())

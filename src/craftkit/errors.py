@@ -5,10 +5,6 @@ class CraftError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class IoError(CraftError):
-    pass
-
-
 class ParseError(CraftError):
     pass
 

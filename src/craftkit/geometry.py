@@ -3,6 +3,14 @@
 All lengths are metres.  Solids stay axis-aligned through assembly build;
 only the physics engine rotates bodies.
 
+The module is also the geometry vocabulary of placement, collision and the
+engine's body-body contacts: ``TRANSVERSE[ax]`` names the two axes across
+axis ``ax``, and ``aabb_overlap`` gives the interval that two boxes share
+on each axis (the per-axis test of Ericson, *Real-Time Collision
+Detection*, 2004, section 4.2).  Both work on plain float tuples; numpy
+enters only where a query runs over a point set (``HoleRegion.contains``,
+``base_contains``, ``material_contains``).
+
 Frame convention: a solid knows nothing of where it is.  Its extents and
 its holes are given in its own frame, centred on the solid, and every
 query that places it (``base_contains``, ``material_contains``, ``aabb``)
@@ -27,6 +35,9 @@ FACE_AXIS = {
     "TOP": (2, +1), "BOTTOM": (2, -1),
     "HIGH": (2, +1), "LOW": (2, -1),
 }
+
+# the two axes across each axis, in ascending order
+TRANSVERSE = ((1, 2), (0, 2), (0, 1))
 
 BOX = "box"
 CYL = "cyl"
@@ -56,7 +67,7 @@ class HoleRegion:
         ax = self.axis
         lo, hi = self.span()
         inside = (pts[:, ax] >= lo + margin) & (pts[:, ax] <= hi - margin)
-        trans = [i for i in range(3) if i != ax]
+        trans = TRANSVERSE[ax]
         if self.radius is not None:
             d2 = sum((pts[:, t] - c[t]) ** 2 for t in trans)
             r = self.radius - margin
@@ -116,9 +127,8 @@ class Solid:
             half = np.asarray(self.extents) / 2.0 - margin
             return np.all(np.abs(pts - c) <= half, axis=1)
         ax = self.axis
-        trans = [i for i in range(3) if i != ax]
         inside = np.abs(pts[:, ax] - c[ax]) <= self.length / 2.0 - margin
-        d2 = sum((pts[:, t] - c[t]) ** 2 for t in trans)
+        d2 = sum((pts[:, t] - c[t]) ** 2 for t in TRANSVERSE[ax])
         return inside & (d2 <= max(self.radius - margin, 0.0) ** 2)
 
     def material_contains(self, center, pts, margin=0.0):
@@ -131,9 +141,9 @@ class Solid:
         return inside
 
     def aabb(self, center):
-        c = np.asarray(center, dtype=float)
-        half = np.asarray(self.extents) / 2.0
-        return c - half, c + half
+        """The (lo, hi) corners of the bounding box, as float tuples."""
+        return (tuple(c - e / 2.0 for c, e in zip(center, self.extents)),
+                tuple(c + e / 2.0 for c, e in zip(center, self.extents)))
 
     def to_dict(self):
         d = {"kind": self.kind, "extents": list(self.extents)}
@@ -162,3 +172,12 @@ def solid_inertia_diag(mass, solid: Solid):
 
 def interval_overlap(lo_a, hi_a, lo_b, hi_b):
     return min(hi_a, hi_b) - max(lo_a, lo_b)
+
+
+def aabb_overlap(ca, ea, cb, eb):
+    """Per axis, the (lo, hi) that the boxes of centre ``ca``, extents
+    ``ea`` and of ``cb``, ``eb`` share: ``hi - lo`` is their overlap (not
+    positive where they are apart) and ``(lo + hi) / 2`` its midpoint."""
+    return tuple((max(a - da / 2.0, b - db / 2.0),
+                  min(a + da / 2.0, b + db / 2.0))
+                 for a, da, b, db in zip(ca, ea, cb, eb))

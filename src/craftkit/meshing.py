@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import BOX, HoleRegion, Solid
+from .geometry import BOX, TRANSVERSE, HoleRegion, Solid
 
 SEGMENTS = 64
 
@@ -41,15 +41,11 @@ class MeshBuilder:
                 np.asarray(self.faces, dtype=int))
 
 
-def _transverse(axis):
-    return [t for t in range(3) if t != axis]
-
-
 def _lift(axis, coord, u, v):
     """(u, v) in the plane `axis`=coord back to 3D."""
     p = [0.0, 0.0, 0.0]
     p[axis] = coord
-    t1, t2 = _transverse(axis)
+    t1, t2 = TRANSVERSE[axis]
     p[t1] = u
     p[t2] = v
     return p
@@ -93,7 +89,7 @@ def _face_with_hole(mb: MeshBuilder, axis, coord, outer, hole: HoleRegion,
     outer(origin, direction) gives the distance from the hole center to the
     outer boundary.
     """
-    t1, t2 = _transverse(axis)
+    t1, t2 = TRANSVERSE[axis]
     hu, hv = hole.offset[t1], hole.offset[t2]
     inner_fn = _hole_inner_radius_fn(hole, (hu, hv))
     outer_idx = []
@@ -128,7 +124,7 @@ def _tunnel(mb: MeshBuilder, ring_a, ring_b, flip=False):
 
 
 def _hole_ring(mb: MeshBuilder, axis, coord, hole: HoleRegion):
-    t1, t2 = _transverse(axis)
+    t1, t2 = TRANSVERSE[axis]
     hu, hv = hole.offset[t1], hole.offset[t2]
     inner_fn = _hole_inner_radius_fn(hole, (hu, hv))
     ring = []
@@ -171,7 +167,7 @@ def _bore(mb: MeshBuilder, hole: HoleRegion, half_len):
 
 
 def _plain_rect(mb: MeshBuilder, axis, coord, half, flip):
-    t1, t2 = _transverse(axis)
+    t1, t2 = TRANSVERSE[axis]
     hu, hv = half[t1], half[t2]
     ids = [mb.add_vertex(_lift(axis, coord, su * hu, sv * hv))
            for su, sv in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
@@ -190,7 +186,7 @@ def mesh_box(solid: Solid) -> MeshBuilder:
         for sign in ((1, -1) if hole.through else (hole.open_sign,)):
             pierced[(hole.axis, sign)] = hole
     for axis in range(3):
-        t1, t2 = _transverse(axis)
+        t1, t2 = TRANSVERSE[axis]
         for sign in (1, -1):
             coord = sign * half[axis]
             flip = sign < 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .assembler import build_assembly, connectivity_check
-from .catalog import Catalog, default_catalog
+from .catalog import Catalog, default_catalog, read_text
 from .collision import validate_collisions
 from .errors import (
     ClientError,
@@ -26,7 +26,7 @@ from .errors import (
     Unplaceable,
 )
 from .physics import SimConfig, run_functional_test
-from .plan import FormatReport, normalize_raw, parse_plan, read_text
+from .plan import FormatReport, normalize_raw, parse_plan
 
 # failure stages
 STAGE_FORMAT = "FORMAT"
@@ -341,8 +341,6 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
         if policy == POLICY_NONE:
             return result
         if policy == POLICY_FRESH:
-            if result.llm_calls >= MAX_LLM_CALLS:
-                return result
             continue
         # FEEDBACK
         if stage in (STAGE_FORMAT, STAGE_COLLISION, STAGE_CONNECTIVITY):

@@ -16,8 +16,10 @@ and integration moves ``x`` and ``q``.  Contact points and normals and
 joint anchors and axes are float tuples as well, and so are a body's mass
 properties.  The package imports no numpy and computes with + - * / and
 ``math.sqrt`` only, which IEEE 754 rounds correctly, so no verdict depends
-on the BLAS kernel, the C library or the CPython release.  A step builds
-numpy arrays only inside ``collision.pair_overlap``.
+on the BLAS kernel, the C library or the CPython release.  The body-body
+test ``collision.pair_overlap`` returns a float depth and witness point
+too; numpy enters a step only in its grid probe of a pair with holes, and
+``_separation_axis`` reads the same ``geometry.aabb_overlap`` as that test.
 
 Positions are frozen during the velocity solve, so all constraint geometry
 (lever arms, effective masses, biases) is precomputed once per step and the
@@ -68,7 +70,7 @@ from dataclasses import dataclass, field
 
 from ..collision import pair_overlap
 from ..errors import NumericalDivergence
-from ..geometry import BOX, Solid, solid_inertia_diag
+from ..geometry import BOX, Solid, aabb_overlap, solid_inertia_diag
 
 GRAVITY = 9.81  # downward acceleration along -z
 FRICTION = 0.5  # Coulomb coefficient of every generated contact
@@ -981,18 +983,15 @@ class World:
                         normal = [0.0, 0.0, 0.0]
                         normal[axis] = sign
                         contacts.append(Contact(
-                            a, b, _floats(witness), tuple(normal),
-                            float(depth), FRICTION,
+                            a, b, witness, tuple(normal), depth, FRICTION,
                             (a.id, b.id, ia, ib, axis, sign)))
 
     @staticmethod
     def _separation_axis(ca, sa, cb, sb):
         """Axis of least overlap between the two world AABBs, the first of
         equal ones, and the sign of the normal along it from a to b."""
-        overlaps = []
-        for c, d, e, f in zip(ca, sa.extents, cb, sb.extents):
-            ha, hb = d / 2.0, f / 2.0
-            overlaps.append(min(c + ha, e + hb) - max(c - ha, e - hb))
+        overlaps = [hi - lo for lo, hi in
+                    aabb_overlap(ca, sa.extents, cb, sb.extents)]
         axis = min(range(3), key=overlaps.__getitem__)
         return axis, 1.0 if cb[axis] >= ca[axis] else -1.0
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from ..assembler import Assembly, connected_groups
 from ..errors import NumericalDivergence
-from ..geometry import BOX, Solid
+from ..geometry import BOX, FACE_AXIS, TRANSVERSE, Solid, aabb_overlap
 from ..plan import CraftPlan
 from .engine import (FRICTION, Contact, RevoluteJoint, RigidBody, World,
                      pose_point)
@@ -136,18 +136,13 @@ def _transform_solid(solid: Solid, s: float):
 def _surface_anchor(pa, pb, conn):
     """Center of the shared contact patch of a SURFACE connection, in plan
     metres, and its normal, as float tuples."""
-    from ..geometry import FACE_AXIS
-
     ax, sign = FACE_AXIS[conn.to_face]
     ca, ea = pa.position, pa.solid.extents
-    cb, eb = pb.position, pb.solid.extents
+    shared = aabb_overlap(ca, ea, pb.position, pb.solid.extents)
     anchor = [0.0, 0.0, 0.0]
     anchor[ax] = ca[ax] + sign * ea[ax] / 2.0
-    for t in range(3):
-        if t == ax:
-            continue
-        lo = max(ca[t] - ea[t] / 2.0, cb[t] - eb[t] / 2.0)
-        hi = min(ca[t] + ea[t] / 2.0, cb[t] + eb[t] / 2.0)
+    for t in TRANSVERSE[ax]:
+        lo, hi = shared[t]
         anchor[t] = (lo + hi) / 2.0
     normal = [0.0, 0.0, 0.0]
     normal[ax] = float(sign)
@@ -167,7 +162,7 @@ def _local(point, body: RigidBody):
 
 
 def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
-    shift = (0.0, 0.0, -float(assembly.min_z() * SCALE))
+    shift = (0.0, 0.0, -(assembly.min_z() * SCALE))
 
     world = World(config)
     clusters = connected_groups(
@@ -203,8 +198,7 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
             anchor = _to_world(anchor, shift)
         else:
             hole = pb.solid.hole(conn.to_modification)
-            anchor = _to_world(
-                tuple(c + o for c, o in zip(pb.position, hole.offset)), shift)
+            anchor = _to_world(pb.hole_center(hole), shift)
             normal = None
             axis = [0.0, 0.0, 0.0]
             axis[hole.axis] = 1.0

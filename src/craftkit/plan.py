@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .catalog import Catalog
+from .catalog import Catalog, read_text
 from .errors import JsonSyntaxError, UnknownObject
 
 # Token sets of the plan language. FRONT/BACK map to +X/-X, LEFT/RIGHT to
@@ -471,15 +470,6 @@ def plan_to_jsonable(plan: CraftPlan):
 
 def serialize_plan(plan: CraftPlan) -> str:
     return json.dumps(plan_to_jsonable(plan), indent=2)
-
-
-def read_text(path):
-    """The file's UTF-8 text; a UnicodeDecodeError names the file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        exc.reason = f"{exc.reason}, in {path}"
-        raise
 
 
 def load_plan(path, catalog: Catalog):

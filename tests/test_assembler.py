@@ -6,6 +6,7 @@ import pytest
 
 from craftkit import build_assembly
 from craftkit.assembler import connectivity_check, connectivity_components
+from craftkit.collision import validate_collisions
 from craftkit.errors import (
     HoleExceedsOwner,
     HoleNotCarvedYet,
@@ -29,8 +30,8 @@ def build_text(text, catalog):
 def test_seed_rests_on_ground(build_fixture):
     _, asm = build_fixture("table_valid_1")
     top = asm.part("TABLETOP_1")
-    assert top.center[0] == 0.0
-    assert top.center[1] == 0.0
+    assert top.position[0] == 0.0
+    assert top.position[1] == 0.0
     lo, _ = top.aabb()
     # the seed rests its own underside on z=0; legs may extend below
     assert lo[2] == pytest.approx(0.0, abs=1e-12)
@@ -39,16 +40,17 @@ def test_seed_rests_on_ground(build_fixture):
 
 def test_skateboard_golden_coordinates(build_fixture):
     _, asm = build_fixture("skateboard_valid_1")
-    assert asm.part("DECK_1").center == pytest.approx((0, 0, 0.010), abs=1e-12)
-    assert asm.part("SUPPORT_1").center == pytest.approx(
+    assert asm.part("DECK_1").position == pytest.approx(
+        (0, 0, 0.010), abs=1e-12)
+    assert asm.part("SUPPORT_1").position == pytest.approx(
         (0.090, 0.0, -0.025), abs=1e-12)
-    assert asm.part("SUPPORT_2").center == pytest.approx(
+    assert asm.part("SUPPORT_2").position == pytest.approx(
         (-0.090, 0.0, -0.025), abs=1e-12)
-    assert asm.part("WHEEL_1").center == pytest.approx(
+    assert asm.part("WHEEL_1").position == pytest.approx(
         (0.090, 0.035, -0.025), abs=1e-12)
-    assert asm.part("WHEEL_2").center == pytest.approx(
+    assert asm.part("WHEEL_2").position == pytest.approx(
         (0.090, -0.035, -0.025), abs=1e-12)
-    assert asm.part("AXLE_1").center == pytest.approx(
+    assert asm.part("AXLE_1").position == pytest.approx(
         (0.090, 0.0, -0.025), abs=1e-12)
     # wheels are the lowest parts and carry the ground set
     assert asm.ground_set == {"WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"}
@@ -69,9 +71,9 @@ def test_hammer_golden_coordinates(build_fixture):
     _, asm = build_fixture("hammer_valid_1")
     handle = asm.part("HANDLE_1")
     head = asm.part("HEAD_1")
-    assert handle.center == pytest.approx((0.0, 0.0, 0.010), abs=1e-12)
+    assert handle.position == pytest.approx((0.0, 0.0, 0.010), abs=1e-12)
     # head hangs under the front end of the handle, flush at the tip
-    assert head.center == pytest.approx((0.070, 0.0, -0.020), abs=1e-12)
+    assert head.position == pytest.approx((0.070, 0.0, -0.020), abs=1e-12)
 
 
 def test_table_flush_legs(build_fixture):
@@ -98,8 +100,8 @@ def test_center_alignment_agreement(catalog):
          "exec_function": True},
     ]
     _, asm = build_text(json.dumps(parts), catalog)
-    base = asm.part("BASE_1").center
-    cap = asm.part("CAP_1").center
+    base = asm.part("BASE_1").position
+    cap = asm.part("CAP_1").position
     assert abs(base[0] - cap[0]) <= 1e-12
     assert abs(base[1] - cap[1]) <= 1e-12
 
@@ -132,8 +134,8 @@ def test_chair_mirror_property(catalog, fixture_raw):
     mirrored_json = json.dumps(_mirror_tokens(json.loads(raw)))
     _, mirrored = build_text(mirrored_json, catalog)
     for name in original.placed:
-        a = original.part(name).center
-        b = mirrored.part(name).center
+        a = original.part(name).position
+        b = mirrored.part(name).position
         assert a[0] == b[0]
         assert a[1] == -b[1]
         assert a[2] == b[2]
@@ -223,21 +225,41 @@ def test_placed_is_in_placement_order(catalog):
         ["BASE_1", "SIDE_1", "TOP_1"]
 
 
+def _buildable_fixture_assemblies(catalog):
+    """The assembly of every fixture that builds, in sorted file order."""
+    for name in all_fixture_names():
+        raw = (PLANS / f"{name}.json").read_text(encoding="utf-8")
+        assembly = evaluate_plan_text(raw, catalog)[3]
+        if assembly is not None:
+            yield assembly
+
+
 def test_assembly_json_digest_of_buildable_fixtures(catalog):
     # the sha256 over every buildable fixture's Assembly.to_json(), in
     # sorted file order; the JSON holds plain float arithmetic only, so the
     # value is the same on every platform
     digest = hashlib.sha256()
     built = 0
-    for name in all_fixture_names():
-        raw = (PLANS / f"{name}.json").read_text(encoding="utf-8")
-        assembly = evaluate_plan_text(raw, catalog)[3]
-        if assembly is not None:
-            digest.update(assembly.to_json().encode())
-            built += 1
+    for assembly in _buildable_fixture_assemblies(catalog):
+        digest.update(assembly.to_json().encode())
+        built += 1
     assert built == 22
     assert digest.hexdigest() == (
         "3a90704e03b0211ce5bb062e6affb6f8a57948c9ffcb9fd7bdc7a9aa29ce9009")
+
+
+def test_collision_report_digest_of_buildable_fixtures(catalog):
+    # the sha256 over every buildable fixture's collision report, depths
+    # and witness points included, in sorted file order
+    digest = hashlib.sha256()
+    pairs = 0
+    for assembly in _buildable_fixture_assemblies(catalog):
+        report = validate_collisions(assembly).to_dict()
+        digest.update(json.dumps(report).encode())
+        pairs += len(report["pairs"])
+    assert pairs == 1
+    assert digest.hexdigest() == (
+        "01873c431cb71a511efa2d86b357ece391a66ff8ded618991a3c352fde5c97ad")
 
 
 def test_inconsistent_second_connection(catalog, fixture_raw):

@@ -391,3 +391,22 @@ def test_batch_rejects_a_response_file_that_is_not_utf8(caplog, tmp_path,
     code = main(["batch", str(manifest), "--out", str(out_csv), "--jobs", "2"])
     assert code == EXIT_USAGE
     assert str(bad / "01.json") in caplog.text
+
+
+def test_validate_with_a_missing_catalog_is_an_io_error(caplog, plan_path,
+                                                        tmp_path):
+    catalog = tmp_path / "absent.json"
+    code = main(["validate", str(plan_path("hammer_valid_1")),
+                 "--catalog", str(catalog)])
+    assert code == EXIT_USAGE
+    assert str(catalog) in caplog.text
+
+
+def test_validate_rejects_a_catalog_that_is_not_utf8(caplog, plan_path,
+                                                     tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_bytes(NOT_UTF8)
+    code = main(["validate", str(plan_path("hammer_valid_1")),
+                 "--catalog", str(catalog)])
+    assert code == EXIT_USAGE
+    assert str(catalog) in caplog.text

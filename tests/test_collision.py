@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -134,16 +136,19 @@ def test_validate_collisions_flags_bad_fixture(build_fixture):
 
 def _reference_cyl_cyl_perpendicular(ca, a: Solid, cb, b: Solid):
     """The fixed 200-step ternary search with no bound, kept verbatim as the
-    reference that the bounded search must match bit for bit."""
+    reference that the bounded search must match bit for bit (squares are
+    products, as in the search)."""
     i, j = a.axis, b.axis
     k = 3 - i - j
 
     def width_a(kv):  # half-width of a's disc along axis... any transverse
-        d2 = a.radius ** 2 - (kv - ca[k]) ** 2
+        d = kv - ca[k]
+        d2 = a.radius * a.radius - d * d
         return np.sqrt(d2) if d2 > 0 else -1.0
 
     def width_b(kv):
-        d2 = b.radius ** 2 - (kv - cb[k]) ** 2
+        d = kv - cb[k]
+        d2 = b.radius * b.radius - d * d
         return np.sqrt(d2) if d2 > 0 else -1.0
 
     def f(kv):
@@ -296,3 +301,69 @@ def test_hole_exemption_follows_a_moved_solid():
     assert pair_overlap((0, 0, 0), block, (0, 0, 0), peg) is None
     shifted = (5.0, 0.0, 0.0)
     assert pair_overlap(shifted, block, shifted, peg) is None
+
+
+# -- pinned depths and witnesses --------------------------------------------
+
+def _pinning_solids():
+    """Every pair kind: boxes, a cylinder on each axis, a box with a round
+    through hole, a cylinder with a square one (the material probe), and a
+    round and a square peg that fit those holes."""
+    holed_box = Solid.box((0.1, 0.1, 0.04))
+    holed_box.holes.append(HoleRegion(
+        owner="B", name="HOLE_1", axis=2, offset=(0.02, 0.0, 0.0),
+        depth=0.04, through=True, radius=0.012))
+    holed_cyl = Solid.cylinder(0.04, 0.05, axis=2)
+    holed_cyl.holes.append(HoleRegion(
+        owner="C", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
+        depth=0.05, through=True, half_widths=(0.01, 0.01)))
+    return [Solid.box((0.1, 0.06, 0.04)), Solid.box((0.05, 0.05, 0.12)),
+            Solid.cylinder(0.03, 0.1, axis=0),
+            Solid.cylinder(0.02, 0.08, axis=1),
+            Solid.cylinder(0.025, 0.06, axis=2), holed_box, holed_cyl,
+            Solid.cylinder(0.008, 0.1, axis=2), Solid.box((0.016, 0.016, 0.1))]
+
+
+def test_pair_overlap_depths_and_witnesses_are_pinned():
+    """A sha256 over pair_overlap on every ordered pair of solids at seeded
+    centres: drawn uniformly, on a 1 cm grid, where equal bounds and
+    touching faces are common, or for a holed first solid with the second
+    near its hole's centre, where the material probe decides.  Only
+    + - * / max min and sqrt enter the result, so the value is the same on
+    every platform."""
+    rng = np.random.default_rng(17)
+    solids = _pinning_solids()
+    digest = hashlib.sha256()
+    hits = 0
+    for a in solids:
+        for b in solids:
+            for n in range(24):
+                ca = rng.uniform(-0.05, 0.05, 3)
+                cb = rng.uniform(-0.05, 0.05, 3)
+                if n % 3 == 1:
+                    ca, cb = np.round(ca, 2), np.round(cb, 2)
+                elif n % 3 == 2 and a.holes:
+                    cb = ca + a.holes[0].offset + rng.uniform(-0.004, 0.004, 3)
+                hit = pair_overlap(tuple(map(float, ca)), a,
+                                   tuple(map(float, cb)), b)
+                if hit is not None:
+                    hits += 1
+                    hit = [hit[0], list(hit[1])]
+                digest.update(json.dumps(hit).encode())
+    assert hits == 1053, hits
+    assert digest.hexdigest() == (
+        "2674c7cb0bbe93e39e6e5f9ca13af4c33ba4f7e676370aa1665e9b2a9211e9b1")
+
+
+def test_pair_overlap_returns_plain_floats():
+    """Depth and witness are floats, not numpy scalars, for every pair
+    kind; np.float64 subclasses float, so only the exact type tells."""
+    box, cyl_x = Solid.box((0.1, 0.1, 0.1)), Solid.cylinder(0.03, 0.2, 0)
+    cyl_z = Solid.cylinder(0.03, 0.2, 2)
+    ca, cb = (0.0, 0.0, 0.0), (0.04, 0.01, 0.02)
+    for a, b in ((box, box), (box, cyl_x), (cyl_x, box), (cyl_x, cyl_x),
+                 (cyl_x, cyl_z)):
+        depth, witness = pair_overlap(ca, a, cb, b)
+        assert type(depth) is float, (a.kind, b.kind)
+        assert len(witness) == 3
+        assert all(type(w) is float for w in witness), (a.kind, b.kind)
