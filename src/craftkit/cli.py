@@ -2,7 +2,7 @@
 
 Every subcommand prints a JSON document on stdout and logs on stderr.
 Exit codes: 0 success, 1 validation or simulation failure, 2 usage or
-I/O errors, a file that is not UTF-8 included.
+I/O errors, a file that is not UTF-8 or a malformed OBJ file included.
 
 The plan commands (validate, build, simulate, metrics --plan) run the
 plan file through the pipeline's ``evaluate_plan_text``; a stage failure
@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .catalog import default_catalog, load_catalog, read_text
-from .errors import CraftError
+from .errors import CraftError, MalformedObj
 from .metrics import (
     compare_assembly_to_mesh,
     compare_meshes,
@@ -341,7 +341,8 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            MalformedObj) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
     except CraftError as exc:

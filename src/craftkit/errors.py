@@ -78,6 +78,13 @@ class EmptyMesh(CraftError):
     pass
 
 
+class MalformedObj(CraftError):
+    """A line of an OBJ file that does not say what a mesh needs."""
+
+    def __init__(self, path, line, detail):
+        super().__init__(f"{path}, line {line}: {detail}")
+
+
 class DegenerateExtent(CraftError):
     pass
 

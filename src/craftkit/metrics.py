@@ -3,17 +3,28 @@
 Both shapes are normalized (AABB centered at the origin, diagonal scaled to
 one), surface-sampled, and compared point set to point set with chamfer
 distance, Hausdorff distance, and an F-score at a fixed distance threshold.
+
+Every metric comes from two nearest-neighbour searches, one from each point
+set into the other, and the two run at the same time: the backward search
+on a helper thread, the forward one on the caller's.  scipy's k-d tree
+builds and queries without holding the GIL, so on two cores a comparison
+takes little more than one search, and its report equals a serial run's
+bit for bit.
+scipy is imported by the first comparison, so commands that never score a
+plan do not load it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import DegenerateExtent, EmptyMesh
+from .catalog import read_text
+from .errors import DegenerateExtent, EmptyMesh, MalformedObj
 from .meshing import mesh_part
 
 FSCORE_THRESHOLD = 0.1
@@ -47,24 +58,41 @@ class MetricReport:
 
 
 def load_obj(path):
-    """Vertices and fan-triangulated faces of a Wavefront OBJ file."""
+    """Vertices and fan-triangulated faces of a Wavefront OBJ file.
+
+    A malformed ``v`` or ``f`` line raises ``MalformedObj`` naming the file
+    and the line; a file that is not UTF-8 raises ``UnicodeDecodeError``
+    naming the file.
+    """
     vertices = []
     faces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            head, *rest = line.split()
+    for number, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, *rest = line.split()
+        try:
             if head == "v":
-                vertices.append([float(x) for x in rest[:3]])
+                xyz = [float(x) for x in rest[:3]]
+                if len(xyz) < 3 or not all(map(math.isfinite, xyz)):
+                    raise ValueError("a vertex needs 3 finite coordinates")
+                vertices.append(xyz)
             elif head == "f":
-                idx = []
-                for token in rest:
-                    i = int(token.split("/")[0])
-                    idx.append(i - 1 if i > 0 else len(vertices) + i)
+                # 1-based, or negative counting back from the last vertex;
+                # either way only a vertex defined above the face
+                n = len(vertices)
+                idx = [int(token.split("/")[0]) for token in rest]
+                if len(idx) < 3:
+                    raise ValueError("a face needs 3 vertices")
+                for i in idx:
+                    if not (1 <= i <= n or -n <= i <= -1):
+                        raise ValueError(f"face index {i} names no vertex; "
+                                         f"{n} are defined above it")
+                idx = [i - 1 if i > 0 else n + i for i in idx]
                 for k in range(1, len(idx) - 1):
                     faces.append((idx[0], idx[k], idx[k + 1]))
+        except ValueError as exc:
+            raise MalformedObj(path, number, str(exc)) from None
     if not vertices or not faces:
         raise EmptyMesh(str(path))
     return np.asarray(vertices, dtype=float), np.asarray(faces, dtype=int)
@@ -160,15 +188,25 @@ def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0):
 
 
 def _nearest_distances(query, target):
+    from scipy.spatial import cKDTree
+
     d, _ = cKDTree(target).query(query, k=1)
     return d
 
 
 def compare_point_sets(points_a, points_b,
                        threshold=FSCORE_THRESHOLD) -> MetricReport:
-    """All metrics from one search per direction; a is the prediction."""
-    da = _nearest_distances(points_a, points_b)
-    db = _nearest_distances(points_b, points_a)
+    """All metrics from one search per direction; a is the prediction.
+
+    The backward search runs on a helper thread while this one runs the
+    forward search; an exception from either reaches the caller.
+    """
+    import scipy.spatial  # noqa: F401  (loaded here, not by both threads)
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        backward = helper.submit(_nearest_distances, points_b, points_a)
+        da = _nearest_distances(points_a, points_b)
+        db = backward.result()
     precision = float((da <= threshold).mean())
     recall = float((db <= threshold).mean())
     f = 0.0 if precision + recall == 0.0 else \

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+
+import pytest
 
 from craftkit.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
@@ -107,6 +111,45 @@ def test_metrics_self_comparison(capsys, plan_path, tmp_path):
     payload = json.loads(out)
     assert payload["chamfer"] < 0.01
     assert payload["fscore"] > 0.99
+
+
+TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+@pytest.mark.parametrize("body,where", [
+    (TRIANGLE + "f 1 2 9\n", "line 4: face index 9 names no vertex"),
+    (TRIANGLE + "f 0 1 2\n", "line 4: face index 0 names no vertex"),
+    (TRIANGLE + "f -5 -4 -3\n", "line 4: face index -5 names no vertex"),
+    ("v 0 0 0\nf 1 2 3\n" + TRIANGLE, "line 2: face index 2 names no"),
+    (TRIANGLE + "f 1 2\n", "line 4: a face needs 3 vertices"),
+    (TRIANGLE + "f 1 b 3\n", "line 4: invalid literal for int()"),
+    ("v 0 0 0\nv 1 0\n", "line 2: a vertex needs 3 finite coordinates"),
+    ("v 0 0 0\nv 1 zero 0\n", "line 2: could not convert string to float"),
+    ("v 0 0 0\nv 1 nan 0\n", "line 2: a vertex needs 3 finite coordinates"),
+    (b"\xff" + TRIANGLE.encode() + b"f 1 2 3\n", "invalid start byte"),
+], ids=["past_the_last", "zero", "before_the_first", "ahead_of_its_vertex",
+        "two_corners", "a_word_index", "two_coordinates", "a_word",
+        "not_finite", "not_utf8"])
+def test_metrics_rejects_a_malformed_reference_obj(caplog, capsys, plan_path,
+                                                    tmp_path, body, where):
+    ref = tmp_path / "ref.obj"
+    if isinstance(body, bytes):
+        ref.write_bytes(body)
+    else:
+        ref.write_text(body)
+    code = main(["metrics", "--plan", str(plan_path("hammer_valid_1")),
+                 "--ref", str(ref), "--samples", "200"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert str(ref) in caplog.text
+    assert where in caplog.text
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    """Only scoring a plan needs scipy's k-d tree."""
+    probe = "import sys, craftkit.cli; sys.exit('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe])
+    assert done.returncode == 0
 
 
 def test_metrics_needs_exactly_one_prediction(tmp_path, plan_path):

@@ -1,3 +1,7 @@
+import threading
+import types
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -130,17 +134,89 @@ def test_one_nearest_neighbour_search_per_direction(monkeypatch, n_a, n_b):
     original = metrics._nearest_distances
 
     def counting(query, target):
-        calls.append((len(query), len(target)))
+        calls.append((len(query), len(target), threading.get_ident()))
         return original(query, target)
 
     monkeypatch.setattr(metrics, "_nearest_distances", counting)
     report = compare_point_sets(a, b, threshold=0.3)
-    assert calls == [(n_a, n_b), (n_b, n_a)]
+    # the two searches run concurrently, so either may start first
+    assert Counter(c[:2] for c in calls) == Counter([(n_a, n_b), (n_b, n_a)])
+    threads = {c[:2]: c[2] for c in calls}
+    assert threads[(n_a, n_b)] == threading.get_ident()
+    assert threads[(n_b, n_a)] != threading.get_ident()
     assert chamfer_distance(a, b) == report.chamfer
     assert hausdorff_distance(a, b) == report.hausdorff
     assert fscore(a, b, 0.3) == (report.fscore, report.precision,
                                  report.recall)
     assert 0.0 < report.precision < 1.0 and 0.0 < report.recall < 1.0
+
+
+class SerialHelper:
+    """Stands in for the helper thread: the submitted search runs on the
+    caller's thread when its result is asked for, after the forward one."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        return types.SimpleNamespace(result=lambda: fn(*args))
+
+
+def test_concurrent_point_set_reports_equal_a_serial_run(monkeypatch):
+    rng = np.random.default_rng(17)
+    pairs = [(rng.normal(size=(n_a, 3)), rng.normal(size=(n_b, 3)))
+             for n_a, n_b in [(150, 170), (3000, 2500), (20000, 20000)]]
+    concurrent = [compare_point_sets(a, b, 0.2).to_dict() for a, b in pairs]
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", SerialHelper)
+    serial = [compare_point_sets(a, b, 0.2).to_dict() for a, b in pairs]
+    assert concurrent == serial
+
+
+def test_concurrent_golden_scores_equal_a_serial_run(monkeypatch,
+                                                     build_fixture, tmp_path):
+    goldens = ["table_valid_3", "hammer_valid_2", "skateboard_valid_3"]
+    refs = {}
+    for name in goldens:
+        category = name.split("_")[0]
+        refs[name] = tmp_path / f"{category}_valid_1.obj"
+        export_assembly_obj(build_fixture(f"{category}_valid_1")[1],
+                            refs[name])
+
+    def scores():
+        return [compare_assembly_to_mesh(build_fixture(name)[1],
+                                         refs[name]).to_dict()
+                for name in goldens]
+
+    concurrent = scores()
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", SerialHelper)
+    assert scores() == concurrent
+    assert all(r["chamfer"] > 0.0 for r in concurrent)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_a_failed_search_reaches_the_caller(monkeypatch, direction):
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(150, 3))
+    b = rng.normal(size=(170, 3))
+    failing = len(a) if direction == "forward" else len(b)
+    error = MemoryError("no room for the tree")
+    original = metrics._nearest_distances
+
+    def search(query, target):
+        if len(query) == failing:
+            raise error
+        return original(query, target)
+
+    monkeypatch.setattr(metrics, "_nearest_distances", search)
+    with pytest.raises(MemoryError) as exc:
+        compare_point_sets(a, b)
+    assert exc.value is error
 
 
 def test_chamfer_never_exceeds_hausdorff():
