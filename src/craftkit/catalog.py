@@ -6,6 +6,7 @@ Dimensions are stored in millimetres; downstream geometry works in metres.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -79,6 +80,11 @@ def _validate_entry(raw, strict: bool):
             raise ParseError(f"catalog entry missing {key!r}: {raw!r}")
     shape = raw["shape"]
     dims = raw["dims"]
+    if not isinstance(dims, list) or not all(
+            isinstance(d, (int, float)) and not isinstance(d, bool)
+            and math.isfinite(d) for d in dims):
+        raise ParseError(f"dims of {raw['id']!r} are not a list of finite "
+                         f"numbers: {dims!r}")
     if shape == CUBOID:
         if len(dims) != 3:
             raise ParseError(f"cuboid {raw['id']!r} needs 3 dims, got {dims!r}")

@@ -79,10 +79,12 @@ class EmptyMesh(CraftError):
 
 
 class MalformedObj(CraftError):
-    """A line of an OBJ file that does not say what a mesh needs."""
+    """An OBJ file that does not say what a mesh needs: a bad line (its
+    number ``line``), or, with ``line`` None, no vertex or no face."""
 
     def __init__(self, path, line, detail):
-        super().__init__(f"{path}, line {line}: {detail}")
+        where = path if line is None else f"{path}, line {line}"
+        super().__init__(f"{where}: {detail}")
 
 
 class DegenerateExtent(CraftError):

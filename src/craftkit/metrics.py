@@ -61,8 +61,8 @@ def load_obj(path):
     """Vertices and fan-triangulated faces of a Wavefront OBJ file.
 
     A malformed ``v`` or ``f`` line raises ``MalformedObj`` naming the file
-    and the line; a file that is not UTF-8 raises ``UnicodeDecodeError``
-    naming the file.
+    and the line, and so does a file with no vertex or no face; a file that
+    is not UTF-8 raises ``UnicodeDecodeError`` naming the file.
     """
     vertices = []
     faces = []
@@ -93,8 +93,9 @@ def load_obj(path):
                     faces.append((idx[0], idx[k], idx[k + 1]))
         except ValueError as exc:
             raise MalformedObj(path, number, str(exc)) from None
-    if not vertices or not faces:
-        raise EmptyMesh(str(path))
+    if not faces:
+        raise MalformedObj(path, None,
+                           "no faces" if vertices else "no vertices")
     return np.asarray(vertices, dtype=float), np.asarray(faces, dtype=int)
 
 

@@ -61,6 +61,7 @@ Impulses carry over unscaled, so every step is ``config.timestep`` long:
 the timestep is all ``World`` reads of its config, and the solver's other
 settings are the module constants below.  Split (position) impulses start
 at zero in every step.  Every world has a ground, the plane z = 0.
+Quantities are SI: metres, kilograms, seconds, newtons.
 """
 
 from __future__ import annotations
@@ -72,20 +73,20 @@ from ..collision import pair_overlap
 from ..errors import NumericalDivergence
 from ..geometry import BOX, Solid, aabb_overlap, solid_inertia_diag
 
-GRAVITY = 9.81  # downward acceleration along -z
+GRAVITY = 9.81  # m/s^2, downward along -z
 FRICTION = 0.5  # Coulomb coefficient of every generated contact
 # 3 velocity sweeps suffice because every row starts from the impulse its
-# feature ended the last step with: the goldens' support margins to the
-# support threshold stay above 1700x, against as little as 3.9x for 3
+# feature ended the last step with: the support goldens' margins to the
+# support threshold stay above 180x, against as little as 1.01x for 3
 # sweeps that start from zero (tests/test_outcome_gate.py)
 VELOCITY_SWEEPS = 3
 POSITION_SWEEPS = 4
 BAUMGARTE = 0.2  # share of the position error corrected per step
-SLOP = 1e-4  # contact depth left uncorrected
-MAX_SPEED = 1e3  # m/s
+SLOP = 1e-5  # m, contact depth left uncorrected
+MAX_SPEED = 100.0  # m/s, past which a body has diverged
 MAX_SPIN = 1e4  # rad/s
 _INF = float("inf")
-CONTACT_GEN_MARGIN = 1e-3  # start tracking ground contacts this close
+CONTACT_GEN_MARGIN = 1e-4  # m, start tracking ground contacts this close
 
 _BOX_SIGNS = tuple((sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
                    for sz in (-1.0, 1.0))
@@ -971,10 +972,10 @@ class World:
                             cb[2] - ca[2]
                         reach = pa.radius + pb.radius
                         if dx * dx + dy * dy + dz * dz > \
-                                reach * reach + 1e-6:
+                                reach * reach + 1e-8:
                             continue
                         hit = pair_overlap(ca, pa.solid, cb, pb.solid,
-                                           tol=1e-9)
+                                           tol=1e-10)
                         if hit is None:
                             continue
                         depth, witness = hit

@@ -1,28 +1,29 @@
 """Functional simulation tests for built assemblies.
 
-An assembly is compiled into rigid bodies by merging FIXED connections,
-turning NON_FIXED insertions into revolute joints, and scaling lengths by
-``SCALE`` so the solver works at comfortable magnitudes.  Three scripted
-tests probe whether the craft actually works: rolling under a push, holding
-a load, and hammering a peg into a block.  Each test is a set of hooks
-around one simulation driver, ``run_functional_test``.
+An assembly is compiled into rigid bodies by merging FIXED connections and
+turning NON_FIXED insertions into revolute joints; the bodies keep the
+plan's own solids and positions, lifted to rest on the ground.  The run is
+in SI units: lengths in metres, time in seconds, forces in newtons, under
+``engine.GRAVITY`` in m/s^2.  Three scripted tests probe whether the craft
+actually works: rolling under a push, holding a load, and hammering a peg
+into a block.  Each test is a set of hooks around one simulation driver,
+``run_functional_test``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..assembler import Assembly, connected_groups
 from ..errors import NumericalDivergence
-from ..geometry import BOX, FACE_AXIS, TRANSVERSE, Solid, aabb_overlap
+from ..geometry import FACE_AXIS, TRANSVERSE, Solid, aabb_overlap
 from ..plan import CraftPlan
 from .engine import (FRICTION, Contact, RevoluteJoint, RigidBody, World,
                      pose_point)
 
-SCALE = 10.0  # world units per plan metre
-PART_MASS = 10.0  # mass of every part, the hit test's peg included
+PART_MASS = 10.0  # kg, every part's, the hit test's peg included
 
 # failure reasons shared by every test
 PART_SEPARATED = "PART_SEPARATED"
@@ -42,25 +43,26 @@ PEG_OUTSIDE_HOLE = "PEG_OUTSIDE_HOLE"
 @dataclass
 class SimConfig:
     """The run (its step, length and snapshot spacing) and the tests' loads
-    and thresholds.  Lengths are world units, ``SCALE`` times the plan's
-    metres; the solver's own settings are constants in ``engine``."""
+    and thresholds: times in seconds, lengths in the plan's metres, forces
+    in newtons, angles in radians.  The solver's own settings are constants
+    in ``engine``."""
     timestep: float = 1.0 / 500.0
     duration: float = 5.0
-    rolling_force: float = 200.0
-    support_force: float = 50.0
-    separation_tolerance: float = 0.05
-    ground_contact_tolerance: float = 1e-3
+    rolling_force: float = 20.0
+    support_force: float = 5.0
+    separation_tolerance: float = 0.005
+    ground_contact_tolerance: float = 1e-4
     min_rotation: float = 2.0 * math.pi
-    min_distance: float = 1.0
-    max_veer: float = 0.3
-    hit_drive_speed: float = 0.5
+    min_distance: float = 0.1
+    max_veer: float = 0.03
+    hit_drive_speed: float = 0.05
     trace_every: int = 25
 
 
 @dataclass
 class SimOutcome:
     """A test's verdict.  Its ``_m`` details (``distance_m``, ``veer_m``, ...)
-    are world units, ``SCALE`` times the plan's metres."""
+    are in the plan's metres, and ``time`` is in seconds."""
     test: str
     success: bool
     failure_reason: str | None
@@ -120,19 +122,6 @@ class CompiledCraft:
     ground_parts: set
 
 
-def _transform_solid(solid: Solid, s: float):
-    if solid.kind == BOX:
-        out = Solid.box(tuple(e * s for e in solid.extents))
-    else:
-        out = Solid.cylinder(solid.radius * s, solid.length * s, solid.axis)
-    out.holes = [replace(
-        h, offset=tuple(o * s for o in h.offset), depth=h.depth * s,
-        radius=None if h.radius is None else h.radius * s,
-        half_widths=None if h.half_widths is None
-        else tuple(w * s for w in h.half_widths)) for h in solid.holes]
-    return out
-
-
 def _surface_anchor(pa, pb, conn):
     """Center of the shared contact patch of a SURFACE connection, in plan
     metres, and its normal, as float tuples."""
@@ -149,21 +138,15 @@ def _surface_anchor(pa, pb, conn):
     return tuple(anchor), tuple(normal)
 
 
-def _to_world(point, shift):
-    """A plan point in world units: scaled by ``SCALE``, then moved by
-    ``shift``, which lifts the craft onto the ground."""
-    return tuple(c * SCALE + s for c, s in zip(point, shift))
-
-
 def _local(point, body: RigidBody):
-    """A world point relative to the body's centre, in its (compile-time,
-    world-aligned) frame."""
+    """A plan point relative to the body's centre, in its (compile-time,
+    plan-aligned) frame."""
     return tuple(p - x for p, x in zip(point, body.x))
 
 
 def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
-    shift = (0.0, 0.0, -(assembly.min_z() * SCALE))
-
+    """The assembly's rigid bodies, joints and watches, built at the plan's
+    own positions and then lifted to rest on the ground."""
     world = World(config)
     clusters = connected_groups(
         list(assembly.placed),
@@ -171,11 +154,8 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
     part_body: dict[str, RigidBody] = {}
     part_shape = {}
     for idx, members in enumerate(clusters):
-        named = []
-        for name in members:
-            p = assembly.placed[name]
-            named.append((name, _transform_solid(p.solid, SCALE),
-                          _to_world(p.position, shift)))
+        named = [(name, assembly.placed[name].solid,
+                  assembly.placed[name].position) for name in members]
         body = RigidBody.from_parts(f"body{idx}", named, PART_MASS)
         world.bodies.append(body)
         for part in body.parts:
@@ -195,10 +175,9 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
         pb = assembly.placed[b]
         if conn.contact_type == "SURFACE":
             anchor, normal = _surface_anchor(pa, pb, conn)
-            anchor = _to_world(anchor, shift)
         else:
             hole = pb.solid.hole(conn.to_modification)
-            anchor = _to_world(pb.hole_center(hole), shift)
+            anchor = pb.hole_center(hole)
             normal = None
             axis = [0.0, 0.0, 0.0]
             axis[hole.axis] = 1.0
@@ -217,6 +196,11 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
             local_b=_local(anchor, body_b),
             normal_local_a=normal))
 
+    # the anchors above are relative to their bodies, so the lift keeps them
+    lift = -assembly.min_z()
+    for body in world.bodies:
+        x, y, z = body.x
+        body.x = (x, y, z + lift)
     return CompiledCraft(
         world=world, part_body=part_body, part_shape=part_shape,
         joints_by_part=joints_by_part, watches=watches,
@@ -338,7 +322,7 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     return before_step, after_step, finish
 
 
-SUPPORT_LIMIT = 0.01  # displacement that fails support, in world units
+SUPPORT_LIMIT = 0.001  # displacement that fails support, in metres
 
 
 def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
@@ -382,14 +366,14 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     return before_step, after_step, finish
 
 
-# hit-test fixture, in world units
-HIT_BLOCK_TOP = 1.0
-HIT_HOLE_RADIUS = 0.12
-HIT_HOLE_DEPTH = 0.4
-HIT_PEG_RADIUS = 0.1
-HIT_PEG_LENGTH = 0.5
-HIT_PEG_GAP = 0.05  # peg lower end above the block top
-HIT_DROP_GAP = 0.1  # craft lowest point above the peg top
+# hit-test fixture, in metres
+HIT_BLOCK_TOP = 0.1
+HIT_HOLE_RADIUS = 0.012
+HIT_HOLE_DEPTH = 0.04
+HIT_PEG_RADIUS = 0.01
+HIT_PEG_LENGTH = 0.05
+HIT_PEG_GAP = 0.005  # peg lower end above the block top
+HIT_DROP_GAP = 0.01  # craft lowest point above the peg top
 HIT_PEG_TOP = HIT_BLOCK_TOP + HIT_PEG_GAP + HIT_PEG_LENGTH  # at rest
 HIT_DESCENT = 0.5 * HIT_HOLE_DEPTH  # peg descent that counts as a hit
 
@@ -422,13 +406,13 @@ def _peg_block_hook(peg: RigidBody):
                                   for p, c in zip(low, n))
                     contacts.append(Contact(None, peg, point, n, pen,
                                             FRICTION))
-            if low[2] < floor_z + 1e-3:
+            if low[2] < floor_z + 1e-4:
                 contacts.append(Contact(
                     None, peg, low, (0.0, 0.0, 1.0),
                     max(0.0, floor_z - low[2]), FRICTION))
         else:
             # over solid block: its top face acts as a plane
-            if low[2] < HIT_BLOCK_TOP + 1e-3:
+            if low[2] < HIT_BLOCK_TOP + 1e-4:
                 contacts.append(Contact(
                     None, peg, low, (0.0, 0.0, 1.0),
                     max(0.0, HIT_BLOCK_TOP - low[2]), FRICTION))

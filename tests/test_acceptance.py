@@ -29,6 +29,7 @@ from craftkit.orchestrator import (
 )
 from craftkit.physics import RigidBody, SimConfig, World, run_functional_test
 from craftkit.physics.engine import GRAVITY
+from craftkit.physics.functional import HIT_DESCENT, SUPPORT_LIMIT
 from craftkit.plan import OrientationSpec, PartSpec, normalize_raw, parse_plan
 
 from conftest import all_fixture_names
@@ -310,7 +311,7 @@ def test_criterion_5_physics(criterion, build_fixture):
         plan, asm = build_fixture("skateboard_valid_1")
         outcome = run_functional_test("rolling", asm, plan)
         assert outcome.success, outcome.to_dict()
-        assert outcome.details["distance_m"] >= 1.0
+        assert outcome.details["distance_m"] >= SimConfig().min_distance
         for name, rot in outcome.details["rotation_rad"].items():
             assert rot >= 2.0 * np.pi, (name, rot)
 
@@ -318,13 +319,13 @@ def test_criterion_5_physics(criterion, build_fixture):
         plan, asm = build_fixture("table_valid_1")
         outcome = run_functional_test("support", asm, plan)
         assert outcome.success, outcome.to_dict()
-        assert outcome.details["max_displacement_m"] < 0.01
+        assert outcome.details["max_displacement_m"] < SUPPORT_LIMIT
 
         # (f) golden hammer drives the peg at least half the hole depth
         plan, asm = build_fixture("hammer_valid_1")
         outcome = run_functional_test("hit", asm, plan)
         assert outcome.success, outcome.to_dict()
-        assert outcome.details["peg_descent_m"] >= 0.2
+        assert outcome.details["peg_descent_m"] >= HIT_DESCENT
 
         # (g) known-bad variants fail for the right reasons
         expectations = (

@@ -73,6 +73,11 @@ def test_parse_catalog_strict_range():
     json.dumps({"objects": [{"id": "X_1", "shape": "CUBOID", "dims": [1, 2]}]}),
     json.dumps({"objects": [{"id": "X_1", "shape": "CYLINDER",
                              "dims": [10, -5]}]}),
+    json.dumps({"objects": [{"id": "X_1", "shape": "CUBOID",
+                             "dims": "abc"}]}),
+    json.dumps({"objects": [{"id": "X_1", "shape": "CUBOID", "dims": 5}]}),
+    json.dumps({"objects": [{"id": "X_1", "shape": "CUBOID",
+                             "dims": [float("nan"), 20, 30]}]}),
 ])
 def test_parse_catalog_bad_payloads(payload):
     with pytest.raises(ParseError):

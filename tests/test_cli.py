@@ -453,3 +453,24 @@ def test_validate_rejects_a_catalog_that_is_not_utf8(caplog, plan_path,
                  "--catalog", str(catalog)])
     assert code == EXIT_USAGE
     assert str(catalog) in caplog.text
+
+
+def test_validate_rejects_catalog_dims_that_are_not_numbers(caplog, plan_path,
+                                                            tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"objects": [
+        {"id": "CUBOID_BAD", "shape": "CUBOID", "dims": "abc"}]}))
+    code = main(["validate", str(plan_path("hammer_valid_1")),
+                 "--catalog", str(catalog)])
+    assert code == EXIT_INVALID
+    assert "ParseError" in caplog.text and "CUBOID_BAD" in caplog.text
+
+
+def test_metrics_on_a_face_less_obj_is_a_usage_error(caplog, capsys,
+                                                     tmp_path):
+    obj = tmp_path / "noface.obj"
+    obj.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+    code = main(["metrics", "--pred", str(obj), "--ref", str(obj)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert f"{obj}: no faces" in caplog.text

@@ -15,6 +15,8 @@ from craftkit.physics import (
 )
 from craftkit.physics.engine import quat_to_matrix
 from craftkit.physics.functional import (
+    HIT_DESCENT,
+    HIT_HOLE_RADIUS,
     INSUFFICIENT_ROTATION,
     NEW_GROUND_CONTACT,
     PART_SEPARATED,
@@ -48,10 +50,37 @@ def test_compile_craft_skateboard_structure(build_fixture):
         joint = craft.joints_by_part[w]
         axis = np.array(joint.body_a.rot) @ joint.axis_local_a
         assert np.allclose(np.abs(axis), [0.0, 1.0, 0.0])
-    # craft is scaled x10 and shifted so the wheels touch z=0
+    # craft is shifted so the wheels touch z=0
     assert min(b.part_min_z(p) for b in craft.world.bodies
                for p in b.parts) == pytest.approx(0.0, abs=1e-9)
     assert craft.ground_parts == {"WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"}
+
+
+def test_a_compiled_craft_falls_at_earth_gravity_in_plan_metres(
+        build_fixture):
+    """The craft keeps the plan's solids and positions, only lifted onto
+    the ground, so a lifted craft falls 9.81 m/s^2 of the plan's metres:
+    symplectic Euler's g dt^2 n (n + 1) / 2 after n steps."""
+    _, asm = build_fixture("hammer_valid_1")
+    config = SimConfig()
+    craft = compile_craft(asm, config)
+    lift = -asm.min_z()
+    for name, placed in asm.placed.items():
+        shape = craft.part_shape[name]
+        assert shape.solid.extents == placed.solid.extents
+        x, y, z = placed.position
+        assert craft.part_body[name].world_point(shape.local_center) == \
+            pytest.approx((x, y, z + lift), abs=1e-12)
+    (body,) = craft.world.bodies
+    x, y, z = body.x
+    z0 = z + 1.0
+    body.x = (x, y, z0)
+    n, dt = 100, config.timestep
+    for _ in range(n):
+        assert craft.world.step() == []
+    assert z0 - body.x[2] == pytest.approx(
+        9.81 * dt * dt * n * (n + 1) / 2.0, rel=1e-9)
+    assert body.vel[2] == pytest.approx(-9.81 * n * dt, rel=1e-9)
 
 
 def test_compile_craft_hammer_single_body(build_fixture):
@@ -70,8 +99,8 @@ def test_hammer_hit_succeeds(build_fixture):
     assert outcome.test == "hit"
     assert outcome.success
     assert outcome.failure_reason is None
-    assert outcome.details["peg_descent_m"] >= 0.2
-    assert outcome.details["peg_lateral_m"] <= 0.12
+    assert outcome.details["peg_descent_m"] >= HIT_DESCENT
+    assert outcome.details["peg_lateral_m"] <= HIT_HOLE_RADIUS
     d = outcome.to_dict()
     assert d["success"] is True
 
@@ -114,7 +143,8 @@ def test_a_config_with_no_step_or_no_snapshot_spacing_is_rejected(
 
 
 def test_hit_stops_at_duration_without_drive(build_fixture):
-    # the drive descends 0.5 m/s; with a tiny budget the peg is never reached
+    # the drive descends 0.05 m/s; with a tiny budget the peg is never
+    # reached
     plan, asm = build_fixture("hammer_valid_1")
     outcome = run_functional_test("hit", asm, plan, SimConfig(duration=0.05))
     assert not outcome.success
@@ -131,61 +161,60 @@ def test_trajectory_tracing(build_fixture):
 
 
 # Outcomes of short runs: a change in the order of hooks, snapshots and
-# shared checks moves them.  The hit runs were recorded before the three
-# tests were folded into one driver; the rolling and support runs were
-# re-recorded when the solver began warm-starting its impulses with 3
-# velocity iterations per step.
+# shared checks moves them.  Re-recorded when the simulation moved from
+# world units (10 per plan metre, at a tenth of Earth's gravity) to the
+# plan's metres at 9.81 m/s^2.
 SHORT_RUNS = {
     ("rolling", "skateboard_valid_2"): (
         False, INSUFFICIENT_ROTATION, 0.5000000000000003,
-        {"distance_m": 0.2281818137093184,
+        {"distance_m": 0.022818130813796324,
          "parts": ["WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"],
          "push_part": "SUPPORT_1",
-         "rotation_rad": {"WHEEL_1": 0.7606059932803926,
-                          "WHEEL_2": 0.7606051451203167,
-                          "WHEEL_3": 0.7606059932364306,
-                          "WHEEL_4": 0.7606049502192431},
+         "rotation_rad": {"WHEEL_1": 0.7606042861194882,
+                          "WHEEL_2": 0.7606042910285487,
+                          "WHEEL_3": 0.7606042859376908,
+                          "WHEEL_4": 0.7606042894267567},
          "veer_m": None},
-        11, {"AXLE_1": [1.378182, 0.0, 0.300001],
-             "AXLE_2": [-0.921818, 0.0, 0.300001],
-             "DECK_1": [0.228182, 1e-06, 0.750001],
-             "SUPPORT_1": [1.378182, 0.0, 0.300001],
-             "SUPPORT_2": [-0.921818, 0.0, 0.300001],
-             "WHEEL_1": [1.378182, 0.35, 0.3],
-             "WHEEL_2": [1.378182, -0.35, 0.300001],
-             "WHEEL_3": [-0.921818, 0.35, 0.3],
-             "WHEEL_4": [-0.921818, -0.35, 0.300001]}),
+        11, {"AXLE_1": [0.137818, 0.0, 0.030001],
+             "AXLE_2": [-0.092182, 0.0, 0.030001],
+             "DECK_1": [0.022818, 1e-06, 0.075001],
+             "SUPPORT_1": [0.137818, 0.0, 0.030001],
+             "SUPPORT_2": [-0.092182, 0.0, 0.030001],
+             "WHEEL_1": [0.137818, 0.035, 0.03],
+             "WHEEL_2": [0.137818, -0.035, 0.030001],
+             "WHEEL_3": [-0.092182, 0.035, 0.03],
+             "WHEEL_4": [-0.092182, -0.035, 0.030001]}),
     ("support", "table_valid_3"): (
         True, None, 0.5000000000000003,
         {"loaded_parts": ["TABLETOP_1"],
-         "max_displacement_m": 1.8868065503543833e-06},
-        11, {"LEG_1": [1.15, 0.649999, 1.000001],
-             "LEG_2": [1.15, -0.650001, 1.0],
-             "LEG_3": [-1.15, 0.649999, 1.000001],
-             "LEG_4": [-1.15, -0.650001, 1.0],
-             "TABLETOP_1": [0.0, -2e-06, 2.100001]}),
+         "max_displacement_m": 1.7297383448531544e-06},
+        11, {"LEG_1": [0.115, 0.064999, 0.100001],
+             "LEG_2": [0.115, -0.065001, 0.1],
+             "LEG_3": [-0.115, 0.064999, 0.100001],
+             "LEG_4": [-0.115, -0.065001, 0.1],
+             "TABLETOP_1": [0.0, -2e-06, 0.210001]}),
     ("hit", "hammer_valid_1"): (
-        True, None, 0.36000000000000026,
-        {"peg_descent_m": 0.20043258207999326, "peg_lateral_m": 0.0,
+        True, None, 0.2620000000000002,
+        {"peg_descent_m": 0.020105471999999458, "peg_lateral_m": 0.0,
          "touched": True},
-        8, {"HANDLE_1": [-0.7, 0.0, 1.975], "HEAD_1": [0.0, 0.0, 1.675]}),
+        6, {"HANDLE_1": [-0.07, 0.0, 0.2025], "HEAD_1": [0.0, 0.0, 0.1725]}),
     ("hit", "hammer_detached"): (
-        False, PART_SEPARATED, 0.10800000000000008,
-        {"drift_m": 0.05035244019942997, "part": "HEAD_1",
+        False, PART_SEPARATED, 0.03600000000000002,
+        {"drift_m": 0.005294153600000212, "part": "HEAD_1",
          "to_part": "HANDLE_1"},
-        3, {"HANDLE_1": [-0.7, 0.0, 2.1], "HEAD_1": [0.0, 0.0, 1.754307]}),
+        1, {"HANDLE_1": [-0.07, 0.0, 0.215], "HEAD_1": [0.0, 0.0, 0.185]}),
     ("rolling", "skateboard_floating"): (
-        False, NEW_GROUND_CONTACT, 0.17200000000000013,
-        {"min_z_m": -0.0024010646611596353, "part": "WHEEL_3"},
-        4, {"AXLE_1": [0.927617, 0.0, 0.300001],
-            "AXLE_2": [-0.728841, 4.9e-05, 0.333837],
-            "DECK_1": [0.005274, 2.7e-05, 0.585978],
-            "SUPPORT_1": [0.927617, 0.0, 0.300001],
-            "SUPPORT_2": [-0.728841, 4.9e-05, 0.333837],
-            "WHEEL_1": [0.927634, 0.35, 0.3],
-            "WHEEL_2": [0.927613, -0.35, 0.300001],
-            "WHEEL_3": [-0.728837, 0.350049, 0.333837],
-            "WHEEL_4": [-0.728858, -0.349951, 0.333837]}),
+        False, NEW_GROUND_CONTACT, 0.054000000000000034,
+        {"min_z_m": -9.315329861483632e-05, "part": "WHEEL_3"},
+        2, {"AXLE_1": [0.090773, 3e-06, 0.030001],
+            "AXLE_2": [-0.074895, 1.5e-05, 0.032025],
+            "DECK_1": [-0.001693, 1.1e-05, 0.057841],
+            "SUPPORT_1": [0.090773, 3e-06, 0.030001],
+            "SUPPORT_2": [-0.074895, 1.5e-05, 0.032025],
+            "WHEEL_1": [0.090781, 0.035003, 0.030001],
+            "WHEEL_2": [0.090776, -0.034997, 0.030001],
+            "WHEEL_3": [-0.074898, 0.035015, 0.032024],
+            "WHEEL_4": [-0.074903, -0.034985, 0.032026]}),
 }
 
 

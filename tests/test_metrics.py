@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from craftkit import metrics
-from craftkit.errors import DegenerateExtent, EmptyMesh
+from craftkit.errors import DegenerateExtent, MalformedObj
 from craftkit.meshing import export_assembly_obj
 from craftkit.metrics import (
     chamfer_distance,
@@ -47,7 +47,10 @@ def test_load_obj_quads_and_negative_indices(tmp_path):
 def test_load_obj_empty_raises(tmp_path):
     path = tmp_path / "empty.obj"
     path.write_text("# nothing here\n")
-    with pytest.raises(EmptyMesh):
+    with pytest.raises(MalformedObj, match="no vertices"):
+        load_obj(path)
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+    with pytest.raises(MalformedObj, match="no faces"):
         load_obj(path)
 
 

@@ -46,7 +46,7 @@ CASES = [n for n in all_fixture_names() if "_valid_" in n] + [
     "skateboard_offcenter", "skateboard_floating", "hammer_detached"]
 MARGIN_CAP = 100.0
 MARGIN_DROP = 2.0
-DIGEST = "09f81ec330f462e45698c27cf844e14423eaeae85f1ae88c8d3c2128a36b953a"
+DIGEST = "2b5f345a45452d1932ba666d08f3e562df74b8375cdd17e01c787ef4d3a079d9"
 
 
 def signature(outcome, config):
