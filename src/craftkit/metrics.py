@@ -4,20 +4,33 @@ Both shapes are normalized (AABB centered at the origin, diagonal scaled to
 one), surface-sampled, and compared point set to point set with chamfer
 distance, Hausdorff distance, and an F-score at a fixed distance threshold.
 
+A mesh file is read, normalized and sampled once per file identity (device,
+inode, size and modification time), sample count and seed: the points are
+kept, read-only, for the last ``SAMPLED_FILES`` such keys, so scoring many
+plans against one reference samples it once, and a file rewritten or
+replaced is read again.  A report from kept points equals a cold run's bit
+for bit.
+
 Every metric comes from two nearest-neighbour searches, one from each point
 set into the other, and the two run at the same time: the backward search
 on a helper thread, the forward one on the caller's.  scipy's k-d tree
 builds and queries without holding the GIL, so on two cores a comparison
 takes little more than one search, and its report equals a serial run's
-bit for bit.
+bit for bit.  The tree splits at the sliding midpoint
+(``balanced_tree=False``; Maneewongvatana and Mount, 1999) rather than the
+median, with 32 points per leaf and uncompacted nodes: on the fixtures'
+samples it builds in about half the time and queries no slower, and a
+nearest distance is exact whatever the tree.
 scipy is imported by the first comparison, so commands that never score a
 plan do not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,11 +38,13 @@ import numpy as np
 
 from .catalog import read_text
 from .errors import DegenerateExtent, EmptyMesh, MalformedObj
+from .geometry import aabb_overlap
 from .meshing import mesh_part
 
 FSCORE_THRESHOLD = 0.1
 DEFAULT_SAMPLES = 20000
 MAX_SAMPLE_ROUNDS = 50
+SAMPLED_FILES = 8  # one reference per category of the paper
 
 
 @dataclass
@@ -121,14 +136,8 @@ def normalize_mesh(vertices, faces):
     return normalize_points(vertices), faces
 
 
-def sample_mesh(vertices, faces, n_samples=DEFAULT_SAMPLES, seed=0):
-    """Area-weighted uniform surface samples; degenerate triangles dropped."""
-    vertices = np.asarray(vertices, dtype=float)
-    faces = np.asarray(faces, dtype=int)
-    areas = _triangle_areas(vertices, faces)
-    keep = areas > 1e-12
-    faces = faces[keep]
-    areas = areas[keep]
+def _sample_triangles(vertices, faces, areas, n_samples, seed):
+    """Area-weighted uniform samples of triangles whose areas are given."""
     if len(faces) == 0:
         raise EmptyMesh("all triangles degenerate")
     rng = np.random.default_rng(seed)
@@ -144,20 +153,44 @@ def sample_mesh(vertices, faces, n_samples=DEFAULT_SAMPLES, seed=0):
     return a + u[:, None] * (b - a) + v[:, None] * (c - a)
 
 
+def _kept_triangles(vertices, faces):
+    """(faces, areas) of the triangles with area, and the total area."""
+    areas = _triangle_areas(vertices, faces)
+    keep = areas > 1e-12
+    return faces[keep], areas[keep], areas.sum()
+
+
+def sample_mesh(vertices, faces, n_samples=DEFAULT_SAMPLES, seed=0):
+    """Area-weighted uniform surface samples; degenerate triangles dropped."""
+    vertices = np.asarray(vertices, dtype=float)
+    faces, areas, _ = _kept_triangles(vertices,
+                                      np.asarray(faces, dtype=int))
+    return _sample_triangles(vertices, faces, areas, n_samples, seed)
+
+
+def _boxes_meet(a, b):
+    return all(lo <= hi for lo, hi in aabb_overlap(
+        a.position, a.solid.extents, b.position, b.solid.extents))
+
+
 def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0):
     """Surface samples of an assembly with interior points rejected.
 
     A sample on one part that falls strictly inside another part's material
-    is not visible from the outside and is discarded.  At most
-    MAX_SAMPLE_ROUNDS rounds redraw the shortfall; the final set is trimmed
-    to exactly n_samples.
+    is not visible from the outside and is discarded.  Only the parts whose
+    box meets the sample's own part's box can hold it, so only they are
+    tested.  At most MAX_SAMPLE_ROUNDS rounds redraw the shortfall; the
+    final set is trimmed to exactly n_samples.
     """
     parts = list(assembly.placed.values())
-    meshes = [mesh_part(p.solid, p.position) for p in parts]
-    areas = []
-    for v, f in meshes:
-        areas.append(_triangle_areas(v, f).sum())
-    areas = np.asarray(areas)
+    meshes = []
+    for p in parts:
+        v, f = mesh_part(p.solid, p.position)
+        meshes.append((v, *_kept_triangles(v, f)))
+    areas = np.asarray([total for *_, total in meshes])
+    neighbours = [[other for other in parts
+                   if other is not owner and _boxes_meet(owner, other)]
+                  for owner in parts]
     rng = np.random.default_rng(seed)
     kept = []
     total = 0
@@ -166,15 +199,13 @@ def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0):
     while total < n_samples and rounds < MAX_SAMPLE_ROUNDS:
         rounds += 1
         counts = rng.multinomial(need, areas / areas.sum())
-        for (v, f), count, owner in zip(meshes, counts, range(len(parts))):
+        for (v, f, a, _), count, others in zip(meshes, counts, neighbours):
             if count == 0:
                 continue
-            pts = sample_mesh(v, f, n_samples=int(count),
-                              seed=int(rng.integers(0, 2 ** 31)))
+            pts = _sample_triangles(v, f, a, int(count),
+                                    int(rng.integers(0, 2 ** 31)))
             visible = np.ones(len(pts), dtype=bool)
-            for j, other in enumerate(parts):
-                if j == owner:
-                    continue
+            for other in others:
                 inside = other.solid.material_contains(
                     other.position, pts, margin=1e-9)
                 visible &= ~inside
@@ -191,7 +222,9 @@ def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0):
 def _nearest_distances(query, target):
     from scipy.spatial import cKDTree
 
-    d, _ = cKDTree(target).query(query, k=1)
+    tree = cKDTree(target, leafsize=32, balanced_tree=False,
+                   compact_nodes=False)
+    d, _ = tree.query(query, k=1)
     return d
 
 
@@ -234,22 +267,43 @@ def fscore(points_a, points_b, threshold=FSCORE_THRESHOLD):
     return r.fscore, r.precision, r.recall
 
 
+def _sampled_obj(path, n_samples, seed):
+    """Normalized surface samples of an OBJ file, read-only, kept per
+    file identity, sample count and seed.
+
+    An OBJ with no extent or with no triangle of any area raises
+    ``MalformedObj`` naming the file, on every call.  A file rewritten to
+    the same size within one tick of the file system's clock keeps its
+    identity and is not read again.
+    """
+    st = os.stat(path)
+    return _sampled_obj_file(path, (st.st_dev, st.st_ino, st.st_size,
+                                    st.st_mtime_ns), n_samples, seed)
+
+
+@functools.lru_cache(maxsize=SAMPLED_FILES)
+def _sampled_obj_file(path, identity, n_samples, seed):
+    v, f = load_obj(path)
+    try:
+        points = sample_mesh(*normalize_mesh(v, f), n_samples=n_samples,
+                             seed=seed)
+    except (DegenerateExtent, EmptyMesh) as exc:
+        raise MalformedObj(path, None, str(exc)) from None
+    points.flags.writeable = False
+    return points
+
+
 def compare_assembly_to_mesh(assembly, obj_path,
                              n_samples=DEFAULT_SAMPLES, seed=0,
                              threshold=FSCORE_THRESHOLD) -> MetricReport:
     """Normalized similarity between an assembly and a reference OBJ."""
     pred = sample_assembly_exterior(assembly, n_samples=n_samples, seed=seed)
-    v, f = load_obj(obj_path)
-    ref = sample_mesh(*normalize_mesh(v, f), n_samples=n_samples,
-                      seed=seed + 1)
+    ref = _sampled_obj(obj_path, n_samples, seed + 1)
     return compare_point_sets(normalize_points(pred), ref, threshold)
 
 
 def compare_meshes(obj_a, obj_b, n_samples=DEFAULT_SAMPLES, seed=0,
                    threshold=FSCORE_THRESHOLD) -> MetricReport:
-    va, fa = load_obj(obj_a)
-    vb, fb = load_obj(obj_b)
-    pa = sample_mesh(*normalize_mesh(va, fa), n_samples=n_samples, seed=seed)
-    pb = sample_mesh(*normalize_mesh(vb, fb), n_samples=n_samples,
-                     seed=seed + 1)
+    pa = _sampled_obj(obj_a, n_samples, seed)
+    pb = _sampled_obj(obj_b, n_samples, seed + 1)
     return compare_point_sets(pa, pb, threshold)

@@ -114,6 +114,8 @@ def test_metrics_self_comparison(capsys, plan_path, tmp_path):
 
 
 TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+FLAT = "v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n"
+POINT = "v 1 1 1\nv 1 1 1\nv 1 1 1\nf 1 2 3\n"
 
 
 @pytest.mark.parametrize("body,where", [
@@ -127,9 +129,11 @@ TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
     ("v 0 0 0\nv 1 zero 0\n", "line 2: could not convert string to float"),
     ("v 0 0 0\nv 1 nan 0\n", "line 2: a vertex needs 3 finite coordinates"),
     (b"\xff" + TRIANGLE.encode() + b"f 1 2 3\n", "invalid start byte"),
+    (FLAT, "ref.obj: all triangles degenerate"),
+    (POINT, "ref.obj: point set has zero extent"),
 ], ids=["past_the_last", "zero", "before_the_first", "ahead_of_its_vertex",
         "two_corners", "a_word_index", "two_coordinates", "a_word",
-        "not_finite", "not_utf8"])
+        "not_finite", "not_utf8", "collinear", "coincident"])
 def test_metrics_rejects_a_malformed_reference_obj(caplog, capsys, plan_path,
                                                     tmp_path, body, where):
     ref = tmp_path / "ref.obj"
@@ -474,3 +478,21 @@ def test_metrics_on_a_face_less_obj_is_a_usage_error(caplog, capsys,
     assert code == EXIT_USAGE
     assert capsys.readouterr().out == ""
     assert f"{obj}: no faces" in caplog.text
+
+
+@pytest.mark.parametrize("body,detail", [
+    (FLAT, "all triangles degenerate"), (POINT, "point set has zero extent"),
+], ids=["collinear", "coincident"])
+def test_metrics_on_a_degenerate_prediction_obj_is_a_usage_error(
+        caplog, capsys, plan_path, tmp_path, body, detail):
+    pred = tmp_path / "pred.obj"
+    pred.write_text(body)
+    ref = tmp_path / "ref.obj"
+    assert main(["build", str(plan_path("hammer_valid_1")),
+                 "--obj", str(ref)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["metrics", "--pred", str(pred), "--ref", str(ref),
+                 "--samples", "200"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert f"{pred}: {detail}" in caplog.text

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import types
 from collections import Counter
@@ -7,10 +8,11 @@ import pytest
 
 from craftkit import metrics
 from craftkit.errors import DegenerateExtent, MalformedObj
-from craftkit.meshing import export_assembly_obj
+from craftkit.meshing import export_assembly_obj, mesh_part
 from craftkit.metrics import (
     chamfer_distance,
     compare_assembly_to_mesh,
+    compare_meshes,
     compare_point_sets,
     fscore,
     hausdorff_distance,
@@ -19,6 +21,8 @@ from craftkit.metrics import (
     sample_assembly_exterior,
     sample_mesh,
 )
+
+from test_assembler import _buildable_fixture_assemblies
 
 
 def brute_chamfer(a, b):
@@ -263,3 +267,145 @@ def test_assembly_self_comparison_scores_high(build_fixture, tmp_path):
     payload = report.to_dict()
     assert set(payload) == {"chamfer", "hausdorff", "fscore", "precision",
                             "recall", "samples", "threshold"}
+
+
+def reference_exterior(assembly, n_samples, seed):
+    """``sample_assembly_exterior`` as it was first written: part areas
+    summed every round, and each sample tested against every other part.
+    Also returns the number of rounds it drew."""
+    parts = list(assembly.placed.values())
+    meshes = [mesh_part(p.solid, p.position) for p in parts]
+    areas = np.asarray([metrics._triangle_areas(v, f).sum()
+                        for v, f in meshes])
+    rng = np.random.default_rng(seed)
+    kept = []
+    total = 0
+    rounds = 0
+    need = n_samples
+    while total < n_samples and rounds < metrics.MAX_SAMPLE_ROUNDS:
+        rounds += 1
+        counts = rng.multinomial(need, areas / areas.sum())
+        for owner, ((v, f), count) in enumerate(zip(meshes, counts)):
+            if count == 0:
+                continue
+            pts = sample_mesh(v, f, n_samples=int(count),
+                              seed=int(rng.integers(0, 2 ** 31)))
+            visible = np.ones(len(pts), dtype=bool)
+            for j, other in enumerate(parts):
+                if j != owner:
+                    visible &= ~other.solid.material_contains(
+                        other.position, pts, margin=1e-9)
+            if visible.any():
+                kept.append(pts[visible])
+                total += int(visible.sum())
+        need = max(n_samples - total, 1)
+    out = np.vstack(kept)
+    return (out[:n_samples] if len(out) >= n_samples else out), rounds
+
+
+def squeezed(assembly):
+    """The assembly with every part moved halfway to the parts' mean
+    centre, so that neighbours overlap and hide some of each other."""
+    parts = list(assembly.placed.values())
+    mid = np.mean([p.position for p in parts], axis=0)
+    return types.SimpleNamespace(placed={
+        p.spec.name: dataclasses.replace(p, position=tuple(
+            float(c) for c in (np.asarray(p.position) + mid) / 2.0))
+        for p in parts})
+
+
+def test_exterior_samples_equal_the_reference_loop(catalog):
+    # a valid assembly hides none of its surface, so the squeezed copies
+    # are the ones that reject samples and draw again
+    built = 0
+    for assembly in _buildable_fixture_assemblies(catalog):
+        got = sample_assembly_exterior(assembly, 2000, 0)
+        want, _ = reference_exterior(assembly, 2000, 0)
+        assert got.tobytes() == want.tobytes()
+        got = sample_assembly_exterior(squeezed(assembly), 2000, 7)
+        want, rounds = reference_exterior(squeezed(assembly), 2000, 7)
+        assert got.tobytes() == want.tobytes()
+        assert rounds > 1
+        built += 1
+    assert built == 22
+
+
+@pytest.fixture
+def hammer_ref(build_fixture, tmp_path):
+    """A hammer plan and its own mesh, with no sampled file kept."""
+    metrics._sampled_obj_file.cache_clear()
+    asm = build_fixture("hammer_valid_1")[1]
+    ref = tmp_path / "ref.obj"
+    export_assembly_obj(asm, ref)
+    yield asm, ref
+    metrics._sampled_obj_file.cache_clear()
+
+
+def count_loads(monkeypatch):
+    loads = []
+    original = metrics.load_obj
+
+    def counting(path):
+        loads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(metrics, "load_obj", counting)
+    return loads
+
+
+def test_a_kept_reference_scores_as_a_cold_one(monkeypatch, hammer_ref):
+    asm, ref = hammer_ref
+    loads = count_loads(monkeypatch)
+    cold = compare_assembly_to_mesh(asm, ref, n_samples=3000).to_dict()
+    kept = compare_assembly_to_mesh(asm, ref, n_samples=3000).to_dict()
+    assert len(loads) == 1
+    assert kept == cold
+    # another sample count or seed is another sampling
+    compare_assembly_to_mesh(asm, ref, n_samples=3000, seed=1)
+    compare_assembly_to_mesh(asm, ref, n_samples=2000)
+    assert len(loads) == 3
+    # both files of a mesh comparison, one seed apart
+    first = compare_meshes(ref, ref, n_samples=3000, seed=0).to_dict()
+    assert compare_meshes(ref, ref, n_samples=3000, seed=0).to_dict() == first
+    assert len(loads) == 4
+
+
+def test_a_rewritten_reference_is_read_again(build_fixture, hammer_ref,
+                                             tmp_path):
+    asm, ref = hammer_ref
+    before = compare_assembly_to_mesh(asm, ref, n_samples=2000).to_dict()
+    table = build_fixture("table_valid_1")[1]
+    export_assembly_obj(table, ref)  # in place, at the same path
+    after = compare_assembly_to_mesh(asm, ref, n_samples=2000).to_dict()
+    metrics._sampled_obj_file.cache_clear()
+    fresh = tmp_path / "table.obj"
+    export_assembly_obj(table, fresh)
+    assert after == compare_assembly_to_mesh(
+        asm, fresh, n_samples=2000).to_dict()
+    assert after != before
+
+
+def test_kept_samples_are_read_only(hammer_ref):
+    _, ref = hammer_ref
+    points = metrics._sampled_obj(ref, 500, 1)
+    assert points.flags.writeable is False
+    with pytest.raises(ValueError):
+        points[0, 0] = 1.0
+    assert metrics._sampled_obj(ref, 500, 1) is points
+
+
+@pytest.mark.parametrize("body,detail", [
+    ("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n", "all triangles degenerate"),
+    ("v 1 1 1\nv 1 1 1\nv 1 1 1\nf 1 2 3\n", "point set has zero extent"),
+    ("v 0 0 0\nv 1 0 0\nf 1 2 3\n", "line 3: face index 3 names no"),
+], ids=["collinear", "coincident", "bad_face"])
+def test_a_malformed_reference_raises_on_every_call(monkeypatch, hammer_ref,
+                                                    tmp_path, body, detail):
+    asm, _ = hammer_ref
+    bad = tmp_path / "bad.obj"
+    bad.write_text(body)
+    loads = count_loads(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(MalformedObj, match=f"bad.obj.*{detail}"):
+            compare_assembly_to_mesh(asm, bad, n_samples=200)
+    assert len(loads) == 2

@@ -6,6 +6,14 @@ vocabulary.  ``evaluate_plan_text`` with no functional test must return one
 of the pipeline's stage names and a dict report for every mutant, and must
 never raise.
 
+A second, smaller sample of in-vocabulary mutants that pass every stage
+before the simulation runs through all three functional tests at a short
+duration.  Each run must end in a ``SimOutcome`` that succeeds or names a
+failure reason, with finite numbers throughout; a run whose bodies left the
+solver's speed bound must say so as ``NUMERICAL_DIVERGENCE``.
+``PYTHONPATH=src python tests/test_plan_mutations.py`` prints that sample's
+verdict counts per test.
+
 Arbitrary edits replace a value anywhere in the plan by one of ``ARBITRARY``
 or delete it.  In-vocabulary edits replace a string by a string of the
 goldens or a token of the plan language, a number by a number of the
@@ -14,8 +22,11 @@ goldens, flip a boolean, reorder a list, or repeat a list entry.
 
 import copy
 import json
+import math
 import random
+from collections import Counter
 
+from craftkit import default_catalog
 from craftkit import plan as plan_language
 from craftkit.orchestrator import (
     STAGE_CLIENT,
@@ -26,8 +37,10 @@ from craftkit.orchestrator import (
     STAGE_PHYSICS,
     evaluate_plan_text,
 )
+from craftkit.physics import functional
+from craftkit.physics.engine import MAX_SPEED
 
-from conftest import all_fixture_names
+from conftest import PLANS, all_fixture_names
 
 SEED = 16
 N_MUTANTS = 300
@@ -36,6 +49,19 @@ STAGES = {STAGE_FORMAT, STAGE_COLLISION, STAGE_CONNECTIVITY, STAGE_PHYSICS,
 ARBITRARY = (None, True, False, 0, -1, 7, 1e308, -1e-9, float("nan"),
              float("inf"), "", "?", "TOP_1", [], {}, [0, 0, 0], [1, 2],
              {"Name": 1})
+# mutants through the simulation: about 4 s on 2 cores
+SIM_SEED = 21
+SIM_MUTANTS = 20
+SIM_DURATION = 1.0
+SIM_TESTS = ("support", "rolling", "hit")
+REASONS = {functional.PART_SEPARATED, functional.NEW_GROUND_CONTACT,
+           functional.NUMERICAL_DIVERGENCE, functional.INSUFFICIENT_ROTATION,
+           functional.INSUFFICIENT_DISTANCE, functional.VEERED,
+           functional.MOVED_UNDER_LOAD, functional.PEG_MISSED,
+           functional.PEG_OUTSIDE_HOLE}
+# a body under the speed bound cannot get further from the origin in
+# SIM_DURATION; every golden spans a few metres
+REACH = MAX_SPEED * SIM_DURATION + 10.0
 
 
 def _slots(node, path=()):
@@ -55,6 +81,17 @@ def _leaves(node):
     return [node] if not isinstance(node, (dict, list)) else [
         leaf for child in (node.values() if isinstance(node, dict) else node)
         for leaf in _leaves(child)]
+
+
+def _goldens():
+    return [json.loads((PLANS / f"{name}.json").read_text(encoding="utf-8"))
+            for name in all_fixture_names() if "_valid_" in name]
+
+
+def _numbers(node):
+    """Every number inside ``node``, as its JSON would hold it."""
+    return [leaf for leaf in _leaves(json.loads(json.dumps(node)))
+            if isinstance(leaf, (int, float)) and not isinstance(leaf, bool)]
 
 
 def _vocabulary(goldens):
@@ -102,9 +139,8 @@ def _mutate(rng, plan, vocabulary, in_vocabulary):
         parent.insert(key, copy.deepcopy(value))
 
 
-def test_mutated_goldens_get_a_stage_and_never_raise(catalog, fixture_raw):
-    goldens = [json.loads(fixture_raw(name))
-               for name in all_fixture_names() if "_valid_" in name]
+def test_mutated_goldens_get_a_stage_and_never_raise(catalog):
+    goldens = _goldens()
     vocabulary = _vocabulary(goldens)
     rng = random.Random(SEED)
     seen = set()
@@ -119,3 +155,49 @@ def test_mutated_goldens_get_a_stage_and_never_raise(catalog, fixture_raw):
         seen.add(stage)
     # the edits reach the stages after the format check too
     assert STAGE_FORMAT in seen and len(seen) > 1
+
+
+def _simulated_mutants(catalog):
+    """(mutant, test, outcome) for the first SIM_MUTANTS in-vocabulary
+    mutants of SIM_SEED that pass every stage before the simulation."""
+    goldens = _goldens()
+    vocabulary = _vocabulary(goldens)
+    rng = random.Random(SIM_SEED)
+    config = functional.SimConfig(duration=SIM_DURATION)
+    screened = 0
+    while screened < SIM_MUTANTS:
+        plan = copy.deepcopy(rng.choice(goldens))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, plan, vocabulary, in_vocabulary=True)
+        raw = json.dumps(plan)
+        stage, _, parsed, assembly, _ = evaluate_plan_text(raw, catalog)
+        if stage != STAGE_NONE:
+            continue
+        screened += 1
+        for test in SIM_TESTS:
+            yield raw, test, functional.run_functional_test(
+                test, assembly, parsed, config)
+
+
+def test_screened_mutants_get_a_named_sim_outcome(catalog):
+    runs = 0
+    for raw, test, outcome in _simulated_mutants(catalog):
+        assert isinstance(outcome, functional.SimOutcome), (test, raw)
+        assert outcome.success == (outcome.failure_reason is None)
+        assert outcome.success or outcome.failure_reason in REASONS, (
+            test, outcome.failure_reason, raw)
+        assert all(map(math.isfinite, _numbers(outcome.to_dict()))), (
+            test, raw)
+        if outcome.failure_reason != functional.NUMERICAL_DIVERGENCE:
+            assert all(abs(x) <= REACH
+                       for x in _numbers(outcome.trajectory)), (test, raw)
+        runs += 1
+    assert runs == SIM_MUTANTS * len(SIM_TESTS)
+
+
+if __name__ == "__main__":
+    verdicts = Counter((test, outcome.failure_reason or "pass")
+                       for _, test, outcome
+                       in _simulated_mutants(default_catalog()))
+    for (test, verdict), n in sorted(verdicts.items()):
+        print(f"{test} {verdict} {n}")
