@@ -4,15 +4,22 @@ Placement only ever produces axis-aligned boxes and cylinders whose axes are
 parallel or perpendicular.  Every pair but perpendicular cylinders has a
 closed-form test.  Perpendicular cylinders first meet a closed-form upper
 bound that rejects separated pairs; a pair that passes it is settled by a
-ternary search over the shared coordinate, run to its fixed point.  Overlap
-that falls entirely inside a hole region of either part is exempt.
+ternary search over the shared coordinate, run to its fixed point.
+
+Overlap that falls entirely inside one hole of either part is exempt,
+and that too is decided in closed form, by per-axis interval tests
+(Ericson, *Real-Time Collision Detection*, 2004, ch. 4-5): the hole must
+hold the parts' shared box along its axis, and across it the shared box
+(square hole) or the part that reaches least far from its axis (round
+hole).  A pair that no single hole clears collides, with its base depth
+and witness, so the test never calls an overlapping pair clear.
 
 Centres, depths and witness points are float tuples: the interval along an
 axis comes from ``geometry.aabb_overlap`` and the closed forms use only
 + - * / and ``math.sqrt``.  A distance is the square root of a sum of
 products, never ``hypot`` or ``**``, which the C library need not round
-alike everywhere: the engine's depths use it.  numpy enters only in the
-16^3 grid probe of holed pairs.
+alike everywhere: the engine's depths use it.  The module imports no
+numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .geometry import (
     BOX, CYL, TRANSVERSE, Solid, aabb_overlap, interval_overlap)
@@ -191,32 +196,54 @@ def base_overlap(ca, a: Solid, cb, b: Solid):
     return _cyl_cyl_perpendicular(ca, a, cb, b)
 
 
-# 16 x 16 x 16 probe points at the cell centres of the unit cube
-_GRID = np.stack(np.meshgrid(*[(np.arange(16) + 0.5) / 16] * 3,
-                             indexing="ij"), axis=-1).reshape(-1, 3)
+def _farthest_from_axis(center, solid: Solid, ax, u, v):
+    """How far ``solid`` at ``center`` reaches from the line along axis
+    ``ax`` through (u, v) on its transverse axes: |d| + r for a cylinder
+    along ``ax``, else the far corner of its box."""
+    t0, t1 = TRANSVERSE[ax]
+    d0, d1 = center[t0] - u, center[t1] - v
+    if solid.kind == CYL and solid.axis == ax:
+        return math.sqrt(d0 * d0 + d1 * d1) + solid.radius
+    f0 = abs(d0) + solid.extents[t0] / 2.0
+    f1 = abs(d1) + solid.extents[t1] / 2.0
+    return math.sqrt(f0 * f0 + f1 * f1)
 
 
-def _material_overlap_exists(ca, a: Solid, cb, b: Solid, tol):
-    """Deterministic grid probe of the overlap AABB for material-material
-    contact; used only when at least one solid carries holes."""
-    shared = aabb_overlap(ca, a.extents, cb, b.extents)
-    spans = [hi - lo for lo, hi in shared]
-    if any(s <= 0 for s in spans):
+def _hole_holds(hole, owner_center, shared, ca, a: Solid, cb, b: Solid,
+                tol):
+    """Whether ``hole``, in the part centred at ``owner_center``, grown by
+    ``2 * tol`` holds all that the two parts share: their shared box
+    ``shared`` along the hole's axis and, for a square hole, across it;
+    for a round hole, the part that reaches less far from its axis."""
+    ax = hole.axis
+    t0, t1 = TRANSVERSE[ax]
+    c = [o + h for o, h in zip(owner_center, hole.offset)]
+    box = [(ax, hole.depth / 2.0)]
+    if hole.radius is None:
+        box += zip((t0, t1), hole.half_widths)
+    slack = 2.0 * tol
+    if any(shared[i][0] < c[i] - half - slack
+           or shared[i][1] > c[i] + half + slack for i, half in box):
         return False
-    pts = _GRID * spans + [lo for lo, _ in shared]
-    inside = a.material_contains(ca, pts, margin=tol)
-    inside &= b.material_contains(cb, pts, margin=tol)
-    return bool(inside.any())
+    return hole.radius is None or min(
+        _farthest_from_axis(ca, a, ax, c[t0], c[t1]),
+        _farthest_from_axis(cb, b, ax, c[t0], c[t1])) <= hole.radius + slack
 
 
 def pair_overlap(ca, a: Solid, cb, b: Solid, tol: float = TOUCH_TOL):
-    """None when separated/touching, else (penetration_depth, witness)."""
+    """None when separated, touching, or when one hole of either part
+    holds all that the two share; else (penetration_depth, witness) of
+    the base primitives."""
     hit = base_overlap(ca, a, cb, b)
     if hit is None or hit[0] <= tol:
         return None
     if a.holes or b.holes:
-        if not _material_overlap_exists(ca, a, cb, b, tol):
-            return None
+        shared = aabb_overlap(ca, a.extents, cb, b.extents)
+        for owner_center, owner in ((ca, a), (cb, b)):
+            for hole in owner.holes:
+                if _hole_holds(hole, owner_center, shared, ca, a, cb, b,
+                               tol):
+                    return None
     return hit
 
 

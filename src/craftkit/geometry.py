@@ -7,14 +7,13 @@ The module is also the geometry vocabulary of placement, collision and the
 engine's body-body contacts: ``TRANSVERSE[ax]`` names the two axes across
 axis ``ax``, and ``aabb_overlap`` gives the interval that two boxes share
 on each axis (the per-axis test of Ericson, *Real-Time Collision
-Detection*, 2004, section 4.2).  Both work on plain float tuples; numpy
-enters only where a query runs over a point set (``HoleRegion.contains``,
-``base_contains``, ``material_contains``).
+Detection*, 2004, section 4.2).  Both work on plain float tuples, and
+the module imports no numpy.
 
 Frame convention: a solid knows nothing of where it is.  Its extents and
 its holes are given in its own frame, centred on the solid, and every
-query that places it (``base_contains``, ``material_contains``, ``aabb``)
-takes the owner's centre as an argument.  A part's world position lives in
+query that places it (``aabb``, and the collision tests) takes the
+owner's centre as an argument.  A part's world position lives in
 exactly one place: ``PlacedPart.position`` in an assembly, the body's pose
 applied to ``BodyPart.local_center`` in the engine.
 """
@@ -22,8 +21,6 @@ applied to ``BodyPart.local_center`` in the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 AXIS_NAME = {0: "x", 1: "y", 2: "z"}
@@ -58,24 +55,6 @@ class HoleRegion:
     def span(self):
         c = self.offset[self.axis]
         return (c - self.depth / 2.0, c + self.depth / 2.0)
-
-    def contains(self, pts, margin=0.0):
-        """Vectorized point-in-hole test for points in the owner's frame;
-        margin > 0 shrinks the hole."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        c = np.asarray(self.offset)
-        ax = self.axis
-        lo, hi = self.span()
-        inside = (pts[:, ax] >= lo + margin) & (pts[:, ax] <= hi - margin)
-        trans = TRANSVERSE[ax]
-        if self.radius is not None:
-            d2 = sum((pts[:, t] - c[t]) ** 2 for t in trans)
-            r = self.radius - margin
-            inside &= d2 <= max(r, 0.0) ** 2
-        else:
-            for t, hw in zip(trans, self.half_widths):
-                inside &= np.abs(pts[:, t] - c[t]) <= hw - margin
-        return inside
 
     def to_dict(self):
         d = {
@@ -119,26 +98,6 @@ class Solid:
     def hole(self, name):
         """The hole carved for modification ``name``, or None."""
         return next((h for h in self.holes if h.name == name), None)
-
-    def base_contains(self, center, pts, margin=0.0):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        c = np.asarray(center, dtype=float)
-        if self.kind == BOX:
-            half = np.asarray(self.extents) / 2.0 - margin
-            return np.all(np.abs(pts - c) <= half, axis=1)
-        ax = self.axis
-        inside = np.abs(pts[:, ax] - c[ax]) <= self.length / 2.0 - margin
-        d2 = sum((pts[:, t] - c[t]) ** 2 for t in TRANSVERSE[ax])
-        return inside & (d2 <= max(self.radius - margin, 0.0) ** 2)
-
-    def material_contains(self, center, pts, margin=0.0):
-        """Inside the base by `margin` and outside every hole by `margin`."""
-        inside = self.base_contains(center, pts, margin)
-        if self.holes:
-            local = np.atleast_2d(np.asarray(pts, dtype=float)) - center
-            for hole in self.holes:
-                inside &= ~hole.contains(local, margin=-margin)
-        return inside
 
     def aabb(self, center):
         """The (lo, hi) corners of the bounding box, as float tuples."""

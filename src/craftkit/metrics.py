@@ -38,12 +38,10 @@ import numpy as np
 
 from .catalog import read_text
 from .errors import DegenerateExtent, EmptyMesh, MalformedObj
-from .geometry import aabb_overlap
 from .meshing import mesh_part
 
 FSCORE_THRESHOLD = 0.1
 DEFAULT_SAMPLES = 20000
-MAX_SAMPLE_ROUNDS = 50
 SAMPLED_FILES = 8  # one reference per category of the paper
 
 
@@ -168,55 +166,28 @@ def sample_mesh(vertices, faces, n_samples=DEFAULT_SAMPLES, seed=0):
     return _sample_triangles(vertices, faces, areas, n_samples, seed)
 
 
-def _boxes_meet(a, b):
-    return all(lo <= hi for lo, hi in aabb_overlap(
-        a.position, a.solid.extents, b.position, b.solid.extents))
-
-
 def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0):
-    """Surface samples of an assembly with interior points rejected.
+    """Area-weighted surface samples of an assembly's parts, one draw.
 
-    A sample on one part that falls strictly inside another part's material
-    is not visible from the outside and is discarded.  Only the parts whose
-    box meets the sample's own part's box can hold it, so only they are
-    tested.  At most MAX_SAMPLE_ROUNDS rounds redraw the shortfall; the
-    final set is trimmed to exactly n_samples.
+    The assembly must pass the collision check, as every plan that the
+    CLI and the pipeline score does: its parts then share no material,
+    so no sample lies inside another part and every sample is kept.  One
+    multinomial splits ``n_samples`` over the parts by surface area, then
+    each part with a share draws it from its own seed.
     """
-    parts = list(assembly.placed.values())
     meshes = []
-    for p in parts:
+    for p in assembly.placed.values():
         v, f = mesh_part(p.solid, p.position)
         meshes.append((v, *_kept_triangles(v, f)))
     areas = np.asarray([total for *_, total in meshes])
-    neighbours = [[other for other in parts
-                   if other is not owner and _boxes_meet(owner, other)]
-                  for owner in parts]
     rng = np.random.default_rng(seed)
-    kept = []
-    total = 0
-    rounds = 0
-    need = n_samples
-    while total < n_samples and rounds < MAX_SAMPLE_ROUNDS:
-        rounds += 1
-        counts = rng.multinomial(need, areas / areas.sum())
-        for (v, f, a, _), count, others in zip(meshes, counts, neighbours):
-            if count == 0:
-                continue
-            pts = _sample_triangles(v, f, a, int(count),
-                                    int(rng.integers(0, 2 ** 31)))
-            visible = np.ones(len(pts), dtype=bool)
-            for other in others:
-                inside = other.solid.material_contains(
-                    other.position, pts, margin=1e-9)
-                visible &= ~inside
-            if visible.any():
-                kept.append(pts[visible])
-                total += int(visible.sum())
-        need = max(n_samples - total, 1)
-    if total == 0:
+    counts = rng.multinomial(n_samples, areas / areas.sum())
+    samples = [_sample_triangles(v, f, a, int(count),
+                                 int(rng.integers(0, 2 ** 31)))
+               for (v, f, a, _), count in zip(meshes, counts) if count]
+    if not samples:
         raise EmptyMesh("no exterior surface samples")
-    out = np.vstack(kept)
-    return out[:n_samples] if len(out) >= n_samples else out
+    return np.vstack(samples)
 
 
 def _nearest_distances(query, target):

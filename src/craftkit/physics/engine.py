@@ -18,8 +18,8 @@ properties.  The package imports no numpy and computes with + - * / and
 ``math.sqrt`` only, which IEEE 754 rounds correctly, so no verdict depends
 on the BLAS kernel, the C library or the CPython release.  The body-body
 test ``collision.pair_overlap`` returns a float depth and witness point
-too; numpy enters a step only in its grid probe of a pair with holes, and
-``_separation_axis`` reads the same ``geometry.aabb_overlap`` as that test.
+too, with no numpy, and ``_separation_axis`` reads the same
+``geometry.aabb_overlap`` as that test.
 
 Positions are frozen during the velocity solve, so all constraint geometry
 (lever arms, effective masses, biases) is precomputed once per step and the

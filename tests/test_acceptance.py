@@ -33,6 +33,7 @@ from craftkit.physics.functional import HIT_DESCENT, SUPPORT_LIMIT
 from craftkit.plan import OrientationSpec, PartSpec, normalize_raw, parse_plan
 
 from conftest import all_fixture_names
+from material_oracle import base_contains
 
 FAST_SIM = SimConfig(duration=1.0)
 
@@ -204,8 +205,8 @@ def _mc_overlap(ca, a, cb, b, n, rng, margin=1e-6):
     if np.any(hi <= lo):
         return False
     pts = rng.uniform(lo, hi, size=(n, 3))
-    inside = a.base_contains(ca, pts, margin=margin)
-    inside &= b.base_contains(cb, pts, margin=margin)
+    inside = base_contains(a, ca, pts, margin=margin)
+    inside &= base_contains(b, cb, pts, margin=margin)
     return bool(inside.any())
 
 

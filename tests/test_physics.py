@@ -179,10 +179,13 @@ def test_part_min_z_rotated_box():
 def test_the_physics_package_imports_no_numpy():
     """Plain float arithmetic rounds the same on every BLAS kernel; numpy's
     linear algebra need not.  Placement, whose positions the engine starts
-    from, is plain floats as well."""
+    from, the geometry it reads and the collision test that both the
+    collision stage and the engine's body-body contacts call are plain
+    floats as well."""
     package = Path(craftkit.physics.__file__).parent
-    assembler = package.parent / "assembler.py"
-    for path in [*sorted(package.rglob("*.py")), assembler]:
+    others = [package.parent / f"{name}.py"
+              for name in ("assembler", "geometry", "collision")]
+    for path in [*sorted(package.rglob("*.py")), *others]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
