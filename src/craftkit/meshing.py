@@ -1,244 +1,196 @@
 """Triangle meshing and OBJ export for placed parts.
 
-Boxes become 12 triangles, cylinders are tessellated with 64 segments.
-Holes along a box axis or along a cylinder's own axis are meshed as real
-tunnels (annulus rings on the pierced faces plus an inner wall), so part
-meshes stay watertight.  A hole that would pierce the curved wall of a
-cylinder is omitted from the mesh; the solid geometry still models it.
-Each part is meshed about the origin, in its own frame, and moved to its
-centre once.
+Every face is built from three pieces: a ring lifts a closed loop of
+(u, v) points into the plane where one axis is constant, a strip joins
+two rings with quads, each split on its diagonal from the first ring's
+vertex, and a fan closes a ring as a disc about its centre.  A plain box
+face is two triangles on its four corners, so a box is 12 triangles; a
+cylinder is a strip of SEGMENTS quads between its two rims, closed by a
+fan at each end.  A hole along a box axis
+or along a cylinder's own axis is meshed as a real tunnel: each pierced
+face is a strip from its outer loop to the hole's loop, and the bore is a
+strip between two rings of the hole's loop, closed by a fan at the floor
+of a blind hole, so part meshes stay watertight.  A hole that would
+pierce the curved wall of a cylinder is omitted from the mesh; the solid
+geometry still models it.
+
+The loops come from one table of (cos, sin) at SEGMENTS angles, made
+with ``math``, and two ray casts from a hole's centre: to a rectangle,
+and to a circle about the part's axis.  Every coordinate is plain Python
+float arithmetic and numpy only holds the result, so no vertex depends
+on the BLAS kernel.  Each part is meshed about the origin, in its own
+frame, and moved to its centre once.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import math
 
 import numpy as np
 
-from .geometry import BOX, TRANSVERSE, HoleRegion, Solid
+from .geometry import BOX, TRANSVERSE
 
 SEGMENTS = 64
 
-
-class MeshBuilder:
-    def __init__(self):
-        self.vertices: list = []
-        self.faces: list = []
-
-    def add_vertex(self, p) -> int:
-        self.vertices.append([float(x) for x in p])
-        return len(self.vertices) - 1
-
-    def add_tri(self, a, b, c):
-        self.faces.append((a, b, c))
-
-    def add_quad(self, a, b, c, d):
-        self.add_tri(a, b, c)
-        self.add_tri(a, c, d)
-
-    def arrays(self):
-        return (np.asarray(self.vertices, dtype=float),
-                np.asarray(self.faces, dtype=int))
+# (cos, sin) of each segment's angle, counter-clockwise from +u
+_UNIT = [(math.cos(2.0 * math.pi * k / SEGMENTS),
+          math.sin(2.0 * math.pi * k / SEGMENTS)) for k in range(SEGMENTS)]
 
 
-def _lift(axis, coord, u, v):
-    """(u, v) in the plane `axis`=coord back to 3D."""
-    p = [0.0, 0.0, 0.0]
-    p[axis] = coord
+def _ring(vertices, axis, coord, loop):
+    """Append the (u, v) points of `loop`, lifted into the plane
+    `axis` = coord, to `vertices`; return their indices."""
     t1, t2 = TRANSVERSE[axis]
-    p[t1] = u
-    p[t2] = v
-    return p
+    start = len(vertices)
+    for u, v in loop:
+        p = [0.0, 0.0, 0.0]
+        p[axis] = coord
+        p[t1] = u
+        p[t2] = v
+        vertices.append(p)
+    return list(range(start, len(vertices)))
 
 
-def _ray_to_rect(origin, direction, center, half):
-    """Distance from origin along direction to an axis-aligned 2D rectangle
-    boundary; origin must be inside."""
-    best = np.inf
-    for k in range(2):
-        if abs(direction[k]) < 1e-15:
-            continue
-        edge = center[k] + (half[k] if direction[k] > 0 else -half[k])
-        best = min(best, (edge - origin[k]) / direction[k])
-    return best
+def _strip(faces, a, b, flip):
+    """Quads joining the closed rings `a` and `b`, each split on its
+    diagonal from a[k]."""
+    for a0, a1, b0, b1 in zip(a, a[1:] + a[:1], b, b[1:] + b[:1]):
+        if flip:
+            faces += ((a0, a1, b1), (a0, b1, b0))
+        else:
+            faces += ((a0, b0, b1), (a0, b1, a1))
 
 
-def _ray_to_circle(origin, direction, radius):
-    """Distance from origin along direction to a circle about (0, 0)."""
-    d = np.asarray(direction, dtype=float)
-    o = np.asarray(origin, dtype=float)
-    a = d @ d
-    b = 2.0 * (o @ d)
-    c = o @ o - radius * radius
-    disc = max(b * b - 4 * a * c, 0.0)
-    return (-b + np.sqrt(disc)) / (2.0 * a)
+def _fan(vertices, faces, axis, coord, centre, ring, flip):
+    """Close `ring` as a disc: triangles from the point `centre` = (u, v)
+    in the plane `axis` = coord to each edge of the ring."""
+    apex = _ring(vertices, axis, coord, [centre])[0]
+    for b, c in zip(ring, ring[1:] + ring[:1]):
+        faces.append((apex, c, b) if flip else (apex, b, c))
 
 
-def _hole_inner_radius_fn(hole: HoleRegion, hole_uv):
+def _to_rect(ou, ov, cu, cv, hu, hv):
+    """Where a ray from (ou, ov) at each table angle leaves the rectangle
+    about (cu, cv) with half sizes (hu, hv); the origin is inside."""
+    loop = []
+    for c, s in _UNIT:
+        t = math.inf
+        if abs(c) >= 1e-15:
+            t = (cu + (hu if c > 0 else -hu) - ou) / c
+        if abs(s) >= 1e-15:
+            t = min(t, (cv + (hv if s > 0 else -hv) - ov) / s)
+        loop.append((ou + t * c, ov + t * s))
+    return loop
+
+
+def _to_circle(ou, ov, radius):
+    """Where a ray from (ou, ov) at each table angle leaves the circle of
+    `radius` about (0, 0); the origin is inside."""
+    loop = []
+    for c, s in _UNIT:
+        a = c * c + s * s
+        b = 2.0 * (ou * c + ov * s)
+        q = ou * ou + ov * ov - radius * radius
+        t = (-b + math.sqrt(max(b * b - 4 * a * q, 0.0))) / (2.0 * a)
+        loop.append((ou + t * c, ov + t * s))
+    return loop
+
+
+def _hole_centre(hole):
+    """The hole's centre in the (u, v) plane across its axis."""
+    t1, t2 = TRANSVERSE[hole.axis]
+    return hole.offset[t1], hole.offset[t2]
+
+
+def _hole_loop(hole):
+    hu, hv = _hole_centre(hole)
     if hole.radius is not None:
-        return lambda ang: hole.radius
-    half = hole.half_widths
-    return lambda ang: _ray_to_rect(
-        hole_uv, (np.cos(ang), np.sin(ang)), hole_uv, half)
+        return [(hu + hole.radius * c, hv + hole.radius * s)
+                for c, s in _UNIT]
+    return _to_rect(hu, hv, hu, hv, *hole.half_widths)
 
 
-def _face_with_hole(mb: MeshBuilder, axis, coord, outer, hole: HoleRegion,
-                    flip):
-    """Annulus between a convex outer boundary and the hole loop.
-
-    outer(origin, direction) gives the distance from the hole center to the
-    outer boundary.
-    """
-    t1, t2 = TRANSVERSE[axis]
-    hu, hv = hole.offset[t1], hole.offset[t2]
-    inner_fn = _hole_inner_radius_fn(hole, (hu, hv))
-    outer_idx = []
-    inner_idx = []
-    for k in range(SEGMENTS):
-        ang = 2.0 * np.pi * k / SEGMENTS
-        c, s = np.cos(ang), np.sin(ang)
-        ro = outer((hu, hv), (c, s))
-        ri = inner_fn(ang)
-        outer_idx.append(mb.add_vertex(
-            _lift(axis, coord, hu + ro * c, hv + ro * s)))
-        inner_idx.append(mb.add_vertex(
-            _lift(axis, coord, hu + ri * c, hv + ri * s)))
-    for k in range(SEGMENTS):
-        nk = (k + 1) % SEGMENTS
-        if flip:
-            mb.add_quad(outer_idx[k], inner_idx[k], inner_idx[nk],
-                        outer_idx[nk])
-        else:
-            mb.add_quad(outer_idx[k], outer_idx[nk], inner_idx[nk],
-                        inner_idx[k])
+def _annulus(vertices, faces, hole, coord, outer, flip):
+    """The face `hole.axis` = coord between the loop `outer` and the
+    hole."""
+    outer = _ring(vertices, hole.axis, coord, outer)
+    inner = _ring(vertices, hole.axis, coord, _hole_loop(hole))
+    _strip(faces, outer, inner, not flip)
 
 
-def _tunnel(mb: MeshBuilder, ring_a, ring_b, flip=False):
-    n = len(ring_a)
-    for k in range(n):
-        nk = (k + 1) % n
-        if flip:
-            mb.add_quad(ring_a[k], ring_a[nk], ring_b[nk], ring_b[k])
-        else:
-            mb.add_quad(ring_a[k], ring_b[k], ring_b[nk], ring_a[nk])
-
-
-def _hole_ring(mb: MeshBuilder, axis, coord, hole: HoleRegion):
-    t1, t2 = TRANSVERSE[axis]
-    hu, hv = hole.offset[t1], hole.offset[t2]
-    inner_fn = _hole_inner_radius_fn(hole, (hu, hv))
-    ring = []
-    for k in range(SEGMENTS):
-        ang = 2.0 * np.pi * k / SEGMENTS
-        ring.append(mb.add_vertex(_lift(
-            axis, coord, hu + inner_fn(ang) * np.cos(ang),
-            hv + inner_fn(ang) * np.sin(ang))))
-    return ring
-
-
-def _disk(mb: MeshBuilder, ring, center_point, flip=False):
-    c = mb.add_vertex(center_point)
-    n = len(ring)
-    for k in range(n):
-        nk = (k + 1) % n
-        if flip:
-            mb.add_tri(c, ring[nk], ring[k])
-        else:
-            mb.add_tri(c, ring[k], ring[nk])
-
-
-def _bore(mb: MeshBuilder, hole: HoleRegion, half_len):
+def _bore(vertices, faces, hole, half_len):
     """Inner wall of a hole through a part `2 * half_len` long on its axis,
     plus the floor of a blind hole."""
-    ax = hole.axis
     if hole.through:
-        ring_lo = _hole_ring(mb, ax, -half_len, hole)
-        ring_hi = _hole_ring(mb, ax, half_len, hole)
-        _tunnel(mb, ring_lo, ring_hi)
-        return
-    lo, hi = hole.span()
-    bottom = hi if hole.open_sign < 0 else lo
-    ring_open = _hole_ring(mb, ax, hole.open_sign * half_len, hole)
-    ring_bot = _hole_ring(mb, ax, bottom, hole)
-    _tunnel(mb, ring_open, ring_bot)
-    bc = list(hole.offset)
-    bc[ax] = bottom
-    _disk(mb, ring_bot, bc, flip=hole.open_sign > 0)
-
-
-def _plain_rect(mb: MeshBuilder, axis, coord, half, flip):
-    t1, t2 = TRANSVERSE[axis]
-    hu, hv = half[t1], half[t2]
-    ids = [mb.add_vertex(_lift(axis, coord, su * hu, sv * hv))
-           for su, sv in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
-    if flip:
-        mb.add_quad(ids[3], ids[2], ids[1], ids[0])
+        ends = (-half_len, half_len)
     else:
-        mb.add_quad(ids[0], ids[1], ids[2], ids[3])
+        lo, hi = hole.span()
+        ends = (hole.open_sign * half_len, hi if hole.open_sign < 0 else lo)
+    loop = _hole_loop(hole)
+    mouth, end = (_ring(vertices, hole.axis, e, loop) for e in ends)
+    _strip(faces, mouth, end, False)
+    if not hole.through:
+        _fan(vertices, faces, hole.axis, ends[1], _hole_centre(hole), end,
+             hole.open_sign > 0)
 
 
-def mesh_box(solid: Solid) -> MeshBuilder:
+def _box(solid):
     """The box about the origin, with every hole meshed as a tunnel."""
-    mb = MeshBuilder()
-    half = np.asarray(solid.extents) / 2.0
+    vertices, faces = [], []
+    half = [e / 2.0 for e in solid.extents]
     pierced = {}
     for hole in solid.holes:
         for sign in ((1, -1) if hole.through else (hole.open_sign,)):
             pierced[(hole.axis, sign)] = hole
     for axis in range(3):
         t1, t2 = TRANSVERSE[axis]
+        h1, h2 = half[t1], half[t2]
         for sign in (1, -1):
             coord = sign * half[axis]
-            flip = sign < 0
             hole = pierced.get((axis, sign))
-            if hole is None:
-                _plain_rect(mb, axis, coord, half, flip)
+            if hole is not None:
+                _annulus(vertices, faces, hole, coord,
+                         _to_rect(*_hole_centre(hole), 0.0, 0.0, h1, h2),
+                         sign < 0)
                 continue
-            outer = partial(_ray_to_rect, center=(0.0, 0.0),
-                            half=(half[t1], half[t2]))
-            _face_with_hole(mb, axis, coord, outer, hole, flip)
+            a, b, c, d = _ring(vertices, axis, coord,
+                               [(-h1, -h2), (h1, -h2), (h1, h2), (-h1, h2)])
+            faces += ((d, c, b), (d, b, a)) if sign < 0 else \
+                ((a, b, c), (a, c, d))
     for hole in solid.holes:
-        _bore(mb, hole, half[hole.axis])
-    return mb
+        _bore(vertices, faces, hole, half[hole.axis])
+    return vertices, faces
 
 
-def mesh_cylinder(solid: Solid) -> MeshBuilder:
+def _cylinder(solid):
     """The cylinder about the origin, with its first axial hole as a
     tunnel."""
-    mb = MeshBuilder()
+    vertices, faces = [], []
     axis = solid.axis
     hl = solid.length / 2.0
-    axial_holes = [h for h in solid.holes if h.axis == axis]
-    hole = axial_holes[0] if axial_holes else None
-
+    hole = next((h for h in solid.holes if h.axis == axis), None)
+    rim = [(solid.radius * c, solid.radius * s) for c, s in _UNIT]
     rims = {}
     for sign in (1, -1):
         coord = sign * hl
-        flip = sign < 0
-        ring = [mb.add_vertex(_lift(
-            axis, coord,
-            solid.radius * np.cos(2 * np.pi * k / SEGMENTS),
-            solid.radius * np.sin(2 * np.pi * k / SEGMENTS)))
-            for k in range(SEGMENTS)]
-        rims[sign] = ring
-        pierced = hole is not None and (
-            hole.through or hole.open_sign == sign)
-        if not pierced:
-            _disk(mb, ring, _lift(axis, coord, 0.0, 0.0), flip=flip)
+        ring = rims[sign] = _ring(vertices, axis, coord, rim)
+        if hole is not None and (hole.through or hole.open_sign == sign):
+            _annulus(vertices, faces, hole, coord,
+                     _to_circle(*_hole_centre(hole), solid.radius), sign < 0)
         else:
-            outer = partial(_ray_to_circle, radius=solid.radius)
-            _face_with_hole(mb, axis, coord, outer, hole, flip)
-    _tunnel(mb, rims[-1], rims[1], flip=True)
+            _fan(vertices, faces, axis, coord, (0.0, 0.0), ring, sign < 0)
+    _strip(faces, rims[-1], rims[1], True)
     if hole is not None:
-        _bore(mb, hole, hl)
-    return mb
+        _bore(vertices, faces, hole, hl)
+    return vertices, faces
 
 
-def mesh_part(solid: Solid, center):
+def mesh_part(solid, center):
     """(vertices, faces) for one part placed at `center`."""
-    mb = mesh_box(solid) if solid.kind == BOX else mesh_cylinder(solid)
-    vertices, faces = mb.arrays()
-    return vertices + np.asarray(center, dtype=float), faces
+    vertices, faces = (_box if solid.kind == BOX else _cylinder)(solid)
+    cx, cy, cz = (float(c) for c in center)
+    return (np.array([(x + cx, y + cy, z + cz) for x, y, z in vertices]),
+            np.array(faces, dtype=int))
 
 
 def mesh_assembly(assembly):

@@ -124,14 +124,11 @@ def normalize_points(points):
     points = np.asarray(points, dtype=float)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    diag = float(np.linalg.norm(hi - lo))
+    dx, dy, dz = (float(x) for x in hi - lo)
+    diag = math.sqrt(dx * dx + dy * dy + dz * dz)
     if diag <= 0.0:
         raise DegenerateExtent("point set has zero extent")
     return (points - (lo + hi) / 2.0) / diag
-
-
-def normalize_mesh(vertices, faces):
-    return normalize_points(vertices), faces
 
 
 def _sample_triangles(vertices, faces, areas, n_samples, seed):
@@ -256,7 +253,7 @@ def _sampled_obj(path, n_samples, seed):
 def _sampled_obj_file(path, identity, n_samples, seed):
     v, f = load_obj(path)
     try:
-        points = sample_mesh(*normalize_mesh(v, f), n_samples=n_samples,
+        points = sample_mesh(normalize_points(v), f, n_samples=n_samples,
                              seed=seed)
     except (DegenerateExtent, EmptyMesh) as exc:
         raise MalformedObj(path, None, str(exc)) from None

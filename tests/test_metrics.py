@@ -1,10 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 import threading
 import types
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import craftkit
 from craftkit import metrics
 from craftkit.errors import DegenerateExtent, MalformedObj
 from craftkit.meshing import export_assembly_obj, mesh_part
@@ -317,6 +323,35 @@ def test_exterior_samples_equal_the_reference_loop(catalog):
         assert got.tobytes() == want.tobytes()
         built += 1
     assert built == 22
+
+
+CROSS_KERNEL_REPORT = """
+import json, sys
+from craftkit import build_assembly, default_catalog, load_plan
+from craftkit.metrics import compare_assembly_to_mesh
+catalog = default_catalog()
+plan, _ = load_plan(sys.argv[1], catalog)
+report = compare_assembly_to_mesh(build_assembly(plan, catalog), sys.argv[2])
+print(json.dumps(report.to_dict()))
+"""
+
+
+def test_a_report_is_the_same_on_another_blas_kernel(build_fixture,
+                                                      plan_path, tmp_path):
+    # meshing and normalization use no BLAS, so a report built under an old
+    # x86 OpenBLAS kernel equals this process's bit for bit
+    ref = tmp_path / "table.obj"
+    export_assembly_obj(build_fixture("table_valid_1")[1], ref)
+    here = compare_assembly_to_mesh(build_fixture("skateboard_valid_1")[1],
+                                    ref).to_dict()
+    src = str(Path(craftkit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", CROSS_KERNEL_REPORT,
+         str(plan_path("skateboard_valid_1")), str(ref)],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(done.stdout) == here
 
 
 @pytest.fixture

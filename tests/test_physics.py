@@ -6,7 +6,7 @@ import pytest
 
 import craftkit.physics
 from craftkit.errors import NumericalDivergence
-from craftkit.geometry import Solid
+from craftkit.geometry import HoleRegion, Solid
 from craftkit.physics import RevoluteJoint, RigidBody, SimConfig, World
 from craftkit.physics.engine import GRAVITY, quat_integrate, quat_to_matrix
 
@@ -20,6 +20,33 @@ def box_body(center, extents=(0.2, 0.2, 0.2), mass=10.0, body_id="b"):
     solid = Solid.box(extents)
     return RigidBody.from_parts(body_id, [("p", solid, np.asarray(center))],
                                 mass)
+
+
+def _body_body_contacts(holed, peg_x):
+    """Body-body contacts between a 100 x 100 x 50 mm block, with an
+    r 12 mm round through-hole on z when ``holed``, and an r 10 mm peg
+    standing on the hole's axis moved ``peg_x`` along x, both unjointed
+    and clear of the ground."""
+    block = Solid.box((0.1, 0.1, 0.05))
+    if holed:
+        block.holes.append(HoleRegion(
+            owner="BLOCK_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
+            depth=0.05, through=True, radius=0.012))
+    peg = Solid.cylinder(0.01, 0.1, axis=2)
+    world, _ = make_world()
+    world.bodies += [
+        RigidBody.from_parts("block", [("BLOCK_1", block, (0.0, 0.0, 0.5))],
+                             10.0),
+        RigidBody.from_parts("peg", [("PEG_1", peg, (peg_x, 0.0, 0.5))],
+                             10.0)]
+    return [c for c in world.gather_contacts() if c.body_a is not None]
+
+
+def test_a_peg_in_a_hole_makes_no_body_contact():
+    # the engine exempts a pair whose shared material one hole holds
+    assert _body_body_contacts(holed=True, peg_x=0.0) == []
+    assert len(_body_body_contacts(holed=False, peg_x=0.0)) == 1
+    assert len(_body_body_contacts(holed=True, peg_x=0.03)) == 1
 
 
 def test_quat_identity():
