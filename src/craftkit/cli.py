@@ -23,11 +23,6 @@ from pathlib import Path
 
 from .catalog import default_catalog, load_catalog, read_text
 from .errors import CraftError, MalformedObj
-from .metrics import (
-    compare_assembly_to_mesh,
-    compare_meshes,
-)
-from .meshing import export_assembly_obj
 from .orchestrator import (
     POLICIES,
     POLICY_FEEDBACK,
@@ -88,6 +83,8 @@ def cmd_build(args):
     stage, report, _, assembly, _ = _evaluate(args)
     payload = _stage_payload(stage, report, assembly)
     if assembly is not None and args.obj:
+        from .meshing import export_assembly_obj
+
         export_assembly_obj(assembly, args.obj)
         payload["obj"] = args.obj
         log.info("wrote %s", args.obj)
@@ -115,6 +112,8 @@ def cmd_simulate(args):
 
 
 def cmd_metrics(args):
+    from .metrics import compare_assembly_to_mesh, compare_meshes
+
     if args.plan:
         stage, report, _, assembly, _ = _evaluate(args)
         if stage != STAGE_NONE:

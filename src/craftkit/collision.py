@@ -24,7 +24,6 @@ numpy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -50,9 +49,6 @@ class CollisionReport:
                 for a, b, d, w in self.pairs
             ],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _box_box(ca, ea, cb, eb):

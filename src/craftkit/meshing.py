@@ -17,16 +17,15 @@ geometry still models it.
 The loops come from one table of (cos, sin) at SEGMENTS angles, made
 with ``math``, and two ray casts from a hole's centre: to a rectangle,
 and to a circle about the part's axis.  Every coordinate is plain Python
-float arithmetic and numpy only holds the result, so no vertex depends
-on the BLAS kernel.  Each part is meshed about the origin, in its own
-frame, and moved to its centre once.
+float arithmetic, so no vertex depends on the BLAS kernel, and a mesh is
+a list of (x, y, z) float tuples and a list of (i, j, k) index tuples;
+the module imports no numpy.  Each part is meshed about the origin, in
+its own frame, and moved to its centre once.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .geometry import BOX, TRANSVERSE
 
@@ -189,34 +188,29 @@ def mesh_part(solid, center):
     """(vertices, faces) for one part placed at `center`."""
     vertices, faces = (_box if solid.kind == BOX else _cylinder)(solid)
     cx, cy, cz = (float(c) for c in center)
-    return (np.array([(x + cx, y + cy, z + cz) for x, y, z in vertices]),
-            np.array(faces, dtype=int))
+    return [(x + cx, y + cy, z + cz) for x, y, z in vertices], faces
 
 
 def mesh_assembly(assembly):
     """Concatenated (vertices, faces) over every placed part."""
-    all_v = []
-    all_f = []
-    offset = 0
+    vertices, faces = [], []
     for part in assembly.placed.values():
         v, f = mesh_part(part.solid, part.position)
-        all_v.append(v)
-        all_f.append(f + offset)
-        offset += len(v)
-    return np.vstack(all_v), np.vstack(all_f)
+        n = len(vertices)
+        vertices += v
+        faces += [(a + n, b + n, c + n) for a, b, c in f]
+    return vertices, faces
 
 
 def write_obj(path, vertices, faces, comment=None):
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        for v in vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        for x, y, z in vertices:
+            fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+        for a, b, c in faces:
+            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
 
 
 def export_assembly_obj(assembly, path):
-    v, f = mesh_assembly(assembly)
-    write_obj(path, v, f, comment="craftkit assembly")
-    return v, f
+    write_obj(path, *mesh_assembly(assembly), comment="craftkit assembly")

@@ -3,6 +3,9 @@
 Both shapes are normalized (AABB centered at the origin, diagonal scaled to
 one), surface-sampled, and compared point set to point set with chamfer
 distance, Hausdorff distance, and an F-score at a fixed distance threshold.
+This is the only module that imports numpy: part meshes arrive as lists
+of tuples and become arrays where they are sampled, so ``import craftkit``
+and the commands that never score a plan do not load numpy.
 
 A mesh file is read, normalized and sampled once per file identity (device,
 inode, size and modification time), sample count and seed: the points are
@@ -28,7 +31,6 @@ plan do not load it.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -65,9 +67,6 @@ class MetricReport:
             "samples": self.samples,
             "threshold": self.threshold,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def load_obj(path):
@@ -175,7 +174,8 @@ def sample_assembly_exterior(assembly, n_samples=DEFAULT_SAMPLES, seed=0):
     meshes = []
     for p in assembly.placed.values():
         v, f = mesh_part(p.solid, p.position)
-        meshes.append((v, *_kept_triangles(v, f)))
+        v = np.asarray(v, dtype=float)
+        meshes.append((v, *_kept_triangles(v, np.asarray(f, dtype=int))))
     areas = np.asarray([total for *_, total in meshes])
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_samples, areas / areas.sum())
@@ -218,21 +218,6 @@ def compare_point_sets(points_a, points_b,
         hausdorff=max(float(da.max()), float(db.max())),
         fscore=f, precision=precision, recall=recall,
         samples=len(points_a), threshold=threshold)
-
-
-def chamfer_distance(points_a, points_b):
-    """Symmetric mean nearest-neighbour distance (non-squared)."""
-    return compare_point_sets(points_a, points_b).chamfer
-
-
-def hausdorff_distance(points_a, points_b):
-    return compare_point_sets(points_a, points_b).hausdorff
-
-
-def fscore(points_a, points_b, threshold=FSCORE_THRESHOLD):
-    """(F-score, precision, recall); a is the prediction, b the target."""
-    r = compare_point_sets(points_a, points_b, threshold)
-    return r.fscore, r.precision, r.recall
 
 
 def _sampled_obj(path, n_samples, seed):

@@ -106,7 +106,6 @@ class CraftPlan:
 @dataclass
 class FormatReport:
     errors: list = field(default_factory=list)  # (part, field, code, message)
-    warnings: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -123,9 +122,6 @@ class FormatReport:
                 for p, f, c, m in self.errors
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def strip_code_fences(raw: str) -> str:
@@ -421,12 +417,6 @@ def parse_plan(normalized, catalog: Catalog):
                                "DanglingReference",
                                f"{c.to_part!r} has no modification "
                                f"{c.to_modification!r}")
-
-    if not any(p.exec_function for p in parts):
-        report.warnings.append(
-            "no part carries EXEC_FUNCTION=true; function tests run with a "
-            "vacuous load"
-        )
 
     if not report.ok:
         return None, report

@@ -349,7 +349,7 @@ def test_criterion_5_physics(criterion, build_fixture):
 def test_criterion_6_metrics_oracle(criterion):
     with criterion(6, "chamfer/Hausdorff equal brute force to 1e-12; "
                       "identity exact; fixed seed bit-stable at 100k"):
-        from craftkit.metrics import chamfer_distance, hausdorff_distance
+        from craftkit.metrics import compare_point_sets
 
         rng = np.random.default_rng(61)
         for _ in range(100):
@@ -360,18 +360,17 @@ def test_criterion_6_metrics_oracle(criterion):
             d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
             ref_chamfer = 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())
             ref_hausdorff = max(d.min(axis=1).max(), d.min(axis=0).max())
-            ch = chamfer_distance(a, b)
-            hd = hausdorff_distance(a, b)
+            report = compare_point_sets(a, b)
+            ch, hd = report.chamfer, report.hausdorff
             assert abs(ch - ref_chamfer) <= 1e-12
             assert abs(hd - ref_hausdorff) <= 1e-12
             assert ch <= hd + 1e-15
 
         pts = rng.uniform(-1, 1, (500, 3))
-        assert chamfer_distance(pts, pts.copy()) == 0.0
-        assert hausdorff_distance(pts, pts.copy()) == 0.0
-        from craftkit.metrics import fscore
-        f, p, r = fscore(pts, pts.copy())
-        assert (f, p, r) == (1.0, 1.0, 1.0)
+        report = compare_point_sets(pts, pts.copy())
+        assert report.chamfer == 0.0
+        assert report.hausdorff == 0.0
+        assert report.fscore == report.precision == report.recall == 1.0
 
         v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
                      dtype=float)

@@ -149,11 +149,47 @@ def test_metrics_rejects_a_malformed_reference_obj(caplog, capsys, plan_path,
     assert where in caplog.text
 
 
-def test_importing_the_cli_does_not_load_scipy():
-    """Only scoring a plan needs scipy's k-d tree."""
-    probe = "import sys, craftkit.cli; sys.exit('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe])
-    assert done.returncode == 0
+# With numpy blocked, any import of it raises; the probe then exits with
+# the command's own code, or 99 if scipy was loaded.  No argument means
+# ``import craftkit`` alone.
+NO_NUMPY_PROBE = """
+import sys
+sys.modules["numpy"] = None
+import craftkit
+if sys.argv[1:]:
+    from craftkit.cli import main
+    code = main(sys.argv[1:])
+else:
+    code = 0
+sys.exit(99 if "scipy" in sys.modules else code)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    "import", "validate", "build", "simulate", "pipeline", "batch"])
+def test_commands_that_give_no_score_load_neither_numpy_nor_scipy(
+        command, plan_path, tmp_path):
+    """Only ``metrics`` needs numpy, and only scoring a plan needs scipy's
+    k-d tree."""
+    (tmp_path / "responses").mkdir()
+    (tmp_path / "responses" / "01.txt").write_text(
+        plan_path("hammer_valid_1").read_text())
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{"category": "hammer", "responses": "responses"}]))
+    argv = {
+        "import": [],
+        "validate": ["validate", str(plan_path("hammer_valid_1"))],
+        "build": ["build", str(plan_path("table_valid_1"))],
+        "simulate": ["simulate", str(plan_path("table_valid_1")),
+                     "--test", "support", "--duration", "0.02"],
+        "pipeline": ["pipeline", "--category", "hammer",
+                     "--responses", str(tmp_path / "responses")],
+        "batch": ["batch", str(tmp_path / "manifest.json"), "--jobs", "1",
+                  "--out", str(tmp_path / "out.csv")],
+    }[command]
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
 
 
 def test_metrics_needs_exactly_one_prediction(tmp_path, plan_path):

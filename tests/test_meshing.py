@@ -11,6 +11,12 @@ from craftkit.metrics import load_obj
 from test_assembler import _buildable_fixture_assemblies
 
 
+def mesh_arrays(solid, center=(0.0, 0.0, 0.0)):
+    """``mesh_part``'s vertex and face lists as arrays."""
+    v, f = mesh_part(solid, center)
+    return np.asarray(v), np.asarray(f)
+
+
 def weld(vertices, faces, decimals=9):
     """Merge coincident vertices so shared edges become topological."""
     keys = {}
@@ -65,7 +71,7 @@ def assert_closed(vertices, faces):
 
 def test_box_mesh_closed_and_sized():
     solid = Solid.box((0.2, 0.1, 0.05))
-    v, f = mesh_part(solid, (1.0, 2.0, 3.0))
+    v, f = mesh_arrays(solid, (1.0, 2.0, 3.0))
     assert_closed(v, f)
     lo = v.min(axis=0)
     hi = v.max(axis=0)
@@ -78,7 +84,7 @@ def test_box_with_through_hole_closed():
     solid.holes.append(HoleRegion(
         owner="A_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
         depth=0.1, through=True, radius=0.02))
-    v, f = mesh_part(solid, (0.0, 0.0, 0.0))
+    v, f = mesh_arrays(solid)
     assert_closed(v, f)
     # no vertex inside the bore
     rho = np.hypot(v[:, 0], v[:, 1])
@@ -90,7 +96,7 @@ def test_box_with_blind_hole_closed():
     solid.holes.append(HoleRegion(
         owner="A_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.025),
         depth=0.05, through=False, radius=0.015, open_sign=1))
-    v, f = mesh_part(solid, (0.0, 0.0, 0.0))
+    v, f = mesh_arrays(solid)
     assert_closed(v, f)
     # hole floor exists at the blind depth
     floor = v[np.isclose(v[:, 2], 0.0)]
@@ -99,7 +105,7 @@ def test_box_with_blind_hole_closed():
 
 def test_cylinder_mesh_closed():
     solid = Solid.cylinder(0.03, 0.2, axis=1)
-    v, f = mesh_part(solid, (0.0, 0.0, 0.0))
+    v, f = mesh_arrays(solid)
     assert_closed(v, f)
     rho = np.hypot(v[:, 0], v[:, 2])
     assert rho.max() <= 0.03 + 1e-9
@@ -111,7 +117,7 @@ def test_cylinder_with_axial_hole_closed():
     solid.holes.append(HoleRegion(
         owner="W_1", name="HOLE_1", axis=1, offset=(0.0, 0.0, 0.0),
         depth=0.02, through=True, radius=0.006))
-    v, f = mesh_part(solid, (0.0, 0.0, 0.0))
+    v, f = mesh_arrays(solid)
     assert_closed(v, f)
     rho = np.hypot(v[:, 0], v[:, 2])
     assert rho.min() >= 0.006 - 1e-9
@@ -145,21 +151,22 @@ def _holed(solid, axis, offset, depth, through, open_sign=0, radius=None,
                      "centre, so its vertices miss the rim ring's"))),
 ])
 def test_holed_mesh_closed(solid):
-    v, f = mesh_part(solid, (0.0, 0.0, 0.0))
+    v, f = mesh_arrays(solid)
     assert_closed(v, f)
 
 
 def test_mesh_digest_of_buildable_fixtures(catalog):
-    # the sha256 over the vertex and face bytes of every part's mesh, over
-    # every buildable fixture in sorted file order; the mesh is plain float
-    # arithmetic, so the value is the same on every BLAS kernel
+    # the sha256 over the float64 vertex and int64 face array bytes of
+    # every part's mesh, over every buildable fixture in sorted file order;
+    # the mesh is plain float arithmetic, so the value is the same on every
+    # BLAS kernel
     digest = hashlib.sha256()
     parts = 0
     for assembly in _buildable_fixture_assemblies(catalog):
         for part in assembly.placed.values():
             v, f = mesh_part(part.solid, part.position)
-            digest.update(v.tobytes())
-            digest.update(f.tobytes())
+            digest.update(np.asarray(v).tobytes())
+            digest.update(np.asarray(f).tobytes())
             parts += 1
     assert parts == 127
     assert digest.hexdigest() == (
@@ -178,8 +185,8 @@ def test_holed_parts_mesh_in_their_own_frame():
     at = np.array([1.0, 2.0, 3.0])
     for solid, (u, w), bore_uv in ((box, (0, 1), (1.02, 2.0)),
                                    (wheel, (0, 2), (1.0, 3.0))):
-        v0, f0 = mesh_part(solid, (0.0, 0.0, 0.0))
-        v, f = mesh_part(solid, at)
+        v0, f0 = mesh_arrays(solid)
+        v, f = mesh_arrays(solid, at)
         assert np.array_equal(f, f0)
         assert np.allclose(v, v0 + at, rtol=0.0, atol=1e-12)
         assert_closed(v, f)

@@ -15,12 +15,9 @@ from craftkit import metrics
 from craftkit.errors import DegenerateExtent, MalformedObj
 from craftkit.meshing import export_assembly_obj, mesh_part
 from craftkit.metrics import (
-    chamfer_distance,
     compare_assembly_to_mesh,
     compare_meshes,
     compare_point_sets,
-    fscore,
-    hausdorff_distance,
     load_obj,
     normalize_points,
     sample_assembly_exterior,
@@ -98,9 +95,10 @@ def test_metrics_match_brute_force_oracle():
     for _ in range(10):
         a = rng.normal(size=(150, 3))
         b = rng.normal(size=(170, 3))
-        assert chamfer_distance(a, b) == pytest.approx(
+        report = compare_point_sets(a, b)
+        assert report.chamfer == pytest.approx(
             brute_chamfer(a, b), abs=1e-12)
-        assert hausdorff_distance(a, b) == pytest.approx(
+        assert report.hausdorff == pytest.approx(
             brute_hausdorff(a, b), abs=1e-12)
 
 
@@ -109,9 +107,9 @@ def test_kdtree_and_brute_force_agree():
     a = rng.normal(size=(3000, 3))
     b = rng.normal(size=(3000, 3))
     sub_a, sub_b = a[:500], b[:500]
-    assert chamfer_distance(sub_a, sub_b) == pytest.approx(
+    assert compare_point_sets(sub_a, sub_b).chamfer == pytest.approx(
         brute_chamfer(sub_a, sub_b), abs=1e-12)
-    big = chamfer_distance(a, b)
+    big = compare_point_sets(a, b).chamfer
     assert big > 0
 
 
@@ -157,10 +155,6 @@ def test_one_nearest_neighbour_search_per_direction(monkeypatch, n_a, n_b):
     threads = {c[:2]: c[2] for c in calls}
     assert threads[(n_a, n_b)] == threading.get_ident()
     assert threads[(n_b, n_a)] != threading.get_ident()
-    assert chamfer_distance(a, b) == report.chamfer
-    assert hausdorff_distance(a, b) == report.hausdorff
-    assert fscore(a, b, 0.3) == (report.fscore, report.precision,
-                                 report.recall)
     assert 0.0 < report.precision < 1.0 and 0.0 < report.recall < 1.0
 
 
@@ -237,14 +231,15 @@ def test_chamfer_never_exceeds_hausdorff():
     for _ in range(20):
         a = rng.normal(size=(60, 3))
         b = rng.normal(size=(80, 3))
-        assert chamfer_distance(a, b) <= hausdorff_distance(a, b) + 1e-15
+        report = compare_point_sets(a, b)
+        assert report.chamfer <= report.hausdorff + 1e-15
 
 
 def test_fscore_zero_when_far_apart():
     a = np.zeros((10, 3))
     b = np.full((10, 3), 100.0)
-    f, p, r = fscore(a, b)
-    assert (f, p, r) == (0.0, 0.0, 0.0)
+    report = compare_point_sets(a, b)
+    assert report.fscore == report.precision == report.recall == 0.0
 
 
 def test_exterior_sampling_rejects_interior(catalog):
@@ -284,7 +279,8 @@ def reference_exterior(assembly, n_samples, seed):
     summed every round, each sample tested against every other part, and
     the shortfall drawn again for at most 50 rounds."""
     parts = list(assembly.placed.values())
-    meshes = [mesh_part(p.solid, p.position) for p in parts]
+    meshes = [tuple(map(np.asarray, mesh_part(p.solid, p.position)))
+              for p in parts]
     areas = np.asarray([metrics._triangle_areas(v, f).sum()
                         for v, f in meshes])
     rng = np.random.default_rng(seed)

@@ -208,10 +208,10 @@ def test_the_physics_package_imports_no_numpy():
     linear algebra need not.  Placement, whose positions the engine starts
     from, the geometry it reads and the collision test that both the
     collision stage and the engine's body-body contacts call are plain
-    floats as well."""
+    floats as well, and so are the part meshes that metrics samples."""
     package = Path(craftkit.physics.__file__).parent
     others = [package.parent / f"{name}.py"
-              for name in ("assembler", "geometry", "collision")]
+              for name in ("assembler", "geometry", "collision", "meshing")]
     for path in [*sorted(package.rglob("*.py")), *others]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):

@@ -115,14 +115,6 @@ def test_inserted_default_non_fixed(catalog):
     assert plan.part("PEG_1").connections[0].joint_type == "NON_FIXED"
 
 
-def test_zero_exec_warns(catalog):
-    parts = [{"Name": "BASE_1", "Available_obj": "CUBOID_100X100X100",
-              "Orientation": [100, 100, 100], "exec_function": False}]
-    plan, report = parse_text(json.dumps(parts), catalog)
-    assert plan is not None
-    assert report.warnings
-
-
 def test_serialize_roundtrip(catalog, fixture_raw):
     plan, _ = parse_text(fixture_raw("skateboard_valid_1"), catalog)
     text = serialize_plan(plan)
