@@ -4,8 +4,9 @@ Every subcommand prints a JSON document on stdout and logs on stderr.
 Exit codes: 0 success, 1 validation or simulation failure, 2 usage or
 I/O errors, a file that is not UTF-8 or a malformed OBJ file included.
 
-The plan commands (validate, build, simulate, metrics --plan) run the
-plan file through the pipeline's ``evaluate_plan_text``; a stage failure
+validate runs the plan file through the pipeline's FORMAT stage,
+``check_format``, alone.  The other plan commands (build, simulate,
+metrics --plan) run it through ``evaluate_plan_text``; a stage failure
 prints ``{"stage", "report"}`` under the pipeline's stage names, plus the
 assembly when one was built.
 """
@@ -26,18 +27,17 @@ from .errors import CraftError, MalformedObj
 from .orchestrator import (
     POLICIES,
     POLICY_FEEDBACK,
-    STAGE_FORMAT,
     STAGE_NONE,
     HttpClient,
     ScriptedClient,
     category_function,
+    check_format,
     classify_failure,
     evaluate_plan_text,
     load_heuristics,
     run_pipeline,
 )
 from .physics import SimConfig
-from .plan import FormatReport
 
 log = logging.getLogger("craftkit")
 
@@ -71,12 +71,9 @@ def _stage_payload(stage, report, assembly):
 
 
 def cmd_validate(args):
-    stage, report, *_ = _evaluate(args)
-    if stage == STAGE_FORMAT:
-        _emit(report)
-        return EXIT_INVALID
-    _emit(FormatReport().to_dict())
-    return EXIT_OK
+    plan, report = check_format(read_text(args.plan), _catalog(args))
+    _emit(report)
+    return EXIT_INVALID if plan is None else EXIT_OK
 
 
 def cmd_build(args):

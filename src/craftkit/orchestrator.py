@@ -1,13 +1,17 @@
 """LLM orchestration: prompting, validation stages, and re-prompting.
 
 The pipeline asks a client for a plan, runs it through format, position,
-and physics validation, and optionally asks again.  Clients are pluggable;
-the scripted client replays canned responses so the whole pipeline runs
-offline and deterministically.
+and physics validation, and optionally asks again.  ``check_format`` is the
+FORMAT stage and ``judge_plan`` every stage after it; ``evaluate_plan_text``
+runs the two in turn.  One pipeline run parses every answer but judges each
+distinct plan once: an answer whose plan equals an earlier answer's reuses
+that verdict.  Clients are pluggable; the scripted client replays canned
+responses so the whole pipeline runs offline and deterministically.
 """
 
 from __future__ import annotations
 
+import copy
 import importlib.resources
 import json
 import time
@@ -223,51 +227,72 @@ def classify_failure(stage: str) -> str:
     return "Success"
 
 
-def evaluate_plan_text(raw, catalog, functional=None, sim_config=None):
-    """Run one raw response through every validation stage, in order.
+def check_format(raw, catalog):
+    """The FORMAT stage: ``raw`` normalized and parsed against ``catalog``.
 
-    The only sequencing of the stages: the pipeline, the batch runner and
-    the CLI's plan commands all call it.  Returns (stage, report_dict, plan,
-    assembly, outcome); a FORMAT report is always a ``FormatReport`` dict.
+    Returns (plan, report_dict); the plan is None when the report, always a
+    ``FormatReport`` dict, carries errors.
     """
     try:
         plan, report = parse_plan(normalize_raw(raw), catalog)
     except JsonSyntaxError as exc:
         plan, report = None, FormatReport()
         report.add(None, None, "JsonSyntaxError", str(exc))
-    if plan is None:
-        return STAGE_FORMAT, report.to_dict(), None, None, None
+    return plan, report.to_dict()
 
+
+def judge_plan(plan, catalog, functional=None, sim_config=None):
+    """Every stage after FORMAT, in order, for a parsed ``plan``.
+
+    Returns (stage, report_dict, assembly, outcome).
+    """
     try:
         assembly = build_assembly(plan, catalog)
     except HoleExceedsOwner as exc:
         return STAGE_COLLISION, {"error": "HoleExceedsOwner",
-                                 "message": str(exc)}, plan, None, None
+                                 "message": str(exc)}, None, None
     except PlacementError as exc:
         stage = STAGE_CONNECTIVITY if isinstance(
             exc, (Unplaceable, HoleNotCarvedYet)) else STAGE_COLLISION
         return stage, {"error": type(exc).__name__,
-                       "message": str(exc)}, plan, None, None
+                       "message": str(exc)}, None, None
 
     collisions = validate_collisions(assembly)
     if not collisions.ok:
-        return (STAGE_COLLISION, collisions.to_dict(), plan, assembly, None)
+        return STAGE_COLLISION, collisions.to_dict(), assembly, None
 
     components = connectivity_check(assembly)
     if components is not None:
         return (STAGE_CONNECTIVITY,
                 {"error": "Disconnected",
                  "components": [sorted(c) for c in components]},
-                plan, assembly, None)
+                assembly, None)
 
     if functional is None:
-        return STAGE_NONE, {}, plan, assembly, None
+        return STAGE_NONE, {}, assembly, None
     outcome = run_functional_test(functional, assembly, plan, sim_config)
     if not outcome.success:
         report = outcome.to_dict()
         report.pop("trajectory", None)
-        return STAGE_PHYSICS, report, plan, assembly, outcome
-    return STAGE_NONE, {}, plan, assembly, outcome
+        return STAGE_PHYSICS, report, assembly, outcome
+    return STAGE_NONE, {}, assembly, outcome
+
+
+def evaluate_plan_text(raw, catalog, functional=None, sim_config=None):
+    """Run one raw response through every validation stage, in order:
+    ``check_format``, then ``judge_plan`` on the plan it parsed.
+
+    The CLI's build, simulate and metrics commands call it; the pipeline
+    runs the same two functions in turn.  Returns (stage, report_dict,
+    plan, assembly, outcome); a FORMAT report is always a ``FormatReport``
+    dict.
+    """
+    plan, report = check_format(raw, catalog)
+    if plan is None:
+        return STAGE_FORMAT, report, None, None, None
+    stage, report, assembly, outcome = judge_plan(
+        plan, catalog, functional, sim_config)
+    return stage, report, plan, assembly, outcome
 
 
 def _call(client, prompt):
@@ -293,18 +318,21 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     Budgets: NONE issues a single call; FRESH retries the identical prompt
     up to twice more; FEEDBACK allows one retry for a pre-simulation
     failure and one more for a simulation failure.  Every policy stays
-    within three LLM calls.  A client that still fails after its retries,
-    or fails in a way a retry cannot mend, ends the run as a failure at
-    stage CLIENT.  Raises ValueError for an unknown policy, and for a
-    category that heuristics.json does not list, which would have no
-    functional test to run.
+    within three LLM calls.  Every answer is parsed, but a plan equal to
+    an earlier attempt's in this run is not judged again: its attempt gets
+    a copy of that verdict, as verdicts are deterministic.  A client that
+    still fails after its retries, or fails in a way a retry cannot mend,
+    ends the run as a failure at stage CLIENT.  Raises ValueError for an
+    unknown policy, and for a category that heuristics.json does not list,
+    which would have no functional test to run.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     functional = category_function(category)
     if functional is None:
         raise ValueError(f"unknown category {category!r}")
-    catalog = catalog or default_catalog()
+    if catalog is None:
+        catalog = default_catalog()
     if sim_config is None:
         sim_config = SimConfig()
 
@@ -313,6 +341,8 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     pre_sim_retries = 0
     sim_retries = 0
     feedback = None
+    # plan -> judge_plan's verdict: a repeated plan is not judged again
+    verdicts = {}
     while result.llm_calls < MAX_LLM_CALLS:
         prompt = build_prompt(
             category, catalog,
@@ -327,8 +357,15 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
             result.plan = result.assembly = result.outcome = None
             return result
         result.llm_calls += 1
-        stage, report, plan, assembly, outcome = evaluate_plan_text(
-            raw, catalog, functional=functional, sim_config=sim_config)
+        plan, report = check_format(raw, catalog)
+        if plan is None:
+            stage, assembly, outcome = STAGE_FORMAT, None, None
+        else:
+            if plan not in verdicts:
+                verdicts[plan] = judge_plan(plan, catalog, functional,
+                                            sim_config)
+            stage, report, assembly, outcome = verdicts[plan]
+            report = copy.deepcopy(report)  # each attempt owns its report
         result.attempts.append(AttemptRecord(
             raw=raw, failure_stage=stage, report=report))
         result.failure_stage = stage

@@ -22,6 +22,20 @@ def test_validate_ok(capsys, plan_path):
     assert payload["ok"] is True
 
 
+def test_validate_runs_the_format_stage_only(capsys, plan_path,
+                                            monkeypatch):
+    from craftkit import orchestrator
+
+    def unreachable(*args):
+        raise AssertionError("validate placed the plan")
+
+    monkeypatch.setattr(orchestrator, "build_assembly", unreachable)
+    code, out = run_cli(capsys, "validate",
+                        str(plan_path("bookshelf_collision")))
+    assert code == EXIT_OK
+    assert json.loads(out) == {"ok": True, "errors": []}
+
+
 def test_validate_invalid(capsys, plan_path):
     code, out = run_cli(capsys, "validate", str(plan_path("hammer_invalid_1")))
     assert code == EXIT_INVALID

@@ -5,6 +5,8 @@ import types
 
 import pytest
 
+from craftkit import orchestrator
+from craftkit.catalog import Catalog
 from craftkit.errors import ClientError
 from craftkit.orchestrator import (
     MAX_CLIENT_RETRIES,
@@ -334,3 +336,67 @@ def test_unknown_category_rejected_before_any_call(catalog, fixture_raw):
     with pytest.raises(ValueError, match="unknown category 'skatebord'"):
         run_pipeline("skatebord", client, catalog=catalog)
     assert client.prompts == []
+
+
+def test_an_empty_catalog_is_not_replaced_by_the_default(response_text):
+    """A catalog with no objects is falsy, yet it is the caller's catalog:
+    a plan naming any object fails FORMAT against it."""
+    client = ScriptedClient([response_text("hammer_valid_1")])
+    result = run_pipeline("hammer", client, policy=POLICY_NONE,
+                          catalog=Catalog([]), sim_config=FAST_SIM)
+    assert result.failure_stage == STAGE_FORMAT
+    codes = {e["code"] for e in result.attempts[0].report["errors"]}
+    assert codes == {"UnknownObject"}
+
+
+def _respelled(text):
+    """The same plan in lower case, with hyphens and a code fence."""
+    return "```json\n" + text.lower().replace("_", "-") + "\n```"
+
+
+def _first_face_swapped(text):
+    """A different plan: its first TOP face is a BOTTOM one."""
+    return text.replace('"to_face": "TOP"', '"to_face": "BOTTOM"', 1)
+
+
+def _verbatim(text):
+    return text
+
+
+@pytest.mark.parametrize("policy, name, spellings, counted, runs, stages", [
+    # the model ignores the feedback and answers the same plan again
+    (POLICY_FEEDBACK, "skateboard_floating", (_verbatim, _respelled),
+     "run_functional_test", 1, [STAGE_PHYSICS] * 2),
+    # the identical prompt gets the identical answer
+    (POLICY_FRESH, "bookshelf_collision", (_verbatim,) * 3,
+     "validate_collisions", 1, [STAGE_COLLISION] * 3),
+    # one connection's TO_FACE differs, so both plans are judged
+    (POLICY_FEEDBACK, "skateboard_floating", (_verbatim, _first_face_swapped),
+     "run_functional_test", 2, [STAGE_PHYSICS] * 2),
+], ids=["feedback_ignored", "fresh_identical", "face_differs"])
+def test_a_run_judges_each_distinct_plan_once(
+        policy, name, spellings, counted, runs, stages, monkeypatch, catalog,
+        fixture_raw):
+    original = getattr(orchestrator, counted)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, counted, counting)
+    raws = [spell(fixture_raw(name)) for spell in spellings]
+    category = name.split("_", 1)[0]
+    result = run_pipeline(category, ScriptedClient(raws), policy=policy,
+                          catalog=catalog, sim_config=FAST_SIM)
+    assert len(calls) == runs
+    # every answer is still called for, counted and recorded
+    assert result.llm_calls == len(raws)
+    assert [a.raw for a in result.attempts] == raws
+    assert [a.failure_stage for a in result.attempts] == stages
+    reports = [a.report for a in result.attempts]
+    assert len({id(r) for r in reports}) == len(reports)
+    for attempt in result.attempts:
+        stage, report, *_ = evaluate_plan_text(
+            attempt.raw, catalog, category_function(category), FAST_SIM)
+        assert (attempt.failure_stage, attempt.report) == (stage, report)
