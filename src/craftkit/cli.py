@@ -182,10 +182,10 @@ def _manifest_error(jobs, base):
     return None
 
 
-def _batch_job(job, policy, catalog, base):
+def _batch_job(job, policy, catalog, base, verdicts):
     client = ScriptedClient(_responses(job, base))
     result = run_pipeline(job["category"], client, policy=policy,
-                          catalog=catalog)
+                          catalog=catalog, verdicts=verdicts)
     return {
         "category": job["category"],
         "attempts": result.llm_calls,
@@ -202,9 +202,13 @@ def cmd_batch(args):
     if error is not None:
         log.error("%s", error)
         return EXIT_USAGE
+    # one memo for the whole batch: each distinct plan is judged once per
+    # functional test, whichever job meets it first
+    verdicts = {}
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(
-            lambda j: _batch_job(j, args.policy, catalog, base), jobs))
+            lambda j: _batch_job(j, args.policy, catalog, base, verdicts),
+            jobs))
     out = open(args.out, "w", newline="", encoding="utf-8") \
         if args.out else sys.stdout
     try:

@@ -3,18 +3,22 @@
 The pipeline asks a client for a plan, runs it through format, position,
 and physics validation, and optionally asks again.  ``check_format`` is the
 FORMAT stage and ``judge_plan`` every stage after it; ``evaluate_plan_text``
-runs the two in turn.  One pipeline run parses every answer but judges each
-distinct plan once: an answer whose plan equals an earlier answer's reuses
-that verdict.  Clients are pluggable; the scripted client replays canned
+runs the two in turn.  A pipeline run parses every answer but judges each
+distinct plan once per functional test: an answer whose plan equals one
+already judged reuses that verdict.  The memo of verdicts lives for one run
+unless the caller passes one in; ``craftkit batch`` shares one across the
+jobs of a batch.  Clients are pluggable; the scripted client replays canned
 responses so the whole pipeline runs offline and deterministically.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import importlib.resources
 import json
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,12 +55,18 @@ MAX_CLIENT_RETRIES = 3
 CLIENT_BACKOFF_S = 0.5  # first wait between attempts; each next one doubles
 
 
+@functools.cache
 def load_heuristics():
+    """heuristics.json, parsed once per process: the dict is shared by
+    every caller, so treat it as read-only."""
     ref = importlib.resources.files("craftkit.data") / "heuristics.json"
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+@functools.cache
 def load_template(category):
+    """The example plan text of ``category``, or None; each file is read
+    once per process."""
     ref = importlib.resources.files("craftkit.data") / "templates" \
         / f"{category.lower()}.json"
     try:
@@ -312,19 +322,26 @@ def _call(client, prompt):
 
 
 def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
-                 sim_config=None) -> PipelineResult:
+                 sim_config=None, verdicts=None) -> PipelineResult:
     """Prompt, validate, and re-prompt within the policy's budget.
 
     Budgets: NONE issues a single call; FRESH retries the identical prompt
     up to twice more; FEEDBACK allows one retry for a pre-simulation
     failure and one more for a simulation failure.  Every policy stays
-    within three LLM calls.  Every answer is parsed, but a plan equal to
-    an earlier attempt's in this run is not judged again: its attempt gets
-    a copy of that verdict, as verdicts are deterministic.  A client that
-    still fails after its retries, or fails in a way a retry cannot mend,
-    ends the run as a failure at stage CLIENT.  Raises ValueError for an
-    unknown policy, and for a category that heuristics.json does not list,
-    which would have no functional test to run.
+    within three LLM calls.  Every answer is parsed, but a plan already
+    judged under the same functional test is not judged again: its
+    attempt gets a copy of that report, as verdicts are deterministic.
+    ``verdicts`` is that memo, a dict from ``(functional, plan)`` to a
+    Future of ``judge_plan``'s verdict; by default each call starts an
+    empty one.  A caller may share one dict across calls, from several
+    threads too, as long as they all use the same catalog and sim_config:
+    a thread that meets a plan another is judging waits for its verdict.
+    Results that reuse a verdict share its ``assembly`` and ``outcome``
+    objects, so treat those as read-only.  A client that still fails
+    after its retries, or fails in a way a retry cannot mend, ends the run
+    as a failure at stage CLIENT.  Raises ValueError for an unknown policy,
+    and for a category that heuristics.json does not list, which would
+    have no functional test to run.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -341,8 +358,8 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     pre_sim_retries = 0
     sim_retries = 0
     feedback = None
-    # plan -> judge_plan's verdict: a repeated plan is not judged again
-    verdicts = {}
+    if verdicts is None:
+        verdicts = {}
     while result.llm_calls < MAX_LLM_CALLS:
         prompt = build_prompt(
             category, catalog,
@@ -361,10 +378,18 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
         if plan is None:
             stage, assembly, outcome = STAGE_FORMAT, None, None
         else:
-            if plan not in verdicts:
-                verdicts[plan] = judge_plan(plan, catalog, functional,
-                                            sim_config)
-            stage, report, assembly, outcome = verdicts[plan]
+            # setdefault is atomic: the first thread to meet a plan judges
+            # it, and any other waits for that verdict
+            pending = Future()
+            verdict = verdicts.setdefault((functional, plan), pending)
+            if verdict is pending:
+                try:
+                    pending.set_result(judge_plan(plan, catalog, functional,
+                                                  sim_config))
+                except BaseException as exc:
+                    pending.set_exception(exc)
+                    raise
+            stage, report, assembly, outcome = verdict.result()
             report = copy.deepcopy(report)  # each attempt owns its report
         result.attempts.append(AttemptRecord(
             raw=raw, failure_stage=stage, report=report))

@@ -546,3 +546,130 @@ def test_metrics_on_a_degenerate_prediction_obj_is_a_usage_error(
     assert code == EXIT_USAGE
     assert capsys.readouterr().out == ""
     assert f"{pred}: {detail}" in caplog.text
+
+
+def _fenced(text):
+    return "```json\n" + text + "\n```"
+
+
+def _respelled(text):
+    """The same plan in lower case, with hyphens and a code fence."""
+    return _fenced(text.lower().replace("_", "-"))
+
+
+def test_a_batch_judges_each_distinct_plan_once_per_test(
+        capsys, tmp_path, fixture_raw, monkeypatch):
+    import threading
+
+    from craftkit import cli, orchestrator
+
+    hammer = fixture_raw("hammer_valid_1")
+    shelf = fixture_raw("bookshelf_collision")
+    jobs = [
+        {"category": "hammer", "responses": [hammer]},
+        {"category": "hammer", "responses": [_respelled(hammer)]},
+        {"category": "bookshelf", "responses": [shelf, shelf]},
+        # table runs the same support test as bookshelf
+        {"category": "table", "responses": [_fenced(shelf)] * 2},
+        # a hammer runs the hit test, so the shelf is judged again
+        {"category": "hammer", "responses": [_respelled(shelf)] * 2},
+    ]
+    simulated, collided, results = [], [], []
+    second_parsed = threading.Event()
+    check_format = orchestrator.check_format
+    run_functional_test = orchestrator.run_functional_test
+    validate_collisions = orchestrator.validate_collisions
+    run_pipeline = cli.run_pipeline
+
+    def checking(raw, catalog):
+        parsed = check_format(raw, catalog)
+        if raw == jobs[1]["responses"][0]:
+            second_parsed.set()
+        return parsed
+
+    def simulating(functional, *args):
+        # the first hammer is judged only once the second job holds the
+        # same plan, so that job meets a verdict still being made
+        assert second_parsed.wait(60)
+        simulated.append(functional)
+        return run_functional_test(functional, *args)
+
+    def colliding(assembly):
+        report = validate_collisions(assembly)
+        collided.append(report.ok)
+        return report
+
+    def pipeline(*args, **kwargs):
+        result = run_pipeline(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(orchestrator, "check_format", checking)
+    monkeypatch.setattr(orchestrator, "run_functional_test", simulating)
+    monkeypatch.setattr(orchestrator, "validate_collisions", colliding)
+    monkeypatch.setattr(cli, "run_pipeline", pipeline)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(jobs))
+    out_csv = tmp_path / "out.csv"
+    code, _ = run_cli(capsys, "batch", str(manifest), "--out", str(out_csv),
+                      "--jobs", "2")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
+    assert [(r["status"], r["failure_stage"], r["attempts"]) for r in rows] \
+        == [("success", "NONE", "1"), ("success", "NONE", "1"),
+            ("failed", "COLLISION", "2"), ("failed", "COLLISION", "2"),
+            ("failed", "COLLISION", "2")]
+    # one hit for the hammer; the shelf collides once per test
+    assert simulated == ["hit"]
+    assert sorted(collided) == [False, False, True]
+    reports = [a.report for r in results for a in r.attempts]
+    assert len(reports) == 8
+    assert len({id(r) for r in reports}) == len(reports)
+
+
+def test_batch_csv_is_the_same_with_or_without_a_shared_memo(
+        capsys, tmp_path, fixture_raw, monkeypatch):
+    from craftkit import cli
+
+    def spelled(*names):
+        return [_respelled(fixture_raw(n)) if i % 2 else fixture_raw(n)
+                for i, n in enumerate(names)]
+
+    jobs = [
+        {"category": "hammer",
+         "responses": spelled("hammer_invalid_1", "hammer_valid_1")},
+        {"category": "bookshelf",
+         "responses": spelled("bookshelf_collision", "bookshelf_collision")},
+        {"category": "hammer",
+         "responses": spelled("hammer_detached", "hammer_valid_1")},
+        {"category": "skateboard",
+         "responses": spelled("skateboard_floating", "skateboard_floating")},
+        {"category": "table",
+         "responses": spelled("bookshelf_collision", "bookshelf_collision")},
+    ] * 2
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(jobs))
+    run_pipeline = cli.run_pipeline
+    results = []
+
+    def batch(name, workers, share=True):
+        def pipeline(category, client, **kwargs):
+            if not share:
+                kwargs.pop("verdicts", None)
+            result = run_pipeline(category, client, **kwargs)
+            results.append(result.to_dict())
+            return result
+
+        monkeypatch.setattr(cli, "run_pipeline", pipeline)
+        out = tmp_path / name
+        code, _ = run_cli(capsys, "batch", str(manifest), "--out", str(out),
+                          "--jobs", workers)
+        assert code == EXIT_OK
+        return out.read_bytes()
+
+    alone = batch("alone.csv", "1", share=False)
+    alone_results, results[:] = results[:], []
+    assert batch("jobs1.csv", "1") == alone
+    assert results == alone_results
+    assert batch("jobs2.csv", "2") == alone
+    assert len(alone.splitlines()) == 1 + len(jobs)

@@ -26,6 +26,7 @@ from craftkit.orchestrator import (
     classify_failure,
     evaluate_plan_text,
     load_heuristics,
+    load_template,
     run_pipeline,
 )
 from craftkit.physics import SimConfig
@@ -400,3 +401,67 @@ def test_a_run_judges_each_distinct_plan_once(
         stage, report, *_ = evaluate_plan_text(
             attempt.raw, catalog, category_function(category), FAST_SIM)
         assert (attempt.failure_stage, attempt.report) == (stage, report)
+
+
+def test_runs_that_share_a_memo_judge_a_plan_once(monkeypatch, catalog,
+                                                  fixture_raw):
+    original = orchestrator.validate_collisions
+    calls = []
+
+    def counting(assembly):
+        calls.append(assembly)
+        return original(assembly)
+
+    monkeypatch.setattr(orchestrator, "validate_collisions", counting)
+    raw = fixture_raw("bookshelf_collision")
+
+    def run(verdicts=None):
+        return run_pipeline("bookshelf", ScriptedClient([raw]),
+                            policy=POLICY_NONE, catalog=catalog,
+                            verdicts=verdicts)
+
+    # by default each run keeps its own memo
+    run(), run()
+    assert len(calls) == 2
+    shared = {}
+    first, second = run(shared), run(shared)
+    assert len(calls) == 3
+    assert list(shared) == [("support", first.plan)]
+    assert first.assembly is second.assembly
+    assert first.attempts[0].report == second.attempts[0].report
+    assert first.attempts[0].report is not second.attempts[0].report
+
+
+def test_a_judgement_that_raises_is_raised_to_every_sharer(monkeypatch,
+                                                          catalog,
+                                                          fixture_raw):
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise RuntimeError("judge failed")
+
+    monkeypatch.setattr(orchestrator, "judge_plan", failing)
+    shared = {}
+    for _ in range(2):
+        # the second run finds the failed verdict, not one left pending
+        with pytest.raises(RuntimeError, match="judge failed"):
+            run_pipeline("bookshelf",
+                         ScriptedClient([fixture_raw("bookshelf_collision")]),
+                         policy=POLICY_NONE, catalog=catalog,
+                         verdicts=shared)
+    assert len(calls) == 1
+
+
+def test_package_data_is_read_once_per_process(monkeypatch):
+    heuristics = load_heuristics()
+    template = load_template("hammer")
+
+    def no_reads(*args):
+        raise AssertionError("package data read again")
+
+    monkeypatch.setattr(orchestrator.importlib.resources, "files", no_reads)
+    assert load_heuristics() is heuristics
+    assert load_template("hammer") == template
+    assert category_function("table") == "support"
+    assert "Example of a valid plan" in build_prompt("hammer", Catalog([]))
