@@ -1,10 +1,18 @@
 """Pairwise overlap tests for axis-aligned primitive solids with holes.
 
 Placement only ever produces axis-aligned boxes and cylinders whose axes are
-parallel or perpendicular.  Every pair but perpendicular cylinders has a
-closed-form test.  Perpendicular cylinders first meet a closed-form upper
-bound that rejects separated pairs; a pair that passes it is settled by a
-ternary search over the shared coordinate, run to its fixed point.
+parallel or perpendicular.  ``pair_overlap`` first rejects a pair whose
+boxes (each solid's ``extents`` at its centre) are apart on some axis,
+``|cb - ca| > (ea + eb) / 2`` (Ericson, *Real-Time Collision Detection*,
+2004, ch. 4).  This box reject is the one broad phase, for placement and
+for the engine's body-body contacts alike, and it is exact: boxes apart
+leave the base primitives apart, or with a depth of rounding size that
+every caller's ``tol`` exceeds, and a hole only ever clears more.
+
+Every pair but perpendicular cylinders has a closed-form test.
+Perpendicular cylinders first meet a closed-form upper bound that rejects
+separated pairs; a pair that passes it is settled by a ternary search over
+the shared coordinate, run to its fixed point.
 
 Overlap that falls entirely inside one hole of either part is exempt,
 and that too is decided in closed form, by per-axis interval tests
@@ -230,6 +238,13 @@ def pair_overlap(ca, a: Solid, cb, b: Solid, tol: float = TOUCH_TOL):
     """None when separated, touching, or when one hole of either part
     holds all that the two share; else (penetration_depth, witness) of
     the base primitives."""
+    # broad phase: boxes apart on some axis leave the primitives apart, or
+    # with a depth of rounding size, which every caller's tol rejects
+    (a0, a1, a2), (b0, b1, b2) = ca, cb
+    (e0, e1, e2), (f0, f1, f2) = a.extents, b.extents
+    if (abs(b0 - a0) > (e0 + f0) / 2.0 or abs(b1 - a1) > (e1 + f1) / 2.0
+            or abs(b2 - a2) > (e2 + f2) / 2.0):
+        return None
     hit = base_overlap(ca, a, cb, b)
     if hit is None or hit[0] <= tol:
         return None

@@ -36,11 +36,12 @@ by value, so the hit test's floor contacts qualify) gets a _GroundRow: its
 directions are z, x and y, so the row keeps only the non-zero terms of
 each Jacobian and response and solves all three directions in one call,
 bit-identical to the generic _ContactRow that every other contact uses.
-Per-part constants of contact generation (bounding radius, box half
-extents, the offset from the body centre) are computed once per part, and
-each part's world centre once per step.  Boxes and lying cylinders whose
-lowest point is above the contact margin are skipped before any corner or
-rim point is built.
+Per-part constants of contact generation (box half extents, the offset
+from the body centre) are computed once per part, and each part's world
+centre once per step.  Body-body contacts test every part pair of every
+unjointed body pair with ``pair_overlap``, whose box reject is the only
+broad phase.  Boxes and lying cylinders whose lowest point is above the
+contact margin are skipped before any corner or rim point is built.
 
 Velocity impulses are warm-started (Catto, "Iterative Dynamics with
 Temporal Coherence", GDC 2005; Box2D's contact solver).  Each generated
@@ -154,12 +155,9 @@ class BodyPart:
     solid: Solid
     local_center: tuple  # offset from body COM in the body frame, as floats
     # constants of contact generation, fixed with the solid
-    radius: float = field(init=False)  # half the diagonal of the solid's AABB
     half: tuple | None = field(init=False)  # box half extents
 
     def __post_init__(self):
-        e0, e1, e2 = self.solid.extents
-        self.radius = 0.5 * math.sqrt(e0 * e0 + e1 * e1 + e2 * e2)
         self.half = None
         if self.solid.kind == BOX:
             self.half = tuple(e / 2.0 for e in self.solid.extents)
@@ -967,13 +965,6 @@ class World:
                     continue
                 for ia, (pa, ca) in enumerate(zip(a.parts, centers[i])):
                     for ib, (pb, cb) in enumerate(zip(b.parts, centers[j])):
-                        # coarse sphere reject before the exact test
-                        dx, dy, dz = cb[0] - ca[0], cb[1] - ca[1], \
-                            cb[2] - ca[2]
-                        reach = pa.radius + pb.radius
-                        if dx * dx + dy * dy + dz * dz > \
-                                reach * reach + 1e-8:
-                            continue
                         hit = pair_overlap(ca, pa.solid, cb, pb.solid,
                                            tol=1e-10)
                         if hit is None:

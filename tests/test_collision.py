@@ -267,14 +267,28 @@ def _counting_interval_overlap(monkeypatch):
     return calls
 
 
+def _boxes_apart(ca, a, cb, b):
+    return any(abs(q - p) > (da + db) / 2.0
+               for p, q, da, db in zip(ca, cb, a.extents, b.extents))
+
+
 def test_hit_verdict_does_not_search_separated_cylinders(
         build_fixture, monkeypatch):
-    # the unbounded search made 144 541 calls in this verdict
+    # the box reject leaves the primitive test to the 3 steps whose boxes
+    # overlap, none of them a cylinder pair that needs a search
     plan, asm = build_fixture("hammer_valid_1")
-    calls = _counting_interval_overlap(monkeypatch)
+    intervals = _counting_interval_overlap(monkeypatch)
+    apart = []
+
+    def counted(ca, a, cb, b):
+        apart.append(_boxes_apart(ca, a, cb, b))
+        return base_overlap(ca, a, cb, b)
+
+    monkeypatch.setattr(collision, "base_overlap", counted)
     outcome = run_functional_test("hit", asm, plan)
     assert outcome.success, (outcome.failure_reason, outcome.details)
-    assert 0 < calls[0] < 1000, calls[0]
+    assert apart == [False] * 3, apart
+    assert intervals[0] == 0, intervals[0]
 
 
 def test_overlapping_perpendicular_search_stops_at_its_fixed_point(
@@ -484,3 +498,105 @@ def test_pair_overlap_returns_plain_floats():
         assert type(depth) is float, (a.kind, b.kind)
         assert len(witness) == 3
         assert all(type(w) is float for w in witness), (a.kind, b.kind)
+
+
+# -- the box reject ----------------------------------------------------------
+
+def _pair_overlap_without_reject(ca, a, cb, b, tol):
+    """``pair_overlap`` with no box reject in front of the primitive test,
+    kept as the reference that the rejecting one must match."""
+    hit = base_overlap(ca, a, cb, b)
+    if hit is None or hit[0] <= tol:
+        return None
+    if a.holes or b.holes:
+        shared = collision.aabb_overlap(ca, a.extents, cb, b.extents)
+        for owner_center, owner in ((ca, a), (cb, b)):
+            for hole in owner.holes:
+                if collision._hole_holds(hole, owner_center, shared,
+                                         ca, a, cb, b, tol):
+                    return None
+    return hit
+
+
+def _reject_solids(rng, kind):
+    def box():
+        return Solid.box(tuple(float(e) for e in rng.uniform(0.02, 0.15, 3)))
+
+    def cyl(ax):
+        return Solid.cylinder(float(rng.uniform(0.01, 0.07)),
+                              float(rng.uniform(0.03, 0.15)), ax)
+
+    if kind == "holed":
+        _, owner, _, peg = _holed_pair(rng, bool(rng.integers(0, 2)))
+        return owner, peg
+    first, second = kind
+    return (box() if first is None else cyl(first),
+            box() if second is None else cyl(second))
+
+
+# None is a box, an int a cylinder on that axis: box/box, box/cylinder
+# both ways on each axis, parallel and perpendicular cylinders, and a
+# holed first solid with a peg
+_REJECT_KINDS = ([(None, None)] + [(None, k) for k in range(3)]
+                 + [(k, None) for k in range(3)]
+                 + [(k, k) for k in range(3)] + _AXIS_PAIRS + ["holed"])
+
+# offsets from the box-touching distance, in and out; 1e-17 is below the
+# ulp of most coordinates drawn, so it mostly lands on touching itself
+_REJECT_OFFSETS = ("ulp", 0.0, 1e-17, 1e-12, 1e-9)
+
+
+def test_box_reject_changes_no_result():
+    """Seeded pairs of every kind with their boxes touching on one axis,
+    or just inside or outside by one ulp, 1e-17, 1e-12 or 1e-9, give the
+    same result with the reject as without it, at the engine's tolerance
+    and at placement's.  The other two axes overlap, or touch too."""
+    rng = np.random.default_rng(29)
+    tols = (1e-10, collision.TOUCH_TOL)
+    rejected, hits = 0, dict.fromkeys(tols, 0)
+    for kind in _REJECT_KINDS:
+        for _ in range(12):
+            a, b = _reject_solids(rng, kind)
+            ca = tuple(float(c) for c in rng.uniform(-0.05, 0.05, 3))
+            reach = [(da + db) / 2.0 for da, db in zip(a.extents, b.extents)]
+            for axis in range(3):
+                for sign in (1.0, -1.0):
+                    cb = [c + float(rng.choice((-1.0, 1.0, rng.uniform(
+                        -1.0, 1.0)))) * r for c, r in zip(ca, reach)]
+                    touching = ca[axis] + sign * reach[axis]
+                    for offset in _REJECT_OFFSETS:
+                        for out in (1.0, -1.0):
+                            if offset == "ulp":
+                                cb[axis] = _nudge(touching, int(sign * out))
+                            else:
+                                cb[axis] = touching + sign * out * offset
+                            rejected += _boxes_apart(ca, a, cb, b)
+                            for tol in tols:
+                                got = pair_overlap(ca, a, tuple(cb), b, tol)
+                                want = _pair_overlap_without_reject(
+                                    ca, a, tuple(cb), b, tol)
+                                assert got == want, (kind, ca, cb, tol)
+                                hits[tol] += got is not None
+    # 5012 of the 12 240 pairs are rejected, and some 1e-9 overlaps collide
+    # at the engine's tolerance but not at placement's (70 and 8 hits)
+    assert rejected > 4000, rejected
+    assert hits[1e-10] > hits[collision.TOUCH_TOL] > 0, hits
+
+
+def test_boxes_one_ulp_apart_skip_the_primitive_test(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return base_overlap(*args)
+
+    monkeypatch.setattr(collision, "base_overlap", counted)
+    a, b = Solid.box((0.1, 0.1, 0.1)), Solid.box((0.1, 0.1, 0.1))
+    apart = (math.nextafter(0.1, math.inf), 0.0, 0.0)
+    assert pair_overlap((0.0, 0.0, 0.0), a, apart, b, tol=0.0) is None
+    assert calls[0] == 0
+    # one ulp closer they touch, so the primitive test runs and finds them
+    # touching
+    assert pair_overlap((0.0, 0.0, 0.0), a, (0.1, 0.0, 0.0), b,
+                        tol=0.0) is None
+    assert calls[0] == 1

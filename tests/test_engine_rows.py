@@ -805,8 +805,11 @@ def _ref_body_body_contacts(world, refs, contacts, centers):
                 continue
             for ia, (pa, ca) in enumerate(zip(a.parts, centers[i])):
                 for ib, (pb, cb) in enumerate(zip(b.parts, centers[j])):
+                    # a sphere bound of its own, around each part's box
                     d = cb - ca
-                    if d @ d > (pa.radius + pb.radius) ** 2 + 1e-6:
+                    reach = 0.5 * (np.linalg.norm(pa.solid.extents)
+                                   + np.linalg.norm(pb.solid.extents))
+                    if d @ d > reach ** 2 + 1e-6:
                         continue
                     hit = engine.pair_overlap(ca, pa.solid, cb, pb.solid,
                                               tol=1e-9)
