@@ -15,7 +15,7 @@ from craftkit.physics.engine import GRAVITY
 
 # the pendulum swings well above the ground plane z = 0
 cfg = SimConfig()
-world = World(cfg)
+world = World(cfg.timestep)
 
 pivot = RigidBody.from_parts(
     "pivot", [("p", Solid.box((0.05, 0.05, 0.05)), (0.0, 0.0, 2.0))], 1.0)

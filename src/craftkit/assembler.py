@@ -115,13 +115,12 @@ def _carve(owner: str, mod: ModificationSpec, owner_extents, inserted):
         # named side puts the hole at the quarter point toward that face
         offset[t] = sign * owner_extents[t] / 4.0
     token = mod.align[ax]
-    if token.endswith("_FULL"):
-        depth, through, open_sign = owner_extents[ax], True, 0
-    else:
+    depth, open_sign = owner_extents[ax], 0
+    if not token.endswith("_FULL"):
         _, open_sign = FACE_AXIS[token.split("_")[0]]
         # blind hole: opens on the start face, reaches half the extent
         offset[ax] = open_sign * owner_extents[ax] / 4.0
-        depth, through = owner_extents[ax] / 2.0, False
+        depth = owner_extents[ax] / 2.0
     radius, half_widths = DEFAULT_HOLE_RADIUS, None
     if inserted:
         max_half = max(
@@ -133,8 +132,8 @@ def _carve(owner: str, mod: ModificationSpec, owner_extents, inserted):
             radius, half_widths = None, (side / 2.0, side / 2.0)
     return HoleRegion(
         owner=owner, name=mod.name, axis=ax, offset=tuple(offset),
-        depth=depth, through=through, radius=radius,
-        half_widths=half_widths, open_sign=open_sign)
+        depth=depth, radius=radius, half_widths=half_widths,
+        open_sign=open_sign)
 
 
 def _make_solids(plan: CraftPlan, catalog: Catalog) -> dict:

@@ -37,7 +37,7 @@ from .orchestrator import (
     load_heuristics,
     run_pipeline,
 )
-from .physics import SimConfig
+from .physics.functional import TESTS, SimConfig
 
 log = logging.getLogger("craftkit")
 
@@ -285,7 +285,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="run a functional simulation test")
     p.add_argument("plan")
     p.add_argument("--test", required=True,
-                   choices=["rolling", "support", "hit"])
+                   choices=list(TESTS))
     p.add_argument("--catalog")
     p.add_argument("--duration", type=_duration,
                    help="simulated seconds, at least one timestep "

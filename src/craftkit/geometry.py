@@ -47,10 +47,13 @@ class HoleRegion:
     axis: int  # axis index of the hole direction
     offset: tuple  # (x, y, z) m, hole centre relative to the owner's centre
     depth: float  # m along axis
-    through: bool
     radius: float | None = None  # cylindrical hole
     half_widths: tuple | None = None  # square/rect hole: transverse half sizes
-    open_sign: int = 0  # blind hole: sign of the face it opens on
+    open_sign: int = 0  # blind hole: sign of the face it opens on; 0 = through
+
+    @property
+    def through(self):
+        return self.open_sign == 0
 
     def span(self):
         c = self.offset[self.axis]

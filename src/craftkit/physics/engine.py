@@ -56,13 +56,13 @@ jt2) each key ended the last step with, and per joint index the anchor
 impulse and the angular impulse as a world vector.  Row setup starts each
 accumulator there and applies that impulse to the bodies' velocities
 before the first sweep; a key missing from the cache starts at zero.  Every
-sweep clamps a contact's friction to friction * jn, also when jn is 0, so
+sweep clamps a contact's friction to FRICTION * jn, also when jn is 0, so
 no cached friction impulse outlives the normal impulse that bounds it.
-Impulses carry over unscaled, so every step is ``config.timestep`` long:
-the timestep is all ``World`` reads of its config, and the solver's other
-settings are the module constants below.  Split (position) impulses start
-at zero in every step.  Every world has a ground, the plane z = 0.
-Quantities are SI: metres, kilograms, seconds, newtons.
+Impulses carry over unscaled, so every step is one timestep long: ``World``
+takes that timestep, and the solver's other settings, the friction of
+every contact included, are the module constants below.  Split (position)
+impulses start at zero in every step.  Every world has a ground, the plane
+z = 0.  Quantities are SI: metres, kilograms, seconds, newtons.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from ..errors import NumericalDivergence
 from ..geometry import BOX, Solid, aabb_overlap, solid_inertia_diag
 
 GRAVITY = 9.81  # m/s^2, downward along -z
-FRICTION = 0.5  # Coulomb coefficient of every generated contact
+FRICTION = 0.5  # Coulomb coefficient of every contact
 # 3 velocity sweeps suffice because every row starts from the impulse its
 # feature ended the last step with: the support goldens' margins to the
 # support threshold stay above 180x, against as little as 1.01x for 3
@@ -362,12 +362,13 @@ class RevoluteJoint:
 
 @dataclass
 class Contact:
+    """One point where body_b touches body_a or the static environment.
+    Every contact has the friction coefficient ``FRICTION``."""
     body_a: RigidBody | None  # None = static environment (ground / fixture)
     body_b: RigidBody
     point: tuple  # world, 3 floats
     normal: tuple  # from a to b, 3 floats
     depth: float
-    friction: float
     # the feature this contact comes from, built from body ids and part and
     # feature indices, which keys its impulse across steps; None starts cold
     key: tuple | None = None
@@ -463,14 +464,13 @@ class _ContactRow:
     (None: zero), which are applied to the bodies at setup.
     """
 
-    __slots__ = ("va", "vb", "pa", "pb", "friction", "depth", "n", "t1",
-                 "t2", "jn", "jt1", "jt2", "pn")
+    __slots__ = ("va", "vb", "pa", "pb", "depth", "n", "t1", "t2", "jn",
+                 "jt1", "jt2", "pn")
 
     def __init__(self, contact: Contact, impulse):
         a, b = contact.body_a, contact.body_b
         self.vb, self.pb = b.vel, b.pvel
         self.va, self.pa = (None, None) if a is None else (a.vel, a.pvel)
-        self.friction = contact.friction
         self.depth = contact.depth
         n = contact.normal
         t1 = _unit_perpendicular(n)
@@ -491,12 +491,10 @@ class _ContactRow:
             return
         va, vb = self.va, self.vb
         jn = self.jn = _solve_row(self.n, va, vb, self.jn, 0.0, 0.0, _INF)
-        if self.friction <= 0.0:
-            return
         # with jn = 0 the friction is clamped to 0, so no friction impulse
         # outlives the normal impulse that bounds it, in this step or the
         # next one's warm start
-        max_f = self.friction * jn
+        max_f = FRICTION * jn
         if self.t1[4] > 0.0:
             self.jt1 = _solve_row(self.t1, va, vb, self.jt1, 0.0, -max_f,
                                   max_f)
@@ -535,13 +533,12 @@ class _GroundRow:
     start adds the previous step's impulses in _ContactRow's order too.
     """
 
-    __slots__ = ("v", "p", "friction", "depth", "r", "m", "n", "t1", "t2",
-                 "jn", "jt1", "jt2", "pn")
+    __slots__ = ("v", "p", "depth", "r", "m", "n", "t1", "t2", "jn", "jt1",
+                 "jt2", "pn")
 
     def __init__(self, contact: Contact, impulse):
         b = contact.body_b
         self.v, self.p = b.vel, b.pvel
-        self.friction = contact.friction
         self.depth = contact.depth
         self.jn = self.jt1 = self.jt2 = self.pn = 0.0
         px, py, pz = contact.point
@@ -589,10 +586,8 @@ class _GroundRow:
             v[4] += dj * a1
             v[5] += dj * a2
         self.jn = new
-        if self.friction <= 0.0:
-            return
         # as in _ContactRow, jn = 0 clamps the friction to 0
-        hi = self.friction * new
+        hi = FRICTION * new
         lo = -hi
 
         k, a0, a1, a2 = self.t1
@@ -894,12 +889,12 @@ def _standing_rim_contacts(contacts, body, index, part, r, c):
             contacts.append(Contact(None, body, (
                 low[0] + rad * (cs * u[0] + sn * vp[0]),
                 low[1] + rad * (cs * u[1] + sn * vp[1]), z),
-                _UP, max(0.0, -z), FRICTION, (body.id, index, k)))
+                _UP, max(0.0, -z), (body.id, index, k)))
 
 
 class World:
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, timestep):
+        self.timestep = timestep
         self.bodies: list[RigidBody] = []
         self.joints: list[RevoluteJoint] = []
         self.time = 0.0
@@ -935,8 +930,7 @@ class World:
                             contacts.append(Contact(None, body, (
                                 cx + ((s0 * e00 + s1 * e01) + s2 * e02),
                                 cy + ((s0 * e10 + s1 * e11) + s2 * e12),
-                                z), _UP, max(0.0, -z), FRICTION,
-                                (body.id, index, k)))
+                                z), _UP, max(0.0, -z), (body.id, index, k)))
                     continue
                 # lying cylinder: the two rim points lowest along -z, where
                 # u is -z with its axis component removed, normalized; they
@@ -952,7 +946,7 @@ class World:
                         contacts.append(Contact(None, body, (
                             (cx + a0 * e) + rad * ux,
                             (cy + a1 * e) + rad * uy, z),
-                            _UP, max(0.0, -z), FRICTION, (body.id, index, k)))
+                            _UP, max(0.0, -z), (body.id, index, k)))
 
     def _body_body_contacts(self, contacts, centers):
         # hinged bodies are not tested against each other
@@ -975,7 +969,7 @@ class World:
                         normal = [0.0, 0.0, 0.0]
                         normal[axis] = sign
                         contacts.append(Contact(
-                            a, b, witness, tuple(normal), depth, FRICTION,
+                            a, b, witness, tuple(normal), depth,
                             (a.id, b.id, ia, ib, axis, sign)))
 
     @staticmethod
@@ -1029,9 +1023,9 @@ class World:
         return contact_rows
 
     def step(self):
-        """Advance the world by one ``config.timestep``; returns the
-        contacts of the step."""
-        dt = self.config.timestep
+        """Advance the world by one timestep; returns the contacts of the
+        step."""
+        dt = self.timestep
         gravity = (0.0, 0.0, -GRAVITY)
         for body in self.bodies:
             body._start_step()

@@ -20,8 +20,7 @@ from ..assembler import Assembly, connected_groups
 from ..errors import NumericalDivergence
 from ..geometry import FACE_AXIS, TRANSVERSE, Solid, aabb_overlap
 from ..plan import CraftPlan
-from .engine import (FRICTION, Contact, RevoluteJoint, RigidBody, World,
-                     pose_point)
+from .engine import Contact, RevoluteJoint, RigidBody, World, pose_point
 
 PART_MASS = 10.0  # kg, every part's, the hit test's peg included
 
@@ -39,23 +38,27 @@ MOVED_UNDER_LOAD = "MOVED_UNDER_LOAD"
 PEG_MISSED = "PEG_MISSED"
 PEG_OUTSIDE_HOLE = "PEG_OUTSIDE_HOLE"
 
+# the tests' loads and thresholds, in newtons, the plan's metres and m/s
+ROLLING_FORCE = 20.0  # push along +x on the most connected part
+SUPPORT_FORCE = 5.0  # downward load on the top of each exec part
+SUPPORT_LIMIT = 0.001  # displacement that fails support
+HIT_DRIVE_SPEED = 0.05  # downward speed of the hit test's kinematic root
+SEPARATION_TOLERANCE = 0.005  # drift that separates a watched connection
+GROUND_CONTACT_TOLERANCE = 1e-4  # height at which a part touches the ground
+MAX_VEER = 0.03  # sideways drift allowed by the time rolling covers its goal
+
 
 @dataclass
 class SimConfig:
-    """The run (its step, length and snapshot spacing) and the tests' loads
-    and thresholds: times in seconds, lengths in the plan's metres, forces
-    in newtons, angles in radians.  The solver's own settings are constants
-    in ``engine``."""
+    """The run (``timestep`` and ``duration`` in seconds, ``trace_every``
+    steps per snapshot), which the CLI and the tests set, and the rolling
+    goal (``min_rotation`` radians, ``min_distance`` metres), which the
+    benchmark reads.  The other loads and thresholds are the constants
+    above; the solver's settings are constants in ``engine``."""
     timestep: float = 1.0 / 500.0
     duration: float = 5.0
-    rolling_force: float = 20.0
-    support_force: float = 5.0
-    separation_tolerance: float = 0.005
-    ground_contact_tolerance: float = 1e-4
     min_rotation: float = 2.0 * math.pi
     min_distance: float = 0.1
-    max_veer: float = 0.03
-    hit_drive_speed: float = 0.05
     trace_every: int = 25
 
 
@@ -144,10 +147,10 @@ def _local(point, body: RigidBody):
     return tuple(p - x for p, x in zip(point, body.x))
 
 
-def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
+def compile_craft(assembly: Assembly, timestep: float) -> CompiledCraft:
     """The assembly's rigid bodies, joints and watches, built at the plan's
     own positions and then lifted to rest on the ground."""
-    world = World(config)
+    world = World(timestep)
     clusters = connected_groups(
         list(assembly.placed),
         [(a, b) for a, b, conn in assembly.graph if conn.joint_type == "FIXED"])
@@ -207,18 +210,18 @@ def compile_craft(assembly: Assembly, config: SimConfig) -> CompiledCraft:
         ground_parts=set(assembly.ground_set))
 
 
-def check_common_failures(craft: CompiledCraft, config: SimConfig):
+def check_common_failures(craft: CompiledCraft):
     """Shared per-step checks; returns (reason, detail) or None."""
     for watch in craft.watches:
         d = watch.drift()
-        if d > config.separation_tolerance:
+        if d > SEPARATION_TOLERANCE:
             return PART_SEPARATED, {
                 "part": watch.part, "to_part": watch.to_part, "drift_m": d}
     for name, body in craft.part_body.items():
         if name in craft.ground_parts:
             continue
         z = body.part_min_z(craft.part_shape[name])
-        if z <= config.ground_contact_tolerance:
+        if z <= GROUND_CONTACT_TOLERANCE:
             return NEW_GROUND_CONTACT, {"part": name, "min_z_m": z}
     return None
 
@@ -239,14 +242,17 @@ def _craft_com(craft: CompiledCraft):
     return cx / total, cy / total, cz / total
 
 
+def _part_centers(craft: CompiledCraft):
+    """(name, world centre) of every part of the craft."""
+    for name, body in craft.part_body.items():
+        yield name, body.world_point(craft.part_shape[name].local_center)
+
+
 def _snapshot(craft: CompiledCraft, t):
     return {
         "t": round(t, 6),
-        "parts": {
-            name: [round(v, 6) for v in
-                   body.world_point(craft.part_shape[name].local_center)]
-            for name, body in craft.part_body.items()
-        },
+        "parts": {name: [round(v, 6) for v in c]
+                  for name, c in _part_centers(craft)},
     }
 
 
@@ -277,7 +283,7 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
 
     def before_step():
         point = push_body.world_point(push_local)
-        push_body.apply_force((config.rolling_force, 0.0, 0.0), point)
+        push_body.apply_force((ROLLING_FORCE, 0.0, 0.0), point)
 
     def after_step(contacts):
         nonlocal veer_at_goal
@@ -315,14 +321,11 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
             return INSUFFICIENT_ROTATION, details
         if dx < config.min_distance:
             return INSUFFICIENT_DISTANCE, details
-        if veer_at_goal is None or veer_at_goal > config.max_veer:
+        if veer_at_goal is None or veer_at_goal > MAX_VEER:
             return VEERED, details
         return None, details
 
     return before_step, after_step, finish
-
-
-SUPPORT_LIMIT = 0.001  # displacement that fails support, in metres
 
 
 def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
@@ -335,13 +338,7 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
         x, y, z = shape.local_center
         load_points[name] = (x, y, z + shape.solid.extents[2] / 2.0)
 
-    def part_centers():
-        """(name, world centre) of every part of the craft."""
-        for body in craft.world.bodies:
-            for part in body.parts:
-                yield part.name, body.world_point(part.local_center)
-
-    start = dict(part_centers())
+    start = dict(_part_centers(craft))
     start_com = _craft_com(craft)
     max_disp = 0.0
 
@@ -349,11 +346,11 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
         for name in exec_parts:
             body = craft.part_body[name]
             point = body.world_point(load_points[name])
-            body.apply_force((0.0, 0.0, -config.support_force), point)
+            body.apply_force((0.0, 0.0, -SUPPORT_FORCE), point)
 
     def after_step(contacts):
         nonlocal max_disp
-        for name, c in part_centers():
+        for name, c in _part_centers(craft):
             max_disp = max(max_disp, _distance(c, start[name]))
         max_disp = max(max_disp, _distance(_craft_com(craft), start_com))
         return None
@@ -404,18 +401,17 @@ def _peg_block_hook(peg: RigidBody):
                     n = tuple(-c / rho for c in (low[0], low[1], 0.0))
                     point = tuple(p - c * HIT_PEG_RADIUS
                                   for p, c in zip(low, n))
-                    contacts.append(Contact(None, peg, point, n, pen,
-                                            FRICTION))
+                    contacts.append(Contact(None, peg, point, n, pen))
             if low[2] < floor_z + 1e-4:
                 contacts.append(Contact(
                     None, peg, low, (0.0, 0.0, 1.0),
-                    max(0.0, floor_z - low[2]), FRICTION))
+                    max(0.0, floor_z - low[2])))
         else:
             # over solid block: its top face acts as a plane
             if low[2] < HIT_BLOCK_TOP + 1e-4:
                 contacts.append(Contact(
                     None, peg, low, (0.0, 0.0, 1.0),
-                    max(0.0, HIT_BLOCK_TOP - low[2]), FRICTION))
+                    max(0.0, HIT_BLOCK_TOP - low[2])))
         return contacts
 
     return hook
@@ -450,7 +446,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
 
     root = craft.part_body[plan.parts[0].name]
     root.kinematic = True
-    root.vel[:3] = (0.0, 0.0, -config.hit_drive_speed)
+    root.vel[:3] = (0.0, 0.0, -HIT_DRIVE_SPEED)
     touched = False
 
     def after_step(contacts):
@@ -515,7 +511,7 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
     if config.trace_every < 1:
         raise ValueError(
             f"trace_every must be at least 1, got {config.trace_every}")
-    craft = compile_craft(assembly, config)
+    craft = compile_craft(assembly, config.timestep)
     world = craft.world
     before_step, after_step, finish = setup(craft, assembly, plan, config)
     trajectory = [_snapshot(craft, 0.0)]
@@ -526,7 +522,7 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
             if (step + 1) % config.trace_every == 0:
                 trajectory.append(_snapshot(craft, world.time))
             if verdict is None:
-                verdict = check_common_failures(craft, config)
+                verdict = check_common_failures(craft)
             if verdict is not None:
                 break
         else:

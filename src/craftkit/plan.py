@@ -145,12 +145,14 @@ def _normalize_value(value):
 
 def normalize_raw(raw: str):
     """Parse raw LLM text into normalized JSON: keys and string values are
-    uppercased with hyphens replaced by underscores."""
+    uppercased with hyphens replaced by underscores.  Text that is not JSON,
+    or nests too deeply to parse, raises ``JsonSyntaxError``."""
     try:
-        payload = json.loads(strip_code_fences(raw))
+        return _normalize_value(json.loads(strip_code_fences(raw)))
     except json.JSONDecodeError as exc:
         raise JsonSyntaxError(str(exc)) from exc
-    return _normalize_value(payload)
+    except RecursionError:
+        raise JsonSyntaxError("nested too deeply") from None
 
 
 def _as_part_list(normalized):

@@ -272,7 +272,7 @@ def test_criterion_5_physics(criterion, build_fixture):
         cfg = SimConfig()
 
         # (a) resting box stays put for the full duration
-        world = World(cfg)
+        world = World(cfg.timestep)
         body = RigidBody.from_parts(
             "box", [("p", Solid.box((0.2, 0.2, 0.2)),
                      np.array([0.0, 0.0, 0.1]))], 10.0)
@@ -282,7 +282,7 @@ def test_criterion_5_physics(criterion, build_fixture):
         assert np.linalg.norm(np.subtract(body.x, [0.0, 0.0, 0.1])) < 1e-3
 
         # (b) unforced drop: total energy never grows beyond 1%
-        world = World(cfg)
+        world = World(cfg.timestep)
         body = RigidBody.from_parts(
             "box", [("p", Solid.box((0.2, 0.2, 0.2)),
                      np.array([0.0, 0.0, 0.8]))], 10.0)
@@ -294,7 +294,7 @@ def test_criterion_5_physics(criterion, build_fixture):
             assert e <= e0 * 1.01
 
         # (c) torque-driven wheel matches omega = tau * t / I within 2%
-        world = World(cfg)
+        world = World(cfg.timestep)
         wheel = RigidBody.from_parts(
             "wheel", [("p", Solid.cylinder(0.3, 0.2, axis=1),
                        np.array([0.0, 0.0, 1.0]))], 10.0)

@@ -392,6 +392,39 @@ def test_batch_csv(capsys, tmp_path, fixture_raw):
     assert rows[2]["failure_stage"] == "COLLISION"
 
 
+def test_batch_keeps_every_row_past_a_deeply_nested_answer(capsys, tmp_path,
+                                                          fixture_raw):
+    """An answer of 600 nested arrays fails its job at FORMAT, and the other
+    job's row is written too."""
+    jobs = []
+    for name, text in (("deep", "[" * 600 + "]" * 600),
+                       ("ok", fixture_raw("hammer_valid_1"))):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "01.txt").write_text(text)
+        jobs.append({"category": "hammer", "responses": str(d)})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(jobs))
+    out_csv = tmp_path / "out.csv"
+    code, _ = run_cli(capsys, "batch", str(manifest), "--out", str(out_csv),
+                      "--policy", "NONE", "--jobs", "2")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
+    assert rows == [
+        {"category": "hammer", "attempts": "1", "status": "failed",
+         "failure_stage": "FORMAT"},
+        {"category": "hammer", "attempts": "1", "status": "success",
+         "failure_stage": "NONE"}]
+
+
+def test_validate_deeply_nested_json(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 600 + "]" * 600)
+    code, out = run_cli(capsys, "validate", str(deep))
+    assert code == EXIT_INVALID
+    assert json.loads(out)["errors"][0]["code"] == "JsonSyntaxError"
+
+
 def test_batch_rejects_fewer_than_one_job(tmp_path):
     import pytest
 

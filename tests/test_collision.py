@@ -107,7 +107,7 @@ def test_hole_exempts_inserted_axle():
     wheel = Solid.cylinder(0.03, 0.02, axis=1)
     wheel.holes.append(HoleRegion(
         owner="WHEEL_1", name="HOLE_1", axis=1, offset=(0.0, 0.0, 0.0),
-        depth=0.02, through=True, radius=0.006))
+        depth=0.02, radius=0.006))
     axle = Solid.cylinder(0.005, 0.15, axis=1)
     # axle through the hole: base solids overlap, material does not
     assert base_overlap((0, 0, 0), wheel, (0, 0, 0), axle) is not None
@@ -312,7 +312,7 @@ def test_hole_exemption_follows_a_moved_solid():
     block = Solid.box((0.2, 0.2, 0.2))
     block.holes.append(HoleRegion(
         owner="BLOCK_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
-        depth=0.2, through=True, radius=0.03))
+        depth=0.2, radius=0.03))
     peg = Solid.cylinder(0.02, 0.3, axis=2)
     assert pair_overlap((0, 0, 0), block, (0, 0, 0), peg) is None
     shifted = (5.0, 0.0, 0.0)
@@ -326,7 +326,7 @@ def test_square_hole_walls_cut_by_a_slightly_wider_box_collide():
     cube = Solid.box((0.1, 0.1, 0.1))
     cube.holes.append(HoleRegion(
         owner="CUBE_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
-        depth=0.1, through=True, half_widths=(0.045, 0.045)))
+        depth=0.1, half_widths=(0.045, 0.045)))
     centre = (0.0, 0.0, 0.0)
     for side in (0.092, 0.094, 0.096):
         hit = pair_overlap(centre, cube, centre, Solid.box((side, side, 0.12)))
@@ -368,8 +368,7 @@ def _holed_pair(rng, fitted):
     round_hole = rng.integers(0, 2) == 0
     owner.holes.append(HoleRegion(
         owner="OWNER_1", name="HOLE_1", axis=ax, offset=tuple(offset),
-        depth=depth, through=bool(through),
-        radius=half if round_hole else None,
+        depth=depth, radius=half if round_hole else None,
         half_widths=None if round_hole else (half, half),
         open_sign=open_sign))
     length = float(rng.uniform(0.3, 2.0)) * owner.extents[ax]
@@ -443,11 +442,11 @@ def _pinning_solids():
     holed_box = Solid.box((0.1, 0.1, 0.04))
     holed_box.holes.append(HoleRegion(
         owner="B", name="HOLE_1", axis=2, offset=(0.02, 0.0, 0.0),
-        depth=0.04, through=True, radius=0.012))
+        depth=0.04, radius=0.012))
     holed_cyl = Solid.cylinder(0.04, 0.05, axis=2)
     holed_cyl.holes.append(HoleRegion(
         owner="C", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
-        depth=0.05, through=True, half_widths=(0.01, 0.01)))
+        depth=0.05, half_widths=(0.01, 0.01)))
     return [Solid.box((0.1, 0.06, 0.04)), Solid.box((0.05, 0.05, 0.12)),
             Solid.cylinder(0.03, 0.1, axis=0),
             Solid.cylinder(0.02, 0.08, axis=1),

@@ -42,6 +42,8 @@ from craftkit.physics import (
 # from float64 rounding (~1e-16) grown over the velocity and position
 # sweeps of a few rows in up to two steps
 RTOL = 1e-12
+# engine.FRICTION in the row tests: none, the engine's, and full
+FRICTIONS = (0.0, 0.5, 1.0)
 
 
 def _cross(a, b):
@@ -217,9 +219,10 @@ class _RefContactRow:
         self.jn = new_jn
         if dj != 0.0:
             self._apply(dj * self.n, "v", "w")
-        if c.friction <= 0.0:
+        mu = engine.FRICTION
+        if mu <= 0.0:
             return
-        max_f = c.friction * self.jn
+        max_f = mu * self.jn
         for idx, (t, kt) in enumerate(((self.t1, self.kt1),
                                        (self.t2, self.kt2))):
             if kt <= 0.0:
@@ -302,15 +305,14 @@ def _random_body(rng, body_id, center):
 def _random_contact(rng, a, b):
     point = _near(rng, b.x)
     # normals face a into b, so most rows start out approaching
-    return Contact(a, b, point, _unit(rng), float(rng.uniform(0.0, 2e-3)),
-                   float(rng.choice([0.0, 0.5, 1.0])))
+    return Contact(a, b, point, _unit(rng), float(rng.uniform(0.0, 2e-3)))
 
 
 def _random_world(seed):
     """Static, dynamic-dynamic and kinematic contacts plus a revolute joint;
     the contacts have no key, so every solve of them starts cold."""
     rng = np.random.default_rng(seed)
-    world = World(SimConfig())
+    world = World(SimConfig().timestep)
     bodies = [_random_body(rng, f"b{i}", rng.uniform(-1.0, 1.0, size=3))
               for i in range(4)]
     bodies[3].kinematic = True
@@ -359,29 +361,35 @@ def _assert_close(actual, expected):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_float_rows_match_numpy_rows(seed):
-    world, contacts = _random_world(seed)
-    ref_world, ref_contacts = copy.deepcopy((world, contacts))
-    refs = _ref_bodies(ref_world)
-    dt = world.config.timestep
+def test_float_rows_match_numpy_rows(seed, monkeypatch):
+    """One cold solve under each friction coefficient of FRICTIONS."""
+    for mu in FRICTIONS:
+        monkeypatch.setattr(engine, "FRICTION", mu)
+        world, contacts = _random_world(seed)
+        ref_world, ref_contacts = copy.deepcopy((world, contacts))
+        refs = _ref_bodies(ref_world)
+        dt = world.timestep
 
-    rows, state = _float_solve(world, contacts, dt)
-    ref_rows = _reference_solve(ref_world, refs, ref_contacts, dt)
+        rows, state = _float_solve(world, contacts, dt)
+        ref_rows = _reference_solve(ref_world, refs, ref_contacts, dt)
 
-    _assert_close(state, _state(refs))
-    _assert_close([[r.jn, r.jt1, r.jt2, r.pn] for r in rows],
-                  [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
-    # the rows did work: impulses flowed and the solve moved velocities
-    assert any(r.jn > 0.0 for r in rows)
-    assert any(r.pn > 0.0 for r in rows)
-    assert any(r.jt1 != 0.0 for r in rows)
-    # the kinematic body ends the solve as it started
-    assert np.array_equal(state[3], _state(refs)[3])
+        _assert_close(state, _state(refs))
+        _assert_close([[r.jn, r.jt1, r.jt2, r.pn] for r in rows],
+                      [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
+        # the rows did work: impulses flowed and the solve moved velocities
+        assert any(r.jn > 0.0 for r in rows)
+        assert any(r.pn > 0.0 for r in rows)
+        if mu > 0.0:
+            assert any(r.jt1 != 0.0 for r in rows)
+        else:
+            assert all(r.jt1 == 0.0 and r.jt2 == 0.0 for r in rows)
+        # the kinematic body ends the solve as it started
+        assert np.array_equal(state[3], _state(refs)[3])
 
 
 def test_ground_contacts_match_numpy_rows():
     """A resting and a sliding box on the generated ground contacts."""
-    world = World(SimConfig())
+    world = World(SimConfig().timestep)
     for i, v in enumerate(([0.0, 0.0, -0.5], [1.0, 0.3, -0.2])):
         body = RigidBody.from_parts(
             f"box{i}", [("p", Solid.box((0.2, 0.3, 0.2)),
@@ -394,20 +402,20 @@ def test_ground_contacts_match_numpy_rows():
     assert len(contacts) == 8
     ref_world = copy.deepcopy(world)
     refs = _ref_bodies(ref_world)
-    rows, state = _float_solve(world, contacts, world.config.timestep)
+    rows, state = _float_solve(world, contacts, world.timestep)
     assert all(isinstance(r, engine._GroundRow) for r in rows)
     ref_rows = _reference_solve(
-        ref_world, refs, ref_world.gather_contacts(), world.config.timestep)
+        ref_world, refs, ref_world.gather_contacts(), world.timestep)
     _assert_close(state, _state(refs))
     _assert_close([[r.jn, r.jt1, r.jt2, r.pn] for r in rows],
                   [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
 
 
 def _ground_world(seed):
-    """Ground contacts (normal +z) on rotated dynamic bodies and a kinematic
-    one, at random points and depths, with friction 0, 0.5 and 1."""
+    """Ground contacts (normal +z), three per body, on rotated dynamic
+    bodies and a kinematic one, at random points and depths."""
     rng = np.random.default_rng(seed)
-    world = World(SimConfig())
+    world = World(SimConfig().timestep)
     bodies = [_random_body(rng, f"b{i}", rng.uniform(-1.0, 1.0, size=3))
               for i in range(4)]
     bodies[3].kinematic = True
@@ -418,25 +426,31 @@ def _ground_world(seed):
         body.vel[2] = -abs(body.vel[2])
     contacts = [
         Contact(None, body, _near(rng, body.x),
-                engine._UP, float(rng.uniform(0.0, 2e-3)), friction,
-                (body.id, 0, k))
-        for body in bodies for k, friction in enumerate((0.0, 0.5, 1.0))]
+                engine._UP, float(rng.uniform(0.0, 2e-3)), (body.id, 0, k))
+        for body in bodies for k in range(3)]
     # a fresh +z tuple, as the hit test's peg hook builds its floor normal
     contacts.append(Contact(None, bodies[0], _near(rng, bodies[0].x),
-                            (0.0, 0.0, 1.0), 1e-3, 0.5,
-                            (bodies[0].id, 0, 3)))
+                            (0.0, 0.0, 1.0), 1e-3, (bodies[0].id, 0, 3)))
     return world, contacts
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_ground_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
-    """A cold solve, then a second one warm-started from its impulses."""
+    """A cold solve, then a second one warm-started from its impulses,
+    under each friction coefficient of FRICTIONS."""
+    for mu in FRICTIONS:
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "FRICTION", mu)
+            _ground_rows_match_generic_rows(seed, mu, patch)
+
+
+def _ground_rows_match_generic_rows(seed, mu, patch):
     world, contacts = _ground_world(seed)
     ref_world, ref_contacts = copy.deepcopy((world, contacts))
-    dt = world.config.timestep
+    dt = world.timestep
 
     solves = [_float_solve(world, contacts, dt) for _ in range(2)]
-    monkeypatch.setattr(engine, "_contact_row", engine._ContactRow)
+    patch.setattr(engine, "_contact_row", engine._ContactRow)
     ref_solves = [_float_solve(ref_world, ref_contacts, dt)
                   for _ in range(2)]
     for (rows, state), (ref_rows, ref_state) in zip(solves, ref_solves):
@@ -448,10 +462,14 @@ def test_ground_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
     # the warm start changed the second solve
     assert solves[1][1].tolist() != solves[0][1].tolist()
     for rows, _ in solves:
-        # every update ran: normal, both friction directions, split impulse
+        # every update ran: normal, both friction directions (none without
+        # friction), split impulse
         assert any(r.jn > 0.0 for r in rows)
         assert any(r.pn > 0.0 for r in rows)
-        assert any(r.jt1 != 0.0 and r.jt2 != 0.0 for r in rows)
+        if mu > 0.0:
+            assert any(r.jt1 != 0.0 and r.jt2 != 0.0 for r in rows)
+        else:
+            assert all(r.jt1 == 0.0 and r.jt2 == 0.0 for r in rows)
         # the kinematic body's rows are skipped and leave it as it was
         assert all(r.jn == 0.0 and r.pn == 0.0 for r in rows[9:12])
 
@@ -621,7 +639,7 @@ def _joint_world(seed):
     little out of line.  One ground contact keeps a contact row in the
     solve as well."""
     rng = np.random.default_rng(seed)
-    world = World(SimConfig())
+    world = World(SimConfig().timestep)
     bodies = [_random_body(rng, f"b{i}", rng.uniform(-1.0, 1.0, size=3))
               for i in range(5)]
     bodies[4].kinematic = True
@@ -640,7 +658,7 @@ def _joint_world(seed):
             axis_local_a=axis,
             axis_local_b=axis + rng.normal(scale=0.05, size=3)))
     contacts = [Contact(None, bodies[0], _near(rng, bodies[0].x), engine._UP,
-                        1e-3, 0.5, (bodies[0].id, 0, 0))]
+                        1e-3, (bodies[0].id, 0, 0))]
     return world, contacts
 
 
@@ -649,7 +667,7 @@ def test_joint_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
     """A cold solve, then a second one warm-started from its impulses."""
     world, contacts = _joint_world(seed)
     ref_world, ref_contacts = copy.deepcopy((world, contacts))
-    dt = world.config.timestep
+    dt = world.timestep
 
     solves, impulses = [], []
     for _ in range(2):
@@ -700,7 +718,7 @@ _REF_BOX_SIGNS = np.array(
 
 
 def _ref_ground_contacts(world, refs, contacts, centers):
-    margin, mu = engine.CONTACT_GEN_MARGIN, engine.FRICTION
+    margin = engine.CONTACT_GEN_MARGIN
     for body, body_centers in zip(world.bodies, centers):
         if body.inv_mass == 0.0 and not body.kinematic:
             continue
@@ -715,7 +733,7 @@ def _ref_ground_contacts(world, refs, contacts, centers):
                     if corner[2] < margin:
                         contacts.append(engine.Contact(
                             None, body, corner, engine._UP,
-                            max(0.0, -corner[2]), mu, (body.id, index, k)))
+                            max(0.0, -corner[2]), (body.id, index, k)))
                 continue
             axis = r[:, solid.axis]
             hl = solid.length / 2.0
@@ -740,7 +758,7 @@ def _ref_ground_contacts(world, refs, contacts, centers):
             for k, p in points:
                 if p[2] < margin:
                     contacts.append(engine.Contact(
-                        None, body, p, engine._UP, max(0.0, -p[2]), mu,
+                        None, body, p, engine._UP, max(0.0, -p[2]),
                         (body.id, index, k)))
 
 
@@ -793,7 +811,6 @@ def test_separation_axis_matches_numpy_reference(seed):
 
 
 def _ref_body_body_contacts(world, refs, contacts, centers):
-    mu = engine.FRICTION
     jointed = {frozenset((j.body_a.id, j.body_b.id)) for j in world.joints}
     for i, a in enumerate(world.bodies):
         for j in range(i + 1, len(world.bodies)):
@@ -821,7 +838,7 @@ def _ref_body_body_contacts(world, refs, contacts, centers):
                     normal = np.zeros(3)
                     normal[axis] = sign
                     contacts.append(engine.Contact(
-                        a, b, np.asarray(witness), normal, depth, mu,
+                        a, b, np.asarray(witness), normal, depth,
                         (a.id, b.id, ia, ib, axis, sign)))
 
 
@@ -882,7 +899,7 @@ def _step_world(seed):
     a kinematic box with a set velocity and a gravity-exempt box, with
     forces and torques on the dynamic ones and a revolute joint."""
     rng = np.random.default_rng(seed)
-    world = World(SimConfig())
+    world = World(SimConfig().timestep)
 
     def box():
         return Solid.box(tuple(rng.uniform(0.1, 0.6, size=3)))
@@ -937,7 +954,6 @@ def _assert_steps_agree(world, ref_world, refs, contacts, ref_contacts):
         assert (c.body_a and c.body_a.id, c.body_b.id, c.key) == \
             (ref.body_a and ref.body_a.id, ref.body_b.id, ref.key)
         assert np.array_equal(c.normal, ref.normal)
-        assert c.friction == ref.friction
     _assert_close([c.point for c in contacts],
                   [c.point for c in ref_contacts])
     _assert_close([c.depth for c in contacts],
@@ -960,7 +976,7 @@ def test_float_step_matches_numpy_step(seed):
     world = _step_world(seed)
     ref_world = copy.deepcopy(world)
     refs = _ref_bodies(ref_world)
-    dt = world.config.timestep
+    dt = world.timestep
     cache = {"contacts": {}, "joints": {}}
 
     contacts = world.step()
@@ -1006,7 +1022,7 @@ def _resting_box(body_id, x):
 
 
 def test_a_feature_absent_in_the_last_step_starts_at_zero(monkeypatch):
-    world = World(SimConfig())
+    world = World(SimConfig().timestep)
     world.bodies.append(_resting_box("old", 0.0))
     world.step()
     cached = dict(world._contact_impulses)
@@ -1019,7 +1035,7 @@ def test_a_feature_absent_in_the_last_step_starts_at_zero(monkeypatch):
     assert [c.key in cached for c in contacts] == [True] * 4 + [False] * 4
     monkeypatch.setattr(engine, "VELOCITY_SWEEPS", 0)
     monkeypatch.setattr(engine, "POSITION_SWEEPS", 0)
-    rows, state = _float_solve(world, contacts, world.config.timestep)
+    rows, state = _float_solve(world, contacts, world.timestep)
     # with no sweeps, a row holds what it started from
     assert [(r.jn, r.jt1, r.jt2) for r in rows[:4]] == \
         [cached[c.key] for c in contacts[:4]]
@@ -1039,12 +1055,12 @@ def test_friction_without_normal_impulse_carries_nothing_over(generic,
     cached, and the velocity is the one a cold solve leaves, to rounding."""
     if generic:
         monkeypatch.setattr(engine, "_contact_row", engine._ContactRow)
-    world = World(SimConfig())
+    world = World(SimConfig().timestep)
     box = _resting_box("box", 0.0)
     box.vel = [0.1, -0.05, 1.0, 0.2, 0.1, -0.3]
     world.bodies.append(box)
     cold = copy.deepcopy(world)
-    dt = world.config.timestep
+    dt = world.timestep
     contacts = world.gather_contacts()
     assert len(contacts) == 4
     world._contact_impulses = {c.key: (0.0, 0.02, -0.03) for c in contacts}

@@ -28,18 +28,17 @@ from conftest import all_fixture_names
 
 
 def test_sim_config_fields_are_pinned():
-    """The run and the tests' loads and thresholds, nothing else: the
-    solver's settings are engine constants, so a new knob shows up here."""
+    """The run and the rolling goal, nothing else: the other loads and
+    thresholds are ``functional`` constants and the solver's settings are
+    engine constants, so a new knob shows up here."""
     assert [f.name for f in fields(SimConfig)] == [
-        "timestep", "duration", "rolling_force", "support_force",
-        "separation_tolerance", "ground_contact_tolerance", "min_rotation",
-        "min_distance", "max_veer", "hit_drive_speed", "trace_every"]
+        "timestep", "duration", "min_rotation", "min_distance", "trace_every"]
 
 
 def test_compile_craft_skateboard_structure(build_fixture):
     _, asm = build_fixture("skateboard_valid_1")
     cfg = SimConfig()
-    craft = compile_craft(asm, cfg)
+    craft = compile_craft(asm, cfg.timestep)
     # deck + supports + axles fuse into one body, each wheel spins freely
     assert len(craft.world.bodies) == 5
     deck_body = craft.part_body["DECK_1"]
@@ -63,7 +62,7 @@ def test_a_compiled_craft_falls_at_earth_gravity_in_plan_metres(
     symplectic Euler's g dt^2 n (n + 1) / 2 after n steps."""
     _, asm = build_fixture("hammer_valid_1")
     config = SimConfig()
-    craft = compile_craft(asm, config)
+    craft = compile_craft(asm, config.timestep)
     lift = -asm.min_z()
     for name, placed in asm.placed.items():
         shape = craft.part_shape[name]
@@ -85,7 +84,7 @@ def test_a_compiled_craft_falls_at_earth_gravity_in_plan_metres(
 
 def test_compile_craft_hammer_single_body(build_fixture):
     _, asm = build_fixture("hammer_valid_1")
-    craft = compile_craft(asm, SimConfig())
+    craft = compile_craft(asm, SimConfig().timestep)
     assert len(craft.world.bodies) == 1
     body = craft.world.bodies[0]
     assert body.mass == pytest.approx(20.0)
@@ -264,7 +263,7 @@ def test_golden_clusters_and_body_ids(build_fixture):
     for category, want in GOLDEN_BODIES.items():
         for i in (1, 2, 3):
             _, asm = build_fixture(f"{category}_valid_{i}")
-            bodies = compile_craft(asm, SimConfig()).world.bodies
+            bodies = compile_craft(asm, SimConfig().timestep).world.bodies
             assert [b.id for b in bodies] == \
                 [f"body{k}" for k in range(len(want))]
             assert [[p.name for p in b.parts] for b in bodies] == want
@@ -281,7 +280,7 @@ def test_rotation_is_computed_once_per_moving_body_and_step(
         build_fixture, monkeypatch):
     plan, asm = build_fixture("skateboard_valid_2")
     config = SimConfig(duration=1.0)
-    n_bodies = len(compile_craft(asm, config).world.bodies)
+    n_bodies = len(compile_craft(asm, config.timestep).world.bodies)
     calls = []
     original = engine.quat_to_matrix
 
@@ -377,7 +376,7 @@ def test_no_step_builds_a_numpy_array(build_fixture, monkeypatch):
             assert run_functional_test("hit", asm, plan).success
             assert axes
         else:
-            world = compile_craft(asm, SimConfig()).world
+            world = compile_craft(asm, SimConfig().timestep).world
             for _ in range(5):
                 assert world.step()
         assert bool(overlaps) is tested
@@ -389,7 +388,7 @@ def test_lifted_lying_cylinders_are_rejected_before_any_rim_point(
     _, asm = build_fixture("skateboard_valid_2")
 
     def lifted_world(dz):
-        world = compile_craft(asm, SimConfig()).world
+        world = compile_craft(asm, SimConfig().timestep).world
         for body in world.bodies:
             x, y, z = body.x
             body.x = (x, y, z + dz)
@@ -419,7 +418,7 @@ def test_lifted_lying_cylinders_are_rejected_before_any_rim_point(
 
 def test_drift_is_measured_at_the_pose_after_the_step():
     # weightless boxes well clear of the ground
-    world = World(SimConfig())
+    world = World(SimConfig().timestep)
     a = RigidBody.from_parts(
         "a", [("A", Solid.box((1.0, 1.0, 1.0)), np.array([0.0, 0.0, 2.0]))],
         1.0)

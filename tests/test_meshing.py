@@ -83,7 +83,7 @@ def test_box_with_through_hole_closed():
     solid = Solid.box((0.1, 0.1, 0.1))
     solid.holes.append(HoleRegion(
         owner="A_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
-        depth=0.1, through=True, radius=0.02))
+        depth=0.1, radius=0.02))
     v, f = mesh_arrays(solid)
     assert_closed(v, f)
     # no vertex inside the bore
@@ -95,7 +95,7 @@ def test_box_with_blind_hole_closed():
     solid = Solid.box((0.1, 0.1, 0.1))
     solid.holes.append(HoleRegion(
         owner="A_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.025),
-        depth=0.05, through=False, radius=0.015, open_sign=1))
+        depth=0.05, radius=0.015, open_sign=1))
     v, f = mesh_arrays(solid)
     assert_closed(v, f)
     # hole floor exists at the blind depth
@@ -116,35 +116,33 @@ def test_cylinder_with_axial_hole_closed():
     solid = Solid.cylinder(0.03, 0.02, axis=1)
     solid.holes.append(HoleRegion(
         owner="W_1", name="HOLE_1", axis=1, offset=(0.0, 0.0, 0.0),
-        depth=0.02, through=True, radius=0.006))
+        depth=0.02, radius=0.006))
     v, f = mesh_arrays(solid)
     assert_closed(v, f)
     rho = np.hypot(v[:, 0], v[:, 2])
     assert rho.min() >= 0.006 - 1e-9
 
 
-def _holed(solid, axis, offset, depth, through, open_sign=0, radius=None,
+def _holed(solid, axis, offset, depth, open_sign=0, radius=None,
            half_widths=None):
     solid.holes.append(HoleRegion(
         owner="P_1", name="HOLE_1", axis=axis, offset=offset, depth=depth,
-        through=through, radius=radius, half_widths=half_widths,
-        open_sign=open_sign))
+        radius=radius, half_widths=half_widths, open_sign=open_sign))
     return solid
 
 
 @pytest.mark.parametrize("solid", [
     pytest.param(_holed(Solid.box((0.1, 0.1, 0.1)), 2, (0.0, 0.01, 0.0),
-                        0.1, True, half_widths=(0.02, 0.015)),
+                        0.1, half_widths=(0.02, 0.015)),
                  id="box-square-through"),
     pytest.param(_holed(Solid.box((0.1, 0.08, 0.06)), 0, (-0.03, 0.0, 0.01),
-                        0.04, False, open_sign=-1, half_widths=(0.01, 0.01)),
+                        0.04, open_sign=-1, half_widths=(0.01, 0.01)),
                  id="box-square-blind-minus-x"),
     pytest.param(_holed(Solid.cylinder(0.03, 0.1, axis=2), 2,
-                        (0.0, 0.0, -0.03), 0.04, False, open_sign=-1,
-                        radius=0.01),
+                        (0.0, 0.0, -0.03), 0.04, open_sign=-1, radius=0.01),
                  id="cylinder-blind-minus-z"),
     pytest.param(_holed(Solid.cylinder(0.03, 0.02, axis=1), 1,
-                        (0.01, 0.0, -0.005), 0.02, True, radius=0.006),
+                        (0.01, 0.0, -0.005), 0.02, radius=0.006),
                  id="cylinder-offcentre-through",
                  marks=pytest.mark.xfail(strict=True, reason=(
                      "the annulus's outer ring is cast from the hole "
@@ -177,11 +175,11 @@ def test_holed_parts_mesh_in_their_own_frame():
     box = Solid.box((0.1, 0.1, 0.1))
     box.holes.append(HoleRegion(
         owner="A_1", name="HOLE_1", axis=2, offset=(0.02, 0.0, 0.0),
-        depth=0.1, through=True, radius=0.02))
+        depth=0.1, radius=0.02))
     wheel = Solid.cylinder(0.03, 0.02, axis=1)
     wheel.holes.append(HoleRegion(
         owner="W_1", name="HOLE_1", axis=1, offset=(0.0, 0.0, 0.0),
-        depth=0.02, through=True, radius=0.006))
+        depth=0.02, radius=0.006))
     at = np.array([1.0, 2.0, 3.0])
     for solid, (u, w), bore_uv in ((box, (0, 1), (1.02, 2.0)),
                                    (wheel, (0, 2), (1.0, 3.0))):

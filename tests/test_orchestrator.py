@@ -23,13 +23,14 @@ from craftkit.orchestrator import (
     ScriptedClient,
     build_prompt,
     category_function,
+    check_format,
     classify_failure,
     evaluate_plan_text,
     load_heuristics,
     load_template,
     run_pipeline,
 )
-from craftkit.physics import SimConfig
+from craftkit.physics import SimConfig, functional
 
 FAST_SIM = SimConfig(duration=1.0)
 
@@ -93,10 +94,11 @@ def test_classify_failure_buckets():
     assert classify_failure(STAGE_NONE) == "Success"
 
 
-def test_divergence_is_a_physics_verdict(catalog, fixture_raw):
+def test_divergence_is_a_physics_verdict(catalog, fixture_raw,
+                                         monkeypatch):
+    monkeypatch.setattr(functional, "SUPPORT_FORCE", 1e9)
     stage, report, _, _, outcome = evaluate_plan_text(
-        fixture_raw("bookshelf_valid_1"), catalog, functional="support",
-        sim_config=SimConfig(support_force=1e9))
+        fixture_raw("bookshelf_valid_1"), catalog, functional="support")
     assert stage == STAGE_PHYSICS
     assert report["failure_reason"] == "NUMERICAL_DIVERGENCE"
     assert not outcome.success
@@ -182,6 +184,27 @@ def test_http_client_without_requests_names_the_extra(monkeypatch):
         HttpClient("http://localhost:9/v1/chat", "m").complete("p")
     assert not info.value.retryable
     assert "pip install 'craftkit[http]'" in str(info.value)
+
+
+def _nested(kind, depth):
+    """A JSON answer of ``depth`` nested arrays or objects."""
+    if kind == "array":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+@pytest.mark.parametrize("depth", [400, 500, 1000, 2000, 100_000])
+@pytest.mark.parametrize("kind", ["array", "object"])
+def test_a_deeply_nested_answer_is_a_format_verdict(catalog, kind, depth):
+    """Nesting too deep to parse or normalize is a FORMAT report, never a
+    RecursionError out of the stage."""
+    plan, report = check_format(_nested(kind, depth), catalog)
+    assert plan is None
+    assert report["ok"] is False and report["errors"]
+    if depth >= 1000:
+        assert report["errors"] == [{
+            "part": None, "field": None, "code": "JsonSyntaxError",
+            "message": "nested too deeply"}]
 
 
 def test_evaluate_stages(catalog, response_text, fixture_raw):

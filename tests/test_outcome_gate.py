@@ -36,6 +36,7 @@ from craftkit.physics import SimConfig
 from craftkit.physics.functional import (
     HIT_DESCENT,
     INSUFFICIENT_ROTATION,
+    MAX_VEER,
     SUPPORT_LIMIT,
 )
 
@@ -62,7 +63,7 @@ def signature(outcome, config):
         if outcome.success:
             margins["distance_m"] = d["distance_m"] / config.min_distance
             margins["rotation_rad"] = turns / config.min_rotation
-            margins["veer_m"] = config.max_veer / d["veer_m"]
+            margins["veer_m"] = MAX_VEER / d["veer_m"]
         elif outcome.failure_reason == INSUFFICIENT_ROTATION:
             margins["rotation_rad"] = config.min_rotation / turns
     elif outcome.test == "hit" and outcome.success:

@@ -13,7 +13,7 @@ from craftkit.physics.engine import GRAVITY, quat_integrate, quat_to_matrix
 
 def make_world():
     cfg = SimConfig()
-    return World(cfg), cfg
+    return World(cfg.timestep), cfg
 
 
 def box_body(center, extents=(0.2, 0.2, 0.2), mass=10.0, body_id="b"):
@@ -31,7 +31,7 @@ def _body_body_contacts(holed, peg_x):
     if holed:
         block.holes.append(HoleRegion(
             owner="BLOCK_1", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
-            depth=0.05, through=True, radius=0.012))
+            depth=0.05, radius=0.012))
     peg = Solid.cylinder(0.01, 0.1, axis=2)
     world, _ = make_world()
     world.bodies += [
