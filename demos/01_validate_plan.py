@@ -16,7 +16,7 @@ raw = load_template("hammer")
 plan, report = parse_plan(normalize_raw(raw), catalog)
 print("golden hammer plan:")
 print("  ok:", report.ok)
-print("  parts:", plan.part_names)
+print("  parts:", [p.name for p in plan.parts])
 
 # Break it in several ways at once: the validator reports every problem,
 # it does not stop at the first.

@@ -50,26 +50,11 @@ class Catalog:
                 raise DuplicateId(f"duplicate object id: {obj.id!r}")
             self._index[obj.id] = obj
 
-    def __len__(self):
-        return len(self.objects)
-
-    def __contains__(self, object_id):
-        return object_id in self._index
-
     def lookup(self, object_id: str) -> ObjectType:
         try:
             return self._index[object_id]
         except KeyError:
             raise UnknownObject(object_id) from None
-
-    def to_json(self) -> str:
-        payload = {
-            "objects": [
-                {"id": o.id, "shape": o.shape, "dims": list(o.dims)}
-                for o in self.objects
-            ]
-        }
-        return json.dumps(payload, indent=2)
 
 
 def _validate_entry(raw, strict: bool):

@@ -58,7 +58,7 @@ class HoleNotCarvedYet(PlacementError):
         self.modification = modification
 
 
-class HoleExceedsOwner(CraftError):
+class HoleExceedsOwner(PlacementError):
     def __init__(self, part, modification):
         super().__init__(f"hole {modification!r} exits the bounds of part {part!r}")
         self.part = part

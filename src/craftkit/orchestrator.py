@@ -27,7 +27,6 @@ from .catalog import Catalog, default_catalog, read_text
 from .collision import validate_collisions
 from .errors import (
     ClientError,
-    HoleExceedsOwner,
     HoleNotCarvedYet,
     JsonSyntaxError,
     PlacementError,
@@ -53,6 +52,8 @@ POLICIES = (POLICY_NONE, POLICY_FRESH, POLICY_FEEDBACK)
 MAX_LLM_CALLS = 3
 MAX_CLIENT_RETRIES = 3
 CLIENT_BACKOFF_S = 0.5  # first wait between attempts; each next one doubles
+HTTP_TEMPERATURE = 0.0  # sampling temperature of every HttpClient request
+HTTP_TIMEOUT_S = 120.0  # seconds an HttpClient request may take
 
 
 @functools.cache
@@ -123,15 +124,13 @@ class LlmClient:
 
 
 class HttpClient(LlmClient):
-    """Chat-completions style HTTP client."""
+    """Chat-completions style HTTP client, at HTTP_TEMPERATURE and
+    HTTP_TIMEOUT_S."""
 
-    def __init__(self, endpoint, model, api_key=None, temperature=0.0,
-                 timeout=120.0):
+    def __init__(self, endpoint, model, api_key=None):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.temperature = temperature
-        self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
         try:
@@ -146,12 +145,12 @@ class HttpClient(LlmClient):
             headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {
             "model": self.model,
-            "temperature": self.temperature,
+            "temperature": HTTP_TEMPERATURE,
             "messages": [{"role": "user", "content": prompt}],
         }
         try:
             resp = requests.post(self.endpoint, json=payload,
-                                 headers=headers, timeout=self.timeout)
+                                 headers=headers, timeout=HTTP_TIMEOUT_S)
             if 400 <= resp.status_code < 500:
                 # the request itself is at fault; sending it again cannot help
                 raise ClientError(
@@ -258,9 +257,6 @@ def judge_plan(plan, catalog, functional=None, sim_config=None):
     """
     try:
         assembly = build_assembly(plan, catalog)
-    except HoleExceedsOwner as exc:
-        return STAGE_COLLISION, {"error": "HoleExceedsOwner",
-                                 "message": str(exc)}, None, None
     except PlacementError as exc:
         stage = STAGE_CONNECTIVITY if isinstance(
             exc, (Unplaceable, HoleNotCarvedYet)) else STAGE_COLLISION

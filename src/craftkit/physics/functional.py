@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..assembler import Assembly, connected_groups
 from ..errors import NumericalDivergence
@@ -50,16 +51,17 @@ MAX_VEER = 0.03  # sideways drift allowed by the time rolling covers its goal
 
 @dataclass
 class SimConfig:
-    """The run (``timestep`` and ``duration`` in seconds, ``trace_every``
-    steps per snapshot), which the CLI and the tests set, and the rolling
-    goal (``min_rotation`` radians, ``min_distance`` metres), which the
-    benchmark reads.  The other loads and thresholds are the constants
-    above; the solver's settings are constants in ``engine``."""
+    """The run, ``timestep`` and ``duration`` in seconds, which the CLI and
+    the tests set.  Three class constants go with it: ``trace_every`` steps
+    per snapshot and the rolling goal, ``min_rotation`` radians and
+    ``min_distance`` metres, which the benchmark reads from an instance.
+    The other loads and thresholds are the constants above; the solver's
+    settings are constants in ``engine``."""
     timestep: float = 1.0 / 500.0
     duration: float = 5.0
-    min_rotation: float = 2.0 * math.pi
-    min_distance: float = 0.1
-    trace_every: int = 25
+    trace_every: ClassVar[int] = 25
+    min_rotation: ClassVar[float] = 2.0 * math.pi
+    min_distance: ClassVar[float] = 0.1
 
 
 @dataclass
@@ -492,10 +494,11 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
                         config: SimConfig | None = None) -> SimOutcome:
     """Compile the assembly and run the functional test ``kind`` on it.
 
-    A test's own verdict in a step goes ahead of the shared checks.  Raises
-    ValueError for an unknown ``kind``, and for a config whose run has no
-    step (a timestep that is not positive, or a duration under half of it)
-    or whose ``trace_every`` is under 1.
+    The run is ``round(duration / timestep)`` steps, with a snapshot
+    every ``trace_every`` of them.  A test's own verdict in a step goes
+    ahead of the shared checks.  Raises ValueError for an unknown ``kind``,
+    and for a config whose run is not at least one step: a timestep that
+    is not positive, or a duration under one timestep (NaN included).
     """
     try:
         setup = TESTS[kind]
@@ -504,13 +507,10 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
     config = config or SimConfig()
     if not config.timestep > 0.0:
         raise ValueError(f"timestep must be positive, got {config.timestep}")
+    if not config.duration >= config.timestep:
+        raise ValueError("duration must be at least one timestep "
+                         f"({config.timestep} s), got {config.duration}")
     n_steps = int(round(config.duration / config.timestep))
-    if n_steps < 1:
-        raise ValueError(f"duration {config.duration} s gives no step of "
-                         f"{config.timestep} s")
-    if config.trace_every < 1:
-        raise ValueError(
-            f"trace_every must be at least 1, got {config.trace_every}")
     craft = compile_craft(assembly, config.timestep)
     world = craft.world
     before_step, after_step, finish = setup(craft, assembly, plan, config)

@@ -1,4 +1,4 @@
-"""Plan language: normalization, parsing with error accumulation, serialization.
+"""Plan language: normalization and parsing with error accumulation.
 
 A plan is a list of part entries.  Every field name and enum value is
 normalized to uppercase with hyphens replaced by underscores before any
@@ -41,7 +41,14 @@ AXES = ("x", "y", "z")
 # Underscores allowed inside the type name so multi-word parts (SIDE_PANEL_1)
 # pass; the trailing numeral is still mandatory.
 NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*_[0-9]+$")
-MOD_NAME_RE = NAME_RE
+
+# Arrays and objects one answer may nest; a plan needs at most 5.  The
+# bound sits far under the interpreter's recursion limit, which counts the
+# caller's own frames too.
+MAX_NESTING = 32
+# A value of the answer is shown whole in a message up to this many
+# characters of its repr, and cut there past it.
+MAX_SHOWN_CHARS = 200
 
 _FENCE_RE = re.compile(r"^\s*```[a-zA-Z0-9_-]*\s*$")
 
@@ -98,10 +105,6 @@ class CraftPlan:
                 return p
         raise KeyError(name)
 
-    @property
-    def part_names(self):
-        return [p.name for p in self.parts]
-
 
 @dataclass
 class FormatReport:
@@ -130,23 +133,36 @@ def strip_code_fences(raw: str) -> str:
     return "\n".join(kept)
 
 
-def _normalize_value(value):
-    if isinstance(value, dict):
-        return {
-            str(k).upper().replace("-", "_"): _normalize_value(v)
-            for k, v in value.items()
-        }
-    if isinstance(value, list):
-        return [_normalize_value(v) for v in value]
+def _shown(value):
+    """``repr(value)``, cut to MAX_SHOWN_CHARS characters when longer."""
+    text = repr(value)
+    if len(text) <= MAX_SHOWN_CHARS:
+        return text
+    return f"{text[:MAX_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
+def _normalize_value(value, depth=0):
+    """``value`` normalized; ``depth`` arrays and objects hold it."""
     if isinstance(value, str):
         return value.upper().replace("-", "_")
-    return value
+    if not isinstance(value, (dict, list)):
+        return value
+    if depth == MAX_NESTING:
+        raise JsonSyntaxError("nested too deeply")
+    depth += 1
+    if isinstance(value, dict):
+        return {
+            str(k).upper().replace("-", "_"): _normalize_value(v, depth)
+            for k, v in value.items()
+        }
+    return [_normalize_value(v, depth) for v in value]
 
 
 def normalize_raw(raw: str):
     """Parse raw LLM text into normalized JSON: keys and string values are
     uppercased with hyphens replaced by underscores.  Text that is not JSON,
-    or nests too deeply to parse, raises ``JsonSyntaxError``."""
+    or nests more than MAX_NESTING arrays and objects, raises
+    ``JsonSyntaxError``."""
     try:
         return _normalize_value(json.loads(strip_code_fences(raw)))
     except json.JSONDecodeError as exc:
@@ -177,7 +193,8 @@ def _parse_orientation(raw, obj, part_name, report):
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
         ):
             report.add(part_name, "ORIENTATION", "UnknownToken",
-                       f"cuboid orientation must be a 3-number list, got {raw!r}")
+                       "cuboid orientation must be a 3-number list, "
+                       f"got {_shown(raw)}")
             return None
         dims = tuple(float(v) for v in raw)
         if sorted(dims) != sorted(obj.dims):
@@ -189,7 +206,7 @@ def _parse_orientation(raw, obj, part_name, report):
     if not isinstance(raw, str) or raw not in CYL_ORIENTATIONS:
         report.add(part_name, "ORIENTATION", "UnknownToken",
                    f"cylinder orientation must be one of {list(CYL_ORIENTATIONS)}, "
-                   f"got {raw!r}")
+                   f"got {_shown(raw)}")
         return None
     return OrientationSpec(axis_token=raw)
 
@@ -197,19 +214,19 @@ def _parse_orientation(raw, obj, part_name, report):
 def _parse_modification(raw, part_name, report):
     if not isinstance(raw, dict):
         report.add(part_name, "MODIFICATIONS", "UnknownToken",
-                   f"modification entry is not an object: {raw!r}")
+                   f"modification entry is not an object: {_shown(raw)}")
         return None
     ok = True
     name = raw.get("NAME")
-    if not isinstance(name, str) or not MOD_NAME_RE.match(name or ""):
+    if not isinstance(name, str) or not NAME_RE.match(name or ""):
         report.add(part_name, "MODIFICATIONS.NAME", "BadNamePattern",
-                   f"bad modification name {name!r}")
+                   f"bad modification name {_shown(name)}")
         ok = False
     mod_type = raw.get("TYPE")
     if mod_type not in MOD_TYPES:
         report.add(part_name, "MODIFICATIONS.TYPE", "UnknownToken",
                    f"modification type must be one of {list(MOD_TYPES)}, "
-                   f"got {mod_type!r}")
+                   f"got {_shown(mod_type)}")
         ok = False
     align = []
     through_axes = []
@@ -225,7 +242,8 @@ def _parse_modification(raw, part_name, report):
             through_axes.append(ax)
         elif token not in MOD_POS[ax]:
             report.add(part_name, f"MODIFICATIONS.{key}", "UnknownToken",
-                       f"{token!r} not in {list(MOD_POS[ax]) + list(MOD_THROUGH[ax])}")
+                       f"{_shown(token)} not in "
+                       f"{list(MOD_POS[ax]) + list(MOD_THROUGH[ax])}")
             ok = False
         align.append(token)
     if ok and len(through_axes) != 1:
@@ -241,7 +259,7 @@ def _parse_modification(raw, part_name, report):
 def _parse_connection(raw, part_name, report):
     if not isinstance(raw, dict):
         report.add(part_name, "CONNECTIONS", "UnknownToken",
-                   f"connection entry is not an object: {raw!r}")
+                   f"connection entry is not an object: {_shown(raw)}")
         return None
     ok = True
     to_part = raw.get("TO_PART")
@@ -257,7 +275,7 @@ def _parse_connection(raw, part_name, report):
     if contact not in CONTACT_TYPES:
         report.add(part_name, "CONNECTIONS.CONTACT_TYPE", "UnknownToken",
                    f"contact type must be one of {list(CONTACT_TYPES)}, "
-                   f"got {contact!r}")
+                   f"got {_shown(contact)}")
         return None
     joint = raw.get("TYPE")
     if joint is None:
@@ -265,7 +283,8 @@ def _parse_connection(raw, part_name, report):
         joint = "FIXED" if contact == "SURFACE" else "NON_FIXED"
     elif joint not in JOINT_TYPES:
         report.add(part_name, "CONNECTIONS.TYPE", "UnknownToken",
-                   f"joint type must be one of {list(JOINT_TYPES)}, got {joint!r}")
+                   f"joint type must be one of {list(JOINT_TYPES)}, "
+                   f"got {_shown(joint)}")
         ok = False
     to_face = None
     align = None
@@ -275,7 +294,8 @@ def _parse_connection(raw, part_name, report):
         if to_face not in FACES:
             report.add(part_name, "CONNECTIONS.TO_FACE",
                        "MissingField" if to_face is None else "UnknownToken",
-                       f"TO_FACE must be one of {list(FACES)}, got {to_face!r}")
+                       f"TO_FACE must be one of {list(FACES)}, "
+                       f"got {_shown(to_face)}")
             ok = False
         align_tokens = []
         for ax in AXES:
@@ -287,7 +307,7 @@ def _parse_connection(raw, part_name, report):
                 ok = False
             elif token not in ALIGN_POS[ax]:
                 report.add(part_name, f"CONNECTIONS.{key}", "UnknownToken",
-                           f"{token!r} not in {list(ALIGN_POS[ax])}")
+                           f"{_shown(token)} not in {list(ALIGN_POS[ax])}")
                 ok = False
             align_tokens.append(token)
         align = tuple(align_tokens)
@@ -325,17 +345,17 @@ def parse_plan(normalized, catalog: Catalog):
     for i, raw in enumerate(entries):
         if not isinstance(raw, dict):
             report.add(f"#{i}", None, "MissingField",
-                       f"part entry is not an object: {raw!r}")
+                       f"part entry is not an object: {_shown(raw)}")
             continue
         name = raw.get("NAME")
         label = name if isinstance(name, str) and name else f"#{i}"
         if not isinstance(name, str) or not NAME_RE.match(name or ""):
             report.add(label, "NAME", "BadNamePattern",
-                       f"part name {name!r} must match TYPE_<numeral>")
+                       f"part name {_shown(name)} must match TYPE_<numeral>")
             name = label
         if name in seen_names:
             report.add(name, "NAME", "DuplicateName",
-                       f"part name {name!r} is not unique")
+                       f"part name {_shown(name)} is not unique")
         seen_names.add(name)
 
         obj_id = raw.get("AVAILABLE_OBJ")
@@ -348,7 +368,7 @@ def parse_plan(normalized, catalog: Catalog):
                 obj = catalog.lookup(obj_id)
             except UnknownObject:
                 report.add(name, "AVAILABLE_OBJ", "UnknownObject",
-                           f"{obj_id!r} is not in the catalog")
+                           f"{_shown(obj_id)} is not in the catalog")
 
         if "ORIENTATION" not in raw:
             report.add(name, "ORIENTATION", "MissingField", "ORIENTATION is required")
@@ -368,7 +388,7 @@ def parse_plan(normalized, catalog: Catalog):
             if spec is not None:
                 if spec.name in mod_names:
                     report.add(name, "MODIFICATIONS.NAME", "DuplicateName",
-                               f"modification name {spec.name!r} repeats")
+                               f"modification name {_shown(spec.name)} repeats")
                 mod_names.add(spec.name)
                 mods.append(spec)
 
@@ -390,7 +410,7 @@ def parse_plan(normalized, catalog: Catalog):
         elif not isinstance(raw["EXEC_FUNCTION"], bool):
             report.add(name, "EXEC_FUNCTION", "UnknownToken",
                        f"EXEC_FUNCTION must be a boolean, "
-                       f"got {raw['EXEC_FUNCTION']!r}")
+                       f"got {_shown(raw['EXEC_FUNCTION'])}")
             exec_fn = False
         else:
             exec_fn = raw["EXEC_FUNCTION"]
@@ -412,56 +432,17 @@ def parse_plan(normalized, catalog: Catalog):
         for c in p.connections:
             if c.to_part not in names:
                 report.add(p.name, "CONNECTIONS.TO_PART", "DanglingReference",
-                           f"TO_PART {c.to_part!r} does not exist")
+                           f"TO_PART {_shown(c.to_part)} does not exist")
             elif c.contact_type == "INSERTED":
                 if c.to_modification not in mods_by_part.get(c.to_part, set()):
                     report.add(p.name, "CONNECTIONS.TO_MODIFICATION",
                                "DanglingReference",
-                               f"{c.to_part!r} has no modification "
-                               f"{c.to_modification!r}")
+                               f"{_shown(c.to_part)} has no modification "
+                               f"{_shown(c.to_modification)}")
 
     if not report.ok:
         return None, report
     return CraftPlan(parts=tuple(parts)), report
-
-
-def plan_to_jsonable(plan: CraftPlan):
-    out = []
-    for p in plan.parts:
-        if p.orientation.axis_dims is not None:
-            orientation = list(p.orientation.axis_dims)
-        else:
-            orientation = p.orientation.axis_token
-        mods = [
-            {"NAME": m.name, "TYPE": m.mod_type,
-             "ALIGN_X": m.align[0], "ALIGN_Y": m.align[1], "ALIGN_Z": m.align[2]}
-            for m in p.modifications
-        ]
-        conns = []
-        for c in p.connections:
-            entry = {"TO_PART": c.to_part, "CONTACT_TYPE": c.contact_type,
-                     "TYPE": c.joint_type}
-            if c.contact_type == "SURFACE":
-                entry["TO_FACE"] = c.to_face
-                entry["ALIGN_X"] = c.align[0]
-                entry["ALIGN_Y"] = c.align[1]
-                entry["ALIGN_Z"] = c.align[2]
-            else:
-                entry["TO_MODIFICATION"] = c.to_modification
-            conns.append(entry)
-        out.append({
-            "NAME": p.name,
-            "AVAILABLE_OBJ": p.available_obj,
-            "ORIENTATION": orientation,
-            "MODIFICATIONS": mods,
-            "CONNECTIONS": conns,
-            "EXEC_FUNCTION": p.exec_function,
-        })
-    return out
-
-
-def serialize_plan(plan: CraftPlan) -> str:
-    return json.dumps(plan_to_jsonable(plan), indent=2)
 
 
 def load_plan(path, catalog: Catalog):

@@ -178,6 +178,26 @@ def test_http_client_backs_off_between_server_errors(monkeypatch, catalog,
     assert result.failure_stage == STAGE_FORMAT
 
 
+def test_http_client_sends_one_message_at_fixed_settings(monkeypatch):
+    requests = _fake_requests([200], [])
+    answer_ok = requests.post
+    sent = []
+
+    def post(url, **kwargs):
+        sent.append((url, kwargs))
+        return answer_ok(url)
+
+    requests.post = post
+    monkeypatch.setitem(sys.modules, "requests", requests)
+    answer = HttpClient("http://localhost:9/v1/chat", "m").complete("p")
+    assert answer == "[]"
+    assert sent == [("http://localhost:9/v1/chat", {
+        "json": {"model": "m", "temperature": 0.0,
+                 "messages": [{"role": "user", "content": "p"}]},
+        "headers": {"Content-Type": "application/json"},
+        "timeout": 120.0})]
+
+
 def test_http_client_without_requests_names_the_extra(monkeypatch):
     monkeypatch.setitem(sys.modules, "requests", None)
     with pytest.raises(ClientError) as info:
@@ -205,6 +225,31 @@ def test_a_deeply_nested_answer_is_a_format_verdict(catalog, kind, depth):
         assert report["errors"] == [{
             "part": None, "field": None, "code": "JsonSyntaxError",
             "message": "nested too deeply"}]
+
+
+def _deeper(frames, fn, *args):
+    """``fn(*args)`` called ``frames`` frames further down the stack."""
+    if frames == 0:
+        return fn(*args)
+    return _deeper(frames - 1, fn, *args)
+
+
+@pytest.mark.parametrize("kind", ["array", "object"])
+def test_a_nested_answer_gets_one_report_at_any_stack_depth(catalog, kind):
+    for depth in [*range(450, 521), 1000]:
+        raw = _nested(kind, depth)
+        assert _deeper(60, check_format, raw, catalog) \
+            == check_format(raw, catalog), depth
+
+
+def test_a_format_message_shows_a_large_value_cut_short(catalog):
+    raw = "[[" + ",".join(["0"] * 200_000) + "]]"
+    assert len(raw) == 400_003
+    _, report = check_format(raw, catalog)
+    (error,) = report["errors"]
+    assert error["code"] == "MissingField"
+    assert error["message"].startswith("part entry is not an object: [0, 0")
+    assert len(error["message"]) < 1000
 
 
 def test_evaluate_stages(catalog, response_text, fixture_raw):

@@ -6,8 +6,6 @@ from craftkit.errors import JsonSyntaxError
 from craftkit.plan import (
     normalize_raw,
     parse_plan,
-    plan_to_jsonable,
-    serialize_plan,
     strip_code_fences,
 )
 
@@ -113,14 +111,6 @@ def test_inserted_default_non_fixed(catalog):
     plan, report = parse_text(json.dumps(parts), catalog)
     assert plan is not None, report.errors
     assert plan.part("PEG_1").connections[0].joint_type == "NON_FIXED"
-
-
-def test_serialize_roundtrip(catalog, fixture_raw):
-    plan, _ = parse_text(fixture_raw("skateboard_valid_1"), catalog)
-    text = serialize_plan(plan)
-    again, report = parse_text(text, catalog)
-    assert again is not None, report.errors
-    assert plan_to_jsonable(again) == plan_to_jsonable(plan)
 
 
 def test_modification_through_axis(catalog, fixture_raw):
