@@ -246,14 +246,10 @@ def connected_groups(names, edges):
     return list(groups.values())
 
 
-def connectivity_components(assembly: Assembly):
-    return connected_groups(list(assembly.placed),
-                            [(a, b) for a, b, _ in assembly.graph])
-
-
 def connectivity_check(assembly: Assembly):
     """Return None when connected, else the list of components."""
-    components = connectivity_components(assembly)
+    components = connected_groups(list(assembly.placed),
+                                  [(a, b) for a, b, _ in assembly.graph])
     if len(components) == 1:
         return None
     return components

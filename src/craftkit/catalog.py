@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import DimensionOutOfRange, DuplicateId, ParseError, UnknownObject
+from .errors import DuplicateId, ParseError, UnknownObject
 
 CUBOID = "CUBOID"
 CYLINDER = "CYLINDER"
@@ -57,7 +58,7 @@ class Catalog:
             raise UnknownObject(object_id) from None
 
 
-def _validate_entry(raw, strict: bool):
+def _validate_entry(raw):
     if not isinstance(raw, dict):
         raise ParseError(f"catalog entry is not an object: {raw!r}")
     for key in ("id", "shape", "dims"):
@@ -86,23 +87,22 @@ def _validate_entry(raw, strict: bool):
         d for d in obj.principal_dims_mm if not MIN_DIM_MM <= d <= MAX_DIM_MM
     ]
     if out_of_range:
-        msg = f"object {obj.id!r} has dimensions outside [10, 250] mm: {out_of_range}"
-        if strict:
-            raise DimensionOutOfRange(msg)
-        import warnings
-
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(f"object {obj.id!r} has dimensions outside "
+                      f"[10, 250] mm: {out_of_range}", stacklevel=3)
     return obj
 
 
-def parse_catalog(text: str, strict: bool = False) -> Catalog:
+def parse_catalog(text: str) -> Catalog:
+    """The catalog in the JSON ``text``, ``{"objects": [...]}``; any other
+    shape raises ParseError, and an object outside 10-250 mm warns."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"catalog is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "objects" not in payload:
+    if not (isinstance(payload, dict)
+            and isinstance(payload.get("objects"), list)):
         raise ParseError('catalog JSON must be {"objects": [...]}')
-    return Catalog(_validate_entry(e, strict) for e in payload["objects"])
+    return Catalog(_validate_entry(e) for e in payload["objects"])
 
 
 def read_text(path):
@@ -114,11 +114,11 @@ def read_text(path):
         raise
 
 
-def load_catalog(path, strict: bool = False) -> Catalog:
+def load_catalog(path) -> Catalog:
     """The catalog in the file ``path``; an unreadable file raises OSError."""
-    return parse_catalog(read_text(path), strict=strict)
+    return parse_catalog(read_text(path))
 
 
 def default_catalog() -> Catalog:
     text = resources.files("craftkit.data").joinpath("catalog_default.json").read_text()
-    return parse_catalog(text, strict=True)
+    return parse_catalog(text)

@@ -52,8 +52,8 @@ def _emit(payload):
 
 
 def _catalog(args):
-    if getattr(args, "catalog", None):
-        return load_catalog(args.catalog, strict=False)
+    if args.catalog:
+        return load_catalog(args.catalog)
     return default_catalog()
 
 

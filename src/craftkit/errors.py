@@ -17,14 +17,9 @@ class DuplicateId(CraftError):
     pass
 
 
-class DimensionOutOfRange(CraftError):
-    pass
-
-
 class UnknownObject(CraftError):
     def __init__(self, object_id):
         super().__init__(f"unknown object id: {object_id!r}")
-        self.object_id = object_id
 
 
 class PlacementError(CraftError):
@@ -34,17 +29,12 @@ class PlacementError(CraftError):
 class Unplaceable(PlacementError):
     def __init__(self, part):
         super().__init__(f"part {part!r} has no connection to any placed part")
-        self.part = part
 
 
 class InconsistentConnection(PlacementError):
-    def __init__(self, part, to_part, detail=""):
-        msg = f"connection {part!r} -> {to_part!r} is inconsistent with the part's pose"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.part = part
-        self.to_part = to_part
+    def __init__(self, part, to_part, detail):
+        super().__init__(f"connection {part!r} -> {to_part!r} is inconsistent "
+                         f"with the part's pose: {detail}")
 
 
 class HoleNotCarvedYet(PlacementError):
@@ -53,16 +43,11 @@ class HoleNotCarvedYet(PlacementError):
             f"part {part!r} inserts into {modification!r} of {to_part!r}, "
             "which is not placed yet"
         )
-        self.part = part
-        self.to_part = to_part
-        self.modification = modification
 
 
 class HoleExceedsOwner(PlacementError):
     def __init__(self, part, modification):
         super().__init__(f"hole {modification!r} exits the bounds of part {part!r}")
-        self.part = part
-        self.modification = modification
 
 
 class NumericalDivergence(CraftError):

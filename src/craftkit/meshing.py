@@ -191,17 +191,6 @@ def mesh_part(solid, center):
     return [(x + cx, y + cy, z + cz) for x, y, z in vertices], faces
 
 
-def mesh_assembly(assembly):
-    """Concatenated (vertices, faces) over every placed part."""
-    vertices, faces = [], []
-    for part in assembly.placed.values():
-        v, f = mesh_part(part.solid, part.position)
-        n = len(vertices)
-        vertices += v
-        faces += [(a + n, b + n, c + n) for a, b, c in f]
-    return vertices, faces
-
-
 def write_obj(path, vertices, faces, comment=None):
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
@@ -213,4 +202,11 @@ def write_obj(path, vertices, faces, comment=None):
 
 
 def export_assembly_obj(assembly, path):
-    write_obj(path, *mesh_assembly(assembly), comment="craftkit assembly")
+    """Write every placed part's mesh, concatenated, to the OBJ ``path``."""
+    vertices, faces = [], []
+    for part in assembly.placed.values():
+        v, f = mesh_part(part.solid, part.position)
+        n = len(vertices)
+        vertices += v
+        faces += [(a + n, b + n, c + n) for a, b, c in f]
+    write_obj(path, vertices, faces, comment="craftkit assembly")

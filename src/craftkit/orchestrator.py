@@ -158,8 +158,11 @@ class HttpClient(LlmClient):
                     retryable=False)
             resp.raise_for_status()
             data = resp.json()
-            return data["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError,
+            content = data["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise ValueError(f"{type(content).__name__} content, not str")
+            return content
+        except (requests.RequestException, KeyError, IndexError, TypeError,
                 ValueError) as exc:
             raise ClientError(str(exc)) from exc
 

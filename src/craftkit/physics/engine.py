@@ -9,8 +9,8 @@ Body state is plain Python floats, during a step and between steps, in
 the layout of Box2D's contact solver: a body's position ``x``, quaternion
 ``q``, the rows ``rot`` of its rotation matrix, one 6-list velocity ``vel``
 (linear, then angular), and the ``force`` and ``torque`` applied since the
-last step.  A step first refreshes each body's ``dynamic`` flag and world
-inverse inertia ``iinv`` = R I^-1 R^T and zeroes its pseudo-velocity
+last step.  A step first refreshes each body's world inverse inertia
+``iinv`` = R I^-1 R^T (zero if ``kinematic``) and zeroes its pseudo-velocity
 ``pvel``; the constraint rows then update ``vel`` and ``pvel`` in place,
 and integration moves ``x`` and ``q``.  Contact points and normals and
 joint anchors and axes are float tuples as well, and so are a body's mass
@@ -226,13 +226,12 @@ class RigidBody:
         self._start_step()
 
     def _start_step(self):
-        """Set ``dynamic``, the world inverse inertia ``iinv`` = R I^-1 R^T
-        (zero for a body that impulses do not move) and a zero
+        """Set the world inverse inertia ``iinv`` = R I^-1 R^T (zero for a
+        kinematic body, which impulses do not move) and a zero
         pseudo-velocity ``pvel``.  Each step starts here, since
         ``kinematic`` may have been set since the last one."""
         self.pvel = [0.0] * 6
-        self.dynamic = not self.kinematic
-        if not self.dynamic:
+        if self.kinematic:
             self.iinv = _ZERO33
             return
         # column j of I^-1 R^T is I^-1 applied to row j of R: (a, b, c)
@@ -334,7 +333,7 @@ class RigidBody:
         """
         c = _cross3(r, d)
         jac = (d[0], d[1], d[2], c[0], c[1], c[2])
-        if not self.dynamic:
+        if self.kinematic:
             return jac, None, 0.0
         m = self.inv_mass
         ic = _matvec3(self.iinv, c)
@@ -461,17 +460,18 @@ class _ContactRow:
     a side that impulses do not move.  jn, jt1, jt2 and pn accumulate the
     normal, friction and split (position) impulses of this step; the first
     three start from ``impulse``, the contact's totals of the previous step
-    (None: zero), which are applied to the bodies at setup.
+    (None: zero), which are applied to the bodies at setup.  ``target`` is
+    the split impulse's speed target BAUMGARTE * (depth - SLOP) / dt, None
+    where the contact is not that deep or no side moves.
     """
 
-    __slots__ = ("va", "vb", "pa", "pb", "depth", "n", "t1", "t2", "jn",
+    __slots__ = ("va", "vb", "pa", "pb", "target", "n", "t1", "t2", "jn",
                  "jt1", "jt2", "pn")
 
-    def __init__(self, contact: Contact, impulse):
+    def __init__(self, contact: Contact, dt, impulse):
         a, b = contact.body_a, contact.body_b
         self.vb, self.pb = b.vel, b.pvel
         self.va, self.pa = (None, None) if a is None else (a.vel, a.pvel)
-        self.depth = contact.depth
         n = contact.normal
         t1 = _unit_perpendicular(n)
         t2 = _cross3(n, t1)
@@ -480,6 +480,9 @@ class _ContactRow:
         ra = None if a is None else (px - a.x[0], py - a.x[1], pz - a.x[2])
         self.n, self.t1, self.t2 = (_direction(a, ra, b, rb, d)
                                     for d in (n, t1, t2))
+        pen = contact.depth - SLOP
+        self.target = None if pen <= 0.0 or self.n[4] <= 0.0 \
+            else BAUMGARTE * pen / dt
         self.jn = self.jt1 = self.jt2 = self.pn = 0.0
         if impulse is not None and self.n[4] > 0.0:
             self.jn, self.jt1, self.jt2 = impulse
@@ -495,19 +498,17 @@ class _ContactRow:
         # outlives the normal impulse that bounds it, in this step or the
         # next one's warm start
         max_f = FRICTION * jn
-        if self.t1[4] > 0.0:
-            self.jt1 = _solve_row(self.t1, va, vb, self.jt1, 0.0, -max_f,
-                                  max_f)
-        if self.t2[4] > 0.0:
-            self.jt2 = _solve_row(self.t2, va, vb, self.jt2, 0.0, -max_f,
-                                  max_f)
+        # n[4] > 0: a side moves, adding inv_mass > 0 and c . (I^-1 c) >= 0
+        # (I^-1 is positive semi-definite) to every direction's mass, so
+        # t1[4] and t2[4] are positive too
+        self.jt1 = _solve_row(self.t1, va, vb, self.jt1, 0.0, -max_f, max_f)
+        self.jt2 = _solve_row(self.t2, va, vb, self.jt2, 0.0, -max_f, max_f)
 
-    def solve_position(self, beta, slop, dt):
-        pen = self.depth - slop
-        if pen <= 0.0 or self.n[4] <= 0.0:
+    def solve_position(self):
+        if self.target is None:
             return
-        self.pn = _solve_row(self.n, self.pa, self.pb, self.pn,
-                             beta * pen / dt, 0.0, _INF)
+        self.pn = _solve_row(self.n, self.pa, self.pb, self.pn, self.target,
+                             0.0, _INF)
 
 
 def _direction(a, ra, b, rb, d):
@@ -533,19 +534,20 @@ class _GroundRow:
     start adds the previous step's impulses in _ContactRow's order too.
     """
 
-    __slots__ = ("v", "p", "depth", "r", "m", "n", "t1", "t2", "jn", "jt1",
+    __slots__ = ("v", "p", "target", "r", "m", "n", "t1", "t2", "jn", "jt1",
                  "jt2", "pn")
 
-    def __init__(self, contact: Contact, impulse):
+    def __init__(self, contact: Contact, dt, impulse):
         b = contact.body_b
         self.v, self.p = b.vel, b.pvel
-        self.depth = contact.depth
         self.jn = self.jt1 = self.jt2 = self.pn = 0.0
         px, py, pz = contact.point
         rx, ry, rz = self.r = (px - b.x[0], py - b.x[1], pz - b.x[2])
-        if not b.dynamic:
-            self.n = None
+        if b.kinematic:
+            self.n = self.target = None
             return
+        pen = contact.depth - SLOP
+        self.target = None if pen <= 0.0 else BAUMGARTE * pen / dt
         m = self.m = b.inv_mass
         (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = b.iinv
         n0, n1, n2 = i00 * ry - i01 * rx, i10 * ry - i11 * rx, \
@@ -620,15 +622,14 @@ class _GroundRow:
             v[5] += dj * a2
         self.jt2 = new
 
-    def solve_position(self, beta, slop, dt):
-        pen = self.depth - slop
-        if pen <= 0.0 or self.n is None:
+    def solve_position(self):
+        if self.target is None:
             return
         p = self.p
         rx, ry, _ = self.r
         k, a0, a1, a2 = self.n
         acc = self.pn
-        new = acc + (beta * pen / dt - ((p[2] + ry * p[3]) - rx * p[4])) / k
+        new = acc + (self.target - ((p[2] + ry * p[3]) - rx * p[4])) / k
         if new < 0.0:
             new = 0.0
         dj = new - acc
@@ -640,11 +641,11 @@ class _GroundRow:
         self.pn = new
 
 
-def _contact_row(contact: Contact, impulse):
+def _contact_row(contact: Contact, dt, impulse):
     """The row for one contact: _GroundRow where it applies, by value."""
     if contact.body_a is None and contact.normal == _UP:
-        return _GroundRow(contact, impulse)
-    return _ContactRow(contact, impulse)
+        return _GroundRow(contact, dt, impulse)
+    return _ContactRow(contact, dt, impulse)
 
 
 class _JointRow:
@@ -676,7 +677,7 @@ class _JointRow:
                  "lever_b", "u1", "u2", "kang_inv", "ang_bias", "spin_a",
                  "spin_b", "px", "py", "pz", "l1", "l2")
 
-    def __init__(self, joint: RevoluteJoint, beta, dt, impulse):
+    def __init__(self, joint: RevoluteJoint, dt, impulse):
         a, b = joint.body_a, joint.body_b
         self.va, self.vb = a.vel, b.vel
         # anchors and axes in the world: R p, row by row
@@ -698,7 +699,7 @@ class _JointRow:
         mx, my, mz = (r00 * x + r01 * y + r02 * z,
                       r10 * x + r11 * y + r12 * z,
                       r20 * x + r21 * y + r22 * z)
-        f = beta / dt
+        f = BAUMGARTE / dt
         (xa, ya, za), (xb, yb, zb) = a.x, b.x
         self.bias = (f * ((xb + rbx) - (xa + rax)),
                      f * ((yb + rby) - (ya + ray)),
@@ -714,7 +715,7 @@ class _JointRow:
         u2x, u2y, u2z = self.u2 = (ny * u1z - nz * u1y, nz * u1x - nx * u1z,
                                    nx * u1y - ny * u1x)
         # driving the perpendicular relative spin toward
-        # -beta/dt * (axis_a x axis_b) decays the misalignment without
+        # -BAUMGARTE/dt * (axis_a x axis_b) decays the misalignment without
         # cross-coupling the two error components
         x, y, z = ny * mz - nz * my, nz * mx - nx * mz, nx * my - ny * mx
         self.ang_bias = (f * (u1x * x + u1y * y + u1z * z),
@@ -726,7 +727,7 @@ class _JointRow:
         g11 = g12 = g21 = g22 = -0.0
         sides = []
         for body, rx, ry, rz in ((a, rax, ray, raz), (b, rbx, rby, rbz)):
-            if not body.dynamic:
+            if body.kinematic:
                 sides.append((None, None))
                 continue
             m = body.inv_mass
@@ -1001,11 +1002,11 @@ class World:
         step ends with replace that cache.
         """
         joint_warm = self._joint_impulses.get
-        joint_rows = [_JointRow(j, BAUMGARTE, dt, joint_warm(i))
+        joint_rows = [_JointRow(j, dt, joint_warm(i))
                       for i, j in enumerate(self.joints)]
         # no key None is ever cached, so those contacts start cold
         contact_warm = self._contact_impulses.get
-        contact_rows = [_contact_row(c, contact_warm(c.key))
+        contact_rows = [_contact_row(c, dt, contact_warm(c.key))
                         for c in contacts]
         for _ in range(VELOCITY_SWEEPS):
             for row in joint_rows:
@@ -1019,7 +1020,7 @@ class World:
             for c, row in zip(contacts, contact_rows) if c.key is not None}
         for _ in range(POSITION_SWEEPS):
             for row in contact_rows:
-                row.solve_position(BAUMGARTE, SLOP, dt)
+                row.solve_position()
         return contact_rows
 
     def step(self):
@@ -1029,7 +1030,7 @@ class World:
         gravity = (0.0, 0.0, -GRAVITY)
         for body in self.bodies:
             body._start_step()
-            if body.dynamic:
+            if not body.kinematic:
                 body._integrate_forces(
                     None if body.gravity_exempt else gravity, dt)
             body.force = body.torque = _ZERO3

@@ -21,7 +21,8 @@ from ..assembler import Assembly, connected_groups
 from ..errors import NumericalDivergence
 from ..geometry import FACE_AXIS, TRANSVERSE, Solid, aabb_overlap
 from ..plan import CraftPlan
-from .engine import Contact, RevoluteJoint, RigidBody, World, pose_point
+from .engine import (CONTACT_GEN_MARGIN, Contact, RevoluteJoint, RigidBody,
+                     World, pose_point)
 
 PART_MASS = 10.0  # kg, every part's, the hit test's peg included
 
@@ -399,18 +400,18 @@ def _peg_block_hook(peg: RigidBody):
             # inside the hole: wall guidance plus the hole floor
             if low[2] < HIT_BLOCK_TOP:
                 pen = rho + HIT_PEG_RADIUS - HIT_HOLE_RADIUS
-                if pen > 0 and rho > 1e-12:
+                if pen > 0:
                     n = tuple(-c / rho for c in (low[0], low[1], 0.0))
                     point = tuple(p - c * HIT_PEG_RADIUS
                                   for p, c in zip(low, n))
                     contacts.append(Contact(None, peg, point, n, pen))
-            if low[2] < floor_z + 1e-4:
+            if low[2] < floor_z + CONTACT_GEN_MARGIN:
                 contacts.append(Contact(
                     None, peg, low, (0.0, 0.0, 1.0),
                     max(0.0, floor_z - low[2])))
         else:
             # over solid block: its top face acts as a plane
-            if low[2] < HIT_BLOCK_TOP + 1e-4:
+            if low[2] < HIT_BLOCK_TOP + CONTACT_GEN_MARGIN:
                 contacts.append(Contact(
                     None, peg, low, (0.0, 0.0, 1.0),
                     max(0.0, HIT_BLOCK_TOP - low[2])))

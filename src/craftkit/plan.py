@@ -51,6 +51,8 @@ MAX_NESTING = 32
 MAX_SHOWN_CHARS = 200
 
 _FENCE_RE = re.compile(r"^\s*```[a-zA-Z0-9_-]*\s*$")
+# a JSON string (to its end, if unterminated) or one bracket
+_BRACKET_RE = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]', re.S)
 
 
 @dataclass(frozen=True)
@@ -158,14 +160,29 @@ def _normalize_value(value, depth=0):
     return [_normalize_value(v, depth) for v in value]
 
 
+def _nesting(text):
+    """How deep arrays and objects nest in ``text``, strings skipped."""
+    depth = most = 0
+    for token in _BRACKET_RE.findall(text):
+        if token in "[{":
+            depth += 1
+            most = max(most, depth)
+        elif token in "]}":
+            depth -= 1
+    return most
+
+
 def normalize_raw(raw: str):
     """Parse raw LLM text into normalized JSON: keys and string values are
     uppercased with hyphens replaced by underscores.  Text that is not JSON,
-    or nests more than MAX_NESTING arrays and objects, raises
-    ``JsonSyntaxError``."""
+    or nests more than MAX_NESTING arrays and objects (before its error, if
+    it is not JSON), raises ``JsonSyntaxError``."""
     try:
         return _normalize_value(json.loads(strip_code_fences(raw)))
     except json.JSONDecodeError as exc:
+        # on a deeper stack the parser may stop in there first
+        if _nesting(exc.doc[:exc.pos]) > MAX_NESTING:
+            raise JsonSyntaxError("nested too deeply") from None
         raise JsonSyntaxError(str(exc)) from exc
     except RecursionError:
         raise JsonSyntaxError("nested too deeply") from None

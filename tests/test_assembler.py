@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from craftkit import build_assembly
-from craftkit.assembler import connectivity_check, connectivity_components
+from craftkit.assembler import connectivity_check
 from craftkit.collision import validate_collisions
 from craftkit.errors import (
     HoleExceedsOwner,
@@ -355,4 +355,4 @@ def test_connectivity_partition():
     components = connectivity_check(asm)
     assert components is not None
     assert sorted(sorted(c) for c in components) == [["A_1"], ["B_1"]]
-    assert len(connectivity_components(asm)) == 2
+    assert len(connectivity_check(asm)) == 2

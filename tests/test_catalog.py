@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -12,17 +13,19 @@ from craftkit.catalog import (
     default_catalog,
     parse_catalog,
 )
-from craftkit.errors import (
-    DimensionOutOfRange,
-    DuplicateId,
-    ParseError,
-    UnknownObject,
-)
+from craftkit.errors import DuplicateId, ParseError, UnknownObject
 
 
 def test_default_catalog_has_41_objects():
     cat = default_catalog()
     assert len(cat.objects) == 41
+
+
+def test_default_catalog_stays_inside_the_envelope():
+    # an object outside 10-250 mm would warn, and the warning raise here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        default_catalog()
 
 
 def test_default_catalog_shapes_and_ranges():
@@ -58,17 +61,17 @@ def test_parse_catalog_strict_range():
     text = json.dumps({"objects": [
         {"id": "CUBOID_300X10X10", "shape": "CUBOID", "dims": [300, 10, 10]},
     ]})
-    with pytest.raises(DimensionOutOfRange):
-        parse_catalog(text, strict=True)
-    # user catalogs only warn
+    # a catalog outside the envelope only warns
     with pytest.warns(UserWarning):
-        cat = parse_catalog(text, strict=False)
+        cat = parse_catalog(text)
     assert len(cat.objects) == 1
 
 
 @pytest.mark.parametrize("payload", [
     "not json",
     json.dumps([1, 2, 3]),
+    json.dumps({"objects": 5}),
+    json.dumps({"objects": None}),
     json.dumps({"objects": [{"id": "X_1", "shape": "SPHERE", "dims": [1]}]}),
     json.dumps({"objects": [{"id": "X_1", "shape": "CUBOID", "dims": [1, 2]}]}),
     json.dumps({"objects": [{"id": "X_1", "shape": "CYLINDER",

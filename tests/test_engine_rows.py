@@ -72,7 +72,7 @@ class _RefBody:
         self.force = np.array(body.force)
         self.torque = np.array(body.torque)
         self.iinv = np.array(body.iinv)
-        self.dynamic = body.dynamic
+        self.dynamic = not body.kinematic
         self.inv_mass = body.inv_mass
 
 
@@ -538,12 +538,12 @@ def _push_spin(va, vb, spin_a, spin_b, l1, l2):
 
 
 class _GenericJointRow:
-    def __init__(self, joint, beta, dt, impulse):
+    def __init__(self, joint, dt, impulse):
         a, b = joint.body_a, joint.body_b
         self.va, self.vb = a.vel, b.vel
         ra = self.ra = _matvec3(a.rot, joint.anchor_local_a)
         rb = self.rb = _matvec3(b.rot, joint.anchor_local_b)
-        f = beta / dt
+        f = engine.BAUMGARTE / dt
         self.bias = tuple(
             f * ((b.x[i] + rb[i]) - (a.x[i] + ra[i])) for i in range(3))
         k = [[0.0] * 3 for _ in range(3)]
@@ -565,8 +565,8 @@ class _GenericJointRow:
         self.kang_inv = ((k22 / det, -k12 / det), (-k21 / det, k11 / det))
         err = _cross3(axis_a, axis_b)
         self.ang_bias = (f * _dot3(u1, err), f * _dot3(u2, err))
-        self.spin_a = iu_a if a.dynamic else None
-        self.spin_b = iu_b if b.dynamic else None
+        self.spin_a = None if a.kinematic else iu_a
+        self.spin_b = None if b.kinematic else iu_b
         self.px = self.py = self.pz = self.l1 = self.l2 = 0.0
         if impulse is not None:
             (px, py, pz), ang = impulse
@@ -581,7 +581,7 @@ class _GenericJointRow:
     @staticmethod
     def _anchor_lever(body, r, k):
         """Add one body's share to K; return (m, I^-1 [r]x) or None."""
-        if not body.dynamic:
+        if body.kinematic:
             return None
         rx, ry, rz = r
         (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = body.iinv

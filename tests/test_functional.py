@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from craftkit.assembler import connected_groups, connectivity_components
+from craftkit.assembler import connected_groups, connectivity_check
 from craftkit.geometry import Solid
 from craftkit.physics import (
     RigidBody,
@@ -273,7 +273,7 @@ def test_golden_clusters_and_body_ids(build_fixture):
             assert [b.id for b in bodies] == \
                 [f"body{k}" for k in range(len(want))]
             assert [[p.name for p in b.parts] for b in bodies] == want
-            assert connectivity_components(asm) == [list(asm.placed)]
+            assert connectivity_check(asm) is None
 
 
 def test_connected_groups_follow_name_order():

@@ -198,6 +198,35 @@ def test_http_client_sends_one_message_at_fixed_settings(monkeypatch):
         "timeout": 120.0})]
 
 
+@pytest.mark.parametrize("answer", [
+    {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": ["[]"]}}]},
+    {"choices": ["[]"]},
+    [],
+])
+def test_http_client_answer_without_text_is_a_client_failure(
+        answer, monkeypatch, catalog, sleeps):
+    """An answer with no string content is retried as a bad answer and
+    ends the run at CLIENT, with no exception out of the pipeline."""
+    posts = []
+    requests = _fake_requests([200], posts)
+    answer_ok = requests.post
+
+    def post(url, **kwargs):
+        response = answer_ok(url)
+        response.json = lambda: answer
+        return response
+
+    requests.post = post
+    monkeypatch.setitem(sys.modules, "requests", requests)
+    result = run_pipeline("hammer", HttpClient("http://localhost:9/v1/chat",
+                                               "m"), catalog=catalog)
+    assert result.failure_stage == STAGE_CLIENT
+    assert result.llm_calls == 0
+    assert result.attempts[-1].report["error"] == "ClientError"
+    assert len(posts) == MAX_CLIENT_RETRIES
+
+
 def test_http_client_without_requests_names_the_extra(monkeypatch):
     monkeypatch.setitem(sys.modules, "requests", None)
     with pytest.raises(ClientError) as info:
@@ -240,6 +269,13 @@ def test_a_nested_answer_gets_one_report_at_any_stack_depth(catalog, kind):
         raw = _nested(kind, depth)
         assert _deeper(60, check_format, raw, catalog) \
             == check_format(raw, catalog), depth
+    # a malformed one too, with a bare x innermost: at top level the
+    # parser reaches the x, 60 frames down it may run out of stack first
+    for depth in range(900, 1001, 5):
+        raw = _nested(kind, depth).replace("[]", "[x]").replace("1", "x")
+        top = check_format(raw, catalog)
+        assert _deeper(60, check_format, raw, catalog) == top, depth
+        assert top[1]["errors"][0]["message"] == "nested too deeply"
 
 
 def test_a_format_message_shows_a_large_value_cut_short(catalog):
