@@ -23,6 +23,12 @@ MAX_DIM_MM = 250.0
 MM = 0.001  # millimetres to metres
 
 
+def canonical_token(text: str) -> str:
+    """``text`` uppercased with hyphens replaced by underscores: the one
+    form of a plan token and of a catalog id."""
+    return text.upper().replace("-", "_")
+
+
 @dataclass(frozen=True)
 class ObjectType:
     id: str
@@ -82,7 +88,8 @@ def _validate_entry(raw):
     dims = tuple(float(d) for d in dims)
     if any(d <= 0 for d in dims):
         raise ParseError(f"non-positive dimension in {raw['id']!r}: {dims!r}")
-    obj = ObjectType(id=str(raw["id"]), shape=shape, dims=dims)
+    obj = ObjectType(id=canonical_token(str(raw["id"])), shape=shape,
+                     dims=dims)
     out_of_range = [
         d for d in obj.principal_dims_mm if not MIN_DIM_MM <= d <= MAX_DIM_MM
     ]
@@ -94,7 +101,9 @@ def _validate_entry(raw):
 
 def parse_catalog(text: str) -> Catalog:
     """The catalog in the JSON ``text``, ``{"objects": [...]}``; any other
-    shape raises ParseError, and an object outside 10-250 mm warns."""
+    shape raises ParseError, and an object outside 10-250 mm warns.  Ids
+    are canonicalized as plan tokens are, so two ids that canonicalize
+    alike raise DuplicateId."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -31,11 +31,16 @@ sums, in the same order, as the 3-vector form, so its bits are that
 form's.  A body's world inverse inertia R I^-1 R^T is formed the same
 way, with no helper call.
 
-A contact with the static environment whose normal is exactly +z (compared
-by value, so the hit test's floor contacts qualify) gets a _GroundRow: its
+A contact of a body that is not kinematic with the static environment,
+whose normal is exactly +z (compared by value, so the hit test's floor
+contacts qualify) and whose depth is at most SLOP, gets a _GroundRow: its
 directions are z, x and y, so the row keeps only the non-zero terms of
 each Jacobian and response and solves all three directions in one call,
-bit-identical to the generic _ContactRow that every other contact uses.
+bit-identical to the generic _ContactRow.  Such a contact has no split
+impulse, and its body moves.  Every other contact, deeper ground contacts
+and those of a kinematic body included, gets the _ContactRow, so the
+split impulse and the rule for a body that impulses do not move
+(``RigidBody._lever``) each have one implementation.
 Per-part constants of contact generation (box half extents, the offset
 from the body centre) are computed once per part, and each part's world
 centre once per step.  Body-body contacts test every part pair of every
@@ -462,7 +467,8 @@ class _ContactRow:
     three start from ``impulse``, the contact's totals of the previous step
     (None: zero), which are applied to the bodies at setup.  ``target`` is
     the split impulse's speed target BAUMGARTE * (depth - SLOP) / dt, None
-    where the contact is not that deep or no side moves.
+    where the contact is not that deep or no side moves; World._solve runs
+    ``solve_position`` only where it is set.
     """
 
     __slots__ = ("va", "vb", "pa", "pb", "target", "n", "t1", "t2", "jn",
@@ -505,8 +511,6 @@ class _ContactRow:
         self.jt2 = _solve_row(self.t2, va, vb, self.jt2, 0.0, -max_f, max_f)
 
     def solve_position(self):
-        if self.target is None:
-            return
         self.pn = _solve_row(self.n, self.pa, self.pb, self.pn, self.target,
                              0.0, _INF)
 
@@ -521,7 +525,8 @@ def _direction(a, ra, b, rb, d):
 
 
 class _GroundRow:
-    """A contact with the static environment whose normal is exactly +z.
+    """A contact of a moving body with the static environment whose normal
+    is exactly +z and whose depth is at most SLOP (see _contact_row).
 
     For this normal _ContactRow picks t1 = x and t2 = y, so each Jacobian
     (d, r x d) has three exact zeros: r x z = (ry, -rx, 0),
@@ -529,25 +534,19 @@ class _GroundRow:
     updates multiply only the other terms, summed in the order
     _ContactRow sums them.  The products left out are exact zeros, so
     velocities and impulses come out bit-identical to _ContactRow's.
-    Each direction keeps (k, I^-1 (r x d)); ``n`` is None for a body that
-    impulses do not move (k = 0), and the row is then skipped.  The warm
-    start adds the previous step's impulses in _ContactRow's order too.
+    Each direction keeps (k, I^-1 (r x d)), k > 0 as the body moves.  The
+    warm start adds the previous step's impulses in _ContactRow's order
+    too.  A contact this shallow has no split impulse.
     """
 
-    __slots__ = ("v", "p", "target", "r", "m", "n", "t1", "t2", "jn", "jt1",
-                 "jt2", "pn")
+    __slots__ = ("v", "r", "m", "n", "t1", "t2", "jn", "jt1", "jt2")
 
-    def __init__(self, contact: Contact, dt, impulse):
+    def __init__(self, contact: Contact, impulse):
         b = contact.body_b
-        self.v, self.p = b.vel, b.pvel
-        self.jn = self.jt1 = self.jt2 = self.pn = 0.0
+        self.v = b.vel
+        self.jn = self.jt1 = self.jt2 = 0.0
         px, py, pz = contact.point
         rx, ry, rz = self.r = (px - b.x[0], py - b.x[1], pz - b.x[2])
-        if b.kinematic:
-            self.n = self.target = None
-            return
-        pen = contact.depth - SLOP
-        self.target = None if pen <= 0.0 else BAUMGARTE * pen / dt
         m = self.m = b.inv_mass
         (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = b.iinv
         n0, n1, n2 = i00 * ry - i01 * rx, i10 * ry - i11 * rx, \
@@ -572,8 +571,6 @@ class _GroundRow:
 
     # With a zero target, acc - u / k is _solve_row's acc + (0 - u) / k.
     def solve_velocity(self):
-        if self.n is None:
-            return
         v, m = self.v, self.m
         rx, ry, rz = self.r
         k, a0, a1, a2 = self.n
@@ -622,29 +619,14 @@ class _GroundRow:
             v[5] += dj * a2
         self.jt2 = new
 
-    def solve_position(self):
-        if self.target is None:
-            return
-        p = self.p
-        rx, ry, _ = self.r
-        k, a0, a1, a2 = self.n
-        acc = self.pn
-        new = acc + (self.target - ((p[2] + ry * p[3]) - rx * p[4])) / k
-        if new < 0.0:
-            new = 0.0
-        dj = new - acc
-        if dj != 0.0:
-            p[2] += dj * self.m
-            p[3] += dj * a0
-            p[4] += dj * a1
-            p[5] += dj * a2
-        self.pn = new
-
 
 def _contact_row(contact: Contact, dt, impulse):
-    """The row for one contact: _GroundRow where it applies, by value."""
-    if contact.body_a is None and contact.normal == _UP:
-        return _GroundRow(contact, dt, impulse)
+    """The row for one contact: _GroundRow for a shallow +z contact (by
+    value) of a moving body with the static environment, where neither
+    row has a split impulse, and _ContactRow for every other."""
+    if (contact.body_a is None and contact.normal == _UP
+            and not contact.body_b.kinematic and contact.depth - SLOP <= 0.0):
+        return _GroundRow(contact, impulse)
     return _ContactRow(contact, dt, impulse)
 
 
@@ -1018,8 +1000,12 @@ class World:
         self._contact_impulses = {
             c.key: (row.jn, row.jt1, row.jt2)
             for c, row in zip(contacts, contact_rows) if c.key is not None}
+        # only a _ContactRow has a split impulse
+        position_rows = [row for row in contact_rows
+                         if isinstance(row, _ContactRow)
+                         and row.target is not None]
         for _ in range(POSITION_SWEEPS):
-            for row in contact_rows:
+            for row in position_rows:
                 row.solve_position()
         return contact_rows
 

@@ -498,8 +498,9 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
     The run is ``round(duration / timestep)`` steps, with a snapshot
     every ``trace_every`` of them.  A test's own verdict in a step goes
     ahead of the shared checks.  Raises ValueError for an unknown ``kind``,
-    and for a config whose run is not at least one step: a timestep that
-    is not positive, or a duration under one timestep (NaN included).
+    and for a config whose run is not a finite number of steps, at least
+    one: a timestep that is not positive, or a duration under one timestep
+    (NaN included) or not finite.
     """
     try:
         setup = TESTS[kind]
@@ -508,8 +509,8 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
     config = config or SimConfig()
     if not config.timestep > 0.0:
         raise ValueError(f"timestep must be positive, got {config.timestep}")
-    if not config.duration >= config.timestep:
-        raise ValueError("duration must be at least one timestep "
+    if not config.timestep <= config.duration < math.inf:
+        raise ValueError("duration must be finite and at least one timestep "
                          f"({config.timestep} s), got {config.duration}")
     n_steps = int(round(config.duration / config.timestep))
     craft = compile_craft(assembly, config.timestep)

@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .catalog import Catalog, read_text
+from .catalog import Catalog, canonical_token, read_text
 from .errors import JsonSyntaxError, UnknownObject
 
 # Token sets of the plan language. FRONT/BACK map to +X/-X, LEFT/RIGHT to
@@ -146,7 +146,7 @@ def _shown(value):
 def _normalize_value(value, depth=0):
     """``value`` normalized; ``depth`` arrays and objects hold it."""
     if isinstance(value, str):
-        return value.upper().replace("-", "_")
+        return canonical_token(value)
     if not isinstance(value, (dict, list)):
         return value
     if depth == MAX_NESTING:
@@ -154,7 +154,7 @@ def _normalize_value(value, depth=0):
     depth += 1
     if isinstance(value, dict):
         return {
-            str(k).upper().replace("-", "_"): _normalize_value(v, depth)
+            canonical_token(str(k)): _normalize_value(v, depth)
             for k, v in value.items()
         }
     return [_normalize_value(v, depth) for v in value]

@@ -57,6 +57,24 @@ def test_duplicate_id_rejected():
         Catalog([obj, obj])
 
 
+def test_ids_are_canonicalized_like_plan_tokens():
+    cat = parse_catalog(json.dumps({"objects": [
+        {"id": "cuboid-100x100x100", "shape": "CUBOID",
+         "dims": [100, 100, 100]},
+        {"id": "Cylinder_r30_l20", "shape": "CYLINDER", "dims": [30, 20]}]}))
+    assert [o.id for o in cat.objects] == ["CUBOID_100X100X100",
+                                           "CYLINDER_R30_L20"]
+    assert cat.lookup("CUBOID_100X100X100").dims == (100.0, 100.0, 100.0)
+
+
+def test_ids_that_canonicalize_alike_are_duplicates():
+    text = json.dumps({"objects": [
+        {"id": i, "shape": "CUBOID", "dims": [10, 10, 10]}
+        for i in ("a-1", "A_1")]})
+    with pytest.raises(DuplicateId):
+        parse_catalog(text)
+
+
 def test_parse_catalog_strict_range():
     text = json.dumps({"objects": [
         {"id": "CUBOID_300X10X10", "shape": "CUBOID", "dims": [300, 10, 10]},

@@ -553,6 +553,24 @@ def test_validate_rejects_catalog_dims_that_are_not_numbers(caplog, plan_path,
     assert "ParseError" in caplog.text and "CUBOID_BAD" in caplog.text
 
 
+@pytest.mark.parametrize("object_id", ["cuboid_100x100x100",
+                                       "cuboid-100x100x100"])
+def test_validate_finds_catalog_ids_that_are_not_canonical(capsys, tmp_path,
+                                                           object_id):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"objects": [
+        {"id": object_id, "shape": "CUBOID", "dims": [100, 100, 100]}]}))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([{
+        "Name": "BLOCK_1", "Available_obj": object_id,
+        "Orientation": [100, 100, 100], "Modifications": [],
+        "Connections": [], "exec_function": False}]))
+    code, out = run_cli(capsys, "validate", str(plan),
+                        "--catalog", str(catalog))
+    assert json.loads(out) == {"ok": True, "errors": []}
+    assert code == EXIT_OK
+
+
 def test_metrics_on_a_face_less_obj_is_a_usage_error(caplog, capsys,
                                                      tmp_path):
     obj = tmp_path / "noface.obj"

@@ -353,6 +353,12 @@ def _float_solve(world, contacts, dt):
     return rows, state
 
 
+def _impulses(rows):
+    """(jn, jt1, jt2, pn) per row; a _GroundRow's contact is too shallow
+    for a split impulse, so its pn is 0."""
+    return [[r.jn, r.jt1, r.jt2, getattr(r, "pn", 0.0)] for r in rows]
+
+
 def _assert_close(actual, expected):
     actual, expected = np.asarray(actual), np.asarray(expected)
     scale = np.max(np.abs(expected))
@@ -388,32 +394,36 @@ def test_float_rows_match_numpy_rows(seed, monkeypatch):
 
 
 def test_ground_contacts_match_numpy_rows():
-    """A resting and a sliding box on the generated ground contacts."""
-    world = World(SimConfig().timestep)
-    for i, v in enumerate(([0.0, 0.0, -0.5], [1.0, 0.3, -0.2])):
-        body = RigidBody.from_parts(
-            f"box{i}", [("p", Solid.box((0.2, 0.3, 0.2)),
-                         np.array([2.0 * i, 0.0, 0.099]))], 10.0)
-        body.vel = v + [0.1, -0.2, 0.3]
-        world.bodies.append(body)
-    for body in world.bodies:
-        body.refresh_pose_cache()
-    contacts = world.gather_contacts()
-    assert len(contacts) == 8
-    ref_world = copy.deepcopy(world)
-    refs = _ref_bodies(ref_world)
-    rows, state = _float_solve(world, contacts, world.timestep)
-    assert all(isinstance(r, engine._GroundRow) for r in rows)
-    ref_rows = _reference_solve(
-        ref_world, refs, ref_world.gather_contacts(), world.timestep)
-    _assert_close(state, _state(refs))
-    _assert_close([[r.jn, r.jt1, r.jt2, r.pn] for r in rows],
-                  [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
+    """A resting and a sliding box on the generated ground contacts, 1 mm
+    deep on generic rows and SLOP / 2 deep on ground rows."""
+    for z, row_class in ((0.099, engine._ContactRow),
+                         (0.1 - engine.SLOP / 2.0, engine._GroundRow)):
+        world = World(SimConfig().timestep)
+        for i, v in enumerate(([0.0, 0.0, -0.5], [1.0, 0.3, -0.2])):
+            body = RigidBody.from_parts(
+                f"box{i}", [("p", Solid.box((0.2, 0.3, 0.2)),
+                             np.array([2.0 * i, 0.0, z]))], 10.0)
+            body.vel = v + [0.1, -0.2, 0.3]
+            world.bodies.append(body)
+        for body in world.bodies:
+            body.refresh_pose_cache()
+        contacts = world.gather_contacts()
+        assert len(contacts) == 8
+        ref_world = copy.deepcopy(world)
+        refs = _ref_bodies(ref_world)
+        rows, state = _float_solve(world, contacts, world.timestep)
+        assert all(type(r) is row_class for r in rows)
+        ref_rows = _reference_solve(
+            ref_world, refs, ref_world.gather_contacts(), world.timestep)
+        _assert_close(state, _state(refs))
+        _assert_close(_impulses(rows),
+                      [[r.jn, r.jt[0], r.jt[1], r.pn] for r in ref_rows])
 
 
 def _ground_world(seed):
-    """Ground contacts (normal +z), three per body, on rotated dynamic
-    bodies and a kinematic one, at random points and depths."""
+    """Ground contacts (normal +z), six per body, on rotated dynamic
+    bodies and a kinematic one, at random points: three deeper than SLOP
+    and three at most SLOP deep."""
     rng = np.random.default_rng(seed)
     world = World(SimConfig().timestep)
     bodies = [_random_body(rng, f"b{i}", rng.uniform(-1.0, 1.0, size=3))
@@ -425,12 +435,16 @@ def _ground_world(seed):
         # moving down, so most rows start out approaching
         body.vel[2] = -abs(body.vel[2])
     contacts = [
-        Contact(None, body, _near(rng, body.x),
-                engine._UP, float(rng.uniform(0.0, 2e-3)), (body.id, 0, k))
-        for body in bodies for k in range(3)]
-    # a fresh +z tuple, as the hit test's peg hook builds its floor normal
-    contacts.append(Contact(None, bodies[0], _near(rng, bodies[0].x),
-                            (0.0, 0.0, 1.0), 1e-3, (bodies[0].id, 0, 3)))
+        Contact(None, body, _near(rng, body.x), engine._UP,
+                float(rng.uniform(*depths)), (body.id, 0, k))
+        for body in bodies
+        for k, depths in enumerate([(engine.SLOP, 2e-3)] * 3
+                                   + [(0.0, engine.SLOP)] * 3)]
+    # fresh +z tuples, as the hit test's peg hook builds its floor normal:
+    # a deep contact and one exactly SLOP deep
+    for k, depth in ((6, 1e-3), (7, engine.SLOP)):
+        contacts.append(Contact(None, bodies[0], _near(rng, bodies[0].x),
+                                (0.0, 0.0, 1.0), depth, (bodies[0].id, 0, k)))
     return world, contacts
 
 
@@ -453,25 +467,36 @@ def _ground_rows_match_generic_rows(seed, mu, patch):
     patch.setattr(engine, "_contact_row", engine._ContactRow)
     ref_solves = [_float_solve(ref_world, ref_contacts, dt)
                   for _ in range(2)]
+    # a ground row for a moving body's contact at most SLOP deep, the
+    # generic row for a deeper one and for the kinematic body's
+    expected = [engine._GroundRow
+                if not c.body_b.kinematic and c.depth <= engine.SLOP
+                else engine._ContactRow for c in contacts]
+    assert engine._GroundRow in expected and engine._ContactRow in expected
+    kinematic = [c.body_b.kinematic for c in contacts]
     for (rows, state), (ref_rows, ref_state) in zip(solves, ref_solves):
-        assert all(isinstance(r, engine._GroundRow) for r in rows)
-        assert all(isinstance(r, engine._ContactRow) for r in ref_rows)
+        assert [type(r) for r in rows] == expected
+        assert all(type(r) is engine._ContactRow for r in ref_rows)
         assert np.array_equal(state, ref_state)
-        impulses = [[r.jn, r.jt1, r.jt2, r.pn] for r in rows]
-        assert impulses == [[r.jn, r.jt1, r.jt2, r.pn] for r in ref_rows]
+        assert _impulses(rows) == _impulses(ref_rows)
     # the warm start changed the second solve
     assert solves[1][1].tolist() != solves[0][1].tolist()
     for rows, _ in solves:
-        # every update ran: normal, both friction directions (none without
-        # friction), split impulse
-        assert any(r.jn > 0.0 for r in rows)
-        assert any(r.pn > 0.0 for r in rows)
-        if mu > 0.0:
-            assert any(r.jt1 != 0.0 and r.jt2 != 0.0 for r in rows)
-        else:
-            assert all(r.jt1 == 0.0 and r.jt2 == 0.0 for r in rows)
+        ground = [r for r in rows if type(r) is engine._GroundRow]
+        # every update ran on both row classes: normal, both friction
+        # directions (none without friction), and the generic row's split
+        # impulse
+        for some in (rows, ground):
+            assert any(r.jn > 0.0 for r in some)
+            if mu > 0.0:
+                assert any(r.jt1 != 0.0 and r.jt2 != 0.0 for r in some)
+            else:
+                assert all(r.jt1 == 0.0 and r.jt2 == 0.0 for r in some)
+        assert any(r.pn > 0.0 for r in rows
+                   if type(r) is engine._ContactRow)
         # the kinematic body's rows are skipped and leave it as it was
-        assert all(r.jn == 0.0 and r.pn == 0.0 for r in rows[9:12])
+        assert all(r.jn == 0.0 and r.pn == 0.0
+                   for r, kin in zip(rows, kinematic) if kin)
 
 
 # -- the closed-form joint row -------------------------------------------------
@@ -1013,10 +1038,10 @@ def test_float_step_matches_numpy_step(seed):
 
 # -- the warm start ----------------------------------------------------------
 
-def _resting_box(body_id, x):
+def _resting_box(body_id, x, z=0.0995):
     body = RigidBody.from_parts(
         body_id, [("p", Solid.box((0.2, 0.3, 0.2)),
-                   np.array([x, 0.0, 0.0995]))], 10.0)
+                   np.array([x, 0.0, z]))], 10.0)
     body.refresh_pose_cache()
     return body
 
@@ -1052,26 +1077,36 @@ def test_friction_without_normal_impulse_carries_nothing_over(generic,
                                                               monkeypatch):
     """Corners cached with friction but no normal impulse, on a box lifting
     off the ground: every friction impulse ends the step at 0, none is
-    cached, and the velocity is the one a cold solve leaves, to rounding."""
+    cached, and the velocity is the one a cold solve leaves, to rounding.
+    The box rests 0.5 mm deep, on generic rows, and SLOP / 2 deep, on
+    ground rows unless ``generic`` makes every row generic."""
     if generic:
         monkeypatch.setattr(engine, "_contact_row", engine._ContactRow)
-    world = World(SimConfig().timestep)
-    box = _resting_box("box", 0.0)
-    box.vel = [0.1, -0.05, 1.0, 0.2, 0.1, -0.3]
-    world.bodies.append(box)
-    cold = copy.deepcopy(world)
-    dt = world.timestep
-    contacts = world.gather_contacts()
-    assert len(contacts) == 4
-    world._contact_impulses = {c.key: (0.0, 0.02, -0.03) for c in contacts}
+    for z, row_class in (
+            (0.0995, engine._ContactRow),
+            (0.1 - engine.SLOP / 2.0,
+             engine._ContactRow if generic else engine._GroundRow)):
+        world = World(SimConfig().timestep)
+        box = _resting_box("box", 0.0, z)
+        box.vel = [0.1, -0.05, 1.0, 0.2, 0.1, -0.3]
+        world.bodies.append(box)
+        cold = copy.deepcopy(world)
+        dt = world.timestep
+        contacts = world.gather_contacts()
+        assert len(contacts) == 4
+        world._contact_impulses = {c.key: (0.0, 0.02, -0.03)
+                                   for c in contacts}
 
-    rows, state = _float_solve(world, contacts, dt)
-    cold_rows, cold_state = _float_solve(cold, cold.gather_contacts(), dt)
-    assert all(isinstance(r, engine._ContactRow) == generic for r in rows)
-    assert [(r.jn, r.jt1, r.jt2) for r in rows] == [(0.0, 0.0, 0.0)] * 4
-    assert list(world._contact_impulses.values()) == [(0.0, 0.0, 0.0)] * 4
-    assert [(r.jn, r.jt1, r.jt2) for r in cold_rows] == [(0.0, 0.0, 0.0)] * 4
-    _assert_close(state, cold_state)
+        rows, state = _float_solve(world, contacts, dt)
+        cold_rows, cold_state = _float_solve(cold, cold.gather_contacts(),
+                                             dt)
+        assert all(type(r) is row_class for r in rows)
+        assert [(r.jn, r.jt1, r.jt2) for r in rows] == [(0.0, 0.0, 0.0)] * 4
+        assert list(world._contact_impulses.values()) == \
+            [(0.0, 0.0, 0.0)] * 4
+        assert [(r.jn, r.jt1, r.jt2) for r in cold_rows] == \
+            [(0.0, 0.0, 0.0)] * 4
+        _assert_close(state, cold_state)
 
 
 def test_deep_copies_step_byte_identical():

@@ -134,10 +134,11 @@ def test_unknown_test_kind(build_fixture):
 def test_a_config_with_no_step_or_no_snapshot_spacing_is_rejected(
         build_fixture):
     plan, asm = build_fixture("table_valid_1")
-    # the CLI's rule: a run is at least one timestep long
+    # the CLI's rule: a run is finite and at least one timestep long
     for config in (SimConfig(duration=0.0009), SimConfig(duration=0.0011),
                    SimConfig(duration=0.0019), SimConfig(duration=0.0),
-                   SimConfig(duration=math.nan),
+                   SimConfig(duration=math.nan), SimConfig(duration=math.inf),
+                   SimConfig(timestep=math.inf, duration=math.inf),
                    SimConfig(timestep=0.0), SimConfig(timestep=-0.002)):
         with pytest.raises(ValueError):
             run_functional_test("support", asm, plan, config)
