@@ -11,8 +11,8 @@ the layout of Box2D's contact solver: a body's position ``x``, quaternion
 (linear, then angular), and the ``force`` and ``torque`` applied since the
 last step.  A step first refreshes each body's world inverse inertia
 ``iinv`` = R I^-1 R^T (zero if ``kinematic``) and zeroes its pseudo-velocity
-``pvel``; the constraint rows then update ``vel`` and ``pvel`` in place,
-and integration moves ``x`` and ``q``.  Contact points and normals and
+``pvel`` in place; the constraint rows then update ``vel`` and ``pvel`` in
+place, and integration moves ``x`` and ``q``.  Contact points and normals and
 joint anchors and axes are float tuples as well, and so are a body's mass
 properties.  The package imports no numpy and computes with + - * / and
 ``math.sqrt`` only, which IEEE 754 rounds correctly, so no verdict depends
@@ -22,47 +22,55 @@ too, with no numpy, and ``_separation_axis`` reads the same
 ``geometry.aabb_overlap`` as that test.
 
 Positions are frozen during the velocity solve, so all constraint geometry
-(lever arms, effective masses, biases) is precomputed once per step and the
+(lever arms, effective masses, biases) is prepared once per step and the
 iteration loop only touches velocities.  Each contact row keeps r x d and
-I^-1 (r x d) per body and direction.  Each joint row is built in closed
+I^-1 (r x d) per body and direction.  Each joint row is prepared in closed
 form: straight-line float code, in locals, that sums its 3x3 anchor mass
 term by term and builds its 2x2 angular mass with the same products and
 sums, in the same order, as the 3-vector form, so its bits are that
 form's.  A body's world inverse inertia R I^-1 R^T is formed the same
 way, with no helper call.
 
-A contact of a body that is not kinematic with the static environment,
-whose normal is exactly +z (compared by value, so the hit test's floor
-contacts qualify) and whose depth is at most SLOP, gets a _GroundRow: its
+Contact generation writes each ground feature's point and depth straight
+into its row; only body-body contacts and those of an extra contact hook
+are ``Contact`` objects first.  A ground feature of a body that is not
+kinematic, at most SLOP deep, gets a _GroundRow: its normal is +z and its
 directions are z, x and y, so the row keeps only the non-zero terms of
 each Jacobian and response and solves all three directions in one call,
-bit-identical to the generic _ContactRow.  Such a contact has no split
+bit-identical to the generic _ContactRow.  A hook's contact whose normal
+is exactly +z (compared by value, so the hit test's floor contacts
+qualify) gets one on the same terms.  Such a contact has no split
 impulse, and its body moves.  Every other contact, deeper ground contacts
 and those of a kinematic body included, gets the _ContactRow, so the
 split impulse and the rule for a body that impulses do not move
 (``RigidBody._lever``) each have one implementation.
 Per-part constants of contact generation (box half extents, the offset
-from the body centre) are computed once per part, and each part's world
-centre once per step.  Body-body contacts test every part pair of every
-unjointed body pair with ``pair_overlap``, whose box reject is the only
-broad phase.  Boxes and lying cylinders whose lowest point is above the
-contact margin are skipped before any corner or rim point is built.
+from the body centre) are computed once per part, each part's world
+centre once per step, and the unjointed body pairs once per world.
+Body-body contacts test every part pair of every unjointed body pair with
+``pair_overlap``, whose box reject is the only broad phase.  Boxes and
+lying cylinders whose lowest point is above the contact margin are
+skipped before any corner or rim point is built.
 
 Velocity impulses are warm-started (Catto, "Iterative Dynamics with
-Temporal Coherence", GDC 2005; Box2D's contact solver).  Each generated
-contact carries a feature key built from body ids and indices only, never
-object identities, so a deep copy of a world steps exactly like it:
+Temporal Coherence", GDC 2005; Box2D's contact solver).  Rows live across
+steps: the World keeps one contact row per feature key and one joint row
+per joint index, and each row owns the impulses it accumulated, which are
+its warm start.  A feature key is built from body ids and indices only,
+never object identities, so a deep copy of a world steps exactly like it:
 (body id, part index, feature index) for a ground contact, where the
 feature is a box corner (0-7), a standing cylinder's rim sample (0-7) or a
 lying cylinder's end (8, 9); (id a, id b, part index a, part index b,
-normal axis, normal sign) for a body-body contact; None, which starts cold,
-for a contact from an extra contact hook.  The World keeps the (jn, jt1,
-jt2) each key ended the last step with, and per joint index the anchor
-impulse and the angular impulse as a world vector.  Row setup starts each
-accumulator there and applies that impulse to the bodies' velocities
-before the first sweep; a key missing from the cache starts at zero.  Every
-sweep clamps a contact's friction to FRICTION * jn, also when jn is 0, so
-no cached friction impulse outlives the normal impulse that bounds it.
+normal axis, normal sign) for a body-body contact; None, which gets a new
+row in every step, for a contact from an extra contact hook.  Preparing a
+row applies its (jn, jt1, jt2), or a joint's anchor impulse and its
+angular impulse (kept as a world vector across the change of hinge
+directions), to the bodies' velocities before the first sweep: joints by
+index, then contacts in generation order.  A contact row that was not
+live in the last step starts at zero, and a feature whose row changes
+kind (its depth crossing SLOP) keeps its impulses.  Every sweep clamps a
+contact's friction to FRICTION * jn, also when jn is 0, so no friction
+impulse outlives the normal impulse that bounds it.
 Impulses carry over unscaled, so every step is one timestep long: ``World``
 takes that timestep, and the solver's other settings, the friction of
 every contact included, are the module constants below.  Split (position)
@@ -102,6 +110,7 @@ _RIM = ((1.0, 0.0), (_SQRT_HALF, _SQRT_HALF), (0.0, 1.0),
         (-_SQRT_HALF, _SQRT_HALF), (-1.0, 0.0), (-_SQRT_HALF, -_SQRT_HALF),
         (0.0, -1.0), (_SQRT_HALF, -_SQRT_HALF))
 _ZERO3 = (0.0, 0.0, 0.0)
+_ZERO6 = (0.0,) * 6
 _ZERO33 = (_ZERO3,) * 3
 _UP = (0.0, 0.0, 1.0)
 
@@ -214,6 +223,7 @@ class RigidBody:
                                            - d[i] * d[j])
         self.q = (1.0, 0.0, 0.0, 0.0)
         self.vel = [0.0] * 6
+        self.pvel = [0.0] * 6
         self.force = self.torque = _ZERO3
         self.kinematic = False
         self.gravity_exempt = False
@@ -232,10 +242,11 @@ class RigidBody:
 
     def _start_step(self):
         """Set the world inverse inertia ``iinv`` = R I^-1 R^T (zero for a
-        kinematic body, which impulses do not move) and a zero
-        pseudo-velocity ``pvel``.  Each step starts here, since
-        ``kinematic`` may have been set since the last one."""
-        self.pvel = [0.0] * 6
+        kinematic body, which impulses do not move) and zero the
+        pseudo-velocity ``pvel`` in place, where contact rows read it.  Each
+        step starts here, since ``kinematic`` may have been set since the
+        last one."""
+        self.pvel[:] = _ZERO6
         if self.kinematic:
             self.iinv = _ZERO33
             return
@@ -262,17 +273,29 @@ class RigidBody:
              r20 * g + r21 * h + r22 * i))
 
     def world_point(self, local):
-        """The world position of a point given in the body frame."""
-        return pose_point(self.x, self.rot, local)
+        """The world position of a point given in the body frame:
+        ``pose_point`` of the body's pose, written out."""
+        px, py, pz = local
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self.rot
+        x, y, z = self.x
+        return (x + (r00 * px + r01 * py + r02 * pz),
+                y + (r10 * px + r11 * py + r12 * pz),
+                z + (r20 * px + r21 * py + r22 * pz))
 
     def apply_force(self, force, point=None):
         """Add a world force, acting at the world ``point`` (None: at the
-        centre of mass)."""
-        force = _floats(force)
-        self.force = tuple(f + g for f, g in zip(self.force, force))
+        centre of mass); the torque is (point - x) x force."""
+        fx, fy, fz = force
+        fx, fy, fz = float(fx), float(fy), float(fz)
+        gx, gy, gz = self.force
+        self.force = (gx + fx, gy + fy, gz + fz)
         if point is not None:
-            r = tuple(p - x for p, x in zip(_floats(point), self.x))
-            self.apply_torque(_cross3(r, force))
+            px, py, pz = point
+            x, y, z = self.x
+            rx, ry, rz = float(px) - x, float(py) - y, float(pz) - z
+            tx, ty, tz = self.torque
+            self.torque = (tx + (ry * fz - rz * fy), ty + (rz * fx - rx * fz),
+                           tz + (rx * fy - ry * fx))
 
     def apply_torque(self, torque):
         self.torque = tuple(t + u for t, u in zip(self.torque,
@@ -366,15 +389,17 @@ class RevoluteJoint:
 
 @dataclass
 class Contact:
-    """One point where body_b touches body_a or the static environment.
-    Every contact has the friction coefficient ``FRICTION``."""
+    """One point where body_b touches body_a or the static environment,
+    from the body-body test or an extra contact hook; ``World`` writes it
+    into its feature's row.  Every contact has the friction coefficient
+    ``FRICTION``."""
     body_a: RigidBody | None  # None = static environment (ground / fixture)
     body_b: RigidBody
     point: tuple  # world, 3 floats
     normal: tuple  # from a to b, 3 floats
     depth: float
     # the feature this contact comes from, built from body ids and part and
-    # feature indices, which keys its impulse across steps; None starts cold
+    # feature indices, which keys its row across steps; None: a new row
     key: tuple | None = None
 
 
@@ -460,40 +485,56 @@ def _push_row(row, va, vb, dj):
 class _ContactRow:
     """One contact point: the normal and two friction directions.
 
-    Each direction is (J_a, J_b, response_a, response_b, effective mass);
-    J_a is None against the static environment, and a response is None for
-    a side that impulses do not move.  jn, jt1, jt2 and pn accumulate the
-    normal, friction and split (position) impulses of this step; the first
-    three start from ``impulse``, the contact's totals of the previous step
-    (None: zero), which are applied to the bodies at setup.  ``target`` is
-    the split impulse's speed target BAUMGARTE * (depth - SLOP) / dt, None
-    where the contact is not that deep or no side moves; World._solve runs
-    ``solve_position`` only where it is set.
+    ``body_a`` (None: the static environment), ``body_b``, ``point``,
+    ``normal``, ``depth`` and the feature ``key`` are the contact's, and
+    the World rewrites the point and depth in every step the feature is
+    live.  ``prepare`` builds each direction as (J_a, J_b, response_a,
+    response_b, effective mass); J_a is None against the static
+    environment, and a response is None for a side that impulses do not
+    move.  jn, jt1, jt2 and pn accumulate the normal, friction and split
+    (position) impulses; the first three carry over from the last step,
+    ``frame``, in which the row was solved, and are applied to the bodies
+    when the row is prepared, or start at zero if it was not live then.
+    ``target`` is the split impulse's speed target BAUMGARTE * (depth -
+    SLOP) / dt, None where the contact is not that deep or no side moves;
+    World._solve runs ``solve_position`` only where it is set.
     """
 
-    __slots__ = ("va", "vb", "pa", "pb", "target", "n", "t1", "t2", "jn",
-                 "jt1", "jt2", "pn")
+    __slots__ = ("body_a", "body_b", "point", "normal", "depth", "key",
+                 "frame", "va", "vb", "pa", "pb", "target", "n", "t1", "t2",
+                 "jn", "jt1", "jt2", "pn")
 
-    def __init__(self, contact: Contact, dt, impulse):
-        a, b = contact.body_a, contact.body_b
+    def __init__(self, body_b, key):
+        """A ground feature's row, cold; a body-body or hook contact sets
+        ``body_a`` and ``normal`` as well."""
+        self.body_a, self.body_b, self.key = None, body_b, key
+        self.normal = _UP
+        self.jn = self.jt1 = self.jt2 = 0.0
+        self.frame = -1
+
+    def prepare(self, dt, frame):
+        a, b = self.body_a, self.body_b
         self.vb, self.pb = b.vel, b.pvel
         self.va, self.pa = (None, None) if a is None else (a.vel, a.pvel)
-        n = contact.normal
+        n = self.normal
         t1 = _unit_perpendicular(n)
         t2 = _cross3(n, t1)
-        px, py, pz = contact.point
+        px, py, pz = self.point
         rb = (px - b.x[0], py - b.x[1], pz - b.x[2])
         ra = None if a is None else (px - a.x[0], py - a.x[1], pz - a.x[2])
         self.n, self.t1, self.t2 = (_direction(a, ra, b, rb, d)
                                     for d in (n, t1, t2))
-        pen = contact.depth - SLOP
+        pen = self.depth - SLOP
         self.target = None if pen <= 0.0 or self.n[4] <= 0.0 \
             else BAUMGARTE * pen / dt
-        self.jn = self.jt1 = self.jt2 = self.pn = 0.0
-        if impulse is not None and self.n[4] > 0.0:
-            self.jn, self.jt1, self.jt2 = impulse
-            for row, j in zip((self.n, self.t1, self.t2), impulse):
+        self.pn = 0.0
+        if self.frame == frame - 1 and self.n[4] > 0.0:
+            for row, j in zip((self.n, self.t1, self.t2),
+                              (self.jn, self.jt1, self.jt2)):
                 _push_row(row, self.va, self.vb, j)
+        else:
+            self.jn = self.jt1 = self.jt2 = 0.0
+        self.frame = frame
 
     def solve_velocity(self):
         if self.n[4] <= 0.0:
@@ -526,27 +567,37 @@ def _direction(a, ra, b, rb, d):
 
 class _GroundRow:
     """A contact of a moving body with the static environment whose normal
-    is exactly +z and whose depth is at most SLOP (see _contact_row).
+    is exactly +z and whose depth is at most SLOP (see World._row).
 
     For this normal _ContactRow picks t1 = x and t2 = y, so each Jacobian
     (d, r x d) has three exact zeros: r x z = (ry, -rx, 0),
-    r x x = (0, rz, -ry) and r x y = (-rz, 0, rx).  The setup and the
+    r x x = (0, rz, -ry) and r x y = (-rz, 0, rx).  The preparation and the
     updates multiply only the other terms, summed in the order
     _ContactRow sums them.  The products left out are exact zeros, so
     velocities and impulses come out bit-identical to _ContactRow's.
     Each direction keeps (k, I^-1 (r x d)), k > 0 as the body moves.  The
-    warm start adds the previous step's impulses in _ContactRow's order
-    too.  A contact this shallow has no split impulse.
+    fields, the carried impulses and the warm start are _ContactRow's, the
+    latter added in _ContactRow's order too.  A contact this shallow has
+    no split impulse.
     """
 
-    __slots__ = ("v", "r", "m", "n", "t1", "t2", "jn", "jt1", "jt2")
+    __slots__ = ("body_b", "point", "depth", "key", "frame", "v", "r", "m",
+                 "n", "t1", "t2", "jn", "jt1", "jt2")
+    body_a = None
+    normal = _UP
+    target = None
 
-    def __init__(self, contact: Contact, impulse):
-        b = contact.body_b
-        self.v = b.vel
+    def __init__(self, body_b, key):
+        self.body_b, self.key = body_b, key
         self.jn = self.jt1 = self.jt2 = 0.0
-        px, py, pz = contact.point
-        rx, ry, rz = self.r = (px - b.x[0], py - b.x[1], pz - b.x[2])
+        self.frame = -1
+
+    def prepare(self, dt, frame):
+        b = self.body_b
+        v = self.v = b.vel
+        px, py, pz = self.point
+        x, y, z = b.x
+        rx, ry, rz = self.r = (px - x, py - y, pz - z)
         m = self.m = b.inv_mass
         (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = b.iinv
         n0, n1, n2 = i00 * ry - i01 * rx, i10 * ry - i11 * rx, \
@@ -558,16 +609,18 @@ class _GroundRow:
         y0, y1, y2 = i02 * rx - i00 * rz, i12 * rx - i10 * rz, \
             i22 * rx - i20 * rz
         self.t2 = (m + (rx * y2 - rz * y0), y0, y1, y2)
-        if impulse is not None:
+        if self.frame == frame - 1:
             # n, then t1, then t2 onto each component, as _push_row adds
-            jn, jt1, jt2 = self.jn, self.jt1, self.jt2 = impulse
-            v = self.v
+            jn, jt1, jt2 = self.jn, self.jt1, self.jt2
             v[0] += jt1 * m
             v[1] += jt2 * m
             v[2] += jn * m
             v[3] = v[3] + jn * n0 + jt1 * x0 + jt2 * y0
             v[4] = v[4] + jn * n1 + jt1 * x1 + jt2 * y1
             v[5] = v[5] + jn * n2 + jt1 * x2 + jt2 * y2
+        else:
+            self.jn = self.jt1 = self.jt2 = 0.0
+        self.frame = frame
 
     # With a zero target, acc - u / k is _solve_row's acc + (0 - u) / k.
     def solve_velocity(self):
@@ -620,46 +673,42 @@ class _GroundRow:
         self.jt2 = new
 
 
-def _contact_row(contact: Contact, dt, impulse):
-    """The row for one contact: _GroundRow for a shallow +z contact (by
-    value) of a moving body with the static environment, where neither
-    row has a split impulse, and _ContactRow for every other."""
-    if (contact.body_a is None and contact.normal == _UP
-            and not contact.body_b.kinematic and contact.depth - SLOP <= 0.0):
-        return _GroundRow(contact, impulse)
-    return _ContactRow(contact, dt, impulse)
-
-
 class _JointRow:
     """One revolute joint: a 3-row point constraint and 2 angular rows.
 
-    The build is straight-line float code in locals: it rotates the anchors
-    and axes into the world, sums K = sum over dynamic bodies of
-    m 1 - [r]x I^-1 [r]x term by term, and inverts K and the angular rows'
-    2x2 mass by cofactors.  Every product and sum is the one the 3-vector
-    form (R p, I^-1 (r x e_j), r x (I^-1 (r x e_j)), ...) computes, in the
-    same order, so the rows are bit-identical to it.  The anchor rows keep
-    K^-1 and, per dynamic body, the 10-tuple ``lever`` (m, then I^-1 [r]x
-    row by row; negated for body a, which takes the opposite impulse) that
-    turns an anchor impulse into velocity changes.  The angular rows keep
-    the two hinge-perpendicular directions u1, u2, their 2x2 inverse mass
-    and, per dynamic body, the 6-tuple ``spin`` (I^-1 u1, I^-1 u2).  A body
-    that impulses do not move has neither, and adds nothing to either mass.
-    ``solve`` and the warm start apply impulses through these tuples in
-    ``_push_anchor`` and ``_push_spin``, with no call per body.
+    The row lives across steps, one per joint index, and ``prepare``
+    rebuilds it for the step in straight-line float code in locals: it
+    rotates the anchors and axes into the world, sums K = sum over dynamic
+    bodies of m 1 - [r]x I^-1 [r]x term by term, and inverts K and the
+    angular rows' 2x2 mass by cofactors.  Every product and sum is the one
+    the 3-vector form (R p, I^-1 (r x e_j), r x (I^-1 (r x e_j)), ...)
+    computes, in the same order, so the rows are bit-identical to it.  The
+    anchor rows keep K^-1 and, per dynamic body, the 10-tuple ``lever`` (m,
+    then I^-1 [r]x row by row; negated for body a, which takes the opposite
+    impulse) that turns an anchor impulse into velocity changes.  The
+    angular rows keep the two hinge-perpendicular directions u1, u2, their
+    2x2 inverse mass and, per dynamic body, the 6-tuple ``spin`` (I^-1 u1,
+    I^-1 u2).  A body that impulses do not move has neither, and adds
+    nothing to either mass.  ``solve`` and the warm start apply impulses
+    through these tuples in ``_push_anchor`` and ``_push_spin``, with no
+    call per body.
 
-    (px, py, pz) and (l1, l2) total the anchor and angular impulses of this
-    step.  They start from ``impulse``, the previous step's anchor impulse
-    and angular impulse as world vectors (None: zero), the latter projected
-    onto this step's u1 and u2, and are applied to the bodies at setup with
-    the updates ``solve`` makes.
+    (px, py, pz) and (l1, l2) total the anchor and angular impulses.  They
+    carry over from the last step, the angular one as the world vector
+    ``impulse`` gives, projected onto this step's u1 and u2, and are
+    applied to the bodies when the row is prepared, with the updates
+    ``solve`` makes.  A new row starts at zero.
     """
 
     __slots__ = ("va", "vb", "ra", "rb", "kinv", "bias", "lever_a",
                  "lever_b", "u1", "u2", "kang_inv", "ang_bias", "spin_a",
                  "spin_b", "px", "py", "pz", "l1", "l2")
 
-    def __init__(self, joint: RevoluteJoint, dt, impulse):
+    def __init__(self):
+        self.u1 = None  # no step solved yet: start cold
+
+    def prepare(self, joint: RevoluteJoint, dt):
+        impulse = None if self.u1 is None else self.impulse()
         a, b = joint.body_a, joint.body_b
         self.va, self.vb = a.vel, b.vel
         # anchors and axes in the world: R p, row by row
@@ -851,8 +900,38 @@ class _JointRow:
                  l1 * u1z + l2 * u2z))
 
 
-def _standing_rim_contacts(contacts, body, index, part, r, c):
-    """Contacts at 8 samples of the lower rim of a near-vertical
+def _ground_row(rows, out, body, key, point):
+    """Write the ground feature ``key`` of ``body`` at the world ``point``,
+    under the contact margin, into its row in ``rows`` and append the row
+    to ``out``: a _GroundRow for a moving body's feature at most SLOP
+    deep, else a _ContactRow."""
+    z = point[2]
+    depth = -z if z < 0.0 else 0.0
+    cls = _GroundRow if depth - SLOP <= 0.0 and not body.kinematic \
+        else _ContactRow
+    row = rows.get(key)
+    if type(row) is not cls:
+        row = _renew(rows, key, row, cls(body, key))
+    row.body_b = body
+    row.point = point
+    row.depth = depth
+    out.append(row)
+
+
+def _renew(rows, key, old, new):
+    """``new``, now the row of feature ``key`` in ``rows`` (a key of None
+    is kept nowhere).  A feature whose row changes kind keeps what its
+    ``old`` row carried."""
+    if old is not None:
+        new.jn, new.jt1, new.jt2, new.frame = (old.jn, old.jt1, old.jt2,
+                                               old.frame)
+    if key is not None:
+        rows[key] = new
+    return new
+
+
+def _standing_rim_rows(rows, out, body, index, part, r, c):
+    """Ground features at 8 samples of the lower rim of a near-vertical
     cylinder, part ``index`` of ``body``; rim sample k is feature k."""
     solid = part.solid
     a0, a1, a2 = (row[solid.axis] for row in r)
@@ -869,10 +948,9 @@ def _standing_rim_contacts(contacts, body, index, part, r, c):
     for k, (cs, sn) in enumerate(_RIM):
         z = low[2] + rad * (cs * u[2] + sn * vp[2])
         if z < CONTACT_GEN_MARGIN:
-            contacts.append(Contact(None, body, (
+            _ground_row(rows, out, body, (body.id, index, k), (
                 low[0] + rad * (cs * u[0] + sn * vp[0]),
-                low[1] + rad * (cs * u[1] + sn * vp[1]), z),
-                _UP, max(0.0, -z), (body.id, index, k)))
+                low[1] + rad * (cs * u[1] + sn * vp[1]), z))
 
 
 class World:
@@ -882,21 +960,26 @@ class World:
         self.joints: list[RevoluteJoint] = []
         self.time = 0.0
         self.extra_contact_hooks = []  # callables(world) -> list[Contact]
-        # the last step's impulses: (jn, jt1, jt2) per contact key, and
-        # (anchor, angular) world vectors per joint index
-        self._contact_impulses = {}
-        self._joint_impulses = {}
+        # the rows that live across steps: one contact row per feature key
+        # and one joint row per joint index; ``_frame`` counts the solves
+        self._rows = {}
+        self._joint_rows = []
+        self._frame = 0
+        # the unjointed body pairs, and the bodies and joints they are of
+        self._pairs = self._pairs_of = None
 
     # -- contact generation ----------------------------------------------
-    def _ground_contacts(self, contacts, centers):
+    def _ground_rows(self, out, centers):
+        rows = self._rows
         for body, body_centers in zip(self.bodies, centers):
             r = body.rot
             rz = r[2]
+            bid = body.id
             for index, (part, c) in enumerate(zip(body.parts, body_centers)):
                 cx, cy, cz = c
                 solid = part.solid
                 if part.half is None and abs(rz[solid.axis]) > 0.99:
-                    _standing_rim_contacts(contacts, body, index, part, r, c)
+                    _standing_rim_rows(rows, out, body, index, part, r, c)
                     continue
                 # quick reject on the lowest point of a box or lying cylinder
                 if part.low_z(cz, rz) >= CONTACT_GEN_MARGIN:
@@ -904,16 +987,18 @@ class World:
                 if part.half is not None:
                     # rotation times each signed half extent: corner z
                     # first, x and y only for corners under the margin
-                    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = (
-                        (r0 * part.half[0], r1 * part.half[1],
-                         r2 * part.half[2]) for r0, r1, r2 in r)
+                    h0, h1, h2 = part.half
+                    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = r
+                    e00, e01, e02 = e00 * h0, e01 * h1, e02 * h2
+                    e10, e11, e12 = e10 * h0, e11 * h1, e12 * h2
+                    e20, e21, e22 = e20 * h0, e21 * h1, e22 * h2
                     for k, (s0, s1, s2) in enumerate(_BOX_SIGNS):
                         z = cz + ((s0 * e20 + s1 * e21) + s2 * e22)
                         if z < CONTACT_GEN_MARGIN:
-                            contacts.append(Contact(None, body, (
+                            _ground_row(rows, out, body, (bid, index, k), (
                                 cx + ((s0 * e00 + s1 * e01) + s2 * e02),
                                 cy + ((s0 * e10 + s1 * e11) + s2 * e12),
-                                z), _UP, max(0.0, -z), (body.id, index, k)))
+                                z))
                     continue
                 # lying cylinder: the two rim points lowest along -z, where
                 # u is -z with its axis component removed, normalized; they
@@ -926,34 +1011,42 @@ class World:
                 for k, e in ((8, -hl), (9, hl)):
                     z = (cz + a2 * e) + rad * uz
                     if z < CONTACT_GEN_MARGIN:
-                        contacts.append(Contact(None, body, (
+                        _ground_row(rows, out, body, (bid, index, k), (
                             (cx + a0 * e) + rad * ux,
-                            (cy + a1 * e) + rad * uy, z),
-                            _UP, max(0.0, -z), (body.id, index, k)))
+                            (cy + a1 * e) + rad * uy, z))
+
+    def _unjointed_pairs(self):
+        """The indices (i, j), i < j, of every body pair that no joint
+        hinges, computed again only when the bodies or joints change."""
+        of = (tuple(self.bodies), tuple(self.joints))
+        if of != self._pairs_of:
+            jointed = {frozenset((j.body_a.id, j.body_b.id))
+                       for j in self.joints}
+            n = len(self.bodies)
+            self._pairs = [
+                (i, j) for i in range(n) for j in range(i + 1, n)
+                if frozenset((self.bodies[i].id, self.bodies[j].id))
+                not in jointed]
+            self._pairs_of = of
+        return self._pairs
 
     def _body_body_contacts(self, contacts, centers):
         # hinged bodies are not tested against each other
-        jointed = {frozenset((j.body_a.id, j.body_b.id)) for j in self.joints}
-        n_bodies = len(self.bodies)
-        for i in range(n_bodies):
-            for j in range(i + 1, n_bodies):
-                a, b = self.bodies[i], self.bodies[j]
-                if frozenset((a.id, b.id)) in jointed:
-                    continue
-                for ia, (pa, ca) in enumerate(zip(a.parts, centers[i])):
-                    for ib, (pb, cb) in enumerate(zip(b.parts, centers[j])):
-                        hit = pair_overlap(ca, pa.solid, cb, pb.solid,
-                                           tol=1e-10)
-                        if hit is None:
-                            continue
-                        depth, witness = hit
-                        axis, sign = self._separation_axis(
-                            ca, pa.solid, cb, pb.solid)
-                        normal = [0.0, 0.0, 0.0]
-                        normal[axis] = sign
-                        contacts.append(Contact(
-                            a, b, witness, tuple(normal), depth,
-                            (a.id, b.id, ia, ib, axis, sign)))
+        for i, j in self._unjointed_pairs():
+            a, b = self.bodies[i], self.bodies[j]
+            for ia, (pa, ca) in enumerate(zip(a.parts, centers[i])):
+                for ib, (pb, cb) in enumerate(zip(b.parts, centers[j])):
+                    hit = pair_overlap(ca, pa.solid, cb, pb.solid, tol=1e-10)
+                    if hit is None:
+                        continue
+                    depth, witness = hit
+                    axis, sign = self._separation_axis(
+                        ca, pa.solid, cb, pb.solid)
+                    normal = [0.0, 0.0, 0.0]
+                    normal[axis] = sign
+                    contacts.append(Contact(
+                        a, b, witness, tuple(normal), depth,
+                        (a.id, b.id, ia, ib, axis, sign)))
 
     @staticmethod
     def _separation_axis(ca, sa, cb, sb):
@@ -964,54 +1057,71 @@ class World:
         axis = min(range(3), key=overlaps.__getitem__)
         return axis, 1.0 if cb[axis] >= ca[axis] else -1.0
 
+    def _row(self, contact: Contact):
+        """The row of a body-body or hook contact, with its fields written:
+        a _GroundRow for a moving body's contact with the static
+        environment whose normal is +z and whose depth is at most SLOP, as
+        for a ground feature, else a _ContactRow."""
+        a, b, key = contact.body_a, contact.body_b, contact.key
+        ground = (a is None and contact.normal == _UP and not b.kinematic
+                  and contact.depth - SLOP <= 0.0)
+        cls = _GroundRow if ground else _ContactRow
+        row = self._rows.get(key)
+        if type(row) is not cls:
+            row = _renew(self._rows, key, row, cls(b, key))
+        if not ground:
+            row.body_a, row.normal = a, contact.normal
+        row.body_b, row.point, row.depth = b, contact.point, contact.depth
+        return row
+
     def gather_contacts(self):
-        contacts = []
+        """The step's contact rows, one per contact, in generation order:
+        ground features, body-body contacts, then each extra hook's."""
+        rows = []
         # world centres of every part, shared by both generators
         centers = [[pose_point(body.x, body.rot, part.local_center)
                     for part in body.parts] for body in self.bodies]
-        self._ground_contacts(contacts, centers)
+        self._ground_rows(rows, centers)
+        contacts = []
         self._body_body_contacts(contacts, centers)
         for hook in self.extra_contact_hooks:
             contacts.extend(hook(self))
-        return contacts
+        rows += map(self._row, contacts)
+        return rows
 
-    def _solve(self, contacts, dt):
+    def _solve(self, rows, dt):
         """Velocity then position iterations on the bodies' ``vel`` and
         ``pvel``; returns the contact rows.
 
-        Each row starts from, and applies, the impulse its contact key or
-        joint index ended the last step with; the velocity impulses this
-        step ends with replace that cache.
+        Each joint row, by index, and then each contact row, in order, is
+        prepared and applies the impulses it carried over from the last
+        step; the impulses of this step's velocity sweeps stay on the rows
+        for the next one.
         """
-        joint_warm = self._joint_impulses.get
-        joint_rows = [_JointRow(j, dt, joint_warm(i))
-                      for i, j in enumerate(self.joints)]
-        # no key None is ever cached, so those contacts start cold
-        contact_warm = self._contact_impulses.get
-        contact_rows = [_contact_row(c, dt, contact_warm(c.key))
-                        for c in contacts]
+        frame = self._frame = self._frame + 1
+        joints, joint_rows = self.joints, self._joint_rows
+        del joint_rows[len(joints):]
+        joint_rows += [_JointRow() for _ in joints[len(joint_rows):]]
+        for row, joint in zip(joint_rows, joints):
+            row.prepare(joint, dt)
+        for row in rows:
+            row.prepare(dt, frame)
         for _ in range(VELOCITY_SWEEPS):
             for row in joint_rows:
                 row.solve()
-            for row in contact_rows:
+            for row in rows:
                 row.solve_velocity()
-        self._joint_impulses = {i: row.impulse()
-                                for i, row in enumerate(joint_rows)}
-        self._contact_impulses = {
-            c.key: (row.jn, row.jt1, row.jt2)
-            for c, row in zip(contacts, contact_rows) if c.key is not None}
-        # only a _ContactRow has a split impulse
-        position_rows = [row for row in contact_rows
-                         if isinstance(row, _ContactRow)
-                         and row.target is not None]
+        # only a _ContactRow has a split impulse, where its target is set
+        position_rows = [row for row in rows if row.target is not None]
         for _ in range(POSITION_SWEEPS):
             for row in position_rows:
                 row.solve_position()
-        return contact_rows
+        return rows
 
     def step(self):
-        """Advance the world by one timestep; returns the contacts of the
-        step."""
+        """Advance the world by one timestep; returns the step's contact
+        rows, each naming ``body_a`` (None: the environment) and
+        ``body_b``."""
         dt = self.timestep
         gravity = (0.0, 0.0, -GRAVITY)
         for body in self.bodies:
@@ -1021,10 +1131,10 @@ class World:
                     None if body.gravity_exempt else gravity, dt)
             body.force = body.torque = _ZERO3
 
-        contacts = self.gather_contacts()
-        self._solve(contacts, dt)
+        rows = self.gather_contacts()
+        self._solve(rows, dt)
 
         for body in self.bodies:
             body._integrate(dt, self.time + dt)
         self.time += dt
-        return contacts
+        return rows

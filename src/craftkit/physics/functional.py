@@ -22,7 +22,7 @@ from ..errors import NumericalDivergence
 from ..geometry import FACE_AXIS, TRANSVERSE, Solid, aabb_overlap
 from ..plan import CraftPlan
 from .engine import (CONTACT_GEN_MARGIN, Contact, RevoluteJoint, RigidBody,
-                     World, pose_point)
+                     World)
 
 PART_MASS = 10.0  # kg, every part's, the hit test's peg included
 
@@ -87,12 +87,6 @@ class SimOutcome:
         }
 
 
-def _distance(p, q):
-    """|p - q|, rounded alike in every CPython release (``math.dist``)."""
-    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
 @dataclass
 class ConnectionWatch:
     """Bookkeeping for the separation check on one inter-body connection;
@@ -107,15 +101,34 @@ class ConnectionWatch:
     normal_local_a: tuple | None  # SURFACE only, frame of body_a
 
     def drift(self):
+        """The watched points' gap at the bodies' poses, in straight-line
+        float code: ``world_point`` of each point, then their distance
+        (``math.sqrt`` of the squares, rounded alike in every CPython
+        release, unlike ``math.dist``), or for SURFACE the gap along the
+        normal rotated into the world."""
         a, b = self.body_a, self.body_b
-        pa = a.world_point(self.local_a)
-        pb = b.world_point(self.local_b)
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = a.rot
+        x, y, z = a.x
+        px, py, pz = self.local_a
+        ax = x + (r00 * px + r01 * py + r02 * pz)
+        ay = y + (r10 * px + r11 * py + r12 * pz)
+        az = z + (r20 * px + r21 * py + r22 * pz)
         if self.kind == "SURFACE":
-            # the gap along the normal, rotated into the world
-            n = pose_point((0.0, 0.0, 0.0), a.rot, self.normal_local_a)
-            return abs((pb[0] - pa[0]) * n[0] + (pb[1] - pa[1]) * n[1]
-                       + (pb[2] - pa[2]) * n[2])
-        return _distance(pa, pb)
+            # R n; pose_point's 0.0 + would only clear the sign of a zero,
+            # which abs drops
+            nx, ny, nz = self.normal_local_a
+            nx, ny, nz = (r00 * nx + r01 * ny + r02 * nz,
+                          r10 * nx + r11 * ny + r12 * nz,
+                          r20 * nx + r21 * ny + r22 * nz)
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = b.rot
+        x, y, z = b.x
+        px, py, pz = self.local_b
+        dx = (x + (r00 * px + r01 * py + r02 * pz)) - ax
+        dy = (y + (r10 * px + r11 * py + r12 * pz)) - ay
+        dz = (z + (r20 * px + r21 * py + r22 * pz)) - az
+        if self.kind == "SURFACE":
+            return abs(dx * nx + dy * ny + dz * nz)
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 @dataclass
@@ -235,14 +248,21 @@ def _most_connected(assembly: Assembly):
     return max(assembly.placed, key=degrees.__getitem__)
 
 
-def _craft_com(craft: CompiledCraft):
-    """Mass-weighted mean of the body centres, as floats."""
-    total = sum(b.mass for b in craft.world.bodies)
-    cx = cy = cz = 0.0
-    for b in craft.world.bodies:
-        x, y, z = b.x
-        cx, cy, cz = cx + b.mass * x, cy + b.mass * y, cz + b.mass * z
-    return cx / total, cy / total, cz / total
+def _com_reader(craft: CompiledCraft):
+    """A function of no arguments that returns the mass-weighted mean of
+    the centres of the craft's bodies, as floats; the bodies and their
+    total mass are read once, here."""
+    bodies = [(b.mass, b) for b in craft.world.bodies]
+    total = sum(m for m, _ in bodies)
+
+    def com():
+        cx = cy = cz = 0.0
+        for m, b in bodies:
+            x, y, z = b.x
+            cx, cy, cz = cx + m * x, cy + m * y, cz + m * z
+        return cx / total, cy / total, cz / total
+
+    return com
 
 
 def _part_centers(craft: CompiledCraft):
@@ -280,7 +300,8 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
             spinners.append((name, body, joint.body_a, joint.axis_local_b))
         else:
             spinners.append((name, body, joint.body_b, joint.axis_local_a))
-    start_com = _craft_com(craft)
+    craft_com = _com_reader(craft)
+    start_com = craft_com()
     veer_at_goal = None
     dt = config.timestep
 
@@ -296,20 +317,24 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
                 wx, wy, wz = w[3:]
                 rotation[name] += math.sqrt(wx * wx + wy * wy + wz * wz) * dt
                 continue
-            # the relative spin about the hinge axis, in the world
-            ax, ay, az = pose_point((0.0, 0.0, 0.0), body.rot, axis_local)
+            # the relative spin about the hinge axis R a, in the world;
+            # pose_point's 0.0 + would only clear the sign of a zero, which
+            # abs drops
+            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = body.rot
+            x, y, z = axis_local
             u = other.vel
-            spin = (w[3] - u[3]) * ax + (w[4] - u[4]) * ay \
-                + (w[5] - u[5]) * az
+            spin = (w[3] - u[3]) * (r00 * x + r01 * y + r02 * z) \
+                + (w[4] - u[4]) * (r10 * x + r11 * y + r12 * z) \
+                + (w[5] - u[5]) * (r20 * x + r21 * y + r22 * z)
             rotation[name] += abs(spin) * dt
 
-        com = _craft_com(craft)
+        com = craft_com()
         if veer_at_goal is None and com[0] - start_com[0] >= config.min_distance:
             veer_at_goal = abs(com[1] - start_com[1])
         return None
 
     def finish():
-        com = _craft_com(craft)
+        com = craft_com()
         dx = com[0] - start_com[0]
         details = {
             "distance_m": dx,
@@ -335,27 +360,44 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
                   config: SimConfig):
     """Press down on the top of every exec part; nothing may move."""
     exec_parts = [p.name for p in plan.parts if p.exec_function]
-    load_points = {}
+    # (body, load point in its frame) per exec part
+    loads = []
     for name in exec_parts:
         shape = craft.part_shape[name]
         x, y, z = shape.local_center
-        load_points[name] = (x, y, z + shape.solid.extents[2] / 2.0)
-
-    start = dict(_part_centers(craft))
-    start_com = _craft_com(craft)
+        loads.append((craft.part_body[name],
+                      (x, y, z + shape.solid.extents[2] / 2.0)))
+    load = (0.0, 0.0, -SUPPORT_FORCE)
+    # (body, centre in its frame, world centre at the start) per part
+    centres = [(craft.part_body[name], craft.part_shape[name].local_center,
+                c) for name, c in _part_centers(craft)]
+    craft_com = _com_reader(craft)
+    start_com = craft_com()
     max_disp = 0.0
 
     def before_step():
-        for name in exec_parts:
-            body = craft.part_body[name]
-            point = body.world_point(load_points[name])
-            body.apply_force((0.0, 0.0, -SUPPORT_FORCE), point)
+        for body, point in loads:
+            body.apply_force(load, body.world_point(point))
 
     def after_step(contacts):
+        # each part centre's and the COM's distance from the start, the
+        # centres as world_point gives them, in straight-line float code;
+        # a larger one replaces max_disp, as max(max_disp, d) does
         nonlocal max_disp
-        for name, c in _part_centers(craft):
-            max_disp = max(max_disp, _distance(c, start[name]))
-        max_disp = max(max_disp, _distance(_craft_com(craft), start_com))
+        for body, (px, py, pz), (sx, sy, sz) in centres:
+            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = body.rot
+            x, y, z = body.x
+            dx = (x + (r00 * px + r01 * py + r02 * pz)) - sx
+            dy = (y + (r10 * px + r11 * py + r12 * pz)) - sy
+            dz = (z + (r20 * px + r21 * py + r22 * pz)) - sz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if d > max_disp:
+                max_disp = d
+        (x, y, z), (sx, sy, sz) = craft_com(), start_com
+        dx, dy, dz = x - sx, y - sy, z - sz
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if d > max_disp:
+            max_disp = d
         return None
 
     def finish():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -7,6 +8,13 @@ import sys
 import pytest
 
 from craftkit.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+
+from conftest import all_fixture_names
+
+# sha256 over json.dumps([name, exit code, stdout]) of ``craftkit validate``
+# on every fixture plan, one after the other in name order
+VALIDATE_DIGEST = \
+    "67840e808522bb733a4cdcae937bd8208d4642da5a861178270328d9782188fa"
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +28,18 @@ def test_validate_ok(capsys, plan_path):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["ok"] is True
+
+
+def test_validate_output_of_every_fixture_is_pinned(capsys, plan_path):
+    """The exit code and the report of ``craftkit validate`` for all 34
+    fixtures stay byte for byte what they were."""
+    names = all_fixture_names()
+    assert len(names) == 34
+    digest = hashlib.sha256()
+    for name in names:
+        code, out = run_cli(capsys, "validate", str(plan_path(name)))
+        digest.update(json.dumps([name, code, out]).encode())
+    assert digest.hexdigest() == VALIDATE_DIGEST
 
 
 def test_validate_runs_the_format_stage_only(capsys, plan_path,

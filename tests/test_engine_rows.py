@@ -19,7 +19,9 @@ must agree with ``World.step`` to rounding.  The reference keeps its own
 warm start: each contact row starts from the (jn, jt1, jt2) its key ended
 the last step with, each joint from its anchor impulse and its angular
 impulse as a world vector, and the second step of a world is compared
-after it was warm-started.
+after it was warm-started.  The engine's rows live across steps and carry
+those impulses themselves; ``_carried`` reads them back in the
+reference's form.
 """
 
 import copy
@@ -36,6 +38,7 @@ from craftkit.physics import (
     SimConfig,
     World,
     engine,
+    run_functional_test,
 )
 
 # relative to the largest magnitude of the compared set; set beforehand
@@ -341,16 +344,39 @@ def _state(refs):
 
 def _float_solve(world, contacts, dt):
     """``World._solve`` from the bodies' velocities, which it leaves as they
-    were: the rows, and per body the velocity and pseudo-velocity the solve
-    ends with, laid out as ``_state``."""
+    were: copies of the rows as the solve left them (the rows live on, and
+    the next solve updates them), and per body the velocity and
+    pseudo-velocity the solve ends with, laid out as ``_state``.
+    ``contacts`` are the rows of ``World.gather_contacts`` or ``Contact``
+    objects, which are written into their features' rows first."""
     start = [list(b.vel) for b in world.bodies]
     for body in world.bodies:
         body._start_step()
-    rows = world._solve(contacts, dt)
+    rows = world._solve([world._row(c) if isinstance(c, Contact) else c
+                         for c in contacts], dt)
     state = np.array([b.vel + b.pvel for b in world.bodies])
     for body, vel in zip(world.bodies, start):
         body.vel = vel
-    return rows, state
+    return [copy.copy(row) for row in rows], state
+
+
+def _carried(rows):
+    """(jn, jt1, jt2) per feature key of a step's or a solve's ``rows``, in
+    their order: what the features carry into the next step, as the
+    earlier warm-start cache held it."""
+    return {r.key: (r.jn, r.jt1, r.jt2) for r in rows if r.key is not None}
+
+
+def _live(world):
+    """``_carried`` of the rows of ``world`` that its last solve solved."""
+    return _carried(r for r in world._rows.values()
+                    if r.frame == world._frame)
+
+
+def _joint_impulses(world):
+    """The anchor and angular impulses, as world vectors, that each joint
+    index carries into the next step."""
+    return {i: row.impulse() for i, row in enumerate(world._joint_rows)}
 
 
 def _impulses(rows):
@@ -463,16 +489,17 @@ def _ground_rows_match_generic_rows(seed, mu, patch):
     ref_world, ref_contacts = copy.deepcopy((world, contacts))
     dt = world.timestep
 
+    ground_row = engine._GroundRow
     solves = [_float_solve(world, contacts, dt) for _ in range(2)]
-    patch.setattr(engine, "_contact_row", engine._ContactRow)
+    patch.setattr(engine, "_GroundRow", engine._ContactRow)
     ref_solves = [_float_solve(ref_world, ref_contacts, dt)
                   for _ in range(2)]
     # a ground row for a moving body's contact at most SLOP deep, the
     # generic row for a deeper one and for the kinematic body's
-    expected = [engine._GroundRow
+    expected = [ground_row
                 if not c.body_b.kinematic and c.depth <= engine.SLOP
                 else engine._ContactRow for c in contacts]
-    assert engine._GroundRow in expected and engine._ContactRow in expected
+    assert ground_row in expected and engine._ContactRow in expected
     kinematic = [c.body_b.kinematic for c in contacts]
     for (rows, state), (ref_rows, ref_state) in zip(solves, ref_solves):
         assert [type(r) for r in rows] == expected
@@ -482,7 +509,7 @@ def _ground_rows_match_generic_rows(seed, mu, patch):
     # the warm start changed the second solve
     assert solves[1][1].tolist() != solves[0][1].tolist()
     for rows, _ in solves:
-        ground = [r for r in rows if type(r) is engine._GroundRow]
+        ground = [r for r in rows if type(r) is ground_row]
         # every update ran on both row classes: normal, both friction
         # directions (none without friction), and the generic row's split
         # impulse
@@ -563,7 +590,11 @@ def _push_spin(va, vb, spin_a, spin_b, l1, l2):
 
 
 class _GenericJointRow:
-    def __init__(self, joint, dt, impulse):
+    def __init__(self):
+        self.u1 = None
+
+    def prepare(self, joint, dt):
+        impulse = None if self.u1 is None else self.impulse()
         a, b = joint.body_a, joint.body_b
         self.va, self.vb = a.vel, b.vel
         ra = self.ra = _matvec3(a.rot, joint.anchor_local_a)
@@ -697,12 +728,12 @@ def test_joint_rows_match_generic_rows_bit_for_bit(seed, monkeypatch):
     solves, impulses = [], []
     for _ in range(2):
         solves.append(_float_solve(world, contacts, dt)[1])
-        impulses.append(dict(world._joint_impulses))
+        impulses.append(_joint_impulses(world))
     monkeypatch.setattr(engine, "_JointRow", _GenericJointRow)
     for state, joint_impulses in zip(solves, impulses):
         ref_state = _float_solve(ref_world, ref_contacts, dt)[1]
         assert np.array_equal(state, ref_state)
-        assert joint_impulses == ref_world._joint_impulses
+        assert joint_impulses == _joint_impulses(ref_world)
     # the warm start changed the second solve
     assert solves[1].tolist() != solves[0].tolist()
     # every joint carried impulse, and the kinematic body was not moved
@@ -1019,16 +1050,16 @@ def test_float_step_matches_numpy_step(seed):
         assert not any(body.force) and not any(body.torque)
 
     # the second step starts from the first one's impulses
-    warm = world._contact_impulses
+    warm = _carried(contacts)
     assert list(warm) == list(cache["contacts"])
     _assert_close(list(warm.values()), list(cache["contacts"].values()))
-    _assert_close(world._joint_impulses[0], cache["joints"][0])
+    _assert_close(_joint_impulses(world)[0], cache["joints"][0])
     contacts = world.step()
     ref_contacts = _reference_step(ref_world, refs, dt, cache)
     _assert_steps_agree(world, ref_world, refs, contacts, ref_contacts)
-    _assert_close(list(world._contact_impulses.values()),
+    _assert_close(list(_carried(contacts).values()),
                   list(cache["contacts"].values()))
-    _assert_close(world._joint_impulses[0], cache["joints"][0])
+    _assert_close(_joint_impulses(world)[0], cache["joints"][0])
     # ground features carried a normal impulse over, and the body-body
     # feature kept its key
     assert any(c.body_a is None and warm.get(c.key, (0.0,))[0] > 0.0
@@ -1049,8 +1080,7 @@ def _resting_box(body_id, x, z=0.0995):
 def test_a_feature_absent_in_the_last_step_starts_at_zero(monkeypatch):
     world = World(SimConfig().timestep)
     world.bodies.append(_resting_box("old", 0.0))
-    world.step()
-    cached = dict(world._contact_impulses)
+    cached = _carried(world.step())
     assert len(cached) == 4 and all(jn > 0.0 for jn, _, _ in
                                     cached.values())
 
@@ -1068,8 +1098,34 @@ def test_a_feature_absent_in_the_last_step_starts_at_zero(monkeypatch):
     old, new = world.bodies
     assert state[0, :6].tolist() != old.vel
     assert state[1, :6].tolist() == new.vel
-    # the cache now holds this solve's features only
-    assert list(world._contact_impulses) == [c.key for c in contacts]
+    # the rows that carry impulses on are this solve's features only
+    assert list(_live(world)) == [c.key for c in contacts]
+
+
+@pytest.mark.parametrize("z", [0.0995, 0.1 - engine.SLOP / 2.0])
+def test_a_feature_back_after_a_step_away_starts_at_zero(z, monkeypatch):
+    """A box resting 0.5 mm deep (generic rows) or SLOP / 2 deep (ground
+    rows) is lifted clear for one step and set down again: its corners'
+    rows still hold the impulses of two steps ago, but start at zero."""
+    world = World(SimConfig().timestep)
+    box = _resting_box("box", 0.0, z)
+    world.bodies.append(box)
+    cached = _carried(world.step())
+    assert len(cached) == 4 and all(jn > 0.0 for jn, _, _ in
+                                    cached.values())
+    x, y, _ = box.x
+    box.x = (x, y, 1.0)
+    assert world.step() == []
+    assert _live(world) == {}
+    box.x, box.q, box.vel = (x, y, z), (1.0, 0.0, 0.0, 0.0), [0.0] * 6
+    box.refresh_pose_cache()
+    contacts = world.gather_contacts()
+    assert list(_carried(contacts)) == list(cached)
+    monkeypatch.setattr(engine, "VELOCITY_SWEEPS", 0)
+    monkeypatch.setattr(engine, "POSITION_SWEEPS", 0)
+    rows, state = _float_solve(world, contacts, world.timestep)
+    assert [(r.jn, r.jt1, r.jt2) for r in rows] == [(0.0, 0.0, 0.0)] * 4
+    assert state[0, :6].tolist() == box.vel
 
 
 @pytest.mark.parametrize("generic", [False, True])
@@ -1080,12 +1136,13 @@ def test_friction_without_normal_impulse_carries_nothing_over(generic,
     cached, and the velocity is the one a cold solve leaves, to rounding.
     The box rests 0.5 mm deep, on generic rows, and SLOP / 2 deep, on
     ground rows unless ``generic`` makes every row generic."""
+    ground_row = engine._GroundRow
     if generic:
-        monkeypatch.setattr(engine, "_contact_row", engine._ContactRow)
+        monkeypatch.setattr(engine, "_GroundRow", engine._ContactRow)
     for z, row_class in (
             (0.0995, engine._ContactRow),
             (0.1 - engine.SLOP / 2.0,
-             engine._ContactRow if generic else engine._GroundRow)):
+             engine._ContactRow if generic else ground_row)):
         world = World(SimConfig().timestep)
         box = _resting_box("box", 0.0, z)
         box.vel = [0.1, -0.05, 1.0, 0.2, 0.1, -0.3]
@@ -1094,19 +1151,81 @@ def test_friction_without_normal_impulse_carries_nothing_over(generic,
         dt = world.timestep
         contacts = world.gather_contacts()
         assert len(contacts) == 4
-        world._contact_impulses = {c.key: (0.0, 0.02, -0.03)
-                                   for c in contacts}
+        # carried from a last step: live in it, with these impulses
+        for row in contacts:
+            row.jn, row.jt1, row.jt2 = 0.0, 0.02, -0.03
+            row.frame = world._frame
 
         rows, state = _float_solve(world, contacts, dt)
         cold_rows, cold_state = _float_solve(cold, cold.gather_contacts(),
                                              dt)
         assert all(type(r) is row_class for r in rows)
         assert [(r.jn, r.jt1, r.jt2) for r in rows] == [(0.0, 0.0, 0.0)] * 4
-        assert list(world._contact_impulses.values()) == \
-            [(0.0, 0.0, 0.0)] * 4
+        assert list(_live(world).values()) == [(0.0, 0.0, 0.0)] * 4
         assert [(r.jn, r.jt1, r.jt2) for r in cold_rows] == \
             [(0.0, 0.0, 0.0)] * 4
         _assert_close(state, cold_state)
+
+
+def test_a_feature_that_changes_row_kind_keeps_its_impulses(monkeypatch):
+    """A sliding box's corners, SLOP / 2 deep on ground rows, are pressed
+    0.5 mm deep, onto generic rows, and lifted back: each switch of row
+    kind carries the corner's (jn, jt1, jt2) over, as the kind-blind
+    warm start did."""
+    world = World(SimConfig().timestep)
+    box = _resting_box("box", 0.0, 0.1 - engine.SLOP / 2.0)
+    box.vel = [0.1, -0.05, -0.5, 0.0, 0.0, 0.0]
+    world.bodies.append(box)
+    rows = world.step()
+    assert [type(r) for r in rows] == [engine._GroundRow] * 4
+    carried = _carried(rows)
+    assert all(jn > 0.0 and jt1 != 0.0 and jt2 != 0.0
+               for jn, jt1, jt2 in carried.values())
+    # with no sweeps, a row holds what it started from
+    monkeypatch.setattr(engine, "VELOCITY_SWEEPS", 0)
+    monkeypatch.setattr(engine, "POSITION_SWEEPS", 0)
+    for z, row_class in ((0.0995, engine._ContactRow),
+                         (0.1 - engine.SLOP / 2.0, engine._GroundRow)):
+        x, y, _ = box.x
+        box.x, box.q = (x, y, z), (1.0, 0.0, 0.0, 0.0)
+        box.refresh_pose_cache()
+        rows, _ = _float_solve(world, world.gather_contacts(),
+                               world.timestep)
+        assert [type(r) for r in rows] == [row_class] * 4
+        assert _carried(rows) == carried
+
+
+def test_a_support_step_builds_no_contact_object(build_fixture,
+                                                 monkeypatch):
+    """Ground features are written straight into their rows: a support
+    run on a golden table, 16 ground contacts a step, builds no Contact."""
+    built = []
+    init = Contact.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Contact, "__init__", counted)
+    gathered = []
+    gather = World.gather_contacts
+
+    def counted_gather(world):
+        rows = gather(world)
+        gathered.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(World, "gather_contacts", counted_gather)
+    plan, asm = build_fixture("table_valid_3")
+    outcome = run_functional_test("support", asm, plan,
+                                  SimConfig(duration=0.05))
+    assert outcome.success
+    assert gathered == [16] * 25
+    assert built == []
+    # the count sees a Contact when one is built
+    Contact(None, World(SimConfig().timestep), (0.0, 0.0, 0.0), engine._UP,
+            0.0)
+    assert len(built) == 1
 
 
 def test_deep_copies_step_byte_identical():
@@ -1115,7 +1234,7 @@ def test_deep_copies_step_byte_identical():
     world = _step_world(3)
     world.step()
     twin = copy.deepcopy(world)
-    assert twin._contact_impulses == world._contact_impulses
+    assert _live(twin) == _live(world)
     for _ in range(200):
         world.step()
         twin.step()
@@ -1123,6 +1242,6 @@ def test_deep_copies_step_byte_identical():
         assert [np.array(getattr(b, name)).tobytes()
                 for b in world.bodies] == \
             [np.array(getattr(b, name)).tobytes() for b in twin.bodies]
-    assert twin._contact_impulses == world._contact_impulses
-    assert twin._joint_impulses == world._joint_impulses
-    assert world._contact_impulses and world._joint_impulses
+    assert _live(twin) == _live(world)
+    assert _joint_impulses(twin) == _joint_impulses(world)
+    assert _live(world) and _joint_impulses(world)

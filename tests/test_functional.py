@@ -433,10 +433,12 @@ def test_drift_is_measured_at_the_pose_after_the_step():
 
 
 # ROADMAP item 1: the buses' SURFACE + NON_FIXED wheels compile to free
-# bodies, and AXLE_2 touches the ground within 0.25 s.
+# bodies, and an axle touches the ground within 0.1 s: AXLE_2 at 0.070 s
+# and 0.054 s on buses 1 and 2, AXLE_1 at 0.064 s on bus 3.
 _BUS_WHEELS = pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="bus wheels are free bodies: NEW_GROUND_CONTACT on AXLE_2")
+    reason="bus wheels are free bodies: NEW_GROUND_CONTACT on an axle "
+           "(AXLE_2 on buses 1 and 2, AXLE_1 on bus 3) within 0.1 s")
 
 
 @pytest.mark.parametrize("name", [
