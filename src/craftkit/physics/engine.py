@@ -31,15 +31,15 @@ sums, in the same order, as the 3-vector form, so its bits are that
 form's.  A body's world inverse inertia R I^-1 R^T is formed the same
 way, with no helper call.
 
-Contact generation writes each ground feature's point and depth straight
-into its row; only body-body contacts and those of an extra contact hook
-are ``Contact`` objects first.  A ground feature of a body that is not
-kinematic, at most SLOP deep, gets a _GroundRow: its normal is +z and its
+Contact generation writes every contact straight into its feature's row
+through ``_write_row``, the one place that picks a row's kind; only the
+contacts of an extra contact hook are ``Contact`` objects first.  A
+contact of a body that is not kinematic with the static environment,
+whose normal is +z (compared by value, so the hit test's floor contacts
+qualify) and whose depth is at most SLOP, gets a _GroundRow: its
 directions are z, x and y, so the row keeps only the non-zero terms of
 each Jacobian and response and solves all three directions in one call,
-bit-identical to the generic _ContactRow.  A hook's contact whose normal
-is exactly +z (compared by value, so the hit test's floor contacts
-qualify) gets one on the same terms.  Such a contact has no split
+bit-identical to the generic _ContactRow.  Such a contact has no split
 impulse, and its body moves.  Every other contact, deeper ground contacts
 and those of a kinematic body included, gets the _ContactRow, so the
 split impulse and the rule for a body that impulses do not move
@@ -389,9 +389,9 @@ class RevoluteJoint:
 
 @dataclass
 class Contact:
-    """One point where body_b touches body_a or the static environment,
-    from the body-body test or an extra contact hook; ``World`` writes it
-    into its feature's row.  Every contact has the friction coefficient
+    """One point where body_b touches body_a or the static environment, as
+    an extra contact hook returns it; ``World`` writes it into its
+    feature's row.  Every contact has the friction coefficient
     ``FRICTION``."""
     body_a: RigidBody | None  # None = static environment (ground / fixture)
     body_b: RigidBody
@@ -487,14 +487,14 @@ class _ContactRow:
 
     ``body_a`` (None: the static environment), ``body_b``, ``point``,
     ``normal``, ``depth`` and the feature ``key`` are the contact's, and
-    the World rewrites the point and depth in every step the feature is
-    live.  ``prepare`` builds each direction as (J_a, J_b, response_a,
-    response_b, effective mass); J_a is None against the static
-    environment, and a response is None for a side that impulses do not
-    move.  jn, jt1, jt2 and pn accumulate the normal, friction and split
-    (position) impulses; the first three carry over from the last step,
-    ``frame``, in which the row was solved, and are applied to the bodies
-    when the row is prepared, or start at zero if it was not live then.
+    ``_write_row`` rewrites them in every step the feature is live.
+    ``prepare`` builds each direction as (J_a, J_b, response_a, response_b,
+    effective mass); J_a is None against the static environment, and a
+    response is None for a side that impulses do not move.  jn, jt1, jt2
+    and pn accumulate the normal, friction and split (position) impulses;
+    the first three carry over from the last step, ``frame``, in which the
+    row was solved, and are applied to the bodies when the row is
+    prepared, or start at zero if it was not live then.
     ``target`` is the split impulse's speed target BAUMGARTE * (depth -
     SLOP) / dt, None where the contact is not that deep or no side moves;
     World._solve runs ``solve_position`` only where it is set.
@@ -504,11 +504,9 @@ class _ContactRow:
                  "frame", "va", "vb", "pa", "pb", "target", "n", "t1", "t2",
                  "jn", "jt1", "jt2", "pn")
 
-    def __init__(self, body_b, key):
-        """A ground feature's row, cold; a body-body or hook contact sets
-        ``body_a`` and ``normal`` as well."""
-        self.body_a, self.body_b, self.key = None, body_b, key
-        self.normal = _UP
+    def __init__(self, key):
+        """A cold row; ``_write_row`` writes its contact's fields."""
+        self.key = key
         self.jn = self.jt1 = self.jt2 = 0.0
         self.frame = -1
 
@@ -567,7 +565,7 @@ def _direction(a, ra, b, rb, d):
 
 class _GroundRow:
     """A contact of a moving body with the static environment whose normal
-    is exactly +z and whose depth is at most SLOP (see World._row).
+    is exactly +z and whose depth is at most SLOP (see _write_row).
 
     For this normal _ContactRow picks t1 = x and t2 = y, so each Jacobian
     (d, r x d) has three exact zeros: r x z = (ry, -rx, 0),
@@ -587,8 +585,8 @@ class _GroundRow:
     normal = _UP
     target = None
 
-    def __init__(self, body_b, key):
-        self.body_b, self.key = body_b, key
+    def __init__(self, key):
+        self.key = key
         self.jn = self.jt1 = self.jt2 = 0.0
         self.frame = -1
 
@@ -900,34 +898,37 @@ class _JointRow:
                  l1 * u1z + l2 * u2z))
 
 
-def _ground_row(rows, out, body, key, point):
-    """Write the ground feature ``key`` of ``body`` at the world ``point``,
-    under the contact margin, into its row in ``rows`` and append the row
-    to ``out``: a _GroundRow for a moving body's feature at most SLOP
-    deep, else a _ContactRow."""
-    z = point[2]
-    depth = -z if z < 0.0 else 0.0
-    cls = _GroundRow if depth - SLOP <= 0.0 and not body.kinematic \
-        else _ContactRow
+def _write_row(rows, out, a, b, point, normal, depth, key):
+    """Write the contact of body ``b`` with ``a`` (None: the static
+    environment) at the world ``point``, ``normal`` from a to b, ``depth``
+    deep, into the row of its feature ``key`` in ``rows``, and append that
+    row to ``out``.  The one rule for a row's kind: a _GroundRow where a is
+    None, the normal is +z (by value, so a hook's floor contact qualifies),
+    b is not kinematic and the depth is at most SLOP, else a _ContactRow.
+    A feature whose row changes kind keeps what its old row carried; a key
+    of None gets a new row, kept nowhere."""
+    ground = (a is None and (normal is _UP or normal == _UP)
+              and not b.kinematic and depth - SLOP <= 0.0)
+    cls = _GroundRow if ground else _ContactRow
     row = rows.get(key)
     if type(row) is not cls:
-        row = _renew(rows, key, row, cls(body, key))
-    row.body_b = body
-    row.point = point
-    row.depth = depth
+        old, row = row, cls(key)
+        if old is not None:
+            row.jn, row.jt1, row.jt2, row.frame = (old.jn, old.jt1, old.jt2,
+                                                   old.frame)
+        if key is not None:
+            rows[key] = row
+    if cls is _ContactRow:
+        row.body_a, row.normal = a, normal
+    row.body_b, row.point, row.depth = b, point, depth
     out.append(row)
 
 
-def _renew(rows, key, old, new):
-    """``new``, now the row of feature ``key`` in ``rows`` (a key of None
-    is kept nowhere).  A feature whose row changes kind keeps what its
-    ``old`` row carried."""
-    if old is not None:
-        new.jn, new.jt1, new.jt2, new.frame = (old.jn, old.jt1, old.jt2,
-                                               old.frame)
-    if key is not None:
-        rows[key] = new
-    return new
+def _ground_feature(rows, out, body, key, point):
+    """``_write_row`` for the ground feature ``key`` of ``body`` at the
+    world ``point``, under the contact margin, as deep as it is below z = 0."""
+    z = point[2]
+    _write_row(rows, out, None, body, point, _UP, -z if z < 0.0 else 0.0, key)
 
 
 def _standing_rim_rows(rows, out, body, index, part, r, c):
@@ -948,7 +949,7 @@ def _standing_rim_rows(rows, out, body, index, part, r, c):
     for k, (cs, sn) in enumerate(_RIM):
         z = low[2] + rad * (cs * u[2] + sn * vp[2])
         if z < CONTACT_GEN_MARGIN:
-            _ground_row(rows, out, body, (body.id, index, k), (
+            _ground_feature(rows, out, body, (body.id, index, k), (
                 low[0] + rad * (cs * u[0] + sn * vp[0]),
                 low[1] + rad * (cs * u[1] + sn * vp[1]), z))
 
@@ -995,7 +996,7 @@ class World:
                     for k, (s0, s1, s2) in enumerate(_BOX_SIGNS):
                         z = cz + ((s0 * e20 + s1 * e21) + s2 * e22)
                         if z < CONTACT_GEN_MARGIN:
-                            _ground_row(rows, out, body, (bid, index, k), (
+                            _ground_feature(rows, out, body, (bid, index, k), (
                                 cx + ((s0 * e00 + s1 * e01) + s2 * e02),
                                 cy + ((s0 * e10 + s1 * e11) + s2 * e12),
                                 z))
@@ -1011,7 +1012,7 @@ class World:
                 for k, e in ((8, -hl), (9, hl)):
                     z = (cz + a2 * e) + rad * uz
                     if z < CONTACT_GEN_MARGIN:
-                        _ground_row(rows, out, body, (bid, index, k), (
+                        _ground_feature(rows, out, body, (bid, index, k), (
                             (cx + a0 * e) + rad * ux,
                             (cy + a1 * e) + rad * uy, z))
 
@@ -1030,7 +1031,8 @@ class World:
             self._pairs_of = of
         return self._pairs
 
-    def _body_body_contacts(self, contacts, centers):
+    def _body_body_contacts(self, out, centers):
+        rows = self._rows
         # hinged bodies are not tested against each other
         for i, j in self._unjointed_pairs():
             a, b = self.bodies[i], self.bodies[j]
@@ -1044,9 +1046,8 @@ class World:
                         ca, pa.solid, cb, pb.solid)
                     normal = [0.0, 0.0, 0.0]
                     normal[axis] = sign
-                    contacts.append(Contact(
-                        a, b, witness, tuple(normal), depth,
-                        (a.id, b.id, ia, ib, axis, sign)))
+                    _write_row(rows, out, a, b, witness, tuple(normal), depth,
+                               (a.id, b.id, ia, ib, axis, sign))
 
     @staticmethod
     def _separation_axis(ca, sa, cb, sb):
@@ -1057,23 +1058,6 @@ class World:
         axis = min(range(3), key=overlaps.__getitem__)
         return axis, 1.0 if cb[axis] >= ca[axis] else -1.0
 
-    def _row(self, contact: Contact):
-        """The row of a body-body or hook contact, with its fields written:
-        a _GroundRow for a moving body's contact with the static
-        environment whose normal is +z and whose depth is at most SLOP, as
-        for a ground feature, else a _ContactRow."""
-        a, b, key = contact.body_a, contact.body_b, contact.key
-        ground = (a is None and contact.normal == _UP and not b.kinematic
-                  and contact.depth - SLOP <= 0.0)
-        cls = _GroundRow if ground else _ContactRow
-        row = self._rows.get(key)
-        if type(row) is not cls:
-            row = _renew(self._rows, key, row, cls(b, key))
-        if not ground:
-            row.body_a, row.normal = a, contact.normal
-        row.body_b, row.point, row.depth = b, contact.point, contact.depth
-        return row
-
     def gather_contacts(self):
         """The step's contact rows, one per contact, in generation order:
         ground features, body-body contacts, then each extra hook's."""
@@ -1082,11 +1066,11 @@ class World:
         centers = [[pose_point(body.x, body.rot, part.local_center)
                     for part in body.parts] for body in self.bodies]
         self._ground_rows(rows, centers)
-        contacts = []
-        self._body_body_contacts(contacts, centers)
+        self._body_body_contacts(rows, centers)
         for hook in self.extra_contact_hooks:
-            contacts.extend(hook(self))
-        rows += map(self._row, contacts)
+            for c in hook(self):
+                _write_row(self._rows, rows, c.body_a, c.body_b, c.point,
+                           c.normal, c.depth, c.key)
         return rows
 
     def _solve(self, rows, dt):

@@ -498,8 +498,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
         nonlocal touched
         if not touched:
             for c in contacts:
-                pair = {id(c.body_a) if c.body_a else None, id(c.body_b)}
-                if id(peg) in pair and pair != {None, id(peg)}:
+                if c.body_a is not None and peg in (c.body_a, c.body_b):
                     touched = True
                     peg.gravity_exempt = False
                     break

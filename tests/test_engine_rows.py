@@ -38,6 +38,7 @@ from craftkit.physics import (
     SimConfig,
     World,
     engine,
+    functional,
     run_functional_test,
 )
 
@@ -352,8 +353,14 @@ def _float_solve(world, contacts, dt):
     start = [list(b.vel) for b in world.bodies]
     for body in world.bodies:
         body._start_step()
-    rows = world._solve([world._row(c) if isinstance(c, Contact) else c
-                         for c in contacts], dt)
+    rows = []
+    for c in contacts:
+        if isinstance(c, Contact):
+            engine._write_row(world._rows, rows, c.body_a, c.body_b, c.point,
+                              c.normal, c.depth, c.key)
+        else:
+            rows.append(c)
+    rows = world._solve(rows, dt)
     state = np.array([b.vel + b.pvel for b in world.bodies])
     for body, vel in zip(world.bodies, start):
         body.vel = vel
@@ -1226,6 +1233,56 @@ def test_a_support_step_builds_no_contact_object(build_fixture,
     Contact(None, World(SimConfig().timestep), (0.0, 0.0, 0.0), engine._UP,
             0.0)
     assert len(built) == 1
+
+
+def test_a_hit_run_builds_only_the_hook_contacts(build_fixture, monkeypatch):
+    """Body-body contacts are written straight into their rows too: a hit
+    run on the golden hammer builds a Contact for each contact the peg hook
+    returns and for no other, while the head's strikes on the peg reach the
+    step's rows as body-body rows."""
+    built = []
+    init = Contact.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Contact, "__init__", counted)
+    returned = []
+    peg_block_hook = functional._peg_block_hook
+
+    def counted_hook(peg):
+        hook = peg_block_hook(peg)
+
+        def returning(world):
+            contacts = hook(world)
+            returned.extend(contacts)
+            return contacts
+
+        return returning
+
+    monkeypatch.setattr(functional, "_peg_block_hook", counted_hook)
+    body_body = []
+    step = World.step
+
+    def recorded_step(world):
+        rows = step(world)
+        body_body.extend(r for r in rows if r.body_a is not None)
+        return rows
+
+    monkeypatch.setattr(World, "step", recorded_step)
+    plan, asm = build_fixture("hammer_valid_1")
+    outcome = run_functional_test("hit", asm, plan, SimConfig())
+    assert outcome.success and outcome.details["touched"]
+    # the centred peg slides into its hole touching no wall and leaves the
+    # run before it reaches the floor: the hook returns nothing here
+    assert len(built) == len(returned)
+    assert all(b is r for b, r in zip(built, returned))
+    assert body_body
+    for row in body_body:
+        assert row.body_b is not None
+        assert len(row.key) == 6
+        assert row.key[:2] == (row.body_a.id, row.body_b.id)
 
 
 def test_deep_copies_step_byte_identical():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -23,9 +24,16 @@ from craftkit.metrics import (
     sample_assembly_exterior,
     sample_mesh,
 )
+from craftkit.orchestrator import STAGE_NONE, evaluate_plan_text
 
+from conftest import PLANS, all_fixture_names
 from material_oracle import material_contains
 from test_assembler import _buildable_fixture_assemblies
+
+# sha256 over json.dumps(MetricReport.to_dict()) of every scorable fixture,
+# in sorted file order, against its category's _valid_1 mesh
+SCREEN_DIGEST = \
+    "a12c2342538637406a7a96505ab7f4eb918e61d9ccbb2b1bb760a97c92a1ae7b"
 
 
 def brute_chamfer(a, b):
@@ -348,6 +356,31 @@ def test_a_report_is_the_same_on_another_blas_kernel(build_fixture,
          str(plan_path("skateboard_valid_1")), str(ref)],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert json.loads(done.stdout) == here
+
+
+def test_screen_reports_match_the_pinned_digest(build_fixture, catalog,
+                                                 tmp_path):
+    # every fixture that passes the stages before simulation, scored at
+    # 20 000 samples and seed 0 against the exported mesh of its
+    # category's _valid_1 golden, as the screen benchmark pairs them
+    digest = hashlib.sha256()
+    refs = {}
+    scored = 0
+    for name in all_fixture_names():
+        raw = (PLANS / f"{name}.json").read_text(encoding="utf-8")
+        stage, _, _, assembly, _ = evaluate_plan_text(raw, catalog)
+        if stage != STAGE_NONE:
+            continue
+        category = name.split("_", 1)[0]
+        if category not in refs:
+            refs[category] = tmp_path / f"{category}_valid_1.obj"
+            export_assembly_obj(build_fixture(f"{category}_valid_1")[1],
+                                refs[category])
+        report = compare_assembly_to_mesh(assembly, refs[category])
+        digest.update(json.dumps(report.to_dict()).encode())
+        scored += 1
+    assert scored == 21
+    assert digest.hexdigest() == SCREEN_DIGEST
 
 
 @pytest.fixture

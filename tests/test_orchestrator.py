@@ -69,6 +69,15 @@ def test_build_prompt_contents(catalog):
     assert '{"oops": 1}' in with_feedback
 
 
+@pytest.mark.parametrize("category", ["scooter", "truck"])
+def test_a_category_without_a_template_gets_no_example(category, catalog):
+    # heuristics.json lists both, but no template ships for either
+    assert load_template(category) is None
+    prompt = build_prompt(category, catalog)
+    assert "Minimal set of parts" in prompt
+    assert "Example of a valid plan" not in prompt
+
+
 def test_scripted_client_replay_and_exhaustion():
     client = ScriptedClient(["one", "two"])
     assert client.complete("p1") == "one"
