@@ -3,6 +3,8 @@
 Every subcommand prints a JSON document on stdout and logs on stderr.
 Exit codes: 0 success, 1 validation or simulation failure, 2 usage or
 I/O errors, a file that is not UTF-8 or a malformed OBJ file included.
+batch exits 0 whatever its rows' verdicts, and 1 when any row is at stage
+INTERNAL, a judgement that raised; every row is written either way.
 
 validate runs the plan file through the pipeline's FORMAT stage,
 ``check_format``, alone.  The other plan commands (build, simulate,
@@ -27,6 +29,7 @@ from .errors import CraftError, MalformedObj
 from .orchestrator import (
     POLICIES,
     POLICY_FEEDBACK,
+    STAGE_INTERNAL,
     STAGE_NONE,
     HttpClient,
     ScriptedClient,
@@ -221,7 +224,11 @@ def cmd_batch(args):
         if args.out:
             out.close()
     failed = sum(1 for r in rows if r["status"] != "success")
+    internal = sum(1 for r in rows if r["failure_stage"] == STAGE_INTERNAL)
     log.info("batch: %d jobs, %d failed", len(rows), failed)
+    if internal:
+        log.error("batch: %d jobs hit an internal error", internal)
+        return EXIT_INVALID
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ import copy
 import functools
 import importlib.resources
 import json
+import logging
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ STAGE_COLLISION = "COLLISION"
 STAGE_CONNECTIVITY = "CONNECTIVITY"
 STAGE_PHYSICS = "PHYSICS"
 STAGE_CLIENT = "CLIENT"  # the client failed after its retries
+STAGE_INTERNAL = "INTERNAL"  # judging the plan raised: a defect, not the plan
 STAGE_NONE = "NONE"
 
 # re-prompting policies
@@ -54,6 +56,8 @@ MAX_CLIENT_RETRIES = 3
 CLIENT_BACKOFF_S = 0.5  # first wait between attempts; each next one doubles
 HTTP_TEMPERATURE = 0.0  # sampling temperature of every HttpClient request
 HTTP_TIMEOUT_S = 120.0  # seconds an HttpClient request may take
+
+log = logging.getLogger("craftkit.pipeline")
 
 
 @functools.cache
@@ -227,7 +231,8 @@ class PipelineResult:
 
 
 def classify_failure(stage: str) -> str:
-    """Map a failure stage onto the coarse validator buckets."""
+    """Map a failure stage onto the coarse validator buckets; INTERNAL, a
+    judgement that raised, has a bucket of its own."""
     if stage == STAGE_FORMAT:
         return "Format Val."
     if stage in (STAGE_COLLISION, STAGE_CONNECTIVITY):
@@ -236,6 +241,8 @@ def classify_failure(stage: str) -> str:
         return "Physics Val."
     if stage == STAGE_CLIENT:
         return "Client Error"
+    if stage == STAGE_INTERNAL:
+        return "Internal Error"
     return "Success"
 
 
@@ -256,8 +263,22 @@ def check_format(raw, catalog):
 def judge_plan(plan, catalog, functional=None, sim_config=None):
     """Every stage after FORMAT, in order, for a parsed ``plan``.
 
-    Returns (stage, report_dict, assembly, outcome).
+    Returns (stage, report_dict, assembly, outcome).  A stage that raises
+    an ``Exception`` is a defect of craftkit, not of the plan: it is
+    logged with its traceback under ``craftkit.pipeline`` and returned as
+    stage INTERNAL, whose report holds the exception's type name and
+    message.  Anything else (KeyboardInterrupt) propagates.
     """
+    try:
+        return _judge_stages(plan, catalog, functional, sim_config)
+    except Exception as exc:
+        log.exception("judging a plan raised (functional test %s)",
+                      functional)
+        return STAGE_INTERNAL, {"error": type(exc).__name__,
+                                "message": str(exc)}, None, None
+
+
+def _judge_stages(plan, catalog, functional, sim_config):
     try:
         assembly = build_assembly(plan, catalog)
     except PlacementError as exc:
@@ -338,9 +359,11 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     Results that reuse a verdict share its ``assembly`` and ``outcome``
     objects, so treat those as read-only.  A client that still fails
     after its retries, or fails in a way a retry cannot mend, ends the run
-    as a failure at stage CLIENT.  Raises ValueError for an unknown policy,
-    and for a category that heuristics.json does not list, which would
-    have no functional test to run.
+    as a failure at stage CLIENT; a judgement that raised ends it at stage
+    INTERNAL under every policy, as asking again cannot mend a defect.
+    Raises ValueError for an unknown policy, and for a category that
+    heuristics.json does not list, which would have no functional test to
+    run.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -399,7 +422,7 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
         if stage == STAGE_NONE:
             result.status = "success"
             return result
-        if policy == POLICY_NONE:
+        if policy == POLICY_NONE or stage == STAGE_INTERNAL:
             return result
         if policy == POLICY_FRESH:
             continue

@@ -137,15 +137,6 @@ def quat_integrate(q, omega, dt):
     return w / n, x / n, y / n, z / n
 
 
-def pose_point(x, rot, p):
-    """x + rot p, for a position, a rotation (rows) and a point as floats."""
-    px, py, pz = p
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
-    return (x[0] + (r00 * px + r01 * py + r02 * pz),
-            x[1] + (r10 * px + r11 * py + r12 * pz),
-            x[2] + (r20 * px + r21 * py + r22 * pz))
-
-
 def _floats(v):
     """A sequence of numbers (numpy's included) as a tuple of floats."""
     return tuple(map(float, v))
@@ -273,8 +264,8 @@ class RigidBody:
              r20 * g + r21 * h + r22 * i))
 
     def world_point(self, local):
-        """The world position of a point given in the body frame:
-        ``pose_point`` of the body's pose, written out."""
+        """The world position x + R p of a point p given in the body
+        frame."""
         px, py, pz = local
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self.rot
         x, y, z = self.x
@@ -716,37 +707,31 @@ class _JointRow:
                                    r10 * x + r11 * y + r12 * z,
                                    r20 * x + r21 * y + r22 * z)
         x, y, z = joint.axis_local_a
-        nx, ny, nz = (r00 * x + r01 * y + r02 * z,
-                      r10 * x + r11 * y + r12 * z,
-                      r20 * x + r21 * y + r22 * z)
+        axis_a = (r00 * x + r01 * y + r02 * z,
+                  r10 * x + r11 * y + r12 * z,
+                  r20 * x + r21 * y + r22 * z)
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = b.rot
         x, y, z = joint.anchor_local_b
         rbx, rby, rbz = self.rb = (r00 * x + r01 * y + r02 * z,
                                    r10 * x + r11 * y + r12 * z,
                                    r20 * x + r21 * y + r22 * z)
         x, y, z = joint.axis_local_b
-        mx, my, mz = (r00 * x + r01 * y + r02 * z,
-                      r10 * x + r11 * y + r12 * z,
-                      r20 * x + r21 * y + r22 * z)
+        axis_b = (r00 * x + r01 * y + r02 * z,
+                  r10 * x + r11 * y + r12 * z,
+                  r20 * x + r21 * y + r22 * z)
         f = BAUMGARTE / dt
         (xa, ya, za), (xb, yb, zb) = a.x, b.x
         self.bias = (f * ((xb + rbx) - (xa + rax)),
                      f * ((yb + rby) - (ya + ray)),
                      f * ((zb + rbz) - (za + raz)))
 
-        # u1: x (y when axis_a is near x) with its axis_a component
-        # removed, normalized; u2 = axis_a x u1
-        x, y, z = (0.0, 1.0, 0.0) if abs(nx) > 0.9 else (1.0, 0.0, 0.0)
-        s = x * nx + y * ny + z * nz
-        x, y, z = x - s * nx, y - s * ny, z - s * nz
-        norm = math.sqrt(x * x + y * y + z * z)
-        u1x, u1y, u1z = self.u1 = (x / norm, y / norm, z / norm)
-        u2x, u2y, u2z = self.u2 = (ny * u1z - nz * u1y, nz * u1x - nx * u1z,
-                                   nx * u1y - ny * u1x)
+        # u1 perpendicular to axis_a, u2 = axis_a x u1
+        u1x, u1y, u1z = self.u1 = _unit_perpendicular(axis_a)
+        u2x, u2y, u2z = self.u2 = _cross3(axis_a, self.u1)
         # driving the perpendicular relative spin toward
         # -BAUMGARTE/dt * (axis_a x axis_b) decays the misalignment without
         # cross-coupling the two error components
-        x, y, z = ny * mz - nz * my, nz * mx - nx * mz, nx * my - ny * mx
+        x, y, z = _cross3(axis_a, axis_b)
         self.ang_bias = (f * (u1x * x + u1y * y + u1z * z),
                          f * (u2x * x + u2y * y + u2z * z))
 
@@ -1063,7 +1048,7 @@ class World:
         ground features, body-body contacts, then each extra hook's."""
         rows = []
         # world centres of every part, shared by both generators
-        centers = [[pose_point(body.x, body.rot, part.local_center)
+        centers = [[body.world_point(part.local_center)
                     for part in body.parts] for body in self.bodies]
         self._ground_rows(rows, centers)
         self._body_body_contacts(rows, centers)

@@ -114,8 +114,8 @@ class ConnectionWatch:
         ay = y + (r10 * px + r11 * py + r12 * pz)
         az = z + (r20 * px + r21 * py + r22 * pz)
         if self.kind == "SURFACE":
-            # R n; pose_point's 0.0 + would only clear the sign of a zero,
-            # which abs drops
+            # R n: world_point's x + with x = 0.0 would only clear the
+            # sign of a zero, which abs drops
             nx, ny, nz = self.normal_local_a
             nx, ny, nz = (r00 * nx + r01 * ny + r02 * nz,
                           r10 * nx + r11 * ny + r12 * nz,
@@ -134,11 +134,10 @@ class ConnectionWatch:
 @dataclass
 class CompiledCraft:
     world: World
-    part_body: dict  # part name -> RigidBody
-    part_shape: dict  # part name -> BodyPart
+    parts: dict  # part name -> (RigidBody, BodyPart), body by body
     joints_by_part: dict  # part name -> RevoluteJoint (wheel side)
     watches: list
-    ground_parts: set
+    lifted: list  # (name, body, part) off the ground, in parts order
 
 
 def _surface_anchor(pa, pb, conn):
@@ -170,24 +169,22 @@ def compile_craft(assembly: Assembly, timestep: float) -> CompiledCraft:
     clusters = connected_groups(
         list(assembly.placed),
         [(a, b) for a, b, conn in assembly.graph if conn.joint_type == "FIXED"])
-    part_body: dict[str, RigidBody] = {}
-    part_shape = {}
+    parts = {}
     for idx, members in enumerate(clusters):
         named = [(name, assembly.placed[name].solid,
                   assembly.placed[name].position) for name in members]
         body = RigidBody.from_parts(f"body{idx}", named, PART_MASS)
         world.bodies.append(body)
         for part in body.parts:
-            part_body[part.name] = body
-            part_shape[part.name] = part
+            parts[part.name] = body, part
 
     # every connection between two bodies is watched for separation; FIXED
     # ones never join two bodies, so each insertion here is a hinge
     joints_by_part = {}
     watches = []
     for a, b, conn in assembly.graph:
-        body_a = part_body[a]
-        body_b = part_body[b]
+        body_a, _ = parts[a]
+        body_b, _ = parts[b]
         if body_a is body_b:
             continue
         pa = assembly.placed[a]
@@ -220,10 +217,11 @@ def compile_craft(assembly: Assembly, timestep: float) -> CompiledCraft:
     for body in world.bodies:
         x, y, z = body.x
         body.x = (x, y, z + lift)
+    lifted = [(name, body, part) for name, (body, part) in parts.items()
+              if name not in assembly.ground_set]
     return CompiledCraft(
-        world=world, part_body=part_body, part_shape=part_shape,
-        joints_by_part=joints_by_part, watches=watches,
-        ground_parts=set(assembly.ground_set))
+        world=world, parts=parts, joints_by_part=joints_by_part,
+        watches=watches, lifted=lifted)
 
 
 def check_common_failures(craft: CompiledCraft):
@@ -233,10 +231,8 @@ def check_common_failures(craft: CompiledCraft):
         if d > SEPARATION_TOLERANCE:
             return PART_SEPARATED, {
                 "part": watch.part, "to_part": watch.to_part, "drift_m": d}
-    for name, body in craft.part_body.items():
-        if name in craft.ground_parts:
-            continue
-        z = body.part_min_z(craft.part_shape[name])
+    for name, body, part in craft.lifted:
+        z = body.part_min_z(part)
         if z <= GROUND_CONTACT_TOLERANCE:
             return NEW_GROUND_CONTACT, {"part": name, "min_z_m": z}
     return None
@@ -267,8 +263,8 @@ def _com_reader(craft: CompiledCraft):
 
 def _part_centers(craft: CompiledCraft):
     """(name, world centre) of every part of the craft."""
-    for name, body in craft.part_body.items():
-        yield name, body.world_point(craft.part_shape[name].local_center)
+    for name, (body, part) in craft.parts.items():
+        yield name, body.world_point(part.local_center)
 
 
 def _snapshot(craft: CompiledCraft, t):
@@ -283,8 +279,8 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
                   config: SimConfig):
     """Push the most connected part along +x; every exec part must turn."""
     push_part = _most_connected(assembly)
-    push_body = craft.part_body[push_part]
-    push_local = craft.part_shape[push_part].local_center
+    push_body, push_shape = craft.parts[push_part]
+    push_local = push_shape.local_center
 
     exec_parts = [p.name for p in plan.parts if p.exec_function]
     rotation = {name: 0.0 for name in exec_parts}
@@ -293,7 +289,7 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     spinners = []
     for name in exec_parts:
         joint = craft.joints_by_part.get(name)
-        body = craft.part_body[name]
+        body, _ = craft.parts[name]
         if joint is None:
             spinners.append((name, body, None, None))
         elif joint.body_b is body:
@@ -318,8 +314,8 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
                 rotation[name] += math.sqrt(wx * wx + wy * wy + wz * wz) * dt
                 continue
             # the relative spin about the hinge axis R a, in the world;
-            # pose_point's 0.0 + would only clear the sign of a zero, which
-            # abs drops
+            # world_point's x + with x = 0.0 would only clear the sign of a
+            # zero, which abs drops
             (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = body.rot
             x, y, z = axis_local
             u = other.vel
@@ -363,14 +359,13 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     # (body, load point in its frame) per exec part
     loads = []
     for name in exec_parts:
-        shape = craft.part_shape[name]
+        body, shape = craft.parts[name]
         x, y, z = shape.local_center
-        loads.append((craft.part_body[name],
-                      (x, y, z + shape.solid.extents[2] / 2.0)))
+        loads.append((body, (x, y, z + shape.solid.extents[2] / 2.0)))
     load = (0.0, 0.0, -SUPPORT_FORCE)
     # (body, centre in its frame, world centre at the start) per part
-    centres = [(craft.part_body[name], craft.part_shape[name].local_center,
-                c) for name, c in _part_centers(craft)]
+    centres = [(body, part.local_center, body.world_point(part.local_center))
+               for body, part in craft.parts.values()]
     craft_com = _com_reader(craft)
     start_com = craft_com()
     max_disp = 0.0
@@ -469,8 +464,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     world = craft.world
     exec_parts = [p.name for p in plan.parts if p.exec_function]
     head = exec_parts[0] if exec_parts else plan.parts[-1].name
-    head_body = craft.part_body[head]
-    head_shape = craft.part_shape[head]
+    head_body, head_shape = craft.parts[head]
 
     head_c = head_body.world_point(head_shape.local_center)
     head_low = head_body.part_min_z(head_shape)
@@ -489,7 +483,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     world.bodies.append(peg)
     world.extra_contact_hooks.append(_peg_block_hook(peg))
 
-    root = craft.part_body[plan.parts[0].name]
+    root, _ = craft.parts[plan.parts[0].name]
     root.kinematic = True
     root.vel[:3] = (0.0, 0.0, -HIT_DRIVE_SPEED)
     touched = False

@@ -698,6 +698,43 @@ def test_a_batch_judges_each_distinct_plan_once_per_test(
     assert len({id(r) for r in reports}) == len(reports)
 
 
+def test_a_judgement_that_raises_costs_its_row_not_the_batch(
+        capsys, tmp_path, fixture_raw, monkeypatch):
+    """With the hit test raising, a two-worker batch still writes every
+    row: the hammer's at stage INTERNAL, the table's byte for byte a clean
+    run's, and the batch exits 1."""
+    from craftkit import orchestrator
+
+    jobs = [{"category": "hammer", "responses": [fixture_raw(
+                "hammer_valid_1")]},
+            {"category": "table", "responses": [fixture_raw(
+                "table_valid_1")]}]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(jobs))
+
+    def batch(name):
+        out = tmp_path / name
+        code, _ = run_cli(capsys, "batch", str(manifest), "--out", str(out),
+                          "--jobs", "2")
+        return code, out.read_bytes().splitlines()
+
+    clean_code, clean = batch("clean.csv")
+    run_functional_test = orchestrator.run_functional_test
+
+    def raising(kind, *args):
+        if kind == "hit":
+            return 1 / 0
+        return run_functional_test(kind, *args)
+
+    monkeypatch.setattr(orchestrator, "run_functional_test", raising)
+    code, rows = batch("broken.csv")
+    assert (clean_code, code) == (EXIT_OK, EXIT_INVALID)
+    assert len(rows) == len(clean) == 3
+    assert rows[1] == b"hammer,1,failed,INTERNAL"
+    assert [rows[0], rows[2]] == [clean[0], clean[2]]
+    assert clean[2] == b"table,1,success,NONE"
+
+
 def test_batch_csv_is_the_same_with_or_without_a_shared_memo(
         capsys, tmp_path, fixture_raw, monkeypatch):
     from craftkit import cli

@@ -1285,6 +1285,75 @@ def test_a_hit_run_builds_only_the_hook_contacts(build_fixture, monkeypatch):
         assert row.key[:2] == (row.body_a.id, row.body_b.id)
 
 
+def test_the_peg_hook_contacts_match_their_closed_forms():
+    """The peg hook's three contacts, which no golden hit run reaches: the
+    hole wall, normal -(x, y, 0)/rho and depth rho + peg radius - hole
+    radius; the hole floor and the block top, normal +z and depth
+    max(0, plane - z).  Stepped once, they go into rows of key None, and
+    the world keeps none of them."""
+    f = functional
+    margin = engine.CONTACT_GEN_MARGIN
+    floor = f.HIT_BLOCK_TOP - f.HIT_HOLE_DEPTH
+    half = f.HIT_PEG_LENGTH / 2.0
+    peg = RigidBody.from_parts(
+        "peg", [("__peg__", Solid.cylinder(f.HIT_PEG_RADIUS,
+                                           f.HIT_PEG_LENGTH, 2),
+                 (0.0, 0.0, 0.0))], f.PART_MASS)
+    hook = f._peg_block_hook(peg)
+
+    def contacts_at(x, y, low_z):
+        """The hook's contacts with the upright peg's lower end placed near
+        (x, y, low_z), and that end as the peg's pose gives it."""
+        peg.x = (x, y, low_z + half)
+        low = (x, y, peg.x[2] - half)
+        return [(c.body_a, c.body_b, c.point, c.normal, c.depth, c.key)
+                for c in hook(None)], low
+
+    def plane(low, level):
+        return [(None, peg, low, (0.0, 0.0, 1.0), max(0.0, level - low[2]),
+                 None)]
+
+    # off-centre inside the hole, below the block top, far above its floor
+    x, y, z = 0.003, -0.0015, f.HIT_BLOCK_TOP - 0.01
+    rho = math.sqrt(x * x + y * y)
+    assert rho + f.HIT_PEG_RADIUS > f.HIT_HOLE_RADIUS
+    ((a, b, point, normal, depth, key),), (_, _, z) = contacts_at(x, y, z)
+    assert (a, b, key) == (None, peg, None)
+    assert normal == pytest.approx((-x / rho, -y / rho, 0.0), abs=1e-15)
+    assert depth == pytest.approx(
+        rho + f.HIT_PEG_RADIUS - f.HIT_HOLE_RADIUS, abs=1e-15)
+    assert point == pytest.approx(
+        (x - normal[0] * f.HIT_PEG_RADIUS, y - normal[1] * f.HIT_PEG_RADIUS,
+         z), abs=1e-15)
+    # centred, within the margin of the hole floor: above it and below it
+    depths = []
+    for low_z in (floor + margin / 2.0, floor - margin / 2.0):
+        contacts, low = contacts_at(0.0, 0.0, low_z)
+        assert contacts == plane(low, floor)
+        depths.append(contacts[0][4])
+    # over the solid block, within the margin of its top
+    for low_z in (f.HIT_BLOCK_TOP + margin / 2.0,
+                  f.HIT_BLOCK_TOP - margin / 2.0):
+        contacts, low = contacts_at(0.03, 0.0, low_z)
+        assert contacts == plane(low, f.HIT_BLOCK_TOP)
+        depths.append(contacts[0][4])
+    assert [d > 0.0 for d in depths] == [False, True, False, True]
+    # out of every margin: none
+    assert contacts_at(0.03, 0.0, f.HIT_BLOCK_TOP + 2.0 * margin)[0] == []
+    assert contacts_at(0.0, 0.0, floor + 2.0 * margin)[0] == []
+
+    # off-centre within the margin of the floor: a wall and a floor contact
+    world = World(SimConfig().timestep)
+    peg.gravity_exempt = True
+    world.bodies.append(peg)
+    world.extra_contact_hooks.append(hook)
+    peg.x = (x, y, floor + margin / 2.0 + half)
+    rows = world.step()
+    assert [type(r) for r in rows] == [engine._ContactRow, engine._GroundRow]
+    assert [r.key for r in rows] == [None, None]
+    assert world._rows == {}
+
+
 def test_deep_copies_step_byte_identical():
     """Keys hold body ids and indices, never object identities, so a deep
     copy of a warm world steps exactly like the original."""

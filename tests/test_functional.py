@@ -45,18 +45,21 @@ def test_compile_craft_skateboard_structure(build_fixture):
     craft = compile_craft(asm, cfg.timestep)
     # deck + supports + axles fuse into one body, each wheel spins freely
     assert len(craft.world.bodies) == 5
-    deck_body = craft.part_body["DECK_1"]
-    assert craft.part_body["SUPPORT_1"] is deck_body
-    assert craft.part_body["AXLE_1"] is deck_body
+    deck_body, _ = craft.parts["DECK_1"]
+    assert craft.parts["SUPPORT_1"][0] is deck_body
+    assert craft.parts["AXLE_1"][0] is deck_body
     for w in ("WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"):
-        assert craft.part_body[w] is not deck_body
+        assert craft.parts[w][0] is not deck_body
         joint = craft.joints_by_part[w]
         axis = np.array(joint.body_a.rot) @ joint.axis_local_a
         assert np.allclose(np.abs(axis), [0.0, 1.0, 0.0])
     # craft is shifted so the wheels touch z=0
     assert min(b.part_min_z(p) for b in craft.world.bodies
                for p in b.parts) == pytest.approx(0.0, abs=1e-9)
-    assert craft.ground_parts == {"WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"}
+    lifted = [name for name, _, _ in craft.lifted]
+    assert set(craft.parts) - set(lifted) == {
+        "WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"}
+    assert lifted == [name for name in craft.parts if name in lifted]
 
 
 def test_a_compiled_craft_falls_at_earth_gravity_in_plan_metres(
@@ -69,10 +72,10 @@ def test_a_compiled_craft_falls_at_earth_gravity_in_plan_metres(
     craft = compile_craft(asm, config.timestep)
     lift = -asm.min_z()
     for name, placed in asm.placed.items():
-        shape = craft.part_shape[name]
+        body, shape = craft.parts[name]
         assert shape.solid.extents == placed.solid.extents
         x, y, z = placed.position
-        assert craft.part_body[name].world_point(shape.local_center) == \
+        assert body.world_point(shape.local_center) == \
             pytest.approx((x, y, z + lift), abs=1e-12)
     (body,) = craft.world.bodies
     x, y, z = body.x

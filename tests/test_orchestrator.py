@@ -17,6 +17,7 @@ from craftkit.orchestrator import (
     STAGE_COLLISION,
     STAGE_CONNECTIVITY,
     STAGE_FORMAT,
+    STAGE_INTERNAL,
     STAGE_NONE,
     STAGE_PHYSICS,
     HttpClient,
@@ -100,6 +101,7 @@ def test_classify_failure_buckets():
     assert classify_failure(STAGE_COLLISION) == "Position Val."
     assert classify_failure(STAGE_CONNECTIVITY) == "Position Val."
     assert classify_failure(STAGE_PHYSICS) == "Physics Val."
+    assert classify_failure(STAGE_INTERNAL) == "Internal Error"
     assert classify_failure(STAGE_NONE) == "Success"
 
 
@@ -564,6 +566,41 @@ def test_a_judgement_that_raises_is_raised_to_every_sharer(monkeypatch,
                          policy=POLICY_NONE, catalog=catalog,
                          verdicts=shared)
     assert len(calls) == 1
+
+
+def test_a_stage_that_raises_ends_the_run_at_internal(monkeypatch, caplog,
+                                                      catalog, fixture_raw):
+    """Inside ``judge_plan`` an Exception is a verdict at stage INTERNAL,
+    logged with its traceback, and no policy asks the model again; a
+    KeyboardInterrupt still propagates."""
+    import logging
+
+    def dividing(*args):
+        return 1 / 0
+
+    monkeypatch.setattr(orchestrator, "run_functional_test", dividing)
+    raw = fixture_raw("hammer_valid_1")
+    for policy in (POLICY_NONE, POLICY_FRESH, POLICY_FEEDBACK):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="craftkit.pipeline"):
+            result = run_pipeline("hammer", ScriptedClient([raw] * 3),
+                                  policy=policy, catalog=catalog)
+        assert (result.status, result.failure_stage, result.llm_calls) == \
+            ("failed", STAGE_INTERNAL, 1)
+        assert [(a.failure_stage, a.report) for a in result.attempts] == [
+            (STAGE_INTERNAL, {"error": "ZeroDivisionError",
+                              "message": "division by zero"})]
+        (record,) = caplog.records
+        assert record.name == "craftkit.pipeline"
+        assert record.levelno == logging.ERROR
+        assert record.exc_info[0] is ZeroDivisionError
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(orchestrator, "run_functional_test", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        evaluate_plan_text(raw, catalog, functional="hit")
 
 
 def test_package_data_is_read_once_per_process(monkeypatch):
