@@ -2,8 +2,8 @@
 
 The scripted client stands in for an LLM and replays canned responses, so
 the demo is deterministic and runs offline.  The first response has a bad
-orientation; the FEEDBACK policy sends the validator report back and the
-second response fixes it.
+orientation; the FEEDBACK policy sends the validator's verdict (stage,
+reason, parts at fault, details) back and the second response fixes it.
 
 Run:  python3 demos/05_pipeline.py
 """
@@ -34,10 +34,12 @@ print("status:        ", result.status)
 print("llm calls:     ", result.llm_calls)
 print("classification:", classify_failure(result.failure_stage))
 for i, attempt in enumerate(result.attempts, 1):
-    print(f"attempt {i}: {attempt.failure_stage}")
+    verdict = attempt.verdict
+    print(f"attempt {i}: {verdict.stage}, reason {verdict.reason}, "
+          f"parts {list(verdict.parts)}")
 if result.outcome is not None:
     print("functional test:", result.outcome.test,
           "success" if result.outcome.success else "failed")
 
-print("\nsecond prompt contained the validator report:",
+print("\nsecond prompt contained the validator's verdict:",
       "previous plan failed" in client.prompts[1])

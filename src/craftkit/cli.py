@@ -3,14 +3,13 @@
 Every subcommand prints a JSON document on stdout and logs on stderr.
 Exit codes: 0 success, 1 validation or simulation failure, 2 usage or
 I/O errors, a file that is not UTF-8 or a malformed OBJ file included.
-batch exits 0 whatever its rows' verdicts, and 1 when any row is at stage
-INTERNAL, a judgement that raised; every row is written either way.
+batch writes every row, with its failure_stage and failure_reason, and
+exits 0, or 1 when any row is at stage INTERNAL, a judgement that raised.
 
 validate runs the plan file through the pipeline's FORMAT stage,
 ``check_format``, alone.  The other plan commands (build, simulate,
-metrics --plan) run it through ``evaluate_plan_text``; a stage failure
-prints ``{"stage", "report"}`` under the pipeline's stage names, plus the
-assembly when one was built.
+metrics --plan) run it through ``evaluate_plan_text`` and print its
+``Verdict`` dict and any assembly built, or metrics' scores for a pass.
 """
 
 from __future__ import annotations
@@ -61,27 +60,23 @@ def _catalog(args):
 
 
 def _evaluate(args, functional=None, sim_config=None):
-    """``evaluate_plan_text`` on the plan file ``args.plan``."""
-    return evaluate_plan_text(read_text(args.plan), _catalog(args),
-                              functional, sim_config)
-
-
-def _stage_payload(stage, report, assembly):
-    payload = {"stage": stage, "report": report}
+    """(verdict dict with any assembly, assembly, outcome) of ``args.plan``."""
+    _, verdict, _, assembly, outcome = evaluate_plan_text(
+        read_text(args.plan), _catalog(args), functional, sim_config)
+    payload = verdict.to_dict()
     if assembly is not None:
         payload["assembly"] = assembly.to_jsonable()
-    return payload
+    return payload, assembly, outcome
 
 
 def cmd_validate(args):
-    plan, report = check_format(read_text(args.plan), _catalog(args))
-    _emit(report)
+    plan, verdict = check_format(read_text(args.plan), _catalog(args))
+    _emit(verdict.to_dict())
     return EXIT_INVALID if plan is None else EXIT_OK
 
 
 def cmd_build(args):
-    stage, report, _, assembly, _ = _evaluate(args)
-    payload = _stage_payload(stage, report, assembly)
+    payload, assembly, _ = _evaluate(args)
     if assembly is not None and args.obj:
         from .meshing import export_assembly_obj
 
@@ -89,35 +84,29 @@ def cmd_build(args):
         payload["obj"] = args.obj
         log.info("wrote %s", args.obj)
     _emit(payload)
-    return EXIT_OK if stage == STAGE_NONE else EXIT_INVALID
+    return EXIT_OK if payload["stage"] == STAGE_NONE else EXIT_INVALID
 
 
 def cmd_simulate(args):
     config = SimConfig()
     if args.duration is not None:
         config.duration = args.duration
-    stage, report, _, assembly, outcome = _evaluate(args, args.test, config)
-    if outcome is None:
-        _emit(_stage_payload(stage, report, assembly))
-        return EXIT_INVALID
-    payload = outcome.to_dict()
-    if not args.trace:
-        payload.pop("trajectory", None)
-    else:
+    payload, _, outcome = _evaluate(args, args.test, config)
+    if outcome is not None and args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(outcome.trajectory, fh)
         payload["trace"] = args.trace
     _emit(payload)
-    return EXIT_OK if outcome.success else EXIT_INVALID
+    return EXIT_OK if payload["stage"] == STAGE_NONE else EXIT_INVALID
 
 
 def cmd_metrics(args):
     from .metrics import compare_assembly_to_mesh, compare_meshes
 
     if args.plan:
-        stage, report, _, assembly, _ = _evaluate(args)
-        if stage != STAGE_NONE:
-            _emit(_stage_payload(stage, report, assembly))
+        payload, assembly, _ = _evaluate(args)
+        if payload["stage"] != STAGE_NONE:
+            _emit(payload)
             return EXIT_INVALID
         result = compare_assembly_to_mesh(
             assembly, args.ref, n_samples=args.samples, seed=args.seed,
@@ -194,6 +183,7 @@ def _batch_job(job, policy, catalog, base, verdicts):
         "attempts": result.llm_calls,
         "status": result.status,
         "failure_stage": result.failure_stage,
+        "failure_reason": result.attempts[-1].verdict.reason,
     }
 
 
@@ -217,7 +207,7 @@ def cmd_batch(args):
     try:
         writer = csv.DictWriter(
             out, fieldnames=["category", "attempts", "status",
-                             "failure_stage"])
+                             "failure_stage", "failure_reason"])
         writer.writeheader()
         writer.writerows(rows)
     finally:

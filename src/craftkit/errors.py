@@ -23,31 +23,36 @@ class UnknownObject(CraftError):
 
 
 class PlacementError(CraftError):
-    pass
+    """A plan that cannot be placed; ``parts`` names the parts at fault."""
+
+    def __init__(self, message, *parts):
+        super().__init__(message)
+        self.parts = parts
 
 
 class Unplaceable(PlacementError):
     def __init__(self, part):
-        super().__init__(f"part {part!r} has no connection to any placed part")
+        super().__init__(f"part {part!r} has no connection to any placed part",
+                         part)
 
 
 class InconsistentConnection(PlacementError):
     def __init__(self, part, to_part, detail):
         super().__init__(f"connection {part!r} -> {to_part!r} is inconsistent "
-                         f"with the part's pose: {detail}")
+                         f"with the part's pose: {detail}", part, to_part)
 
 
 class HoleNotCarvedYet(PlacementError):
     def __init__(self, part, to_part, modification):
         super().__init__(
             f"part {part!r} inserts into {modification!r} of {to_part!r}, "
-            "which is not placed yet"
-        )
+            "which is not placed yet", part, to_part)
 
 
 class HoleExceedsOwner(PlacementError):
     def __init__(self, part, modification):
-        super().__init__(f"hole {modification!r} exits the bounds of part {part!r}")
+        super().__init__(
+            f"hole {modification!r} exits the bounds of part {part!r}", part)
 
 
 class NumericalDivergence(CraftError):

@@ -20,7 +20,7 @@ import json
 import logging
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .assembler import build_assembly, connectivity_check
@@ -198,23 +198,45 @@ class ScriptedClient(LlmClient):
         return out
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """The stage an answer failed at (NONE: it passed), a machine-readable
+    reason, the parts at fault, each once, and the stage's own details."""
+    stage: str
+    reason: str | None = None
+    parts: tuple = ()
+    details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(dict.fromkeys(
+            p for p in self.parts if p is not None)))
+
+    def to_dict(self):
+        return asdict(self)
+
+
 @dataclass
 class AttemptRecord:
     raw: str
-    failure_stage: str
-    report: dict = field(default_factory=dict)
+    verdict: Verdict
 
 
 @dataclass
 class PipelineResult:
     category: str
-    status: str  # "success" | "failed"
-    failure_stage: str
     attempts: list = field(default_factory=list)
     llm_calls: int = 0
     plan: object = None
     assembly: object = None
     outcome: object = None
+
+    @property
+    def failure_stage(self):  # the last attempt's; NONE for a success
+        return self.attempts[-1].verdict.stage
+
+    @property
+    def status(self):
+        return "success" if self.failure_stage == STAGE_NONE else "failed"
 
     def to_dict(self):
         return {
@@ -222,60 +244,63 @@ class PipelineResult:
             "status": self.status,
             "failure_stage": self.failure_stage,
             "llm_calls": self.llm_calls,
-            "attempts": [
-                {"failure_stage": a.failure_stage, "report": a.report}
-                for a in self.attempts
-            ],
+            "attempts": [a.verdict.to_dict() for a in self.attempts],
             "outcome": self.outcome.to_dict() if self.outcome else None,
         }
 
 
 def classify_failure(stage: str) -> str:
-    """Map a failure stage onto the coarse validator buckets; INTERNAL, a
-    judgement that raised, has a bucket of its own."""
-    if stage == STAGE_FORMAT:
-        return "Format Val."
-    if stage in (STAGE_COLLISION, STAGE_CONNECTIVITY):
-        return "Position Val."
-    if stage == STAGE_PHYSICS:
-        return "Physics Val."
-    if stage == STAGE_CLIENT:
-        return "Client Error"
-    if stage == STAGE_INTERNAL:
-        return "Internal Error"
-    return "Success"
+    """The coarse validator bucket of a stage; NONE is "Success"."""
+    return {STAGE_FORMAT: "Format Val.", STAGE_COLLISION: "Position Val.",
+            STAGE_CONNECTIVITY: "Position Val.", STAGE_PHYSICS: "Physics Val.",
+            STAGE_CLIENT: "Client Error",
+            STAGE_INTERNAL: "Internal Error"}.get(stage, "Success")
+
+
+def _as_verdict(stage, place, *args):
+    """``stage(*args)``; an ``Exception`` from it, a defect of craftkit and
+    not of the plan, is logged under ``craftkit.pipeline`` and ``place``
+    puts its INTERNAL verdict in the stage's result.  Ctrl-C propagates."""
+    try:
+        return stage(*args)
+    except Exception as exc:
+        log.exception("%s raised", stage.__name__)
+        return place(Verdict(STAGE_INTERNAL, type(exc).__name__,
+                             details={"message": str(exc)}))
 
 
 def check_format(raw, catalog):
     """The FORMAT stage: ``raw`` normalized and parsed against ``catalog``.
 
-    Returns (plan, report_dict); the plan is None when the report, always a
-    ``FormatReport`` dict, carries errors.
+    Returns (plan, Verdict); the plan is None unless the verdict is NONE.
+    A FORMAT verdict's reason is the first error's code.
     """
+    return _as_verdict(_format_stage, lambda v: (None, v), raw, catalog)
+
+
+def _format_stage(raw, catalog):
     try:
         plan, report = parse_plan(normalize_raw(raw), catalog)
     except JsonSyntaxError as exc:
         plan, report = None, FormatReport()
         report.add(None, None, "JsonSyntaxError", str(exc))
-    return plan, report.to_dict()
+    if plan is not None:
+        return plan, Verdict(STAGE_NONE)
+    errors = [{"part": p, "field": f, "code": c, "message": m}
+              for p, f, c, m in report.errors]
+    return None, Verdict(STAGE_FORMAT, errors[0]["code"],
+                         [e["part"] for e in errors], {"errors": errors})
 
 
 def judge_plan(plan, catalog, functional=None, sim_config=None):
     """Every stage after FORMAT, in order, for a parsed ``plan``.
 
-    Returns (stage, report_dict, assembly, outcome).  A stage that raises
-    an ``Exception`` is a defect of craftkit, not of the plan: it is
-    logged with its traceback under ``craftkit.pipeline`` and returned as
-    stage INTERNAL, whose report holds the exception's type name and
-    message.  Anything else (KeyboardInterrupt) propagates.
+    Returns (Verdict, assembly, outcome).  A simulated verdict holds the
+    outcome's reason, test, time and details, not its trajectory; a stage
+    that raised is INTERNAL (``_as_verdict``).
     """
-    try:
-        return _judge_stages(plan, catalog, functional, sim_config)
-    except Exception as exc:
-        log.exception("judging a plan raised (functional test %s)",
-                      functional)
-        return STAGE_INTERNAL, {"error": type(exc).__name__,
-                                "message": str(exc)}, None, None
+    return _as_verdict(_judge_stages, lambda v: (v, None, None),
+                       plan, catalog, functional, sim_config)
 
 
 def _judge_stages(plan, catalog, functional, sim_config):
@@ -284,28 +309,31 @@ def _judge_stages(plan, catalog, functional, sim_config):
     except PlacementError as exc:
         stage = STAGE_CONNECTIVITY if isinstance(
             exc, (Unplaceable, HoleNotCarvedYet)) else STAGE_COLLISION
-        return stage, {"error": type(exc).__name__,
-                       "message": str(exc)}, None, None
+        return Verdict(stage, type(exc).__name__, exc.parts,
+                       {"message": str(exc)}), None, None
 
     collisions = validate_collisions(assembly)
     if not collisions.ok:
-        return STAGE_COLLISION, collisions.to_dict(), assembly, None
+        pairs = collisions.to_dict()["pairs"]
+        return Verdict(STAGE_COLLISION, "COLLISION",
+                       [p[k] for p in pairs for k in ("a", "b")],
+                       {"pairs": pairs}), assembly, None
 
     components = connectivity_check(assembly)
     if components is not None:
-        return (STAGE_CONNECTIVITY,
-                {"error": "Disconnected",
-                 "components": [sorted(c) for c in components]},
-                assembly, None)
+        groups = [sorted(c) for c in components]
+        return Verdict(STAGE_CONNECTIVITY, "Disconnected", sum(groups[1:], []),
+                       {"components": groups}), assembly, None
 
     if functional is None:
-        return STAGE_NONE, {}, assembly, None
+        return Verdict(STAGE_NONE), assembly, None
     outcome = run_functional_test(functional, assembly, plan, sim_config)
-    if not outcome.success:
-        report = outcome.to_dict()
-        report.pop("trajectory", None)
-        return STAGE_PHYSICS, report, assembly, outcome
-    return STAGE_NONE, {}, assembly, outcome
+    d = outcome.details  # only a failed test's details name parts
+    return Verdict(STAGE_NONE if outcome.success else STAGE_PHYSICS,
+                   outcome.failure_reason,
+                   [d.get("part"), d.get("to_part"), *d.get("parts", ())],
+                   {"test": outcome.test, "time_s": outcome.time, **d}), \
+        assembly, outcome
 
 
 def evaluate_plan_text(raw, catalog, functional=None, sim_config=None):
@@ -313,16 +341,15 @@ def evaluate_plan_text(raw, catalog, functional=None, sim_config=None):
     ``check_format``, then ``judge_plan`` on the plan it parsed.
 
     The CLI's build, simulate and metrics commands call it; the pipeline
-    runs the same two functions in turn.  Returns (stage, report_dict,
-    plan, assembly, outcome); a FORMAT report is always a ``FormatReport``
-    dict.
+    runs the same two functions in turn.  Returns (stage, Verdict, plan,
+    assembly, outcome), where stage is the verdict's.
     """
-    plan, report = check_format(raw, catalog)
-    if plan is None:
-        return STAGE_FORMAT, report, None, None, None
-    stage, report, assembly, outcome = judge_plan(
-        plan, catalog, functional, sim_config)
-    return stage, report, plan, assembly, outcome
+    plan, verdict = check_format(raw, catalog)
+    assembly = outcome = None
+    if plan is not None:
+        verdict, assembly, outcome = judge_plan(
+            plan, catalog, functional, sim_config)
+    return verdict.stage, verdict, plan, assembly, outcome
 
 
 def _call(client, prompt):
@@ -348,9 +375,10 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     Budgets: NONE issues a single call; FRESH retries the identical prompt
     up to twice more; FEEDBACK allows one retry for a pre-simulation
     failure and one more for a simulation failure.  Every policy stays
-    within three LLM calls.  Every answer is parsed, but a plan already
-    judged under the same functional test is not judged again: its
-    attempt gets a copy of that report, as verdicts are deterministic.
+    within three LLM calls; FEEDBACK sends the failed verdict's dict back.
+    Every answer is parsed, but a plan already judged under the same
+    functional test is not judged again: its attempt gets a copy of that
+    verdict, as verdicts are deterministic.
     ``verdicts`` is that memo, a dict from ``(functional, plan)`` to a
     Future of ``judge_plan``'s verdict; by default each call starts an
     empty one.  A caller may share one dict across calls, from several
@@ -359,8 +387,8 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     Results that reuse a verdict share its ``assembly`` and ``outcome``
     objects, so treat those as read-only.  A client that still fails
     after its retries, or fails in a way a retry cannot mend, ends the run
-    as a failure at stage CLIENT; a judgement that raised ends it at stage
-    INTERNAL under every policy, as asking again cannot mend a defect.
+    as a failure at stage CLIENT; a stage that raised (FORMAT too) ends it
+    at stage INTERNAL under every policy, as asking cannot mend a defect.
     Raises ValueError for an unknown policy, and for a category that
     heuristics.json does not list, which would have no functional test to
     run.
@@ -375,10 +403,8 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     if sim_config is None:
         sim_config = SimConfig()
 
-    result = PipelineResult(category=category, status="failed",
-                            failure_stage=STAGE_NONE)
-    pre_sim_retries = 0
-    sim_retries = 0
+    result = PipelineResult(category=category)
+    retried = set()  # FEEDBACK retries: one before the simulation, one in it
     feedback = None
     if verdicts is None:
         verdicts = {}
@@ -389,51 +415,39 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
         try:
             raw = _call(client, prompt)
         except ClientError as exc:
-            result.attempts.append(AttemptRecord(
-                raw="", failure_stage=STAGE_CLIENT,
-                report={"error": "ClientError", "message": str(exc)}))
-            result.failure_stage = STAGE_CLIENT
+            result.attempts.append(AttemptRecord("", Verdict(
+                STAGE_CLIENT, "ClientError", details={"message": str(exc)})))
             result.plan = result.assembly = result.outcome = None
             return result
         result.llm_calls += 1
-        plan, report = check_format(raw, catalog)
-        if plan is None:
-            stage, assembly, outcome = STAGE_FORMAT, None, None
-        else:
+        plan, verdict = check_format(raw, catalog)
+        assembly = outcome = None
+        if plan is not None:
             # setdefault is atomic: the first thread to meet a plan judges
             # it, and any other waits for that verdict
             pending = Future()
-            verdict = verdicts.setdefault((functional, plan), pending)
-            if verdict is pending:
+            judged = verdicts.setdefault((functional, plan), pending)
+            if judged is pending:
                 try:
                     pending.set_result(judge_plan(plan, catalog, functional,
                                                   sim_config))
                 except BaseException as exc:
                     pending.set_exception(exc)
                     raise
-            stage, report, assembly, outcome = verdict.result()
-            report = copy.deepcopy(report)  # each attempt owns its report
-        result.attempts.append(AttemptRecord(
-            raw=raw, failure_stage=stage, report=report))
-        result.failure_stage = stage
+            verdict, assembly, outcome = judged.result()
+            verdict = copy.deepcopy(verdict)  # each attempt owns its verdict
+        result.attempts.append(AttemptRecord(raw, verdict))
         result.plan = plan
         result.assembly = assembly
         result.outcome = outcome
-        if stage == STAGE_NONE:
-            result.status = "success"
-            return result
-        if policy == POLICY_NONE or stage == STAGE_INTERNAL:
+        if verdict.stage in (STAGE_NONE, STAGE_INTERNAL) \
+                or policy == POLICY_NONE:
             return result
         if policy == POLICY_FRESH:
             continue
-        # FEEDBACK
-        if stage in (STAGE_FORMAT, STAGE_COLLISION, STAGE_CONNECTIVITY):
-            if pre_sim_retries >= 1:
-                return result
-            pre_sim_retries += 1
-        else:
-            if sim_retries >= 1:
-                return result
-            sim_retries += 1
-        feedback = json.dumps(report, indent=2)
+        in_simulation = verdict.stage == STAGE_PHYSICS
+        if in_simulation in retried:
+            return result
+        retried.add(in_simulation)
+        feedback = json.dumps(verdict.to_dict(), indent=2)
     return result

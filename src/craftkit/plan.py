@@ -119,15 +119,6 @@ class FormatReport:
     def add(self, part, field_name, code, message):
         self.errors.append((part, field_name, code, message))
 
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "errors": [
-                {"part": p, "field": f, "code": c, "message": m}
-                for p, f, c, m in self.errors
-            ],
-        }
-
 
 def strip_code_fences(raw: str) -> str:
     lines = raw.splitlines()

@@ -26,7 +26,7 @@ def plan_path():
 def load_fixture_plan(catalog):
     def load(name):
         plan, report = load_plan(PLANS / f"{name}.json", catalog)
-        assert plan is not None, report.to_dict()
+        assert plan is not None, report.errors
         return plan
 
     return load

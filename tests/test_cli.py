@@ -14,7 +14,11 @@ from conftest import all_fixture_names
 # sha256 over json.dumps([name, exit code, stdout]) of ``craftkit validate``
 # on every fixture plan, one after the other in name order
 VALIDATE_DIGEST = \
-    "67840e808522bb733a4cdcae937bd8208d4642da5a861178270328d9782188fa"
+    "1318352cc8a0d4443dc617c5cd28b99046f81081f0a9ad60b16015f8763d5d41"
+
+
+# what ``craftkit validate`` prints for a plan that passes FORMAT
+PASSED = {"stage": "NONE", "reason": None, "parts": [], "details": {}}
 
 
 def run_cli(capsys, *argv):
@@ -27,11 +31,11 @@ def test_validate_ok(capsys, plan_path):
     code, out = run_cli(capsys, "validate", str(plan_path("hammer_valid_1")))
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["ok"] is True
+    assert payload["stage"] == "NONE"
 
 
 def test_validate_output_of_every_fixture_is_pinned(capsys, plan_path):
-    """The exit code and the report of ``craftkit validate`` for all 34
+    """The exit code and the verdict of ``craftkit validate`` for all 34
     fixtures stay byte for byte what they were."""
     names = all_fixture_names()
     assert len(names) == 34
@@ -53,15 +57,15 @@ def test_validate_runs_the_format_stage_only(capsys, plan_path,
     code, out = run_cli(capsys, "validate",
                         str(plan_path("bookshelf_collision")))
     assert code == EXIT_OK
-    assert json.loads(out) == {"ok": True, "errors": []}
+    assert json.loads(out) == PASSED
 
 
 def test_validate_invalid(capsys, plan_path):
     code, out = run_cli(capsys, "validate", str(plan_path("hammer_invalid_1")))
     assert code == EXIT_INVALID
     payload = json.loads(out)
-    assert payload["ok"] is False
-    assert payload["errors"]
+    assert payload["stage"] == "FORMAT"
+    assert payload["details"]["errors"]
 
 
 def test_validate_bad_json(capsys, tmp_path):
@@ -70,7 +74,7 @@ def test_validate_bad_json(capsys, tmp_path):
     code, out = run_cli(capsys, "validate", str(bad))
     assert code == EXIT_INVALID
     payload = json.loads(out)
-    assert payload["errors"][0]["code"] == "JsonSyntaxError"
+    assert payload["details"]["errors"][0]["code"] == "JsonSyntaxError"
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -85,7 +89,7 @@ def test_build_success_and_obj_export(capsys, plan_path, tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["stage"] == "NONE"
-    assert payload["report"] == {}
+    assert {k: payload[k] for k in PASSED} == PASSED
     assert payload["assembly"]["parts"]
     assert obj.exists()
     assert obj.read_text().startswith(("#", "v "))
@@ -96,7 +100,7 @@ def test_build_collision_fails(capsys, plan_path):
     assert code == EXIT_INVALID
     payload = json.loads(out)
     assert payload["stage"] == "COLLISION"
-    assert payload["report"]["ok"] is False
+    assert payload["details"]["pairs"]
     assert payload["assembly"]["parts"]
 
 
@@ -111,7 +115,7 @@ def test_plan_commands_stop_at_the_pipeline_stage(capsys, plan_path,
         assert code == EXIT_INVALID
         payload = json.loads(out)
         assert payload["stage"] == "COLLISION"
-        assert payload["report"]["ok"] is False
+        assert payload["details"]["pairs"]
 
 
 def test_simulate_hammer_hit(capsys, plan_path, tmp_path):
@@ -120,7 +124,7 @@ def test_simulate_hammer_hit(capsys, plan_path, tmp_path):
                         "--test", "hit", "--trace", str(trace))
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["success"] is True
+    assert payload["stage"] == "NONE"
     assert json.loads(trace.read_text())
 
 
@@ -129,7 +133,7 @@ def test_simulate_failure_exit_code(capsys, plan_path):
                         "--test", "hit", "--duration", "1.0")
     assert code == EXIT_INVALID
     payload = json.loads(out)
-    assert payload["failure_reason"] == "PART_SEPARATED"
+    assert payload["reason"] == "PART_SEPARATED"
 
 
 def test_metrics_self_comparison(capsys, plan_path, tmp_path):
@@ -288,7 +292,7 @@ def test_simulate_rejects_a_duration_under_one_timestep(capsys, plan_path):
     code, out = run_cli(capsys, "simulate", plan, "--test", "support",
                         "--duration", "0.002")
     assert code == EXIT_OK
-    assert json.loads(out)["time_s"] > 0.0
+    assert json.loads(out)["details"]["time_s"] > 0.0
 
 
 def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
@@ -307,7 +311,7 @@ def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
         assert code == EXIT_INVALID
         payload = json.loads(out)
         assert payload["stage"] == "CONNECTIVITY"
-        assert payload["report"]["error"] == "Unplaceable"
+        assert payload["reason"] == "Unplaceable"
 
 
 def test_pipeline_scripted(capsys, tmp_path, fixture_raw):
@@ -376,7 +380,8 @@ def test_batch_resolves_responses_against_the_manifest_folder(
         assert code == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
         assert rows == [{"category": "hammer", "attempts": "1",
-                         "status": "success", "failure_stage": "NONE"}]
+                         "status": "success", "failure_stage": "NONE",
+                         "failure_reason": ""}]
         out_csv.unlink()
 
 
@@ -408,7 +413,8 @@ def test_batch_csv(capsys, tmp_path, fixture_raw):
     assert len(rows) == 3
     assert rows[0]["status"] == "success"
     assert rows[1] == {"category": "hammer", "attempts": "2",
-                       "status": "failed", "failure_stage": "FORMAT"}
+                       "status": "failed", "failure_stage": "FORMAT",
+                       "failure_reason": "MissingField"}
     assert rows[2]["failure_stage"] == "COLLISION"
 
 
@@ -432,9 +438,9 @@ def test_batch_keeps_every_row_past_a_deeply_nested_answer(capsys, tmp_path,
     rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
     assert rows == [
         {"category": "hammer", "attempts": "1", "status": "failed",
-         "failure_stage": "FORMAT"},
+         "failure_stage": "FORMAT", "failure_reason": "JsonSyntaxError"},
         {"category": "hammer", "attempts": "1", "status": "success",
-         "failure_stage": "NONE"}]
+         "failure_stage": "NONE", "failure_reason": ""}]
 
 
 def test_validate_deeply_nested_json(capsys, tmp_path):
@@ -442,7 +448,7 @@ def test_validate_deeply_nested_json(capsys, tmp_path):
     deep.write_text("[" * 600 + "]" * 600)
     code, out = run_cli(capsys, "validate", str(deep))
     assert code == EXIT_INVALID
-    assert json.loads(out)["errors"][0]["code"] == "JsonSyntaxError"
+    assert json.loads(out)["details"]["errors"][0]["code"] == "JsonSyntaxError"
 
 
 def test_batch_rejects_fewer_than_one_job(tmp_path):
@@ -475,7 +481,8 @@ def test_batch_survives_an_exhausted_client(capsys, tmp_path, fixture_raw):
     rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
     assert [r["status"] for r in rows] == ["success", "failed"]
     assert rows[1] == {"category": "hammer", "attempts": "1",
-                       "status": "failed", "failure_stage": "CLIENT"}
+                       "status": "failed", "failure_stage": "CLIENT",
+                       "failure_reason": "ClientError"}
 
 
 def test_batch_rejects_a_malformed_manifest(caplog, tmp_path):
@@ -587,7 +594,7 @@ def test_validate_finds_catalog_ids_that_are_not_canonical(capsys, tmp_path,
         "Connections": [], "exec_function": False}]))
     code, out = run_cli(capsys, "validate", str(plan),
                         "--catalog", str(catalog))
-    assert json.loads(out) == {"ok": True, "errors": []}
+    assert json.loads(out) == PASSED
     assert code == EXIT_OK
 
 
@@ -693,18 +700,15 @@ def test_a_batch_judges_each_distinct_plan_once_per_test(
     # one hit for the hammer; the shelf collides once per test
     assert simulated == ["hit"]
     assert sorted(collided) == [False, False, True]
-    reports = [a.report for r in results for a in r.attempts]
-    assert len(reports) == 8
-    assert len({id(r) for r in reports}) == len(reports)
+    verdicts = [a.verdict for r in results for a in r.attempts]
+    assert len(verdicts) == 8
+    assert len({id(v) for v in verdicts}) == len(verdicts)
 
 
-def test_a_judgement_that_raises_costs_its_row_not_the_batch(
-        capsys, tmp_path, fixture_raw, monkeypatch):
-    """With the hit test raising, a two-worker batch still writes every
-    row: the hammer's at stage INTERNAL, the table's byte for byte a clean
-    run's, and the batch exits 1."""
-    from craftkit import orchestrator
-
+def _hammer_and_table_batch(capsys, tmp_path, fixture_raw):
+    """A function that runs ``hammer_valid_1`` and ``table_valid_1`` as a
+    two-worker batch into the CSV ``name`` and returns the exit code and
+    the CSV's lines."""
     jobs = [{"category": "hammer", "responses": [fixture_raw(
                 "hammer_valid_1")]},
             {"category": "table", "responses": [fixture_raw(
@@ -718,6 +722,17 @@ def test_a_judgement_that_raises_costs_its_row_not_the_batch(
                           "--jobs", "2")
         return code, out.read_bytes().splitlines()
 
+    return batch
+
+
+def test_a_judgement_that_raises_costs_its_row_not_the_batch(
+        capsys, tmp_path, fixture_raw, monkeypatch):
+    """With the hit test raising, a two-worker batch still writes every
+    row: the hammer's at stage INTERNAL, the table's byte for byte a clean
+    run's, and the batch exits 1."""
+    from craftkit import orchestrator
+
+    batch = _hammer_and_table_batch(capsys, tmp_path, fixture_raw)
     clean_code, clean = batch("clean.csv")
     run_functional_test = orchestrator.run_functional_test
 
@@ -730,9 +745,34 @@ def test_a_judgement_that_raises_costs_its_row_not_the_batch(
     code, rows = batch("broken.csv")
     assert (clean_code, code) == (EXIT_OK, EXIT_INVALID)
     assert len(rows) == len(clean) == 3
-    assert rows[1] == b"hammer,1,failed,INTERNAL"
+    assert rows[1] == b"hammer,1,failed,INTERNAL,ZeroDivisionError"
     assert [rows[0], rows[2]] == [clean[0], clean[2]]
-    assert clean[2] == b"table,1,success,NONE"
+    assert clean[2] == b"table,1,success,NONE,"
+
+
+def test_a_format_check_that_raises_costs_its_row_not_the_batch(
+        capsys, tmp_path, fixture_raw, monkeypatch):
+    """With ``parse_plan`` raising on the hammer's answer, a two-worker
+    batch still writes every row: the hammer's at stage INTERNAL with the
+    exception's type as its reason, the table's byte for byte a clean
+    run's, and the batch exits 1."""
+    from craftkit import orchestrator
+
+    batch = _hammer_and_table_batch(capsys, tmp_path, fixture_raw)
+    clean_code, clean = batch("clean.csv")
+    parse_plan = orchestrator.parse_plan
+
+    def raising(normalized, catalog):
+        if "HANDLE_1" in json.dumps(normalized):
+            return 1 / 0
+        return parse_plan(normalized, catalog)
+
+    monkeypatch.setattr(orchestrator, "parse_plan", raising)
+    code, rows = batch("broken.csv")
+    assert (clean_code, code) == (EXIT_OK, EXIT_INVALID)
+    assert len(rows) == len(clean) == 3
+    assert rows[1] == b"hammer,1,failed,INTERNAL,ZeroDivisionError"
+    assert [rows[0], rows[2]] == [clean[0], clean[2]]
 
 
 def test_batch_csv_is_the_same_with_or_without_a_shared_memo(

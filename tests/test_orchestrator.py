@@ -22,6 +22,7 @@ from craftkit.orchestrator import (
     STAGE_PHYSICS,
     HttpClient,
     ScriptedClient,
+    Verdict,
     build_prompt,
     category_function,
     check_format,
@@ -32,6 +33,8 @@ from craftkit.orchestrator import (
     run_pipeline,
 )
 from craftkit.physics import SimConfig, functional
+
+from conftest import all_fixture_names
 
 FAST_SIM = SimConfig(duration=1.0)
 
@@ -108,10 +111,10 @@ def test_classify_failure_buckets():
 def test_divergence_is_a_physics_verdict(catalog, fixture_raw,
                                          monkeypatch):
     monkeypatch.setattr(functional, "SUPPORT_FORCE", 1e9)
-    stage, report, _, _, outcome = evaluate_plan_text(
+    stage, verdict, _, _, outcome = evaluate_plan_text(
         fixture_raw("bookshelf_valid_1"), catalog, functional="support")
     assert stage == STAGE_PHYSICS
-    assert report["failure_reason"] == "NUMERICAL_DIVERGENCE"
+    assert verdict.reason == "NUMERICAL_DIVERGENCE"
     assert not outcome.success
 
 
@@ -123,7 +126,7 @@ def test_exhausted_client_is_a_classified_failure(catalog, response_text,
     assert result.status == "failed"
     assert result.failure_stage == STAGE_CLIENT
     assert result.llm_calls == 1
-    assert [a.failure_stage for a in result.attempts] == [
+    assert [a.verdict.stage for a in result.attempts] == [
         STAGE_FORMAT, STAGE_CLIENT]
     assert classify_failure(STAGE_CLIENT) == "Client Error"
     # exhaustion is not retried: one prompt per request, the answered one
@@ -169,7 +172,7 @@ def test_http_client_retries_server_errors_only(status, expected_posts,
     result = run_pipeline("hammer", client, policy=POLICY_NONE,
                           catalog=catalog)
     assert result.failure_stage == STAGE_CLIENT
-    assert str(status) in result.attempts[-1].report["message"]
+    assert str(status) in result.attempts[-1].verdict.details["message"]
     assert len(posts) == expected_posts
     # a wait between attempts, none after the last one
     assert sleeps == [0.5, 1.0][:expected_posts - 1]
@@ -234,7 +237,7 @@ def test_http_client_answer_without_text_is_a_client_failure(
                                                "m"), catalog=catalog)
     assert result.failure_stage == STAGE_CLIENT
     assert result.llm_calls == 0
-    assert result.attempts[-1].report["error"] == "ClientError"
+    assert result.attempts[-1].verdict.reason == "ClientError"
     assert len(posts) == MAX_CLIENT_RETRIES
 
 
@@ -258,11 +261,11 @@ def _nested(kind, depth):
 def test_a_deeply_nested_answer_is_a_format_verdict(catalog, kind, depth):
     """Nesting too deep to parse or normalize is a FORMAT report, never a
     RecursionError out of the stage."""
-    plan, report = check_format(_nested(kind, depth), catalog)
+    plan, verdict = check_format(_nested(kind, depth), catalog)
     assert plan is None
-    assert report["ok"] is False and report["errors"]
+    assert verdict.stage == STAGE_FORMAT and verdict.details["errors"]
     if depth >= 1000:
-        assert report["errors"] == [{
+        assert verdict.details["errors"] == [{
             "part": None, "field": None, "code": "JsonSyntaxError",
             "message": "nested too deeply"}]
 
@@ -286,57 +289,109 @@ def test_a_nested_answer_gets_one_report_at_any_stack_depth(catalog, kind):
         raw = _nested(kind, depth).replace("[]", "[x]").replace("1", "x")
         top = check_format(raw, catalog)
         assert _deeper(60, check_format, raw, catalog) == top, depth
-        assert top[1]["errors"][0]["message"] == "nested too deeply"
+        assert top[1].details["errors"][0]["message"] == "nested too deeply"
 
 
 def test_a_format_message_shows_a_large_value_cut_short(catalog):
     raw = "[[" + ",".join(["0"] * 200_000) + "]]"
     assert len(raw) == 400_003
-    _, report = check_format(raw, catalog)
-    (error,) = report["errors"]
+    _, verdict = check_format(raw, catalog)
+    (error,) = verdict.details["errors"]
     assert error["code"] == "MissingField"
     assert error["message"].startswith("part entry is not an object: [0, 0")
     assert len(error["message"]) < 1000
 
 
 def test_evaluate_stages(catalog, response_text, fixture_raw):
-    stage, report, *_ = evaluate_plan_text("garbage {", catalog)
-    assert stage == STAGE_FORMAT
-    assert report["ok"] is False
-    assert report["errors"][0]["code"] == "JsonSyntaxError"
+    stage, verdict, *_ = evaluate_plan_text("garbage {", catalog)
+    assert stage == verdict.stage == STAGE_FORMAT
+    assert verdict.reason == "JsonSyntaxError"
+    assert verdict.details["errors"][0]["code"] == "JsonSyntaxError"
 
-    stage, report, *_ = evaluate_plan_text(
+    stage, verdict, *_ = evaluate_plan_text(
         response_text("hammer_invalid_1"), catalog)
     assert stage == STAGE_FORMAT
 
-    stage, report, *_ = evaluate_plan_text(
+    stage, verdict, *_ = evaluate_plan_text(
         response_text("bookshelf_collision"), catalog)
     assert stage == STAGE_COLLISION
 
     stage, *_ = evaluate_plan_text(response_text("hammer_valid_1"), catalog)
     assert stage == STAGE_NONE
 
-    stage, report, plan, asm, outcome = evaluate_plan_text(
+    stage, verdict, plan, asm, outcome = evaluate_plan_text(
         response_text("hammer_valid_1"), catalog, functional="hit")
     assert stage == STAGE_NONE
     assert outcome is not None and outcome.success
 
-    stage, report, *_ = evaluate_plan_text(
+    stage, verdict, *_ = evaluate_plan_text(
         response_text("hammer_detached"), catalog, functional="hit")
     assert stage == STAGE_PHYSICS
-    assert report["failure_reason"] == "PART_SEPARATED"
+    assert verdict.reason == "PART_SEPARATED"
+
+
+# LOOSE_1 has no connection, so it cannot be placed
+UNPLACEABLE = json.dumps([
+    {"Name": "BASE_1", "Available_obj": "CUBOID_100X100X100",
+     "Orientation": [100, 100, 100], "exec_function": True},
+    {"Name": "LOOSE_1", "Available_obj": "CUBOID_50X50X20",
+     "Orientation": [50, 50, 20], "exec_function": False},
+])
 
 
 def test_unplaceable_maps_to_connectivity(catalog):
-    parts = [
-        {"Name": "BASE_1", "Available_obj": "CUBOID_100X100X100",
-         "Orientation": [100, 100, 100], "exec_function": True},
-        {"Name": "LOOSE_1", "Available_obj": "CUBOID_50X50X20",
-         "Orientation": [50, 50, 20], "exec_function": False},
-    ]
-    stage, report, *_ = evaluate_plan_text(json.dumps(parts), catalog)
+    stage, verdict, *_ = evaluate_plan_text(UNPLACEABLE, catalog)
     assert stage == STAGE_CONNECTIVITY
-    assert report["error"] == "Unplaceable"
+    assert verdict.reason == "Unplaceable"
+    assert verdict.parts == ("LOOSE_1",)
+
+
+def test_every_failing_fixture_verdict_names_its_reason_and_parts(
+        catalog, fixture_raw, category_outcome, monkeypatch):
+    """Each fixture under its category's test: a verdict that failed has a
+    reason, and parts wherever a part is at fault.  The simulations are the
+    session's, which the outcome gate shares."""
+    faulty_parts = set()
+    for name in all_fixture_names():
+        monkeypatch.setattr(orchestrator, "run_functional_test",
+                            lambda *args, name=name: category_outcome(name))
+        stage, verdict, *_ = evaluate_plan_text(
+            fixture_raw(name), catalog,
+            category_function(name.split("_", 1)[0]))
+        assert verdict.stage == stage
+        assert bool(verdict.reason) == (stage != STAGE_NONE), name
+        if stage == STAGE_FORMAT:
+            named = {e["part"] for e in verdict.details["errors"]} - {None}
+            assert set(verdict.parts) == named, name
+        if verdict.parts:
+            faulty_parts.add(name)
+    formats = {n for n in all_fixture_names() if "_invalid_" in n}
+    assert faulty_parts >= formats | {
+        "bookshelf_collision", "hammer_detached", "skateboard_offcenter"}
+
+
+@pytest.mark.parametrize("category, first, stage, reason, parts", [
+    ("hammer", "hammer_invalid_1", STAGE_FORMAT, "BadOrientationPermutation",
+     ["HEAD_1"]),
+    ("bookshelf", "bookshelf_collision", STAGE_COLLISION, "COLLISION",
+     ["SHELF_1", "SHELF_2"]),
+    ("hammer", None, STAGE_CONNECTIVITY, "Unplaceable", ["LOOSE_1"]),
+    ("hammer", "hammer_detached", STAGE_PHYSICS, "PART_SEPARATED",
+     ["HEAD_1", "HANDLE_1"]),
+], ids=["format", "collision", "connectivity", "physics"])
+def test_feedback_names_the_reason_and_the_parts(
+        category, first, stage, reason, parts, catalog, fixture_raw):
+    """Under FEEDBACK the second prompt holds the first answer's verdict:
+    its stage, its reason and the parts at fault."""
+    client = ScriptedClient(
+        [fixture_raw(first) if first else UNPLACEABLE, "[]"])
+    run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=catalog,
+                 sim_config=FAST_SIM)
+    feedback = client.prompts[1].split(
+        "The validator reported:\n", 1)[1].rsplit("\nReturn a corrected", 1)
+    sent = json.loads(feedback[0])
+    assert (sent["stage"], sent["reason"], sent["parts"]) == \
+        (stage, reason, parts)
 
 
 def test_policy_none_single_call(catalog, response_text):
@@ -377,8 +432,8 @@ def test_policy_feedback_reports_verbatim(catalog, response_text):
                           catalog=catalog, sim_config=FAST_SIM)
     assert result.status == "success"
     assert result.llm_calls == 2
-    # the second prompt embeds the first attempt's report verbatim
-    verbatim = json.dumps(result.attempts[0].report, indent=2)
+    # the second prompt embeds the first attempt's verdict verbatim
+    verbatim = json.dumps(result.attempts[0].verdict.to_dict(), indent=2)
     assert verbatim in client.prompts[1]
 
 
@@ -404,7 +459,7 @@ def test_policy_feedback_sim_retry_budget(catalog, response_text):
                           catalog=catalog, sim_config=FAST_SIM)
     assert result.status == "success"
     assert result.llm_calls == 3
-    stages = [a.failure_stage for a in result.attempts]
+    stages = [a.verdict.stage for a in result.attempts]
     assert stages == [STAGE_FORMAT, STAGE_PHYSICS, STAGE_NONE]
 
 
@@ -461,7 +516,7 @@ def test_an_empty_catalog_is_not_replaced_by_the_default(response_text):
     result = run_pipeline("hammer", client, policy=POLICY_NONE,
                           catalog=Catalog([]), sim_config=FAST_SIM)
     assert result.failure_stage == STAGE_FORMAT
-    codes = {e["code"] for e in result.attempts[0].report["errors"]}
+    codes = {e["code"] for e in result.attempts[0].verdict.details["errors"]}
     assert codes == {"UnknownObject"}
 
 
@@ -509,13 +564,13 @@ def test_a_run_judges_each_distinct_plan_once(
     # every answer is still called for, counted and recorded
     assert result.llm_calls == len(raws)
     assert [a.raw for a in result.attempts] == raws
-    assert [a.failure_stage for a in result.attempts] == stages
-    reports = [a.report for a in result.attempts]
-    assert len({id(r) for r in reports}) == len(reports)
+    assert [a.verdict.stage for a in result.attempts] == stages
+    verdicts = [a.verdict for a in result.attempts]
+    assert len({id(v) for v in verdicts}) == len(verdicts)
     for attempt in result.attempts:
-        stage, report, *_ = evaluate_plan_text(
+        stage, verdict, *_ = evaluate_plan_text(
             attempt.raw, catalog, category_function(category), FAST_SIM)
-        assert (attempt.failure_stage, attempt.report) == (stage, report)
+        assert (attempt.verdict.stage, attempt.verdict) == (stage, verdict)
 
 
 def test_runs_that_share_a_memo_judge_a_plan_once(monkeypatch, catalog,
@@ -543,8 +598,8 @@ def test_runs_that_share_a_memo_judge_a_plan_once(monkeypatch, catalog,
     assert len(calls) == 3
     assert list(shared) == [("support", first.plan)]
     assert first.assembly is second.assembly
-    assert first.attempts[0].report == second.attempts[0].report
-    assert first.attempts[0].report is not second.attempts[0].report
+    assert first.attempts[0].verdict == second.attempts[0].verdict
+    assert first.attempts[0].verdict is not second.attempts[0].verdict
 
 
 def test_a_judgement_that_raises_is_raised_to_every_sharer(monkeypatch,
@@ -587,9 +642,9 @@ def test_a_stage_that_raises_ends_the_run_at_internal(monkeypatch, caplog,
                                   policy=policy, catalog=catalog)
         assert (result.status, result.failure_stage, result.llm_calls) == \
             ("failed", STAGE_INTERNAL, 1)
-        assert [(a.failure_stage, a.report) for a in result.attempts] == [
-            (STAGE_INTERNAL, {"error": "ZeroDivisionError",
-                              "message": "division by zero"})]
+        assert [a.verdict for a in result.attempts] == [
+            Verdict(STAGE_INTERNAL, "ZeroDivisionError",
+                    details={"message": "division by zero"})]
         (record,) = caplog.records
         assert record.name == "craftkit.pipeline"
         assert record.levelno == logging.ERROR

@@ -3,8 +3,8 @@
 Each mutant is a golden plan with one to three edits, made with a fixed seed
 and fixed rules, half of them with arbitrary values and half within the plan
 vocabulary.  ``evaluate_plan_text`` with no functional test must return one
-of the pipeline's stage names and a dict report for every mutant, and must
-never raise.
+of the pipeline's stage names and a ``Verdict`` at that stage for every
+mutant, with a reason whenever it failed, and must never raise.
 
 A second, smaller sample of in-vocabulary mutants that pass every stage
 before the simulation runs through all three functional tests at a short
@@ -35,6 +35,7 @@ from craftkit.orchestrator import (
     STAGE_FORMAT,
     STAGE_NONE,
     STAGE_PHYSICS,
+    Verdict,
     evaluate_plan_text,
 )
 from craftkit.physics import functional
@@ -149,9 +150,11 @@ def test_mutated_goldens_get_a_stage_and_never_raise(catalog):
         for _ in range(rng.randint(1, 3)):
             _mutate(rng, plan, vocabulary, in_vocabulary=index % 2 == 1)
         raw = json.dumps(plan)
-        stage, report, *_ = evaluate_plan_text(raw, catalog)
+        stage, verdict, *_ = evaluate_plan_text(raw, catalog)
         assert stage in STAGES, (index, raw)
-        assert isinstance(report, dict), (index, raw)
+        assert isinstance(verdict, Verdict), (index, raw)
+        assert verdict.stage == stage, (index, raw)
+        assert (verdict.reason is None) == (stage == STAGE_NONE), (index, raw)
         seen.add(stage)
     # the edits reach the stages after the format check too
     assert STAGE_FORMAT in seen and len(seen) > 1
