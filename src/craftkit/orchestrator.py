@@ -245,7 +245,6 @@ class PipelineResult:
             "failure_stage": self.failure_stage,
             "llm_calls": self.llm_calls,
             "attempts": [a.verdict.to_dict() for a in self.attempts],
-            "outcome": self.outcome.to_dict() if self.outcome else None,
         }
 
 

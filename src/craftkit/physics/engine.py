@@ -54,10 +54,11 @@ skipped before any corner or rim point is built.
 
 Velocity impulses are warm-started (Catto, "Iterative Dynamics with
 Temporal Coherence", GDC 2005; Box2D's contact solver).  Rows live across
-steps: the World keeps one contact row per feature key and one joint row
-per joint index, and each row owns the impulses it accumulated, which are
-its warm start.  A feature key is built from body ids and indices only,
-never object identities, so a deep copy of a world steps exactly like it:
+steps: the World keeps exactly the last step's contact rows, by feature
+key, and one joint row per joint index, and each row owns the impulses
+it accumulated, which are its warm start.  A feature key is built from
+body ids and indices only, never object identities, so a deep copy of a
+world steps exactly like it:
 (body id, part index, feature index) for a ground contact, where the
 feature is a box corner (0-7), a standing cylinder's rim sample (0-7) or a
 lying cylinder's end (8, 9); (id a, id b, part index a, part index b,
@@ -66,11 +67,12 @@ row in every step, for a contact from an extra contact hook.  Preparing a
 row applies its (jn, jt1, jt2), or a joint's anchor impulse and its
 angular impulse (kept as a world vector across the change of hinge
 directions), to the bodies' velocities before the first sweep: joints by
-index, then contacts in generation order.  A contact row that was not
-live in the last step starts at zero, and a feature whose row changes
-kind (its depth crossing SLOP) keeps its impulses.  Every sweep clamps a
-contact's friction to FRICTION * jn, also when jn is 0, so no friction
-impulse outlives the normal impulse that bounds it.
+index, then contacts in generation order.  A feature that was not live
+in the last step has no row kept, so it gets a new row whose impulses
+are zero, and a feature whose row changes kind (its depth crossing SLOP)
+keeps its impulses.  Every sweep clamps a contact's friction to
+FRICTION * jn, also when jn is 0, so no friction impulse outlives the
+normal impulse that bounds it.
 Impulses carry over unscaled, so every step is one timestep long: ``World``
 takes that timestep, and the solver's other settings, the friction of
 every contact included, are the module constants below.  Split (position)
@@ -483,25 +485,24 @@ class _ContactRow:
     effective mass); J_a is None against the static environment, and a
     response is None for a side that impulses do not move.  jn, jt1, jt2
     and pn accumulate the normal, friction and split (position) impulses;
-    the first three carry over from the last step, ``frame``, in which the
-    row was solved, and are applied to the bodies when the row is
-    prepared, or start at zero if it was not live then.
+    the first three start at zero in a new row, carry over from the last
+    step in a kept one, and are applied to the bodies when the row is
+    prepared.
     ``target`` is the split impulse's speed target BAUMGARTE * (depth -
     SLOP) / dt, None where the contact is not that deep or no side moves;
     World._solve runs ``solve_position`` only where it is set.
     """
 
     __slots__ = ("body_a", "body_b", "point", "normal", "depth", "key",
-                 "frame", "va", "vb", "pa", "pb", "target", "n", "t1", "t2",
+                 "va", "vb", "pa", "pb", "target", "n", "t1", "t2",
                  "jn", "jt1", "jt2", "pn")
 
     def __init__(self, key):
         """A cold row; ``_write_row`` writes its contact's fields."""
         self.key = key
         self.jn = self.jt1 = self.jt2 = 0.0
-        self.frame = -1
 
-    def prepare(self, dt, frame):
+    def prepare(self, dt):
         a, b = self.body_a, self.body_b
         self.vb, self.pb = b.vel, b.pvel
         self.va, self.pa = (None, None) if a is None else (a.vel, a.pvel)
@@ -517,13 +518,12 @@ class _ContactRow:
         self.target = None if pen <= 0.0 or self.n[4] <= 0.0 \
             else BAUMGARTE * pen / dt
         self.pn = 0.0
-        if self.frame == frame - 1 and self.n[4] > 0.0:
+        if self.n[4] > 0.0:
             for row, j in zip((self.n, self.t1, self.t2),
                               (self.jn, self.jt1, self.jt2)):
                 _push_row(row, self.va, self.vb, j)
         else:
             self.jn = self.jt1 = self.jt2 = 0.0
-        self.frame = frame
 
     def solve_velocity(self):
         if self.n[4] <= 0.0:
@@ -570,8 +570,8 @@ class _GroundRow:
     no split impulse.
     """
 
-    __slots__ = ("body_b", "point", "depth", "key", "frame", "v", "r", "m",
-                 "n", "t1", "t2", "jn", "jt1", "jt2")
+    __slots__ = ("body_b", "point", "depth", "key", "v", "r", "m", "n",
+                 "t1", "t2", "jn", "jt1", "jt2")
     body_a = None
     normal = _UP
     target = None
@@ -579,9 +579,8 @@ class _GroundRow:
     def __init__(self, key):
         self.key = key
         self.jn = self.jt1 = self.jt2 = 0.0
-        self.frame = -1
 
-    def prepare(self, dt, frame):
+    def prepare(self, dt):
         b = self.body_b
         v = self.v = b.vel
         px, py, pz = self.point
@@ -598,18 +597,14 @@ class _GroundRow:
         y0, y1, y2 = i02 * rx - i00 * rz, i12 * rx - i10 * rz, \
             i22 * rx - i20 * rz
         self.t2 = (m + (rx * y2 - rz * y0), y0, y1, y2)
-        if self.frame == frame - 1:
-            # n, then t1, then t2 onto each component, as _push_row adds
-            jn, jt1, jt2 = self.jn, self.jt1, self.jt2
-            v[0] += jt1 * m
-            v[1] += jt2 * m
-            v[2] += jn * m
-            v[3] = v[3] + jn * n0 + jt1 * x0 + jt2 * y0
-            v[4] = v[4] + jn * n1 + jt1 * x1 + jt2 * y1
-            v[5] = v[5] + jn * n2 + jt1 * x2 + jt2 * y2
-        else:
-            self.jn = self.jt1 = self.jt2 = 0.0
-        self.frame = frame
+        # n, then t1, then t2 onto each component, as _push_row adds
+        jn, jt1, jt2 = self.jn, self.jt1, self.jt2
+        v[0] += jt1 * m
+        v[1] += jt2 * m
+        v[2] += jn * m
+        v[3] = v[3] + jn * n0 + jt1 * x0 + jt2 * y0
+        v[4] = v[4] + jn * n1 + jt1 * x1 + jt2 * y1
+        v[5] = v[5] + jn * n2 + jt1 * x2 + jt2 * y2
 
     # With a zero target, acc - u / k is _solve_row's acc + (0 - u) / k.
     def solve_velocity(self):
@@ -886,12 +881,13 @@ class _JointRow:
 def _write_row(rows, out, a, b, point, normal, depth, key):
     """Write the contact of body ``b`` with ``a`` (None: the static
     environment) at the world ``point``, ``normal`` from a to b, ``depth``
-    deep, into the row of its feature ``key`` in ``rows``, and append that
-    row to ``out``.  The one rule for a row's kind: a _GroundRow where a is
-    None, the normal is +z (by value, so a hook's floor contact qualifies),
-    b is not kinematic and the depth is at most SLOP, else a _ContactRow.
-    A feature whose row changes kind keeps what its old row carried; a key
-    of None gets a new row, kept nowhere."""
+    deep, into a row for its feature ``key``, and append that row to
+    ``out``.  The one rule for a row's kind: a _GroundRow where a is None,
+    the normal is +z (by value, so a hook's floor contact qualifies), b is
+    not kinematic and the depth is at most SLOP, else a _ContactRow.  The
+    row is the feature's row in ``rows``, the last step's, if it is of
+    that kind, else a new one that keeps what the last step's row of the
+    feature carried, if there was one."""
     ground = (a is None and (normal is _UP or normal == _UP)
               and not b.kinematic and depth - SLOP <= 0.0)
     cls = _GroundRow if ground else _ContactRow
@@ -899,10 +895,7 @@ def _write_row(rows, out, a, b, point, normal, depth, key):
     if type(row) is not cls:
         old, row = row, cls(key)
         if old is not None:
-            row.jn, row.jt1, row.jt2, row.frame = (old.jn, old.jt1, old.jt2,
-                                                   old.frame)
-        if key is not None:
-            rows[key] = row
+            row.jn, row.jt1, row.jt2 = old.jn, old.jt1, old.jt2
     if cls is _ContactRow:
         row.body_a, row.normal = a, normal
     row.body_b, row.point, row.depth = b, point, depth
@@ -946,11 +939,10 @@ class World:
         self.joints: list[RevoluteJoint] = []
         self.time = 0.0
         self.extra_contact_hooks = []  # callables(world) -> list[Contact]
-        # the rows that live across steps: one contact row per feature key
-        # and one joint row per joint index; ``_frame`` counts the solves
+        # the rows that live across steps: the last step's contact rows by
+        # feature key, and one joint row per joint index
         self._rows = {}
         self._joint_rows = []
-        self._frame = 0
         # the unjointed body pairs, and the bodies and joints they are of
         self._pairs = self._pairs_of = None
 
@@ -1045,7 +1037,8 @@ class World:
 
     def gather_contacts(self):
         """The step's contact rows, one per contact, in generation order:
-        ground features, body-body contacts, then each extra hook's."""
+        ground features, body-body contacts, then each extra hook's.  They
+        become the rows kept by feature key, all but a hook's of key None."""
         rows = []
         # world centres of every part, shared by both generators
         centers = [[body.world_point(part.local_center)
@@ -1056,6 +1049,7 @@ class World:
             for c in hook(self):
                 _write_row(self._rows, rows, c.body_a, c.body_b, c.point,
                            c.normal, c.depth, c.key)
+        self._rows = {row.key: row for row in rows if row.key is not None}
         return rows
 
     def _solve(self, rows, dt):
@@ -1064,17 +1058,16 @@ class World:
 
         Each joint row, by index, and then each contact row, in order, is
         prepared and applies the impulses it carried over from the last
-        step; the impulses of this step's velocity sweeps stay on the rows
-        for the next one.
+        step, zero in a new row; the impulses of this step's velocity
+        sweeps stay on the rows for the next one.
         """
-        frame = self._frame = self._frame + 1
         joints, joint_rows = self.joints, self._joint_rows
         del joint_rows[len(joints):]
         joint_rows += [_JointRow() for _ in joints[len(joint_rows):]]
         for row, joint in zip(joint_rows, joints):
             row.prepare(joint, dt)
         for row in rows:
-            row.prepare(dt, frame)
+            row.prepare(dt)
         for _ in range(VELOCITY_SWEEPS):
             for row in joint_rows:
                 row.solve()

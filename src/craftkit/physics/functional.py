@@ -565,8 +565,11 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
         else:
             verdict = finish()
     except NumericalDivergence as exc:
+        parts = [name for name, (body, _) in craft.parts.items()
+                 if body.id == exc.body]
         return SimOutcome(kind, False, NUMERICAL_DIVERGENCE, exc.time,
-                          {"body": exc.body, "message": str(exc)})
+                          {"body": exc.body, "parts": parts,
+                           "message": str(exc)})
     reason, details = verdict
     return SimOutcome(kind, reason is None, reason, world.time, details,
                       trajectory)

@@ -359,7 +359,7 @@ def test_pipeline_rejects_an_unknown_category(capsys, tmp_path,
     assert code == EXIT_INVALID
     payload = json.loads(out)
     assert payload["failure_stage"] == "PHYSICS"
-    assert payload["outcome"]["failure_reason"] == "NEW_GROUND_CONTACT"
+    assert payload["attempts"][-1]["reason"] == "NEW_GROUND_CONTACT"
 
 
 def test_batch_resolves_responses_against_the_manifest_folder(

@@ -349,7 +349,8 @@ def _float_solve(world, contacts, dt):
     the next solve updates them), and per body the velocity and
     pseudo-velocity the solve ends with, laid out as ``_state``.
     ``contacts`` are the rows of ``World.gather_contacts`` or ``Contact``
-    objects, which are written into their features' rows first."""
+    objects, which are written into their features' rows first.  The
+    rows solved become the world's kept rows, as in a step."""
     start = [list(b.vel) for b in world.bodies]
     for body in world.bodies:
         body._start_step()
@@ -360,6 +361,7 @@ def _float_solve(world, contacts, dt):
                               c.normal, c.depth, c.key)
         else:
             rows.append(c)
+    world._rows = {r.key: r for r in rows if r.key is not None}
     rows = world._solve(rows, dt)
     state = np.array([b.vel + b.pvel for b in world.bodies])
     for body, vel in zip(world.bodies, start):
@@ -372,12 +374,6 @@ def _carried(rows):
     their order: what the features carry into the next step, as the
     earlier warm-start cache held it."""
     return {r.key: (r.jn, r.jt1, r.jt2) for r in rows if r.key is not None}
-
-
-def _live(world):
-    """``_carried`` of the rows of ``world`` that its last solve solved."""
-    return _carried(r for r in world._rows.values()
-                    if r.frame == world._frame)
 
 
 def _joint_impulses(world):
@@ -1106,14 +1102,14 @@ def test_a_feature_absent_in_the_last_step_starts_at_zero(monkeypatch):
     assert state[0, :6].tolist() != old.vel
     assert state[1, :6].tolist() == new.vel
     # the rows that carry impulses on are this solve's features only
-    assert list(_live(world)) == [c.key for c in contacts]
+    assert list(_carried(world._rows.values())) == [c.key for c in contacts]
 
 
 @pytest.mark.parametrize("z", [0.0995, 0.1 - engine.SLOP / 2.0])
 def test_a_feature_back_after_a_step_away_starts_at_zero(z, monkeypatch):
     """A box resting 0.5 mm deep (generic rows) or SLOP / 2 deep (ground
-    rows) is lifted clear for one step and set down again: its corners'
-    rows still hold the impulses of two steps ago, but start at zero."""
+    rows) is lifted clear for one step and set down again: the world kept
+    no row of its corners, so they come back on new rows, at zero."""
     world = World(SimConfig().timestep)
     box = _resting_box("box", 0.0, z)
     world.bodies.append(box)
@@ -1123,7 +1119,7 @@ def test_a_feature_back_after_a_step_away_starts_at_zero(z, monkeypatch):
     x, y, _ = box.x
     box.x = (x, y, 1.0)
     assert world.step() == []
-    assert _live(world) == {}
+    assert _carried(world._rows.values()) == {}
     box.x, box.q, box.vel = (x, y, z), (1.0, 0.0, 0.0, 0.0), [0.0] * 6
     box.refresh_pose_cache()
     contacts = world.gather_contacts()
@@ -1133,6 +1129,33 @@ def test_a_feature_back_after_a_step_away_starts_at_zero(z, monkeypatch):
     rows, state = _float_solve(world, contacts, world.timestep)
     assert [(r.jn, r.jt1, r.jt2) for r in rows] == [(0.0, 0.0, 0.0)] * 4
     assert state[0, :6].tolist() == box.vel
+
+
+def test_the_world_keeps_exactly_the_last_steps_rows():
+    """A feature that is not live in a step loses its row: after a resting
+    step, a box tilted onto one edge leaves the world just the rows of
+    that edge's corners, and lifted clear, no row at all."""
+    world = World(SimConfig().timestep)
+    box = _resting_box("box", 0.0)
+    world.bodies.append(box)
+    rows = world.step()
+    assert len(rows) == 4
+    assert world._rows == {r.key: r for r in rows}
+    # tilted about y by 0.02 rad around its +x bottom edge, which keeps its
+    # depth: the -x corners rise 4 mm, clear of the contact margin
+    x, y, z = box.x
+    t = 0.02
+    box.x = (x, y, z + 0.1 * math.sin(t) + 0.1 * math.cos(t) - 0.1)
+    box.q = (math.cos(t / 2.0), 0.0, math.sin(t / 2.0), 0.0)
+    box.vel = [0.0] * 6
+    box.refresh_pose_cache()
+    tilted = world.step()
+    assert len(tilted) == 2 and {r.key for r in tilted} < {r.key for r in rows}
+    assert world._rows == {r.key: r for r in tilted}
+    box.x = (x, y, 1.0)
+    box.refresh_pose_cache()
+    assert world.step() == []
+    assert world._rows == {}
 
 
 @pytest.mark.parametrize("generic", [False, True])
@@ -1158,17 +1181,18 @@ def test_friction_without_normal_impulse_carries_nothing_over(generic,
         dt = world.timestep
         contacts = world.gather_contacts()
         assert len(contacts) == 4
-        # carried from a last step: live in it, with these impulses
+        # carried from a last step: the rows of gather_contacts are the
+        # world's kept rows, live by construction; give them these impulses
         for row in contacts:
             row.jn, row.jt1, row.jt2 = 0.0, 0.02, -0.03
-            row.frame = world._frame
 
         rows, state = _float_solve(world, contacts, dt)
         cold_rows, cold_state = _float_solve(cold, cold.gather_contacts(),
                                              dt)
         assert all(type(r) is row_class for r in rows)
         assert [(r.jn, r.jt1, r.jt2) for r in rows] == [(0.0, 0.0, 0.0)] * 4
-        assert list(_live(world).values()) == [(0.0, 0.0, 0.0)] * 4
+        assert list(_carried(world._rows.values()).values()) == \
+            [(0.0, 0.0, 0.0)] * 4
         assert [(r.jn, r.jt1, r.jt2) for r in cold_rows] == \
             [(0.0, 0.0, 0.0)] * 4
         _assert_close(state, cold_state)
@@ -1360,7 +1384,7 @@ def test_deep_copies_step_byte_identical():
     world = _step_world(3)
     world.step()
     twin = copy.deepcopy(world)
-    assert _live(twin) == _live(world)
+    assert _carried(twin._rows.values()) == _carried(world._rows.values())
     for _ in range(200):
         world.step()
         twin.step()
@@ -1368,6 +1392,6 @@ def test_deep_copies_step_byte_identical():
         assert [np.array(getattr(b, name)).tobytes()
                 for b in world.bodies] == \
             [np.array(getattr(b, name)).tobytes() for b in twin.bodies]
-    assert _live(twin) == _live(world)
+    assert _carried(twin._rows.values()) == _carried(world._rows.values())
     assert _joint_impulses(twin) == _joint_impulses(world)
-    assert _live(world) and _joint_impulses(world)
+    assert _carried(world._rows.values()) and _joint_impulses(world)

@@ -111,11 +111,13 @@ def test_classify_failure_buckets():
 def test_divergence_is_a_physics_verdict(catalog, fixture_raw,
                                          monkeypatch):
     monkeypatch.setattr(functional, "SUPPORT_FORCE", 1e9)
-    stage, verdict, _, _, outcome = evaluate_plan_text(
+    stage, verdict, plan, _, outcome = evaluate_plan_text(
         fixture_raw("bookshelf_valid_1"), catalog, functional="support")
     assert stage == STAGE_PHYSICS
     assert verdict.reason == "NUMERICAL_DIVERGENCE"
     assert not outcome.success
+    # the bookshelf is one body, so every part is at fault
+    assert verdict.parts == tuple(p.name for p in plan.parts)
 
 
 def test_exhausted_client_is_a_classified_failure(catalog, response_text,
