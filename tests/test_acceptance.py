@@ -383,18 +383,14 @@ def test_criterion_6_metrics_oracle(criterion):
 
 # -- criterion 7: orchestration budgets and the batch runner ---------------
 
-def _resp(fixture_raw, name):
-    return "```json\n" + fixture_raw(name) + "\n```"
-
-
-def test_criterion_7_orchestration(criterion, catalog, fixture_raw,
+def test_criterion_7_orchestration(criterion, catalog, response_text,
                                    tmp_path, capsys):
     with criterion(7, "call budgets per policy hold; pipeline is "
                       "deterministic; 12-job batch CSV matches hand tallies"):
-        ok = _resp(fixture_raw, "hammer_valid_1")
-        bad_fmt = _resp(fixture_raw, "hammer_invalid_1")
-        bad_fmt2 = _resp(fixture_raw, "hammer_invalid_2")
-        detached = _resp(fixture_raw, "hammer_detached")
+        ok = response_text("hammer_valid_1")
+        bad_fmt = response_text("hammer_invalid_1")
+        bad_fmt2 = response_text("hammer_invalid_2")
+        detached = response_text("hammer_detached")
 
         # NONE: exactly one call, regardless of outcome
         client = ScriptedClient([bad_fmt, ok])
@@ -434,7 +430,7 @@ def test_criterion_7_orchestration(criterion, catalog, fixture_raw,
             d = tmp_path / label
             d.mkdir()
             for i, n in enumerate(names):
-                (d / f"{i:02d}.txt").write_text(_resp(fixture_raw, n))
+                (d / f"{i:02d}.txt").write_text(response_text(n))
             return str(d)
 
         jobs = []

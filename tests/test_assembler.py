@@ -1,22 +1,18 @@
-import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from craftkit import build_assembly
 from craftkit.assembler import connectivity_check
-from craftkit.collision import validate_collisions
 from craftkit.errors import (
     HoleExceedsOwner,
     HoleNotCarvedYet,
     InconsistentConnection,
     Unplaceable,
 )
-from craftkit.orchestrator import evaluate_plan_text
 from craftkit.plan import normalize_raw, parse_plan
 
-from conftest import PLANS, all_fixture_names
+import pins
 
 MM = 0.001
 
@@ -225,41 +221,12 @@ def test_placed_is_in_placement_order(catalog):
         ["BASE_1", "SIDE_1", "TOP_1"]
 
 
-def _buildable_fixture_assemblies(catalog):
-    """The assembly of every fixture that builds, in sorted file order."""
-    for name in all_fixture_names():
-        raw = (PLANS / f"{name}.json").read_text(encoding="utf-8")
-        assembly = evaluate_plan_text(raw, catalog)[3]
-        if assembly is not None:
-            yield assembly
+def test_assembly_json_digest_of_buildable_fixtures():
+    pins.assert_holds("assembly_json")
 
 
-def test_assembly_json_digest_of_buildable_fixtures(catalog):
-    # the sha256 over every buildable fixture's Assembly.to_json(), in
-    # sorted file order; the JSON holds plain float arithmetic only, so the
-    # value is the same on every platform
-    digest = hashlib.sha256()
-    built = 0
-    for assembly in _buildable_fixture_assemblies(catalog):
-        digest.update(assembly.to_json().encode())
-        built += 1
-    assert built == 22
-    assert digest.hexdigest() == (
-        "3a90704e03b0211ce5bb062e6affb6f8a57948c9ffcb9fd7bdc7a9aa29ce9009")
-
-
-def test_collision_report_digest_of_buildable_fixtures(catalog):
-    # the sha256 over every buildable fixture's collision report, depths
-    # and witness points included, in sorted file order
-    digest = hashlib.sha256()
-    pairs = 0
-    for assembly in _buildable_fixture_assemblies(catalog):
-        report = validate_collisions(assembly).to_dict()
-        digest.update(json.dumps(report).encode())
-        pairs += len(report["pairs"])
-    assert pairs == 1
-    assert digest.hexdigest() == (
-        "01873c431cb71a511efa2d86b357ece391a66ff8ded618991a3c352fde5c97ad")
+def test_collision_report_digest_of_buildable_fixtures():
+    pins.assert_holds("collision_report")
 
 
 def test_inconsistent_second_connection(catalog, fixture_raw):

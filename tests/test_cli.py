@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import io
 import json
 import subprocess
@@ -9,13 +8,8 @@ import pytest
 
 from craftkit.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
-from conftest import all_fixture_names
-
-# sha256 over json.dumps([name, exit code, stdout]) of ``craftkit validate``
-# on every fixture plan, one after the other in name order
-VALIDATE_DIGEST = \
-    "1318352cc8a0d4443dc617c5cd28b99046f81081f0a9ad60b16015f8763d5d41"
-
+import pins
+from conftest import fenced, respelled
 
 # what ``craftkit validate`` prints for a plan that passes FORMAT
 PASSED = {"stage": "NONE", "reason": None, "parts": [], "details": {}}
@@ -34,16 +28,8 @@ def test_validate_ok(capsys, plan_path):
     assert payload["stage"] == "NONE"
 
 
-def test_validate_output_of_every_fixture_is_pinned(capsys, plan_path):
-    """The exit code and the verdict of ``craftkit validate`` for all 34
-    fixtures stay byte for byte what they were."""
-    names = all_fixture_names()
-    assert len(names) == 34
-    digest = hashlib.sha256()
-    for name in names:
-        code, out = run_cli(capsys, "validate", str(plan_path(name)))
-        digest.update(json.dumps([name, code, out]).encode())
-    assert digest.hexdigest() == VALIDATE_DIGEST
+def test_validate_output_of_every_fixture_is_pinned():
+    pins.assert_holds("validate")
 
 
 def test_validate_runs_the_format_stage_only(capsys, plan_path,
@@ -314,11 +300,10 @@ def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
         assert payload["reason"] == "Unplaceable"
 
 
-def test_pipeline_scripted(capsys, tmp_path, fixture_raw):
+def test_pipeline_scripted(capsys, tmp_path, response_text):
     responses = tmp_path / "responses"
     responses.mkdir()
-    (responses / "01.txt").write_text(
-        "```json\n" + fixture_raw("hammer_valid_1") + "\n```")
+    (responses / "01.txt").write_text(response_text("hammer_valid_1"))
     code, out = run_cli(capsys, "pipeline", "--category", "hammer",
                         "--responses", str(responses))
     assert code == EXIT_OK
@@ -385,13 +370,12 @@ def test_batch_resolves_responses_against_the_manifest_folder(
         out_csv.unlink()
 
 
-def test_batch_csv(capsys, tmp_path, fixture_raw):
+def test_batch_csv(capsys, tmp_path, response_text):
     def resp_dir(name, *fixtures):
         d = tmp_path / name
         d.mkdir()
         for i, fx in enumerate(fixtures):
-            (d / f"{i:02d}.txt").write_text(
-                "```json\n" + fixture_raw(fx) + "\n```")
+            (d / f"{i:02d}.txt").write_text(response_text(fx))
         return str(d)
 
     jobs = [
@@ -462,15 +446,14 @@ def test_batch_rejects_fewer_than_one_job(tmp_path):
         assert exc.value.code == EXIT_USAGE
 
 
-def test_batch_survives_an_exhausted_client(capsys, tmp_path, fixture_raw):
+def test_batch_survives_an_exhausted_client(capsys, tmp_path, response_text):
     jobs = []
     for name, fixtures in (("ok", ["hammer_valid_1"]),
                            ("short", ["hammer_invalid_1"])):
         d = tmp_path / name
         d.mkdir()
         for i, fx in enumerate(fixtures):
-            (d / f"{i:02d}.txt").write_text(
-                "```json\n" + fixture_raw(fx) + "\n```")
+            (d / f"{i:02d}.txt").write_text(response_text(fx))
         jobs.append({"category": "hammer", "responses": str(d)})
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(jobs))
@@ -626,15 +609,6 @@ def test_metrics_on_a_degenerate_prediction_obj_is_a_usage_error(
     assert f"{pred}: {detail}" in caplog.text
 
 
-def _fenced(text):
-    return "```json\n" + text + "\n```"
-
-
-def _respelled(text):
-    """The same plan in lower case, with hyphens and a code fence."""
-    return _fenced(text.lower().replace("_", "-"))
-
-
 def test_a_batch_judges_each_distinct_plan_once_per_test(
         capsys, tmp_path, fixture_raw, monkeypatch):
     import threading
@@ -645,12 +619,12 @@ def test_a_batch_judges_each_distinct_plan_once_per_test(
     shelf = fixture_raw("bookshelf_collision")
     jobs = [
         {"category": "hammer", "responses": [hammer]},
-        {"category": "hammer", "responses": [_respelled(hammer)]},
+        {"category": "hammer", "responses": [respelled(hammer)]},
         {"category": "bookshelf", "responses": [shelf, shelf]},
         # table runs the same support test as bookshelf
-        {"category": "table", "responses": [_fenced(shelf)] * 2},
+        {"category": "table", "responses": [fenced(shelf)] * 2},
         # a hammer runs the hit test, so the shelf is judged again
-        {"category": "hammer", "responses": [_respelled(shelf)] * 2},
+        {"category": "hammer", "responses": [respelled(shelf)] * 2},
     ]
     simulated, collided, results = [], [], []
     second_parsed = threading.Event()
@@ -776,25 +750,10 @@ def test_a_format_check_that_raises_costs_its_row_not_the_batch(
 
 
 def test_batch_csv_is_the_same_with_or_without_a_shared_memo(
-        capsys, tmp_path, fixture_raw, monkeypatch):
+        capsys, tmp_path, monkeypatch):
     from craftkit import cli
 
-    def spelled(*names):
-        return [_respelled(fixture_raw(n)) if i % 2 else fixture_raw(n)
-                for i, n in enumerate(names)]
-
-    jobs = [
-        {"category": "hammer",
-         "responses": spelled("hammer_invalid_1", "hammer_valid_1")},
-        {"category": "bookshelf",
-         "responses": spelled("bookshelf_collision", "bookshelf_collision")},
-        {"category": "hammer",
-         "responses": spelled("hammer_detached", "hammer_valid_1")},
-        {"category": "skateboard",
-         "responses": spelled("skateboard_floating", "skateboard_floating")},
-        {"category": "table",
-         "responses": spelled("bookshelf_collision", "bookshelf_collision")},
-    ] * 2
+    jobs = pins.batch_jobs()
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(jobs))
     run_pipeline = cli.run_pipeline

@@ -1,5 +1,3 @@
-import hashlib
-import json
 import math
 
 import numpy as np
@@ -11,6 +9,7 @@ from craftkit.collision import (
 from craftkit.geometry import TRANSVERSE, HoleRegion, Solid, interval_overlap
 from craftkit.physics import run_functional_test
 
+import pins
 from material_oracle import material_contains
 
 
@@ -433,56 +432,8 @@ def test_closed_form_misses_no_overlap_the_point_oracle_finds():
     assert found[False] > 150, found
 
 
-# -- pinned depths and witnesses --------------------------------------------
-
-def _pinning_solids():
-    """Every pair kind: boxes, a cylinder on each axis, a box with a round
-    through hole, a cylinder with a square one (the hole test), and a
-    round and a square peg that fit those holes."""
-    holed_box = Solid.box((0.1, 0.1, 0.04))
-    holed_box.holes.append(HoleRegion(
-        owner="B", name="HOLE_1", axis=2, offset=(0.02, 0.0, 0.0),
-        depth=0.04, radius=0.012))
-    holed_cyl = Solid.cylinder(0.04, 0.05, axis=2)
-    holed_cyl.holes.append(HoleRegion(
-        owner="C", name="HOLE_1", axis=2, offset=(0.0, 0.0, 0.0),
-        depth=0.05, half_widths=(0.01, 0.01)))
-    return [Solid.box((0.1, 0.06, 0.04)), Solid.box((0.05, 0.05, 0.12)),
-            Solid.cylinder(0.03, 0.1, axis=0),
-            Solid.cylinder(0.02, 0.08, axis=1),
-            Solid.cylinder(0.025, 0.06, axis=2), holed_box, holed_cyl,
-            Solid.cylinder(0.008, 0.1, axis=2), Solid.box((0.016, 0.016, 0.1))]
-
-
 def test_pair_overlap_depths_and_witnesses_are_pinned():
-    """A sha256 over pair_overlap on every ordered pair of solids at seeded
-    centres: drawn uniformly, on a 1 cm grid, where equal bounds and
-    touching faces are common, or for a holed first solid with the second
-    near its hole's centre, where the hole test decides.  Only
-    + - * / max min and sqrt enter the result, so the value is the same on
-    every platform."""
-    rng = np.random.default_rng(17)
-    solids = _pinning_solids()
-    digest = hashlib.sha256()
-    hits = 0
-    for a in solids:
-        for b in solids:
-            for n in range(24):
-                ca = rng.uniform(-0.05, 0.05, 3)
-                cb = rng.uniform(-0.05, 0.05, 3)
-                if n % 3 == 1:
-                    ca, cb = np.round(ca, 2), np.round(cb, 2)
-                elif n % 3 == 2 and a.holes:
-                    cb = ca + a.holes[0].offset + rng.uniform(-0.004, 0.004, 3)
-                hit = pair_overlap(tuple(map(float, ca)), a,
-                                   tuple(map(float, cb)), b)
-                if hit is not None:
-                    hits += 1
-                    hit = [hit[0], list(hit[1])]
-                digest.update(json.dumps(hit).encode())
-    assert hits == 1056, hits
-    assert digest.hexdigest() == (
-        "4e989fc34dc700142d92bc4bc4d71a6c688ca679cb3beec5d327b7aad07f91ee")
+    pins.assert_holds("pair_overlap")
 
 
 def test_pair_overlap_returns_plain_floats():

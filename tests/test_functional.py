@@ -18,13 +18,13 @@ from craftkit.physics.engine import quat_to_matrix
 from craftkit.physics.functional import (
     HIT_DESCENT,
     HIT_HOLE_RADIUS,
-    INSUFFICIENT_ROTATION,
     NEW_GROUND_CONTACT,
     PART_SEPARATED,
     PEG_MISSED,
     ConnectionWatch,
 )
 
+import pins
 from conftest import all_fixture_names
 
 
@@ -169,90 +169,9 @@ def test_trajectory_tracing(build_fixture):
     assert set(t0["parts"]) == {"HANDLE_1", "HEAD_1"}
 
 
-# Outcomes of short runs: a change in the order of hooks, snapshots and
-# shared checks moves them.  Re-recorded when the simulation moved from
-# world units (10 per plan metre, at a tenth of Earth's gravity) to the
-# plan's metres at 9.81 m/s^2.
-SHORT_RUNS = {
-    ("rolling", "skateboard_valid_2"): (
-        False, INSUFFICIENT_ROTATION, 0.5000000000000003,
-        {"distance_m": 0.022818130813796324,
-         "parts": ["WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"],
-         "push_part": "SUPPORT_1",
-         "rotation_rad": {"WHEEL_1": 0.7606042861194882,
-                          "WHEEL_2": 0.7606042910285487,
-                          "WHEEL_3": 0.7606042859376908,
-                          "WHEEL_4": 0.7606042894267567},
-         "veer_m": None},
-        11, {"AXLE_1": [0.137818, 0.0, 0.030001],
-             "AXLE_2": [-0.092182, 0.0, 0.030001],
-             "DECK_1": [0.022818, 1e-06, 0.075001],
-             "SUPPORT_1": [0.137818, 0.0, 0.030001],
-             "SUPPORT_2": [-0.092182, 0.0, 0.030001],
-             "WHEEL_1": [0.137818, 0.035, 0.03],
-             "WHEEL_2": [0.137818, -0.035, 0.030001],
-             "WHEEL_3": [-0.092182, 0.035, 0.03],
-             "WHEEL_4": [-0.092182, -0.035, 0.030001]}),
-    ("support", "table_valid_3"): (
-        True, None, 0.5000000000000003,
-        {"loaded_parts": ["TABLETOP_1"],
-         "max_displacement_m": 1.7297383448531544e-06},
-        11, {"LEG_1": [0.115, 0.064999, 0.100001],
-             "LEG_2": [0.115, -0.065001, 0.1],
-             "LEG_3": [-0.115, 0.064999, 0.100001],
-             "LEG_4": [-0.115, -0.065001, 0.1],
-             "TABLETOP_1": [0.0, -2e-06, 0.210001]}),
-    ("hit", "hammer_valid_1"): (
-        True, None, 0.2620000000000002,
-        {"peg_descent_m": 0.020105471999999458, "peg_lateral_m": 0.0,
-         "touched": True},
-        6, {"HANDLE_1": [-0.07, 0.0, 0.2025], "HEAD_1": [0.0, 0.0, 0.1725]}),
-    ("hit", "hammer_detached"): (
-        False, PART_SEPARATED, 0.03600000000000002,
-        {"drift_m": 0.005294153600000212, "part": "HEAD_1",
-         "to_part": "HANDLE_1"},
-        1, {"HANDLE_1": [-0.07, 0.0, 0.215], "HEAD_1": [0.0, 0.0, 0.185]}),
-    ("rolling", "skateboard_floating"): (
-        False, NEW_GROUND_CONTACT, 0.054000000000000034,
-        {"min_z_m": -9.315329861483632e-05, "part": "WHEEL_3"},
-        2, {"AXLE_1": [0.090773, 3e-06, 0.030001],
-            "AXLE_2": [-0.074895, 1.5e-05, 0.032025],
-            "DECK_1": [-0.001693, 1.1e-05, 0.057841],
-            "SUPPORT_1": [0.090773, 3e-06, 0.030001],
-            "SUPPORT_2": [-0.074895, 1.5e-05, 0.032025],
-            "WHEEL_1": [0.090781, 0.035003, 0.030001],
-            "WHEEL_2": [0.090776, -0.034997, 0.030001],
-            "WHEEL_3": [-0.074898, 0.035015, 0.032024],
-            "WHEEL_4": [-0.074903, -0.034985, 0.032026]}),
-}
-
-
-def _assert_details(got, want):
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want)
-        for key in want:
-            _assert_details(got[key], want[key])
-    elif isinstance(want, float):
-        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
-    else:
-        assert got == want
-
-
-@pytest.mark.parametrize("kind,name", list(SHORT_RUNS))
-def test_short_run_outcomes_are_pinned(build_fixture, kind, name):
-    success, reason, time, details, n_snapshots, last = SHORT_RUNS[kind, name]
-    plan, asm = build_fixture(name)
-    outcome = run_functional_test(kind, asm, plan, SimConfig(duration=0.5))
-    assert outcome.test == kind
-    assert outcome.success is success
-    assert outcome.failure_reason == reason
-    assert outcome.time == pytest.approx(time, rel=1e-9)
-    _assert_details(outcome.details, details)
-    assert len(outcome.trajectory) == n_snapshots
-    parts = outcome.trajectory[-1]["parts"]
-    assert sorted(parts) == sorted(last)
-    for part, xyz in last.items():
-        assert parts[part] == pytest.approx(xyz, abs=2e-6)
+@pytest.mark.parametrize("kind,name", pins.SHORT_RUNS)
+def test_short_run_outcomes_are_pinned(kind, name):
+    pins.assert_holds(f"short_run.{kind}.{name}")
 
 
 # FIXED clusters per golden category, one body each, in body id order

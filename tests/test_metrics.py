@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -24,16 +23,10 @@ from craftkit.metrics import (
     sample_assembly_exterior,
     sample_mesh,
 )
-from craftkit.orchestrator import STAGE_NONE, evaluate_plan_text
 
-from conftest import PLANS, all_fixture_names
+import pins
+from conftest import buildable_assemblies
 from material_oracle import material_contains
-from test_assembler import _buildable_fixture_assemblies
-
-# sha256 over json.dumps(MetricReport.to_dict()) of every scorable fixture,
-# in sorted file order, against its category's _valid_1 mesh
-SCREEN_DIGEST = \
-    "a12c2342538637406a7a96505ab7f4eb918e61d9ccbb2b1bb760a97c92a1ae7b"
 
 
 def brute_chamfer(a, b):
@@ -250,11 +243,11 @@ def test_fscore_zero_when_far_apart():
     assert report.fscore == report.precision == report.recall == 0.0
 
 
-def test_exterior_sampling_rejects_interior(catalog):
+def test_exterior_sampling_rejects_interior():
     # a part's samples lie on its own surface, never strictly inside
     # another part's material, on every buildable fixture
     built = 0
-    for asm in _buildable_fixture_assemblies(catalog):
+    for asm in buildable_assemblies():
         pts = sample_assembly_exterior(asm, n_samples=20000, seed=0)
         assert len(pts) == 20000
         for name, part in asm.placed.items():
@@ -317,11 +310,11 @@ def reference_exterior(assembly, n_samples, seed):
     return out[:n_samples] if len(out) >= n_samples else out
 
 
-def test_exterior_samples_equal_the_reference_loop(catalog):
+def test_exterior_samples_equal_the_reference_loop():
     # a valid assembly hides none of its surface, so one draw is the
     # reference loop's first and only round
     built = 0
-    for assembly in _buildable_fixture_assemblies(catalog):
+    for assembly in buildable_assemblies():
         got = sample_assembly_exterior(assembly, 2000, 0)
         want = reference_exterior(assembly, 2000, 0)
         assert got.tobytes() == want.tobytes()
@@ -358,29 +351,8 @@ def test_a_report_is_the_same_on_another_blas_kernel(build_fixture,
     assert json.loads(done.stdout) == here
 
 
-def test_screen_reports_match_the_pinned_digest(build_fixture, catalog,
-                                                 tmp_path):
-    # every fixture that passes the stages before simulation, scored at
-    # 20 000 samples and seed 0 against the exported mesh of its
-    # category's _valid_1 golden, as the screen benchmark pairs them
-    digest = hashlib.sha256()
-    refs = {}
-    scored = 0
-    for name in all_fixture_names():
-        raw = (PLANS / f"{name}.json").read_text(encoding="utf-8")
-        stage, _, _, assembly, _ = evaluate_plan_text(raw, catalog)
-        if stage != STAGE_NONE:
-            continue
-        category = name.split("_", 1)[0]
-        if category not in refs:
-            refs[category] = tmp_path / f"{category}_valid_1.obj"
-            export_assembly_obj(build_fixture(f"{category}_valid_1")[1],
-                                refs[category])
-        report = compare_assembly_to_mesh(assembly, refs[category])
-        digest.update(json.dumps(report.to_dict()).encode())
-        scored += 1
-    assert scored == 21
-    assert digest.hexdigest() == SCREEN_DIGEST
+def test_screen_reports_match_the_pinned_digest():
+    pins.assert_holds("screen_report")
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from craftkit.orchestrator import (
 )
 from craftkit.physics import SimConfig, functional
 
-from conftest import all_fixture_names
+from conftest import all_fixture_names, respelled
 
 FAST_SIM = SimConfig(duration=1.0)
 
@@ -522,11 +522,6 @@ def test_an_empty_catalog_is_not_replaced_by_the_default(response_text):
     assert codes == {"UnknownObject"}
 
 
-def _respelled(text):
-    """The same plan in lower case, with hyphens and a code fence."""
-    return "```json\n" + text.lower().replace("_", "-") + "\n```"
-
-
 def _first_face_swapped(text):
     """A different plan: its first TOP face is a BOTTOM one."""
     return text.replace('"to_face": "TOP"', '"to_face": "BOTTOM"', 1)
@@ -538,7 +533,7 @@ def _verbatim(text):
 
 @pytest.mark.parametrize("policy, name, spellings, counted, runs, stages", [
     # the model ignores the feedback and answers the same plan again
-    (POLICY_FEEDBACK, "skateboard_floating", (_verbatim, _respelled),
+    (POLICY_FEEDBACK, "skateboard_floating", (_verbatim, respelled),
      "run_functional_test", 1, [STAGE_PHYSICS] * 2),
     # the identical prompt gets the identical answer
     (POLICY_FRESH, "bookshelf_collision", (_verbatim,) * 3,

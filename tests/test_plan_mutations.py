@@ -10,9 +10,9 @@ A second, smaller sample of in-vocabulary mutants that pass every stage
 before the simulation runs through all three functional tests at a short
 duration.  Each run must end in a ``SimOutcome`` that succeeds or names a
 failure reason, with finite numbers throughout; a run whose bodies left the
-solver's speed bound must say so as ``NUMERICAL_DIVERGENCE``.
-``PYTHONPATH=src python tests/test_plan_mutations.py`` prints that sample's
-verdict counts per test.
+solver's speed bound must say so as ``NUMERICAL_DIVERGENCE``.  That
+sample's verdict counts per test are the ``mutant_verdicts`` pin of
+``pins.py``.
 
 Arbitrary edits replace a value anywhere in the plan by one of ``ARBITRARY``
 or delete it.  In-vocabulary edits replace a string by a string of the
@@ -21,12 +21,11 @@ goldens, flip a boolean, reorder a list, or repeat a list entry.
 """
 
 import copy
+import functools
 import json
 import math
 import random
-from collections import Counter
 
-from craftkit import default_catalog
 from craftkit import plan as plan_language
 from craftkit.orchestrator import (
     STAGE_CLIENT,
@@ -41,7 +40,7 @@ from craftkit.orchestrator import (
 from craftkit.physics import functional
 from craftkit.physics.engine import MAX_SPEED
 
-from conftest import PLANS, all_fixture_names
+from conftest import CATALOG, PLANS, all_fixture_names
 
 SEED = 16
 N_MUTANTS = 300
@@ -160,9 +159,12 @@ def test_mutated_goldens_get_a_stage_and_never_raise(catalog):
     assert STAGE_FORMAT in seen and len(seen) > 1
 
 
-def _simulated_mutants(catalog):
+@functools.cache
+def simulated_mutants():
     """(mutant, test, outcome) for the first SIM_MUTANTS in-vocabulary
-    mutants of SIM_SEED that pass every stage before the simulation."""
+    mutants of SIM_SEED that pass every stage before the simulation, run
+    once per process."""
+    runs = []
     goldens = _goldens()
     vocabulary = _vocabulary(goldens)
     rng = random.Random(SIM_SEED)
@@ -173,18 +175,18 @@ def _simulated_mutants(catalog):
         for _ in range(rng.randint(1, 3)):
             _mutate(rng, plan, vocabulary, in_vocabulary=True)
         raw = json.dumps(plan)
-        stage, _, parsed, assembly, _ = evaluate_plan_text(raw, catalog)
+        stage, _, parsed, assembly, _ = evaluate_plan_text(raw, CATALOG)
         if stage != STAGE_NONE:
             continue
         screened += 1
-        for test in SIM_TESTS:
-            yield raw, test, functional.run_functional_test(
-                test, assembly, parsed, config)
+        runs.extend((raw, test, functional.run_functional_test(
+            test, assembly, parsed, config)) for test in SIM_TESTS)
+    return runs
 
 
-def test_screened_mutants_get_a_named_sim_outcome(catalog):
+def test_screened_mutants_get_a_named_sim_outcome():
     runs = 0
-    for raw, test, outcome in _simulated_mutants(catalog):
+    for raw, test, outcome in simulated_mutants():
         assert isinstance(outcome, functional.SimOutcome), (test, raw)
         assert outcome.success == (outcome.failure_reason is None)
         assert outcome.success or outcome.failure_reason in REASONS, (
@@ -197,10 +199,3 @@ def test_screened_mutants_get_a_named_sim_outcome(catalog):
         runs += 1
     assert runs == SIM_MUTANTS * len(SIM_TESTS)
 
-
-if __name__ == "__main__":
-    verdicts = Counter((test, outcome.failure_reason or "pass")
-                       for _, test, outcome
-                       in _simulated_mutants(default_catalog()))
-    for (test, verdict), n in sorted(verdicts.items()):
-        print(f"{test} {verdict} {n}")
