@@ -28,11 +28,10 @@ from .errors import (
     Unplaceable,
 )
 from .geometry import (
-    AXIS_INDEX, CYL, FACE_AXIS, TRANSVERSE, HoleRegion, Solid, aabb_overlap,
-    interval_overlap)
+    AXIS_INDEX, CYL, FACE_AXIS, TOUCH_TOL, TRANSVERSE, HoleRegion, Solid,
+    aabb_overlap, interval_overlap)
 from .plan import CraftPlan, ModificationSpec, PartSpec
 
-CONTACT_TOL = 1e-6
 HOLE_CLEARANCE = 0.001  # 1 mm in metres
 DEFAULT_HOLE_RADIUS = 0.005  # holes nobody inserts into
 
@@ -176,12 +175,12 @@ def _check_surface_contact(part: PlacedPart, target: PlacedPart, conn):
     to_c, to_e = target.position, target.solid.extents
     face_cur = cur_c[face_axis] + sign * cur_e[face_axis] / 2.0
     face_to = to_c[face_axis] - sign * to_e[face_axis] / 2.0
-    if abs(face_cur - face_to) > CONTACT_TOL:
+    if abs(face_cur - face_to) > TOUCH_TOL:
         return f"faces are {abs(face_cur - face_to):.3g} m apart"
     shared = aabb_overlap(cur_c, cur_e, to_c, to_e)
     for t in TRANSVERSE[face_axis]:
         lo, hi = shared[t]
-        if hi - lo < -CONTACT_TOL:
+        if hi - lo < -TOUCH_TOL:
             return f"no overlap on axis {t}"
     return None
 
@@ -193,7 +192,7 @@ def _check_inserted_contact(part: PlacedPart, target: PlacedPart, conn):
     ax = hole.axis
     center, pc = target.hole_center(hole), part.position
     for t in TRANSVERSE[ax]:
-        if abs(pc[t] - center[t]) > CONTACT_TOL:
+        if abs(pc[t] - center[t]) > TOUCH_TOL:
             return f"axis offset {abs(pc[t] - center[t]):.3g} m on axis {t}"
     half = part.solid.extents[ax] / 2.0
     if interval_overlap(center[ax] - hole.depth / 2.0,
@@ -316,6 +315,6 @@ def build_assembly(plan: CraftPlan, catalog: Catalog) -> Assembly:
     assembly = Assembly(placed=placed, graph=graph)
     min_z = assembly.min_z()
     for name, part in placed.items():
-        if part.aabb()[0][2] <= min_z + CONTACT_TOL:
+        if part.aabb()[0][2] <= min_z + TOUCH_TOL:
             assembly.ground_set.add(name)
     return assembly

@@ -36,9 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import (
-    BOX, CYL, TRANSVERSE, Solid, aabb_overlap, interval_overlap)
-
-TOUCH_TOL = 1e-6
+    BOX, CYL, TOUCH_TOL, TRANSVERSE, Solid, aabb_overlap, interval_overlap)
 
 
 @dataclass

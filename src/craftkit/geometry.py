@@ -39,6 +39,10 @@ TRANSVERSE = ((1, 2), (0, 2), (0, 1))
 BOX = "box"
 CYL = "cyl"
 
+# the one tolerance (m) at which two placed parts touch: a face within it
+# is flush in placement, and a depth within it is no collision
+TOUCH_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class HoleRegion:

@@ -69,16 +69,23 @@ def test_validate_missing_file(capsys, tmp_path):
 
 
 def test_build_success_and_obj_export(capsys, plan_path, tmp_path):
-    obj = tmp_path / "hammer.obj"
-    code, out = run_cli(capsys, "build", str(plan_path("hammer_valid_1")),
-                        "--obj", str(obj))
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["stage"] == "NONE"
-    assert {k: payload[k] for k in PASSED} == PASSED
-    assert payload["assembly"]["parts"]
-    assert obj.exists()
-    assert obj.read_text().startswith(("#", "v "))
+    """A golden builds past COLLISION, holed pairs (the skateboard's wheels
+    on axles) too, and prints every part's pose and every hole's offset."""
+    for name, holes in (("hammer_valid_1", 0), ("skateboard_valid_1", 6)):
+        obj = tmp_path / f"{name}.obj"
+        code, out = run_cli(capsys, "build", str(plan_path(name)),
+                            "--obj", str(obj))
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["stage"] == "NONE"
+        assert {k: payload[k] for k in PASSED} == PASSED
+        parts = payload["assembly"]["parts"]
+        assert parts
+        assert all("position" in p and "axis_map" in p for p in parts)
+        found = [h for p in parts for h in p["solid"]["holes"]]
+        assert len(found) == holes
+        assert all("offset" in h for h in found)
+        assert obj.read_text().startswith(("#", "v "))
 
 
 def test_build_collision_fails(capsys, plan_path):
@@ -86,6 +93,8 @@ def test_build_collision_fails(capsys, plan_path):
     assert code == EXIT_INVALID
     payload = json.loads(out)
     assert payload["stage"] == "COLLISION"
+    assert payload["reason"] == "COLLISION"
+    assert "SHELF_1" in payload["parts"]
     assert payload["details"]["pairs"]
     assert payload["assembly"]["parts"]
 
@@ -123,18 +132,20 @@ def test_simulate_failure_exit_code(capsys, plan_path):
 
 
 def test_metrics_self_comparison(capsys, plan_path, tmp_path):
-    obj = tmp_path / "ref.obj"
-    code, _ = run_cli(capsys, "build", str(plan_path("hammer_valid_1")),
-                      "--obj", str(obj))
-    assert code == EXIT_OK
-    capsys.readouterr()
-    code, out = run_cli(capsys, "metrics", "--plan",
-                        str(plan_path("hammer_valid_1")), "--ref", str(obj),
-                        "--samples", "2000")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["chamfer"] < 0.01
-    assert payload["fscore"] > 0.99
+    """A golden scored against its own exported mesh matches it."""
+    scores = {}
+    for name in ("hammer_valid_1", "table_valid_1", "skateboard_valid_1"):
+        obj = tmp_path / f"{name}.obj"
+        code, _ = run_cli(capsys, "build", str(plan_path(name)),
+                          "--obj", str(obj))
+        assert code == EXIT_OK
+        code, out = run_cli(capsys, "metrics", "--plan", str(plan_path(name)),
+                            "--ref", str(obj), "--samples", "2000")
+        assert code == EXIT_OK
+        scores[name] = json.loads(out)
+        assert scores[name]["fscore"] > 0.99
+    # the chamfer of 2000 samples grows with the craft; the hammer is small
+    assert scores["hammer_valid_1"]["chamfer"] < 0.01
 
 
 TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
@@ -171,6 +182,7 @@ def test_metrics_rejects_a_malformed_reference_obj(caplog, capsys, plan_path,
     assert capsys.readouterr().out == ""
     assert str(ref) in caplog.text
     assert where in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 # With numpy blocked, any import of it raises; the probe then exits with
@@ -278,7 +290,10 @@ def test_simulate_rejects_a_duration_under_one_timestep(capsys, plan_path):
     code, out = run_cli(capsys, "simulate", plan, "--test", "support",
                         "--duration", "0.002")
     assert code == EXIT_OK
-    assert json.loads(out)["details"]["time_s"] > 0.0
+    payload = json.loads(out)
+    assert payload["stage"] == "NONE"
+    assert payload["details"]["test"] == "support"
+    assert payload["details"]["time_s"] > 0.0
 
 
 def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
@@ -301,16 +316,28 @@ def test_unplaceable_plan_reports_position_stage(capsys, tmp_path):
 
 
 def test_pipeline_scripted(capsys, tmp_path, response_text):
+    """A run prints its verdicts, never the trajectory; with ``--catalog``
+    an empty catalog is the one used, not the default, so the golden
+    hammer names objects it lacks and stops at FORMAT."""
     responses = tmp_path / "responses"
     responses.mkdir()
     (responses / "01.txt").write_text(response_text("hammer_valid_1"))
-    code, out = run_cli(capsys, "pipeline", "--category", "hammer",
-                        "--responses", str(responses))
+    argv = ["pipeline", "--category", "hammer", "--responses", str(responses)]
+    code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
+    assert '"trajectory"' not in out
     payload = json.loads(out)
     assert payload["status"] == "success"
     assert payload["llm_calls"] == 1
     assert payload["classification"] == "Success"
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text('{"objects": []}')
+    code, out = run_cli(capsys, *argv, "--policy", "NONE",
+                        "--catalog", str(catalog))
+    assert code == EXIT_INVALID
+    payload = json.loads(out)
+    assert payload["failure_stage"] == "FORMAT"
+    assert payload["attempts"][-1]["reason"] == "UnknownObject"
 
 
 def test_pipeline_needs_a_client(capsys):
@@ -427,12 +454,13 @@ def test_batch_keeps_every_row_past_a_deeply_nested_answer(capsys, tmp_path,
          "failure_stage": "NONE", "failure_reason": ""}]
 
 
-def test_validate_deeply_nested_json(capsys, tmp_path):
+def test_validate_deeply_nested_json(caplog, capsys, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 600 + "]" * 600)
     code, out = run_cli(capsys, "validate", str(deep))
     assert code == EXIT_INVALID
     assert json.loads(out)["details"]["errors"][0]["code"] == "JsonSyntaxError"
+    assert "Traceback" not in caplog.text
 
 
 def test_batch_rejects_fewer_than_one_job(tmp_path):
@@ -554,13 +582,20 @@ def test_validate_rejects_a_catalog_that_is_not_utf8(caplog, plan_path,
 
 def test_validate_rejects_catalog_dims_that_are_not_numbers(caplog, plan_path,
                                                             tmp_path):
+    """So is a catalog whose objects are not a list: each is a named
+    error, exit 1, with no traceback."""
     catalog = tmp_path / "catalog.json"
-    catalog.write_text(json.dumps({"objects": [
-        {"id": "CUBOID_BAD", "shape": "CUBOID", "dims": "abc"}]}))
-    code = main(["validate", str(plan_path("hammer_valid_1")),
-                 "--catalog", str(catalog)])
-    assert code == EXIT_INVALID
-    assert "ParseError" in caplog.text and "CUBOID_BAD" in caplog.text
+    for objects, named in (
+            ([{"id": "CUBOID_BAD", "shape": "CUBOID", "dims": "abc"}],
+             "CUBOID_BAD"),
+            (5, '{"objects": [...]}')):
+        catalog.write_text(json.dumps({"objects": objects}))
+        caplog.clear()
+        code = main(["validate", str(plan_path("hammer_valid_1")),
+                     "--catalog", str(catalog)])
+        assert code == EXIT_INVALID
+        assert "ParseError" in caplog.text and named in caplog.text
+        assert "Traceback" not in caplog.text
 
 
 @pytest.mark.parametrize("object_id", ["cuboid_100x100x100",
@@ -571,14 +606,16 @@ def test_validate_finds_catalog_ids_that_are_not_canonical(capsys, tmp_path,
     catalog.write_text(json.dumps({"objects": [
         {"id": object_id, "shape": "CUBOID", "dims": [100, 100, 100]}]}))
     plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps([{
-        "Name": "BLOCK_1", "Available_obj": object_id,
-        "Orientation": [100, 100, 100], "Modifications": [],
-        "Connections": [], "exec_function": False}]))
-    code, out = run_cli(capsys, "validate", str(plan),
-                        "--catalog", str(catalog))
-    assert json.loads(out) == PASSED
-    assert code == EXIT_OK
+    # the plan names the id as the catalog spells it, then canonically
+    for token in (object_id, "CUBOID_100X100X100"):
+        plan.write_text(json.dumps([{
+            "Name": "BLOCK_1", "Available_obj": token,
+            "Orientation": [100, 100, 100], "Modifications": [],
+            "Connections": [], "exec_function": False}]))
+        code, out = run_cli(capsys, "validate", str(plan),
+                            "--catalog", str(catalog))
+        assert json.loads(out) == PASSED
+        assert code == EXIT_OK
 
 
 def test_metrics_on_a_face_less_obj_is_a_usage_error(caplog, capsys,

@@ -99,9 +99,8 @@ def test_compile_craft_hammer_single_body(build_fixture):
     assert craft.watches == []
 
 
-def test_hammer_hit_succeeds(build_fixture):
-    plan, asm = build_fixture("hammer_valid_1")
-    outcome = run_functional_test("hit", asm, plan)
+def test_hammer_hit_succeeds(category_outcome):
+    outcome = category_outcome("hammer_valid_1")
     assert outcome.test == "hit"
     assert outcome.success
     assert outcome.failure_reason is None
@@ -111,18 +110,20 @@ def test_hammer_hit_succeeds(build_fixture):
     assert d["success"] is True
 
 
-def test_detached_head_separates(build_fixture):
-    plan, asm = build_fixture("hammer_detached")
-    outcome = run_functional_test("hit", asm, plan)
+def test_detached_head_separates(category_outcome):
+    outcome = category_outcome("hammer_detached")
+    assert outcome.test == "hit"
     assert not outcome.success
     assert outcome.failure_reason == PART_SEPARATED
     assert outcome.time < 1.0
 
 
-def test_floating_wheels_touch_ground(build_fixture):
-    plan, asm = build_fixture("skateboard_floating")
-    outcome = run_functional_test(
-        "rolling", asm, plan, SimConfig(duration=1.0))
+def test_floating_wheels_touch_ground(category_outcome):
+    # the run ends when a wheel touches the ground, before 1 s, so the
+    # default run's outcome is the one a 1 s run gives
+    outcome = category_outcome("skateboard_floating")
+    assert outcome.test == "rolling"
+    assert outcome.time < 1.0
     assert not outcome.success
     assert outcome.failure_reason == NEW_GROUND_CONTACT
     assert outcome.details["part"].startswith("WHEEL")
@@ -160,9 +161,9 @@ def test_hit_stops_at_duration_without_drive(build_fixture):
     assert outcome.failure_reason == PEG_MISSED
 
 
-def test_trajectory_tracing(build_fixture):
-    plan, asm = build_fixture("hammer_valid_1")
-    outcome = run_functional_test("hit", asm, plan)
+def test_trajectory_tracing(category_outcome):
+    outcome = category_outcome("hammer_valid_1")
+    assert outcome.test == "hit"
     assert outcome.trajectory
     t0 = outcome.trajectory[0]
     assert "t" in t0 and "parts" in t0
