@@ -1,6 +1,6 @@
 """Run the three functional simulation tests on golden crafts.
 
-Run:  python3 demos/03_simulate.py   (takes a minute or two)
+Run:  python3 demos/03_simulate.py
 """
 
 from craftkit import build_assembly, default_catalog

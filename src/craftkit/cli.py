@@ -88,10 +88,8 @@ def cmd_build(args):
 
 
 def cmd_simulate(args):
-    config = SimConfig()
-    if args.duration is not None:
-        config.duration = args.duration
-    payload, _, outcome = _evaluate(args, args.test, config)
+    payload, _, outcome = _evaluate(args, args.test,
+                                    SimConfig(duration=args.duration))
     if outcome is not None and args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(outcome.trajectory, fh)
@@ -284,7 +282,7 @@ def build_parser():
     p.add_argument("--test", required=True,
                    choices=list(TESTS))
     p.add_argument("--catalog")
-    p.add_argument("--duration", type=_duration,
+    p.add_argument("--duration", type=_duration, default=SimConfig.duration,
                    help="simulated seconds, at least one timestep "
                         f"({SimConfig.timestep} s)")
     p.add_argument("--trace", help="write the trajectory to this file")

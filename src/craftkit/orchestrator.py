@@ -33,7 +33,7 @@ from .errors import (
     PlacementError,
     Unplaceable,
 )
-from .physics import SimConfig, run_functional_test
+from .physics import run_functional_test
 from .plan import FormatReport, normalize_raw, parse_plan
 
 # failure stages
@@ -155,8 +155,10 @@ class HttpClient(LlmClient):
         try:
             resp = requests.post(self.endpoint, json=payload,
                                  headers=headers, timeout=HTTP_TIMEOUT_S)
-            if 400 <= resp.status_code < 500:
-                # the request itself is at fault; sending it again cannot help
+            # a 4xx faults the request itself and a retry cannot help, but
+            # 408 Request Timeout and 429 Too Many Requests ask for one
+            if 400 <= resp.status_code < 500 \
+                    and resp.status_code not in (408, 429):
                 raise ClientError(
                     f"HTTP {resp.status_code} from {self.endpoint}",
                     retryable=False)
@@ -368,7 +370,7 @@ def _call(client, prompt):
 
 
 def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
-                 sim_config=None, verdicts=None) -> PipelineResult:
+                 verdicts=None) -> PipelineResult:
     """Prompt, validate, and re-prompt within the policy's budget.
 
     Budgets: NONE issues a single call; FRESH retries the identical prompt
@@ -379,10 +381,11 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
     functional test is not judged again: its attempt gets a copy of that
     verdict, as verdicts are deterministic.
     ``verdicts`` is that memo, a dict from ``(functional, plan)`` to a
-    Future of ``judge_plan``'s verdict; by default each call starts an
-    empty one.  A caller may share one dict across calls, from several
-    threads too, as long as they all use the same catalog and sim_config:
-    a thread that meets a plan another is judging waits for its verdict.
+    Future of ``judge_plan``'s verdict, simulated at the default
+    ``SimConfig``; by default each call starts an empty one.  A caller may
+    share one dict across calls, from several threads too, as long as they
+    all use the same catalog: a thread that meets a plan another is
+    judging waits for its verdict.
     Results that reuse a verdict share its ``assembly`` and ``outcome``
     objects, so treat those as read-only.  A client that still fails
     after its retries, or fails in a way a retry cannot mend, ends the run
@@ -399,8 +402,6 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
         raise ValueError(f"unknown category {category!r}")
     if catalog is None:
         catalog = default_catalog()
-    if sim_config is None:
-        sim_config = SimConfig()
 
     result = PipelineResult(category=category)
     retried = set()  # FEEDBACK retries: one before the simulation, one in it
@@ -428,8 +429,7 @@ def run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=None,
             judged = verdicts.setdefault((functional, plan), pending)
             if judged is pending:
                 try:
-                    pending.set_result(judge_plan(plan, catalog, functional,
-                                                  sim_config))
+                    pending.set_result(judge_plan(plan, catalog, functional))
                 except BaseException as exc:
                     pending.set_exception(exc)
                     raise

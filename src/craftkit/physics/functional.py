@@ -52,14 +52,14 @@ MAX_VEER = 0.03  # sideways drift allowed by the time rolling covers its goal
 
 @dataclass
 class SimConfig:
-    """The run, ``timestep`` and ``duration`` in seconds, which the CLI and
-    the tests set.  Three class constants go with it: ``trace_every`` steps
-    per snapshot and the rolling goal, ``min_rotation`` radians and
-    ``min_distance`` metres, which the benchmark reads from an instance.
-    The other loads and thresholds are the constants above; the solver's
-    settings are constants in ``engine``."""
-    timestep: float = 1.0 / 500.0
+    """The run's ``duration`` in seconds, its one field.  Four class
+    constants go with it: the ``timestep`` in seconds, ``trace_every``
+    steps per snapshot and the rolling goal, ``min_rotation`` radians and
+    ``min_distance`` metres, which the benchmark reads from an instance; a
+    study sets them on the class.  The other loads and thresholds are the
+    constants above; the solver's settings are constants in ``engine``."""
     duration: float = 5.0
+    timestep: ClassVar[float] = 1.0 / 500.0
     trace_every: ClassVar[int] = 25
     min_rotation: ClassVar[float] = 2.0 * math.pi
     min_distance: ClassVar[float] = 0.1
@@ -162,10 +162,11 @@ def _local(point, body: RigidBody):
     return tuple(p - x for p, x in zip(point, body.x))
 
 
-def compile_craft(assembly: Assembly, timestep: float) -> CompiledCraft:
-    """The assembly's rigid bodies, joints and watches, built at the plan's
-    own positions and then lifted to rest on the ground."""
-    world = World(timestep)
+def compile_craft(assembly: Assembly) -> CompiledCraft:
+    """The assembly's rigid bodies, joints and watches, in a world of
+    ``SimConfig.timestep``, built at the plan's own positions and then
+    lifted to rest on the ground."""
+    world = World(SimConfig.timestep)
     clusters = connected_groups(
         list(assembly.placed),
         [(a, b) for a, b, conn in assembly.graph if conn.joint_type == "FIXED"])
@@ -299,7 +300,7 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     craft_com = _com_reader(craft)
     start_com = craft_com()
     veer_at_goal = None
-    dt = config.timestep
+    dt = craft.world.timestep
 
     def before_step():
         point = push_body.world_point(push_local)
@@ -530,25 +531,23 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
                         config: SimConfig | None = None) -> SimOutcome:
     """Compile the assembly and run the functional test ``kind`` on it.
 
-    The run is ``round(duration / timestep)`` steps, with a snapshot
-    every ``trace_every`` of them.  A test's own verdict in a step goes
-    ahead of the shared checks.  Raises ValueError for an unknown ``kind``,
-    and for a config whose run is not a finite number of steps, at least
-    one: a timestep that is not positive, or a duration under one timestep
-    (NaN included) or not finite.
+    The run is ``round(duration / SimConfig.timestep)`` steps, with a
+    snapshot every ``trace_every`` of them.  A test's own verdict in a step
+    goes ahead of the shared checks.  Raises ValueError for an unknown
+    ``kind``, and for a duration under one timestep (NaN included) or not
+    finite.
     """
     try:
         setup = TESTS[kind]
     except KeyError:
         raise ValueError(f"unknown functional test {kind!r}") from None
     config = config or SimConfig()
-    if not config.timestep > 0.0:
-        raise ValueError(f"timestep must be positive, got {config.timestep}")
-    if not config.timestep <= config.duration < math.inf:
+    step = SimConfig.timestep
+    if not step <= config.duration < math.inf:
         raise ValueError("duration must be finite and at least one timestep "
-                         f"({config.timestep} s), got {config.duration}")
-    n_steps = int(round(config.duration / config.timestep))
-    craft = compile_craft(assembly, config.timestep)
+                         f"({step} s), got {config.duration}")
+    n_steps = int(round(config.duration / step))
+    craft = compile_craft(assembly)
     world = craft.world
     before_step, after_step, finish = setup(craft, assembly, plan, config)
     trajectory = [_snapshot(craft, 0.0)]

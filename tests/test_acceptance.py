@@ -35,8 +35,6 @@ from craftkit.plan import OrientationSpec, PartSpec, normalize_raw, parse_plan
 from conftest import all_fixture_names
 from material_oracle import base_contains
 
-FAST_SIM = SimConfig(duration=1.0)
-
 
 @pytest.fixture
 def criterion(request):
@@ -395,32 +393,32 @@ def test_criterion_7_orchestration(criterion, catalog, response_text,
         # NONE: exactly one call, regardless of outcome
         client = ScriptedClient([bad_fmt, ok])
         res = run_pipeline("hammer", client, policy=POLICY_NONE,
-                           catalog=catalog, sim_config=FAST_SIM)
+                           catalog=catalog)
         assert res.llm_calls == 1 and res.status == "failed"
 
         # FRESH: identical history-free prompts, hard cap of three calls
         client = ScriptedClient([bad_fmt] * 5)
         res = run_pipeline("hammer", client, policy=POLICY_FRESH,
-                           catalog=catalog, sim_config=FAST_SIM)
+                           catalog=catalog)
         assert res.llm_calls == 3 and res.status == "failed"
         assert len(set(client.prompts)) == 1
 
         # FEEDBACK: one pre-simulation retry ...
         client = ScriptedClient([bad_fmt, bad_fmt2, ok])
         res = run_pipeline("hammer", client, policy=POLICY_FEEDBACK,
-                           catalog=catalog, sim_config=FAST_SIM)
+                           catalog=catalog)
         assert res.llm_calls == 2 and res.status == "failed"
         # ... plus one simulation retry, never more than three calls
         client = ScriptedClient([bad_fmt, detached, ok])
         res = run_pipeline("hammer", client, policy=POLICY_FEEDBACK,
-                           catalog=catalog, sim_config=FAST_SIM)
+                           catalog=catalog)
         assert res.llm_calls == 3 and res.status == "success"
 
         # determinism: identical scripts give identical results
         def once():
             c = ScriptedClient([detached, ok])
             return run_pipeline("hammer", c, policy=POLICY_FEEDBACK,
-                                catalog=catalog, sim_config=FAST_SIM)
+                                catalog=catalog)
 
         assert json.dumps(once().to_dict(), sort_keys=True) == \
             json.dumps(once().to_dict(), sort_keys=True)

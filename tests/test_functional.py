@@ -29,20 +29,19 @@ from conftest import all_fixture_names
 
 
 def test_sim_config_fields_are_pinned():
-    """The run, nothing else: the snapshot spacing and the rolling goal are
-    class constants, the other loads and thresholds are ``functional``
+    """The run's duration, nothing else: the timestep, the snapshot spacing
+    and the rolling goal are class constants, the other loads and thresholds are ``functional``
     constants and the solver's settings are engine constants, so a new
     knob shows up here."""
-    assert [f.name for f in fields(SimConfig)] == ["timestep", "duration"]
+    assert [f.name for f in fields(SimConfig)] == ["duration"]
     config = SimConfig()
-    assert (config.trace_every, config.min_rotation, config.min_distance) \
-        == (25, 2.0 * math.pi, 0.1)
+    assert (config.timestep, config.trace_every, config.min_rotation,
+            config.min_distance) == (1.0 / 500.0, 25, 2.0 * math.pi, 0.1)
 
 
 def test_compile_craft_skateboard_structure(build_fixture):
     _, asm = build_fixture("skateboard_valid_1")
-    cfg = SimConfig()
-    craft = compile_craft(asm, cfg.timestep)
+    craft = compile_craft(asm)
     # deck + supports + axles fuse into one body, each wheel spins freely
     assert len(craft.world.bodies) == 5
     deck_body, _ = craft.parts["DECK_1"]
@@ -68,8 +67,7 @@ def test_a_compiled_craft_falls_at_earth_gravity_in_plan_metres(
     the ground, so a lifted craft falls 9.81 m/s^2 of the plan's metres:
     symplectic Euler's g dt^2 n (n + 1) / 2 after n steps."""
     _, asm = build_fixture("hammer_valid_1")
-    config = SimConfig()
-    craft = compile_craft(asm, config.timestep)
+    craft = compile_craft(asm)
     lift = -asm.min_z()
     for name, placed in asm.placed.items():
         body, shape = craft.parts[name]
@@ -81,7 +79,7 @@ def test_a_compiled_craft_falls_at_earth_gravity_in_plan_metres(
     x, y, z = body.x
     z0 = z + 1.0
     body.x = (x, y, z0)
-    n, dt = 100, config.timestep
+    n, dt = 100, SimConfig.timestep
     for _ in range(n):
         assert craft.world.step() == []
     assert z0 - body.x[2] == pytest.approx(
@@ -91,7 +89,7 @@ def test_a_compiled_craft_falls_at_earth_gravity_in_plan_metres(
 
 def test_compile_craft_hammer_single_body(build_fixture):
     _, asm = build_fixture("hammer_valid_1")
-    craft = compile_craft(asm, SimConfig().timestep)
+    craft = compile_craft(asm)
     assert len(craft.world.bodies) == 1
     body = craft.world.bodies[0]
     assert body.mass == pytest.approx(20.0)
@@ -141,15 +139,13 @@ def test_a_config_with_no_step_or_no_snapshot_spacing_is_rejected(
     # the CLI's rule: a run is finite and at least one timestep long
     for config in (SimConfig(duration=0.0009), SimConfig(duration=0.0011),
                    SimConfig(duration=0.0019), SimConfig(duration=0.0),
-                   SimConfig(duration=math.nan), SimConfig(duration=math.inf),
-                   SimConfig(timestep=math.inf, duration=math.inf),
-                   SimConfig(timestep=0.0), SimConfig(timestep=-0.002)):
+                   SimConfig(duration=math.nan), SimConfig(duration=math.inf)):
         with pytest.raises(ValueError):
             run_functional_test("support", asm, plan, config)
     # one step runs, and its end is the outcome's time
     outcome = run_functional_test("support", asm, plan,
                                   SimConfig(duration=0.002))
-    assert outcome.time == SimConfig().timestep
+    assert outcome.time == SimConfig.timestep
 
 
 def test_hit_stops_at_duration_without_drive(build_fixture):
@@ -193,7 +189,7 @@ def test_golden_clusters_and_body_ids(build_fixture):
     for category, want in GOLDEN_BODIES.items():
         for i in (1, 2, 3):
             _, asm = build_fixture(f"{category}_valid_{i}")
-            bodies = compile_craft(asm, SimConfig().timestep).world.bodies
+            bodies = compile_craft(asm).world.bodies
             assert [b.id for b in bodies] == \
                 [f"body{k}" for k in range(len(want))]
             assert [[p.name for p in b.parts] for b in bodies] == want
@@ -210,7 +206,7 @@ def test_rotation_is_computed_once_per_moving_body_and_step(
         build_fixture, monkeypatch):
     plan, asm = build_fixture("skateboard_valid_2")
     config = SimConfig(duration=1.0)
-    n_bodies = len(compile_craft(asm, config.timestep).world.bodies)
+    n_bodies = len(compile_craft(asm).world.bodies)
     calls = []
     original = engine.quat_to_matrix
 
@@ -277,7 +273,7 @@ def test_no_step_builds_a_numpy_array(build_fixture, monkeypatch):
             assert run_functional_test("hit", asm, plan).success
             assert axes
         else:
-            world = compile_craft(asm, SimConfig().timestep).world
+            world = compile_craft(asm).world
             for _ in range(5):
                 assert world.step()
         assert bool(overlaps) is tested
@@ -289,7 +285,7 @@ def test_lifted_lying_cylinders_are_rejected_before_any_rim_point(
     _, asm = build_fixture("skateboard_valid_2")
 
     def lifted_world(dz):
-        world = compile_craft(asm, SimConfig().timestep).world
+        world = compile_craft(asm).world
         for body in world.bodies:
             x, y, z = body.x
             body.x = (x, y, z + dz)

@@ -32,11 +32,9 @@ from craftkit.orchestrator import (
     load_template,
     run_pipeline,
 )
-from craftkit.physics import SimConfig, functional
+from craftkit.physics import functional
 
 from conftest import all_fixture_names, respelled
-
-FAST_SIM = SimConfig(duration=1.0)
 
 
 @pytest.fixture(autouse=True)
@@ -82,6 +80,13 @@ def test_a_category_without_a_template_gets_no_example(category, catalog):
     assert "Example of a valid plan" not in prompt
 
 
+@pytest.mark.parametrize("category", [
+    c for c in sorted(load_heuristics()) if load_template(c) is not None])
+def test_a_category_example_is_its_first_golden(category, fixture_raw):
+    # the prompt shows a plan the gate passes, kept equal to the fixture
+    assert load_template(category) == fixture_raw(f"{category}_valid_1")
+
+
 def test_scripted_client_replay_and_exhaustion():
     client = ScriptedClient(["one", "two"])
     assert client.complete("p1") == "one"
@@ -124,7 +129,7 @@ def test_exhausted_client_is_a_classified_failure(catalog, response_text,
                                                   sleeps):
     client = ScriptedClient([response_text("hammer_invalid_1")])
     result = run_pipeline("hammer", client, policy=POLICY_FEEDBACK,
-                          catalog=catalog, sim_config=FAST_SIM)
+                          catalog=catalog)
     assert result.status == "failed"
     assert result.failure_stage == STAGE_CLIENT
     assert result.llm_calls == 1
@@ -178,6 +183,23 @@ def test_http_client_retries_server_errors_only(status, expected_posts,
     assert len(posts) == expected_posts
     # a wait between attempts, none after the last one
     assert sleeps == [0.5, 1.0][:expected_posts - 1]
+
+
+@pytest.mark.parametrize("status", [408, 429])
+def test_http_client_retries_a_timeout_or_a_rate_limit(status, monkeypatch,
+                                                       catalog, sleeps):
+    """408 Request Timeout and 429 Too Many Requests ask for another try,
+    unlike every other 4xx."""
+    posts = []
+    monkeypatch.setitem(sys.modules, "requests",
+                        _fake_requests([status], posts))
+    client = HttpClient("http://localhost:9/v1/chat", "m")
+    result = run_pipeline("hammer", client, policy=POLICY_NONE,
+                          catalog=catalog)
+    assert result.failure_stage == STAGE_CLIENT
+    assert str(status) in result.attempts[-1].verdict.details["message"]
+    assert len(posts) == MAX_CLIENT_RETRIES
+    assert sleeps == [0.5, 1.0]
 
 
 def test_http_client_backs_off_between_server_errors(monkeypatch, catalog,
@@ -387,8 +409,7 @@ def test_feedback_names_the_reason_and_the_parts(
     its stage, its reason and the parts at fault."""
     client = ScriptedClient(
         [fixture_raw(first) if first else UNPLACEABLE, "[]"])
-    run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=catalog,
-                 sim_config=FAST_SIM)
+    run_pipeline(category, client, policy=POLICY_FEEDBACK, catalog=catalog)
     feedback = client.prompts[1].split(
         "The validator reported:\n", 1)[1].rsplit("\nReturn a corrected", 1)
     sent = json.loads(feedback[0])
@@ -400,7 +421,7 @@ def test_policy_none_single_call(catalog, response_text):
     client = ScriptedClient([response_text("hammer_invalid_1"),
                              response_text("hammer_valid_1")])
     result = run_pipeline("hammer", client, policy=POLICY_NONE,
-                          catalog=catalog, sim_config=FAST_SIM)
+                          catalog=catalog)
     assert result.llm_calls == 1
     assert result.status == "failed"
     assert result.failure_stage == STAGE_FORMAT
@@ -411,7 +432,7 @@ def test_policy_fresh_retries_with_identical_prompt(catalog, response_text):
                              response_text("hammer_invalid_2"),
                              response_text("hammer_valid_1")])
     result = run_pipeline("hammer", client, policy=POLICY_FRESH,
-                          catalog=catalog, sim_config=FAST_SIM)
+                          catalog=catalog)
     assert result.status == "success"
     assert result.llm_calls == 3
     # no history: every prompt identical, no feedback section
@@ -422,7 +443,7 @@ def test_policy_fresh_retries_with_identical_prompt(catalog, response_text):
 def test_policy_fresh_caps_at_three_calls(catalog, response_text):
     client = ScriptedClient([response_text("hammer_invalid_1")] * 5)
     result = run_pipeline("hammer", client, policy=POLICY_FRESH,
-                          catalog=catalog, sim_config=FAST_SIM)
+                          catalog=catalog)
     assert result.llm_calls == 3
     assert result.status == "failed"
 
@@ -431,7 +452,7 @@ def test_policy_feedback_reports_verbatim(catalog, response_text):
     client = ScriptedClient([response_text("hammer_invalid_1"),
                              response_text("hammer_valid_1")])
     result = run_pipeline("hammer", client, policy=POLICY_FEEDBACK,
-                          catalog=catalog, sim_config=FAST_SIM)
+                          catalog=catalog)
     assert result.status == "success"
     assert result.llm_calls == 2
     # the second prompt embeds the first attempt's verdict verbatim
@@ -444,7 +465,7 @@ def test_policy_feedback_one_pre_sim_retry(catalog, response_text):
                              response_text("hammer_invalid_2"),
                              response_text("hammer_valid_1")])
     result = run_pipeline("hammer", client, policy=POLICY_FEEDBACK,
-                          catalog=catalog, sim_config=FAST_SIM)
+                          catalog=catalog)
     # one pre-simulation retry only: stops after the second format failure
     assert result.llm_calls == 2
     assert result.status == "failed"
@@ -458,7 +479,7 @@ def test_policy_feedback_sim_retry_budget(catalog, response_text):
     ]
     client = ScriptedClient(responses)
     result = run_pipeline("hammer", client, policy=POLICY_FEEDBACK,
-                          catalog=catalog, sim_config=FAST_SIM)
+                          catalog=catalog)
     assert result.status == "success"
     assert result.llm_calls == 3
     stages = [a.verdict.stage for a in result.attempts]
@@ -479,7 +500,7 @@ def test_client_error_retried_without_consuming_budget(catalog, response_text):
 
     client = FlakyClient([response_text("hammer_valid_1")])
     result = run_pipeline("hammer", client, policy=POLICY_NONE,
-                          catalog=catalog, sim_config=FAST_SIM)
+                          catalog=catalog)
     assert result.status == "success"
     assert result.llm_calls == 1
 
@@ -489,7 +510,7 @@ def test_pipeline_deterministic(catalog, response_text):
         client = ScriptedClient([response_text("hammer_detached"),
                                  response_text("hammer_valid_1")])
         return run_pipeline("hammer", client, policy=POLICY_FEEDBACK,
-                            catalog=catalog, sim_config=FAST_SIM)
+                            catalog=catalog)
 
     a, b = run(), run()
     assert json.dumps(a.to_dict(), sort_keys=True) == \
@@ -516,7 +537,7 @@ def test_an_empty_catalog_is_not_replaced_by_the_default(response_text):
     a plan naming any object fails FORMAT against it."""
     client = ScriptedClient([response_text("hammer_valid_1")])
     result = run_pipeline("hammer", client, policy=POLICY_NONE,
-                          catalog=Catalog([]), sim_config=FAST_SIM)
+                          catalog=Catalog([]))
     assert result.failure_stage == STAGE_FORMAT
     codes = {e["code"] for e in result.attempts[0].verdict.details["errors"]}
     assert codes == {"UnknownObject"}
@@ -556,7 +577,7 @@ def test_a_run_judges_each_distinct_plan_once(
     raws = [spell(fixture_raw(name)) for spell in spellings]
     category = name.split("_", 1)[0]
     result = run_pipeline(category, ScriptedClient(raws), policy=policy,
-                          catalog=catalog, sim_config=FAST_SIM)
+                          catalog=catalog)
     assert len(calls) == runs
     # every answer is still called for, counted and recorded
     assert result.llm_calls == len(raws)
@@ -566,7 +587,7 @@ def test_a_run_judges_each_distinct_plan_once(
     assert len({id(v) for v in verdicts}) == len(verdicts)
     for attempt in result.attempts:
         stage, verdict, *_ = evaluate_plan_text(
-            attempt.raw, catalog, category_function(category), FAST_SIM)
+            attempt.raw, catalog, category_function(category))
         assert (attempt.verdict.stage, attempt.verdict) == (stage, verdict)
 
 
