@@ -186,9 +186,9 @@ def _check_surface_contact(part: PlacedPart, target: PlacedPart, conn):
 
 
 def _check_inserted_contact(part: PlacedPart, target: PlacedPart, conn):
+    # parse_plan rejects a connection to a modification its target lacks,
+    # and _make_solids carves every modification
     hole = target.solid.hole(conn.to_modification)
-    if hole is None:
-        return f"{conn.to_modification!r} missing on {conn.to_part!r}"
     ax = hole.axis
     center, pc = target.hole_center(hole), part.position
     for t in TRANSVERSE[ax]:

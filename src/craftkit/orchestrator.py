@@ -7,8 +7,9 @@ runs the two in turn.  A pipeline run parses every answer but judges each
 distinct plan once per functional test: an answer whose plan equals one
 already judged reuses that verdict.  The memo of verdicts lives for one run
 unless the caller passes one in; ``craftkit batch`` shares one across the
-jobs of a batch.  Clients are pluggable; the scripted client replays canned
-responses so the whole pipeline runs offline and deterministically.
+jobs of a batch.  A client is any object with ``complete(prompt) -> str``;
+the scripted client replays canned responses so the whole pipeline runs
+offline and deterministically.
 """
 
 from __future__ import annotations
@@ -120,14 +121,7 @@ def build_prompt(category, catalog: Catalog, feedback=None) -> str:
     return "\n".join(lines)
 
 
-class LlmClient:
-    """Interface: complete(prompt) returns the raw model text."""
-
-    def complete(self, prompt: str) -> str:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class HttpClient(LlmClient):
+class HttpClient:
     """Chat-completions style HTTP client, at HTTP_TEMPERATURE and
     HTTP_TIMEOUT_S."""
 
@@ -173,7 +167,7 @@ class HttpClient(LlmClient):
             raise ClientError(str(exc)) from exc
 
 
-class ScriptedClient(LlmClient):
+class ScriptedClient:
     """Replays canned responses in order; used for tests and demos.
 
     Accepts either a list of strings or a directory of numbered files

@@ -346,7 +346,9 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
             return INSUFFICIENT_ROTATION, details
         if dx < config.min_distance:
             return INSUFFICIENT_DISTANCE, details
-        if veer_at_goal is None or veer_at_goal > MAX_VEER:
+        # after_step has set veer_at_goal by now: its last call saw this
+        # pose, and dx >= min_distance
+        if veer_at_goal > MAX_VEER:
             return VEERED, details
         return None, details
 
@@ -355,7 +357,11 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
 
 def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
                   config: SimConfig):
-    """Press down on the top of every exec part; nothing may move."""
+    """Press down on the top of every exec part; nothing may move.
+
+    The test fails on the largest part-centre displacement from the start.
+    Every part weighs the same, so the craft's centre of mass moves by the
+    mean of those displacements and never further than the largest."""
     exec_parts = [p.name for p in plan.parts if p.exec_function]
     # (body, load point in its frame) per exec part
     loads = []
@@ -367,8 +373,6 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     # (body, centre in its frame, world centre at the start) per part
     centres = [(body, part.local_center, body.world_point(part.local_center))
                for body, part in craft.parts.values()]
-    craft_com = _com_reader(craft)
-    start_com = craft_com()
     max_disp = 0.0
 
     def before_step():
@@ -376,9 +380,9 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
             body.apply_force(load, body.world_point(point))
 
     def after_step(contacts):
-        # each part centre's and the COM's distance from the start, the
-        # centres as world_point gives them, in straight-line float code;
-        # a larger one replaces max_disp, as max(max_disp, d) does
+        # each part centre's distance from the start, the centres as
+        # world_point gives them, in straight-line float code; a larger one
+        # replaces max_disp, as max(max_disp, d) does
         nonlocal max_disp
         for body, (px, py, pz), (sx, sy, sz) in centres:
             (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = body.rot
@@ -389,11 +393,6 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
             if d > max_disp:
                 max_disp = d
-        (x, y, z), (sx, sy, sz) = craft_com(), start_com
-        dx, dy, dz = x - sx, y - sy, z - sz
-        d = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if d > max_disp:
-            max_disp = d
         return None
 
     def finish():

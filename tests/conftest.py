@@ -1,4 +1,5 @@
 import functools
+import types
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,32 @@ def fenced(text):
 def respelled(text):
     """The same plan in lower case, with hyphens and a code fence."""
     return fenced(text.lower().replace("_", "-"))
+
+
+def fake_requests(statuses, posts):
+    """A stand-in ``requests`` module whose posts answer with ``statuses``
+    in turn, the last one repeated."""
+
+    class RequestException(Exception):
+        pass
+
+    class Response:
+        def __init__(self, status):
+            self.status_code = status
+
+        def raise_for_status(self):
+            if self.status_code >= 400:
+                raise RequestException(f"HTTP {self.status_code}")
+
+        def json(self):
+            return {"choices": [{"message": {"content": "[]"}}]}
+
+    def post(url, **kwargs):
+        posts.append(url)
+        return Response(statuses[min(len(posts), len(statuses)) - 1])
+
+    return types.SimpleNamespace(post=post,
+                                 RequestException=RequestException)
 
 
 @functools.cache

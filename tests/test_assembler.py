@@ -229,36 +229,104 @@ def test_collision_report_digest_of_buildable_fixtures():
     pins.assert_holds("collision_report")
 
 
+def _part(name, obj, orientation, modifications=(), connections=()):
+    return {"Name": name, "Available_obj": obj, "Orientation": orientation,
+            "Modifications": list(modifications),
+            "Connections": list(connections), "exec_function": False}
+
+
+def _z_hole(name, align_x="CENTER"):
+    return {"Name": name, "Type": "HOLE", "Align_x": align_x,
+            "Align_y": "CENTER", "Align_z": "HIGH_LOW_FULL"}
+
+
+def _on(to_part, face, align_x="CENTER"):
+    return {"to_part": to_part, "contact_type": "Surface", "to_face": face,
+            "align_x": align_x, "align_y": "CENTER", "align_z": "CENTER"}
+
+
+def _into(to_part, modification):
+    return {"to_part": to_part, "contact_type": "Inserted",
+            "to_modification": modification}
+
+
 def test_inconsistent_second_connection(catalog, fixture_raw):
     doc = json.loads(fixture_raw("bookshelf_valid_1"))
     for entry in doc:
         if entry["Name"] == "SHELF_2":
             entry["Connections"][1]["to_face"] = "TOP"
-    plan, report = parse_plan(normalize_raw(json.dumps(doc)), catalog)
-    assert plan is not None, report.errors
-    with pytest.raises(InconsistentConnection):
-        build_assembly(plan, catalog)
+    cube = ("CUBOID_100X100X100", [100, 100, 100])
+    cases = [
+        (doc, "faces are 0.135 m apart"),
+        # TOP_1 sits on SIDE_1 at its far end, level with BASE_1's top
+        ([_part("BASE_1", *cube),
+          _part("SIDE_1", *cube, connections=[_on("BASE_1", "BACK")]),
+          _part("TOP_1", "CUBOID_50X50X20", [50, 50, 20], connections=[
+              _on("SIDE_1", "BOTTOM", align_x="FRONT"),
+              _on("BASE_1", "BOTTOM")])],
+         "no overlap on axis 0"),
+        # a peg in the middle hole cannot be in the one a quarter across
+        ([_part("BASE_1", *cube,
+                modifications=[_z_hole("HOLE_1"), _z_hole("HOLE_2", "FRONT")]),
+          _part("PEG_1", "CYLINDER_R10_L200", "TOP_BOTTOM", connections=[
+              _into("BASE_1", "HOLE_1"), _into("BASE_1", "HOLE_2")])],
+         "axis offset 0.025 m on axis 0"),
+        # nor a 100 mm peg in the middle of a 150 mm block in the block on top
+        ([_part("BASE_1", "CUBOID_150X150X150", [150, 150, 150],
+                modifications=[_z_hole("HOLE_1")]),
+          _part("STACK_1", *cube, modifications=[_z_hole("HOLE_1")],
+                connections=[_on("BASE_1", "BOTTOM")]),
+          _part("PEG_1", "CYLINDER_R10_L100", "TOP_BOTTOM", connections=[
+              _into("BASE_1", "HOLE_1"), _into("STACK_1", "HOLE_1")])],
+         "no axial overlap with the hole span"),
+    ]
+    for parts, problem in cases:
+        plan, report = parse_plan(normalize_raw(json.dumps(parts)), catalog)
+        assert plan is not None, report.errors
+        with pytest.raises(InconsistentConnection, match=problem):
+            build_assembly(plan, catalog)
 
 
 def test_hole_exceeds_owner(catalog):
-    parts = [
-        {"Name": "WHEEL_1", "Available_obj": "CYLINDER_R15_L30",
-         "Orientation": "LEFT_RIGHT",
-         "Modifications": [{"Name": "HOLE_1", "Type": "HOLE",
-                            "Align_x": "CENTER",
-                            "Align_y": "RIGHT_LEFT_FULL",
-                            "Align_z": "CENTER"}],
-         "exec_function": False},
-        {"Name": "AXLE_1", "Available_obj": "CYLINDER_R20_L100",
-         "Orientation": "LEFT_RIGHT",
-         "Connections": [{"to_part": "WHEEL_1", "contact_type": "Inserted",
-                          "to_modification": "HOLE_1"}],
-         "exec_function": False},
-    ]
-    plan, report = parse_plan(normalize_raw(json.dumps(parts)), catalog)
-    assert plan is not None, report.errors
-    with pytest.raises(HoleExceedsOwner):
-        build_assembly(plan, catalog)
+    wheel = {"Name": "HOLE_1", "Type": "HOLE", "Align_x": "CENTER",
+             "Align_y": "RIGHT_LEFT_FULL", "Align_z": "CENTER"}
+    for parts in (
+            # round holes in a wheel along its axis and in a thin block,
+            # and a square one in a drum along its axis
+            [_part("WHEEL_1", "CYLINDER_R15_L30", "LEFT_RIGHT", [wheel]),
+             _part("AXLE_1", "CYLINDER_R20_L100", "LEFT_RIGHT",
+                   connections=[_into("WHEEL_1", "HOLE_1")])],
+            [_part("BLOCK_1", "CUBOID_50X50X20", [50, 50, 20],
+                   [_z_hole("HOLE_1")]),
+             _part("PEG_1", "CYLINDER_R40_L40", "TOP_BOTTOM",
+                   connections=[_into("BLOCK_1", "HOLE_1")])],
+            [_part("DRUM_1", "CYLINDER_R15_L30", "TOP_BOTTOM",
+                   [_z_hole("HOLE_1")]),
+             _part("KEY_1", "CUBOID_30X30X30", [30, 30, 30],
+                   connections=[_into("DRUM_1", "HOLE_1")])]):
+        plan, report = parse_plan(normalize_raw(json.dumps(parts)), catalog)
+        assert plan is not None, report.errors
+        with pytest.raises(HoleExceedsOwner):
+            build_assembly(plan, catalog)
+
+
+def test_an_inserted_cuboid_gets_a_square_hole(catalog):
+    # a 30 mm key and 1 mm of clearance on each side, in a block and in a
+    # drum along its axis
+    for owner in (_part("OWNER_1", "CUBOID_100X100X100", [100, 100, 100],
+                        [_z_hole("HOLE_1")]),
+                  _part("OWNER_1", "CYLINDER_R40_L40", "TOP_BOTTOM",
+                        [_z_hole("HOLE_1")])):
+        _, asm = build_text(json.dumps([
+            owner,
+            _part("KEY_1", "CUBOID_30X30X30", [30, 30, 30],
+                  connections=[_into("OWNER_1", "HOLE_1")])]), catalog)
+        hole = asm.part("OWNER_1").solid.holes[0]
+        assert hole.radius is None
+        assert hole.half_widths == pytest.approx((0.016, 0.016), abs=1e-12)
+        (saved,) = asm.to_jsonable()["parts"][0]["solid"]["holes"]
+        assert "radius" not in saved
+        assert saved["half_widths"] == list(hole.half_widths)
 
 
 def test_half_hole_geometry(catalog):

@@ -99,6 +99,10 @@ def test_parse_catalog_strict_range():
     json.dumps({"objects": [{"id": "X_1", "shape": "CUBOID", "dims": 5}]}),
     json.dumps({"objects": [{"id": "X_1", "shape": "CUBOID",
                              "dims": [float("nan"), 20, 30]}]}),
+    json.dumps({"objects": [5]}),
+    json.dumps({"objects": [{"id": "X_1", "shape": "CUBOID"}]}),
+    json.dumps({"objects": [{"id": "X_1", "shape": "CYLINDER",
+                             "dims": [10, 20, 30]}]}),
 ])
 def test_parse_catalog_bad_payloads(payload):
     with pytest.raises(ParseError):

@@ -3,13 +3,15 @@ import io
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
 from craftkit.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from craftkit.metrics import compare_meshes
 
 import pins
-from conftest import fenced, respelled
+from conftest import fake_requests, fenced, respelled
 
 # what ``craftkit validate`` prints for a plan that passes FORMAT
 PASSED = {"stage": "NONE", "reason": None, "parts": [], "details": {}}
@@ -265,6 +267,12 @@ def test_metrics_rejects_a_negative_seed_and_a_bad_threshold(
                   flag, value])
         assert exc.value.code == EXIT_USAGE
         assert capsys.readouterr().out == ""
+    # a seed of 0 or more reaches the sampler
+    code, out = run_cli(capsys, "metrics", "--pred", obj, "--ref", obj,
+                        "--samples", "50", "--seed", "3")
+    assert code == EXIT_OK
+    assert json.loads(out) == json.loads(json.dumps(
+        compare_meshes(obj, obj, n_samples=50, seed=3).to_dict()))
 
 
 def test_simulate_rejects_a_duration_that_is_not_positive(plan_path):
@@ -351,6 +359,18 @@ def test_pipeline_needs_a_client(capsys):
         assert "usage:" in err
         for flag in ("--responses", "--endpoint", "--model"):
             assert flag in err
+
+
+def test_pipeline_asks_an_endpoint_for_a_model(capsys, monkeypatch):
+    posts = []
+    monkeypatch.setitem(sys.modules, "requests", fake_requests([200], posts))
+    code, out = run_cli(capsys, "pipeline", "--category", "hammer",
+                        "--endpoint", "http://localhost:9/v1/chat",
+                        "--model", "m", "--policy", "NONE")
+    # the fake answers "[]", a plan with no part
+    assert code == EXIT_INVALID
+    assert json.loads(out)["failure_stage"] == "FORMAT"
+    assert posts == ["http://localhost:9/v1/chat"]
 
 
 def test_pipeline_rejects_an_unknown_category(capsys, tmp_path,
@@ -793,10 +813,10 @@ def test_batch_csv_is_the_same_with_or_without_a_shared_memo(
     jobs = pins.batch_jobs()
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(jobs))
-    run_pipeline = cli.run_pipeline
+    run_pipeline, scripted = cli.run_pipeline, cli.ScriptedClient
     results = []
 
-    def batch(name, workers, share=True):
+    def batch(name, workers, share=True, plain=False):
         def pipeline(category, client, **kwargs):
             if not share:
                 kwargs.pop("verdicts", None)
@@ -804,7 +824,13 @@ def test_batch_csv_is_the_same_with_or_without_a_shared_memo(
             results.append(result.to_dict())
             return result
 
+        def client(responses):
+            # a client is any object with complete(prompt)
+            return types.SimpleNamespace(complete=scripted(responses).complete)
+
         monkeypatch.setattr(cli, "run_pipeline", pipeline)
+        monkeypatch.setattr(cli, "ScriptedClient",
+                            client if plain else scripted)
         out = tmp_path / name
         code, _ = run_cli(capsys, "batch", str(manifest), "--out", str(out),
                           "--jobs", workers)
@@ -816,4 +842,5 @@ def test_batch_csv_is_the_same_with_or_without_a_shared_memo(
     assert batch("jobs1.csv", "1") == alone
     assert results == alone_results
     assert batch("jobs2.csv", "2") == alone
+    assert batch("plain.csv", "2", plain=True) == alone
     assert len(alone.splitlines()) == 1 + len(jobs)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from craftkit.physics.engine import quat_to_matrix
 from craftkit.physics.functional import (
     HIT_DESCENT,
     HIT_HOLE_RADIUS,
+    INSUFFICIENT_ROTATION,
     NEW_GROUND_CONTACT,
     PART_SEPARATED,
     PEG_MISSED,
@@ -200,6 +201,21 @@ def test_connected_groups_follow_name_order():
     groups = connected_groups(["a", "b", "c", "d", "e"],
                               [("d", "b"), ("e", "a")])
     assert groups == [["a", "e"], ["b", "d"], ["c"]]
+
+
+def test_an_exec_part_on_the_deck_side_of_a_hinge_turns_with_its_wheel(
+        build_fixture):
+    """AXLE_1 holds WHEEL_1 on a hinge, whose ``body_a`` is the deck's: the
+    relative spin about the hinge is the same seen from either side."""
+    plan, asm = build_fixture("skateboard_valid_1")
+    parts = tuple(replace(p, exec_function=p.name in ("AXLE_1", "WHEEL_1"))
+                  for p in plan.parts)
+    outcome = run_functional_test("rolling", asm, replace(plan, parts=parts),
+                                  SimConfig(duration=0.5))
+    assert outcome.failure_reason == INSUFFICIENT_ROTATION
+    turned = outcome.details["rotation_rad"]
+    assert turned["AXLE_1"] == pytest.approx(turned["WHEEL_1"], rel=1e-6)
+    assert turned["WHEEL_1"] > 0.5
 
 
 def test_rotation_is_computed_once_per_moving_body_and_step(

@@ -12,7 +12,7 @@ import pytest
 
 import craftkit
 from craftkit import metrics
-from craftkit.errors import DegenerateExtent, MalformedObj
+from craftkit.errors import DegenerateExtent, EmptyMesh, MalformedObj
 from craftkit.meshing import export_assembly_obj, mesh_part
 from craftkit.metrics import (
     compare_assembly_to_mesh,
@@ -320,6 +320,9 @@ def test_exterior_samples_equal_the_reference_loop():
         assert got.tobytes() == want.tobytes()
         built += 1
     assert built == 22
+    # a draw of no sample is an error, not an empty point set
+    with pytest.raises(EmptyMesh, match="no exterior surface samples"):
+        sample_assembly_exterior(assembly, n_samples=0)
 
 
 CROSS_KERNEL_REPORT = """

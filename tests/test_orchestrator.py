@@ -34,7 +34,7 @@ from craftkit.orchestrator import (
 )
 from craftkit.physics import functional
 
-from conftest import all_fixture_names, respelled
+from conftest import all_fixture_names, fake_requests, respelled
 
 
 @pytest.fixture(autouse=True)
@@ -125,6 +125,21 @@ def test_divergence_is_a_physics_verdict(catalog, fixture_raw,
     assert verdict.parts == tuple(p.name for p in plan.parts)
 
 
+def test_a_client_is_any_object_with_complete(response_text):
+    """No craftkit class to inherit from: a plain object whose
+    ``complete(prompt)`` returns text is a client, and a run with no
+    catalog uses the default one."""
+    prompts = []
+
+    def complete(prompt):
+        prompts.append(prompt)
+        return response_text("hammer_valid_1")
+
+    result = run_pipeline("hammer", types.SimpleNamespace(complete=complete))
+    assert result.status == "success"
+    assert result.llm_calls == len(prompts) == 1
+
+
 def test_exhausted_client_is_a_classified_failure(catalog, response_text,
                                                   sleeps):
     client = ScriptedClient([response_text("hammer_invalid_1")])
@@ -142,39 +157,13 @@ def test_exhausted_client_is_a_classified_failure(catalog, response_text,
     assert sleeps == []
 
 
-def _fake_requests(statuses, posts):
-    """A stand-in ``requests`` module whose posts answer with ``statuses``
-    in turn, the last one repeated."""
-
-    class RequestException(Exception):
-        pass
-
-    class Response:
-        def __init__(self, status):
-            self.status_code = status
-
-        def raise_for_status(self):
-            if self.status_code >= 400:
-                raise RequestException(f"HTTP {self.status_code}")
-
-        def json(self):
-            return {"choices": [{"message": {"content": "[]"}}]}
-
-    def post(url, **kwargs):
-        posts.append(url)
-        return Response(statuses[min(len(posts), len(statuses)) - 1])
-
-    return types.SimpleNamespace(post=post,
-                                 RequestException=RequestException)
-
-
 @pytest.mark.parametrize("status, expected_posts",
                          [(404, 1), (503, MAX_CLIENT_RETRIES)])
 def test_http_client_retries_server_errors_only(status, expected_posts,
                                                 monkeypatch, catalog, sleeps):
     posts = []
     monkeypatch.setitem(sys.modules, "requests",
-                        _fake_requests([status], posts))
+                        fake_requests([status], posts))
     client = HttpClient("http://localhost:9/v1/chat", "m")
     result = run_pipeline("hammer", client, policy=POLICY_NONE,
                           catalog=catalog)
@@ -192,7 +181,7 @@ def test_http_client_retries_a_timeout_or_a_rate_limit(status, monkeypatch,
     unlike every other 4xx."""
     posts = []
     monkeypatch.setitem(sys.modules, "requests",
-                        _fake_requests([status], posts))
+                        fake_requests([status], posts))
     client = HttpClient("http://localhost:9/v1/chat", "m")
     result = run_pipeline("hammer", client, policy=POLICY_NONE,
                           catalog=catalog)
@@ -206,7 +195,7 @@ def test_http_client_backs_off_between_server_errors(monkeypatch, catalog,
                                                      sleeps):
     posts = []
     monkeypatch.setitem(sys.modules, "requests",
-                        _fake_requests([503, 503, 200], posts))
+                        fake_requests([503, 503, 200], posts))
     client = HttpClient("http://localhost:9/v1/chat", "m")
     result = run_pipeline("hammer", client, policy=POLICY_NONE,
                           catalog=catalog)
@@ -217,7 +206,7 @@ def test_http_client_backs_off_between_server_errors(monkeypatch, catalog,
 
 
 def test_http_client_sends_one_message_at_fixed_settings(monkeypatch):
-    requests = _fake_requests([200], [])
+    requests = fake_requests([200], [])
     answer_ok = requests.post
     sent = []
 
@@ -234,6 +223,10 @@ def test_http_client_sends_one_message_at_fixed_settings(monkeypatch):
                  "messages": [{"role": "user", "content": "p"}]},
         "headers": {"Content-Type": "application/json"},
         "timeout": 120.0})]
+    # an API key goes in a bearer header, and nothing else changes
+    HttpClient("http://localhost:9/v1/chat", "m", api_key="k").complete("p")
+    assert sent[1] == (sent[0][0], {**sent[0][1], "headers": {
+        "Content-Type": "application/json", "Authorization": "Bearer k"}})
 
 
 @pytest.mark.parametrize("answer", [
@@ -247,7 +240,7 @@ def test_http_client_answer_without_text_is_a_client_failure(
     """An answer with no string content is retried as a bad answer and
     ends the run at CLIENT, with no exception out of the pipeline."""
     posts = []
-    requests = _fake_requests([200], posts)
+    requests = fake_requests([200], posts)
     answer_ok = requests.post
 
     def post(url, **kwargs):

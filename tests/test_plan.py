@@ -38,6 +38,12 @@ def test_normalize_idempotent():
 def test_bad_json_raises():
     with pytest.raises(JsonSyntaxError):
         normalize_raw("{not json")
+    # the depth before the error counts the arrays that closed on the way:
+    # 21 deep is the parser's own error, 41 deep is too deep
+    with pytest.raises(JsonSyntaxError, match="Expecting value"):
+        normalize_raw("[" + "[]," * 40 + "[" * 20 + "x")
+    with pytest.raises(JsonSyntaxError, match="nested too deeply"):
+        normalize_raw("[[]," + "[" * 40 + "x")
 
 
 def test_golden_plans_parse(catalog, fixture_raw):
@@ -50,9 +56,19 @@ def test_golden_plans_parse(catalog, fixture_raw):
 
 def test_wrapped_object_accepted(catalog, fixture_raw):
     parts = json.loads(fixture_raw("hammer_valid_1"))
-    wrapped = json.dumps({"parts": parts})
-    plan, report = parse_text(wrapped, catalog)
-    assert plan is not None, report.errors
+    # an object that holds the list, or the part objects themselves
+    for wrapped in ({"parts": parts}, {p["Name"]: p for p in parts}):
+        plan, report = parse_text(json.dumps(wrapped), catalog)
+        assert plan is not None, report.errors
+        assert [p.name for p in plan.parts] == [p["Name"] for p in parts]
+
+
+@pytest.mark.parametrize("answer", ['{"parts": 3, "name": "hammer"}', "7"])
+def test_an_answer_that_holds_no_part_list_is_missing_field(catalog, answer):
+    plan, report = parse_text(answer, catalog)
+    assert plan is None
+    assert report.errors == [(None, None, "MissingField",
+                              "plan must be a JSON array of part objects")]
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -92,6 +108,8 @@ def test_joint_type_defaults(catalog, fixture_raw):
     assert axle.connections[0].joint_type == "FIXED"
     wheel = plan.part("WHEEL_1")
     assert wheel.connections[0].joint_type == "NON_FIXED"
+    with pytest.raises(KeyError):
+        plan.part("WHEEL_99")
 
 
 def test_inserted_default_non_fixed(catalog):

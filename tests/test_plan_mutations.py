@@ -22,6 +22,8 @@ goldens, flip a boolean, reorder a list, or repeat a list entry.
 
 import copy
 import functools
+import importlib
+import inspect
 import json
 import math
 import random
@@ -40,7 +42,7 @@ from craftkit.orchestrator import (
 from craftkit.physics import functional
 from craftkit.physics.engine import MAX_SPEED
 
-from conftest import CATALOG, PLANS, all_fixture_names
+from conftest import CATALOG, PLANS, all_fixture_names, outcome
 
 SEED = 16
 N_MUTANTS = 300
@@ -59,6 +61,23 @@ REASONS = {functional.PART_SEPARATED, functional.NEW_GROUND_CONTACT,
            functional.INSUFFICIENT_DISTANCE, functional.VEERED,
            functional.MOVED_UNDER_LOAD, functional.PEG_MISSED,
            functional.PEG_OUTSIDE_HOLE}
+# the committed case that produces each reason under the test it belongs
+# to: a gate fixture under its category's test, or a test that asserts the
+# reason; a reason that no case produces yet names the ROADMAP item that
+# will add one
+REASON_CASES = {
+    functional.PART_SEPARATED: "hammer_detached",
+    functional.NEW_GROUND_CONTACT: "skateboard_floating",
+    functional.INSUFFICIENT_ROTATION: "skateboard_offcenter",
+    functional.NUMERICAL_DIVERGENCE:
+        "test_orchestrator.py::test_divergence_is_a_physics_verdict",
+    functional.PEG_MISSED:
+        "test_functional.py::test_hit_stops_at_duration_without_drive",
+    functional.VEERED: "ROADMAP item 22",
+    functional.INSUFFICIENT_DISTANCE: "ROADMAP items 27 and 22",
+    functional.PEG_OUTSIDE_HOLE: "ROADMAP item 5",
+    functional.MOVED_UNDER_LOAD: "ROADMAP item 26",
+}
 # a body under the speed bound cannot get further from the origin in
 # SIM_DURATION; every golden spans a few metres
 REACH = MAX_SPEED * SIM_DURATION + 10.0
@@ -199,3 +218,26 @@ def test_screened_mutants_get_a_named_sim_outcome():
         runs += 1
     assert runs == SIM_MUTANTS * len(SIM_TESTS)
 
+
+
+def test_every_reason_names_the_case_that_produces_it():
+    """Reads the gate's and the mutants' outcomes from the session caches,
+    and starts no simulation of its own."""
+    import pins  # pins imports this module
+
+    assert set(REASON_CASES) == REASONS
+    produced = {o.failure_reason for o in (
+        [outcome(name) for name in pins.CASES]
+        + [o for *_, o in simulated_mutants()])}
+    for reason, case in REASON_CASES.items():
+        if case.startswith("ROADMAP"):
+            # once a committed case produces it, name that case instead
+            assert reason not in produced, reason
+        elif "::" in case:
+            module, name = case.split("::")
+            test = getattr(importlib.import_module(module[:-3]), name)
+            assert reason in inspect.getsource(test), case
+        else:
+            # under its category's test: a reason of one test comes only
+            # from that test
+            assert outcome(case).failure_reason == reason, case
