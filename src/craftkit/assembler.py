@@ -58,9 +58,6 @@ class Assembly:
     graph: list = field(default_factory=list)  # (part, to_part, ConnectionSpec)
     ground_set: set = field(default_factory=set)
 
-    def part(self, name) -> PlacedPart:
-        return self.placed[name]
-
     def min_z(self):
         return min(p.aabb()[0][2] for p in self.placed.values())
 

@@ -275,20 +275,22 @@ class RigidBody:
                 y + (r10 * px + r11 * py + r12 * pz),
                 z + (r20 * px + r21 * py + r22 * pz))
 
+    def world_vector(self, local):
+        """The world direction R v of a vector v given in the body frame."""
+        return _matvec3(self.rot, local)
+
     def apply_force(self, force, point=None):
         """Add a world force, acting at the world ``point`` (None: at the
         centre of mass); the torque is (point - x) x force."""
-        fx, fy, fz = force
-        fx, fy, fz = float(fx), float(fy), float(fz)
+        fx, fy, fz = force = _floats(force)
         gx, gy, gz = self.force
         self.force = (gx + fx, gy + fy, gz + fz)
         if point is not None:
-            px, py, pz = point
+            px, py, pz = _floats(point)
             x, y, z = self.x
-            rx, ry, rz = float(px) - x, float(py) - y, float(pz) - z
             tx, ty, tz = self.torque
-            self.torque = (tx + (ry * fz - rz * fy), ty + (rz * fx - rx * fz),
-                           tz + (rx * fy - ry * fx))
+            cx, cy, cz = _cross3((px - x, py - y, pz - z), force)
+            self.torque = (tx + cx, ty + cy, tz + cz)
 
     def apply_torque(self, torque):
         self.torque = tuple(t + u for t, u in zip(self.torque,

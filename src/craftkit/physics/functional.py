@@ -7,7 +7,8 @@ in SI units: lengths in metres, time in seconds, forces in newtons, under
 ``engine.GRAVITY`` in m/s^2.  Three scripted tests probe whether the craft
 actually works: rolling under a push, holding a load, and hammering a peg
 into a block.  Each test is a set of hooks around one simulation driver,
-``run_functional_test``.
+``run_functional_test``; the hooks read poses only through the bodies'
+``world_point`` and ``world_vector``.
 """
 
 from __future__ import annotations
@@ -101,32 +102,15 @@ class ConnectionWatch:
     normal_local_a: tuple | None  # SURFACE only, frame of body_a
 
     def drift(self):
-        """The watched points' gap at the bodies' poses, in straight-line
-        float code: ``world_point`` of each point, then their distance
-        (``math.sqrt`` of the squares, rounded alike in every CPython
-        release, unlike ``math.dist``), or for SURFACE the gap along the
-        normal rotated into the world."""
-        a, b = self.body_a, self.body_b
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = a.rot
-        x, y, z = a.x
-        px, py, pz = self.local_a
-        ax = x + (r00 * px + r01 * py + r02 * pz)
-        ay = y + (r10 * px + r11 * py + r12 * pz)
-        az = z + (r20 * px + r21 * py + r22 * pz)
+        """The watched points' distance at the bodies' poses (``math.sqrt``
+        of the squares, rounded alike in every CPython release, unlike
+        ``math.dist``), or for SURFACE their gap along the normal rotated
+        into the world."""
+        ax, ay, az = self.body_a.world_point(self.local_a)
+        bx, by, bz = self.body_b.world_point(self.local_b)
+        dx, dy, dz = bx - ax, by - ay, bz - az
         if self.kind == "SURFACE":
-            # R n: world_point's x + with x = 0.0 would only clear the
-            # sign of a zero, which abs drops
-            nx, ny, nz = self.normal_local_a
-            nx, ny, nz = (r00 * nx + r01 * ny + r02 * nz,
-                          r10 * nx + r11 * ny + r12 * nz,
-                          r20 * nx + r21 * ny + r22 * nz)
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = b.rot
-        x, y, z = b.x
-        px, py, pz = self.local_b
-        dx = (x + (r00 * px + r01 * py + r02 * pz)) - ax
-        dy = (y + (r10 * px + r11 * py + r12 * pz)) - ay
-        dz = (z + (r20 * px + r21 * py + r22 * pz)) - az
-        if self.kind == "SURFACE":
+            nx, ny, nz = self.body_a.world_vector(self.normal_local_a)
             return abs(dx * nx + dy * ny + dz * nz)
         return math.sqrt(dx * dx + dy * dy + dz * dz)
 
@@ -276,8 +260,7 @@ def _snapshot(craft: CompiledCraft, t):
     }
 
 
-def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
-                  config: SimConfig):
+def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan):
     """Push the most connected part along +x; every exec part must turn."""
     push_part = _most_connected(assembly)
     push_body, push_shape = craft.parts[push_part]
@@ -314,19 +297,15 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
                 wx, wy, wz = w[3:]
                 rotation[name] += math.sqrt(wx * wx + wy * wy + wz * wz) * dt
                 continue
-            # the relative spin about the hinge axis R a, in the world;
-            # world_point's x + with x = 0.0 would only clear the sign of a
-            # zero, which abs drops
-            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = body.rot
-            x, y, z = axis_local
+            # the relative spin about the hinge axis, in the world
+            x, y, z = body.world_vector(axis_local)
             u = other.vel
-            spin = (w[3] - u[3]) * (r00 * x + r01 * y + r02 * z) \
-                + (w[4] - u[4]) * (r10 * x + r11 * y + r12 * z) \
-                + (w[5] - u[5]) * (r20 * x + r21 * y + r22 * z)
+            spin = (w[3] - u[3]) * x + (w[4] - u[4]) * y + (w[5] - u[5]) * z
             rotation[name] += abs(spin) * dt
 
         com = craft_com()
-        if veer_at_goal is None and com[0] - start_com[0] >= config.min_distance:
+        if (veer_at_goal is None
+                and com[0] - start_com[0] >= SimConfig.min_distance):
             veer_at_goal = abs(com[1] - start_com[1])
         return None
 
@@ -340,11 +319,11 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
             "push_part": push_part,
         }
         lacking = [n for n in exec_parts
-                   if rotation[n] < config.min_rotation]
+                   if rotation[n] < SimConfig.min_rotation]
         if lacking:
             details["parts"] = lacking
             return INSUFFICIENT_ROTATION, details
-        if dx < config.min_distance:
+        if dx < SimConfig.min_distance:
             return INSUFFICIENT_DISTANCE, details
         # after_step has set veer_at_goal by now: its last call saw this
         # pose, and dx >= min_distance
@@ -355,8 +334,7 @@ def _rolling_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     return before_step, after_step, finish
 
 
-def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
-                  config: SimConfig):
+def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan):
     """Press down on the top of every exec part; nothing may move.
 
     The test fails on the largest part-centre displacement from the start.
@@ -380,16 +358,12 @@ def _support_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
             body.apply_force(load, body.world_point(point))
 
     def after_step(contacts):
-        # each part centre's distance from the start, the centres as
-        # world_point gives them, in straight-line float code; a larger one
-        # replaces max_disp, as max(max_disp, d) does
+        # each part centre's distance from the start; a larger one replaces
+        # max_disp, as max(max_disp, d) does
         nonlocal max_disp
-        for body, (px, py, pz), (sx, sy, sz) in centres:
-            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = body.rot
-            x, y, z = body.x
-            dx = (x + (r00 * px + r01 * py + r02 * pz)) - sx
-            dy = (y + (r10 * px + r11 * py + r12 * pz)) - sy
-            dz = (z + (r20 * px + r21 * py + r22 * pz)) - sz
+        for body, local, (sx, sy, sz) in centres:
+            x, y, z = body.world_point(local)
+            dx, dy, dz = x - sx, y - sy, z - sz
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
             if d > max_disp:
                 max_disp = d
@@ -418,7 +392,7 @@ HIT_DESCENT = 0.5 * HIT_HOLE_DEPTH  # peg descent that counts as a hit
 def _peg_ends(peg: RigidBody):
     """World (top, low) end points of the peg's axis."""
     h = HIT_PEG_LENGTH / 2.0
-    (_, _, a0), (_, _, a1), (_, _, a2) = peg.rot
+    a0, a1, a2 = peg.world_vector((0.0, 0.0, 1.0))
     x, y, z = peg.x
     up = (x + a0 * h, y + a1 * h, z + a2 * h)
     down = (x - a0 * h, y - a1 * h, z - a2 * h)
@@ -457,8 +431,7 @@ def _peg_block_hook(peg: RigidBody):
     return hook
 
 
-def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
-              config: SimConfig):
+def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan):
     """Drive the craft down over a peg standing on a slotted block; the
     head must knock the peg into the hole."""
     world = craft.world
@@ -515,7 +488,7 @@ def _hit_test(craft: CompiledCraft, assembly: Assembly, plan: CraftPlan,
     return (lambda: None), after_step, finish
 
 
-# Each test sets up from (craft, assembly, plan, config) and returns three
+# Each test sets up from (craft, assembly, plan) and returns three
 # hooks: before_step() applies its push or load; after_step(contacts) updates
 # its state and returns a verdict (reason, details) to end early, or None;
 # finish() returns the verdict at the end.  A reason of None is a success.
@@ -548,13 +521,13 @@ def run_functional_test(kind: str, assembly: Assembly, plan: CraftPlan,
     n_steps = int(round(config.duration / step))
     craft = compile_craft(assembly)
     world = craft.world
-    before_step, after_step, finish = setup(craft, assembly, plan, config)
+    before_step, after_step, finish = setup(craft, assembly, plan)
     trajectory = [_snapshot(craft, 0.0)]
     try:
         for step in range(n_steps):
             before_step()
             verdict = after_step(world.step())
-            if (step + 1) % config.trace_every == 0:
+            if (step + 1) % SimConfig.trace_every == 0:
                 trajectory.append(_snapshot(craft, world.time))
             if verdict is None:
                 verdict = check_common_failures(craft)

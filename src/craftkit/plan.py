@@ -66,15 +66,8 @@ class OrientationSpec:
 @dataclass(frozen=True)
 class ModificationSpec:
     name: str
-    mod_type: str
     align: tuple  # (align_x, align_y, align_z) tokens
-
-    @property
-    def through_axis(self) -> str:
-        for ax, token in zip(AXES, self.align):
-            if token in MOD_THROUGH[ax]:
-                return ax
-        raise ValueError(f"modification {self.name!r} has no through-axis token")
+    through_axis: str  # the one axis whose token is in MOD_THROUGH
 
 
 @dataclass(frozen=True)
@@ -261,7 +254,8 @@ def _parse_modification(raw, part_name, report):
         ok = False
     if not ok:
         return None
-    return ModificationSpec(name=name, mod_type=mod_type, align=tuple(align))
+    return ModificationSpec(name=name, align=tuple(align),
+                            through_axis=through_axes[0])
 
 
 def _parse_connection(raw, part_name, report):

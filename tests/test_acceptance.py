@@ -143,7 +143,7 @@ def test_criterion_2_placement_exactness(criterion, catalog, fixture_raw):
         ]
         plan, _ = parse_plan(normalize_raw(json.dumps(parts)), catalog)
         asm = build_assembly(plan, catalog)
-        base, cap = asm.part("BASE_1").position, asm.part("CAP_1").position
+        base, cap = asm.placed["BASE_1"].position, asm.placed["CAP_1"].position
         assert abs(base[0] - cap[0]) <= 1e-12
         assert abs(base[1] - cap[1]) <= 1e-12
 
@@ -151,8 +151,8 @@ def test_criterion_2_placement_exactness(criterion, catalog, fixture_raw):
         plan, _ = parse_plan(normalize_raw(fixture_raw("table_valid_1")),
                              catalog)
         asm = build_assembly(plan, catalog)
-        top_lo, top_hi = asm.part("TABLETOP_1").aabb()
-        leg_lo, leg_hi = asm.part("LEG_1").aabb()
+        top_lo, top_hi = asm.placed["TABLETOP_1"].aabb()
+        leg_lo, leg_hi = asm.placed["LEG_1"].aabb()
         assert abs(leg_hi[0] - top_hi[0]) <= 1e-12
         assert abs(leg_hi[1] - top_hi[1]) <= 1e-12
 
@@ -175,8 +175,8 @@ def test_criterion_2_placement_exactness(criterion, catalog, fixture_raw):
             normalize_raw(json.dumps(mirror(json.loads(raw)))), catalog)
         mirrored = build_assembly(plan, catalog)
         for name in original.placed:
-            a = original.part(name).position
-            b = mirrored.part(name).position
+            a = original.placed[name].position
+            b = mirrored.placed[name].position
             assert a[0] == b[0] and a[1] == -b[1] and a[2] == b[2]
 
 

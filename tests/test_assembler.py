@@ -25,7 +25,7 @@ def build_text(text, catalog):
 
 def test_seed_rests_on_ground(build_fixture):
     _, asm = build_fixture("table_valid_1")
-    top = asm.part("TABLETOP_1")
+    top = asm.placed["TABLETOP_1"]
     assert top.position[0] == 0.0
     assert top.position[1] == 0.0
     lo, _ = top.aabb()
@@ -36,17 +36,17 @@ def test_seed_rests_on_ground(build_fixture):
 
 def test_skateboard_golden_coordinates(build_fixture):
     _, asm = build_fixture("skateboard_valid_1")
-    assert asm.part("DECK_1").position == pytest.approx(
+    assert asm.placed["DECK_1"].position == pytest.approx(
         (0, 0, 0.010), abs=1e-12)
-    assert asm.part("SUPPORT_1").position == pytest.approx(
+    assert asm.placed["SUPPORT_1"].position == pytest.approx(
         (0.090, 0.0, -0.025), abs=1e-12)
-    assert asm.part("SUPPORT_2").position == pytest.approx(
+    assert asm.placed["SUPPORT_2"].position == pytest.approx(
         (-0.090, 0.0, -0.025), abs=1e-12)
-    assert asm.part("WHEEL_1").position == pytest.approx(
+    assert asm.placed["WHEEL_1"].position == pytest.approx(
         (0.090, 0.035, -0.025), abs=1e-12)
-    assert asm.part("WHEEL_2").position == pytest.approx(
+    assert asm.placed["WHEEL_2"].position == pytest.approx(
         (0.090, -0.035, -0.025), abs=1e-12)
-    assert asm.part("AXLE_1").position == pytest.approx(
+    assert asm.placed["AXLE_1"].position == pytest.approx(
         (0.090, 0.0, -0.025), abs=1e-12)
     # wheels are the lowest parts and carry the ground set
     assert asm.ground_set == {"WHEEL_1", "WHEEL_2", "WHEEL_3", "WHEEL_4"}
@@ -54,8 +54,8 @@ def test_skateboard_golden_coordinates(build_fixture):
 
 def test_skateboard_hole_cross_sections(build_fixture):
     _, asm = build_fixture("skateboard_valid_1")
-    support_hole = asm.part("SUPPORT_1").solid.holes[0]
-    wheel_hole = asm.part("WHEEL_1").solid.holes[0]
+    support_hole = asm.placed["SUPPORT_1"].solid.holes[0]
+    wheel_hole = asm.placed["WHEEL_1"].solid.holes[0]
     # axle radius 5 mm + 1 mm clearance
     assert support_hole.radius == pytest.approx(0.006, abs=1e-12)
     assert wheel_hole.radius == pytest.approx(0.006, abs=1e-12)
@@ -65,8 +65,8 @@ def test_skateboard_hole_cross_sections(build_fixture):
 
 def test_hammer_golden_coordinates(build_fixture):
     _, asm = build_fixture("hammer_valid_1")
-    handle = asm.part("HANDLE_1")
-    head = asm.part("HEAD_1")
+    handle = asm.placed["HANDLE_1"]
+    head = asm.placed["HEAD_1"]
     assert handle.position == pytest.approx((0.0, 0.0, 0.010), abs=1e-12)
     # head hangs under the front end of the handle, flush at the tip
     assert head.position == pytest.approx((0.070, 0.0, -0.020), abs=1e-12)
@@ -74,8 +74,8 @@ def test_hammer_golden_coordinates(build_fixture):
 
 def test_table_flush_legs(build_fixture):
     _, asm = build_fixture("table_valid_1")
-    top = asm.part("TABLETOP_1")
-    leg = asm.part("LEG_1")  # FRONT, LEFT
+    top = asm.placed["TABLETOP_1"]
+    leg = asm.placed["LEG_1"]  # FRONT, LEFT
     top_lo, top_hi = top.aabb()
     leg_lo, leg_hi = leg.aabb()
     assert leg_hi[0] == pytest.approx(top_hi[0], abs=1e-12)
@@ -96,8 +96,8 @@ def test_center_alignment_agreement(catalog):
          "exec_function": True},
     ]
     _, asm = build_text(json.dumps(parts), catalog)
-    base = asm.part("BASE_1").position
-    cap = asm.part("CAP_1").position
+    base = asm.placed["BASE_1"].position
+    cap = asm.placed["CAP_1"].position
     assert abs(base[0] - cap[0]) <= 1e-12
     assert abs(base[1] - cap[1]) <= 1e-12
 
@@ -130,8 +130,8 @@ def test_chair_mirror_property(catalog, fixture_raw):
     mirrored_json = json.dumps(_mirror_tokens(json.loads(raw)))
     _, mirrored = build_text(mirrored_json, catalog)
     for name in original.placed:
-        a = original.part(name).position
-        b = mirrored.part(name).position
+        a = original.placed[name].position
+        b = mirrored.placed[name].position
         assert a[0] == b[0]
         assert a[1] == -b[1]
         assert a[2] == b[2]
@@ -321,7 +321,7 @@ def test_an_inserted_cuboid_gets_a_square_hole(catalog):
             owner,
             _part("KEY_1", "CUBOID_30X30X30", [30, 30, 30],
                   connections=[_into("OWNER_1", "HOLE_1")])]), catalog)
-        hole = asm.part("OWNER_1").solid.holes[0]
+        hole = asm.placed["OWNER_1"].solid.holes[0]
         assert hole.radius is None
         assert hole.half_widths == pytest.approx((0.016, 0.016), abs=1e-12)
         (saved,) = asm.to_jsonable()["parts"][0]["solid"]["holes"]
@@ -341,7 +341,7 @@ def test_half_hole_geometry(catalog):
     plan, report = parse_plan(normalize_raw(json.dumps(parts)), catalog)
     assert plan is not None, report.errors
     asm = build_assembly(plan, catalog)
-    hole = asm.part("BLOCK_1").solid.holes[0]
+    hole = asm.placed["BLOCK_1"].solid.holes[0]
     # blind hole from the top face down to half depth
     assert not hole.through
     assert hole.depth == pytest.approx(0.050, abs=1e-12)
@@ -363,7 +363,7 @@ def test_transverse_quarter_point(catalog):
     plan, report = parse_plan(normalize_raw(json.dumps(parts)), catalog)
     assert plan is not None, report.errors
     asm = build_assembly(plan, catalog)
-    hole = asm.part("BLOCK_1").solid.holes[0]
+    hole = asm.placed["BLOCK_1"].solid.holes[0]
     assert hole.offset[0] == pytest.approx(0.025, abs=1e-12)
 
 

@@ -194,6 +194,10 @@ def test_runaway_spin_raises():
 
 
 def test_part_min_z_rotated_box():
+    """A box 45 degrees about x: its lowest point, and world_vector and
+    world_point against numpy's R v and x + R p.  R is written out, is not
+    its own transpose, and the centre is off the origin, so a world_vector
+    that adds x, or either method applying R^T, fails."""
     body = box_body((0.0, 0.0, 1.0))
     # 45 degrees about x: the support corner is half the face diagonal down
     half = np.pi / 8.0
@@ -201,6 +205,12 @@ def test_part_min_z_rotated_box():
     body.refresh_pose_cache()
     expected = 1.0 - 0.1 * np.sqrt(2.0)
     assert body.part_min_z(body.parts[0]) == pytest.approx(expected, abs=1e-9)
+    c = np.sqrt(0.5)
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -c], [0.0, c, c]])
+    v = np.array([0.4, -0.7, 0.25])
+    assert body.world_vector(v) == pytest.approx(rot @ v, abs=1e-12)
+    assert body.world_point(v) == pytest.approx(
+        np.array(body.x) + rot @ v, abs=1e-12)
 
 
 def test_the_physics_package_imports_no_numpy():
